@@ -15,7 +15,6 @@ fingerprint therefore excludes.
 from __future__ import annotations
 
 import argparse
-import concurrent.futures
 import csv
 import json
 import logging
@@ -35,9 +34,11 @@ from .io import (
     export_run_record_json,
     write_jsonl,
 )
-from .model import GameParams, SampleBank, TargetSeries, estimate_moments
+# estimate_moments and decentralized_backward_pass are not called here;
+# perfbench/tracer.py wraps them under these names
+from .model import GameParams, TargetSeries, estimate_moments  # noqa: F401
 from .nash_full import check_block_structure, full_backward_pass
-from .nash_meanfield import decentralized_backward_pass
+from .nash_meanfield import decentralized_backward_pass  # noqa: F401
 from .nash_reduced import reduced_backward_pass
 from .ridge import RidgeConfig
 
@@ -195,34 +196,14 @@ def cell_grid(cfg: dict, seed_override=None):
     ]
 
 
-def _round0_coeff_dump(policy, scenario, seed, path):
-    """Re-solve the first round's coefficients for a regression snapshot."""
-    from .datasets import build_dataset
-    from .harness import _build_bank  # shared bank construction
-
-    if policy == "greedy":
+def _round0_coeff_dump(policy, scenario, seed, record, coeff_dir):
+    """Write the first round's coefficients, as solved by the episode, for a
+    regression snapshot; the greedy baseline has none."""
+    if record.round0_coeffs is None:
         return
-    targets, inputs = build_dataset(scenario.dataset)
-    T = scenario.params.horizon_T
-    bank = _build_bank(scenario, inputs, seed)
-    moments = estimate_moments(SampleBank(samples=bank.samples[:T]))
-    y_round = TargetSeries(values=targets.values[: T + 1])
-    if policy == "full" or (policy == "reduced" and scenario.params.population_N == 1):
-        coeffs = full_backward_pass(scenario.params, moments, y_round)
-        kind = "full"
-    elif policy == "reduced":
-        coeffs = reduced_backward_pass(scenario.params, moments, y_round)
-        kind = "reduced"
-    else:
-        coeffs = decentralized_backward_pass(scenario.params, moments, y_round)
-        kind = "decentralized"
-    dump_coeffs(coeffs, kind, path)
-
-
-def _run_cell(cfg, policy, n, seed):
-    scenario = build_scenario(cfg, n)
-    record = run_episode(policy, scenario, seed)
-    return record
+    kind, coeffs = record.round0_coeffs
+    n = scenario.params.population_N
+    dump_coeffs(coeffs, kind, Path(coeff_dir) / f"{policy}_N{n}_seed{seed}.json")
 
 
 def results_fingerprint(path) -> str:
@@ -243,11 +224,10 @@ def cmd_run(args) -> int:
     try:
         cfg = load_config(args.config)
         cells = cell_grid(cfg, args.seed_override)
-        scenarios_ok = [build_scenario(cfg, n) for _, n, _ in cells]  # validate early
+        scenarios = {cell: build_scenario(cfg, cell[1]) for cell in cells}  # validate early
     except (ConfigError, FedGamesError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    del scenarios_ok
     if args.dry_run:
         print(f"{len(cells)} cells:")
         for policy, n, seed in cells:
@@ -260,28 +240,12 @@ def cmd_run(args) -> int:
 
     results = {}
     failures = []
-
-    def work(cell):
-        policy, n, seed = cell
-        return cell, _run_cell(cfg, policy, n, seed)
-
-    if args.threads > 1:
-        with concurrent.futures.ThreadPoolExecutor(max_workers=args.threads) as pool:
-            futs = {pool.submit(work, c): c for c in cells}
-            for fut in concurrent.futures.as_completed(futs):
-                cell = futs[fut]
-                try:
-                    _, record = fut.result()
-                    results[cell] = record
-                except (FedGamesError, ValueError, np.linalg.LinAlgError) as exc:
-                    failures.append((cell, str(exc)))
-    else:
-        for cell in cells:
-            try:
-                _, record = work(cell)
-                results[cell] = record
-            except (FedGamesError, ValueError, np.linalg.LinAlgError) as exc:
-                failures.append((cell, str(exc)))
+    for cell in cells:
+        policy, _, seed = cell
+        try:
+            results[cell] = run_episode(policy, scenarios[cell], seed)
+        except (FedGamesError, ValueError, np.linalg.LinAlgError) as exc:
+            failures.append((cell, str(exc)))
 
     if failures:
         for (policy, n, seed), msg in failures:
@@ -313,13 +277,7 @@ def cmd_run(args) -> int:
         export_run_record_json(rec, out_dir / f"run_{policy}_N{n}_seed{seed}.json")
         if rec.spawn_events:
             write_jsonl(rec.spawn_events, out_dir / f"spawner_{policy}_N{n}_seed{seed}.jsonl")
-        try:
-            _round0_coeff_dump(
-                policy, build_scenario(cfg, n), seed, out_dir / "coeffs" / f"{policy}_N{n}_seed{seed}.json"
-            )
-        except FedGamesError as exc:
-            print(f"coefficient dump failed for {cell}: {exc}", file=sys.stderr)
-            return 3
+        _round0_coeff_dump(policy, scenarios[cell], seed, rec, out_dir / "coeffs")
         report_cells.append(
             {
                 "policy": policy,
@@ -534,7 +492,6 @@ def main(argv=None) -> int:
     run_p.add_argument("--config", required=True)
     run_p.add_argument("--out", default=None)
     run_p.add_argument("--seed-override", type=int, default=None)
-    run_p.add_argument("--threads", type=int, default=1)
     run_p.add_argument("--dry-run", action="store_true")
     run_p.set_defaults(fn=cmd_run)
 

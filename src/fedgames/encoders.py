@@ -10,6 +10,12 @@ row noise and passing the result through a fixed nonlinearity:
 where W_t is a 1 x d_z standard-normal row and sigma a d_y column scale.
 The ESN saturation phi is the hard sigmoid clamp((x + 3) / 6, 0, 1) by
 default (so phi(0) = 0.5), with tanh as an option.
+
+Parameter arrays may carry leading stack axes (one row per agent or per
+Monte-Carlo replica): A (..., d_y, d_x), b (..., d_y, d_z), B (..., d_y,
+d_y), sigma (..., d_y). The encoders broadcast over them, with one noise
+row per stacked encoder and one input x shared by all of them, so a
+whole population is encoded in one call and every check runs once.
 """
 
 from __future__ import annotations
@@ -26,9 +32,9 @@ TANH = "tanh"
 
 @dataclass(frozen=True)
 class RfnParams:
-    A: np.ndarray  # (d_y, d_x)
-    b: np.ndarray  # (d_y, d_z)
-    sigma: np.ndarray  # (d_y,)
+    A: np.ndarray  # (..., d_y, d_x)
+    b: np.ndarray  # (..., d_y, d_z)
+    sigma: np.ndarray  # (..., d_y)
 
     def __post_init__(self):
         for name in ("A", "b", "sigma"):
@@ -43,10 +49,10 @@ class RfnParams:
 
 @dataclass(frozen=True)
 class EsnParams:
-    A: np.ndarray  # (d_y, d_x)
-    B: np.ndarray  # (d_y, d_y)
-    b: np.ndarray  # (d_y, d_z)
-    sigma: np.ndarray  # (d_y,)
+    A: np.ndarray  # (..., d_y, d_x)
+    B: np.ndarray  # (..., d_y, d_y)
+    b: np.ndarray  # (..., d_y, d_z)
+    sigma: np.ndarray  # (..., d_y)
     activation: str = HARD_SIGMOID
 
     def __post_init__(self):
@@ -60,20 +66,15 @@ class EsnParams:
             raise EncodeError(f"unknown activation {self.activation!r}")
 
 
-def _tile_input(x: np.ndarray, d_z: int) -> np.ndarray:
-    x = np.asarray(x, dtype=float).reshape(-1)
-    return np.tile(x[:, None], (1, d_z))
-
-
 def _preactivation(A, b, x, extra, sigma, noise):
-    d_y, d_z = b.shape
+    d_y, d_z = b.shape[-2:]
     x = np.asarray(x, dtype=float).reshape(-1)
-    if A.shape[0] != d_y or A.shape[1] != x.shape[0]:
+    if A.shape[-2] != d_y or A.shape[-1] != x.shape[0]:
         raise EncodeError(f"A has shape {A.shape}, incompatible with x of length {x.shape[0]}")
-    noise = np.asarray(noise, dtype=float).reshape(1, -1)
-    if noise.shape[1] != d_z:
-        raise EncodeError(f"noise must have d_z={d_z} entries, got {noise.shape[1]}")
-    pre = A @ _tile_input(x, d_z) + b + sigma.reshape(-1, 1) @ noise
+    noise = np.asarray(noise, dtype=float)
+    if noise.shape != b.shape[:-2] + (d_z,):
+        raise EncodeError(f"noise must have shape {b.shape[:-2] + (d_z,)}, got {noise.shape}")
+    pre = (A @ x)[..., None] + b + sigma[..., None] * noise[..., None, :]
     if extra is not None:
         pre = pre + extra
     return pre
@@ -84,12 +85,14 @@ def hard_sigmoid(x: np.ndarray) -> np.ndarray:
 
 
 def rfn_encode(x_t, p: RfnParams, noise) -> np.ndarray:
-    """Rectified random-feature encoding of a single input vector."""
+    """Rectified random-feature encoding of one input vector by every
+    stacked encoder in ``p``."""
     return np.maximum(_preactivation(p.A, p.b, x_t, None, p.sigma, noise), 0.0)
 
 
 def esn_encode(x_t, z_prev, p: EsnParams, noise) -> np.ndarray:
-    """Saturating recurrent encoding; z_prev is the previous latent matrix."""
+    """Saturating recurrent encoding; z_prev is the previous latent matrix
+    of every stacked encoder, shaped like ``p.b``."""
     z_prev = np.asarray(z_prev, dtype=float)
     if z_prev.shape != p.b.shape:
         raise EncodeError(f"z_prev has shape {z_prev.shape}, expected {p.b.shape}")
@@ -101,13 +104,24 @@ def esn_encode(x_t, z_prev, p: EsnParams, noise) -> np.ndarray:
     return hard_sigmoid(pre)
 
 
-def sample_rfn_params(d_y: int, d_z: int, d_x: int, sigma: float, rng: np.random.Generator) -> RfnParams:
-    """Draw encoder weights from standard normals, uniform sigma scale."""
-    return RfnParams(
-        A=rng.standard_normal((d_y, d_x)),
-        b=rng.standard_normal((d_y, d_z)),
-        sigma=np.full(d_y, float(sigma)),
-    )
+def _stacked_normals(rng, count, shapes):
+    """Standard normals for ``count`` parameter sets (None: a single set),
+    drawn set-major: set i takes the i-th consecutive block of the stream,
+    so the first n sets are the same for any count >= n."""
+    lead = () if count is None else (int(count),)
+    sizes = [int(np.prod(shape)) for shape in shapes]
+    draws = rng.standard_normal(lead + (sum(sizes),))
+    parts = np.split(draws, np.cumsum(sizes)[:-1], axis=-1)
+    return lead, [part.reshape(lead + shape) for part, shape in zip(parts, shapes)]
+
+
+def sample_rfn_params(
+    d_y: int, d_z: int, d_x: int, sigma: float, rng: np.random.Generator, count: int | None = None
+) -> RfnParams:
+    """Draw encoder weights from standard normals, uniform sigma scale;
+    ``count`` stacks that many sets along a leading axis."""
+    lead, (A, b) = _stacked_normals(rng, count, [(d_y, d_x), (d_y, d_z)])
+    return RfnParams(A=A, b=b, sigma=np.full(lead + (d_y,), float(sigma)))
 
 
 def sample_esn_params(
@@ -117,11 +131,7 @@ def sample_esn_params(
     sigma: float,
     rng: np.random.Generator,
     activation: str = HARD_SIGMOID,
+    count: int | None = None,
 ) -> EsnParams:
-    return EsnParams(
-        A=rng.standard_normal((d_y, d_x)),
-        B=rng.standard_normal((d_y, d_y)),
-        b=rng.standard_normal((d_y, d_z)),
-        sigma=np.full(d_y, float(sigma)),
-        activation=activation,
-    )
+    lead, (A, B, b) = _stacked_normals(rng, count, [(d_y, d_x), (d_y, d_y), (d_y, d_z)])
+    return EsnParams(A=A, B=B, b=b, sigma=np.full(lead + (d_y,), float(sigma)), activation=activation)

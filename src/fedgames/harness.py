@@ -9,6 +9,11 @@ are plain online mechanisms and know nothing about rounds).
 
 Costs are reported as sample-path evaluations of the game objective;
 Monte-Carlo means over seeds are left to the caller.
+
+The agent loop is array-at-a-time: per step, one noise block, one
+encoder call, one action call and one dynamics update cover all N
+agents. Random streams come from ``_rng`` only, keyed by (seed, purpose,
+step) and drawn agent-major (README, "Random streams").
 """
 
 from __future__ import annotations
@@ -36,7 +41,7 @@ from .nash_meanfield import (
     meanfield_forward,
 )
 from .nash_reduced import reduced_action, reduced_backward_pass
-from .pool import AgentPool, flatten_encoder, unflatten_encoder
+from .pool import AgentPool
 from .ridge import RidgeConfig, ridge_action
 from .spawner import build_ortho_problem, ortho_solve, resample_parameters, score_agents
 
@@ -87,6 +92,10 @@ class Scenario:
     aggregation_window: int = 1
     spawner: SpawnerConfig | None = None
 
+    def __post_init__(self):
+        if self.aggregation_window < 1:
+            raise ValueError("aggregation_window must be >= 1")
+
 
 @dataclass
 class RunRecord:
@@ -108,6 +117,7 @@ class RunRecord:
     messages_per_step: int
     runtime_ms: float = 0.0
     spawn_events: list = field(default_factory=list)
+    round0_coeffs: tuple | None = None  # (kind, coefficients) of round 0; None for greedy
 
 
 def step_dynamics(
@@ -124,7 +134,7 @@ def step_dynamics(
     mean = preds.mean(axis=0)
     out = (
         preds @ params.theta.T
-        + np.tile(mean @ params.theta_bar.T, (preds.shape[0], 1))
+        + mean @ params.theta_bar.T
         + np.einsum("nij,nj->ni", latents, actions)
     )
     bad = ~np.all(np.isfinite(out), axis=1)
@@ -133,32 +143,27 @@ def step_dynamics(
     return out
 
 
-def _round_cost(record: RunRecord, r: int, agent_n: int, params: GameParams, values) -> float:
+def _round_costs(predictions, actions, params: GameParams, values) -> np.ndarray:
+    """(rounds, N) discounted sample-path objective of every agent per round."""
+    rounds, _, _, d_y = predictions.shape
     T = params.horizon_T
-    base = r * T
-    total = 0.0
-    for t in range(T):
-        disc = params.discount(t)
-        pred = record.predictions[r, t + 1, agent_n]
-        mean = record.predictions[r, t + 1].mean(axis=0)
-        err = values[base + t + 1] - pred
-        dev = pred - mean
-        act = record.actions[r, t, agent_n]
-        total += disc * (
-            params.kappa * float(err @ err)
-            + params.kappa_bar * float(dev @ dev)
-            + params.gamma * float(act @ act)
-        )
-    return total
+    preds = predictions[:, 1:]  # (rounds, T, N, d_y)
+    y = np.asarray(values, dtype=float)[1 : rounds * T + 1].reshape(rounds, T, 1, d_y)
+    err = y - preds
+    dev = preds - preds.mean(axis=2, keepdims=True)
+    stage = (
+        params.kappa * np.einsum("rtnd,rtnd->rtn", err, err)
+        + params.kappa_bar * np.einsum("rtnd,rtnd->rtn", dev, dev)
+        + params.gamma * np.einsum("rtnk,rtnk->rtn", actions, actions)
+    )
+    disc = np.exp(-params.alpha * (T - 1 - np.arange(T)))
+    return np.einsum("t,rtn->rn", disc, stage)
 
 
 def evaluate_objective(record: RunRecord, agent_n: int, params: GameParams, targets) -> float:
     """Sample-path game objective of one agent, summed over rounds."""
     values = targets.values if isinstance(targets, TargetSeries) else np.asarray(targets)
-    return sum(
-        _round_cost(record, r, agent_n, params, values)
-        for r in range(record.predictions.shape[0])
-    )
+    return float(_round_costs(record.predictions, record.actions, params, values)[:, agent_n].sum())
 
 
 def underperformer_regret(record: RunRecord) -> float:
@@ -183,24 +188,31 @@ def aggregation_weights(recent_errors, alpha_a: float) -> np.ndarray:
 def aggregate_predictions(
     per_agent_preds, recent_errors, alpha_a: float, window_Ta: int
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Score-weighted ensemble prediction; returns (prediction, weights)."""
+    """Score-weighted ensemble prediction; returns (prediction, weights).
+
+    Only the last ``window_Ta`` rows of ``recent_errors`` (a sequence of
+    (N,) squared errors, oldest first) are read.
+    """
     preds = np.atleast_2d(np.asarray(per_agent_preds, dtype=float))
     n = preds.shape[0]
     if recent_errors is None or len(recent_errors) == 0:
         w = np.full(n, 1.0 / n)
     else:
-        w = aggregation_weights(np.asarray(recent_errors)[-window_Ta:], alpha_a)
+        w = aggregation_weights(np.asarray(recent_errors[-window_Ta:]), alpha_a)
     return w @ preds, w
 
 
 def _rng(*key):
+    """The one constructor of the episode's random streams, keyed by
+    (seed, purpose[, step]); every stream draws a block with one row per
+    agent (or bank replica), agent-major."""
     return np.random.default_rng(list(key))
 
 
-def _sample_encoder(cfg: EncoderConfig, d_y, d_z, d_x, rng):
+def _sample_encoders(cfg: EncoderConfig, count, d_y, d_z, d_x, rng):
     if cfg.kind == "rfn":
-        return sample_rfn_params(d_y, d_z, d_x, cfg.sigma, rng)
-    return sample_esn_params(d_y, d_z, d_x, cfg.sigma, rng, activation=cfg.activation)
+        return sample_rfn_params(d_y, d_z, d_x, cfg.sigma, rng, count=count)
+    return sample_esn_params(d_y, d_z, d_x, cfg.sigma, rng, activation=cfg.activation, count=count)
 
 
 def _encode(cfg: EncoderConfig, enc, x, noise, esn_state):
@@ -215,46 +227,55 @@ def _build_bank(scenario: Scenario, inputs: np.ndarray, seed: int) -> SampleBank
     over the whole input sequence (recurrent state carried through)."""
     cfg = scenario.encoder
     p = scenario.params
-    d_x = inputs.shape[1]
     count = scenario.mc_samples
-    encs = [_sample_encoder(cfg, p.dim_y, p.dim_z, d_x, _rng(seed, 71, i)) for i in range(count)]
-    states = np.zeros((count, p.dim_y, p.dim_z))
+    encs = _sample_encoders(cfg, count, p.dim_y, p.dim_z, inputs.shape[1], _rng(seed, 71))
+    state = np.zeros((count, p.dim_y, p.dim_z))
     sams = []
     for t in range(inputs.shape[0]):
-        zs = np.empty((count, p.dim_y, p.dim_z))
-        for i, enc in enumerate(encs):
-            noise = _rng(seed, 72, i, t).standard_normal(p.dim_z)
-            z, new_state = _encode(cfg, enc, inputs[t], noise, states[i])
-            zs[i] = z
-            if new_state is not None:
-                states[i] = new_state
-        sams.append(zs)
+        noise = _rng(seed, 72, t).standard_normal((count, p.dim_z))
+        z, new_state = _encode(cfg, encs, inputs[t], noise, state)
+        if new_state is not None:
+            state = new_state
+        sams.append(z)
     return SampleBank(samples=tuple(sams))
 
 
-class _GreedyState:
-    """Global (Z, residual) history for the ridge baseline."""
+class _GreedyWindow:
+    """The last ``size`` (Z, residual) pairs of every agent for the ridge
+    baseline, oldest first, in fixed (N, size, ...) arrays."""
 
-    def __init__(self, n_agents: int):
-        self.history = [[] for _ in range(n_agents)]
+    def __init__(self, n_agents: int, d_y: int, d_z: int, size: int):
+        self.z = np.zeros((n_agents, size, d_y, d_z))
+        self.resid = np.zeros((n_agents, size, d_y))
+        self.filled = 0
 
-    def push(self, n, z, resid):
-        self.history[n].append((z, resid))
+    def push(self, z, resid):
+        self.z[:, :-1] = self.z[:, 1:]
+        self.z[:, -1] = z
+        self.resid[:, :-1] = self.resid[:, 1:]
+        self.resid[:, -1] = resid
+        self.filled = min(self.filled + 1, self.z.shape[1])
 
-    def window(self, n, size):
-        return self.history[n][-size:]
+    def actions(self, cfg: RidgeConfig) -> np.ndarray:
+        """(N, d_z) ridge actions; zero while the window is empty."""
+        if self.filled == 0:
+            return np.zeros((self.z.shape[0], self.z.shape[3]))
+        k = self.filled
+        return ridge_action(self.z[:, -k:], self.resid[:, -k:], cfg)
 
 
-def _policy_round_solvers(policy, params, moments, targets_round):
+def _solve_round(policy, params, moments, targets_round):
+    """(kind, coefficients, mean-field path) of one round's backward pass;
+    the greedy baseline solves nothing."""
     if policy == "full" or (policy == "reduced" and params.population_N == 1):
-        return {"full": full_backward_pass(params, moments, targets_round)}
+        return "full", full_backward_pass(params, moments, targets_round), None
     if policy == "reduced":
-        return {"reduced": reduced_backward_pass(params, moments, targets_round)}
+        return "reduced", reduced_backward_pass(params, moments, targets_round), None
     if policy == "decentralized":
         coeffs = decentralized_backward_pass(params, moments, targets_round)
-        ybar = meanfield_forward(coeffs, moments, targets_round.values[0])
-        return {"decentralized": coeffs, "ybar": ybar.ybar}
-    return {}
+        ybar = meanfield_forward(coeffs, moments, targets_round.values[0]).ybar
+        return "decentralized", coeffs, ybar
+    return None, None, None
 
 
 def run_episode(policy: str, scenario: Scenario, seed: int) -> RunRecord:
@@ -273,92 +294,65 @@ def run_episode(policy: str, scenario: Scenario, seed: int) -> RunRecord:
         raise ValueError("dataset too short for one round of the horizon")
     d_x = inputs.shape[1]
 
-    pool = AgentPool.create(
-        [_sample_encoder(scenario.encoder, d_y, d_z, d_x, _rng(seed, 11, n)) for n in range(N)],
-        d_y,
-        d_z,
-    )
+    pool = AgentPool.create(_sample_encoders(scenario.encoder, N, d_y, d_z, d_x, _rng(seed, 11)))
     bank = _build_bank(scenario, inputs, seed)
-    greedy = _GreedyState(N) if policy == "greedy" else None
     if policy == "greedy" and scenario.ridge is None:
         raise ValueError("greedy policy needs a ridge config")
+    greedy = _GreedyWindow(N, d_y, d_z, scenario.ridge.window_T) if policy == "greedy" else None
     sqrt_kappa = np.sqrt(p.kappa)
 
     preds_hist = np.zeros((rounds, T + 1, N, d_y))
     acts_hist = np.zeros((rounds, T, N, d_z))
     agg_hist = np.zeros((rounds, T, d_y))
     agg_w_hist = np.zeros((rounds, T, N))
-    err_history: list[np.ndarray] = []  # per predicted step: (N,) squared errors
+    window_Ta = scenario.aggregation_window
+    err_history: list[np.ndarray] = []  # last window_Ta steps: (N,) squared errors
     pool_weights = np.full(N, 1.0 / N)
     spawn_events: list[dict] = []
+    round0 = None
 
     for r in range(rounds):
         base = r * T
         y_round = TargetSeries(values=values[base : base + T + 1])
         moments = estimate_moments(SampleBank(samples=bank.samples[base : base + T]))
-        solvers = _policy_round_solvers(policy, p, moments, y_round)
+        kind, coeffs, ybar = _solve_round(policy, p, moments, y_round)
+        if r == 0 and kind is not None:
+            round0 = (kind, coeffs)
 
         pool.predictions = np.tile(values[base], (N, 1))
         preds_hist[r, 0] = pool.predictions
 
         for t in range(T):
             g = base + t
-            for n in range(N):
-                noise = _rng(seed, 5, n, g).standard_normal(d_z)
-                z, new_state = _encode(
-                    scenario.encoder, pool.encoders[n], inputs[g], noise, pool.esn_state[n]
-                )
-                if new_state is not None:
-                    pool.esn_state[n] = new_state
-                pool.latents[n] = z @ pool.latent_transforms[n]
+            noise = _rng(seed, 5, g).standard_normal((N, d_z))
+            z, new_state = _encode(scenario.encoder, pool.encoder, inputs[g], noise, pool.esn_state)
+            if new_state is not None:
+                pool.esn_state = new_state
+            pool.latents = z @ pool.latent_transforms
 
-            if "full" in solvers:
-                beta = full_action(t, pool.predictions.reshape(-1), solvers["full"])
-                actions = beta.reshape(N, d_z)
-            elif "reduced" in solvers:
-                total = pool.predictions.sum(axis=0)
-                actions = np.stack(
-                    [
-                        reduced_action(
-                            t,
-                            pool.predictions[n],
-                            total - pool.predictions[n],
-                            solvers["reduced"],
-                        )
-                        for n in range(N)
-                    ]
-                )
-            elif "decentralized" in solvers:
-                ybar_t = solvers["ybar"][t]
-                actions = np.stack(
-                    [
-                        decentralized_action(
-                            t, pool.predictions[n], ybar_t, solvers["decentralized"]
-                        )
-                        for n in range(N)
-                    ]
-                )
+            preds = pool.predictions
+            if kind == "full":
+                actions = full_action(t, preds.reshape(-1), coeffs).reshape(N, d_z)
+            elif kind == "reduced":
+                actions = reduced_action(t, preds, preds.sum(axis=0) - preds, coeffs)
+            elif kind == "decentralized":
+                actions = decentralized_action(t, preds, ybar[t], coeffs)
             else:  # greedy
-                actions = np.zeros((N, d_z))
-                for n in range(N):
-                    window = greedy.window(n, scenario.ridge.window_T)
-                    if window:
-                        actions[n] = ridge_action(window, scenario.ridge)
+                actions = greedy.actions(scenario.ridge)
 
-            mean_pred = pool.predictions.mean(axis=0)
-            new_preds = step_dynamics(pool.predictions, pool.latents, actions, p)
+            new_preds = step_dynamics(preds, pool.latents, actions, p)
 
             if greedy is not None:
                 # data-fit rows carry sqrt(kappa) so the fitted objective is
                 # kappa * fit + gamma * penalty; kappa = 0 zeroes the policy
-                for n in range(N):
-                    resid = values[g + 1] - p.theta @ pool.predictions[n] - p.theta_bar @ mean_pred
-                    greedy.push(n, sqrt_kappa * pool.latents[n], sqrt_kappa * resid)
+                resid = values[g + 1] - preds @ p.theta.T - preds.mean(axis=0) @ p.theta_bar.T
+                greedy.push(sqrt_kappa * pool.latents, sqrt_kappa * resid)
 
             agg, w = aggregate_predictions(
-                new_preds, err_history, scenario.aggregation_alpha, scenario.aggregation_window
+                new_preds, err_history, scenario.aggregation_alpha, window_Ta
             )
             err_history.append(score_agents(values[g + 1], new_preds))
+            del err_history[:-window_Ta]
 
             pool.predictions = new_preds
             preds_hist[r, t + 1] = new_preds
@@ -395,6 +389,7 @@ def run_episode(policy: str, scenario: Scenario, seed: int) -> RunRecord:
         rmse_bottom20=0.0,
         messages_per_step=MESSAGES_PER_STEP[policy](N),
         spawn_events=spawn_events,
+        round0_coeffs=round0,
     )
     _finalize_metrics(record, p)
     record.runtime_ms = 1000.0 * (time.perf_counter() - start)
@@ -406,18 +401,12 @@ def _spawn_between_rounds(
 ):
     cfg = scenario.spawner
     rng = _rng(seed, 999, round_idx)
-    flat = np.stack([flatten_encoder(e) for e in pool.encoders])
-    new_flat, retained_idx, retired_idx, post = resample_parameters(
-        flat, last_scores, pool_weights, cfg.lam, cfg.sigma_t, cfg.retire_k, rng
+    new_rows, retained_idx, retired_idx, post = resample_parameters(
+        pool.param_rows(), last_scores, pool_weights, cfg.lam, cfg.sigma_t, cfg.retire_k, rng
     )
     n = pool.size
-    template = pool.encoders[0]
     d_z = pool.latent_transforms.shape[1]
-    for slot in retired_idx:
-        pool.encoders[slot] = unflatten_encoder(new_flat[slot], template)
-        pool.latent_transforms[slot] = np.eye(d_z)
-        if pool.esn_state is not None:
-            pool.esn_state[slot] = 0.0
+    pool.respawn(retired_idx, new_rows[retired_idx])
 
     event = {
         "round": int(round_idx),
@@ -429,15 +418,14 @@ def _spawn_between_rounds(
         norm = np.linalg.norm(beta_dir)
         beta_dir = beta_dir / norm if norm > 0 else np.full(d_z, 1.0 / np.sqrt(d_z))
         prob = build_ortho_problem(
-            [pool.latents[i] for i in retained_idx],
-            [pool.latents[i] for i in retired_idx],
+            pool.latents[retained_idx],
+            pool.latents[retired_idx],
             beta_dir,
             y_now,
             cfg.zeta1,
         )
         sol = ortho_solve(prob, cfg.zeta2)
-        for slot in retired_idx:
-            pool.latent_transforms[slot] = sol.A_star
+        pool.latent_transforms[retired_idx] = sol.A_star
         event.update(
             lambda_star=float(sol.lambda_star),
             kkt_residual=float(sol.kkt_residual),
@@ -454,23 +442,17 @@ def _spawn_between_rounds(
 
 
 def _finalize_metrics(record: RunRecord, params: GameParams):
-    rounds, _, N, _ = record.predictions.shape
+    rounds, _, N, d_y = record.predictions.shape
     T = params.horizon_T
-    for r in range(rounds):
-        for n in range(N):
-            record.costs_per_round[r, n] = _round_cost(record, r, n, params, record.targets)
+    record.costs_per_round = _round_costs(record.predictions, record.actions, params, record.targets)
     record.costs = record.costs_per_round.sum(axis=0)
     record.regret = underperformer_regret(record)
 
-    agg_err = []
-    per_agent_err = np.zeros((rounds * T, N))
-    for r in range(rounds):
-        for t in range(T):
-            y = record.targets[r * T + t + 1]
-            agg_err.append(np.sum((record.aggregated[r, t] - y) ** 2))
-            per_agent_err[r * T + t] = np.sum((record.predictions[r, t + 1] - y) ** 2, axis=1)
+    y = record.targets[1 : rounds * T + 1].reshape(rounds, T, d_y)
+    agg_err = np.sum((record.aggregated - y) ** 2, axis=-1)
     record.rmse_aggregated = float(np.sqrt(np.mean(agg_err)))
-    per_agent_rmse = np.sqrt(per_agent_err.mean(axis=0))
+    per_agent_err = np.sum((record.predictions[:, 1:] - y[:, :, None]) ** 2, axis=-1)
+    per_agent_rmse = np.sqrt(per_agent_err.reshape(rounds * T, N).mean(axis=0))
     record.rmse_worst = float(per_agent_rmse.max())
     k = max(1, int(np.ceil(0.2 * N)))
     record.rmse_bottom20 = float(np.sort(per_agent_rmse)[-k:].mean())

@@ -224,12 +224,16 @@ def decentralized_backward_pass(
 def decentralized_action(
     t: int, own_prediction: np.ndarray, ybar: np.ndarray, coeffs: DecentralizedCoeffs
 ) -> np.ndarray:
-    """Local action: needs only the agent's own prediction and Ybar."""
+    """Local action: needs only the agent's own prediction and Ybar.
+
+    ``own_prediction`` is (d_y,) for one agent or (N, d_y) stacked over
+    agents; the result is (d_z,) or (N, d_z).
+    """
     if not 0 <= t < coeffs.G1.shape[0]:
         raise IndexError(f"t={t} outside horizon {coeffs.G1.shape[0]}")
-    own = np.asarray(own_prediction, dtype=float).reshape(-1)
+    own = np.atleast_1d(np.asarray(own_prediction, dtype=float))
     yb = np.asarray(ybar, dtype=float).reshape(-1)
-    return coeffs.G1[t] @ own + coeffs.G2[t] @ yb + coeffs.H[t]
+    return own @ coeffs.G1[t].T + coeffs.G2[t] @ yb + coeffs.H[t]
 
 
 def meanfield_forward(coeffs: DecentralizedCoeffs, moments, y0: np.ndarray) -> MeanFieldTrajectory:

@@ -238,9 +238,13 @@ def reduced_backward_pass(
 def reduced_action(
     t: int, own_prediction: np.ndarray, others_sum: np.ndarray, coeffs: ReducedCoeffs
 ) -> np.ndarray:
-    """Per-agent action G1_N own + G2_N sum_of_others + H_N."""
+    """Action G1_N own + G2_N sum_of_others + H_N.
+
+    ``own_prediction`` and ``others_sum`` are (d_y,) for one agent or
+    (N, d_y) stacked over agents; the result is (d_z,) or (N, d_z).
+    """
     if not 0 <= t < coeffs.G1N.shape[0]:
         raise IndexError(f"t={t} outside horizon {coeffs.G1N.shape[0]}")
-    own = np.asarray(own_prediction, dtype=float).reshape(-1)
-    others = np.asarray(others_sum, dtype=float).reshape(-1)
-    return coeffs.G1N[t] @ own + coeffs.G2N[t] @ others + coeffs.HN[t]
+    own = np.atleast_1d(np.asarray(own_prediction, dtype=float))
+    others = np.atleast_1d(np.asarray(others_sum, dtype=float))
+    return own @ coeffs.G1N[t].T + others @ coeffs.G2N[t].T + coeffs.HN[t]

@@ -1,11 +1,14 @@
-"""Agent pool state and encoder-parameter (un)flattening.
+"""Agent pool state: stacked encoders plus the per-agent simulation arrays.
 
-The flattened parameter vectors are what the spawner resamples; layout is
-(A, b, sigma) for feed-forward encoders plus B for recurrent ones.
+The encoder parameters live in one stacked ``RfnParams``/``EsnParams``
+with a leading agent axis. The spawner sees them as flat parameter rows,
+one per agent, laid out field by field in declaration order: (A, b, sigma)
+for feed-forward encoders, (A, B, b, sigma) for recurrent ones.
 """
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 
 import numpy as np
@@ -13,58 +16,58 @@ import numpy as np
 from .encoders import EsnParams, RfnParams
 
 
+def _param_fields(encoder) -> list[str]:
+    return [f.name for f in dataclasses.fields(encoder) if isinstance(getattr(encoder, f.name), np.ndarray)]
+
+
 @dataclass
 class AgentPool:
     """Mutable per-episode state of the N agents."""
 
-    encoders: list  # RfnParams | EsnParams per agent
+    encoder: RfnParams | EsnParams  # stacked: leading agent axis
     latents: np.ndarray  # (N, d_y, d_z) current Z
     predictions: np.ndarray  # (N, d_y)
     latent_transforms: np.ndarray  # (N, d_z, d_z) post-composition maps
-    esn_state: np.ndarray | None = None  # (N, d_y, d_z) recurrent carry
+    esn_state: np.ndarray  # (N, d_y, d_z) recurrent carry
 
     @property
     def size(self) -> int:
-        return len(self.encoders)
+        return self.encoder.b.shape[0]
 
     @staticmethod
-    def create(encoders, d_y: int, d_z: int) -> "AgentPool":
-        n = len(encoders)
+    def create(encoder: RfnParams | EsnParams) -> "AgentPool":
+        n, d_y, d_z = encoder.b.shape
         return AgentPool(
-            encoders=list(encoders),
+            encoder=encoder,
             latents=np.zeros((n, d_y, d_z)),
             predictions=np.zeros((n, d_y)),
             latent_transforms=np.tile(np.eye(d_z), (n, 1, 1)),
             esn_state=np.zeros((n, d_y, d_z)),
         )
 
-
-def flatten_encoder(p) -> np.ndarray:
-    if isinstance(p, RfnParams):
-        return np.concatenate([p.A.ravel(), p.b.ravel(), p.sigma.ravel()])
-    if isinstance(p, EsnParams):
-        return np.concatenate([p.A.ravel(), p.B.ravel(), p.b.ravel(), p.sigma.ravel()])
-    raise TypeError(f"unknown encoder params {type(p)!r}")
-
-
-def unflatten_encoder(vec: np.ndarray, template):
-    vec = np.asarray(vec, dtype=float)
-    if isinstance(template, RfnParams):
-        sizes = [template.A.size, template.b.size, template.sigma.size]
-        a, b, sig = np.split(vec, np.cumsum(sizes)[:-1])
-        return RfnParams(
-            A=a.reshape(template.A.shape),
-            b=b.reshape(template.b.shape),
-            sigma=np.abs(sig.reshape(template.sigma.shape)),
+    def param_rows(self) -> np.ndarray:
+        """(N, dim) flat encoder parameters, one row per agent."""
+        return np.concatenate(
+            [getattr(self.encoder, name).reshape(self.size, -1) for name in _param_fields(self.encoder)],
+            axis=1,
         )
-    if isinstance(template, EsnParams):
-        sizes = [template.A.size, template.B.size, template.b.size, template.sigma.size]
-        a, bb, b, sig = np.split(vec, np.cumsum(sizes)[:-1])
-        return EsnParams(
-            A=a.reshape(template.A.shape),
-            B=bb.reshape(template.B.shape),
-            b=b.reshape(template.b.shape),
-            sigma=np.abs(sig.reshape(template.sigma.shape)),
-            activation=template.activation,
-        )
-    raise TypeError(f"unknown encoder params {type(template)!r}")
+
+    def respawn(self, slots: np.ndarray, rows: np.ndarray) -> None:
+        """Give the agents in ``slots`` the flat parameter ``rows`` (sigma
+        taken in absolute value), an identity latent map and a cleared
+        recurrent state. The new stack is validated like any encoder."""
+        slots = np.asarray(slots, dtype=int)
+        rows = np.asarray(rows, dtype=float)
+        updated = {}
+        start = 0
+        for name in _param_fields(self.encoder):
+            stack = getattr(self.encoder, name).copy()
+            width = stack[0].size
+            block = rows[:, start : start + width].reshape((len(slots),) + stack.shape[1:])
+            stack[slots] = np.abs(block) if name == "sigma" else block
+            updated[name] = stack
+            start += width
+        self.encoder = dataclasses.replace(self.encoder, **updated)
+        d_z = self.latent_transforms.shape[1]
+        self.latent_transforms[slots] = np.eye(d_z)
+        self.esn_state[slots] = 0.0

@@ -34,25 +34,31 @@ class RidgeConfig:
             raise ValueError("alpha must be nonnegative")
 
 
-def ridge_design(history, cfg: RidgeConfig) -> tuple[np.ndarray, np.ndarray]:
+def ridge_design(Z, resid, cfg: RidgeConfig) -> tuple[np.ndarray, np.ndarray]:
     """Stack the windowed (Z, residual) pairs with discount row weights.
 
-    ``history`` is ordered oldest to newest; the newest row gets weight 1.
+    ``Z`` is (..., k, d_y, d_z) and ``resid`` (..., k, d_y), ordered oldest
+    to newest along the window axis; the newest row gets weight 1. Leading
+    axes are independent problems (one per agent). Returns X (..., k d_y,
+    d_z) and ybar (..., k d_y).
     """
-    if not history:
+    Z = np.asarray(Z, dtype=float)
+    resid = np.asarray(resid, dtype=float)
+    k = Z.shape[-3]
+    if k == 0:
         raise ValueError("ridge window is empty")
-    rows = []
-    rhs = []
-    last = len(history) - 1
-    for i, (z, resid) in enumerate(history):
-        w = np.exp(-cfg.alpha * (last - i) / 2.0)
-        rows.append(w * np.asarray(z, dtype=float))
-        rhs.append(w * np.asarray(resid, dtype=float).reshape(-1))
-    return np.vstack(rows), np.concatenate(rhs)
+    if resid.shape != Z.shape[:-1]:
+        raise ValueError(f"residuals of shape {resid.shape} do not match latents {Z.shape}")
+    w = np.exp(-cfg.alpha * np.arange(k - 1, -1, -1) / 2.0)
+    X = (w[:, None, None] * Z).reshape(Z.shape[:-3] + (-1, Z.shape[-1]))
+    ybar = (w[:, None] * resid).reshape(resid.shape[:-2] + (-1,))
+    return X, ybar
 
 
-def ridge_action(history, cfg: RidgeConfig) -> np.ndarray:
-    """Unique minimizer of the discounted ridge objective."""
-    X, ybar = ridge_design(history, cfg)
-    d = X.shape[1]
-    return np.linalg.solve(X.T @ X + cfg.gamma * np.eye(d), X.T @ ybar)
+def ridge_action(Z, resid, cfg: RidgeConfig) -> np.ndarray:
+    """Unique minimizer of the discounted ridge objective, (..., d_z):
+    one normal-equations solve per leading index."""
+    X, ybar = ridge_design(Z, resid, cfg)
+    Xt = np.swapaxes(X, -1, -2)
+    gram = Xt @ X + cfg.gamma * np.eye(X.shape[-1])
+    return np.linalg.solve(gram, (Xt @ ybar[..., None]))[..., 0]

@@ -156,23 +156,23 @@ def build_ortho_problem(retained_Z, respawned_Z, beta, y, zeta1: float) -> Ortho
 
     Q = sum_{m in respawned} sum_{n in retained} v_mn v_mn' + zeta1 sum_m H_m' H_m
     c = -2 zeta1 sum_m H_m' y
-    with v_mn = vec(Z_m' Z_n) and H_m = beta' kron Z_m.
+    with v_mn = vec(Z_m' Z_n) and H_m = beta' kron Z_m. The latents are
+    stacked (count, d_y, d_z); every (m, n) pair is formed in one product.
     """
     beta = np.asarray(beta, dtype=float).reshape(-1)
     y = np.asarray(y, dtype=float).reshape(-1)
     d_z = beta.shape[0]
     dim = d_z * d_z
-    Q = np.zeros((dim, dim))
+    zm = np.asarray(respawned_Z, dtype=float)
+    zn = np.asarray(retained_Z, dtype=float)
+    # vec(Zm' Zn) is column-stacked: entry (a, b) lands at a + b d_z
+    V = np.einsum("mia,nib->mnba", zm, zn).reshape(-1, dim)
+    Q = V.T @ V
     c = np.zeros(dim)
-    for zm in respawned_Z:
-        zm = np.asarray(zm, dtype=float)
-        for zn in retained_Z:
-            v = vec(zm.T @ np.asarray(zn, dtype=float))
-            Q += np.outer(v, v)
-        if zeta1 > 0:
-            hm = np.kron(beta[None, :], zm)
-            Q += zeta1 * hm.T @ hm
-            c += -2.0 * zeta1 * hm.T @ y
+    if zeta1 > 0:
+        H = np.einsum("j,mia->mija", beta, zm).reshape(zm.shape[0], zm.shape[1], dim)
+        Q = Q + zeta1 * np.einsum("mip,miq->pq", H, H)
+        c = -2.0 * zeta1 * np.einsum("mip,i->p", H, y)
     return OrthoProblem(Q=Q, c=c, xi_I=vec(np.eye(d_z)), d_z=d_z, zeta1=zeta1)
 
 

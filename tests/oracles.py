@@ -1,8 +1,10 @@
 """Independent oracles used by the solver tests.
 
-Everything here is derived from standard single-agent LQR reasoning and
-plain forward simulation, deliberately sharing no code with the package's
-coupled-game solvers.
+The solver oracles are derived from standard single-agent LQR reasoning
+and plain forward simulation, deliberately sharing no code with the
+package's coupled-game solvers. ``reference_episode`` is the exception: it
+checks the harness's array-at-a-time agent loop, not the solvers, so it
+calls the package's backward passes and spells out the loop per agent.
 """
 
 from __future__ import annotations
@@ -140,3 +142,224 @@ def alternating_best_response(params, z_schedule, targets, sweeps=200, tol=1e-12
         if delta < tol:
             break
     return gains, icpts
+
+
+# ---------------------------------------------------------------------------
+# Per-agent reference episode
+# ---------------------------------------------------------------------------
+#
+# The harness runs every step array-at-a-time. This is the same episode as a
+# plain per-(agent, step) loop, drawing the same random streams: one
+# generator per key, each drawing a block with one row per agent (or bank
+# replica), agent-major. Solvers, the spawner's resampling and QP, the
+# dataset builder and the softmax weights are the package's; the encoders,
+# actions, dynamics, greedy ridge fits, pool mutation and costs are
+# written out here agent by agent.
+
+
+def _stream(*key):
+    return np.random.default_rng(list(key))
+
+
+def _encoder_rows(kind, count, d_y, d_z, d_x, sigma, rng):
+    """Per-agent parameter dicts from one agent-major draw: each row holds
+    A then (ESN only) B then b."""
+    shapes = [("A", (d_y, d_x))] + ([("B", (d_y, d_y))] if kind == "esn" else []) + [("b", (d_y, d_z))]
+    width = sum(int(np.prod(s)) for _, s in shapes)
+    draws = rng.standard_normal((count, width))
+    encs = []
+    for row in draws:
+        enc, start = {}, 0
+        for name, shape in shapes:
+            size = int(np.prod(shape))
+            enc[name] = row[start : start + size].reshape(shape)
+            start += size
+        enc["sigma"] = np.full(d_y, float(sigma))
+        encs.append(enc)
+    return encs
+
+
+def _encode_one(cfg, enc, x, noise, state):
+    d_z = enc["b"].shape[1]
+    pre = enc["A"] @ np.tile(np.asarray(x, dtype=float)[:, None], (1, d_z))
+    pre = pre + enc["b"] + enc["sigma"][:, None] @ noise[None, :]
+    if cfg.kind == "rfn":
+        return np.maximum(pre, 0.0)
+    pre = pre + enc["B"] @ state
+    if cfg.activation == "tanh":
+        return np.tanh(pre)
+    return np.clip((pre + 3.0) / 6.0, 0.0, 1.0)
+
+
+def _flat(enc):
+    names = ["A", "B", "b", "sigma"] if "B" in enc else ["A", "b", "sigma"]
+    return np.concatenate([enc[k].ravel() for k in names]), names
+
+
+def _unflat(vec, template):
+    _, names = _flat(template)
+    enc, start = {}, 0
+    for name in names:
+        size = template[name].size
+        enc[name] = vec[start : start + size].reshape(template[name].shape)
+        start += size
+    enc["sigma"] = np.abs(enc["sigma"])
+    return enc
+
+
+def _ridge_one(history, cfg):
+    """Discounted ridge fit of one agent from its list of (Z, resid) pairs."""
+    last = len(history) - 1
+    rows, rhs = [], []
+    for i, (z, resid) in enumerate(history):
+        w = np.exp(-cfg.alpha * (last - i) / 2.0)
+        rows.append(w * z)
+        rhs.append(w * resid)
+    X, ybar = np.vstack(rows), np.concatenate(rhs)
+    return np.linalg.solve(X.T @ X + cfg.gamma * np.eye(X.shape[1]), X.T @ ybar)
+
+
+def reference_episode(policy, scenario, seed):
+    """Slow per-agent episode; returns a dict of the recorded arrays and
+    metrics under the names of ``fedgames.harness.RunRecord``."""
+    from fedgames.datasets import build_dataset
+    from fedgames.harness import aggregation_weights
+    from fedgames.model import SampleBank, TargetSeries, estimate_moments
+    from fedgames.nash_full import full_action, full_backward_pass
+    from fedgames.nash_meanfield import decentralized_backward_pass, meanfield_forward
+    from fedgames.nash_reduced import reduced_backward_pass
+    from fedgames.spawner import build_ortho_problem, ortho_solve, resample_parameters
+
+    p, cfg = scenario.params, scenario.encoder
+    N, d_y, d_z, T = p.population_N, p.dim_y, p.dim_z, p.horizon_T
+    targets, inputs = build_dataset(scenario.dataset)
+    values = targets.values
+    rounds = (values.shape[0] - 1) // T
+    d_x = inputs.shape[1]
+
+    # latent bank, one replica at a time
+    count = scenario.mc_samples
+    bank_encs = _encoder_rows(cfg.kind, count, d_y, d_z, d_x, cfg.sigma, _stream(seed, 71))
+    bank_state = [np.zeros((d_y, d_z)) for _ in range(count)]
+    samples = []
+    for t in range(inputs.shape[0]):
+        noise = _stream(seed, 72, t).standard_normal((count, d_z))
+        zs = []
+        for i in range(count):
+            z = _encode_one(cfg, bank_encs[i], inputs[t], noise[i], bank_state[i])
+            bank_state[i] = z
+            zs.append(z)
+        samples.append(np.stack(zs))
+
+    encs = _encoder_rows(cfg.kind, N, d_y, d_z, d_x, cfg.sigma, _stream(seed, 11))
+    state = [np.zeros((d_y, d_z)) for _ in range(N)]
+    transforms = [np.eye(d_z) for _ in range(N)]
+    latents = [np.zeros((d_y, d_z)) for _ in range(N)]
+    greedy_hist = [[] for _ in range(N)]
+    err_history = []
+    pool_weights = np.full(N, 1.0 / N)
+    sqrt_kappa = np.sqrt(p.kappa)
+
+    preds_hist = np.zeros((rounds, T + 1, N, d_y))
+    acts_hist = np.zeros((rounds, T, N, d_z))
+    agg_hist = np.zeros((rounds, T, d_y))
+    for r in range(rounds):
+        base = r * T
+        y_round = TargetSeries(values=values[base : base + T + 1])
+        moments = estimate_moments(SampleBank(samples=tuple(samples[base : base + T])))
+        if policy == "full" or (policy == "reduced" and N == 1):
+            full = full_backward_pass(p, moments, y_round)
+        elif policy == "reduced":
+            red = reduced_backward_pass(p, moments, y_round)
+        elif policy == "decentralized":
+            dec = decentralized_backward_pass(p, moments, y_round)
+            ybar = meanfield_forward(dec, moments, y_round.values[0]).ybar
+        preds = [values[base].copy() for _ in range(N)]
+        preds_hist[r, 0] = preds
+        for t in range(T):
+            g = base + t
+            noise = _stream(seed, 5, g).standard_normal((N, d_z))
+            for n in range(N):
+                z = _encode_one(cfg, encs[n], inputs[g], noise[n], state[n])
+                state[n] = z
+                latents[n] = z @ transforms[n]
+            total = np.sum(preds, axis=0)
+            mean = total / N
+            if policy == "full" or (policy == "reduced" and N == 1):
+                stacked = full_action(t, np.concatenate(preds), full)
+                acts = [stacked[n * d_z : (n + 1) * d_z] for n in range(N)]
+            elif policy == "reduced":
+                acts = [red.G1N[t] @ preds[n] + red.G2N[t] @ (total - preds[n]) + red.HN[t] for n in range(N)]
+            elif policy == "decentralized":
+                acts = [dec.G1[t] @ preds[n] + dec.G2[t] @ ybar[t] + dec.H[t] for n in range(N)]
+            else:
+                acts = []
+                for n in range(N):
+                    window = greedy_hist[n][-scenario.ridge.window_T :]
+                    acts.append(_ridge_one(window, scenario.ridge) if window else np.zeros(d_z))
+            new_preds = [
+                p.theta @ preds[n] + p.theta_bar @ mean + latents[n] @ acts[n] for n in range(N)
+            ]
+            if policy == "greedy":
+                for n in range(N):
+                    resid = values[g + 1] - p.theta @ preds[n] - p.theta_bar @ mean
+                    greedy_hist[n].append((sqrt_kappa * latents[n], sqrt_kappa * resid))
+            if err_history:
+                w = aggregation_weights(
+                    np.array(err_history)[-scenario.aggregation_window :], scenario.aggregation_alpha
+                )
+            else:
+                w = np.full(N, 1.0 / N)
+            agg_hist[r, t] = w @ np.array(new_preds)
+            err_history.append(
+                np.array([float((new_preds[n] - values[g + 1]) @ (new_preds[n] - values[g + 1])) for n in range(N)])
+            )
+            preds = new_preds
+            preds_hist[r, t + 1] = preds
+            acts_hist[r, t] = acts
+
+        sp = scenario.spawner
+        if sp is not None and r < rounds - 1:
+            flat = np.stack([_flat(e)[0] for e in encs])
+            new_flat, retained, retired, post = resample_parameters(
+                flat, err_history[-1], pool_weights, sp.lam, sp.sigma_t, sp.retire_k, _stream(seed, 999, r)
+            )
+            for slot in retired:
+                encs[slot] = _unflat(new_flat[slot], encs[slot])
+                transforms[slot] = np.eye(d_z)
+                state[slot] = np.zeros((d_y, d_z))
+            if sp.orthogonalize and sp.zeta2 > 0:
+                beta_dir = acts_hist[r, -1].mean(axis=0)
+                norm = np.linalg.norm(beta_dir)
+                beta_dir = beta_dir / norm if norm > 0 else np.full(d_z, 1.0 / np.sqrt(d_z))
+                prob = build_ortho_problem(
+                    [latents[i] for i in retained], [latents[i] for i in retired], beta_dir, values[base + T], sp.zeta1
+                )
+                sol = ortho_solve(prob, sp.zeta2)
+                for slot in retired:
+                    transforms[slot] = sol.A_star
+            new_w = np.zeros(N)
+            new_w[retained] = post * (N - sp.retire_k) / N
+            new_w[retired] = 1.0 / N
+            pool_weights = new_w / new_w.sum()
+
+    costs_per_round = np.zeros((rounds, N))
+    for r in range(rounds):
+        for n in range(N):
+            for t in range(T):
+                pred = preds_hist[r, t + 1, n]
+                err = values[r * T + t + 1] - pred
+                dev = pred - preds_hist[r, t + 1].mean(axis=0)
+                act = acts_hist[r, t, n]
+                costs_per_round[r, n] += p.discount(t) * (
+                    p.kappa * float(err @ err) + p.kappa_bar * float(dev @ dev) + p.gamma * float(act @ act)
+                )
+    costs = costs_per_round.sum(axis=0)
+    return {
+        "predictions": preds_hist,
+        "actions": acts_hist,
+        "aggregated": agg_hist,
+        "costs_per_round": costs_per_round,
+        "costs": costs,
+        "regret": float(np.max(costs)),
+    }

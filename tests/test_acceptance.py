@@ -299,8 +299,9 @@ def test_criterion_9_ridge_oracle():
         hist = [
             (rng.standard_normal((2, d_z)), rng.standard_normal(2)) for _ in range(window)
         ]
-        beta = ridge_action(hist, cfg)
-        X, ybar = ridge_design(hist, cfg)
+        Z, R = np.stack([z for z, _ in hist]), np.stack([r for _, r in hist])
+        beta = ridge_action(Z, R, cfg)
+        X, ybar = ridge_design(Z, R, cfg)
         resid = X.T @ (ybar - X @ beta) - cfg.gamma * beta
         worst = max(worst, float(np.max(np.abs(resid))))
     assert _report(9, worst <= 1e-10, f"(max normal-equation residual {worst:.2e})")

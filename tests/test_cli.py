@@ -65,7 +65,7 @@ def test_run_deterministic(config, tmp_path):
     path, _ = config
     out1, out2 = tmp_path / "o1", tmp_path / "o2"
     assert main(["run", "--config", str(path), "--out", str(out1)]) == 0
-    assert main(["run", "--config", str(path), "--out", str(out2), "--threads", "2"]) == 0
+    assert main(["run", "--config", str(path), "--out", str(out2)]) == 0
     assert results_fingerprint(out1 / "results.csv") == results_fingerprint(out2 / "results.csv")
 
 
@@ -157,3 +157,41 @@ def test_verify_passes(capsys):
     assert main(["verify"]) == 0
     out = capsys.readouterr().out
     assert out.count("PASS") == 3
+
+
+def test_coeff_dump_matches_fresh_round0_solve(config, tmp_path):
+    from fedgames.cli import build_scenario
+    from fedgames.datasets import build_dataset
+    from fedgames.harness import _build_bank
+    from fedgames.io import load_coeff_arrays
+    from fedgames.model import SampleBank, TargetSeries, estimate_moments
+    from fedgames.nash_full import full_backward_pass
+    from fedgames.nash_meanfield import decentralized_backward_pass
+    from fedgames.nash_reduced import reduced_backward_pass
+
+    path, cfg = config
+    cfg["policies"] = ["full", "reduced", "decentralized", "greedy"]
+    cfg["n_grid"] = [2]
+    path.write_text(json.dumps(cfg), encoding="utf-8")
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(path), "--out", str(out)]) == 0
+
+    scenario = build_scenario(cfg, 2)
+    T = scenario.params.horizon_T
+    targets, inputs = build_dataset(scenario.dataset)
+    bank = _build_bank(scenario, inputs, 1)
+    moments = estimate_moments(SampleBank(samples=bank.samples[:T]))
+    y_round = TargetSeries(values=targets.values[: T + 1])
+    solvers = {
+        "full": full_backward_pass,
+        "reduced": reduced_backward_pass,
+        "decentralized": decentralized_backward_pass,
+    }
+    for policy, solve in solvers.items():
+        fresh = solve(scenario.params, moments, y_round)
+        dumped = load_coeff_arrays(out / "coeffs" / f"{policy}_N2_seed1.json")
+        assert dumped["kind"] == policy
+        for name, value in vars(fresh).items():
+            if isinstance(value, np.ndarray):
+                np.testing.assert_array_equal(dumped[name], value, err_msg=f"{policy} {name}")
+    assert not (out / "coeffs" / "greedy_N2_seed1.json").exists()

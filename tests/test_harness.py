@@ -2,6 +2,7 @@ import json
 
 import numpy as np
 import pytest
+from oracles import reference_episode
 
 from fedgames.datasets import DatasetSpec
 from fedgames.errors import DynamicsError
@@ -318,3 +319,72 @@ class TestRunEpisode:
         assert run_episode("full", scenario, seed=10).messages_per_step == 6
         assert run_episode("greedy", scenario, seed=10).messages_per_step == 4
         assert run_episode("decentralized", scenario, seed=10).messages_per_step == 0
+
+
+PARITY_SPAWNERS = {
+    "off": None,
+    "on": SpawnerConfig(retire_k=1, lam=1.0, sigma_t=0.05),
+    "ortho": SpawnerConfig(retire_k=1, lam=1.0, sigma_t=0.05, zeta1=0.5, zeta2=0.3, orthogonalize=True),
+}
+
+
+@pytest.mark.parametrize("spawner", sorted(PARITY_SPAWNERS))
+@pytest.mark.parametrize("kind", ["rfn", "esn"])
+@pytest.mark.parametrize("policy", ["full", "reduced", "decentralized", "greedy"])
+def test_matches_per_agent_reference_loop(policy, kind, spawner):
+    scenario = small_scenario(
+        params=GameParams(
+            theta=0.7, theta_bar=0.3, kappa=1.0, kappa_bar=0.5, gamma=1.0, alpha=0.01,
+            horizon_T=2, population_N=4, dim_y=1, dim_z=2,
+        ),
+        dataset=DatasetSpec(kind="logistic_map", length=11, seed=3),
+        encoder=EncoderConfig(kind=kind, sigma=0.1),
+        aggregation_window=2,
+        spawner=PARITY_SPAWNERS[spawner],
+    )
+    rec = run_episode(policy, scenario, seed=21)
+    ref = reference_episode(policy, scenario, seed=21)
+    for name in ("predictions", "actions", "aggregated", "costs_per_round", "costs"):
+        np.testing.assert_allclose(getattr(rec, name), ref[name], rtol=1e-12, atol=1e-14, err_msg=name)
+    assert rec.regret == pytest.approx(ref["regret"], rel=1e-12)
+
+
+def test_agent_major_streams():
+    # the first 8 agents of an N=16 episode draw the same encoder and noise
+    # rows as an N=8 episode; with theta_bar = 0 and the N-free
+    # decentralized policy nothing else couples them, so their paths agree
+    from fedgames.harness import _rng, _sample_encoders
+
+    cfg = EncoderConfig(kind="esn", sigma=0.1)
+    small = _sample_encoders(cfg, 8, 2, 3, 2, _rng(5, 11))
+    large = _sample_encoders(cfg, 16, 2, 3, 2, _rng(5, 11))
+    for name in ("A", "B", "b", "sigma"):
+        np.testing.assert_array_equal(getattr(large, name)[:8], getattr(small, name))
+
+    records = {}
+    for n in (8, 16):
+        scenario = small_scenario(
+            params=GameParams(
+                theta=0.7, theta_bar=0.0, kappa=1.0, kappa_bar=0.5, gamma=1.0, alpha=0.01,
+                horizon_T=2, population_N=n, dim_y=1, dim_z=3,
+            ),
+            encoder=cfg,
+        )
+        records[n] = run_episode("decentralized", scenario, seed=5)
+    np.testing.assert_allclose(records[16].predictions[:, :, :8], records[8].predictions, rtol=1e-13, atol=0)
+    np.testing.assert_allclose(records[16].actions[:, :, :8], records[8].actions, rtol=1e-13, atol=0)
+
+
+def test_aggregation_reads_only_the_window():
+    rng = np.random.default_rng(3)
+    preds = rng.standard_normal((4, 2))
+    history = list(rng.uniform(0, 2, size=(50, 4)))
+    agg_long, w_long = aggregate_predictions(preds, history, 0.3, 3)
+    agg_short, w_short = aggregate_predictions(preds, history[-3:], 0.3, 3)
+    np.testing.assert_array_equal(w_long, w_short)
+    np.testing.assert_array_equal(agg_long, agg_short)
+
+
+def test_aggregation_window_must_be_positive():
+    with pytest.raises(ValueError, match="aggregation_window"):
+        small_scenario(aggregation_window=0)

@@ -168,3 +168,24 @@ class TestResolvent:
         q = root @ root.T / d
         l1, l2 = float(rng.uniform(0.5, 2)), float(rng.uniform(0.5, 2))
         assert resolvent_check(q, l1, l2) <= 1e-11
+
+
+def test_problem_matches_pairwise_loop():
+    # reference: the pairwise sums of the definition, one (m, n) at a time
+    rng = np.random.default_rng(12)
+    d_y, d_z, zeta1 = 3, 4, 0.7
+    retained = rng.standard_normal((5, d_y, d_z))
+    respawned = rng.standard_normal((2, d_y, d_z))
+    beta, y = rng.standard_normal(d_z), rng.standard_normal(d_y)
+    Q = np.zeros((d_z * d_z, d_z * d_z))
+    c = np.zeros(d_z * d_z)
+    for zm in respawned:
+        for zn in retained:
+            v = vec(zm.T @ zn)
+            Q += np.outer(v, v)
+        hm = np.kron(beta[None, :], zm)
+        Q += zeta1 * hm.T @ hm
+        c += -2.0 * zeta1 * hm.T @ y
+    prob = build_ortho_problem(retained, respawned, beta, y, zeta1)
+    np.testing.assert_allclose(prob.Q, Q, rtol=1e-12, atol=1e-12)
+    np.testing.assert_allclose(prob.c, c, rtol=1e-12, atol=1e-12)
