@@ -6,10 +6,11 @@ writes results.csv, per-cell coefficient snapshots, and report.json.
 convergence plots. ``verify`` runs three built-in fixture suites
 (structure, QP, convergence) and prints a pass/fail table.
 
-Exit codes: 0 success, 2 config error, 3 solver failure (the failing
-cell is printed). All outputs are deterministic under a fixed config and
-seeds, except the measured runtime_ms column, which the determinism
-fingerprint therefore excludes.
+Exit codes: 0 success, 2 config error, 3 solver failure (each failing
+cell is printed; the cells that completed are still written). All
+outputs are deterministic under a fixed config and seeds, except the
+measured runtime_ms column, which the determinism fingerprint therefore
+excludes.
 """
 
 from __future__ import annotations
@@ -247,10 +248,10 @@ def cmd_run(args) -> int:
         except (FedGamesError, ValueError, np.linalg.LinAlgError) as exc:
             failures.append((cell, str(exc)))
 
-    if failures:
-        for (policy, n, seed), msg in failures:
-            print(f"solver failure in cell policy={policy} N={n} seed={seed}: {msg}", file=sys.stderr)
-        return 3
+    # a failed cell is reported and the run exits 3, but the cells that
+    # completed still get their outputs
+    for (policy, n, seed), msg in failures:
+        print(f"solver failure in cell policy={policy} N={n} seed={seed}: {msg}", file=sys.stderr)
 
     with (out_dir / "results.csv").open("w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
@@ -321,7 +322,7 @@ def cmd_run(args) -> int:
         encoding="utf-8",
     )
     print(f"wrote {out_dir / 'results.csv'} ({len(results)} cells)")
-    return 0
+    return 3 if failures else 0
 
 
 def _convergence_scenario(cfg: dict) -> tuple[ConvergenceScenario, list[int]]:

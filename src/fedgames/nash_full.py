@@ -11,10 +11,14 @@ and the equilibrium actions are affine in the stacked predictions:
 
 Per step the pass assembles the regularized N d_z system matrix and the
 cross/forcing terms from the latent moments (cross-agent expectations
-factorize under the mean-homogeneity assumption), inverts once, and
-updates every P_n, S_n. Cost is O((N d_z)^3) per step, which caps this
-solver at modest populations; large N is served by the reduced and
-decentralized solvers.
+factorize under the mean-homogeneity assumption), solves once, and
+updates every P_n, S_n, each from its own P_n(t+1), S_n(t+1). The
+assembly is array-at-a-time over agents and blocks, but dense: it never
+uses the repeating-block structure or the relabeling P_n = J'P_1J that
+``check_block_structure`` verifies. Per step the cost is one
+O((N d_z)^3) solve plus N per-agent value updates of O(N^3 d_z^2 d_y)
+each, about O(N^4 d_z^2 d_y) in total, which caps this solver at modest
+populations; large N is served by the reduced and decentralized solvers.
 """
 
 from __future__ import annotations
@@ -66,12 +70,20 @@ def _drift(params: GameParams) -> np.ndarray:
     )
 
 
-def _theta_row(params: GameParams, n: int, own: np.ndarray, other: np.ndarray) -> np.ndarray:
-    """Block row with `own` added at slot n on top of a uniform `other`."""
+def _theta_rows(params: GameParams, own: np.ndarray, other: np.ndarray) -> np.ndarray:
+    """Every agent's block row, (N, d_y, N d_y): row n is a uniform `other`
+    with `own` added at slot n."""
     N, d_y = params.population_N, params.dim_y
-    row = np.tile(other, (1, N))
-    row[:, n * d_y : (n + 1) * d_y] += own
-    return row
+    rows = np.tile(other, (N, 1, N)).reshape(N, d_y, N, d_y)
+    agents = np.arange(N)
+    rows[agents, :, agents] += own
+    return rows.reshape(N, d_y, N * d_y)
+
+
+def _dense(blocks: np.ndarray) -> np.ndarray:
+    """(..., R, K, a, b) blocks -> (..., R a, K b) block matrices."""
+    *lead, R, K, a, b = blocks.shape
+    return blocks.swapaxes(-3, -2).reshape(*lead, R * a, K * b)
 
 
 def full_backward_pass(
@@ -99,9 +111,15 @@ def full_backward_pass(
         )
 
     kap, kbar, gam = params.kappa, params.kappa_bar, params.gamma
-    theta, tbar = params.theta, params.theta_bar
     drift = _drift(params)
     y = targets.values
+    agents = np.arange(N)
+    # agent n's drift row (its next prediction) and the drift row of its
+    # deviation from the population mean, as they enter the stage cost
+    row_k = _theta_rows(params, params.theta, params.theta_bar / N)
+    row_kb = _theta_rows(params, params.theta, -params.theta / N)
+    row_k_t = row_k.swapaxes(1, 2)
+    stage_w = kap * row_k_t @ row_k + kbar * row_kb.swapaxes(1, 2) @ row_kb
 
     P = np.zeros((N, T + 1, N * d_y, N * d_y))
     S = np.zeros((N, T + 1, N * d_y))
@@ -110,35 +128,30 @@ def full_backward_pass(
     conds = np.zeros(T)
     max_asym = 0.0
 
-    def yblk(i):
-        return slice(i * d_y, (i + 1) * d_y)
-
-    def zblk(i):
-        return slice(i * d_z, (i + 1) * d_z)
-
     for t in range(T - 1, -1, -1):
         disc = params.discount(t)
         M1 = moments.m1[t]
         M2 = moments.m2[t]
         A2 = M1.T @ M1
-        y_next = y[t + 1]
+        m1_y = M1.T @ y[t + 1]
+        p_next = P[:, t + 1]
+        s_next = S[:, t + 1]
 
         # E[Z^m' Z^k] under homogeneity: M2 on the diagonal, M1'M1 off it.
         ezz = np.where(np.eye(N, dtype=bool)[:, :, None, None], M2, A2)
 
-        # System matrix: hat-A1 (diagonal), hat-A2 (all-pairs), and the
-        # P-weighted quadratic coupling A.
-        a_mat = np.zeros((N * d_z, N * d_z))
-        for n in range(N):
-            p_next = P[n, t + 1]
-            diag_w = p_next[yblk(n), yblk(n)]
-            for m in range(N):
-                blk = p_next[yblk(n), yblk(m)]
-                if m == n:
-                    a_mat[zblk(n), zblk(m)] = moments.weighted_m2(t, diag_w)
-                else:
-                    a_mat[zblk(n), zblk(m)] = M1.T @ blk @ M1
+        # Quadratic coupling M1' P_n[m, k] M1 for every agent n and block
+        # (m, k), with the weighted moment E[Z' P_n[m, m] Z] on m = k.
+        p_blocks = p_next.reshape(N, N, d_y, N, d_y).swapaxes(2, 3)
+        coupling = np.einsum("ya,nmkyz,zb->nmkab", M1, p_blocks, M1)
+        diag_ws = p_blocks[:, agents, agents].reshape(N * N, d_y, d_y)
+        coupling[:, agents, agents] = moments.weighted_m2_many(t, diag_ws).reshape(
+            N, N, d_z, d_z
+        )
 
+        # System matrix: hat-A1 (diagonal), hat-A2 (all-pairs), and each
+        # agent's own row of the coupling.
+        a_mat = _dense(coupling[agents, agents])
         hat_a1 = np.kron(np.eye(N), M2)
         hat_a2 = np.kron(np.ones((N, N)), A2) + np.kron(np.eye(N), M2 - A2)
         m_sys = (
@@ -152,16 +165,14 @@ def full_backward_pass(
         )
 
         # Feedback forcing: stage-cost cross terms plus the P coupling.
-        r_mat = np.zeros((N * d_z, N * d_y))
-        c_vec = np.zeros(N * d_z)
-        f_vec = np.zeros(N * d_z)
-        for n in range(N):
-            row_k = _theta_row(params, n, theta, tbar / N)
-            row_kb = _theta_row(params, n, theta, -theta / N)
-            r_mat[zblk(n)] = disc * (kap * M1.T @ row_k + kbar * (1 - 1 / N) * M1.T @ row_kb)
-            r_mat[zblk(n)] += M1.T @ P[n, t + 1][yblk(n), :] @ drift
-            c_vec[zblk(n)] = M1.T @ S[n, t + 1][yblk(n)]
-            f_vec[zblk(n)] = M1.T @ y_next
+        m1_row_k = M1.T @ row_k
+        m1_row_kb = M1.T @ row_kb
+        # M1' (P_n drift)[m, :] for every agent n and block row m
+        m1_p_drift = M1.T @ (p_next @ drift).reshape(N, N, d_y, N * d_y)
+        r_mat = disc * (kap * m1_row_k + kbar * (1 - 1 / N) * m1_row_kb)
+        r_mat = (r_mat + m1_p_drift[agents, agents]).reshape(N * d_z, N * d_y)
+        c_vec = (s_next.reshape(N, N, d_y)[agents, agents] @ M1).reshape(-1)
+        f_vec = np.tile(m1_y, N)
 
         conds[t] = np.linalg.cond(m_sys)
         logger.debug("full pass t=%d cond=%.3e", t, conds[t])
@@ -173,56 +184,32 @@ def full_backward_pass(
         G[t] = g_t
         H[t] = h_t
 
-        for n in range(N):
-            p_next = P[n, t + 1]
-            row_k = _theta_row(params, n, theta, tbar / N)
-            row_kb = _theta_row(params, n, theta, -theta / N)
+        # Quadratic action weights Q_n, blocks (n, m, k): the coupling plus
+        # the stage-cost terms, built in place.
+        q = coupling
+        q += (disc * kbar / N**2) * ezz
+        q[agents, agents] -= (disc * kbar / N) * ezz  # m = n: E[Z^n' Z^k]
+        q[agents, :, agents] -= (disc * kbar / N) * ezz.swapaxes(0, 1)  # k = n: E[Z^m' Z^n]
+        q[agents, agents, agents] += disc * ((kbar + kap) * M2 + gam * np.eye(d_z))
+        q = _dense(q)
 
-            # Quadratic action weight Q_n.
-            q_n = np.zeros((N * d_z, N * d_z))
-            diag_ws = np.stack([p_next[yblk(m), yblk(m)] for m in range(N)])
-            wm2_diag = moments.weighted_m2_many(t, diag_ws)
-            for m in range(N):
-                for k in range(N):
-                    blk = kbar * (
-                        (1.0 if (m == n and k == n) else 0.0) * M2
-                        - (1.0 / N) * ((m == n) * ezz[n, k] + (k == n) * ezz[m, n])
-                        + (1.0 / N**2) * ezz[m, k]
-                    )
-                    if m == k:
-                        q_n[zblk(m), zblk(k)] = disc * blk + wm2_diag[m]
-                    else:
-                        q_n[zblk(m), zblk(k)] = disc * blk + M1.T @ p_next[yblk(m), yblk(k)] @ M1
-            q_n[zblk(n), zblk(n)] += disc * (kap * M2 + gam * np.eye(d_z))
+        # State-action cross weights L_n, blocks (n, m).
+        l_blk = m1_p_drift - (disc * kbar / N) * m1_row_kb[:, None]
+        l_blk[agents, agents] += disc * (kbar * m1_row_kb + kap * m1_row_k)
+        l_n = l_blk.reshape(N, N * d_z, N * d_y)
+        l_n_t = l_n.swapaxes(1, 2)
 
-            # State-action cross weight L_n.
-            l_n = np.zeros((N * d_z, N * d_y))
-            p_drift = p_next @ drift
-            for m in range(N):
-                l_n[zblk(m)] = M1.T @ p_drift[yblk(m), :]
-                l_n[zblk(m)] += (
-                    disc
-                    * kbar
-                    * ((1.0 if m == n else 0.0) - 1.0 / N)
-                    * (M1.T @ row_kb)
-                )
-            l_n[zblk(n)] += disc * kap * M1.T @ row_k
+        p_new = g_t.T @ q @ g_t + g_t.T @ l_n + l_n_t @ g_t + disc * stage_w
+        p_new += drift.T @ p_next @ drift
+        p_new_t = p_new.swapaxes(1, 2)
+        max_asym = max(max_asym, float(np.max(np.abs(p_new - p_new_t))))
+        P[:, t] = 0.5 * (p_new + p_new_t)
 
-            stage = disc * (kap * row_k.T @ row_k + kbar * row_kb.T @ row_kb)
-            p_new = g_t.T @ q_n @ g_t + g_t.T @ l_n + l_n.T @ g_t + stage
-            p_new += drift.T @ p_next @ drift
-            asym = float(np.max(np.abs(p_new - p_new.T)))
-            max_asym = max(max_asym, asym)
-            P[n, t] = 0.5 * (p_new + p_new.T)
-
-            lifted_y = np.zeros(N * d_z)
-            lifted_y[zblk(n)] = M1.T @ y_next
-            s_next = S[n, t + 1]
-            dz_s = (M1.T @ s_next.reshape(N, d_y).T).T.reshape(-1)
-            s_new = g_t.T @ (q_n @ h_t) + g_t.T @ (-disc * kap * lifted_y + dz_s)
-            s_new += l_n.T @ h_t
-            s_new += -disc * kap * row_k.T @ y_next + drift.T @ s_next
-            S[n, t] = s_new
+        lifted_y = np.kron(np.eye(N), m1_y)
+        dz_s = (s_next.reshape(N, N, d_y) @ M1).reshape(N, N * d_z)
+        s_new = (q @ h_t - disc * kap * lifted_y + dz_s) @ g_t + l_n_t @ h_t
+        s_new += -disc * kap * (row_k_t @ y[t + 1]) + s_next @ drift
+        S[:, t] = s_new
 
     if max_asym > tolerances.symmetry:
         logger.warning("P_n asymmetry %.3e exceeds %.1e", max_asym, tolerances.symmetry)

@@ -72,11 +72,15 @@ def block_inverse(F: np.ndarray, K: np.ndarray, N: int) -> tuple[np.ndarray, np.
     """
     F = np.asarray(F, dtype=float)
     K = np.asarray(K, dtype=float)
+    d = F.shape[0]
+    eye = np.eye(d)
     try:
-        f_inv_k = np.linalg.solve(F, K)
+        # one factorization of F serves both F^-1 K and F^-1
+        sol = np.linalg.solve(F, np.hstack([K, eye]))
+        f_inv_k, f_inv = sol[:, :d], sol[:, d:]
         core = F + (N - 2) * K - (N - 1) * (K @ f_inv_k)
-        E = -np.linalg.solve(core, K) @ np.linalg.inv(F)
-        M = np.linalg.inv(F) @ (np.eye(F.shape[0]) - (N - 1) * (K @ E))
+        E = -np.linalg.solve(core, K) @ f_inv
+        M = f_inv @ (eye - (N - 1) * (K @ E))
     except np.linalg.LinAlgError as exc:
         raise SolveError("singular block in structured inverse") from exc
     return M, E

@@ -2,9 +2,11 @@
 
 The solver oracles are derived from standard single-agent LQR reasoning
 and plain forward simulation, deliberately sharing no code with the
-package's coupled-game solvers. ``reference_episode`` is the exception: it
-checks the harness's array-at-a-time agent loop, not the solvers, so it
-calls the package's backward passes and spells out the loop per agent.
+package's coupled-game solvers. ``reference_full_backward_pass`` is the
+full solver's own earlier per-block loop, kept to check its batched
+assembly. ``reference_episode`` is the other exception: it checks the
+harness's array-at-a-time agent loop, not the solvers, so it calls the
+package's backward passes and spells out the loop per agent.
 """
 
 from __future__ import annotations
@@ -142,6 +144,154 @@ def alternating_best_response(params, z_schedule, targets, sweeps=200, tol=1e-12
         if delta < tol:
             break
     return gains, icpts
+
+
+# ---------------------------------------------------------------------------
+# Per-block reference for the dense full backward pass
+# ---------------------------------------------------------------------------
+#
+# ``fedgames.nash_full.full_backward_pass`` assembles its system, forcing
+# terms and per-agent weights array-at-a-time. This is the same pass with
+# every d_z x d_z block filled in its own Python iteration (N^3 per step for
+# Q_n), kept as the reference the batched pass must match.
+
+
+def _theta_row(params, n, own, other):
+    """Block row with `own` added at slot n on top of a uniform `other`."""
+    N, d_y = params.population_N, params.dim_y
+    row = np.tile(other, (1, N))
+    row[:, n * d_y : (n + 1) * d_y] += own
+    return row
+
+
+def reference_full_backward_pass(params, moments, targets):
+    """Per-block full backward pass; returns a dict with P, S, G, H,
+    condition_numbers and max_asymmetry as in ``FullNashCoeffs``."""
+    N, d_y, d_z = params.population_N, params.dim_y, params.dim_z
+    T = params.horizon_T
+    kap, kbar, gam = params.kappa, params.kappa_bar, params.gamma
+    theta, tbar = params.theta, params.theta_bar
+    drift = stacked_drift(params)
+    y = targets.values
+
+    P = np.zeros((N, T + 1, N * d_y, N * d_y))
+    S = np.zeros((N, T + 1, N * d_y))
+    G = np.zeros((T, N * d_z, N * d_y))
+    H = np.zeros((T, N * d_z))
+    conds = np.zeros(T)
+    max_asym = 0.0
+
+    def yblk(i):
+        return slice(i * d_y, (i + 1) * d_y)
+
+    def zblk(i):
+        return slice(i * d_z, (i + 1) * d_z)
+
+    for t in range(T - 1, -1, -1):
+        disc = params.discount(t)
+        M1 = moments.m1[t]
+        M2 = moments.m2[t]
+        A2 = M1.T @ M1
+        y_next = y[t + 1]
+
+        # E[Z^m' Z^k] under homogeneity: M2 on the diagonal, M1'M1 off it.
+        ezz = np.where(np.eye(N, dtype=bool)[:, :, None, None], M2, A2)
+
+        # System matrix: hat-A1 (diagonal), hat-A2 (all-pairs), and the
+        # P-weighted quadratic coupling A.
+        a_mat = np.zeros((N * d_z, N * d_z))
+        for n in range(N):
+            p_next = P[n, t + 1]
+            diag_w = p_next[yblk(n), yblk(n)]
+            for m in range(N):
+                blk = p_next[yblk(n), yblk(m)]
+                if m == n:
+                    a_mat[zblk(n), zblk(m)] = moments.weighted_m2(t, diag_w)
+                else:
+                    a_mat[zblk(n), zblk(m)] = M1.T @ blk @ M1
+
+        hat_a1 = np.kron(np.eye(N), M2)
+        hat_a2 = np.kron(np.ones((N, N)), A2) + np.kron(np.eye(N), M2 - A2)
+        m_sys = (
+            disc
+            * (
+                (kap + kbar * (1 - 1 / N)) * hat_a1
+                - kbar * (1 - 1 / N) * (1 / N) * hat_a2
+                + gam * np.eye(N * d_z)
+            )
+            + a_mat
+        )
+
+        # Feedback forcing: stage-cost cross terms plus the P coupling.
+        r_mat = np.zeros((N * d_z, N * d_y))
+        c_vec = np.zeros(N * d_z)
+        f_vec = np.zeros(N * d_z)
+        for n in range(N):
+            row_k = _theta_row(params, n, theta, tbar / N)
+            row_kb = _theta_row(params, n, theta, -theta / N)
+            r_mat[zblk(n)] = disc * (kap * M1.T @ row_k + kbar * (1 - 1 / N) * M1.T @ row_kb)
+            r_mat[zblk(n)] += M1.T @ P[n, t + 1][yblk(n), :] @ drift
+            c_vec[zblk(n)] = M1.T @ S[n, t + 1][yblk(n)]
+            f_vec[zblk(n)] = M1.T @ y_next
+
+        conds[t] = np.linalg.cond(m_sys)
+        g_t = -np.linalg.solve(m_sys, r_mat)
+        h_t = np.linalg.solve(m_sys, disc * kap * f_vec - c_vec)
+        G[t] = g_t
+        H[t] = h_t
+
+        for n in range(N):
+            p_next = P[n, t + 1]
+            row_k = _theta_row(params, n, theta, tbar / N)
+            row_kb = _theta_row(params, n, theta, -theta / N)
+
+            # Quadratic action weight Q_n.
+            q_n = np.zeros((N * d_z, N * d_z))
+            diag_ws = np.stack([p_next[yblk(m), yblk(m)] for m in range(N)])
+            wm2_diag = moments.weighted_m2_many(t, diag_ws)
+            for m in range(N):
+                for k in range(N):
+                    blk = kbar * (
+                        (1.0 if (m == n and k == n) else 0.0) * M2
+                        - (1.0 / N) * ((m == n) * ezz[n, k] + (k == n) * ezz[m, n])
+                        + (1.0 / N**2) * ezz[m, k]
+                    )
+                    if m == k:
+                        q_n[zblk(m), zblk(k)] = disc * blk + wm2_diag[m]
+                    else:
+                        q_n[zblk(m), zblk(k)] = disc * blk + M1.T @ p_next[yblk(m), yblk(k)] @ M1
+            q_n[zblk(n), zblk(n)] += disc * (kap * M2 + gam * np.eye(d_z))
+
+            # State-action cross weight L_n.
+            l_n = np.zeros((N * d_z, N * d_y))
+            p_drift = p_next @ drift
+            for m in range(N):
+                l_n[zblk(m)] = M1.T @ p_drift[yblk(m), :]
+                l_n[zblk(m)] += (
+                    disc
+                    * kbar
+                    * ((1.0 if m == n else 0.0) - 1.0 / N)
+                    * (M1.T @ row_kb)
+                )
+            l_n[zblk(n)] += disc * kap * M1.T @ row_k
+
+            stage = disc * (kap * row_k.T @ row_k + kbar * row_kb.T @ row_kb)
+            p_new = g_t.T @ q_n @ g_t + g_t.T @ l_n + l_n.T @ g_t + stage
+            p_new += drift.T @ p_next @ drift
+            asym = float(np.max(np.abs(p_new - p_new.T)))
+            max_asym = max(max_asym, asym)
+            P[n, t] = 0.5 * (p_new + p_new.T)
+
+            lifted_y = np.zeros(N * d_z)
+            lifted_y[zblk(n)] = M1.T @ y_next
+            s_next = S[n, t + 1]
+            dz_s = (M1.T @ s_next.reshape(N, d_y).T).T.reshape(-1)
+            s_new = g_t.T @ (q_n @ h_t) + g_t.T @ (-disc * kap * lifted_y + dz_s)
+            s_new += l_n.T @ h_t
+            s_new += -disc * kap * row_k.T @ y_next + drift.T @ s_next
+            S[n, t] = s_new
+
+    return dict(P=P, S=S, G=G, H=H, condition_numbers=conds, max_asymmetry=max_asym)
 
 
 # ---------------------------------------------------------------------------

@@ -122,7 +122,7 @@ def test_criterion_3_block_inverse_identities(solved_grid):
 def test_criterion_4_nash_deviation():
     rng = np.random.default_rng(77)
     worst_gain = -np.inf
-    for N, d, T in ((2, 1, 3), (3, 1, 3), (5, 1, 3), (3, 2, 3)):
+    for N, d, T in ((2, 1, 3), (3, 1, 3), (5, 1, 3), (3, 2, 3), (16, 1, 3), (32, 1, 3)):
         params, zs, targets = _grid_params(rng, N, d, T)
         moments = exact_moments_deterministic(zs)
         full = full_backward_pass(params, moments, targets)

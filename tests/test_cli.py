@@ -127,6 +127,23 @@ def test_solver_failure_exit_code(config, tmp_path, capsys):
     assert "policy=full N=64" in err
 
 
+def test_solver_failure_keeps_completed_cells(config, tmp_path, capsys):
+    path, cfg = config
+    cfg["policies"] = ["full", "reduced"]
+    cfg["n_grid"] = [64]
+    mixed = tmp_path / "mixed.json"
+    mixed.write_text(json.dumps(cfg), encoding="utf-8")
+    out = tmp_path / "o"
+    assert main(["run", "--config", str(mixed), "--out", str(out)]) == 3
+    assert "solver failure in cell policy=full N=64 seed=1" in capsys.readouterr().err
+    with (out / "results.csv").open() as fh:
+        rows = list(csv.reader(fh))
+    assert [row[:3] for row in rows[1:]] == [["reduced", "64", "1"]]
+    assert (out / "run_reduced_N64_seed1.json").exists()
+    assert [p.name for p in (out / "coeffs").glob("*.json")] == ["reduced_N64_seed1.json"]
+    assert [c["policy"] for c in json.loads((out / "report.json").read_text())["cells"]] == ["reduced"]
+
+
 def test_convergence_outputs(config, tmp_path):
     path, _ = config
     out = tmp_path / "conv"

@@ -4,10 +4,18 @@ from oracles import (
     alternating_best_response,
     lift,
     realized_cost,
+    reference_full_backward_pass,
     simulate_affine_policies,
 )
 
-from fedgames.model import GameParams, TargetSeries, exact_moments_deterministic
+from fedgames.model import (
+    GameParams,
+    IidEntryLatents,
+    SampleBank,
+    TargetSeries,
+    estimate_moments,
+    exact_moments_deterministic,
+)
 from fedgames.nash_full import check_block_structure, full_action, full_backward_pass
 
 
@@ -210,3 +218,51 @@ def test_block_structure_zero_weights():
     )
     coeffs = full_backward_pass(params, exact_moments_deterministic(zs), targets)
     assert check_block_structure(coeffs).max_deviation == 0.0
+
+
+@pytest.mark.parametrize(
+    "N,d_y,d_z,latents,kappa_bar",
+    [
+        (1, 1, 2, "bank", 0.7),
+        (2, 1, 1, "deterministic", 0.7),
+        (3, 2, 3, "bank", 0.7),
+        (8, 1, 4, "bank", 0.7),
+        (4, 2, 3, "closed_form", 0.7),
+        (5, 1, 3, "bank", 0.0),
+    ],
+)
+def test_matches_per_block_reference(N, d_y, d_z, latents, kappa_bar):
+    # the batched assembly reassociates sums, so it matches the per-block
+    # loop to rounding; exact zeros (terminal P, S) get an absolute floor
+    rng = np.random.default_rng(100 + N)
+    T = 4
+    params = GameParams(
+        theta=0.8 * np.eye(d_y) + 0.1 * rng.standard_normal((d_y, d_y)),
+        theta_bar=0.2 * rng.standard_normal((d_y, d_y)),
+        kappa=1.3,
+        kappa_bar=kappa_bar,
+        gamma=0.9,
+        alpha=0.05,
+        horizon_T=T,
+        population_N=N,
+        dim_y=d_y,
+        dim_z=d_z,
+    )
+    if latents == "bank":
+        samples = tuple(rng.standard_normal((100, d_y, d_z)) for _ in range(T))
+        moments = estimate_moments(SampleBank(samples=samples))
+    elif latents == "deterministic":
+        moments = exact_moments_deterministic([rng.standard_normal((d_y, d_z)) for _ in range(T)])
+    else:
+        mean = rng.uniform(0.0, 1.0, (T, d_y, d_z))
+        moments = IidEntryLatents(mean=mean, half_width=0.3).exact_moments()
+    targets = TargetSeries(values=rng.standard_normal((T + 1, d_y)))
+
+    coeffs = full_backward_pass(params, moments, targets)
+    ref = reference_full_backward_pass(params, moments, targets)
+    for name in ("P", "S", "G", "H", "condition_numbers"):
+        want = ref[name]
+        np.testing.assert_allclose(
+            getattr(coeffs, name), want, rtol=1e-12, atol=1e-15 * np.max(np.abs(want)), err_msg=name
+        )
+    assert abs(coeffs.max_asymmetry - ref["max_asymmetry"]) <= 1e-15
