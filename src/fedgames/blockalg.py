@@ -15,6 +15,9 @@ repeating blocks of the N d-dimensional Riccati-type iterates at a cost
 independent of N. For N = 2 the off-off-diagonal block e does not exist;
 it is carried as zeros and never contributes (all its product
 coefficients vanish).
+
+Blocks may carry leading batch axes (the reduced pass stacks one set of
+blocks per round); every operation broadcasts over them.
 """
 
 from __future__ import annotations
@@ -49,18 +52,18 @@ class XBlockMatrix:
     def symmetric(N: int, a, b, d, e=None) -> "XBlockMatrix":
         """Pattern (a, b; b', d, e) as in the Riccati-type iterates."""
         b = np.asarray(b, dtype=float)
-        return XBlockMatrix.build(N, a, b, b.T, d, e)
+        return XBlockMatrix.build(N, a, b, b.mT, d, e)
 
     @staticmethod
     def uniform_row_gram(N: int, r1: np.ndarray, r2: np.ndarray) -> "XBlockMatrix":
         """Gram matrix R' R of the block row R = [r1, r2, ..., r2]."""
         r1 = np.asarray(r1, dtype=float)
         r2 = np.asarray(r2, dtype=float)
-        return XBlockMatrix(N, r1.T @ r1, r1.T @ r2, r2.T @ r1, r2.T @ r2, r2.T @ r2)
+        return XBlockMatrix(N, r1.mT @ r1, r1.mT @ r2, r2.mT @ r1, r2.mT @ r2, r2.mT @ r2)
 
     @property
     def T(self) -> "XBlockMatrix":
-        return XBlockMatrix(self.N, self.a.T, self.c.T, self.b.T, self.d.T, self.e.T)
+        return XBlockMatrix(self.N, self.a.mT, self.c.mT, self.b.mT, self.d.mT, self.e.mT)
 
     def __add__(self, other: "XBlockMatrix") -> "XBlockMatrix":
         assert self.N == other.N
@@ -122,7 +125,8 @@ class XBlockMatrix:
 
 @dataclass(frozen=True)
 class XBlockColumn:
-    """Block column vector (u; v; v; ...; v)."""
+    """Block column vector (u; v; v; ...; v); a batched u, v is a stack of
+    (d, 1) columns."""
 
     N: int
     u: np.ndarray

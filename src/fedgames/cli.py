@@ -487,6 +487,13 @@ def cmd_verify(args) -> int:
 
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(prog="fedgames", description=__doc__)
+    parser.add_argument(
+        "--log-level",
+        choices=("DEBUG", "INFO", "WARNING", "ERROR"),
+        default="WARNING",
+        help="level of the log lines on stderr; DEBUG adds the solvers' per-step "
+        "condition numbers (default WARNING)",
+    )
     sub = parser.add_subparsers(dest="command", required=True)
 
     run_p = sub.add_parser("run", help="run the (policy, N, seed) cell grid")
@@ -505,7 +512,7 @@ def main(argv=None) -> int:
     ver_p.set_defaults(fn=cmd_verify)
 
     args = parser.parse_args(argv)
-    logging.basicConfig(level=logging.WARNING)
+    logging.basicConfig(level=args.log_level)
     return args.fn(args)
 
 

@@ -16,7 +16,7 @@ so the measured gaps carry no moment-estimation bias.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -133,7 +133,7 @@ def limit_gap_diagnostic(
 
     rows = []
     for n in n_grid:
-        params_n = replace_population(base, n)
+        params_n = replace(base, population_N=int(n))
         reduced = reduced_backward_pass(params_n, moments, scenario.targets)
         lam = lambda_gap(reduced, limit)
         mf_mean, mf_se = _simulate_mean_gap(
@@ -151,17 +151,3 @@ def limit_gap_diagnostic(
             )
     return GapReport(rows=tuple(rows), n_grid=tuple(int(n) for n in n_grid))
 
-
-def replace_population(params: GameParams, n: int) -> GameParams:
-    return GameParams(
-        theta=params.theta,
-        theta_bar=params.theta_bar,
-        kappa=params.kappa,
-        kappa_bar=params.kappa_bar,
-        gamma=params.gamma,
-        alpha=params.alpha,
-        horizon_T=params.horizon_T,
-        population_N=int(n),
-        dim_y=params.dim_y,
-        dim_z=params.dim_z,
-    )

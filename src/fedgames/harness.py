@@ -1,8 +1,9 @@
 """Forward simulation of the N-agent system under any policy family.
 
 Episodes run in rounds of the game horizon T: predictions are
-re-initialized at the observed target at each round start, the policy
-coefficients are re-solved on the round's target slice, and the spawner
+re-initialized at the observed target at each round start, each round
+plays the policy coefficients solved on its own target slice (all rounds
+are solved before the step loop; see ``_solve_episode``), and the spawner
 (when enabled) acts between rounds. The greedy baseline and the
 score-based aggregation keep their windows across round boundaries (they
 are plain online mechanisms and know nothing about rounds).
@@ -21,6 +22,7 @@ from __future__ import annotations
 import logging
 import time
 from dataclasses import dataclass, field
+from itertools import repeat
 
 import numpy as np
 
@@ -40,7 +42,7 @@ from .nash_meanfield import (
     decentralized_backward_pass,
     meanfield_forward,
 )
-from .nash_reduced import reduced_action, reduced_backward_pass
+from .nash_reduced import reduced_action, reduced_backward_pass, take_round
 from .pool import AgentPool
 from .ridge import RidgeConfig, ridge_action
 from .spawner import build_ortho_problem, ortho_solve, resample_parameters, score_agents
@@ -264,18 +266,42 @@ class _GreedyWindow:
         return ridge_action(self.z[:, -k:], self.resid[:, -k:], cfg)
 
 
-def _solve_round(policy, params, moments, targets_round):
-    """(kind, coefficients, mean-field path) of one round's backward pass;
-    the greedy baseline solves nothing."""
+def _solve_episode(policy, params, bank, values, rounds):
+    """(kind, one (coefficients, mean-field path) per round) of the
+    episode's backward passes; the one place a policy maps to a solver.
+
+    A round's pass reads only the params, the bank window
+    ``bank.samples[rT:(r+1)T]`` and the targets ``values[rT:rT+T+1]``,
+    never the agents, so the reduced and decentralized passes solve every
+    round at once, before the step loop, over a round stack of windows.
+    The dense full oracle is solved round by round as the loop asks for
+    it: stacking it would multiply its O(N^3 d_z^2) temporaries by the
+    round count. The greedy baseline solves nothing.
+    """
+    T = params.horizon_T
+    if policy == "greedy":
+        return None, repeat((None, None), rounds)
     if policy == "full" or (policy == "reduced" and params.population_N == 1):
-        return "full", full_backward_pass(params, moments, targets_round), None
+        solved = (
+            full_backward_pass(
+                params,
+                estimate_moments(SampleBank(samples=bank.samples[base : base + T])),
+                TargetSeries(values=values[base : base + T + 1]),
+            )
+            for base in range(0, rounds * T, T)
+        )
+        return "full", ((coeffs, None) for coeffs in solved)
+    # round axis after the time axis: entry [t, r] is step rT + t
+    moments = estimate_moments(
+        SampleBank(samples=tuple(np.stack(bank.samples[t : rounds * T : T]) for t in range(T)))
+    )
+    targets = TargetSeries(values=values[np.arange(T + 1)[:, None] + T * np.arange(rounds)])
     if policy == "reduced":
-        return "reduced", reduced_backward_pass(params, moments, targets_round), None
-    if policy == "decentralized":
-        coeffs = decentralized_backward_pass(params, moments, targets_round)
-        ybar = meanfield_forward(coeffs, moments, targets_round.values[0]).ybar
-        return "decentralized", coeffs, ybar
-    return None, None, None
+        coeffs = reduced_backward_pass(params, moments, targets)
+        return "reduced", ((take_round(coeffs, r), None) for r in range(rounds))
+    coeffs = decentralized_backward_pass(params, moments, targets)
+    ybar = meanfield_forward(coeffs, moments, targets.values[0]).ybar
+    return "decentralized", ((take_round(coeffs, r), ybar[:, r]) for r in range(rounds))
 
 
 def run_episode(policy: str, scenario: Scenario, seed: int) -> RunRecord:
@@ -311,11 +337,9 @@ def run_episode(policy: str, scenario: Scenario, seed: int) -> RunRecord:
     spawn_events: list[dict] = []
     round0 = None
 
-    for r in range(rounds):
+    kind, solved = _solve_episode(policy, p, bank, values, rounds)
+    for r, (coeffs, ybar) in enumerate(solved):
         base = r * T
-        y_round = TargetSeries(values=values[base : base + T + 1])
-        moments = estimate_moments(SampleBank(samples=bank.samples[base : base + T]))
-        kind, coeffs, ybar = _solve_round(policy, p, moments, y_round)
         if r == 0 and kind is not None:
             round0 = (kind, coeffs)
 

@@ -94,7 +94,11 @@ class TargetSeries:
 
 @dataclass(frozen=True)
 class SampleBank:
-    """Monte-Carlo latent replicas: samples[t] has shape (count, d_y, d_z)."""
+    """Monte-Carlo latent replicas: samples[t] has shape (..., count, d_y, d_z).
+
+    Leading axes before the replica axis (a round axis, say) stack
+    independent banks that share the time axis.
+    """
 
     samples: tuple
 
@@ -102,8 +106,8 @@ class SampleBank:
         sams = []
         for t, s in enumerate(self.samples):
             a = np.asarray(s, dtype=float)
-            if a.ndim != 3 or a.shape[0] < 1:
-                raise MomentError(f"bank at t={t} must be (count, d_y, d_z) with count >= 1")
+            if a.ndim < 3 or a.shape[-3] < 1:
+                raise MomentError(f"bank at t={t} must be (..., count, d_y, d_z) with count >= 1")
             if not np.all(np.isfinite(a)):
                 raise MomentError(f"bank at t={t} contains non-finite samples")
             a.setflags(write=False)
@@ -118,31 +122,32 @@ class SampleBank:
 
     @property
     def dims(self) -> tuple[int, int]:
-        return self.samples[0].shape[1], self.samples[0].shape[2]
+        return self.samples[0].shape[-2], self.samples[0].shape[-1]
 
 
 def _weighted_second(z: np.ndarray, w: np.ndarray) -> np.ndarray:
-    # mean over samples of Z' W Z
-    return np.einsum("sij,ik,skl->jl", z, w, z) / z.shape[0]
+    # mean over samples of Z' W Z, broadcast over the leading axes
+    return np.einsum("...sij,...ik,...skl->...jl", z, w, z) / z.shape[-3]
 
 
 @dataclass(frozen=True)
 class MomentSet:
     """Per-timestep latent moments M1, M2 and the weighted moment M2_W.
 
-    ``weighted_m2`` is evaluated from the stored bank through the exact
-    same reduction used to build ``m2``, so ``weighted_m2(t, I)`` is
-    bit-identical to ``m2(t)``.
+    A bank with leading axes after the time axis gives m1 and m2 of shape
+    (T, ..., d_y, d_z) and (T, ..., d_z, d_z). ``weighted_m2`` is
+    evaluated from the stored bank through the exact same reduction used
+    to build ``m2``, so ``weighted_m2(t, I)`` is bit-identical to ``m2(t)``.
     """
 
     bank: SampleBank
-    m1: np.ndarray = field(init=False)  # (T, d_y, d_z)
-    m2: np.ndarray = field(init=False)  # (T, d_z, d_z)
+    m1: np.ndarray = field(init=False)  # (T, ..., d_y, d_z)
+    m2: np.ndarray = field(init=False)  # (T, ..., d_z, d_z)
 
     def __post_init__(self):
         d_y, _ = self.bank.dims
         eye = np.eye(d_y)
-        m1 = np.stack([s.mean(axis=0) for s in self.bank.samples])
+        m1 = np.stack([s.mean(axis=-3) for s in self.bank.samples])
         m2 = np.stack([_weighted_second(s, eye) for s in self.bank.samples])
         m1.setflags(write=False)
         m2.setflags(write=False)
@@ -158,13 +163,9 @@ class MomentSet:
         return self.bank.dims
 
     def weighted_m2(self, t: int, w: np.ndarray) -> np.ndarray:
-        """Sample mean of Z' W Z at timestep t for an arbitrary d_y x d_y W."""
+        """Sample mean of Z' W Z at timestep t; w is (..., d_y, d_y) and
+        broadcasts against the bank's leading axes."""
         return _weighted_second(self.bank.samples[t], np.asarray(w, dtype=float))
-
-    def weighted_m2_many(self, t: int, ws: np.ndarray) -> np.ndarray:
-        """Batched weighted second moments: ws is (B, d_y, d_y) -> (B, d_z, d_z)."""
-        z = self.bank.samples[t]
-        return np.einsum("sij,bik,skl->bjl", z, np.asarray(ws, dtype=float), z) / z.shape[0]
 
 
 def estimate_moments(bank: SampleBank) -> MomentSet:
@@ -245,9 +246,8 @@ class ClosedFormMoments:
         return self._dims
 
     def weighted_m2(self, t: int, w: np.ndarray) -> np.ndarray:
+        """E[Z' W Z] at timestep t; w is (..., d_y, d_y)."""
         w = np.asarray(w, dtype=float)
         m = self.m1[t]
-        return m.T @ w @ m + self._lat.var * np.trace(w) * np.eye(self._dims[1])
-
-    def weighted_m2_many(self, t: int, ws: np.ndarray) -> np.ndarray:
-        return np.stack([self.weighted_m2(t, w) for w in ws])
+        trace = np.trace(w, axis1=-2, axis2=-1)[..., None, None]
+        return m.mT @ w @ m + self._lat.var * trace * np.eye(self._dims[1])

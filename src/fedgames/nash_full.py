@@ -145,7 +145,7 @@ def full_backward_pass(
         p_blocks = p_next.reshape(N, N, d_y, N, d_y).swapaxes(2, 3)
         coupling = np.einsum("ya,nmkyz,zb->nmkab", M1, p_blocks, M1)
         diag_ws = p_blocks[:, agents, agents].reshape(N * N, d_y, d_y)
-        coupling[:, agents, agents] = moments.weighted_m2_many(t, diag_ws).reshape(
+        coupling[:, agents, agents] = moments.weighted_m2(t, diag_ws).reshape(
             N, N, d_z, d_z
         )
 

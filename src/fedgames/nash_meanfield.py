@@ -32,13 +32,17 @@ import numpy as np
 from .config import DEFAULT_TOLERANCES, Tolerances
 from .errors import SolveError
 from .model import GameParams, TargetSeries
-from .nash_reduced import ReducedCoeffs
+from .nash_reduced import ReducedCoeffs, failing_round
 
 logger = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
 class DecentralizedCoeffs:
+    """Limit coefficients; a pass over a round stack carries the round
+    axis right after the time axis (L1 is (T+1, R, d_y, d_y), and so on)
+    and a per-round ``max_asymmetry``."""
+
     L1: np.ndarray  # (T+1, d_y, d_y)
     L2: np.ndarray
     L3: np.ndarray
@@ -58,7 +62,7 @@ class DecentralizedCoeffs:
     Q4: np.ndarray
     drift_sum: np.ndarray  # theta + theta_bar, used by the mean-field recursion
     dims: tuple  # (d_y, d_z)
-    max_asymmetry: float
+    max_asymmetry: float | np.ndarray
 
 
 @dataclass(frozen=True)
@@ -71,132 +75,135 @@ def decentralized_backward_pass(
     moments,
     targets: TargetSeries,
     tolerances: Tolerances = DEFAULT_TOLERANCES,
-    draft_sign: bool = False,
 ) -> DecentralizedCoeffs:
     """Backward pass of the limit system.
 
-    ``draft_sign`` flips the intercept forcing to -chi1(t+1); a
-    diagnostic variant kept for A/B comparison, off by default.
+    Moments and targets may carry a round axis right after the time axis
+    (m1 (T, R, d_y, d_z), values (T+1, R, d_y)); every round is then
+    solved at once and the outputs carry the same round axis.
     """
     d_y, d_z = params.dim_y, params.dim_z
     T = params.horizon_T
     if targets.horizon < T or moments.horizon < T:
         raise ValueError("targets/moments do not cover the horizon")
+    rounds = moments.m1.shape[1:-2]
+    if targets.values.shape[1:-1] != rounds:
+        raise ValueError("targets and moments carry different round axes")
 
     kap, kbar, gam = params.kappa, params.kappa_bar, params.gamma
     th, tb = params.theta, params.theta_bar
     y = targets.values
-    chi_sign = -1.0 if draft_sign else 1.0
 
-    L = np.zeros((4, T + 1, d_y, d_y))
-    chi = np.zeros((2, T + 1, d_y))
-    G1 = np.zeros((T, d_z, d_y))
-    G2 = np.zeros((T, d_z, d_y))
-    H = np.zeros((T, d_z))
-    Fs, Ks, Ms, Es = (np.zeros((T, d_z, d_z)) for _ in range(4))
-    Qs = np.zeros((4, T, d_z, d_z))
-    max_asym = 0.0
+    L = np.zeros((4, T + 1, *rounds, d_y, d_y))
+    chi = np.zeros((2, T + 1, *rounds, d_y))
+    G1 = np.zeros((T, *rounds, d_z, d_y))
+    G2 = np.zeros((T, *rounds, d_z, d_y))
+    H = np.zeros((T, *rounds, d_z))
+    Fs, Ks, Ms, Es = (np.zeros((T, *rounds, d_z, d_z)) for _ in range(4))
+    Qs = np.zeros((4, T, *rounds, d_z, d_z))
+    max_asym = np.zeros(rounds)
 
     for t in range(T - 1, -1, -1):
         disc = params.discount(t)
         M1 = moments.m1[t]
         M2 = moments.m2[t]
-        A2 = M1.T @ M1
-        y_next = y[t + 1]
+        A2 = M1.mT @ M1
+        y_next = y[t + 1][..., None]
         l1, l2, l3, l4 = L[0, t + 1], L[1, t + 1], L[2, t + 1], L[3, t + 1]
-        c1, c2 = chi[0, t + 1], chi[1, t + 1]
+        c1, c2 = chi[0, t + 1][..., None], chi[1, t + 1][..., None]
 
         F = disc * ((kap + kbar) * M2 + gam * np.eye(d_z)) + moments.weighted_m2(t, l1)
-        K = -disc * kbar * A2 + M1.T @ l2 @ M1
+        K = -disc * kbar * A2 + M1.mT @ l2 @ M1
         try:
             M = np.linalg.inv(F)
             E = -np.linalg.solve(F + K, K @ M)
         except np.linalg.LinAlgError as exc:
-            raise SolveError(f"singular F or F+K at t={t}") from exc
+            where = failing_round(lambda f, k: np.linalg.solve(f + k, k @ np.linalg.inv(f)), F, K)
+            raise SolveError(f"singular F or F+K at {where}t={t}") from exc
         if logger.isEnabledFor(logging.DEBUG):
             logger.debug(
-                "decentralized t=%d cond(F)=%.3e cond(F+K)=%.3e",
+                "decentralized t=%d cond(F)=%.3e cond(F+K)=%.3e (max over rounds)",
                 t,
-                np.linalg.cond(F),
-                np.linalg.cond(F + K),
+                np.max(np.linalg.cond(F)),
+                np.max(np.linalg.cond(F + K)),
             )
 
         Q1 = F
         Q2 = K
         Q3 = disc * kbar * M2 + moments.weighted_m2(t, l3)
-        Q4 = disc * kbar * A2 + M1.T @ l4 @ M1
+        Q4 = disc * kbar * A2 + M1.mT @ l4 @ M1
         ME = M + E
 
-        g1 = -disc * (kap + kbar) * M @ M1.T @ th - M @ M1.T @ l1 @ th
-        g2 = -disc * (kap + kbar) * E @ M1.T @ th
-        g2 += disc * ME @ M1.T @ (kbar * th - kap * tb)
-        g2 -= E @ M1.T @ l1 @ th + ME @ M1.T @ l2 @ th
-        g2 -= ME @ M1.T @ (l1 + l2) @ tb
-        h = -ME @ M1.T @ (-disc * kap * y_next + chi_sign * c1)
+        g1 = -disc * (kap + kbar) * M @ M1.mT @ th - M @ M1.mT @ l1 @ th
+        g2 = -disc * (kap + kbar) * E @ M1.mT @ th
+        g2 += disc * ME @ M1.mT @ (kbar * th - kap * tb)
+        g2 -= E @ M1.mT @ l1 @ th + ME @ M1.mT @ l2 @ th
+        g2 -= ME @ M1.mT @ (l1 + l2) @ tb
+        h = -ME @ M1.mT @ (-disc * kap * y_next + c1)
 
-        G1[t], G2[t], H[t] = g1, g2, h
+        G1[t], G2[t], H[t] = g1, g2, h[..., 0]
         Fs[t], Ks[t], Ms[t], Es[t] = F, K, M, E
         Qs[0, t], Qs[1, t], Qs[2, t], Qs[3, t] = Q1, Q2, Q3, Q4
 
         # Limits of the state-action cross blocks (own row, off row,
         # off column, diagonal tail, off-off tail).
-        a_inf = disc * (kap + kbar) * M1.T @ th + M1.T @ l1 @ th
-        b_inf = disc * M1.T @ (kap * tb - kbar * th) + M1.T @ (l1 @ tb + l2 @ (th + tb))
-        c_inf = -disc * kbar * M1.T @ th + M1.T @ l2.T @ th
-        d_inf = disc * kbar * M1.T @ th + M1.T @ (l2.T @ tb + l3 @ th + l4 @ tb)
-        e_inf = disc * kbar * M1.T @ th + M1.T @ (l2.T @ tb + l4 @ (th + tb))
+        a_inf = disc * (kap + kbar) * M1.mT @ th + M1.mT @ l1 @ th
+        b_inf = disc * M1.mT @ (kap * tb - kbar * th) + M1.mT @ (l1 @ tb + l2 @ (th + tb))
+        c_inf = -disc * kbar * M1.mT @ th + M1.mT @ l2.mT @ th
+        d_inf = disc * kbar * M1.mT @ th + M1.mT @ (l2.mT @ tb + l3 @ th + l4 @ tb)
+        e_inf = disc * kbar * M1.mT @ th + M1.mT @ (l2.mT @ tb + l4 @ (th + tb))
 
-        w1 = g1.T @ a_inf
-        new1 = g1.T @ Q1 @ g1 + w1 + w1.T + disc * (kap + kbar) * th.T @ th + th.T @ l1 @ th
+        w1 = g1.mT @ a_inf
+        new1 = g1.mT @ Q1 @ g1 + w1 + w1.mT + disc * (kap + kbar) * th.T @ th + th.T @ l1 @ th
 
-        new2 = g1.T @ Q2 @ g1 + g1.T @ (Q1 + Q2) @ g2
-        new2 += g1.T @ b_inf + (g2.T @ a_inf + (g1 + g2).T @ c_inf).T
+        new2 = g1.mT @ Q2 @ g1 + g1.mT @ (Q1 + Q2) @ g2
+        new2 += g1.mT @ b_inf + (g2.mT @ a_inf + (g1 + g2).mT @ c_inf).mT
         new2 += disc * (kap * th.T @ tb - kbar * th.T @ th)
         new2 += th.T @ l2 @ th + th.T @ (l1 + l2) @ tb
 
         quad_tail = (
-            g1.T @ (Q2.T + Q4) @ g2
-            + g2.T @ (Q2 + Q4) @ g1
-            + g2.T @ (Q1 + Q2 + Q2.T + Q4) @ g2
+            g1.mT @ (Q2.mT + Q4) @ g2
+            + g2.mT @ (Q2 + Q4) @ g1
+            + g2.mT @ (Q1 + Q2 + Q2.mT + Q4) @ g2
         )
         stage_tail = disc * (kap * tb.T @ tb + kbar * th.T @ th)
         p_tail = (
-            th.T @ (l2.T + l4) @ tb
+            th.T @ (l2.mT + l4) @ tb
             + tb.T @ (l2 + l4) @ th
-            + tb.T @ (l1 + l2 + l2.T + l4) @ tb
+            + tb.T @ (l1 + l2 + l2.mT + l4) @ tb
         )
-        w3 = g2.T @ (b_inf + e_inf) + g1.T @ d_inf
-        new3 = g1.T @ Q3 @ g1 + quad_tail + w3 + w3.T + stage_tail + th.T @ l3 @ th + p_tail
-        w4 = g2.T @ b_inf + (g1 + g2).T @ e_inf
-        new4 = g1.T @ Q4 @ g1 + quad_tail + w4 + w4.T + stage_tail + th.T @ l4 @ th + p_tail
+        w3 = g2.mT @ (b_inf + e_inf) + g1.mT @ d_inf
+        new3 = g1.mT @ Q3 @ g1 + quad_tail + w3 + w3.mT + stage_tail + th.T @ l3 @ th + p_tail
+        w4 = g2.mT @ b_inf + (g1 + g2).mT @ e_inf
+        new4 = g1.mT @ Q4 @ g1 + quad_tail + w4 + w4.mT + stage_tail + th.T @ l4 @ th + p_tail
 
         for sym in (new1, new3, new4):
-            max_asym = max(max_asym, float(np.max(np.abs(sym - sym.T))))
-        L[0, t] = 0.5 * (new1 + new1.T)
+            max_asym = np.maximum(max_asym, np.max(np.abs(sym - sym.mT), axis=(-2, -1)))
+        L[0, t] = 0.5 * (new1 + new1.mT)
         L[1, t] = new2
-        L[2, t] = 0.5 * (new3 + new3.T)
-        L[3, t] = 0.5 * (new4 + new4.T)
+        L[2, t] = 0.5 * (new3 + new3.mT)
+        L[3, t] = 0.5 * (new4 + new4.mT)
 
         chi[0, t] = (
-            g1.T @ (Q1 + Q2) @ h
-            + g1.T @ (-disc * kap * M1.T @ y_next + M1.T @ c1)
-            + (a_inf + c_inf).T @ h
+            g1.mT @ (Q1 + Q2) @ h
+            + g1.mT @ (-disc * kap * M1.mT @ y_next + M1.mT @ c1)
+            + (a_inf + c_inf).mT @ h
             - disc * kap * th.T @ y_next
             + th.T @ c1
-        )
+        )[..., 0]
         chi[1, t] = (
-            g2.T @ (Q1 + Q2) @ h
-            + (g1 + g2).T @ (Q2.T + Q4) @ h
-            + g2.T @ (-disc * kap * M1.T @ y_next + M1.T @ c1)
-            + (g1 + g2).T @ M1.T @ c2
-            + (b_inf + e_inf).T @ h
+            g2.mT @ (Q1 + Q2) @ h
+            + (g1 + g2).mT @ (Q2.mT + Q4) @ h
+            + g2.mT @ (-disc * kap * M1.mT @ y_next + M1.mT @ c1)
+            + (g1 + g2).mT @ M1.mT @ c2
+            + (b_inf + e_inf).mT @ h
             - disc * kap * tb.T @ y_next
             + tb.T @ c1
             + (th + tb).T @ c2
-        )
+        )[..., 0]
 
-    if max_asym > tolerances.symmetry:
-        logger.warning("Lambda asymmetry %.3e exceeds %.1e", max_asym, tolerances.symmetry)
+    if np.max(max_asym) > tolerances.symmetry:
+        logger.warning("Lambda asymmetry %.3e exceeds %.1e", np.max(max_asym), tolerances.symmetry)
     return DecentralizedCoeffs(
         L1=L[0],
         L2=L[1],
@@ -217,7 +224,7 @@ def decentralized_backward_pass(
         Q4=Qs[3],
         drift_sum=th + tb,
         dims=(d_y, d_z),
-        max_asymmetry=max_asym,
+        max_asymmetry=float(max_asym) if max_asym.ndim == 0 else max_asym,
     )
 
 
@@ -238,14 +245,17 @@ def decentralized_action(
 
 def meanfield_forward(coeffs: DecentralizedCoeffs, moments, y0: np.ndarray) -> MeanFieldTrajectory:
     """Deterministic mean-field recursion started from the mean initial
-    prediction: Ybar' = [theta + theta_bar + M1 (G1 + G2)] Ybar + M1 H."""
+    prediction: Ybar' = [theta + theta_bar + M1 (G1 + G2)] Ybar + M1 H.
+
+    Coefficients and moments with a round axis take y0 of shape (R, d_y)
+    and give ybar of shape (T+1, R, d_y)."""
     T = coeffs.G1.shape[0]
-    ybar = np.zeros((T + 1, coeffs.dims[0]))
-    ybar[0] = np.asarray(y0, dtype=float).reshape(-1)
+    ybar = np.zeros((T + 1, *coeffs.H.shape[1:-1], coeffs.dims[0]))
+    ybar[0] = np.asarray(y0, dtype=float).reshape(ybar.shape[1:])
     for t in range(T):
         M1 = moments.m1[t]
         drift = coeffs.drift_sum + M1 @ (coeffs.G1[t] + coeffs.G2[t])
-        ybar[t + 1] = drift @ ybar[t] + M1 @ coeffs.H[t]
+        ybar[t + 1] = (drift @ ybar[t][..., None] + M1 @ coeffs.H[t][..., None])[..., 0]
     return MeanFieldTrajectory(ybar=ybar)
 
 

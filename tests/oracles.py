@@ -7,6 +7,8 @@ full solver's own earlier per-block loop, kept to check its batched
 assembly. ``reference_episode`` is the other exception: it checks the
 harness's array-at-a-time agent loop, not the solvers, so it calls the
 package's backward passes and spells out the loop per agent.
+``round_stack`` and ``assert_round_equal`` check the round-batched
+backward passes against one unbatched pass per round.
 """
 
 from __future__ import annotations
@@ -248,7 +250,7 @@ def reference_full_backward_pass(params, moments, targets):
             # Quadratic action weight Q_n.
             q_n = np.zeros((N * d_z, N * d_z))
             diag_ws = np.stack([p_next[yblk(m), yblk(m)] for m in range(N)])
-            wm2_diag = moments.weighted_m2_many(t, diag_ws)
+            wm2_diag = moments.weighted_m2(t, diag_ws)
             for m in range(N):
                 for k in range(N):
                     blk = kbar * (
@@ -513,3 +515,62 @@ def reference_episode(policy, scenario, seed):
         "costs": costs,
         "regret": float(np.max(costs)),
     }
+
+
+# ---------------------------------------------------------------------------
+# Round stacks
+#
+# The reduced and decentralized passes accept moments and targets with a
+# round axis right after the time axis. Slice r of such a pass must be
+# array-equal to the unbatched pass on round r alone.
+
+
+def round_params(rng, N, d_y, d_z, T, kappa_bar=0.7):
+    """Game parameters with non-symmetric theta and theta_bar."""
+    from fedgames.model import GameParams
+
+    return GameParams(
+        theta=0.8 * np.eye(d_y) + 0.05 * rng.standard_normal((d_y, d_y)),
+        theta_bar=0.1 * np.eye(d_y) + 0.05 * rng.standard_normal((d_y, d_y)),
+        kappa=1.3,
+        kappa_bar=kappa_bar,
+        gamma=0.9,
+        alpha=0.05,
+        horizon_T=T,
+        population_N=N,
+        dim_y=d_y,
+        dim_z=d_z,
+    )
+
+
+def round_stack(rng, params, rounds, count=7):
+    """((moments, targets) with a round axis, [(moments, targets) of each
+    round alone]) from one Monte-Carlo bank of shape (T, R, count, d_y, d_z)."""
+    from fedgames.model import SampleBank, TargetSeries, estimate_moments
+
+    T, d_y, d_z = params.horizon_T, params.dim_y, params.dim_z
+    bank = rng.standard_normal((T, rounds, count, d_y, d_z))
+    values = rng.standard_normal((T + 1, rounds, d_y))
+    stacked = (estimate_moments(SampleBank(samples=tuple(bank))), TargetSeries(values=values))
+    singles = [
+        (estimate_moments(SampleBank(samples=tuple(bank[:, r]))), TargetSeries(values=values[:, r]))
+        for r in range(rounds)
+    ]
+    return stacked, singles
+
+
+def assert_round_equal(batched, r, single):
+    """Round r of a round-stacked solve equals the solve of round r alone,
+    array for array, with a float max_asymmetry."""
+    from dataclasses import fields
+
+    from fedgames.nash_reduced import take_round
+
+    got = take_round(batched, r)
+    assert type(got.max_asymmetry) is float
+    for f in fields(single):
+        want, have = getattr(single, f.name), getattr(got, f.name)
+        if isinstance(want, np.ndarray):
+            np.testing.assert_array_equal(have, want, err_msg=f.name)
+        else:
+            assert have == want, f.name

@@ -1,9 +1,14 @@
 import csv
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import fedgames
 from fedgames.cli import RESULTS_HEADER, main, results_fingerprint
 from fedgames.diagnostics import monotone_flags
 
@@ -212,3 +217,26 @@ def test_coeff_dump_matches_fresh_round0_solve(config, tmp_path):
             if isinstance(value, np.ndarray):
                 np.testing.assert_array_equal(dumped[name], value, err_msg=f"{policy} {name}")
     assert not (out / "coeffs" / "greedy_N2_seed1.json").exists()
+
+
+def test_log_level_debug_logs_solver_conditioning(config, tmp_path):
+    # a fresh process, so that the CLI's logging setup is not pre-empted
+    # by the test runner's handlers
+    path, cfg = config
+    cfg["policies"] = ["reduced", "decentralized"]
+    path.write_text(json.dumps(cfg), encoding="utf-8")
+    env = dict(os.environ, PYTHONPATH=str(Path(fedgames.__file__).parents[1]))
+    cmd = [sys.executable, "-m", "fedgames.cli", "--log-level", "DEBUG", "run"]
+    proc = subprocess.run(
+        cmd + ["--config", str(path), "--out", str(tmp_path / "o")],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert "reduced t=0 cond(F)=" in proc.stderr
+    assert "decentralized t=0 cond(F)=" in proc.stderr
+    assert "max_t ||Pi3 - Pi4||" in proc.stderr  # the N = 3 cell
+    assert "Logging error" not in proc.stderr
+    assert main(["--log-level", "ERROR", "run", "--config", str(path), "--dry-run"]) == 0

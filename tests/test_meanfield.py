@@ -1,5 +1,11 @@
+import types
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from oracles import assert_round_equal, round_params, round_stack
+
+from fedgames.errors import SolveError
 
 from fedgames.model import GameParams, TargetSeries, exact_moments_deterministic
 from fedgames.nash_meanfield import (
@@ -183,18 +189,6 @@ def test_meanfield_pure_function():
     np.testing.assert_array_equal(a.ybar, b.ybar)
 
 
-def test_draft_sign_flag_flips_chi_in_intercept():
-    rng = np.random.default_rng(7)
-    params, zs, targets = build_scenario(rng, 16, 1, 4)
-    moments = exact_moments_deterministic(zs)
-    plus = decentralized_backward_pass(params, moments, targets)
-    minus = decentralized_backward_pass(params, moments, targets, draft_sign=True)
-    # terminal step has chi(t+1) = 0, so the last intercept agrees...
-    np.testing.assert_allclose(plus.H[-1], minus.H[-1], atol=1e-14)
-    # ...and earlier steps differ once chi1 is nonzero
-    assert np.max(np.abs(plus.H[0] - minus.H[0])) > 1e-8
-
-
 def test_terminal_conditions_and_symmetry():
     rng = np.random.default_rng(8)
     params, zs, targets = build_scenario(rng, 16, 2, 5)
@@ -205,3 +199,42 @@ def test_terminal_conditions_and_symmetry():
     for t in range(6):
         np.testing.assert_allclose(dec.L1[t], dec.L1[t].T, atol=1e-12)
         np.testing.assert_allclose(dec.L4[t], dec.L4[t].T, atol=1e-12)
+
+
+@pytest.mark.parametrize(
+    "d_y,d_z,T,rounds,kappa_bar",
+    [(1, 4, 4, 1, 0.7), (2, 3, 4, 5, 0.7), (1, 4, 4, 50, 0.7), (2, 3, 3, 4, 0.0)],
+)
+def test_round_batched_pass_matches_each_round(d_y, d_z, T, rounds, kappa_bar):
+    rng = np.random.default_rng(100 + rounds)
+    params = round_params(rng, 16, d_y, d_z, T, kappa_bar)
+    (moments, targets), singles = round_stack(rng, params, rounds)
+    batched = decentralized_backward_pass(params, moments, targets)
+    assert batched.G1.shape == (T, rounds, d_z, d_y)
+    assert batched.max_asymmetry.shape == (rounds,)
+    ybar = meanfield_forward(batched, moments, targets.values[0]).ybar
+    assert ybar.shape == (T + 1, rounds, d_y)
+    for r, (mom_r, tgt_r) in enumerate(singles):
+        single = decentralized_backward_pass(params, mom_r, tgt_r)
+        assert_round_equal(batched, r, single)
+        np.testing.assert_array_equal(
+            ybar[:, r], meanfield_forward(single, mom_r, tgt_r.values[0]).ybar
+        )
+
+
+def test_round_batched_failure_names_round():
+    # the last round's M2 cancels gamma at t = T-1 (kappa + kappa_bar = 2, so
+    # exactly), and its F is singular there
+    T, R, d_z = 3, 4, 2
+    params = replace(round_params(np.random.default_rng(0), 8, 1, d_z, T), kappa=1.0, kappa_bar=1.0)
+    m2 = np.tile(np.eye(d_z), (T, R, 1, 1))
+    m2[T - 1, R - 1] *= -params.gamma / 2
+    moments = types.SimpleNamespace(
+        m1=np.zeros((T, R, 1, d_z)),
+        m2=m2,
+        horizon=T,
+        weighted_m2=lambda t, w: np.zeros((R, d_z, d_z)),
+    )
+    targets = TargetSeries(values=np.zeros((T + 1, R, 1)))
+    with pytest.raises(SolveError, match="round 3, t=2"):
+        decentralized_backward_pass(params, moments, targets)

@@ -118,10 +118,39 @@ def test_closed_form_iid_moments_match_bank():
     )
 
 
+def _loop_weighted_m2(z, w):
+    return np.mean([zs.T @ w @ zs for zs in z], axis=0)
+
+
 def test_batched_weighted_m2_matches_loop():
     rng = np.random.default_rng(9)
-    mom = estimate_moments(SampleBank(samples=(rng.standard_normal((11, 2, 2)),)))
+    # a stack of weights against one bank
+    z = rng.standard_normal((11, 2, 2))
+    mom = estimate_moments(SampleBank(samples=(z,)))
     ws = rng.standard_normal((4, 2, 2))
-    batch = mom.weighted_m2_many(0, ws)
+    batch = mom.weighted_m2(0, ws)
     for i, w in enumerate(ws):
-        np.testing.assert_allclose(batch[i], mom.weighted_m2(0, w), rtol=0, atol=1e-14)
+        np.testing.assert_allclose(batch[i], _loop_weighted_m2(z, w), rtol=0, atol=1e-14)
+
+    # closed-form moments
+    lat = IidEntryLatents(mean=rng.standard_normal((3, 2, 3)), half_width=0.6)
+    for t in range(3):
+        batch = lat.exact_moments().weighted_m2(t, ws)
+        m = lat.mean[t]
+        for i, w in enumerate(ws):
+            loop = m.T @ w @ m + lat.var * np.trace(w) * np.eye(3)
+            np.testing.assert_allclose(batch[i], loop, rtol=0, atol=1e-14)
+
+    # a round-batched bank (T, R, S, d_y, d_z): one weight per round, each
+    # against its own bank, and the same m1, m2 as the round alone
+    banks = rng.standard_normal((2, 4, 11, 2, 3))
+    mom = estimate_moments(SampleBank(samples=tuple(banks)))
+    assert mom.m1.shape == (2, 4, 2, 3) and mom.m2.shape == (2, 4, 3, 3)
+    for t in range(2):
+        batch = mom.weighted_m2(t, ws)
+        for r, w in enumerate(ws):
+            np.testing.assert_allclose(batch[r], _loop_weighted_m2(banks[t, r], w), rtol=0, atol=1e-14)
+            one = estimate_moments(SampleBank(samples=(banks[t, r],)))
+            np.testing.assert_array_equal(mom.m1[t, r], one.m1[0])
+            np.testing.assert_array_equal(mom.m2[t, r], one.m2[0])
+            np.testing.assert_array_equal(batch[r], one.weighted_m2(0, w))

@@ -1,7 +1,11 @@
+import types
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import assert_round_equal, round_params, round_stack
 
 from fedgames.errors import SolveError
 from fedgames.model import GameParams, TargetSeries, exact_moments_deterministic
@@ -229,3 +233,43 @@ def test_coefficient_shapes_independent_of_n():
         times[N] = time.perf_counter() - start
         assert red.Pi1.shape == (11, 2, 2)
     assert times[512] < 50 * max(times[8], 1e-4)
+
+
+@pytest.mark.parametrize(
+    "N,d_y,d_z,T,rounds,kappa_bar",
+    [
+        (4, 1, 4, 4, 1, 0.7),
+        (2, 2, 3, 4, 5, 0.7),  # N = 2: the e-block is zero
+        (3, 2, 3, 4, 5, 0.7),
+        (1024, 1, 4, 4, 3, 0.7),
+        (3, 2, 3, 3, 4, 0.0),
+    ],
+)
+def test_round_batched_pass_matches_each_round(N, d_y, d_z, T, rounds, kappa_bar):
+    rng = np.random.default_rng(200 + N + rounds)
+    params = round_params(rng, N, d_y, d_z, T, kappa_bar)
+    (moments, targets), singles = round_stack(rng, params, rounds)
+    batched = reduced_backward_pass(params, moments, targets)
+    assert batched.G1N.shape == (T, rounds, d_z, d_y)
+    assert batched.max_asymmetry.shape == (rounds,)
+    assert batched.pi3_pi4_gap().shape == (T + 1, rounds)
+    for r, (mom_r, tgt_r) in enumerate(singles):
+        assert_round_equal(batched, r, reduced_backward_pass(params, mom_r, tgt_r))
+
+
+def test_round_batched_failure_names_round():
+    # round 1's M2 cancels gamma at t = T-1 (kappa + kappa_bar / 4 = 2, so
+    # exactly), and its F is singular there
+    T, R, d_z, N = 3, 3, 2, 2
+    params = replace(round_params(np.random.default_rng(0), N, 1, d_z, T), kappa=1.0, kappa_bar=4.0)
+    m2 = np.tile(np.eye(d_z), (T, R, 1, 1))
+    m2[T - 1, 1] *= -params.gamma / 2
+    moments = types.SimpleNamespace(
+        m1=np.zeros((T, R, 1, d_z)),
+        m2=m2,
+        horizon=T,
+        weighted_m2=lambda t, w: np.zeros((R, d_z, d_z)),
+    )
+    targets = TargetSeries(values=np.zeros((T + 1, R, 1)))
+    with pytest.raises(SolveError, match="round 1, t=2"):
+        reduced_backward_pass(params, moments, targets)
