@@ -27,7 +27,7 @@ import numpy as np
 from .datasets import DatasetSpec
 from .diagnostics import ConvergenceScenario, limit_gap_diagnostic
 from .errors import ConfigError, FedGamesError
-from .harness import EncoderConfig, Scenario, SpawnerConfig, run_episode
+from .harness import POLICIES, EncoderConfig, Scenario, SpawnerConfig, run_episode
 from .io import (
     SCHEMA_VERSION,
     dump_coeffs,
@@ -125,7 +125,7 @@ def load_config(path) -> dict:
             "config.convergence",
         )
     for policy in raw["policies"]:
-        if policy not in ("full", "reduced", "decentralized", "greedy"):
+        if policy not in POLICIES:
             raise ConfigError(f"unknown policy {policy!r}")
     return raw
 
@@ -199,7 +199,7 @@ def cell_grid(cfg: dict, seed_override=None):
 
 def _round0_coeff_dump(policy, scenario, seed, record, coeff_dir):
     """Write the first round's coefficients, as solved by the episode, for a
-    regression snapshot; the greedy baseline has none."""
+    regression snapshot; a policy that solves nothing has none."""
     if record.round0_coeffs is None:
         return
     kind, coeffs = record.round0_coeffs
@@ -353,7 +353,7 @@ def cmd_convergence(args) -> int:
     out_dir = Path(args.out or cfg.get("output_dir", "out"))
     out_dir.mkdir(parents=True, exist_ok=True)
     try:
-        report = limit_gap_diagnostic(n_grid, [int(cfg.get("seed", 0))], scenario)
+        report = limit_gap_diagnostic(n_grid, int(cfg.get("seed", 0)), scenario)
     except FedGamesError as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
         return 3
@@ -460,7 +460,7 @@ def _verify_convergence() -> tuple[bool, str]:
         latent_half_width=0.4,
         paths=40,
     )
-    report = limit_gap_diagnostic([4, 16, 64], [5], scenario)
+    report = limit_gap_diagnostic([4, 16, 64], 5, scenario)
     summary = report.per_n()
     lam = [row["lambda_gap"] for row in summary]
     mono = all(row["monotone_2se"] for row in summary)

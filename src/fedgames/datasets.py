@@ -21,6 +21,7 @@ Generators:
 from __future__ import annotations
 
 import csv
+import numbers
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -44,6 +45,28 @@ class DatasetSpec:
             raise SpecError(f"unknown dataset kind {self.kind!r}")
         if self.length < 2:
             raise SpecError("dataset length must be >= 2")
+        if self.kind == "csv":
+            missing = {"path", "target_columns", "lag_spec"} - set(self.parameters)
+            if missing:
+                raise SpecError(f"csv dataset needs parameters {sorted(missing)}")
+            if not self.parameters["target_columns"]:
+                raise SpecError("csv dataset needs at least one target column")
+            _check_lag_spec(self.parameters["lag_spec"])
+            max_rows = self.parameters.get("max_rows")
+            if max_rows is not None and (not isinstance(max_rows, numbers.Integral) or max_rows < 1):
+                raise SpecError(f"max_rows must be an integer >= 1, got {max_rows!r}")
+
+
+def _check_lag_spec(lag_spec) -> None:
+    """Every listed column needs at least one lag, each an integer >= 1:
+    lag 0 would put the target itself into the input."""
+    if not isinstance(lag_spec, dict) or not lag_spec:
+        raise SpecError("lag_spec must map at least one column to its lags")
+    for name, lags in lag_spec.items():
+        if not isinstance(lags, (list, tuple)) or not lags:
+            raise SpecError(f"lag_spec[{name!r}] must be a non-empty list of lags")
+        if any(not isinstance(lag, numbers.Integral) or lag < 1 for lag in lags):
+            raise SpecError(f"lags of {name!r} must be integers >= 1, got {lags}")
 
 
 LOGISTIC_DEFAULTS = {"alpha": 5.0, "beta": 11.0, "gamma": 13.0, "c": 3.6, "b": 0.13}
@@ -149,6 +172,7 @@ def load_csv(
     available; values[0] seeds the predictions. ``max_scale`` divides
     each column by its own maximum absolute value over the loaded rows.
     """
+    _check_lag_spec(lag_spec)
     path = Path(path)
     if not path.exists():
         raise SpecError(f"csv file not found: {path}")
@@ -179,7 +203,7 @@ def load_csv(
                 cols[name] = cols[name] / peak
 
     n_rows = len(rows)
-    max_lag = max((max(lags) for lags in lag_spec.values()), default=1)
+    max_lag = max(max(lags) for lags in lag_spec.values())
     start = max_lag - 1
     if n_rows - start < 2:
         raise SpecError(f"{path}: series too short for max lag {max_lag}")

@@ -59,26 +59,19 @@ class GapReport:
         """One summary row per N: max-over-t lambda gap, terminal
         mean-field gap with its standard error, and the within-2se
         monotonicity flag."""
-        out = []
-        prev = None
-        for n in self.n_grid:
-            rows = [r for r in self.rows if r.N == n]
-            lam = max(r.lambda_gap for r in rows)
-            last = max(rows, key=lambda r: r.t)
-            ok = True
-            if prev is not None:
-                tol = 2.0 * np.hypot(last.stderr, prev["stderr"])
-                ok = last.meanfield_gap <= prev["meanfield_gap"] + tol
-            row = {
+        rows_by_n = [[r for r in self.rows if r.N == n] for n in self.n_grid]
+        last = [max(rows, key=lambda r: r.t) for rows in rows_by_n]
+        flags = monotone_flags([r.meanfield_gap for r in last], [r.stderr for r in last])
+        return [
+            {
                 "N": n,
-                "lambda_gap": lam,
-                "meanfield_gap": last.meanfield_gap,
-                "stderr": last.stderr,
+                "lambda_gap": max(r.lambda_gap for r in rows),
+                "meanfield_gap": end.meanfield_gap,
+                "stderr": end.stderr,
                 "monotone_2se": ok,
             }
-            out.append(row)
-            prev = row
-        return out
+            for n, rows, end, ok in zip(self.n_grid, rows_by_n, last, flags)
+        ]
 
 
 def monotone_flags(gaps, stderrs) -> list[bool]:
@@ -119,17 +112,15 @@ def _simulate_mean_gap(
     return gaps.mean(axis=0), gaps.std(axis=0, ddof=1) / np.sqrt(paths)
 
 
-def limit_gap_diagnostic(
-    n_grid, seeds, scenario: ConvergenceScenario
-) -> GapReport:
-    """Coefficient and mean-field gaps over a population grid."""
+def limit_gap_diagnostic(n_grid, seed: int, scenario: ConvergenceScenario) -> GapReport:
+    """Coefficient and mean-field gaps over a population grid; ``seed``
+    keys the Monte-Carlo paths of the mean-field gap."""
     latents = IidEntryLatents(mean=scenario.latent_mean, half_width=scenario.latent_half_width)
     moments = latents.exact_moments()
     base = scenario.params
     limit = decentralized_backward_pass(base, moments, scenario.targets)
     y0 = scenario.targets.values[0]
     ybar = meanfield_forward(limit, moments, y0).ybar
-    seed0 = seeds[0] if np.ndim(seeds) else int(seeds)
 
     rows = []
     for n in n_grid:
@@ -137,7 +128,7 @@ def limit_gap_diagnostic(
         reduced = reduced_backward_pass(params_n, moments, scenario.targets)
         lam = lambda_gap(reduced, limit)
         mf_mean, mf_se = _simulate_mean_gap(
-            params_n, latents, limit, ybar, y0, scenario.paths, seed0
+            params_n, latents, limit, ybar, y0, scenario.paths, seed
         )
         for t in range(base.horizon_T + 1):
             rows.append(

@@ -22,7 +22,7 @@ from __future__ import annotations
 import logging
 import time
 from dataclasses import dataclass, field
-from itertools import repeat
+from functools import partial
 
 import numpy as np
 
@@ -49,8 +49,6 @@ from .spawner import build_ortho_problem, ortho_solve, resample_parameters, scor
 
 logger = logging.getLogger(__name__)
 
-POLICIES = ("full", "reduced", "decentralized", "greedy")
-
 # Per-step message model: centralized policies gather and scatter all N
 # predictions; the greedy baseline gathers N and broadcasts one mean; the
 # decentralized policy exchanges nothing per step (one sync per round).
@@ -60,6 +58,8 @@ MESSAGES_PER_STEP = {
     "greedy": lambda n: n + 1,
     "decentralized": lambda n: 0,
 }
+
+POLICIES = tuple(MESSAGES_PER_STEP)
 
 
 @dataclass(frozen=True)
@@ -109,7 +109,6 @@ class RunRecord:
     predictions: np.ndarray  # (rounds, T+1, N, d_y)
     actions: np.ndarray  # (rounds, T, N, d_z)
     aggregated: np.ndarray  # (rounds, T, d_y) prediction of y_{t+1}
-    agg_weights: np.ndarray  # (rounds, T, N)
     costs: np.ndarray  # (N,) per-agent total objective
     costs_per_round: np.ndarray  # (rounds, N)
     regret: float
@@ -217,11 +216,12 @@ def _sample_encoders(cfg: EncoderConfig, count, d_y, d_z, d_x, rng):
     return sample_esn_params(d_y, d_z, d_x, cfg.sigma, rng, activation=cfg.activation, count=count)
 
 
-def _encode(cfg: EncoderConfig, enc, x, noise, esn_state):
+def _encode(cfg: EncoderConfig, enc, x, noise, z_prev):
+    """Latents of step t; a recurrent encoder carries ``z_prev``, the
+    previous step's latents."""
     if cfg.kind == "rfn":
-        return rfn_encode(x, enc, noise), None
-    z = esn_encode(x, esn_state, enc, noise)
-    return z, z
+        return rfn_encode(x, enc, noise)
+    return esn_encode(x, z_prev, enc, noise)
 
 
 def _build_bank(scenario: Scenario, inputs: np.ndarray, seed: int) -> SampleBank:
@@ -231,13 +231,11 @@ def _build_bank(scenario: Scenario, inputs: np.ndarray, seed: int) -> SampleBank
     p = scenario.params
     count = scenario.mc_samples
     encs = _sample_encoders(cfg, count, p.dim_y, p.dim_z, inputs.shape[1], _rng(seed, 71))
-    state = np.zeros((count, p.dim_y, p.dim_z))
+    z = np.zeros((count, p.dim_y, p.dim_z))
     sams = []
     for t in range(inputs.shape[0]):
         noise = _rng(seed, 72, t).standard_normal((count, p.dim_z))
-        z, new_state = _encode(cfg, encs, inputs[t], noise, state)
-        if new_state is not None:
-            state = new_state
+        z = _encode(cfg, encs, inputs[t], noise, z)
         sams.append(z)
     return SampleBank(samples=tuple(sams))
 
@@ -266,9 +264,12 @@ class _GreedyWindow:
         return ridge_action(self.z[:, -k:], self.resid[:, -k:], cfg)
 
 
-def _solve_episode(policy, params, bank, values, rounds):
-    """(kind, one (coefficients, mean-field path) per round) of the
-    episode's backward passes; the one place a policy maps to a solver.
+def _solve_episode(policy, scenario: Scenario, inputs, values, rounds, seed):
+    """(kind, one (coefficients, act) per round): the one place a policy
+    maps to its solver and its action rule. ``act(t, predictions,
+    latents)`` returns the (N, d_z) actions of step t of its round. The
+    greedy baseline solves nothing (kind and coefficients None) and
+    builds no latent bank.
 
     A round's pass reads only the params, the bank window
     ``bank.samples[rT:(r+1)T]`` and the targets ``values[rT:rT+T+1]``,
@@ -276,32 +277,61 @@ def _solve_episode(policy, params, bank, values, rounds):
     round at once, before the step loop, over a round stack of windows.
     The dense full oracle is solved round by round as the loop asks for
     it: stacking it would multiply its O(N^3 d_z^2) temporaries by the
-    round count. The greedy baseline solves nothing.
+    round count.
     """
-    T = params.horizon_T
+    p = scenario.params
+    N, T = p.population_N, p.horizon_T
     if policy == "greedy":
-        return None, repeat((None, None), rounds)
-    if policy == "full" or (policy == "reduced" and params.population_N == 1):
+        if scenario.ridge is None:
+            raise ValueError("greedy policy needs a ridge config")
+        window = _GreedyWindow(N, p.dim_y, p.dim_z, scenario.ridge.window_T)
+        sqrt_kappa = np.sqrt(p.kappa)
+
+        def act(r, t, preds, latents):
+            actions = window.actions(scenario.ridge)
+            # data-fit rows carry sqrt(kappa) so the fitted objective is
+            # kappa * fit + gamma * penalty; kappa = 0 zeroes the policy
+            resid = values[r * T + t + 1] - preds @ p.theta.T - preds.mean(axis=0) @ p.theta_bar.T
+            window.push(sqrt_kappa * latents, sqrt_kappa * resid)
+            return actions
+
+        return None, ((None, partial(act, r)) for r in range(rounds))
+
+    bank = _build_bank(scenario, inputs, seed)
+    if policy == "full" or (policy == "reduced" and N == 1):
+
+        def act(c, t, preds, latents):
+            return full_action(t, preds.reshape(-1), c).reshape(N, p.dim_z)
+
         solved = (
             full_backward_pass(
-                params,
+                p,
                 estimate_moments(SampleBank(samples=bank.samples[base : base + T])),
                 TargetSeries(values=values[base : base + T + 1]),
             )
             for base in range(0, rounds * T, T)
         )
-        return "full", ((coeffs, None) for coeffs in solved)
+        return "full", ((c, partial(act, c)) for c in solved)
     # round axis after the time axis: entry [t, r] is step rT + t
     moments = estimate_moments(
         SampleBank(samples=tuple(np.stack(bank.samples[t : rounds * T : T]) for t in range(T)))
     )
     targets = TargetSeries(values=values[np.arange(T + 1)[:, None] + T * np.arange(rounds)])
     if policy == "reduced":
-        coeffs = reduced_backward_pass(params, moments, targets)
-        return "reduced", ((take_round(coeffs, r), None) for r in range(rounds))
-    coeffs = decentralized_backward_pass(params, moments, targets)
-    ybar = meanfield_forward(coeffs, moments, targets.values[0]).ybar
-    return "decentralized", ((take_round(coeffs, r), ybar[:, r]) for r in range(rounds))
+        coeffs = reduced_backward_pass(p, moments, targets)
+
+        def act(c, r, t, preds, latents):
+            return reduced_action(t, preds, preds.sum(axis=0) - preds, c)
+
+    else:
+        coeffs = decentralized_backward_pass(p, moments, targets)
+        ybar = meanfield_forward(coeffs, moments, targets.values[0]).ybar
+
+        def act(c, r, t, preds, latents):
+            return decentralized_action(t, preds, ybar[t, r], c)
+
+    solved = (take_round(coeffs, r) for r in range(rounds))
+    return policy, ((c, partial(act, c, r)) for r, c in enumerate(solved))
 
 
 def run_episode(policy: str, scenario: Scenario, seed: int) -> RunRecord:
@@ -321,24 +351,18 @@ def run_episode(policy: str, scenario: Scenario, seed: int) -> RunRecord:
     d_x = inputs.shape[1]
 
     pool = AgentPool.create(_sample_encoders(scenario.encoder, N, d_y, d_z, d_x, _rng(seed, 11)))
-    bank = _build_bank(scenario, inputs, seed)
-    if policy == "greedy" and scenario.ridge is None:
-        raise ValueError("greedy policy needs a ridge config")
-    greedy = _GreedyWindow(N, d_y, d_z, scenario.ridge.window_T) if policy == "greedy" else None
-    sqrt_kappa = np.sqrt(p.kappa)
 
     preds_hist = np.zeros((rounds, T + 1, N, d_y))
     acts_hist = np.zeros((rounds, T, N, d_z))
     agg_hist = np.zeros((rounds, T, d_y))
-    agg_w_hist = np.zeros((rounds, T, N))
     window_Ta = scenario.aggregation_window
     err_history: list[np.ndarray] = []  # last window_Ta steps: (N,) squared errors
     pool_weights = np.full(N, 1.0 / N)
     spawn_events: list[dict] = []
     round0 = None
 
-    kind, solved = _solve_episode(policy, p, bank, values, rounds)
-    for r, (coeffs, ybar) in enumerate(solved):
+    kind, solved = _solve_episode(policy, scenario, inputs, values, rounds, seed)
+    for r, (coeffs, act) in enumerate(solved):
         base = r * T
         if r == 0 and kind is not None:
             round0 = (kind, coeffs)
@@ -349,30 +373,14 @@ def run_episode(policy: str, scenario: Scenario, seed: int) -> RunRecord:
         for t in range(T):
             g = base + t
             noise = _rng(seed, 5, g).standard_normal((N, d_z))
-            z, new_state = _encode(scenario.encoder, pool.encoder, inputs[g], noise, pool.esn_state)
-            if new_state is not None:
-                pool.esn_state = new_state
-            pool.latents = z @ pool.latent_transforms
+            pool.esn_state = _encode(scenario.encoder, pool.encoder, inputs[g], noise, pool.esn_state)
+            pool.latents = pool.esn_state @ pool.latent_transforms
 
             preds = pool.predictions
-            if kind == "full":
-                actions = full_action(t, preds.reshape(-1), coeffs).reshape(N, d_z)
-            elif kind == "reduced":
-                actions = reduced_action(t, preds, preds.sum(axis=0) - preds, coeffs)
-            elif kind == "decentralized":
-                actions = decentralized_action(t, preds, ybar[t], coeffs)
-            else:  # greedy
-                actions = greedy.actions(scenario.ridge)
-
+            actions = act(t, preds, pool.latents)
             new_preds = step_dynamics(preds, pool.latents, actions, p)
 
-            if greedy is not None:
-                # data-fit rows carry sqrt(kappa) so the fitted objective is
-                # kappa * fit + gamma * penalty; kappa = 0 zeroes the policy
-                resid = values[g + 1] - preds @ p.theta.T - preds.mean(axis=0) @ p.theta_bar.T
-                greedy.push(sqrt_kappa * pool.latents, sqrt_kappa * resid)
-
-            agg, w = aggregate_predictions(
+            agg, _ = aggregate_predictions(
                 new_preds, err_history, scenario.aggregation_alpha, window_Ta
             )
             err_history.append(score_agents(values[g + 1], new_preds))
@@ -382,7 +390,6 @@ def run_episode(policy: str, scenario: Scenario, seed: int) -> RunRecord:
             preds_hist[r, t + 1] = new_preds
             acts_hist[r, t] = actions
             agg_hist[r, t] = agg
-            agg_w_hist[r, t] = w
 
         if scenario.spawner is not None and r < rounds - 1:
             pool_weights = _spawn_between_rounds(
@@ -404,7 +411,6 @@ def run_episode(policy: str, scenario: Scenario, seed: int) -> RunRecord:
         predictions=preds_hist,
         actions=acts_hist,
         aggregated=agg_hist,
-        agg_weights=agg_w_hist,
         costs=np.zeros(N),
         costs_per_round=np.zeros((rounds, N)),
         regret=0.0,

@@ -63,39 +63,6 @@ def export_run_record_json(record, path) -> None:
     Path(path).write_text(json.dumps(summary), encoding="utf-8")
 
 
-def export_run_record_csv(record, params, path) -> None:
-    """Per-timestep table: one row per (round, t, agent) with the stage
-    cost split into its tracking / mean-regularization / action parts."""
-    rounds, tp1, n_agents, d_y = record.predictions.shape
-    T = tp1 - 1
-    with Path(path).open("w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh)
-        head = ["round", "t", "agent"]
-        head += [f"pred_{i}" for i in range(d_y)]
-        head += [f"action_{i}" for i in range(record.actions.shape[3])]
-        head += ["cost_track", "cost_meanreg", "cost_action"]
-        writer.writerow(head)
-        for r in range(rounds):
-            for t in range(T):
-                mean = record.predictions[r, t + 1].mean(axis=0)
-                y = record.targets[r * T + t + 1]
-                disc = params.discount(t)
-                for a in range(n_agents):
-                    pred = record.predictions[r, t + 1, a]
-                    act = record.actions[r, t, a]
-                    err = y - pred
-                    dev = pred - mean
-                    row = [r, t, a]
-                    row += [repr(float(v)) for v in pred]
-                    row += [repr(float(v)) for v in act]
-                    row += [
-                        repr(disc * params.kappa * float(err @ err)),
-                        repr(disc * params.kappa_bar * float(dev @ dev)),
-                        repr(disc * params.gamma * float(act @ act)),
-                    ]
-                    writer.writerow(row)
-
-
 def export_gap_report_csv(report, path) -> None:
     with Path(path).open("w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)

@@ -28,7 +28,7 @@ class AgentPool:
     latents: np.ndarray  # (N, d_y, d_z) current Z
     predictions: np.ndarray  # (N, d_y)
     latent_transforms: np.ndarray  # (N, d_z, d_z) post-composition maps
-    esn_state: np.ndarray  # (N, d_y, d_z) recurrent carry
+    esn_state: np.ndarray  # (N, d_y, d_z) last encoder output: the recurrent carry
 
     @property
     def size(self) -> int:

@@ -32,27 +32,6 @@ from .errors import DegenerateError, SolveError
 logger = logging.getLogger(__name__)
 
 
-@dataclass(frozen=True)
-class SpawnerState:
-    weights: np.ndarray  # simplex over the N agents
-    scores: np.ndarray  # most recent per-agent scores
-    lambda_schedule: float
-    sigma_schedule: float
-    retire_K: int
-
-    def __post_init__(self):
-        w = np.asarray(self.weights, dtype=float)
-        s = np.asarray(self.scores, dtype=float)
-        if np.any(w < 0) or abs(w.sum() - 1.0) > 1e-12:
-            raise ValueError("weights must be a simplex vector")
-        if not 1 <= self.retire_K < w.shape[0]:
-            raise ValueError("retire_K must satisfy 1 <= K < N")
-        if self.lambda_schedule < 0 or self.sigma_schedule < 0:
-            raise ValueError("lambda and sigma must be nonnegative")
-        object.__setattr__(self, "weights", w)
-        object.__setattr__(self, "scores", s)
-
-
 def score_agents(target_next, predictions_next) -> np.ndarray:
     """Squared prediction error per agent at one step."""
     y = np.asarray(target_next, dtype=float).reshape(1, -1)

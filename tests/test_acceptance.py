@@ -164,7 +164,7 @@ def test_criterion_5_meanfield_convergence():
         latent_half_width=0.4,
         paths=100,
     )
-    report = limit_gap_diagnostic([4, 16, 64, 256], [17], scenario)
+    report = limit_gap_diagnostic([4, 16, 64, 256], 17, scenario)
     summary = report.per_n()
     lam = [r["lambda_gap"] for r in summary]
     strictly_dec = all(a > b for a, b in zip(lam, lam[1:]))

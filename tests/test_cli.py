@@ -115,6 +115,17 @@ def test_bad_policy_rejected(config, tmp_path):
     assert main(["run", "--config", str(bad)]) == 2
 
 
+def test_bad_csv_dataset_rejected(config, tmp_path, capsys):
+    path, cfg = config
+    # a csv dataset without a path
+    parameters = {"target_columns": ["v"], "lag_spec": {"v": [1]}}
+    cfg["dataset"] = {"kind": "csv", "length": 5, "parameters": parameters}
+    bad = tmp_path / "bad4.json"
+    bad.write_text(json.dumps(cfg), encoding="utf-8")
+    assert main(["run", "--config", str(bad)]) == 2
+    assert "config error:" in capsys.readouterr().err
+
+
 def test_missing_config(tmp_path):
     assert main(["run", "--config", str(tmp_path / "nope.json")]) == 2
 

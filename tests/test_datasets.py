@@ -87,6 +87,38 @@ def test_csv_errors(tmp_path):
     missing.write_text("w\n1\n2\n", encoding="utf-8")
     with pytest.raises(SpecError):
         load_csv(missing, ["v"], {"v": [1]})
+    with pytest.raises(SpecError):  # lag 0 would feed y_{t+1} in as x_t
+        load_csv(short, ["v"], {"v": [0]})
+
+
+@pytest.mark.parametrize(
+    "parameters",
+    [
+        {"target_columns": ["v"], "lag_spec": {"v": [1]}},
+        {"path": "s.csv", "lag_spec": {"v": [1]}},
+        {"path": "s.csv", "target_columns": ["v"]},
+        {"path": "s.csv", "target_columns": [], "lag_spec": {"v": [1]}},
+        {"path": "s.csv", "target_columns": ["v"], "lag_spec": {}},
+        {"path": "s.csv", "target_columns": ["v"], "lag_spec": {"v": []}},
+        {"path": "s.csv", "target_columns": ["v"], "lag_spec": {"v": [1, 0]}},
+        {"path": "s.csv", "target_columns": ["v"], "lag_spec": {"v": [-1]}},
+        {"path": "s.csv", "target_columns": ["v"], "lag_spec": {"v": [1]}, "max_rows": -2},
+    ],
+    ids=[
+        "no-path",
+        "no-targets",
+        "no-lags",
+        "empty-targets",
+        "empty-lag-spec",
+        "empty-lag-list",
+        "lag-0",
+        "negative-lag",
+        "negative-max-rows",
+    ],
+)
+def test_csv_spec_rejected_up_front(parameters):
+    with pytest.raises(SpecError):
+        DatasetSpec(kind="csv", length=10, parameters=parameters)
 
 
 def test_csv_max_scaling(tmp_path):

@@ -28,7 +28,7 @@ def scenario(T=4, paths=30):
 
 
 def test_gap_report_shape_and_positivity():
-    report = limit_gap_diagnostic([4, 16], [1], scenario())
+    report = limit_gap_diagnostic([4, 16], 1, scenario())
     assert len(report.rows) == 2 * 5  # two Ns, T+1 timesteps
     for row in report.rows:
         assert row.lambda_gap >= 0.0
@@ -38,14 +38,14 @@ def test_gap_report_shape_and_positivity():
 
 
 def test_lambda_gap_strictly_decreasing():
-    report = limit_gap_diagnostic([4, 16, 64], [1], scenario())
+    report = limit_gap_diagnostic([4, 16, 64], 1, scenario())
     summary = report.per_n()
     lams = [r["lambda_gap"] for r in summary]
     assert lams[0] > lams[1] > lams[2]
 
 
 def test_meanfield_gap_shrinks_with_n():
-    report = limit_gap_diagnostic([4, 64], [1], scenario(paths=60))
+    report = limit_gap_diagnostic([4, 64], 1, scenario(paths=60))
     summary = report.per_n()
     assert summary[1]["meanfield_gap"] <= summary[0]["meanfield_gap"] + 2 * (
         summary[0]["stderr"] + summary[1]["stderr"]
@@ -65,6 +65,6 @@ def test_identical_agents_zero_cross_variance():
         latent_half_width=0.0,
         paths=7,
     )
-    report = limit_gap_diagnostic([8], [1], s)
+    report = limit_gap_diagnostic([8], 1, s)
     for row in report.rows:
         assert row.stderr <= 1e-14

@@ -107,7 +107,6 @@ class TestObjective:
             predictions=np.array([[[[0.0]], [[0.5]]]]),
             actions=np.array([[[[0.5]]]]),
             aggregated=np.zeros((1, 1, 1)),
-            agg_weights=np.ones((1, 1, 1)),
             costs=np.zeros(1),
             costs_per_round=np.zeros((1, 1)),
             regret=0.0,
@@ -142,7 +141,6 @@ class TestObjective:
             predictions=preds,
             actions=acts,
             aggregated=np.zeros((1, 3, 1)),
-            agg_weights=np.ones((1, 3, 1)),
             costs=np.zeros(1),
             costs_per_round=np.zeros((1, 1)),
             regret=0.0,
@@ -166,7 +164,6 @@ class TestRegret:
             predictions=np.zeros((1, 2, 3, 1)),
             actions=np.zeros((1, 1, 3, 1)),
             aggregated=np.zeros((1, 1, 1)),
-            agg_weights=np.ones((1, 1, 3)) / 3,
             costs=np.array([0.1, 0.7, 0.3]),
             costs_per_round=np.zeros((1, 3)),
             regret=0.0,
@@ -249,7 +246,6 @@ class TestRunEpisode:
             assert rec.regret == pytest.approx(np.max(rec.costs))
             assert np.isfinite(rec.rmse_aggregated)
             assert rec.rmse_worst >= rec.rmse_bottom20 - 1e-12
-            assert np.allclose(rec.agg_weights.sum(axis=2), 1.0, atol=1e-12)
 
     def test_esn_policy_runs(self):
         scenario = small_scenario(encoder=EncoderConfig(kind="esn", sigma=0.1))
@@ -319,6 +315,26 @@ class TestRunEpisode:
         assert run_episode("full", scenario, seed=10).messages_per_step == 6
         assert run_episode("greedy", scenario, seed=10).messages_per_step == 4
         assert run_episode("decentralized", scenario, seed=10).messages_per_step == 0
+
+    def test_greedy_builds_no_bank(self, monkeypatch):
+        import fedgames.harness as harness
+
+        build_bank = harness._build_bank
+        calls = []
+
+        def no_bank(*args):
+            raise AssertionError("the greedy baseline reads no latent bank")
+
+        def counted(*args):
+            calls.append(args)
+            return build_bank(*args)
+
+        scenario = small_scenario(encoder=EncoderConfig(kind="esn", sigma=0.1))
+        monkeypatch.setattr(harness, "_build_bank", no_bank)
+        assert np.all(np.isfinite(run_episode("greedy", scenario, seed=12).predictions))
+        monkeypatch.setattr(harness, "_build_bank", counted)
+        run_episode("decentralized", scenario, seed=12)
+        assert len(calls) == 1
 
 
 PARITY_SPAWNERS = {

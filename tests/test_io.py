@@ -8,7 +8,6 @@ from fedgames.harness import EncoderConfig, Scenario, run_episode
 from fedgames.io import (
     dump_coeffs,
     export_gap_report_csv,
-    export_run_record_csv,
     export_run_record_json,
     load_coeff_arrays,
     write_jsonl,
@@ -38,7 +37,7 @@ def small_record():
         mc_samples=4,
         ridge=RidgeConfig(window_T=2, alpha=0.1, gamma=0.5),
     )
-    return params, run_episode("reduced", scenario, seed=1)
+    return run_episode("reduced", scenario, seed=1)
 
 
 def test_coeff_roundtrip(tmp_path):
@@ -67,26 +66,12 @@ def test_coeff_roundtrip(tmp_path):
 
 
 def test_run_record_exports(tmp_path):
-    params, record = small_record()
+    record = small_record()
     jpath = tmp_path / "run.json"
     export_run_record_json(record, jpath)
     payload = json.loads(jpath.read_text())
     assert payload["policy"] == "reduced"
     assert len(payload["costs"]) == 2
-
-    cpath = tmp_path / "run.csv"
-    export_run_record_csv(record, params, cpath)
-    with cpath.open() as fh:
-        rows = list(csv.reader(fh))
-    assert rows[0][:3] == ["round", "t", "agent"]
-    # rounds * T * agents data rows
-    assert len(rows) == 1 + record.predictions.shape[0] * 2 * 2
-    # stage costs in the table sum to the recorded objective
-    total = {0: 0.0, 1: 0.0}
-    for row in rows[1:]:
-        agent = int(row[2])
-        total[agent] += float(row[-3]) + float(row[-2]) + float(row[-1])
-    np.testing.assert_allclose([total[0], total[1]], record.costs, atol=1e-10)
 
 
 def test_gap_report_csv(tmp_path):

@@ -3,7 +3,6 @@ import pytest
 
 from fedgames.errors import DegenerateError
 from fedgames.spawner import (
-    SpawnerState,
     gibbs_reweigh,
     rank_ascending,
     resample_parameters,
@@ -175,22 +174,3 @@ class TestResample:
         )
         assert new.shape == params.shape
         assert sorted(list(retained) + list(retired)) == list(range(7))
-
-
-def test_spawner_state_validation():
-    with pytest.raises(ValueError):
-        SpawnerState(
-            weights=np.array([0.5, 0.6]),
-            scores=np.zeros(2),
-            lambda_schedule=1.0,
-            sigma_schedule=1.0,
-            retire_K=1,
-        )
-    with pytest.raises(ValueError):
-        SpawnerState(
-            weights=np.array([0.5, 0.5]),
-            scores=np.zeros(2),
-            lambda_schedule=1.0,
-            sigma_schedule=1.0,
-            retire_K=2,
-        )
