@@ -20,6 +20,7 @@ import csv
 import json
 import logging
 import sys
+import time
 from pathlib import Path
 
 import numpy as np
@@ -199,12 +200,15 @@ def cell_grid(cfg: dict, seed_override=None):
 
 def _round0_coeff_dump(policy, scenario, seed, record, coeff_dir):
     """Write the first round's coefficients, as solved by the episode, for a
-    regression snapshot; a policy that solves nothing has none."""
+    regression snapshot, and return the file's path; a policy that solves
+    nothing has none (None)."""
     if record.round0_coeffs is None:
-        return
+        return None
     kind, coeffs = record.round0_coeffs
     n = scenario.params.population_N
-    dump_coeffs(coeffs, kind, Path(coeff_dir) / f"{policy}_N{n}_seed{seed}.json")
+    path = Path(coeff_dir) / f"{policy}_N{n}_seed{seed}.json"
+    dump_coeffs(coeffs, kind, path)
+    return path
 
 
 def results_fingerprint(path) -> str:
@@ -275,10 +279,22 @@ def cmd_run(args) -> int:
     for cell in sorted(results):
         policy, n, seed = cell
         rec = results[cell]
-        export_run_record_json(rec, out_dir / f"run_{policy}_N{n}_seed{seed}.json")
+        write_start = time.perf_counter()
+        written = [out_dir / f"run_{policy}_N{n}_seed{seed}.json"]
+        export_run_record_json(rec, written[0])
         if rec.spawn_events:
-            write_jsonl(rec.spawn_events, out_dir / f"spawner_{policy}_N{n}_seed{seed}.jsonl")
-        _round0_coeff_dump(policy, scenarios[cell], seed, rec, out_dir / "coeffs")
+            written.append(out_dir / f"spawner_{policy}_N{n}_seed{seed}.jsonl")
+            write_jsonl(rec.spawn_events, written[-1])
+        written.append(_round0_coeff_dump(policy, scenarios[cell], seed, rec, out_dir / "coeffs"))
+        logger.info(
+            "cell policy=%s N=%d seed=%d: episode %.3f s, output writing %.3f s, %d bytes written",
+            policy,
+            n,
+            seed,
+            rec.runtime_ms / 1000.0,
+            time.perf_counter() - write_start,
+            sum(path.stat().st_size for path in written if path is not None),
+        )
         report_cells.append(
             {
                 "policy": policy,

@@ -15,7 +15,9 @@ Generators:
   concept_drift two bivariate regimes of x = [k, k, sqrt(k)] blended by
                 cos(2 (k - 7 pi / 8)) on [7 pi / 8, 9 pi / 8]; k runs on
                 an even grid over [0, 2 pi]. Input is x itself.
-  csv           generic numeric CSV with per-column lag lists.
+  csv           generic numeric CSV with per-column lag lists; ``length``
+                is the number of data rows read from the top of the
+                file.
 """
 
 from __future__ import annotations
@@ -52,9 +54,8 @@ class DatasetSpec:
             if not self.parameters["target_columns"]:
                 raise SpecError("csv dataset needs at least one target column")
             _check_lag_spec(self.parameters["lag_spec"])
-            max_rows = self.parameters.get("max_rows")
-            if max_rows is not None and (not isinstance(max_rows, numbers.Integral) or max_rows < 1):
-                raise SpecError(f"max_rows must be an integer >= 1, got {max_rows!r}")
+            if "max_rows" in self.parameters:
+                raise SpecError("csv parameter max_rows is gone: set the dataset length to the rows to read")
 
 
 def _check_lag_spec(lag_spec) -> None:
@@ -144,7 +145,7 @@ def build_dataset(spec: DatasetSpec) -> tuple[TargetSeries, np.ndarray]:
             spec.parameters["path"],
             spec.parameters["target_columns"],
             spec.parameters["lag_spec"],
-            max_rows=spec.parameters.get("max_rows"),
+            length=spec.length,
             max_scale=bool(spec.parameters.get("max_scale", False)),
         )
     targets = generate_series(spec)
@@ -160,10 +161,13 @@ def load_csv(
     path,
     target_columns: list[str],
     lag_spec: dict[str, list[int]],
-    max_rows: int | None = None,
+    length: int | None = None,
     max_scale: bool = False,
 ) -> tuple[TargetSeries, np.ndarray]:
     """Load a numeric CSV into (targets, lagged inputs).
+
+    ``length`` reads the first ``length`` data rows (all rows if None); a
+    file with fewer rows is a ``SpecError``.
 
     ``lag_spec`` maps a column name to the list of lags to include;
     inputs[t] concatenates column[t - lag + 1] over all (column, lag)
@@ -181,8 +185,10 @@ def load_csv(
         if reader.fieldnames is None:
             raise SpecError(f"{path} has no header row")
         rows = list(reader)
-    if max_rows is not None:
-        rows = rows[:max_rows]
+    if length is not None:
+        if len(rows) < length:
+            raise SpecError(f"{path} has {len(rows)} data rows, fewer than the dataset length {length}")
+        rows = rows[:length]
     if not rows:
         raise SpecError(f"{path} contains no data rows")
 

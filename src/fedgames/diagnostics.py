@@ -99,16 +99,17 @@ def _simulate_mean_gap(
     for pth in range(paths):
         rng = np.random.default_rng([seed, 31, pth])
         preds = np.tile(y0, (N, 1))
+        mean = preds.mean(axis=0)
         for t in range(T):
             z = latents.sample(t, N, rng)
             beta = preds @ coeffs.G1[t].T + ybar[t] @ coeffs.G2[t].T + coeffs.H[t]
-            mean = preds.mean(axis=0)
             preds = (
                 preds @ params.theta.T
-                + np.tile(mean @ params.theta_bar.T, (N, 1))
+                + mean @ params.theta_bar.T
                 + np.einsum("nij,nj->ni", z, beta)
             )
-            gaps[pth, t + 1] = np.linalg.norm(preds.mean(axis=0) - ybar[t + 1])
+            mean = preds.mean(axis=0)
+            gaps[pth, t + 1] = np.linalg.norm(mean - ybar[t + 1])
     return gaps.mean(axis=0), gaps.std(axis=0, ddof=1) / np.sqrt(paths)
 
 

@@ -11,6 +11,13 @@ are plain online mechanisms and know nothing about rounds).
 Costs are reported as sample-path evaluations of the game objective;
 Monte-Carlo means over seeds are left to the caller.
 
+Episodes stream: each round works on its own (T+1, N, d_y) predictions
+and (T, N, d_z) actions, and when it ends its costs are folded into
+per-agent running sums and summarized by a few quantiles. Between rounds
+only those sums and the O(L) aggregated series are kept, so memory grows
+with N, not with N times the episode length. ``EpisodeTrace`` keeps the
+per-step histories on request.
+
 The agent loop is array-at-a-time: per step, one noise block, one
 encoder call, one action call and one dynamics update cover all N
 agents. Random streams come from ``_rng`` only, keyed by (seed, purpose,
@@ -99,18 +106,21 @@ class Scenario:
             raise ValueError("aggregation_window must be >= 1")
 
 
+# levels of the per-round cost quantiles, over the agents
+COST_QUANTILES = {"min": 0.0, "median": 0.5, "p90": 0.9, "max": 1.0}
+
+
 @dataclass
 class RunRecord:
-    """Everything recorded over one seeded episode."""
+    """Everything recorded over one seeded episode: per-agent totals and
+    per-round summaries, no per-step agent histories (see EpisodeTrace)."""
 
     policy: str
     seed: int
     targets: np.ndarray  # (L, d_y)
-    predictions: np.ndarray  # (rounds, T+1, N, d_y)
-    actions: np.ndarray  # (rounds, T, N, d_z)
     aggregated: np.ndarray  # (rounds, T, d_y) prediction of y_{t+1}
     costs: np.ndarray  # (N,) per-agent total objective
-    costs_per_round: np.ndarray  # (rounds, N)
+    round_cost_quantiles: dict  # COST_QUANTILES name -> (rounds,) quantile of the agents' round costs
     regret: float
     rmse_aggregated: float
     rmse_worst: float
@@ -119,6 +129,29 @@ class RunRecord:
     runtime_ms: float = 0.0
     spawn_events: list = field(default_factory=list)
     round0_coeffs: tuple | None = None  # (kind, coefficients) of round 0; None for greedy
+
+
+@dataclass
+class EpisodeTrace:
+    """Opt-in per-step histories of one episode, for tests and debugging.
+
+    ``run_episode(..., trace=EpisodeTrace())`` appends each round's
+    (predictions (T+1, N, d_y), actions (T, N, d_z)) as the round ends;
+    row 0 of a round's predictions is its start at the observed target.
+    Without a trace an episode keeps only the round in progress.
+    """
+
+    rounds: list = field(default_factory=list)
+
+    @property
+    def predictions(self) -> np.ndarray:
+        """(rounds, T+1, N, d_y)"""
+        return np.stack([preds for preds, _ in self.rounds])
+
+    @property
+    def actions(self) -> np.ndarray:
+        """(rounds, T, N, d_z)"""
+        return np.stack([acts for _, acts in self.rounds])
 
 
 def step_dynamics(
@@ -161,10 +194,38 @@ def _round_costs(predictions, actions, params: GameParams, values) -> np.ndarray
     return np.einsum("t,rtn->rn", disc, stage)
 
 
-def evaluate_objective(record: RunRecord, agent_n: int, params: GameParams, targets) -> float:
-    """Sample-path game objective of one agent, summed over rounds."""
-    values = targets.values if isinstance(targets, TargetSeries) else np.asarray(targets)
-    return float(_round_costs(record.predictions, record.actions, params, values)[:, agent_n].sum())
+def _quantiles(x: np.ndarray, levels) -> np.ndarray:
+    """``np.quantile(x, levels)`` (its default linear method) from one
+    ``np.partition``. ``np.quantile`` and ``np.unique`` import ``numpy.ma``
+    on their first call, which costs more than a small episode's metrics."""
+    n = x.shape[0]
+    pos = (n - 1) * np.asarray(levels, dtype=float)
+    lo = np.floor(pos).astype(np.intp)
+    hi = np.minimum(lo + 1, n - 1)
+    part = np.partition(x, np.concatenate([lo, hi]))
+    a, b, frac = part[lo], part[hi], pos - lo
+    diff = b - a
+    return np.where(frac >= 0.5, b - diff * (1 - frac), a + diff * frac)
+
+
+class _RunningMetrics:
+    """Per-agent sums over the rounds played so far, folded in round by
+    round in the order of the whole-episode reductions they replace."""
+
+    def __init__(self, n_agents: int, rounds: int, params: GameParams):
+        self.params = params
+        self.costs = np.zeros(n_agents)  # total objective
+        self.sq_err = np.zeros(n_agents)  # squared prediction error over steps
+        self.quantiles = np.empty((rounds, len(COST_QUANTILES)))
+
+    def add_round(self, r: int, predictions, actions, y_round):
+        """Fold in round r: predictions (T+1, N, d_y), actions (T, N, d_z)
+        and its targets y_round (T+1, d_y)."""
+        costs = _round_costs(predictions[None], actions[None], self.params, y_round)[0]
+        self.costs += costs
+        self.quantiles[r] = _quantiles(costs, list(COST_QUANTILES.values()))
+        for err in np.sum((predictions[1:] - y_round[1:, None]) ** 2, axis=-1):
+            self.sq_err += err
 
 
 def underperformer_regret(record: RunRecord) -> float:
@@ -334,8 +395,9 @@ def _solve_episode(policy, scenario: Scenario, inputs, values, rounds, seed):
     return policy, ((c, partial(act, c, r)) for r, c in enumerate(solved))
 
 
-def run_episode(policy: str, scenario: Scenario, seed: int) -> RunRecord:
-    """Simulate one seeded episode of the configured scenario."""
+def run_episode(policy: str, scenario: Scenario, seed: int, trace: EpisodeTrace | None = None) -> RunRecord:
+    """Simulate one seeded episode of the configured scenario; a ``trace``
+    collects the per-step histories."""
     start = time.perf_counter()
     if policy not in POLICIES:
         raise ValueError(f"unknown policy {policy!r}")
@@ -352,8 +414,7 @@ def run_episode(policy: str, scenario: Scenario, seed: int) -> RunRecord:
 
     pool = AgentPool.create(_sample_encoders(scenario.encoder, N, d_y, d_z, d_x, _rng(seed, 11)))
 
-    preds_hist = np.zeros((rounds, T + 1, N, d_y))
-    acts_hist = np.zeros((rounds, T, N, d_z))
+    metrics = _RunningMetrics(N, rounds, p)
     agg_hist = np.zeros((rounds, T, d_y))
     window_Ta = scenario.aggregation_window
     err_history: list[np.ndarray] = []  # last window_Ta steps: (N,) squared errors
@@ -367,14 +428,15 @@ def run_episode(policy: str, scenario: Scenario, seed: int) -> RunRecord:
         if r == 0 and kind is not None:
             round0 = (kind, coeffs)
 
+        preds_hist = np.empty((T + 1, N, d_y))
+        acts_hist = np.empty((T, N, d_z))
         pool.predictions = np.tile(values[base], (N, 1))
-        preds_hist[r, 0] = pool.predictions
+        preds_hist[0] = pool.predictions
 
         for t in range(T):
             g = base + t
             noise = _rng(seed, 5, g).standard_normal((N, d_z))
-            pool.esn_state = _encode(scenario.encoder, pool.encoder, inputs[g], noise, pool.esn_state)
-            pool.latents = pool.esn_state @ pool.latent_transforms
+            pool.set_latents(_encode(scenario.encoder, pool.encoder, inputs[g], noise, pool.esn_state))
 
             preds = pool.predictions
             actions = act(t, preds, pool.latents)
@@ -387,9 +449,13 @@ def run_episode(policy: str, scenario: Scenario, seed: int) -> RunRecord:
             del err_history[:-window_Ta]
 
             pool.predictions = new_preds
-            preds_hist[r, t + 1] = new_preds
-            acts_hist[r, t] = actions
+            preds_hist[t + 1] = new_preds
+            acts_hist[t] = actions
             agg_hist[r, t] = agg
+
+        metrics.add_round(r, preds_hist, acts_hist, values[base : base + T + 1])
+        if trace is not None:
+            trace.rounds.append((preds_hist, acts_hist))
 
         if scenario.spawner is not None and r < rounds - 1:
             pool_weights = _spawn_between_rounds(
@@ -400,7 +466,7 @@ def run_episode(policy: str, scenario: Scenario, seed: int) -> RunRecord:
                 seed,
                 r,
                 spawn_events,
-                acts_hist[r],
+                acts_hist[-1],
                 values[base + T],
             )
 
@@ -408,11 +474,9 @@ def run_episode(policy: str, scenario: Scenario, seed: int) -> RunRecord:
         policy=policy,
         seed=seed,
         targets=values,
-        predictions=preds_hist,
-        actions=acts_hist,
         aggregated=agg_hist,
-        costs=np.zeros(N),
-        costs_per_round=np.zeros((rounds, N)),
+        costs=metrics.costs,
+        round_cost_quantiles={name: metrics.quantiles[:, i] for i, name in enumerate(COST_QUANTILES)},
         regret=0.0,
         rmse_aggregated=0.0,
         rmse_worst=0.0,
@@ -421,13 +485,13 @@ def run_episode(policy: str, scenario: Scenario, seed: int) -> RunRecord:
         spawn_events=spawn_events,
         round0_coeffs=round0,
     )
-    _finalize_metrics(record, p)
+    _finalize_metrics(record, metrics)
     record.runtime_ms = 1000.0 * (time.perf_counter() - start)
     return record
 
 
 def _spawn_between_rounds(
-    scenario, pool, pool_weights, last_scores, seed, round_idx, events, round_actions, y_now
+    scenario, pool, pool_weights, last_scores, seed, round_idx, events, last_actions, y_now
 ):
     cfg = scenario.spawner
     rng = _rng(seed, 999, round_idx)
@@ -435,7 +499,7 @@ def _spawn_between_rounds(
         pool.param_rows(), last_scores, pool_weights, cfg.lam, cfg.sigma_t, cfg.retire_k, rng
     )
     n = pool.size
-    d_z = pool.latent_transforms.shape[1]
+    d_z = pool.latents.shape[2]
     pool.respawn(retired_idx, new_rows[retired_idx])
 
     event = {
@@ -444,7 +508,7 @@ def _spawn_between_rounds(
         "weights": [float(x) for x in post],
     }
     if cfg.orthogonalize and cfg.zeta2 > 0:
-        beta_dir = round_actions[-1].mean(axis=0)
+        beta_dir = last_actions.mean(axis=0)
         norm = np.linalg.norm(beta_dir)
         beta_dir = beta_dir / norm if norm > 0 else np.full(d_z, 1.0 / np.sqrt(d_z))
         prob = build_ortho_problem(
@@ -455,7 +519,7 @@ def _spawn_between_rounds(
             cfg.zeta1,
         )
         sol = ortho_solve(prob, cfg.zeta2)
-        pool.latent_transforms[retired_idx] = sol.A_star
+        pool.steer(retired_idx, sol.A_star)
         event.update(
             lambda_star=float(sol.lambda_star),
             kkt_residual=float(sol.kkt_residual),
@@ -471,18 +535,16 @@ def _spawn_between_rounds(
     return new_weights / new_weights.sum()
 
 
-def _finalize_metrics(record: RunRecord, params: GameParams):
-    rounds, _, N, d_y = record.predictions.shape
-    T = params.horizon_T
-    record.costs_per_round = _round_costs(record.predictions, record.actions, params, record.targets)
-    record.costs = record.costs_per_round.sum(axis=0)
+def _finalize_metrics(record: RunRecord, metrics: _RunningMetrics):
+    """Episode metrics from the streamed per-agent sums and the
+    aggregated series."""
+    rounds, T, d_y = record.aggregated.shape
     record.regret = underperformer_regret(record)
 
     y = record.targets[1 : rounds * T + 1].reshape(rounds, T, d_y)
     agg_err = np.sum((record.aggregated - y) ** 2, axis=-1)
     record.rmse_aggregated = float(np.sqrt(np.mean(agg_err)))
-    per_agent_err = np.sum((record.predictions[:, 1:] - y[:, :, None]) ** 2, axis=-1)
-    per_agent_rmse = np.sqrt(per_agent_err.reshape(rounds * T, N).mean(axis=0))
+    per_agent_rmse = np.sqrt(metrics.sq_err / (rounds * T))
     record.rmse_worst = float(per_agent_rmse.max())
-    k = max(1, int(np.ceil(0.2 * N)))
+    k = max(1, int(np.ceil(0.2 * per_agent_rmse.shape[0])))
     record.rmse_bottom20 = float(np.sort(per_agent_rmse)[-k:].mean())

@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 
-SCHEMA_VERSION = "1"
+SCHEMA_VERSION = "2"
 
 
 def _enc_array(a: np.ndarray) -> dict:
@@ -46,6 +46,9 @@ def load_coeff_arrays(path) -> dict:
 
 
 def export_run_record_json(record, path) -> None:
+    """One cell's summary: its metrics, each agent's total cost ``costs``
+    (N,), and per round the quantiles of the agents' costs,
+    ``round_cost_quantiles`` {"min", "median", "p90", "max"} -> (rounds,)."""
     summary = {
         "schema_version": SCHEMA_VERSION,
         "policy": record.policy,
@@ -57,7 +60,7 @@ def export_run_record_json(record, path) -> None:
         "messages_per_step": record.messages_per_step,
         "runtime_ms": record.runtime_ms,
         "costs": record.costs.tolist(),
-        "costs_per_round": record.costs_per_round.tolist(),
+        "round_cost_quantiles": {name: q.tolist() for name, q in record.round_cost_quantiles.items()},
         "spawn_events": record.spawn_events,
     }
     Path(path).write_text(json.dumps(summary), encoding="utf-8")

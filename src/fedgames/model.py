@@ -218,7 +218,8 @@ class IidEntryLatents:
     def sample(self, t: int, count: int, rng: np.random.Generator) -> np.ndarray:
         d_y, d_z = self.mean.shape[1], self.mean.shape[2]
         noise = rng.uniform(-self.half_width, self.half_width, size=(count, d_y, d_z))
-        return self.mean[t][None, :, :] + noise
+        noise += self.mean[t]
+        return noise
 
     def exact_moments(self) -> "ClosedFormMoments":
         return ClosedFormMoments(self)

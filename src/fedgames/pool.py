@@ -27,7 +27,7 @@ class AgentPool:
     encoder: RfnParams | EsnParams  # stacked: leading agent axis
     latents: np.ndarray  # (N, d_y, d_z) current Z
     predictions: np.ndarray  # (N, d_y)
-    latent_transforms: np.ndarray  # (N, d_z, d_z) post-composition maps
+    latent_transforms: np.ndarray | None  # (N, d_z, d_z) post-composition maps; None: all identity
     esn_state: np.ndarray  # (N, d_y, d_z) last encoder output: the recurrent carry
 
     @property
@@ -41,9 +41,24 @@ class AgentPool:
             encoder=encoder,
             latents=np.zeros((n, d_y, d_z)),
             predictions=np.zeros((n, d_y)),
-            latent_transforms=np.tile(np.eye(d_z), (n, 1, 1)),
+            latent_transforms=None,
             esn_state=np.zeros((n, d_y, d_z)),
         )
+
+    def set_latents(self, z: np.ndarray) -> None:
+        """Take a step's encoder output ``z``: it becomes the recurrent
+        carry, and the latents are ``z`` through each agent's latent map,
+        or ``z`` itself (the same array) while no agent has been steered."""
+        self.esn_state = z
+        self.latents = z if self.latent_transforms is None else z @ self.latent_transforms
+
+    def steer(self, slots: np.ndarray, maps: np.ndarray) -> None:
+        """Give the agents in ``slots`` the (d_z, d_z) latent ``maps``; the
+        first call materializes the identity maps of all the others."""
+        if self.latent_transforms is None:
+            n, _, d_z = self.latents.shape
+            self.latent_transforms = np.tile(np.eye(d_z), (n, 1, 1))
+        self.latent_transforms[slots] = maps
 
     def param_rows(self) -> np.ndarray:
         """(N, dim) flat encoder parameters, one row per agent."""
@@ -55,7 +70,9 @@ class AgentPool:
     def respawn(self, slots: np.ndarray, rows: np.ndarray) -> None:
         """Give the agents in ``slots`` the flat parameter ``rows`` (sigma
         taken in absolute value), an identity latent map and a cleared
-        recurrent state. The new stack is validated like any encoder."""
+        recurrent state. The new stack is validated like any encoder.
+        The state is replaced, not written in place, because the current
+        latents may be the same array."""
         slots = np.asarray(slots, dtype=int)
         rows = np.asarray(rows, dtype=float)
         updated = {}
@@ -68,6 +85,8 @@ class AgentPool:
             updated[name] = stack
             start += width
         self.encoder = dataclasses.replace(self.encoder, **updated)
-        d_z = self.latent_transforms.shape[1]
-        self.latent_transforms[slots] = np.eye(d_z)
-        self.esn_state[slots] = 0.0
+        if self.latent_transforms is not None:
+            self.latent_transforms[slots] = np.eye(self.latent_transforms.shape[1])
+        state = self.esn_state.copy()
+        state[slots] = 0.0
+        self.esn_state = state

@@ -7,6 +7,8 @@ full solver's own earlier per-block loop, kept to check its batched
 assembly. ``reference_episode`` is the other exception: it checks the
 harness's array-at-a-time agent loop, not the solvers, so it calls the
 package's backward passes and spells out the loop per agent.
+``episode_metrics`` keeps the whole-episode metric formulas that the
+harness now streams round by round, to check them on traced histories.
 ``round_stack`` and ``assert_round_equal`` check the round-batched
 backward passes against one unbatched pass per round.
 """
@@ -373,7 +375,8 @@ def _ridge_one(history, cfg):
 
 def reference_episode(policy, scenario, seed):
     """Slow per-agent episode; returns a dict of the recorded arrays and
-    metrics under the names of ``fedgames.harness.RunRecord``."""
+    metrics under the names of ``fedgames.harness.RunRecord`` and
+    ``EpisodeTrace``, plus the (rounds, N) ``costs_per_round``."""
     from fedgames.datasets import build_dataset
     from fedgames.harness import aggregation_weights
     from fedgames.model import SampleBank, TargetSeries, estimate_moments
@@ -514,6 +517,39 @@ def reference_episode(policy, scenario, seed):
         "costs_per_round": costs_per_round,
         "costs": costs,
         "regret": float(np.max(costs)),
+    }
+
+
+def episode_metrics(predictions, actions, aggregated, params, values):
+    """Metrics of a whole traced episode, computed at once over the full
+    (rounds, T+1, N, d_y) predictions and (rounds, T, N, d_z) actions:
+    the formulas the harness used before it streamed them."""
+    rounds, _, N, d_y = predictions.shape
+    T = params.horizon_T
+    preds = predictions[:, 1:]
+    y = np.asarray(values, dtype=float)[1 : rounds * T + 1].reshape(rounds, T, 1, d_y)
+    err = y - preds
+    dev = preds - preds.mean(axis=2, keepdims=True)
+    stage = (
+        params.kappa * np.einsum("rtnd,rtnd->rtn", err, err)
+        + params.kappa_bar * np.einsum("rtnd,rtnd->rtn", dev, dev)
+        + params.gamma * np.einsum("rtnk,rtnk->rtn", actions, actions)
+    )
+    disc = np.exp(-params.alpha * (T - 1 - np.arange(T)))
+    costs_per_round = np.einsum("t,rtn->rn", disc, stage)
+    costs = costs_per_round.sum(axis=0)
+
+    agg_err = np.sum((aggregated - y[:, :, 0]) ** 2, axis=-1)
+    per_agent_err = np.sum((preds - y) ** 2, axis=-1)
+    per_agent_rmse = np.sqrt(per_agent_err.reshape(rounds * T, N).mean(axis=0))
+    k = max(1, int(np.ceil(0.2 * N)))
+    return {
+        "costs_per_round": costs_per_round,
+        "costs": costs,
+        "regret": float(np.max(costs)),
+        "rmse_aggregated": float(np.sqrt(np.mean(agg_err))),
+        "rmse_worst": float(per_agent_rmse.max()),
+        "rmse_bottom20": float(np.sort(per_agent_rmse)[-k:].mean()),
     }
 
 

@@ -13,7 +13,7 @@ from oracles import realized_cost, simulate_affine_policies
 
 from fedgames.datasets import DatasetSpec
 from fedgames.diagnostics import ConvergenceScenario, limit_gap_diagnostic
-from fedgames.harness import EncoderConfig, Scenario, run_episode
+from fedgames.harness import EncoderConfig, EpisodeTrace, Scenario, run_episode
 from fedgames.model import GameParams, TargetSeries, exact_moments_deterministic
 from fedgames.nash_full import check_block_structure, full_action, full_backward_pass
 from fedgames.nash_reduced import reduced_action, reduced_backward_pass
@@ -199,8 +199,9 @@ def test_criterion_6_trivial_policy_sanity():
     )
     ok = True
     for policy in ("full", "reduced", "decentralized", "greedy"):
-        rec = run_episode(policy, scenario, seed=3)
-        ok &= bool(np.all(rec.actions == 0.0)) and bool(np.all(rec.costs == 0.0))
+        trace = EpisodeTrace()
+        rec = run_episode(policy, scenario, seed=3, trace=trace)
+        ok &= bool(np.all(trace.actions == 0.0)) and bool(np.all(rec.costs == 0.0))
     assert _report(6, ok, "(all four policies identically zero)")
 
 

@@ -1,6 +1,7 @@
 import csv
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -54,7 +55,7 @@ def test_run_produces_results(config, tmp_path):
     assert len(rows) == 1 + 4  # 2 policies x 2 Ns x 1 seed
     assert (out / "report.json").exists()
     report = json.loads((out / "report.json").read_text())
-    assert report["schema_version"] == "1"
+    assert report["schema_version"] == "2"
     assert len(report["cells"]) == 4
     means = {(m["policy"], m["N"]): m for m in report["mc_means_over_seeds"]}
     assert means[("reduced", 2)]["seeds"] == 1
@@ -62,7 +63,7 @@ def test_run_produces_results(config, tmp_path):
     coeff_files = list((out / "coeffs").glob("*.json"))
     assert len(coeff_files) == 2  # reduced cells only; greedy has no coefficients
     payload = json.loads(coeff_files[0].read_text())
-    assert payload["schema_version"] == "1"
+    assert payload["schema_version"] == "2"
     assert "dims" in payload["G1N"]
 
 
@@ -251,3 +252,29 @@ def test_log_level_debug_logs_solver_conditioning(config, tmp_path):
     assert "max_t ||Pi3 - Pi4||" in proc.stderr  # the N = 3 cell
     assert "Logging error" not in proc.stderr
     assert main(["--log-level", "ERROR", "run", "--config", str(path), "--dry-run"]) == 0
+
+
+def test_log_level_info_times_each_cell(config, tmp_path):
+    path, _ = config
+    out = tmp_path / "o"
+    env = dict(os.environ, PYTHONPATH=str(Path(fedgames.__file__).parents[1]))
+    cmd = [sys.executable, "-m", "fedgames.cli", "--log-level", "INFO", "run"]
+    proc = subprocess.run(
+        cmd + ["--config", str(path), "--out", str(out)], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    line = re.compile(
+        r"cell policy=(\w+) N=(\d+) seed=(\d+): "
+        r"episode ([\d.]+) s, output writing ([\d.]+) s, (\d+) bytes written"
+    )
+    logged = {m.group(1, 2, 3): m for m in map(line.search, proc.stderr.splitlines()) if m}
+    cells = [(policy, n, "1") for policy in ("greedy", "reduced") for n in ("2", "3")]
+    assert sorted(logged) == cells
+    with (out / "results.csv").open() as fh:
+        runtime_ms = {(r["policy"], r["N"], r["seed"]): float(r["runtime_ms"]) for r in csv.DictReader(fh)}
+    for (policy, n, seed), m in logged.items():
+        name = f"{policy}_N{n}_seed{seed}.json"
+        files = [out / f"run_{name}", out / "coeffs" / name]  # greedy writes no coefficients
+        assert int(m[6]) == sum(f.stat().st_size for f in files if f.exists())
+        assert float(m[4]) == pytest.approx(runtime_ms[(policy, n, seed)] / 1000.0, abs=1e-3)
+        assert float(m[5]) >= 0.0

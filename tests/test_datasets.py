@@ -136,3 +136,31 @@ def test_csv_roundtrip(tmp_path):
     path.write_text("v\n" + "\n".join(repr(float(v)) for v in vals) + "\n", encoding="utf-8")
     ts, _ = load_csv(path, ["v"], {"v": [1]})
     np.testing.assert_array_equal(ts.values[:, 0], vals)
+
+
+def _csv_spec(path, length):
+    parameters = {"path": str(path), "target_columns": ["v"], "lag_spec": {"v": [1]}}
+    return DatasetSpec(kind="csv", length=length, parameters=parameters)
+
+
+def test_csv_length_takes_first_rows(tmp_path):
+    path = tmp_path / "five.csv"
+    path.write_text("v\n1\n2\n3\n4\n5\n", encoding="utf-8")
+    targets, inputs = build_dataset(_csv_spec(path, 2))
+    np.testing.assert_array_equal(targets.values[:, 0], [1.0, 2.0])
+    np.testing.assert_array_equal(inputs[:, 0], [1.0])
+    targets, _ = build_dataset(_csv_spec(path, 5))
+    np.testing.assert_array_equal(targets.values[:, 0], [1.0, 2.0, 3.0, 4.0, 5.0])
+
+
+def test_csv_shorter_than_length_rejected(tmp_path):
+    path = tmp_path / "five.csv"
+    path.write_text("v\n1\n2\n3\n4\n5\n", encoding="utf-8")
+    with pytest.raises(SpecError, match="fewer than the dataset length 6"):
+        build_dataset(_csv_spec(path, 6))
+
+
+def test_csv_max_rows_points_to_length():
+    parameters = {"path": "s.csv", "target_columns": ["v"], "lag_spec": {"v": [1]}, "max_rows": 3}
+    with pytest.raises(SpecError, match="length"):
+        DatasetSpec(kind="csv", length=3, parameters=parameters)

@@ -1,23 +1,30 @@
 import json
+import os
+import subprocess
+import sys
+import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
-from oracles import reference_episode
+from oracles import episode_metrics, reference_episode
 
+import fedgames
 from fedgames.datasets import DatasetSpec
 from fedgames.errors import DynamicsError
 from fedgames.harness import (
+    COST_QUANTILES,
     EncoderConfig,
+    EpisodeTrace,
     Scenario,
     SpawnerConfig,
     aggregate_predictions,
     aggregation_weights,
-    evaluate_objective,
     run_episode,
     step_dynamics,
     underperformer_regret,
 )
-from fedgames.model import GameParams, TargetSeries
+from fedgames.model import GameParams
 from fedgames.ridge import RidgeConfig
 
 
@@ -94,28 +101,19 @@ class TestStepDynamics:
             step_dynamics(np.zeros((3, 1)), lats, np.ones((3, 1)), params)
 
 
+def objective(predictions, actions, agent_n, params, values):
+    """Sample-path game objective of one agent, summed over rounds."""
+    aggregated = np.zeros(actions.shape[:2] + (params.dim_y,))
+    return float(episode_metrics(predictions, actions, aggregated, params, values)["costs"][agent_n])
+
+
 class TestObjective:
     def test_scalar_optimal_run_value(self):
         # y1 = 1 from Y0 = 0 with beta = 0.5: J = (0.5)^2 + (0.5)^2 = 0.5
-        from fedgames.harness import RunRecord
-
         params = scalar_params(population_N=1)
-        record = RunRecord(
-            policy="full",
-            seed=0,
-            targets=np.array([[0.0], [1.0]]),
-            predictions=np.array([[[[0.0]], [[0.5]]]]),
-            actions=np.array([[[[0.5]]]]),
-            aggregated=np.zeros((1, 1, 1)),
-            costs=np.zeros(1),
-            costs_per_round=np.zeros((1, 1)),
-            regret=0.0,
-            rmse_aggregated=0.0,
-            rmse_worst=0.0,
-            rmse_bottom20=0.0,
-            messages_per_step=0,
+        j = objective(
+            np.array([[[[0.0]], [[0.5]]]]), np.array([[[[0.5]]]]), 0, params, np.array([[0.0], [1.0]])
         )
-        j = evaluate_objective(record, 0, params, TargetSeries(values=record.targets))
         assert j == pytest.approx(0.5)
 
     def test_zero_weights_zero_cost(self):
@@ -123,33 +121,15 @@ class TestObjective:
             params=scalar_params(kappa=0.0, kappa_bar=0.0, horizon_T=2, dim_z=2),
             dataset=DatasetSpec(kind="periodic", length=5),
         )
-        rec = run_episode("full", scenario, seed=1)
+        trace = EpisodeTrace()
+        rec = run_episode("full", scenario, seed=1, trace=trace)
         np.testing.assert_allclose(rec.costs, 0.0, atol=0)
-        assert np.all(rec.actions == 0.0)
+        assert np.all(trace.actions == 0.0)
 
     def test_large_alpha_keeps_last_term(self):
         # alpha = 50 suppresses every stage cost except t = T-1
         params = scalar_params(alpha=50.0, horizon_T=3, population_N=1)
-        from fedgames.harness import RunRecord
-
-        preds = np.zeros((1, 4, 1, 1))
-        acts = np.ones((1, 3, 1, 1))
-        record = RunRecord(
-            policy="full",
-            seed=0,
-            targets=np.zeros((4, 1)),
-            predictions=preds,
-            actions=acts,
-            aggregated=np.zeros((1, 3, 1)),
-            costs=np.zeros(1),
-            costs_per_round=np.zeros((1, 1)),
-            regret=0.0,
-            rmse_aggregated=0.0,
-            rmse_worst=0.0,
-            rmse_bottom20=0.0,
-            messages_per_step=0,
-        )
-        j = evaluate_objective(record, 0, params, TargetSeries(values=record.targets))
+        j = objective(np.zeros((1, 4, 1, 1)), np.ones((1, 3, 1, 1)), 0, params, np.zeros((4, 1)))
         assert j == pytest.approx(1.0, abs=1e-20)
 
 
@@ -161,11 +141,9 @@ class TestRegret:
             policy="full",
             seed=0,
             targets=np.zeros((2, 1)),
-            predictions=np.zeros((1, 2, 3, 1)),
-            actions=np.zeros((1, 1, 3, 1)),
             aggregated=np.zeros((1, 1, 1)),
             costs=np.array([0.1, 0.7, 0.3]),
-            costs_per_round=np.zeros((1, 3)),
+            round_cost_quantiles={},
             regret=0.0,
             rmse_aggregated=0.0,
             rmse_worst=0.0,
@@ -212,30 +190,33 @@ class TestAggregation:
 class TestRunEpisode:
     def test_deterministic_under_seed(self):
         scenario = small_scenario()
-        a = run_episode("reduced", scenario, seed=3)
-        b = run_episode("reduced", scenario, seed=3)
-        np.testing.assert_array_equal(a.predictions, b.predictions)
-        np.testing.assert_array_equal(a.actions, b.actions)
+        ta, tb = EpisodeTrace(), EpisodeTrace()
+        a = run_episode("reduced", scenario, seed=3, trace=ta)
+        b = run_episode("reduced", scenario, seed=3, trace=tb)
+        np.testing.assert_array_equal(ta.predictions, tb.predictions)
+        np.testing.assert_array_equal(ta.actions, tb.actions)
         np.testing.assert_array_equal(a.aggregated, b.aggregated)
         assert a.regret == b.regret
 
     def test_full_vs_reduced_match(self):
         scenario = small_scenario()
-        a = run_episode("full", scenario, seed=4)
-        b = run_episode("reduced", scenario, seed=4)
-        np.testing.assert_allclose(a.predictions, b.predictions, atol=1e-7)
-        np.testing.assert_allclose(a.actions, b.actions, atol=1e-7)
+        ta, tb = EpisodeTrace(), EpisodeTrace()
+        run_episode("full", scenario, seed=4, trace=ta)
+        run_episode("reduced", scenario, seed=4, trace=tb)
+        np.testing.assert_allclose(ta.predictions, tb.predictions, atol=1e-7)
+        np.testing.assert_allclose(ta.actions, tb.actions, atol=1e-7)
 
     def test_zero_weights_identical_across_policies(self):
         scenario = small_scenario(
             params=scalar_params(kappa=0.0, kappa_bar=0.0, horizon_T=2, dim_z=2),
             dataset=DatasetSpec(kind="periodic", length=5),
         )
-        records = {p: run_episode(p, scenario, seed=5) for p in ("full", "reduced", "decentralized", "greedy")}
-        for p, rec in records.items():
-            assert np.all(rec.actions == 0.0), p
+        traces = {p: EpisodeTrace() for p in ("full", "reduced", "decentralized", "greedy")}
+        for p, trace in traces.items():
+            rec = run_episode(p, scenario, seed=5, trace=trace)
+            assert np.all(trace.actions == 0.0), p
             np.testing.assert_allclose(rec.costs, 0.0)
-            np.testing.assert_array_equal(rec.predictions, records["full"].predictions)
+            np.testing.assert_array_equal(trace.predictions, traces["full"].predictions)
 
     def test_all_policies_run_and_record(self):
         scenario = small_scenario()
@@ -249,8 +230,9 @@ class TestRunEpisode:
 
     def test_esn_policy_runs(self):
         scenario = small_scenario(encoder=EncoderConfig(kind="esn", sigma=0.1))
-        rec = run_episode("decentralized", scenario, seed=7)
-        assert np.all(np.isfinite(rec.predictions))
+        trace = EpisodeTrace()
+        run_episode("decentralized", scenario, seed=7, trace=trace)
+        assert np.all(np.isfinite(trace.predictions))
 
     def test_spawner_runs_and_logs(self):
         scenario = small_scenario(
@@ -287,9 +269,10 @@ class TestRunEpisode:
                 parameters={"path": str(path), "target_columns": ["v"], "lag_spec": {"v": [1, 2]}},
             ),
         )
-        rec = run_episode("decentralized", scenario, seed=12)
-        assert np.all(np.isfinite(rec.predictions))
-        assert rec.predictions.shape[0] == 5  # (11 targets - 1 seed) // T=2
+        trace = EpisodeTrace()
+        run_episode("decentralized", scenario, seed=12, trace=trace)
+        assert np.all(np.isfinite(trace.predictions))
+        assert trace.predictions.shape[0] == 5  # (11 targets - 1 seed) // T=2
 
     def test_reduced_routes_n1_to_full(self):
         scenario = small_scenario(
@@ -306,9 +289,10 @@ class TestRunEpisode:
                 dim_z=2,
             ),
         )
-        a = run_episode("reduced", scenario, seed=11)
-        b = run_episode("full", scenario, seed=11)
-        np.testing.assert_array_equal(a.predictions, b.predictions)
+        ta, tb = EpisodeTrace(), EpisodeTrace()
+        run_episode("reduced", scenario, seed=11, trace=ta)
+        run_episode("full", scenario, seed=11, trace=tb)
+        np.testing.assert_array_equal(ta.predictions, tb.predictions)
 
     def test_message_counters(self):
         scenario = small_scenario()
@@ -331,7 +315,9 @@ class TestRunEpisode:
 
         scenario = small_scenario(encoder=EncoderConfig(kind="esn", sigma=0.1))
         monkeypatch.setattr(harness, "_build_bank", no_bank)
-        assert np.all(np.isfinite(run_episode("greedy", scenario, seed=12).predictions))
+        trace = EpisodeTrace()
+        run_episode("greedy", scenario, seed=12, trace=trace)
+        assert np.all(np.isfinite(trace.predictions))
         monkeypatch.setattr(harness, "_build_bank", counted)
         run_episode("decentralized", scenario, seed=12)
         assert len(calls) == 1
@@ -358,11 +344,107 @@ def test_matches_per_agent_reference_loop(policy, kind, spawner):
         aggregation_window=2,
         spawner=PARITY_SPAWNERS[spawner],
     )
-    rec = run_episode(policy, scenario, seed=21)
+    trace = EpisodeTrace()
+    rec = run_episode(policy, scenario, seed=21, trace=trace)
     ref = reference_episode(policy, scenario, seed=21)
-    for name in ("predictions", "actions", "aggregated", "costs_per_round", "costs"):
-        np.testing.assert_allclose(getattr(rec, name), ref[name], rtol=1e-12, atol=1e-14, err_msg=name)
+    got = {
+        "predictions": trace.predictions,
+        "actions": trace.actions,
+        "aggregated": rec.aggregated,
+        "costs": rec.costs,
+        "round_cost_quantiles": np.stack(list(rec.round_cost_quantiles.values())),
+    }
+    ref["round_cost_quantiles"] = np.quantile(ref["costs_per_round"], list(COST_QUANTILES.values()), axis=1)
+    for name, value in got.items():
+        np.testing.assert_allclose(value, ref[name], rtol=1e-12, atol=1e-14, err_msg=name)
     assert rec.regret == pytest.approx(ref["regret"], rel=1e-12)
+
+
+STREAM_CASES = {
+    "reduced-rfn": ("reduced", "rfn", None, 3),
+    "decentralized-esn-ortho": ("decentralized", "esn", "ortho", 5),
+    "greedy-rfn-spawner": ("greedy", "rfn", "on", 5),
+    "full-esn": ("full", "esn", None, 4),
+    "decentralized-rfn-N64": ("decentralized", "rfn", None, 64),
+}
+
+
+@pytest.mark.parametrize("case", sorted(STREAM_CASES))
+def test_streamed_metrics_match_trace(case):
+    # the metrics folded in round by round equal the whole-episode
+    # formulas applied to the traced histories, bit for bit (N > 1: the
+    # sums over rounds and steps run in the same order)
+    policy, kind, spawner, n = STREAM_CASES[case]
+    scenario = small_scenario(
+        params=GameParams(
+            theta=0.7, theta_bar=0.3, kappa=1.0, kappa_bar=0.5, gamma=1.0, alpha=0.01,
+            horizon_T=2, population_N=n, dim_y=2, dim_z=3,
+        ),
+        dataset=DatasetSpec(kind="concept_drift", length=23),
+        encoder=EncoderConfig(kind=kind, sigma=0.1),
+        aggregation_window=2,
+        spawner=PARITY_SPAWNERS[spawner or "off"],
+    )
+    trace = EpisodeTrace()
+    rec = run_episode(policy, scenario, seed=17, trace=trace)
+    assert trace.predictions.shape == (11, 3, n, 2)
+    assert trace.actions.shape == (11, 2, n, 3)
+    want = episode_metrics(trace.predictions, trace.actions, rec.aggregated, scenario.params, rec.targets)
+    np.testing.assert_array_equal(rec.costs, want["costs"])
+    for name in ("regret", "rmse_aggregated", "rmse_worst", "rmse_bottom20"):
+        assert getattr(rec, name) == want[name], name
+    levels = list(COST_QUANTILES.values())
+    np.testing.assert_allclose(
+        np.stack(list(rec.round_cost_quantiles.values())),
+        np.quantile(want["costs_per_round"], levels, axis=1),
+        rtol=1e-15,
+        atol=0,
+    )
+
+
+def test_episode_memory_does_not_grow_with_length():
+    # a streamed episode keeps one round of per-agent arrays, so its peak
+    # memory is set by N, not by N times the length; mc_samples is small
+    # because the latent bank is O(length * mc_samples) by design
+    def peak(length):
+        scenario = Scenario(
+            params=GameParams(
+                theta=0.7, theta_bar=0.3, kappa=1.0, kappa_bar=0.5, gamma=1.0, alpha=0.01,
+                horizon_T=4, population_N=5000, dim_y=1, dim_z=4,
+            ),
+            dataset=DatasetSpec(kind="logistic_map", length=length, seed=1),
+            encoder=EncoderConfig(kind="rfn", sigma=0.1),
+            mc_samples=8,
+        )
+        tracemalloc.start()
+        try:
+            run_episode("decentralized", scenario, seed=1)
+            return tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    peak(101)  # the first episode of a process allocates some one-time state
+    short, long = peak(101), peak(401)
+    assert long <= 1.2 * short, (short, long)
+
+
+def test_episode_imports_no_masked_arrays():
+    # np.quantile and np.unique import numpy.ma on their first call, which
+    # costs a fresh process more than a small episode's metrics
+    code = (
+        "import sys\n"
+        "from fedgames.datasets import DatasetSpec\n"
+        "from fedgames.harness import Scenario, run_episode\n"
+        "from fedgames.model import GameParams\n"
+        "params = GameParams(theta=0.7, theta_bar=0.3, kappa=1.0, kappa_bar=0.5, gamma=1.0,\n"
+        "                    alpha=0.01, horizon_T=2, population_N=5, dim_y=1, dim_z=2)\n"
+        "scenario = Scenario(params=params, dataset=DatasetSpec(kind='periodic', length=9), mc_samples=4)\n"
+        "run_episode('decentralized', scenario, seed=1)\n"
+        "assert 'numpy.ma' not in sys.modules\n"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(fedgames.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
 
 
 def test_agent_major_streams():
@@ -377,7 +459,7 @@ def test_agent_major_streams():
     for name in ("A", "B", "b", "sigma"):
         np.testing.assert_array_equal(getattr(large, name)[:8], getattr(small, name))
 
-    records = {}
+    traces = {}
     for n in (8, 16):
         scenario = small_scenario(
             params=GameParams(
@@ -386,9 +468,10 @@ def test_agent_major_streams():
             ),
             encoder=cfg,
         )
-        records[n] = run_episode("decentralized", scenario, seed=5)
-    np.testing.assert_allclose(records[16].predictions[:, :, :8], records[8].predictions, rtol=1e-13, atol=0)
-    np.testing.assert_allclose(records[16].actions[:, :, :8], records[8].actions, rtol=1e-13, atol=0)
+        traces[n] = EpisodeTrace()
+        run_episode("decentralized", scenario, seed=5, trace=traces[n])
+    np.testing.assert_allclose(traces[16].predictions[:, :, :8], traces[8].predictions, rtol=1e-13, atol=0)
+    np.testing.assert_allclose(traces[16].actions[:, :, :8], traces[8].actions, rtol=1e-13, atol=0)
 
 
 def test_aggregation_reads_only_the_window():

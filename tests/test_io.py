@@ -6,6 +6,7 @@ import numpy as np
 from fedgames.datasets import DatasetSpec
 from fedgames.harness import EncoderConfig, Scenario, run_episode
 from fedgames.io import (
+    SCHEMA_VERSION,
     dump_coeffs,
     export_gap_report_csv,
     export_run_record_json,
@@ -70,8 +71,17 @@ def test_run_record_exports(tmp_path):
     jpath = tmp_path / "run.json"
     export_run_record_json(record, jpath)
     payload = json.loads(jpath.read_text())
+    assert payload["schema_version"] == SCHEMA_VERSION == "2"
     assert payload["policy"] == "reduced"
+    assert payload["costs"] == record.costs.tolist()
     assert len(payload["costs"]) == 2
+    assert "costs_per_round" not in payload
+    quantiles = payload["round_cost_quantiles"]
+    assert list(quantiles) == ["min", "median", "p90", "max"]
+    for name, values in quantiles.items():
+        assert values == record.round_cost_quantiles[name].tolist()
+        assert len(values) == 2  # (5 targets - 1) // T=2 rounds
+    assert quantiles["min"] <= quantiles["median"] <= quantiles["max"]
 
 
 def test_gap_report_csv(tmp_path):
