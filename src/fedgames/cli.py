@@ -341,9 +341,21 @@ def cmd_run(args) -> int:
     return 3 if failures else 0
 
 
+def _is_int_at_least(value, low: int) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool) and value >= low
+
+
 def _convergence_scenario(cfg: dict) -> tuple[ConvergenceScenario, list[int]]:
     conv = cfg.get("convergence", {})
-    n_grid = [int(n) for n in conv.get("n_grid", [4, 16, 64])]
+    n_grid = conv.get("n_grid", [4, 16, 64])
+    paths = conv.get("paths", 100)
+    # the finite-N games need two agents, and the gap's standard error two paths
+    if not (isinstance(n_grid, list) and n_grid and all(_is_int_at_least(n, 2) for n in n_grid)):
+        raise ConfigError(
+            f"convergence.n_grid must be a non-empty list of integers >= 2, got {n_grid!r}"
+        )
+    if not _is_int_at_least(paths, 2):
+        raise ConfigError(f"convergence.paths must be an integer >= 2, got {paths!r}")
     params = build_params(cfg, max(n_grid))
     T, d_y, d_z = params.horizon_T, params.dim_y, params.dim_z
     mean_val = float(conv.get("latent_mean", 0.8))
@@ -354,7 +366,7 @@ def _convergence_scenario(cfg: dict) -> tuple[ConvergenceScenario, list[int]]:
         targets=targets,
         latent_mean=np.full((T, d_y, d_z), mean_val),
         latent_half_width=float(conv.get("latent_half_width", 0.5)),
-        paths=int(conv.get("paths", 100)),
+        paths=paths,
     )
     return scenario, n_grid
 

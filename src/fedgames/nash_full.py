@@ -11,14 +11,24 @@ and the equilibrium actions are affine in the stacked predictions:
 
 Per step the pass assembles the regularized N d_z system matrix and the
 cross/forcing terms from the latent moments (cross-agent expectations
-factorize under the mean-homogeneity assumption), solves once, and
-updates every P_n, S_n, each from its own P_n(t+1), S_n(t+1). The
-assembly is array-at-a-time over agents and blocks, but dense: it never
-uses the repeating-block structure or the relabeling P_n = J'P_1J that
-``check_block_structure`` verifies. Per step the cost is one
-O((N d_z)^3) solve plus N per-agent value updates of O(N^3 d_z^2 d_y)
-each, about O(N^4 d_z^2 d_y) in total, which caps this solver at modest
-populations; large N is served by the reduced and decentralized solvers.
+factorize under the mean-homogeneity assumption), solves once for
+[G(t) | H(t)], and updates every P_n, S_n, each from its own P_n(t+1),
+S_n(t+1). The assembly is array-at-a-time over agents and blocks, but
+dense and independent: it never uses the repeating-block structure or
+the relabeling P_n = J'P_1J that ``check_block_structure`` verifies.
+
+The value updates work in prediction space. With X = (I_N (x) M1)[G | H],
+each agent's expected next-step cost is a quadratic form in X plus, per
+block, the covariance of the latents around their mean, so no
+(N, N, N, d_z, d_z) coupling array and no dense per-agent action weight
+Q_n is ever formed. ``weighted_m2`` is read once per step, on the d_y^2
+unit weights: E[Z' W Z] is linear in W, so the weighted moments of the
+system matrix, and the covariance terms of all N value updates, are each
+one GEMM of the weights against that tensor. Per step the cost is one
+O((N d_z)^3) solve (and its condition number) plus N value updates of
+O(N^3 d_y^3 (1 + d_y)) each, about O(N^4 d_y^3 (1 + d_y)) in total,
+which caps this solver at modest populations; large N is served by the
+reduced and decentralized solvers.
 """
 
 from __future__ import annotations
@@ -80,12 +90,6 @@ def _theta_rows(params: GameParams, own: np.ndarray, other: np.ndarray) -> np.nd
     return rows.reshape(N, d_y, N * d_y)
 
 
-def _dense(blocks: np.ndarray) -> np.ndarray:
-    """(..., R, K, a, b) blocks -> (..., R a, K b) block matrices."""
-    *lead, R, K, a, b = blocks.shape
-    return blocks.swapaxes(-3, -2).reshape(*lead, R * a, K * b)
-
-
 def full_backward_pass(
     params: GameParams,
     moments,
@@ -118,8 +122,14 @@ def full_backward_pass(
     # deviation from the population mean, as they enter the stage cost
     row_k = _theta_rows(params, params.theta, params.theta_bar / N)
     row_kb = _theta_rows(params, params.theta, -params.theta / N)
-    row_k_t = row_k.swapaxes(1, 2)
-    stage_w = kap * row_k_t @ row_k + kbar * row_kb.swapaxes(1, 2) @ row_kb
+    stage_w = kap * row_k.swapaxes(1, 2) @ row_k + kbar * row_kb.swapaxes(1, 2) @ row_kb
+    # the stage rows in homogeneous coordinates [y; 1]
+    row_k1 = np.concatenate([row_k, np.zeros((N, d_y, 1))], axis=2)
+    row_kb1 = np.concatenate([row_kb, np.zeros((N, d_y, 1))], axis=2)
+    # unit weights E_ab: weighted_m2 is linear in W, so the d_y^2 moments
+    # E[Z' E_ab Z] = E[z_a z_b'] of the rows of Z give every E[Z' W Z]
+    units = np.eye(d_y * d_y).reshape(d_y * d_y, d_y, d_y)
+    eye_z = np.eye(d_z)
 
     P = np.zeros((N, T + 1, N * d_y, N * d_y))
     S = np.zeros((N, T + 1, N * d_y))
@@ -133,82 +143,97 @@ def full_backward_pass(
         M1 = moments.m1[t]
         M2 = moments.m2[t]
         A2 = M1.T @ M1
+        cov_eye = M2 - A2
         m1_y = M1.T @ y[t + 1]
         p_next = P[:, t + 1]
         s_next = S[:, t + 1]
+        dk = disc * kbar
 
-        # E[Z^m' Z^k] under homogeneity: M2 on the diagonal, M1'M1 off it.
-        ezz = np.where(np.eye(N, dtype=bool)[:, :, None, None], M2, A2)
-
-        # Quadratic coupling M1' P_n[m, k] M1 for every agent n and block
-        # (m, k), with the weighted moment E[Z' P_n[m, m] Z] on m = k.
-        p_blocks = p_next.reshape(N, N, d_y, N, d_y).swapaxes(2, 3)
-        coupling = np.einsum("ya,nmkyz,zb->nmkab", M1, p_blocks, M1)
-        diag_ws = p_blocks[:, agents, agents].reshape(N * N, d_y, d_y)
-        coupling[:, agents, agents] = moments.weighted_m2(t, diag_ws).reshape(
-            N, N, d_z, d_z
+        # Cov(E_ab) = E[z_a z_b'] - M1[a] M1[b]' for each unit weight, read
+        # once; Cov(W) = sum_ab W_ab Cov(E_ab) is then one GEMM in W. Cross-
+        # agent blocks factorize, E[Z^m' W Z^k] = M1' W M1 for m != k, so
+        # Cov(P_n[m, m]) is all the weighted moments add to the mean products.
+        unit_cov = (
+            moments.weighted_m2(t, units).reshape(d_y * d_y, d_z * d_z)
+            - (M1[:, None, :, None] * M1[None, :, None, :]).reshape(d_y * d_y, d_z * d_z)
         )
+        # P_n[m, m] for every agent n and block m
+        p_diag = np.diagonal(p_next.reshape(N, N, d_y, N, d_y), axis1=1, axis2=3)
+        p_diag = np.moveaxis(p_diag, -1, 1)
 
-        # System matrix: hat-A1 (diagonal), hat-A2 (all-pairs), and each
-        # agent's own row of the coupling.
-        a_mat = _dense(coupling[agents, agents])
-        hat_a1 = np.kron(np.eye(N), M2)
-        hat_a2 = np.kron(np.ones((N, N)), A2) + np.kron(np.eye(N), M2 - A2)
-        m_sys = (
-            disc
-            * (
-                (kap + kbar * (1 - 1 / N)) * hat_a1
-                - kbar * (1 - 1 / N) * (1 / N) * hat_a2
-                + gam * np.eye(N * d_z)
-            )
-            + a_mat
+        # System matrix: agent n's block row is M1' P_n[n, m] M1 + the
+        # stage terms, with the weighted moment E[Z' P_n[n, n] Z] on m = n.
+        p_rows = p_next.reshape(N, N, d_y, N * d_y)[agents, agents]  # P_n[n, :]
+        m_sys = ((M1.T @ p_rows).reshape(N * d_z * N, d_y) @ M1).reshape(N, d_z, N, d_z)
+        m_sys -= (dk * (1 - 1 / N) / N) * A2[:, None, :]
+        cov_own = (p_diag[agents, agents].reshape(N, d_y * d_y) @ unit_cov).reshape(N, d_z, d_z)
+        m_sys[agents, :, agents] += cov_own + disc * (
+            (kap + kbar * (1 - 1 / N)) * M2 - kbar * (1 - 1 / N) / N * cov_eye + gam * eye_z
         )
+        m_sys = m_sys.reshape(N * d_z, N * d_z)
 
-        # Feedback forcing: stage-cost cross terms plus the P coupling.
-        m1_row_k = M1.T @ row_k
-        m1_row_kb = M1.T @ row_kb
-        # M1' (P_n drift)[m, :] for every agent n and block row m
-        m1_p_drift = M1.T @ (p_next @ drift).reshape(N, N, d_y, N * d_y)
-        r_mat = disc * (kap * m1_row_k + kbar * (1 - 1 / N) * m1_row_kb)
-        r_mat = (r_mat + m1_p_drift[agents, agents]).reshape(N * d_z, N * d_y)
-        c_vec = (s_next.reshape(N, N, d_y)[agents, agents] @ M1).reshape(-1)
-        f_vec = np.tile(m1_y, N)
+        # Right-hand sides: the feedback forcing (stage-cost cross terms plus
+        # the P coupling) and the S-minus-target forcing; one solve gives
+        # [G | H] up to sign.
+        r_rows = disc * (kap * row_k + kbar * (1 - 1 / N) * row_kb) + p_rows @ drift
+        rhs = np.empty((N, d_z, N * d_y + 1))
+        rhs[:, :, :-1] = M1.T @ r_rows
+        rhs[:, :, -1] = s_next.reshape(N, N, d_y)[agents, agents] @ M1 - disc * kap * m1_y
 
         conds[t] = np.linalg.cond(m_sys)
         logger.debug("full pass t=%d cond=%.3e", t, conds[t])
         try:
-            g_t = -np.linalg.solve(m_sys, r_mat)
-            h_t = np.linalg.solve(m_sys, disc * kap * f_vec - c_vec)
+            gh = -np.linalg.solve(m_sys, rhs.reshape(N * d_z, N * d_y + 1))
         except np.linalg.LinAlgError as exc:
             raise SolveError(f"singular system matrix at t={t}") from exc
-        G[t] = g_t
-        H[t] = h_t
+        G[t] = gh[:, :-1]
+        H[t] = gh[:, -1]
 
-        # Quadratic action weights Q_n, blocks (n, m, k): the coupling plus
-        # the stage-cost terms, built in place.
-        q = coupling
-        q += (disc * kbar / N**2) * ezz
-        q[agents, agents] -= (disc * kbar / N) * ezz  # m = n: E[Z^n' Z^k]
-        q[agents, :, agents] -= (disc * kbar / N) * ezz.swapaxes(0, 1)  # k = n: E[Z^m' Z^n]
-        q[agents, agents, agents] += disc * ((kbar + kap) * M2 + gam * np.eye(d_z))
-        q = _dense(q)
+        # Value updates in prediction space, in homogeneous coordinates
+        # [y; 1]: one quadratic form w_n per agent carries P_n (top left)
+        # and S_n (last column). x = (I (x) M1)[G | H] is the mean effect of
+        # the actions on the next predictions and a = x + [drift | 0] the
+        # mean closed loop, so the continuation is a'P_n a plus, per block
+        # m, G_m' Cov(P_n[m, m]) G_m. The stage cost adds c x_sum'x_sum and
+        # c Cov(I) per block (c = disc kbar / N^2, the population mean),
+        # agent n's own action cost and its row-n and column-n terms.
+        # Neither the coupling array nor a dense Q_n is formed.
+        gh_blk = gh.reshape(N, d_z, N * d_y + 1)
+        x_blk = M1 @ gh_blk  # (N, d_y, N d_y + 1)
+        x_sum = x_blk.sum(axis=0)
+        a = x_blk.reshape(N * d_y, N * d_y + 1).copy()
+        a[:, :-1] += drift
+        c = dk / N**2
+        p_a = (p_next.reshape(N * N * d_y, N * d_y) @ a).reshape(N, N * d_y, -1)
+        w = a.T @ p_a + c * (x_sum.T @ x_sum)
 
-        # State-action cross weights L_n, blocks (n, m).
-        l_blk = m1_p_drift - (disc * kbar / N) * m1_row_kb[:, None]
-        l_blk[agents, agents] += disc * (kbar * m1_row_kb + kap * m1_row_k)
-        l_n = l_blk.reshape(N, N * d_z, N * d_y)
-        l_n_t = l_n.swapaxes(1, 2)
+        # sum_m G_m' Cov(P_n[m, m] + c I) G_m for every agent n: one GEMM of
+        # the weights against G_m' Cov(E_ab) G_m; then agent n's own action cost
+        unit_g = gh_blk.swapaxes(1, 2)[:, None] @ (
+            unit_cov.reshape(d_y * d_y, d_z, d_z) @ gh_blk[:, None]
+        )
+        weights = (p_diag + c * np.eye(d_y)).reshape(N, N * d_y * d_y)
+        w += (weights @ unit_g.reshape(N * d_y * d_y, -1)).reshape(w.shape)
+        own = disc * ((kbar + kap) * M2 + gam * eye_z) - (2 * dk / N) * cov_eye
+        w += gh_blk.swapaxes(1, 2) @ (own @ gh_blk)
 
-        p_new = g_t.T @ q @ g_t + g_t.T @ l_n + l_n_t @ g_t + disc * stage_w
-        p_new += drift.T @ p_next @ drift
+        # row-n and column-n stage terms of agent n's prediction and of its
+        # deviation from the mean, plus transpose, as one product of stacked
+        # pairs: x_n'(disc (kbar rkb_n + kap rk_n) - (dk/N) x_sum) - (dk/N) x_sum' rkb_n
+        left = np.concatenate([x_blk, np.broadcast_to(x_sum, x_blk.shape)], axis=1)
+        right = np.concatenate(
+            [disc * (kbar * row_kb1 + kap * row_k1) - (dk / N) * x_sum, -(dk / N) * row_kb1], axis=1
+        )
+        cross = left.swapaxes(1, 2) @ right
+        w += cross + cross.swapaxes(1, 2)
+
+        p_new = w[:, :-1, :-1] + disc * stage_w
         p_new_t = p_new.swapaxes(1, 2)
         max_asym = max(max_asym, float(np.max(np.abs(p_new - p_new_t))))
         P[:, t] = 0.5 * (p_new + p_new_t)
 
-        lifted_y = np.kron(np.eye(N), m1_y)
-        dz_s = (s_next.reshape(N, N, d_y) @ M1).reshape(N, N * d_z)
-        s_new = (q @ h_t - disc * kap * lifted_y + dz_s) @ g_t + l_n_t @ h_t
-        s_new += -disc * kap * (row_k_t @ y[t + 1]) + s_next @ drift
+        s_new = w[:, :-1, -1] + s_next @ a[:, :-1]
+        s_new -= disc * kap * ((x_blk[:, :, :-1] + row_k).swapaxes(1, 2) @ y[t + 1])
         S[:, t] = s_new
 
     if max_asym > tolerances.symmetry:

@@ -179,6 +179,22 @@ def test_convergence_outputs(config, tmp_path):
     assert gap_rows[0] == ["N", "t", "lambda_gap", "meanfield_gap", "stderr"]
 
 
+@pytest.mark.parametrize(
+    "key,value",
+    [("n_grid", [1, 4]), ("n_grid", [0, 4]), ("paths", 1), ("paths", 0)],
+)
+def test_convergence_rejects_bad_grid(config, tmp_path, capsys, key, value):
+    # N < 2 has no finite-N game, and fewer than two paths give no stderr
+    _, cfg = config
+    cfg["convergence"][key] = value
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(cfg), encoding="utf-8")
+    out = tmp_path / "conv"
+    assert main(["convergence", "--config", str(path), "--out", str(out)]) == 2
+    assert "config error:" in capsys.readouterr().err
+    assert not (out / "convergence.csv").exists()
+
+
 def test_monotone_flag_fixture():
     gaps = [1.0, 0.6, 0.65, 0.2]
     ses = [0.01, 0.01, 0.01, 0.01]

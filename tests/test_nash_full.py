@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from oracles import (
@@ -229,6 +231,7 @@ def test_block_structure_zero_weights():
         (8, 1, 4, "bank", 0.7),
         (4, 2, 3, "closed_form", 0.7),
         (5, 1, 3, "bank", 0.0),
+        (12, 2, 4, "bank", 0.7),
     ],
 )
 def test_matches_per_block_reference(N, d_y, d_z, latents, kappa_bar):
@@ -266,3 +269,41 @@ def test_matches_per_block_reference(N, d_y, d_z, latents, kappa_bar):
             getattr(coeffs, name), want, rtol=1e-12, atol=1e-15 * np.max(np.abs(want)), err_msg=name
         )
     assert abs(coeffs.max_asymmetry - ref["max_asymmetry"]) <= 1e-15
+
+
+def test_peak_memory_stays_near_output_size():
+    # the value updates work in prediction space: an (N, N, N, d_z, d_z)
+    # coupling array or a dense per-agent Q_n would lift the peak to about
+    # 12x the outputs at this size
+    rng = np.random.default_rng(132)
+    N, d_y, d_z, T = 32, 1, 4, 4
+    params = GameParams(
+        theta=0.8 * np.eye(d_y) + 0.1 * rng.standard_normal((d_y, d_y)),
+        theta_bar=0.2 * rng.standard_normal((d_y, d_y)),
+        kappa=1.3,
+        kappa_bar=0.7,
+        gamma=0.9,
+        alpha=0.05,
+        horizon_T=T,
+        population_N=N,
+        dim_y=d_y,
+        dim_z=d_z,
+    )
+    samples = tuple(rng.standard_normal((100, d_y, d_z)) for _ in range(T))
+    moments = estimate_moments(SampleBank(samples=samples))
+    targets = TargetSeries(values=rng.standard_normal((T + 1, d_y)))
+    full_backward_pass(params, moments, targets)  # warm
+
+    was_tracing = tracemalloc.is_tracing()
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        coeffs = full_backward_pass(params, moments, targets)
+        peak = tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if not was_tracing:
+            tracemalloc.stop()
+    outputs = (coeffs.P, coeffs.S, coeffs.G, coeffs.H, coeffs.condition_numbers)
+    out_bytes = sum(a.nbytes for a in outputs)
+    assert peak < 8 * out_bytes, f"peak {peak} B vs outputs {out_bytes} B"
