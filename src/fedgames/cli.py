@@ -125,7 +125,10 @@ def load_config(path) -> dict:
             {"n_grid", "paths", "latent_mean", "latent_half_width"},
             "config.convergence",
         )
-    for policy in raw["policies"]:
+    policies = raw["policies"]
+    if not (isinstance(policies, list) and policies):
+        raise ConfigError(f"policies must be a non-empty list of policy names, got {policies!r}")
+    for policy in policies:
         if policy not in POLICIES:
             raise ConfigError(f"unknown policy {policy!r}")
     return raw
@@ -186,28 +189,51 @@ def build_scenario(cfg: dict, n: int) -> Scenario:
 
 
 def cell_grid(cfg: dict, seed_override=None):
-    ns = cfg.get("n_grid") or [cfg["params"].get("population_N", 2)]
-    seeds = [int(seed_override)] if seed_override is not None else cfg.get(
-        "seeds", [int(cfg.get("seed", 0))]
-    )
-    return [
-        (policy, int(n), int(seed))
-        for policy in cfg["policies"]
-        for n in ns
-        for seed in seeds
-    ]
+    """The (policy, N, seed) cells of a `run` config. A grid that some
+    cell could not run is a ConfigError, raised before any cell runs;
+    only the full solver's N ceiling is left to its cells."""
+    ns = cfg["n_grid"] if "n_grid" in cfg else [cfg["params"].get("population_N", 2)]
+    if not _is_int_list(ns, 1):
+        raise ConfigError(
+            f"n_grid (default [params.population_N]) must be a non-empty list of integers >= 1, got {ns!r}"
+        )
+    seeds = [seed_override] if seed_override is not None else cfg.get("seeds", [cfg.get("seed", 0)])
+    # the random streams are keyed by the seed, and numpy takes no negative key
+    if not _is_int_list(seeds, 0):
+        raise ConfigError(f"seeds (default [seed]) must be a non-empty list of integers >= 0, got {seeds!r}")
+    if "greedy" in cfg["policies"] and "ridge" not in cfg:
+        raise ConfigError("policy 'greedy' needs a ridge section")
+    if "spawner" in cfg:
+        retire_k = cfg["spawner"]["retire_k"]
+        if not (_is_int_at_least(retire_k, 1) and retire_k < min(ns)):
+            raise ConfigError(
+                f"spawner.retire_k must be an integer in [1, N) for every N in the grid, "
+                f"got {retire_k!r} with N = {min(ns)}"
+            )
+    return [(policy, n, seed) for policy in cfg["policies"] for n in ns for seed in seeds]
 
 
 def _round0_coeff_dump(policy, scenario, seed, record, coeff_dir):
-    """Write the first round's coefficients, as solved by the episode, for a
-    regression snapshot, and return the file's path; a policy that solves
-    nothing has none (None)."""
+    """Write agent 1's first-round coefficients, as solved by the episode,
+    for a regression snapshot, and return the file's path; a policy that
+    solves nothing has none (None).
+
+    The reduced and decentralized solvers hold only agent 1's value
+    function already. The full solver holds every agent's P_n and S_n,
+    (N, T+1, N d_y, N d_y) and (N, T+1, N d_y); the snapshot keeps
+    agent 1's, as ``P1`` and ``S1``, so that no snapshot grows as N^3.
+    Its ``G``, ``H`` and health figures are written whole."""
     if record.round0_coeffs is None:
         return None
     kind, coeffs = record.round0_coeffs
+    fields = vars(coeffs)
+    if kind == "full":
+        fields = {"P1": coeffs.P[0], "S1": coeffs.S[0]} | {
+            name: value for name, value in fields.items() if name not in ("P", "S")
+        }
     n = scenario.params.population_N
     path = Path(coeff_dir) / f"{policy}_N{n}_seed{seed}.json"
-    dump_coeffs(coeffs, kind, path)
+    dump_coeffs(fields, kind, path)
     return path
 
 
@@ -345,12 +371,16 @@ def _is_int_at_least(value, low: int) -> bool:
     return isinstance(value, int) and not isinstance(value, bool) and value >= low
 
 
+def _is_int_list(values, low: int) -> bool:
+    return isinstance(values, list) and bool(values) and all(_is_int_at_least(v, low) for v in values)
+
+
 def _convergence_scenario(cfg: dict) -> tuple[ConvergenceScenario, list[int]]:
     conv = cfg.get("convergence", {})
     n_grid = conv.get("n_grid", [4, 16, 64])
     paths = conv.get("paths", 100)
     # the finite-N games need two agents, and the gap's standard error two paths
-    if not (isinstance(n_grid, list) and n_grid and all(_is_int_at_least(n, 2) for n in n_grid)):
+    if not _is_int_list(n_grid, 2):
         raise ConfigError(
             f"convergence.n_grid must be a non-empty list of integers >= 2, got {n_grid!r}"
         )

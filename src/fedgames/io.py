@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 
-SCHEMA_VERSION = "2"
+SCHEMA_VERSION = "3"
 
 
 def _enc_array(a: np.ndarray) -> dict:
@@ -24,10 +24,11 @@ def _dec_array(d: dict) -> np.ndarray:
     return np.array(d["data"], dtype=float).reshape(d["dims"])
 
 
-def dump_coeffs(coeffs, kind: str, path) -> None:
-    """JSON snapshot of a solver's per-timestep coefficient arrays."""
+def dump_coeffs(fields: dict, kind: str, path) -> None:
+    """JSON snapshot of a solver's coefficients, given as name -> array
+    (or scalar, or tuple)."""
     payload = {"schema_version": SCHEMA_VERSION, "kind": kind}
-    for name, value in vars(coeffs).items():
+    for name, value in fields.items():
         if isinstance(value, np.ndarray):
             payload[name] = _enc_array(value)
         elif isinstance(value, tuple):
@@ -48,7 +49,8 @@ def load_coeff_arrays(path) -> dict:
 def export_run_record_json(record, path) -> None:
     """One cell's summary: its metrics, each agent's total cost ``costs``
     (N,), and per round the quantiles of the agents' costs,
-    ``round_cost_quantiles`` {"min", "median", "p90", "max"} -> (rounds,)."""
+    ``round_cost_quantiles`` {"min", "median", "p90", "max"} -> (rounds,).
+    The spawner's events are not repeated here: `write_jsonl` logs them."""
     summary = {
         "schema_version": SCHEMA_VERSION,
         "policy": record.policy,
@@ -61,7 +63,6 @@ def export_run_record_json(record, path) -> None:
         "runtime_ms": record.runtime_ms,
         "costs": record.costs.tolist(),
         "round_cost_quantiles": {name: q.tolist() for name, q in record.round_cost_quantiles.items()},
-        "spawn_events": record.spawn_events,
     }
     Path(path).write_text(json.dumps(summary), encoding="utf-8")
 

@@ -55,7 +55,7 @@ def test_run_produces_results(config, tmp_path):
     assert len(rows) == 1 + 4  # 2 policies x 2 Ns x 1 seed
     assert (out / "report.json").exists()
     report = json.loads((out / "report.json").read_text())
-    assert report["schema_version"] == "2"
+    assert report["schema_version"] == "3"
     assert len(report["cells"]) == 4
     means = {(m["policy"], m["N"]): m for m in report["mc_means_over_seeds"]}
     assert means[("reduced", 2)]["seeds"] == 1
@@ -63,7 +63,7 @@ def test_run_produces_results(config, tmp_path):
     coeff_files = list((out / "coeffs").glob("*.json"))
     assert len(coeff_files) == 2  # reduced cells only; greedy has no coefficients
     payload = json.loads(coeff_files[0].read_text())
-    assert payload["schema_version"] == "2"
+    assert payload["schema_version"] == "3"
     assert "dims" in payload["G1N"]
 
 
@@ -241,7 +241,14 @@ def test_coeff_dump_matches_fresh_round0_solve(config, tmp_path):
         fresh = solve(scenario.params, moments, y_round)
         dumped = load_coeff_arrays(out / "coeffs" / f"{policy}_N2_seed1.json")
         assert dumped["kind"] == policy
-        for name, value in vars(fresh).items():
+        arrays = vars(fresh)
+        if policy == "full":
+            # the full snapshot holds agent 1's value function only
+            assert "P" not in dumped and "S" not in dumped
+            np.testing.assert_array_equal(dumped["P1"], fresh.P[0], err_msg="full P1")
+            np.testing.assert_array_equal(dumped["S1"], fresh.S[0], err_msg="full S1")
+            arrays = {name: value for name, value in arrays.items() if name not in ("P", "S")}
+        for name, value in arrays.items():
             if isinstance(value, np.ndarray):
                 np.testing.assert_array_equal(dumped[name], value, err_msg=f"{policy} {name}")
     assert not (out / "coeffs" / "greedy_N2_seed1.json").exists()
@@ -294,3 +301,54 @@ def test_log_level_info_times_each_cell(config, tmp_path):
         assert int(m[6]) == sum(f.stat().st_size for f in files if f.exists())
         assert float(m[4]) == pytest.approx(runtime_ms[(policy, n, seed)] / 1000.0, abs=1e-3)
         assert float(m[5]) >= 0.0
+
+
+def test_spawner_events_logged_once(config, tmp_path):
+    # the Gibbs posterior of each spawner round goes to the jsonl log only
+    path, cfg = config
+    cfg["policies"] = ["decentralized"]
+    cfg["n_grid"] = [3]
+    cfg["dataset"]["length"] = 9  # 4 rounds of T = 2, so 3 spawner rounds
+    cfg["spawner"] = {"retire_k": 1}
+    path.write_text(json.dumps(cfg), encoding="utf-8")
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(path), "--out", str(out)]) == 0
+    summary = json.loads((out / "run_decentralized_N3_seed1.json").read_text())
+    assert "spawn_events" not in summary
+    events = [json.loads(line) for line in (out / "spawner_decentralized_N3_seed1.jsonl").read_text().splitlines()]
+    assert [ev["round"] for ev in events] == [0, 1, 2]
+    for ev in events:
+        assert len(ev["weights"]) == 3 - 1  # N - retire_k retained agents
+        assert sum(ev["weights"]) == pytest.approx(1.0)
+
+
+def _without_ridge(cfg):
+    del cfg["ridge"]  # the fixture's grid has greedy cells
+
+
+@pytest.mark.parametrize(
+    "edit,message",
+    [
+        (lambda cfg: cfg.update(n_grid=[2.5]), "n_grid"),
+        (lambda cfg: cfg.update(n_grid=[]), "n_grid"),
+        (lambda cfg: cfg.update(seeds=[]), "seeds"),
+        (lambda cfg: cfg.update(policies=[]), "policies must be"),
+        (lambda cfg: cfg.update(policies="reduced"), "policies must be"),
+        (_without_ridge, "needs a ridge section"),
+        (lambda cfg: cfg.update(spawner={"retire_k": 2}), "retire_k"),  # N = 2 in the grid
+        (lambda cfg: cfg.update(spawner={"retire_k": 0}), "retire_k"),
+    ],
+    ids=["n_grid-float", "n_grid-empty", "seeds-empty", "policies-empty", "policies-string",
+         "greedy-no-ridge", "retire_k-not-below-N", "retire_k-zero"],
+)
+def test_run_rejects_bad_grid(config, tmp_path, capsys, edit, message):
+    # rejected before any cell runs, not in some cells at run time
+    _, cfg = config
+    edit(cfg)
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(cfg), encoding="utf-8")
+    out = tmp_path / "o"
+    assert main(["run", "--config", str(path), "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "config error:" in err and message in err
+    assert not out.exists()

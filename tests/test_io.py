@@ -59,7 +59,7 @@ def test_coeff_roundtrip(tmp_path):
     targets = TargetSeries(values=rng.standard_normal((4, 1)))
     red = reduced_backward_pass(params, exact_moments_deterministic(zs), targets)
     path = tmp_path / "red.json"
-    dump_coeffs(red, "reduced", path)
+    dump_coeffs(vars(red), "reduced", path)
     arrays = load_coeff_arrays(path)
     np.testing.assert_array_equal(arrays["Pi1"], red.Pi1)
     np.testing.assert_array_equal(arrays["G1N"], red.G1N)
@@ -71,7 +71,7 @@ def test_run_record_exports(tmp_path):
     jpath = tmp_path / "run.json"
     export_run_record_json(record, jpath)
     payload = json.loads(jpath.read_text())
-    assert payload["schema_version"] == SCHEMA_VERSION == "2"
+    assert payload["schema_version"] == SCHEMA_VERSION == "3"
     assert payload["policy"] == "reduced"
     assert payload["costs"] == record.costs.tolist()
     assert len(payload["costs"]) == 2
