@@ -418,7 +418,7 @@ def run_episode(policy: str, scenario: Scenario, seed: int, trace: EpisodeTrace 
     agg_hist = np.zeros((rounds, T, d_y))
     window_Ta = scenario.aggregation_window
     err_history: list[np.ndarray] = []  # last window_Ta steps: (N,) squared errors
-    pool_weights = np.full(N, 1.0 / N)
+    log_weights = np.full(N, -np.log(N))
     spawn_events: list[dict] = []
     round0 = None
 
@@ -458,10 +458,10 @@ def run_episode(policy: str, scenario: Scenario, seed: int, trace: EpisodeTrace 
             trace.rounds.append((preds_hist, acts_hist))
 
         if scenario.spawner is not None and r < rounds - 1:
-            pool_weights = _spawn_between_rounds(
+            log_weights = _spawn_between_rounds(
                 scenario,
                 pool,
-                pool_weights,
+                log_weights,
                 err_history[-1],
                 seed,
                 r,
@@ -491,21 +491,22 @@ def run_episode(policy: str, scenario: Scenario, seed: int, trace: EpisodeTrace 
 
 
 def _spawn_between_rounds(
-    scenario, pool, pool_weights, last_scores, seed, round_idx, events, last_actions, y_now
+    scenario, pool, log_weights, last_scores, seed, round_idx, events, last_actions, y_now
 ):
+    """One spawner round on the pool; returns the next round's log weights."""
     cfg = scenario.spawner
     rng = _rng(seed, 999, round_idx)
-    new_rows, retained_idx, retired_idx, post = resample_parameters(
-        pool.param_rows(), last_scores, pool_weights, cfg.lam, cfg.sigma_t, cfg.retire_k, rng
+    new_rows, retained_idx, retired_idx, post, log_post = resample_parameters(
+        pool.rows, last_scores, log_weights, cfg.lam, cfg.sigma_t, cfg.retire_k, rng
     )
     n = pool.size
     d_z = pool.latents.shape[2]
-    pool.respawn(retired_idx, new_rows[retired_idx])
+    pool.respawn(retired_idx, new_rows)
 
     event = {
         "round": int(round_idx),
-        "retired": [int(i) for i in retired_idx],
-        "weights": [float(x) for x in post],
+        "retired": retired_idx.tolist(),
+        "weights": post.tolist(),
     }
     if cfg.orthogonalize and cfg.zeta2 > 0:
         beta_dir = last_actions.mean(axis=0)
@@ -528,11 +529,12 @@ def _spawn_between_rounds(
     events.append(event)
 
     # retained agents keep their posterior mass, respawned ones enter at
-    # the uniform share; only the next round's sparse prior consumes this
-    new_weights = np.zeros(n)
-    new_weights[retained_idx] = post * (n - cfg.retire_k) / n
-    new_weights[retired_idx] = 1.0 / n
-    return new_weights / new_weights.sum()
+    # the uniform share; only the next round's sparse prior consumes this.
+    # In the log domain a mass below the smallest double stays nonzero.
+    new_log_weights = np.empty(n)
+    new_log_weights[retained_idx] = log_post + np.log((n - cfg.retire_k) / n)
+    new_log_weights[retired_idx] = -np.log(n)
+    return new_log_weights
 
 
 def _finalize_metrics(record: RunRecord, metrics: _RunningMetrics):

@@ -3,12 +3,15 @@
 The encoder parameters live in one stacked ``RfnParams``/``EsnParams``
 with a leading agent axis. The spawner sees them as flat parameter rows,
 one per agent, laid out field by field in declaration order: (A, b, sigma)
-for feed-forward encoders, (A, B, b, sigma) for recurrent ones.
+for feed-forward encoders, (A, B, b, sigma) for recurrent ones. The pool
+owns that (N, dim) matrix, and the encoder's arrays are views into it, so
+neither reading the rows nor respawning copies the parameters.
 """
 
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,11 +23,25 @@ def _param_fields(encoder) -> list[str]:
     return [f.name for f in dataclasses.fields(encoder) if isinstance(getattr(encoder, f.name), np.ndarray)]
 
 
+def _on_rows(encoder, rows: np.ndarray):
+    """``encoder`` with each parameter array a view into the columns of
+    ``rows`` that hold it; the new stack is validated like any encoder."""
+    views = {}
+    start = 0
+    for name in _param_fields(encoder):
+        shape = getattr(encoder, name).shape
+        width = math.prod(shape[1:])
+        views[name] = rows[:, start : start + width].reshape(shape)
+        start += width
+    return dataclasses.replace(encoder, **views)
+
+
 @dataclass
 class AgentPool:
     """Mutable per-episode state of the N agents."""
 
-    encoder: RfnParams | EsnParams  # stacked: leading agent axis
+    encoder: RfnParams | EsnParams  # stacked: leading agent axis, arrays are views into ``rows``
+    rows: np.ndarray  # (N, dim) flat encoder parameters, one row per agent
     latents: np.ndarray  # (N, d_y, d_z) current Z
     predictions: np.ndarray  # (N, d_y)
     latent_transforms: np.ndarray | None  # (N, d_z, d_z) post-composition maps; None: all identity
@@ -37,8 +54,10 @@ class AgentPool:
     @staticmethod
     def create(encoder: RfnParams | EsnParams) -> "AgentPool":
         n, d_y, d_z = encoder.b.shape
+        rows = np.concatenate([getattr(encoder, name).reshape(n, -1) for name in _param_fields(encoder)], axis=1)
         return AgentPool(
-            encoder=encoder,
+            encoder=_on_rows(encoder, rows),
+            rows=rows,
             latents=np.zeros((n, d_y, d_z)),
             predictions=np.zeros((n, d_y)),
             latent_transforms=None,
@@ -60,31 +79,18 @@ class AgentPool:
             self.latent_transforms = np.tile(np.eye(d_z), (n, 1, 1))
         self.latent_transforms[slots] = maps
 
-    def param_rows(self) -> np.ndarray:
-        """(N, dim) flat encoder parameters, one row per agent."""
-        return np.concatenate(
-            [getattr(self.encoder, name).reshape(self.size, -1) for name in _param_fields(self.encoder)],
-            axis=1,
-        )
-
     def respawn(self, slots: np.ndarray, rows: np.ndarray) -> None:
-        """Give the agents in ``slots`` the flat parameter ``rows`` (sigma
-        taken in absolute value), an identity latent map and a cleared
-        recurrent state. The new stack is validated like any encoder.
-        The state is replaced, not written in place, because the current
-        latents may be the same array."""
+        """Take the (N, dim) parameter ``rows``, in which the agents in
+        ``slots`` are new (their sigma is taken in absolute value, in
+        place), and give those agents an identity latent map and a
+        cleared recurrent state. The state is replaced, not written in
+        place, because the current latents may be the same array."""
         slots = np.asarray(slots, dtype=int)
         rows = np.asarray(rows, dtype=float)
-        updated = {}
-        start = 0
-        for name in _param_fields(self.encoder):
-            stack = getattr(self.encoder, name).copy()
-            width = stack[0].size
-            block = rows[:, start : start + width].reshape((len(slots),) + stack.shape[1:])
-            stack[slots] = np.abs(block) if name == "sigma" else block
-            updated[name] = stack
-            start += width
-        self.encoder = dataclasses.replace(self.encoder, **updated)
+        sigma = rows[:, rows.shape[1] - self.encoder.sigma[0].size :]  # the last field of a row
+        sigma[slots] = np.abs(sigma[slots])
+        self.encoder = _on_rows(self.encoder, rows)
+        self.rows = rows
         if self.latent_transforms is not None:
             self.latent_transforms[slots] = np.eye(self.latent_transforms.shape[1])
         state = self.esn_state.copy()

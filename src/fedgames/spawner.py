@@ -6,7 +6,9 @@ updated by the closed-form Gibbs posterior
     w*_i  proportional to  exp(-lambda s_i) prior_i,
 
 which is the unique minimizer of the score-plus-KL variational over the
-retained simplex. Retired slots are refilled by draws from the mixture
+retained simplex. Weights are carried between rounds as log weights, so
+a retained agent's mass never rounds to zero however large lambda times
+its score gap grows. Retired slots are refilled by draws from the mixture
 
     sum_i w_i Normal(theta_(i), sigma_t (1 - w_(i)) / (N - K) I),
 
@@ -18,11 +20,14 @@ from the retained agents' features while still tracking the target: the
 steering matrix solves a sphere-constrained quadratic program (built in
 ``build_ortho_problem``, solved in ``ortho_solve`` via eigenvalue
 decomposition plus safeguarded root finding on the secular equation).
+The program is assembled from the two populations' Gram tensors, so a
+round costs O(N d_y^2 d_z^2 + d_z^6), not O(K (N - K) d_z^4).
 """
 
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,23 +45,25 @@ def score_agents(target_next, predictions_next) -> np.ndarray:
     return np.einsum("nd,nd->n", diff, diff)
 
 
-def gibbs_reweigh(prior: np.ndarray, scores: np.ndarray, lam: float) -> np.ndarray:
-    """Closed-form Gibbs posterior over the retained agents."""
-    prior = np.asarray(prior, dtype=float)
+def gibbs_reweigh(log_prior: np.ndarray, scores: np.ndarray, lam: float):
+    """Closed-form Gibbs posterior over the retained agents, from their
+    log prior weights. Returns ``(post, log_post)``; ``log_post`` is
+    exact where ``post`` underflows to zero."""
+    log_prior = np.asarray(log_prior, dtype=float)
     scores = np.asarray(scores, dtype=float)
-    if prior.shape != scores.shape:
+    if log_prior.shape != scores.shape:
         raise ValueError("prior and scores must align")
-    if np.any(prior <= 0):
+    if not np.isfinite(log_prior).all():
         raise DegenerateError("prior must be strictly positive on the retained set")
     if lam < 0:
         raise ValueError("lambda must be nonnegative")
-    logw = np.log(prior) - lam * scores
+    logw = log_prior - lam * scores
     logw -= logw.max()
     w = np.exp(logw)
-    total = w.sum()
-    if total <= 0 or not np.isfinite(total):
+    total = float(w.sum())
+    if not 0 < total < math.inf:
         raise DegenerateError("posterior has no mass")
-    return w / total
+    return w / total, logw - math.log(total)
 
 
 def rank_ascending(scores: np.ndarray) -> np.ndarray:
@@ -65,10 +72,14 @@ def rank_ascending(scores: np.ndarray) -> np.ndarray:
     return np.argsort(scores, kind="stable")
 
 
+# the tolerance of ``Generator.choice`` on the sum of its probabilities
+_CHOICE_ATOL = math.sqrt(np.finfo(float).eps)
+
+
 def resample_parameters(
     flat_params: np.ndarray,
     scores: np.ndarray,
-    prior: np.ndarray,
+    log_prior: np.ndarray,
     lam: float,
     sigma_t: float,
     retire_K: int,
@@ -76,29 +87,37 @@ def resample_parameters(
 ):
     """Retire the K worst parameter vectors and draw replacements.
 
-    Returns (new_params, retained_idx, retired_idx, posterior) where
-    ``posterior`` is the Gibbs reweighing over the retained agents used as
-    the mixture weights.
+    Returns (new_params, retained_idx, retired_idx, posterior,
+    log_posterior) where ``posterior`` is the Gibbs reweighing over the
+    retained agents used as the mixture weights. Each retired slot, in
+    order, draws one uniform for its mixture component (the draw of
+    ``rng.choice(N - K, p=posterior)``) and then ``dim`` standard normals.
     """
     flat_params = np.asarray(flat_params, dtype=float)
+    scores = np.asarray(scores, dtype=float)
     N, dim = flat_params.shape
     if not 1 <= retire_K < N:
         raise ValueError("retire_K must satisfy 1 <= K < N")
     order = rank_ascending(scores)
     retained_idx = order[: N - retire_K]
     retired_idx = order[N - retire_K :]
-    post = gibbs_reweigh(
-        np.asarray(prior, dtype=float)[retained_idx],
-        np.asarray(scores, dtype=float)[retained_idx],
-        lam,
-    )
+    post, log_post = gibbs_reweigh(np.asarray(log_prior, dtype=float)[retained_idx], scores[retained_idx], lam)
+    # the check and the cdf of rng.choice(p=post), once for all slots;
+    # post is nonnegative by construction, so only its sum is checked
+    cdf = post.cumsum()
+    if not abs(cdf[-1] - 1.0) <= _CHOICE_ATOL:
+        raise ValueError("probabilities do not sum to 1")
+    cdf /= cdf[-1]
+    uniforms = np.empty(retire_K)
+    normals = np.empty((retire_K, dim))
+    for i in range(retire_K):
+        uniforms[i] = rng.random()
+        rng.standard_normal(out=normals[i])
+    picks = cdf.searchsorted(uniforms, side="right")
+    var = sigma_t * (1.0 - post[picks]) / (N - retire_K)
     new_params = flat_params.copy()
-    for slot in retired_idx:
-        pick = rng.choice(retained_idx.shape[0], p=post)
-        centre = flat_params[retained_idx[pick]]
-        var = sigma_t * (1.0 - post[pick]) / (N - retire_K)
-        new_params[slot] = centre + np.sqrt(var) * rng.standard_normal(dim)
-    return new_params, retained_idx, retired_idx, post
+    new_params[retired_idx] = flat_params[retained_idx[picks]] + np.sqrt(var)[:, None] * normals
+    return new_params, retained_idx, retired_idx, post, log_post
 
 
 @dataclass(frozen=True)
@@ -136,7 +155,11 @@ def build_ortho_problem(retained_Z, respawned_Z, beta, y, zeta1: float) -> Ortho
     Q = sum_{m in respawned} sum_{n in retained} v_mn v_mn' + zeta1 sum_m H_m' H_m
     c = -2 zeta1 sum_m H_m' y
     with v_mn = vec(Z_m' Z_n) and H_m = beta' kron Z_m. The latents are
-    stacked (count, d_y, d_z); every (m, n) pair is formed in one product.
+    stacked (count, d_y, d_z). The pair sum factors through the Gram
+    tensors C[i, a, j, c] = sum_m Z_m[i, a] Z_m[j, c] of the two
+    populations: entry (a + b d_z, c + e d_z) of Q is
+    sum_ij Cm[i, a, j, c] (Cn[i, b, j, e] + zeta1 [i = j] beta_b beta_e),
+    so no pair is formed.
     """
     beta = np.asarray(beta, dtype=float).reshape(-1)
     y = np.asarray(y, dtype=float).reshape(-1)
@@ -144,15 +167,24 @@ def build_ortho_problem(retained_Z, respawned_Z, beta, y, zeta1: float) -> Ortho
     dim = d_z * d_z
     zm = np.asarray(respawned_Z, dtype=float)
     zn = np.asarray(retained_Z, dtype=float)
-    # vec(Zm' Zn) is column-stacked: entry (a, b) lands at a + b d_z
-    V = np.einsum("mia,nib->mnba", zm, zn).reshape(-1, dim)
-    Q = V.T @ V
+    d_y = zm.shape[1]
+    cm = _gram(zm).reshape(d_y, d_z, d_y, d_z)
+    cn = _gram(zn).reshape(d_y, d_z, d_y, d_z)
     c = np.zeros(dim)
     if zeta1 > 0:
-        H = np.einsum("j,mia->mija", beta, zm).reshape(zm.shape[0], zm.shape[1], dim)
-        Q = Q + zeta1 * np.einsum("mip,miq->pq", H, H)
-        c = -2.0 * zeta1 * np.einsum("mip,i->p", H, y)
+        diag = np.arange(d_y)
+        cn[diag, :, diag, :] += zeta1 * np.outer(beta, beta)
+        # H_m' y = beta kron Z_m' y, column-stacked like vec
+        c = (-2.0 * zeta1) * np.outer(beta, y @ zm.sum(axis=0)).reshape(dim)
+    Q = np.einsum("iajc,ibje->baec", cm, cn).reshape(dim, dim)
     return OrthoProblem(Q=Q, c=c, xi_I=vec(np.eye(d_z)), d_z=d_z, zeta1=zeta1)
+
+
+def _gram(z: np.ndarray) -> np.ndarray:
+    """(d_y d_z, d_y d_z) sum over the stack of the outer products of the
+    row-major flattened Z."""
+    flat = z.reshape(z.shape[0], -1)
+    return flat.T @ flat
 
 
 def _secular_root(evals, g2, zeta2_sq, lam_lo, lam_hi, iters=200):
@@ -160,29 +192,37 @@ def _secular_root(evals, g2, zeta2_sq, lam_lo, lam_hi, iters=200):
 
     Safeguarded Newton on 1/sqrt(f) - 1/zeta2 (nearly linear in lam),
     falling back to bisection whenever the Newton step leaves the bracket.
+    It stops once the Newton step, or the bracket, is below 1e-15 relative
+    (absolute below 1); testing the step before the bracket keeps an
+    iterate that rounding has put just past the root from restarting a
+    bisection. ``evals`` and ``g2`` are sequences of Python floats, and
+    each iteration takes f and f' from one pass over the shifted
+    eigenvalues.
     """
-    target = np.sqrt(zeta2_sq)
-
-    def f(lam):
-        return np.sum(g2 / (evals + lam) ** 2)
-
+    target = math.sqrt(zeta2_sq)
     lo, hi = lam_lo, lam_hi
     lam = 0.5 * (lo + hi)
     for _ in range(iters):
-        val = f(lam)
+        val = slope = 0.0
+        for e, g in zip(evals, g2):
+            shifted = e + lam
+            term = g / (shifted * shifted)
+            val += term
+            slope += term / shifted
         if val > zeta2_sq:
             lo = lam
         else:
             hi = lam
-        norm = np.sqrt(val)
-        h = 1.0 / norm - 1.0 / target
-        dh = np.sum(g2 / (evals + lam) ** 3) / norm**3  # h'(lam)
-        step = -h / dh if dh != 0 else 0.0
-        nxt = lam + step
-        if not lo < nxt < hi:
-            nxt = 0.5 * (lo + hi)
-        if abs(nxt - lam) <= 1e-15 * max(1.0, abs(lam)):
+        # h = 1/sqrt(f) - 1/zeta2 has h' = f^(-3/2) sum g2/shifted^3, so
+        # the Newton step -h/h' is (sqrt(f)/zeta2 - 1) f / sum g2/shifted^3
+        nxt = lam + (math.sqrt(val) / target - 1.0) * val / slope if slope > 0 else math.nan
+        tol = 1e-15 * max(1.0, abs(lam))
+        if abs(nxt - lam) <= tol:
             return nxt
+        if hi - lo <= tol:
+            return lam
+        if not lo < nxt < hi:  # also taken by a nan step
+            nxt = 0.5 * (lo + hi)
         lam = nxt
     return lam
 
@@ -209,50 +249,51 @@ def ortho_solve(prob: OrthoProblem, zeta2: float) -> OrthoSolution:
             hard_case=False,
         )
     Q = 0.5 * (prob.Q + prob.Q.T)
+    half_c = 0.5 * prob.c
     evals, evecs = np.linalg.eigh(Q)
-    g = Q @ prob.xi_I + 0.5 * prob.c
-    g_rot = evecs.T @ g
-    g2 = g_rot**2
-    lam_min = evals[0]
+    # the eigenbasis work is on d_z^2 scalars: Python floats from here on
+    ev = evals.tolist()
+    g_rot = (evecs.T @ (Q @ prob.xi_I + half_c)).tolist()
+    g2 = [g * g for g in g_rot]
+    lam_min = ev[0]
     zeta2_sq = zeta2 * zeta2
 
-    bottom = np.abs(evals - lam_min) <= 1e-12 * max(1.0, abs(lam_min))
-    interior = ~bottom
-    hard_limit = float(np.sum(g2[interior] / (evals[interior] - lam_min) ** 2)) if np.any(
-        interior
-    ) else 0.0
-    no_bottom_force = float(np.sum(g2[bottom])) <= 1e-28 * max(1.0, float(np.sum(g2)))
-
-    if no_bottom_force and hard_limit <= zeta2_sq:
-        # hard case: fill the leftover radius along the bottom eigenvector
+    # eigh sorts ascending, so the bottom eigenspace is a leading block
+    tol = 1e-12 * max(1.0, abs(lam_min))
+    n_bottom = 1
+    while n_bottom < len(ev) and ev[n_bottom] - lam_min <= tol:
+        n_bottom += 1
+    g2_total = sum(g2)
+    # hard case: no forcing on the bottom eigenspace, and the secular
+    # function's limit at lam = -lam_min undershoots the radius
+    hard = sum(g2[:n_bottom]) <= 1e-28 * max(1.0, g2_total) and (
+        sum(g / ((e - lam_min) * (e - lam_min)) for e, g in zip(ev[n_bottom:], g2[n_bottom:])) <= zeta2_sq
+    )
+    if hard:
+        # fill the leftover radius along the bottom eigenvector
         lam_star = -lam_min
-        u_rot = np.zeros_like(g_rot)
-        u_rot[interior] = -g_rot[interior] / (evals[interior] + lam_star)
-        residual_sq = zeta2_sq - float(np.sum(u_rot[interior] ** 2))
-        tau = np.sqrt(max(residual_sq, 0.0))
-        direction = np.flatnonzero(bottom)[0]
-        u_rot[direction] += tau
-        hard = True
+        u_rot = [0.0] * n_bottom + [-g / (e + lam_star) for e, g in zip(ev[n_bottom:], g_rot[n_bottom:])]
+        residual_sq = zeta2_sq - sum(u * u for u in u_rot)
+        u_rot[0] += math.sqrt(max(residual_sq, 0.0))
     else:
         # strictly decreasing secular function on (-lam_min, inf):
         # ||g|| / (lam + lam_min) >= sqrt(f) gives the right bracket
-        norm_g = np.sqrt(float(np.sum(g2)))
-        lam_lo = -lam_min + 1e-300
-        lam_hi = -lam_min + norm_g / zeta2 + 1e-12
-        lam_star = _secular_root(evals, g2, zeta2_sq, lam_lo, lam_hi)
-        u_rot = -g_rot / (evals + lam_star)
-        hard = False
+        lam_lo = math.nextafter(-lam_min, math.inf)
+        lam_hi = -lam_min + math.sqrt(g2_total) / zeta2 + 1e-12
+        lam_star = _secular_root(ev, g2, zeta2_sq, lam_lo, lam_hi)
+        u_rot = [-g / (e + lam_star) for e, g in zip(ev, g_rot)]
 
-    xi = prob.xi_I + evecs @ u_rot
-    kkt = float(
-        np.linalg.norm((Q + lam_star * np.eye(Q.shape[0])) @ xi - (lam_star * prob.xi_I - 0.5 * prob.c))
-    )
-    constraint = abs(float(np.linalg.norm(xi - prob.xi_I)) - zeta2)
+    step = evecs @ np.array(u_rot)
+    xi = prob.xi_I + step
+    # KKT: (Q + lam I) xi = lam xi_I - c/2
+    residual = Q @ xi + lam_star * step + half_c
+    kkt = math.sqrt(float(residual @ residual))
+    constraint = abs(math.sqrt(float(step @ step)) - zeta2)
     if hard:
         logger.info("ortho_solve hard case: lambda* = -lambda_min = %.6g", lam_star)
     return OrthoSolution(
         A_star=unvec(xi, d),
-        lambda_star=float(lam_star),
+        lambda_star=lam_star,
         kkt_residual=kkt,
         constraint_residual=constraint,
         hard_case=hard,

@@ -11,6 +11,10 @@ package's backward passes and spells out the loop per agent.
 harness now streams round by round, to check them on traced histories.
 ``round_stack`` and ``assert_round_equal`` check the round-batched
 backward passes against one unbatched pass per round.
+``reference_resample`` and ``reference_ortho_solve`` are the spawner's
+earlier per-slot resampling and secular solve, kept to check that the
+batched resampling draws the same stream and that the solve finds the
+same root.
 """
 
 from __future__ import annotations
@@ -412,7 +416,7 @@ def reference_episode(policy, scenario, seed):
     latents = [np.zeros((d_y, d_z)) for _ in range(N)]
     greedy_hist = [[] for _ in range(N)]
     err_history = []
-    pool_weights = np.full(N, 1.0 / N)
+    log_weights = np.full(N, -np.log(N))
     sqrt_kappa = np.sqrt(p.kappa)
 
     preds_hist = np.zeros((rounds, T + 1, N, d_y))
@@ -476,8 +480,8 @@ def reference_episode(policy, scenario, seed):
         sp = scenario.spawner
         if sp is not None and r < rounds - 1:
             flat = np.stack([_flat(e)[0] for e in encs])
-            new_flat, retained, retired, post = resample_parameters(
-                flat, err_history[-1], pool_weights, sp.lam, sp.sigma_t, sp.retire_k, _stream(seed, 999, r)
+            new_flat, retained, retired, _, log_post = resample_parameters(
+                flat, err_history[-1], log_weights, sp.lam, sp.sigma_t, sp.retire_k, _stream(seed, 999, r)
             )
             for slot in retired:
                 encs[slot] = _unflat(new_flat[slot], encs[slot])
@@ -493,10 +497,9 @@ def reference_episode(policy, scenario, seed):
                 sol = ortho_solve(prob, sp.zeta2)
                 for slot in retired:
                     transforms[slot] = sol.A_star
-            new_w = np.zeros(N)
-            new_w[retained] = post * (N - sp.retire_k) / N
-            new_w[retired] = 1.0 / N
-            pool_weights = new_w / new_w.sum()
+            log_weights = np.zeros(N)
+            log_weights[retained] = log_post + np.log((N - sp.retire_k) / N)
+            log_weights[retired] = -np.log(N)
 
     costs_per_round = np.zeros((rounds, N))
     for r in range(rounds):
@@ -610,3 +613,92 @@ def assert_round_equal(batched, r, single):
             np.testing.assert_array_equal(have, want, err_msg=f.name)
         else:
             assert have == want, f.name
+
+
+# ---------------------------------------------------------------------------
+# Spawner references
+# ---------------------------------------------------------------------------
+#
+# ``fedgames.spawner.resample_parameters`` builds the mixture's cdf once and
+# draws one uniform and then ``dim`` normals per retired slot; this is the
+# per-slot ``rng.choice`` loop it replaced, which must give the same rows.
+# ``reference_ortho_solve`` is the steering solve with its earlier secular
+# root finder: numpy scalars, a Newton step tested after the bracket.
+
+
+def reference_resample(flat_params, scores, log_prior, lam, sigma_t, retire_K, rng):
+    """(new_params, retained_idx, retired_idx, posterior), one
+    ``rng.choice`` and one normal draw per retired slot."""
+    from fedgames.spawner import gibbs_reweigh, rank_ascending
+
+    N, dim = flat_params.shape
+    order = rank_ascending(scores)
+    retained_idx = order[: N - retire_K]
+    retired_idx = order[N - retire_K :]
+    post, _ = gibbs_reweigh(log_prior[retained_idx], scores[retained_idx], lam)
+    new_params = flat_params.copy()
+    for slot in retired_idx:
+        pick = rng.choice(retained_idx.shape[0], p=post)
+        centre = flat_params[retained_idx[pick]]
+        var = sigma_t * (1.0 - post[pick]) / (N - retire_K)
+        new_params[slot] = centre + np.sqrt(var) * rng.standard_normal(dim)
+    return new_params, retained_idx, retired_idx, post
+
+
+def reference_secular_root(evals, g2, zeta2_sq, lam_lo, lam_hi, iters=200):
+    """Solve sum g2_i / (evals_i + lam)^2 = zeta2^2 on (lam_lo, lam_hi)."""
+    target = np.sqrt(zeta2_sq)
+
+    def f(lam):
+        return np.sum(g2 / (evals + lam) ** 2)
+
+    lo, hi = lam_lo, lam_hi
+    lam = 0.5 * (lo + hi)
+    for _ in range(iters):
+        val = f(lam)
+        if val > zeta2_sq:
+            lo = lam
+        else:
+            hi = lam
+        norm = np.sqrt(val)
+        h = 1.0 / norm - 1.0 / target
+        dh = np.sum(g2 / (evals + lam) ** 3) / norm**3  # h'(lam)
+        step = -h / dh if dh != 0 else 0.0
+        nxt = lam + step
+        if not lo < nxt < hi:
+            nxt = 0.5 * (lo + hi)
+        if abs(nxt - lam) <= 1e-15 * max(1.0, abs(lam)):
+            return nxt
+        lam = nxt
+    return lam
+
+
+def reference_ortho_solve(prob, zeta2):
+    """(A_star, lambda_star, hard_case) of the sphere-constrained steering
+    QP, for zeta2 > 0."""
+    from fedgames.spawner import unvec
+
+    Q = 0.5 * (prob.Q + prob.Q.T)
+    evals, evecs = np.linalg.eigh(Q)
+    g = Q @ prob.xi_I + 0.5 * prob.c
+    g_rot = evecs.T @ g
+    g2 = g_rot**2
+    lam_min = evals[0]
+    zeta2_sq = zeta2 * zeta2
+    bottom = np.abs(evals - lam_min) <= 1e-12 * max(1.0, abs(lam_min))
+    interior = ~bottom
+    hard_limit = float(np.sum(g2[interior] / (evals[interior] - lam_min) ** 2)) if np.any(interior) else 0.0
+    no_bottom_force = float(np.sum(g2[bottom])) <= 1e-28 * max(1.0, float(np.sum(g2)))
+    if no_bottom_force and hard_limit <= zeta2_sq:
+        lam_star = -lam_min
+        u_rot = np.zeros_like(g_rot)
+        u_rot[interior] = -g_rot[interior] / (evals[interior] + lam_star)
+        residual_sq = zeta2_sq - float(np.sum(u_rot[interior] ** 2))
+        u_rot[np.flatnonzero(bottom)[0]] += np.sqrt(max(residual_sq, 0.0))
+        hard = True
+    else:
+        norm_g = np.sqrt(float(np.sum(g2)))
+        lam_star = reference_secular_root(evals, g2, zeta2_sq, -lam_min + 1e-300, -lam_min + norm_g / zeta2 + 1e-12)
+        u_rot = -g_rot / (evals + lam_star)
+        hard = False
+    return unvec(prob.xi_I + evecs @ u_rot, prob.d_z), float(lam_star), hard

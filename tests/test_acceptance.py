@@ -217,7 +217,7 @@ def test_criterion_7_gibbs_posterior():
         prior /= prior.sum()
         scores = rng.uniform(0, 2, size=retained)
         lam = float(rng.uniform(0.3, 3.0))
-        closed = gibbs_reweigh(prior, scores, lam)
+        closed, _ = gibbs_reweigh(np.log(prior), scores, lam)
         obj, grad = variational_pieces(scores, prior, lam)
         oracle = projected_gradient_simplex(obj, grad, retained)
         worst = max(worst, float(np.max(np.abs(closed - oracle))))

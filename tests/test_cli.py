@@ -322,6 +322,44 @@ def test_spawner_events_logged_once(config, tmp_path):
         assert sum(ev["weights"]) == pytest.approx(1.0)
 
 
+def test_greedy_spawner_run_survives_weight_underflow(tmp_path):
+    # the diverging greedy baseline drives lam x (score gap) past the
+    # exponent range of a double; with linear pool weights this cell failed
+    # a spawner round with DegenerateError and the run exited 3
+    cfg = {
+        "params": {
+            "theta": 0.7,
+            "theta_bar": 0.3,
+            "kappa": 1.0,
+            "kappa_bar": 0.5,
+            "gamma": 1.0,
+            "alpha": 0.01,
+            "horizon_T": 4,
+            "dim_y": 1,
+            "dim_z": 4,
+        },
+        "mc_samples": 100,
+        "dataset": {"kind": "logistic_map", "length": 201, "seed": 0},
+        "encoder": {"kind": "esn"},
+        "ridge": {"window_T": 3, "alpha": 0.1, "gamma": 0.1},
+        "spawner": {"retire_k": 2, "zeta1": 0.1, "zeta2": 0.5, "orthogonalize": True},
+        "policies": ["greedy"],
+        "n_grid": [8],
+        "seeds": [577090037],
+    }
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(cfg), encoding="utf-8")
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(path), "--out", str(out)]) == 0
+    with (out / "results.csv").open() as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == 1
+    for key in ("rmse_agg", "rmse_worst", "regret"):
+        assert np.isfinite(float(rows[0][key]))
+    events = (out / "spawner_greedy_N8_seed577090037.jsonl").read_text().splitlines()
+    assert len(events) == 49  # every round but the last
+
+
 def _without_ridge(cfg):
     del cfg["ridge"]  # the fixture's grid has greedy cells
 

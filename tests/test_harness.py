@@ -18,13 +18,16 @@ from fedgames.harness import (
     EpisodeTrace,
     Scenario,
     SpawnerConfig,
+    _spawn_between_rounds,
     aggregate_predictions,
     aggregation_weights,
     run_episode,
     step_dynamics,
     underperformer_regret,
 )
+from fedgames.encoders import sample_rfn_params
 from fedgames.model import GameParams
+from fedgames.pool import AgentPool
 from fedgames.ridge import RidgeConfig
 
 
@@ -256,6 +259,30 @@ class TestRunEpisode:
         for ev in rec.spawn_events:
             if "kkt_residual" in ev:
                 assert ev["kkt_residual"] <= 1e-8
+
+    def test_spawner_round_keeps_underflowing_weights(self):
+        # lam x (score gap) = 1000: every retained agent but the best has a
+        # Gibbs mass below the smallest double. Carried as log weights it
+        # stays finite, and the next round can reweigh it; carried linearly
+        # it was 0 and the next round raised DegenerateError.
+        n, d_y, d_z = 6, 1, 2
+        scenario = small_scenario(
+            spawner=SpawnerConfig(retire_k=2, lam=100.0, sigma_t=0.05, zeta1=0.5, zeta2=0.3, orthogonalize=True)
+        )
+        rng = np.random.default_rng(0)
+        pool = AgentPool.create(sample_rfn_params(d_y, d_z, 2, 0.1, rng, count=n))
+        pool.set_latents(rng.uniform(0.0, 1.0, (n, d_y, d_z)))
+        scores = 10.0 * np.arange(n)
+        log_weights = np.full(n, -np.log(n))
+        events = []
+        for r in range(3):
+            log_weights = _spawn_between_rounds(
+                scenario, pool, log_weights, scores, 5, r, events, rng.standard_normal((n, d_z)), np.array([0.5])
+            )
+            assert np.all(np.isfinite(log_weights))
+        assert [ev["round"] for ev in events] == [0, 1, 2]
+        assert events[0]["weights"][0] == 1.0 and min(events[0]["weights"]) == 0.0
+        assert np.all(np.isfinite(pool.rows))
 
     def test_csv_dataset_episode(self, tmp_path):
         rng = np.random.default_rng(0)

@@ -1,7 +1,10 @@
 """Sphere-constrained feature-steering QP: KKT, oracles, resolvent."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
+from oracles import reference_ortho_solve
 
 from fedgames.spawner import (
     OrthoProblem,
@@ -170,13 +173,9 @@ class TestResolvent:
         assert resolvent_check(q, l1, l2) <= 1e-11
 
 
-def test_problem_matches_pairwise_loop():
-    # reference: the pairwise sums of the definition, one (m, n) at a time
-    rng = np.random.default_rng(12)
-    d_y, d_z, zeta1 = 3, 4, 0.7
-    retained = rng.standard_normal((5, d_y, d_z))
-    respawned = rng.standard_normal((2, d_y, d_z))
-    beta, y = rng.standard_normal(d_z), rng.standard_normal(d_y)
+def pairwise_problem(retained, respawned, beta, y, zeta1):
+    """Q, c from the pairwise sums of the definition, one (m, n) at a time."""
+    d_z = beta.shape[0]
     Q = np.zeros((d_z * d_z, d_z * d_z))
     c = np.zeros(d_z * d_z)
     for zm in respawned:
@@ -186,6 +185,77 @@ def test_problem_matches_pairwise_loop():
         hm = np.kron(beta[None, :], zm)
         Q += zeta1 * hm.T @ hm
         c += -2.0 * zeta1 * hm.T @ y
+    return Q, c
+
+
+def test_problem_matches_pairwise_loop():
+    rng = np.random.default_rng(12)
+    d_y, d_z, zeta1 = 3, 4, 0.7
+    retained = rng.standard_normal((5, d_y, d_z))
+    respawned = rng.standard_normal((2, d_y, d_z))
+    beta, y = rng.standard_normal(d_z), rng.standard_normal(d_y)
+    Q, c = pairwise_problem(retained, respawned, beta, y, zeta1)
     prob = build_ortho_problem(retained, respawned, beta, y, zeta1)
     np.testing.assert_allclose(prob.Q, Q, rtol=1e-12, atol=1e-12)
     np.testing.assert_allclose(prob.c, c, rtol=1e-12, atol=1e-12)
+
+
+@pytest.mark.parametrize("d_y", [1, 3])
+def test_problem_matches_pairwise_loop_at_scale(d_y):
+    # 300 retained x 40 respawned: 12 000 pairs summed through the Gram
+    # tensors, at the same tolerance as the small case
+    rng = np.random.default_rng(13 + d_y)
+    d_z, zeta1 = 4, 0.7
+    retained = rng.standard_normal((300, d_y, d_z))
+    respawned = rng.standard_normal((40, d_y, d_z))
+    beta, y = rng.standard_normal(d_z), rng.standard_normal(d_y)
+    Q, c = pairwise_problem(retained, respawned, beta, y, zeta1)
+    prob = build_ortho_problem(retained, respawned, beta, y, zeta1)
+    np.testing.assert_allclose(prob.Q, Q, rtol=1e-12, atol=1e-12)
+    np.testing.assert_allclose(prob.c, c, rtol=1e-12, atol=1e-12)
+
+
+def test_problem_memory_does_not_grow_with_pairs():
+    # N = 4096, K = 410: the (K (N - K), d_z^2) pair array would take
+    # ~194 MB; the Gram tensors take a few hundred bytes
+    rng = np.random.default_rng(14)
+    retained = rng.uniform(0.0, 1.0, (4096 - 410, 1, 4))
+    respawned = rng.uniform(0.0, 1.0, (410, 1, 4))
+    beta, y = rng.standard_normal(4), rng.standard_normal(1)
+    tracemalloc.start()
+    try:
+        build_ortho_problem(retained, respawned, beta, y, 0.1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20, f"peak {peak / 2**20:.1f} MB"
+
+
+def near_hard_problem(bottom_force):
+    Q = np.diag([0.0, 1.0, 2.0, 3.0])
+    xi_I = vec(np.eye(2))
+    g = np.array([bottom_force, 1.0, 1.0, 1.0])
+    return OrthoProblem(Q=Q, c=2.0 * (g - Q @ xi_I), xi_I=xi_I, d_z=2, zeta1=0.0)
+
+
+SECULAR_CASES = [("random", seed) for seed in range(12)] + [
+    ("near_hard", force) for force in (1e-9, 1e-6, 1e-3, 1e-1)
+]
+
+
+@pytest.mark.parametrize("kind, arg", SECULAR_CASES)
+def test_solve_matches_reference_secular_root(kind, arg):
+    # the multiplier is found to 1e-15 absolute below 1, hence the atol
+    if kind == "random":
+        rng = np.random.default_rng(arg)
+        prob = random_problem(rng, int(rng.integers(1, 5)), n_retained=int(rng.integers(1, 6)))
+        radii = rng.uniform(0.05, 1.5, 3)
+    else:
+        prob = near_hard_problem(arg)
+        radii = (1.0, 2.0, 3.0)
+    for zeta2 in radii:
+        sol = ortho_solve(prob, float(zeta2))
+        A_ref, lam_ref, hard_ref = reference_ortho_solve(prob, float(zeta2))
+        assert sol.hard_case == hard_ref
+        np.testing.assert_allclose(sol.lambda_star, lam_ref, rtol=1e-12, atol=1e-12)
+        np.testing.assert_allclose(sol.A_star, A_ref, rtol=1e-12, atol=1e-12)

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from oracles import reference_resample
 
 from fedgames.errors import DegenerateError
 from fedgames.spawner import (
@@ -72,26 +73,26 @@ class TestGibbs:
     def test_zero_lambda_keeps_prior(self):
         prior = np.array([0.2, 0.3, 0.5])
         scores = np.array([3.0, 1.0, 2.0])
-        np.testing.assert_allclose(gibbs_reweigh(prior, scores, 0.0), prior, atol=1e-15)
+        np.testing.assert_allclose(gibbs_reweigh(np.log(prior), scores, 0.0)[0], prior, atol=1e-15)
 
     def test_equal_scores_keep_prior(self):
         prior = np.array([0.6, 0.4])
         np.testing.assert_allclose(
-            gibbs_reweigh(prior, np.array([2.0, 2.0]), 3.0), prior, atol=1e-15
+            gibbs_reweigh(np.log(prior), np.array([2.0, 2.0]), 3.0)[0], prior, atol=1e-15
         )
 
     def test_closed_form_example(self):
-        w = gibbs_reweigh(np.array([0.5, 0.5]), np.array([0.0, np.log(2.0)]), 1.0)
+        w, _ = gibbs_reweigh(np.log(np.array([0.5, 0.5])), np.array([0.0, np.log(2.0)]), 1.0)
         np.testing.assert_allclose(w, [2 / 3, 1 / 3], atol=1e-12)
 
     def test_zero_prior_rejected(self):
         with pytest.raises(DegenerateError):
-            gibbs_reweigh(np.array([0.0, 1.0]), np.array([1.0, 2.0]), 1.0)
+            gibbs_reweigh(np.log(np.array([0.0, 1.0])), np.array([1.0, 2.0]), 1.0)
 
     def test_monotone_under_uniform_prior(self):
         rng = np.random.default_rng(1)
         scores = rng.uniform(0, 3, size=6)
-        w = gibbs_reweigh(np.full(6, 1 / 6), scores, 2.0)
+        w, _ = gibbs_reweigh(np.log(np.full(6, 1 / 6)), scores, 2.0)
         order_scores = np.argsort(scores)
         assert np.all(np.diff(w[order_scores]) <= 1e-15)
 
@@ -104,14 +105,14 @@ class TestGibbs:
         prior /= prior.sum()
         scores = rng.uniform(0, 2, size=n)
         lam = float(rng.uniform(0.5, 3.0))
-        closed = gibbs_reweigh(prior, scores, lam)
+        closed, _ = gibbs_reweigh(np.log(prior), scores, lam)
         obj, grad = variational_pieces(scores, prior, lam)
         oracle = projected_gradient_simplex(obj, grad, n)
         np.testing.assert_allclose(closed, oracle, atol=1e-6)
 
     def test_simplex_output(self):
         rng = np.random.default_rng(2)
-        w = gibbs_reweigh(rng.dirichlet(np.ones(9)) + 1e-6, rng.uniform(0, 5, 9), 1.5)
+        w, _ = gibbs_reweigh(np.log(rng.dirichlet(np.ones(9)) + 1e-6), rng.uniform(0, 5, 9), 1.5)
         assert np.all(w >= 0)
         assert abs(w.sum() - 1.0) <= 1e-12
 
@@ -125,8 +126,8 @@ class TestResample:
         rng = np.random.default_rng(3)
         params = rng.standard_normal((5, 4))
         scores = np.array([0.1, 0.2, 0.3, 5.0, 9.0])
-        new, retained, retired, _ = resample_parameters(
-            params, scores, np.full(5, 0.2), 1.0, 0.0, 2, rng
+        new, retained, retired, _, _ = resample_parameters(
+            params, scores, np.log(np.full(5, 0.2)), 1.0, 0.0, 2, rng
         )
         np.testing.assert_array_equal(retired, [3, 4])
         for slot in retired:
@@ -138,8 +139,8 @@ class TestResample:
         rng = np.random.default_rng(4)
         params = rng.standard_normal((4, 3))
         scores = np.array([0.5, 1.0, 2.0, 3.0])
-        new, retained, retired, post = resample_parameters(
-            params, scores, np.full(4, 0.25), 1.0, 0.7, 3, rng
+        new, retained, retired, post, _ = resample_parameters(
+            params, scores, np.log(np.full(4, 0.25)), 1.0, 0.7, 3, rng
         )
         np.testing.assert_array_equal(retained, [0])
         assert post[0] == 1.0
@@ -155,8 +156,8 @@ class TestResample:
         lam, sigma_t = 1.3, 0.5
         draws = []
         for k in range(20000):
-            new, retained, retired, post = resample_parameters(
-                params, scores, prior, lam, sigma_t, 1, np.random.default_rng(k)
+            new, retained, retired, post, _ = resample_parameters(
+                params, scores, np.log(prior), lam, sigma_t, 1, np.random.default_rng(k)
             )
             draws.append(new[retired[0], 0])
         want = float(post @ params[retained, 0])
@@ -169,8 +170,40 @@ class TestResample:
     def test_pool_size_preserved(self):
         rng = np.random.default_rng(6)
         params = rng.standard_normal((7, 2))
-        new, retained, retired, _ = resample_parameters(
-            params, rng.uniform(0, 1, 7), np.full(7, 1 / 7), 1.0, 0.3, 3, rng
+        new, retained, retired, _, _ = resample_parameters(
+            params, rng.uniform(0, 1, 7), np.log(np.full(7, 1 / 7)), 1.0, 0.3, 3, rng
         )
         assert new.shape == params.shape
         assert sorted(list(retained) + list(retired)) == list(range(7))
+
+
+# (N, K, dim, lam, score spread): K = N - 1 leaves a one-hot posterior; a
+# spread of 1e4 at lam 1 puts most of the retained mass far below the
+# smallest double
+SAME_STREAM_CASES = [
+    (5, 2, 3, 1.0, 1.0),
+    (64, 8, 17, 1.0, 1.0),
+    (10, 9, 4, 2.0, 1.0),
+    (7, 3, 1, 0.5, 1.0),
+    (40, 12, 6, 1.0, 1e4),
+]
+
+
+@pytest.mark.parametrize("n, k, dim, lam, spread", SAME_STREAM_CASES)
+def test_resample_draws_the_per_slot_choice_stream(n, k, dim, lam, spread):
+    # the batched draw must reproduce the per-slot rng.choice loop exactly,
+    # and leave the generator in the same state
+    rng = np.random.default_rng([n, k, dim])
+    params = rng.standard_normal((n, dim))
+    scores = spread * rng.uniform(0.0, 1.0, n)
+    log_prior = np.log(rng.dirichlet(np.ones(n)))
+    got_rng, want_rng = np.random.default_rng([7, n]), np.random.default_rng([7, n])
+    new, retained, retired, post, log_post = resample_parameters(params, scores, log_prior, lam, 0.3, k, got_rng)
+    want = reference_resample(params, scores, log_prior, lam, 0.3, k, want_rng)
+    for have, expect in zip((new, retained, retired, post), want):
+        np.testing.assert_array_equal(have, expect)
+    assert got_rng.random() == want_rng.random()
+    assert np.all(np.isfinite(log_post))
+    np.testing.assert_allclose(np.exp(log_post), post, rtol=1e-12, atol=1e-300)
+    if spread > 1.0:
+        assert np.min(post) == 0.0  # linear weights underflow, log weights do not
