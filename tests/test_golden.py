@@ -1,9 +1,12 @@
-"""Golden outputs of `fedgames run` on two small checked-in configs.
+"""Golden outputs of `fedgames run` on two small checked-in configs, and
+of `fedgames convergence` on a third.
 
 ``tests/golden/<case>/`` holds a config, the ``results.csv`` it must
 produce (compared at RTOL, the measured runtime_ms column ignored) and,
-for the base case, one round-0 coefficient snapshot. A change that moves
-these values on purpose regenerates them with
+for the base case, one round-0 coefficient snapshot.
+``tests/golden/convergence/`` holds a config and the ``convergence.csv``
+and ``gap_report.csv`` it must produce, every number compared at RTOL.
+A change that moves these values on purpose regenerates them with
 
     PYTHONPATH=src python tests/test_golden.py
 
@@ -23,6 +26,8 @@ from fedgames.io import load_coeff_arrays
 GOLDEN = Path(__file__).resolve().parent / "golden"
 CASES = ("base", "esn_spawner")
 COEFFS = {"base": "coeffs/reduced_N4_seed1.json"}
+CONVERGENCE = GOLDEN / "convergence"
+CONVERGENCE_FILES = ("convergence.csv", "gap_report.csv")
 RTOL = 1e-10
 
 
@@ -55,6 +60,26 @@ def test_golden_results(case, tmp_path):
                 assert got_c[name] == value, name
 
 
+def _run_convergence(out):
+    assert main(["convergence", "--config", str(CONVERGENCE / "config.json"), "--out", str(out)]) == 0
+
+
+def _csv_numbers(path):
+    with Path(path).open(newline="", encoding="utf-8") as fh:
+        return [{key: float(value) for key, value in row.items()} for row in csv.DictReader(fh)]
+
+
+@pytest.mark.parametrize("name", CONVERGENCE_FILES)
+def test_golden_convergence(name, tmp_path):
+    _run_convergence(tmp_path)
+    got, want = _csv_numbers(tmp_path / name), _csv_numbers(CONVERGENCE / name)
+    assert len(got) == len(want)
+    for i, (g, w) in enumerate(zip(got, want)):
+        assert g.keys() == w.keys()
+        for key, value in w.items():
+            assert g[key] == pytest.approx(value, rel=RTOL, abs=0), (name, i, key)
+
+
 def regenerate(work_dir: Path) -> None:
     for case in CASES:
         out = work_dir / case
@@ -62,6 +87,10 @@ def regenerate(work_dir: Path) -> None:
         shutil.copy(out / "results.csv", GOLDEN / case / "results.csv")
         if case in COEFFS:
             shutil.copy(out / COEFFS[case], GOLDEN / case / COEFFS[case])
+    out = work_dir / "convergence"
+    _run_convergence(out)
+    for name in CONVERGENCE_FILES:
+        shutil.copy(out / name, CONVERGENCE / name)
 
 
 if __name__ == "__main__":
