@@ -331,6 +331,8 @@ def cmd_run(args) -> int:
                 "rmse_worst": rec.rmse_worst,
                 "rmse_bottom20": rec.rmse_bottom20,
                 "messages_per_step": rec.messages_per_step,
+                "max_abs_prediction": rec.max_abs_prediction,
+                "diverged": rec.diverged,
             }
         )
     # sample-path metrics live per cell; Monte-Carlo means over seeds are

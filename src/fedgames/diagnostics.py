@@ -20,6 +20,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .errors import DynamicsError
+from .harness import check_finite
 from .model import GameParams, IidEntryLatents, TargetSeries
 from .nash_meanfield import (
     DecentralizedCoeffs,
@@ -93,23 +95,62 @@ def _simulate_mean_gap(
     seed: int,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per-timestep Monte-Carlo mean and standard error of
-    || mean prediction - Ybar || under the decentralized policy."""
-    N, d_y, T = params.population_N, params.dim_y, params.horizon_T
+    || mean prediction - Ybar || under the decentralized policy.
+
+    Paths run one at a time, path p on the stream (seed, 31, p). A step
+    is ``decentralized_action``, ``latents.sample`` and
+    ``harness.step_dynamics`` fused into three matrix products and one
+    einsum on buffers allocated once:
+
+      * the predictions are the columns of a (d_y + 1, N) array whose
+        last row is ones, so the action G1 y + G2 Ybar_t + H and the
+        affine part of the dynamics are each one matrix product;
+      * ``latents.sample`` draws Z = (M_t - h) + 2h U with U uniform on
+        [0, 1); U is drawn from the same stream into one (N, d_y, d_z)
+        buffer, and Z beta = 2h U beta + (M_t - h) beta, whose second
+        term folds into the affine part, so Z is never formed;
+      * the population mean is one product with a 1/N vector, and its
+        finiteness is the step's finite check (``harness.check_finite``).
+
+    Results differ from the unfused loop (``tests/oracles.py``,
+    ``reference_mean_gap``) by reassociation only.
+    """
+    N, d_y, d_z, T = params.population_N, params.dim_y, params.dim_z, params.horizon_T
+    h = latents.half_width
+    # step t's action on [y; 1]: G1_t y + (G2_t Ybar_t + H_t)
+    act = np.concatenate([coeffs.G1, coeffs.G2 @ ybar[:T, :, None] + coeffs.H[..., None]], axis=2)
+    # step t's dynamics on [y; 1] less the mean and 2h U beta terms:
+    # theta y + (M_t - h) beta
+    affine = (latents.mean - h) @ act
+    affine[:, :, :d_y] += params.theta
+    act *= 2.0 * h  # from here on, the action times 2h
+    weights = np.full(N, 1.0 / N)
+    u = np.empty((N, d_y, d_z))
+    beta = np.empty((d_z, N))
+    noise = np.empty((d_y, N))
+    step = np.empty((d_y, d_y + 1))
     gaps = np.zeros((paths, T + 1))
     for pth in range(paths):
         rng = np.random.default_rng([seed, 31, pth])
-        preds = np.tile(y0, (N, 1))
-        mean = preds.mean(axis=0)
+        cols, nxt = np.ones((d_y + 1, N)), np.ones((d_y + 1, N))
+        cols[:d_y] = y0[:, None]
+        mean = cols[:d_y] @ weights
         for t in range(T):
-            z = latents.sample(t, N, rng)
-            beta = preds @ coeffs.G1[t].T + ybar[t] @ coeffs.G2[t].T + coeffs.H[t]
-            preds = (
-                preds @ params.theta.T
-                + mean @ params.theta_bar.T
-                + np.einsum("nij,nj->ni", z, beta)
-            )
-            mean = preds.mean(axis=0)
+            rng.random(out=u)
+            np.matmul(act[t], cols, out=beta)
+            np.einsum("nij,jn->in", u, beta, out=noise)
+            np.copyto(step, affine[t])
+            step[:, d_y] += params.theta_bar @ mean
+            preds = nxt[:d_y]
+            np.matmul(step, cols, out=preds)
+            preds += noise
+            mean = preds @ weights
+            try:
+                check_finite(preds.T, mean)
+            except DynamicsError as exc:
+                raise DynamicsError(f"{exc} at N={N}, path {pth}, step {t}") from exc
             gaps[pth, t + 1] = np.linalg.norm(mean - ybar[t + 1])
+            cols, nxt = nxt, cols
     return gaps.mean(axis=0), gaps.std(axis=0, ddof=1) / np.sqrt(paths)
 
 

@@ -109,6 +109,10 @@ class Scenario:
 # levels of the per-round cost quantiles, over the agents
 COST_QUANTILES = {"min": 0.0, "median": 0.5, "p90": 0.9, "max": 1.0}
 
+# an episode has diverged when some prediction's magnitude exceeds this
+# multiple of the largest target magnitude
+DIVERGENCE_MULTIPLE = 1e3
+
 
 @dataclass
 class RunRecord:
@@ -129,6 +133,13 @@ class RunRecord:
     runtime_ms: float = 0.0
     spawn_events: list = field(default_factory=list)
     round0_coeffs: tuple | None = None  # (kind, coefficients) of round 0; None for greedy
+    max_abs_prediction: float = 0.0  # over every agent, step and coordinate
+
+    @property
+    def diverged(self) -> bool:
+        """Some prediction left the scale of the targets by more than
+        DIVERGENCE_MULTIPLE; its metrics then measure the blow-up."""
+        return bool(self.max_abs_prediction > DIVERGENCE_MULTIPLE * np.max(np.abs(self.targets)))
 
 
 @dataclass
@@ -171,10 +182,25 @@ def step_dynamics(
         + mean @ params.theta_bar.T
         + np.einsum("nij,nj->ni", latents, actions)
     )
-    bad = ~np.all(np.isfinite(out), axis=1)
+    check_finite(out, np.sum(out))
+    return out
+
+
+def check_finite(predictions: np.ndarray, total) -> None:
+    """Raise DynamicsError naming the first agent whose row of the (N, d_y)
+    ``predictions`` is not finite.
+
+    ``total`` is a sum of all the predictions with positive weights,
+    already at hand (their sum, their mean). A sum with a non-finite term
+    is not finite, so a finite ``total`` settles the check in one
+    reduction; the rows are searched only when it is not finite, which
+    an overflowing sum of finite rows can also cause.
+    """
+    if np.all(np.isfinite(total)):
+        return
+    bad = ~np.all(np.isfinite(predictions), axis=1)
     if np.any(bad):
         raise DynamicsError(f"non-finite prediction for agent {int(np.flatnonzero(bad)[0])}")
-    return out
 
 
 def _round_costs(predictions, actions, params: GameParams, values) -> np.ndarray:
@@ -217,6 +243,7 @@ class _RunningMetrics:
         self.costs = np.zeros(n_agents)  # total objective
         self.sq_err = np.zeros(n_agents)  # squared prediction error over steps
         self.quantiles = np.empty((rounds, len(COST_QUANTILES)))
+        self.max_abs_prediction = 0.0
 
     def add_round(self, r: int, predictions, actions, y_round):
         """Fold in round r: predictions (T+1, N, d_y), actions (T, N, d_z)
@@ -226,6 +253,7 @@ class _RunningMetrics:
         self.quantiles[r] = _quantiles(costs, list(COST_QUANTILES.values()))
         for err in np.sum((predictions[1:] - y_round[1:, None]) ** 2, axis=-1):
             self.sq_err += err
+        self.max_abs_prediction = max(self.max_abs_prediction, float(np.max(np.abs(predictions))))
 
 
 def underperformer_regret(record: RunRecord) -> float:
@@ -550,3 +578,4 @@ def _finalize_metrics(record: RunRecord, metrics: _RunningMetrics):
     record.rmse_worst = float(per_agent_rmse.max())
     k = max(1, int(np.ceil(0.2 * per_agent_rmse.shape[0])))
     record.rmse_bottom20 = float(np.sort(per_agent_rmse)[-k:].mean())
+    record.max_abs_prediction = metrics.max_abs_prediction

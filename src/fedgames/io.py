@@ -47,9 +47,10 @@ def load_coeff_arrays(path) -> dict:
 
 
 def export_run_record_json(record, path) -> None:
-    """One cell's summary: its metrics, each agent's total cost ``costs``
-    (N,), and per round the quantiles of the agents' costs,
-    ``round_cost_quantiles`` {"min", "median", "p90", "max"} -> (rounds,).
+    """One cell's summary: its metrics, its largest prediction magnitude
+    and ``diverged`` flag, each agent's total cost ``costs`` (N,), and per
+    round the quantiles of the agents' costs, ``round_cost_quantiles``
+    {"min", "median", "p90", "max"} -> (rounds,).
     The spawner's events are not repeated here: `write_jsonl` logs them."""
     summary = {
         "schema_version": SCHEMA_VERSION,
@@ -61,6 +62,8 @@ def export_run_record_json(record, path) -> None:
         "rmse_bottom20": record.rmse_bottom20,
         "messages_per_step": record.messages_per_step,
         "runtime_ms": record.runtime_ms,
+        "max_abs_prediction": record.max_abs_prediction,
+        "diverged": record.diverged,
         "costs": record.costs.tolist(),
         "round_cost_quantiles": {name: q.tolist() for name, q in record.round_cost_quantiles.items()},
     }

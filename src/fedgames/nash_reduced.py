@@ -152,6 +152,12 @@ def reduced_backward_pass(
     Qs = np.zeros((4, T, *rounds, d_z, d_z))
     max_asym = np.zeros(rounds)
 
+    # blocks of the value-function update that do not depend on t
+    drift = XBlockMatrix.build(N, th + tb / N, tb / N, tb / N, th + tb / N, tb / N)
+    drift_t = drift.T
+    gram_kap = XBlockMatrix.uniform_row_gram(N, th + tb / N, tb / N)
+    gram_kbar = XBlockMatrix.uniform_row_gram(N, (1 - 1 / N) * th, -th / N)
+
     for t in range(T - 1, -1, -1):
         disc = params.discount(t)
         M1 = moments.m1[t]
@@ -194,9 +200,6 @@ def reduced_backward_pass(
         Qs[0, t], Qs[1, t], Qs[2, t], Qs[3, t] = Q1, Q2, Q3, Q4
 
         # Blockwise evaluation of the value-function update.
-        drift = XBlockMatrix.build(
-            N, th + tb / N, tb / N, tb / N, th + tb / N, tb / N
-        )
         p_mat = XBlockMatrix.symmetric(N, p1, p2, p3, p4 if N >= 3 else None)
         q_mat = XBlockMatrix.symmetric(N, Q1, Q2, Q3, Q4 if N >= 3 else None)
         g_mat = XBlockMatrix.build(N, g1, g2, g2, g1, g2)
@@ -218,11 +221,9 @@ def reduced_backward_pass(
         l_mat = disc * kap * l_kap + disc * kbar * l_kbar + dz_lift @ p_mat @ drift
 
         gl = g_mat.T @ l_mat
-        stage = disc * kap * XBlockMatrix.uniform_row_gram(N, th + tb / N, tb / N)
-        stage += disc * kbar * XBlockMatrix.uniform_row_gram(
-            N, (1 - 1 / N) * th, -th / N
-        )
-        p_new = g_mat.T @ q_mat @ g_mat + gl + gl.T + stage + drift.T @ p_mat @ drift
+        stage = disc * kap * gram_kap
+        stage += disc * kbar * gram_kbar
+        p_new = g_mat.T @ q_mat @ g_mat + gl + gl.T + stage + drift_t @ p_mat @ drift
 
         asym = [p_new.a - p_new.a.mT, p_new.b - p_new.c.mT, p_new.d - p_new.d.mT]
         if N >= 3:
@@ -246,7 +247,7 @@ def reduced_backward_pass(
             g_mat.T @ (q_mat @ h_col + forcing)
             + l_mat.T @ h_col
             + stage_s
-            + drift.T @ XBlockColumn.build(N, x1, x2)
+            + drift_t @ XBlockColumn.build(N, x1, x2)
         )
         Xi[0, t] = s_new.u[..., 0]
         Xi[1, t] = s_new.v[..., 0]

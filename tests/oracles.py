@@ -14,7 +14,9 @@ backward passes against one unbatched pass per round.
 ``reference_resample`` and ``reference_ortho_solve`` are the spawner's
 earlier per-slot resampling and secular solve, kept to check that the
 batched resampling draws the same stream and that the solve finds the
-same root.
+same root. ``reference_mean_gap`` is the convergence diagnostic's
+Monte-Carlo loop spelled with the package's own latent draw, action and
+dynamics, to check that the fused loop plays the same dynamics.
 """
 
 from __future__ import annotations
@@ -702,3 +704,23 @@ def reference_ortho_solve(prob, zeta2):
         u_rot = -g_rot / (evals + lam_star)
         hard = False
     return unvec(prob.xi_I + evecs @ u_rot, prob.d_z), float(lam_star), hard
+
+
+def reference_mean_gap(params, latents, coeffs, ybar, y0, paths, seed):
+    """``diagnostics._simulate_mean_gap`` one library call per stage:
+    ``IidEntryLatents.sample``, ``decentralized_action`` and
+    ``harness.step_dynamics`` on (N, d_y) predictions, and the mean by
+    ``mean(axis=0)``."""
+    from fedgames.harness import step_dynamics
+    from fedgames.nash_meanfield import decentralized_action
+
+    N, T = params.population_N, params.horizon_T
+    gaps = np.zeros((paths, T + 1))
+    for pth in range(paths):
+        rng = np.random.default_rng([seed, 31, pth])
+        preds = np.tile(y0, (N, 1))
+        for t in range(T):
+            z = latents.sample(t, N, rng)
+            preds = step_dynamics(preds, z, decentralized_action(t, preds, ybar[t], coeffs), params)
+            gaps[pth, t + 1] = np.linalg.norm(preds.mean(axis=0) - ybar[t + 1])
+    return gaps.mean(axis=0), gaps.std(axis=0, ddof=1) / np.sqrt(paths)

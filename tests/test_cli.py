@@ -195,6 +195,22 @@ def test_convergence_rejects_bad_grid(config, tmp_path, capsys, key, value):
     assert not (out / "convergence.csv").exists()
 
 
+def test_convergence_nonfinite_prediction_exits_3(config, tmp_path, capsys):
+    # theta 1e12 overflows the coefficients and then the predictions; before
+    # the Monte-Carlo loop checked its means, this run exited 0 and wrote
+    # nan in every column of convergence.csv
+    _, cfg = config
+    cfg["params"].update(theta=1e12, horizon_T=32, dim_y=2, dim_z=6)
+    cfg["convergence"].update(n_grid=[4, 16], paths=3)
+    path = tmp_path / "huge_theta.json"
+    path.write_text(json.dumps(cfg), encoding="utf-8")
+    out = tmp_path / "conv"
+    with np.errstate(all="ignore"):
+        assert main(["convergence", "--config", str(path), "--out", str(out)]) == 3
+    assert "solver failure: non-finite prediction for agent 0 at N=4" in capsys.readouterr().err
+    assert not (out / "convergence.csv").exists()
+
+
 def test_monotone_flag_fixture():
     gaps = [1.0, 0.6, 0.65, 0.2]
     ses = [0.01, 0.01, 0.01, 0.01]
@@ -322,10 +338,9 @@ def test_spawner_events_logged_once(config, tmp_path):
         assert sum(ev["weights"]) == pytest.approx(1.0)
 
 
-def test_greedy_spawner_run_survives_weight_underflow(tmp_path):
-    # the diverging greedy baseline drives lam x (score gap) past the
-    # exponent range of a double; with linear pool weights this cell failed
-    # a spawner round with DegenerateError and the run exited 3
+def _greedy_spawn_series(tmp_path, policies, n, retire_k):
+    """Config path of the logistic-map series (dataset seed 0) on which
+    the greedy baseline diverges, at cell seed 577090037."""
     cfg = {
         "params": {
             "theta": 0.7,
@@ -342,13 +357,31 @@ def test_greedy_spawner_run_survives_weight_underflow(tmp_path):
         "dataset": {"kind": "logistic_map", "length": 201, "seed": 0},
         "encoder": {"kind": "esn"},
         "ridge": {"window_T": 3, "alpha": 0.1, "gamma": 0.1},
-        "spawner": {"retire_k": 2, "zeta1": 0.1, "zeta2": 0.5, "orthogonalize": True},
-        "policies": ["greedy"],
-        "n_grid": [8],
+        "spawner": {"retire_k": retire_k, "zeta1": 0.1, "zeta2": 0.5, "orthogonalize": True},
+        "policies": policies,
+        "n_grid": [n],
         "seeds": [577090037],
     }
     path = tmp_path / "config.json"
     path.write_text(json.dumps(cfg), encoding="utf-8")
+    return path
+
+
+def _divergence(out, policy, n):
+    """(diverged, max_abs_prediction) of a cell from run_*.json, checked
+    equal to its report.json cell."""
+    run = json.loads((out / f"run_{policy}_N{n}_seed577090037.json").read_text())
+    cells = json.loads((out / "report.json").read_text())["cells"]
+    (cell,) = [c for c in cells if c["policy"] == policy]
+    assert (cell["diverged"], cell["max_abs_prediction"]) == (run["diverged"], run["max_abs_prediction"])
+    return run["diverged"], run["max_abs_prediction"]
+
+
+def test_greedy_spawner_run_survives_weight_underflow(tmp_path):
+    # the diverging greedy baseline drives lam x (score gap) past the
+    # exponent range of a double; with linear pool weights this cell failed
+    # a spawner round with DegenerateError and the run exited 3
+    path = _greedy_spawn_series(tmp_path, ["greedy"], 8, 2)
     out = tmp_path / "out"
     assert main(["run", "--config", str(path), "--out", str(out)]) == 0
     with (out / "results.csv").open() as fh:
@@ -358,6 +391,22 @@ def test_greedy_spawner_run_survives_weight_underflow(tmp_path):
         assert np.isfinite(float(rows[0][key]))
     events = (out / "spawner_greedy_N8_seed577090037.jsonl").read_text().splitlines()
     assert len(events) == 49  # every round but the last
+    # finite, but not a forecast: the cell is flagged
+    assert _divergence(out, "greedy", 8)[0]
+
+
+def test_diverged_flag_marks_the_greedy_cell_only(tmp_path):
+    # the series of the benchmark's greedy_spawn workload at its seed 1:
+    # the greedy cell writes regret ~4e13 and rmse_worst ~4e5 for targets
+    # in [0, 1], the decentralized cell regret ~13
+    path = _greedy_spawn_series(tmp_path, ["greedy", "decentralized"], 64, 8)
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(path), "--out", str(out)]) == 0
+    assert _divergence(out, "greedy", 64)[0]
+    diverged, max_abs = _divergence(out, "decentralized", 64)
+    assert not diverged and max_abs < 1.0
+    with (out / "results.csv").open() as fh:
+        assert next(csv.reader(fh)) == RESULTS_HEADER  # no flag column
 
 
 def _without_ridge(cfg):

@@ -103,6 +103,14 @@ class TestStepDynamics:
         with pytest.raises(DynamicsError, match="agent 1"):
             step_dynamics(np.zeros((3, 1)), lats, np.ones((3, 1)), params)
 
+    def test_overflowing_sum_of_finite_predictions_passes(self):
+        # the one-reduction check sums the predictions; a sum that overflows
+        # sends it to the per-agent search, which finds every agent finite
+        acts = np.full((3, 1), 1e308)
+        with np.errstate(over="ignore"):
+            out = step_dynamics(np.zeros((3, 1)), np.ones((3, 1, 1)), acts, scalar_params())
+        np.testing.assert_array_equal(out, acts)
+
 
 def objective(predictions, actions, agent_n, params, values):
     """Sample-path game objective of one agent, summed over rounds."""
