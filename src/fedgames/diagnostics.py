@@ -128,7 +128,6 @@ def _simulate_mean_gap(
     u = np.empty((N, d_y, d_z))
     beta = np.empty((d_z, N))
     noise = np.empty((d_y, N))
-    step = np.empty((d_y, d_y + 1))
     gaps = np.zeros((paths, T + 1))
     for pth in range(paths):
         rng = np.random.default_rng([seed, 31, pth])
@@ -139,7 +138,7 @@ def _simulate_mean_gap(
             rng.random(out=u)
             np.matmul(act[t], cols, out=beta)
             np.einsum("nij,jn->in", u, beta, out=noise)
-            np.copyto(step, affine[t])
+            step = affine[t].copy()
             step[:, d_y] += params.theta_bar @ mean
             preds = nxt[:d_y]
             np.matmul(step, cols, out=preds)
