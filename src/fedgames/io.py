@@ -12,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 
-SCHEMA_VERSION = "3"
+SCHEMA_VERSION = "4"
 
 
 def _enc_array(a: np.ndarray) -> dict:

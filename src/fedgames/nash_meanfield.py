@@ -32,7 +32,7 @@ import numpy as np
 from .config import DEFAULT_TOLERANCES, Tolerances
 from .errors import SolveError
 from .model import GameParams, TargetSeries
-from .nash_reduced import ReducedCoeffs, failing_round
+from .nash_reduced import ReducedCoeffs, check_pass_finite, failing_round
 
 logger = logging.getLogger(__name__)
 
@@ -56,10 +56,6 @@ class DecentralizedCoeffs:
     K: np.ndarray
     M: np.ndarray
     E: np.ndarray
-    Q1: np.ndarray
-    Q2: np.ndarray
-    Q3: np.ndarray
-    Q4: np.ndarray
     drift_sum: np.ndarray  # theta + theta_bar, used by the mean-field recursion
     dims: tuple  # (d_y, d_z)
     max_asymmetry: float | np.ndarray
@@ -100,7 +96,6 @@ def decentralized_backward_pass(
     G2 = np.zeros((T, *rounds, d_z, d_y))
     H = np.zeros((T, *rounds, d_z))
     Fs, Ks, Ms, Es = (np.zeros((T, *rounds, d_z, d_z)) for _ in range(4))
-    Qs = np.zeros((4, T, *rounds, d_z, d_z))
     max_asym = np.zeros(rounds)
 
     for t in range(T - 1, -1, -1):
@@ -143,7 +138,6 @@ def decentralized_backward_pass(
 
         G1[t], G2[t], H[t] = g1, g2, h[..., 0]
         Fs[t], Ks[t], Ms[t], Es[t] = F, K, M, E
-        Qs[0, t], Qs[1, t], Qs[2, t], Qs[3, t] = Q1, Q2, Q3, Q4
 
         # Limits of the state-action cross blocks (own row, off row,
         # off column, diagonal tail, off-off tail).
@@ -202,6 +196,7 @@ def decentralized_backward_pass(
             + (th + tb).T @ c2
         )[..., 0]
 
+    check_pass_finite("decentralized", rounds, T, *L, *chi, G1, G2, H, Fs, Ks, Ms, Es)
     if np.max(max_asym) > tolerances.symmetry:
         logger.warning("Lambda asymmetry %.3e exceeds %.1e", np.max(max_asym), tolerances.symmetry)
     return DecentralizedCoeffs(
@@ -218,10 +213,6 @@ def decentralized_backward_pass(
         K=Ks,
         M=Ms,
         E=Es,
-        Q1=Qs[0],
-        Q2=Qs[1],
-        Q3=Qs[2],
-        Q4=Qs[3],
         drift_sum=th + tb,
         dims=(d_y, d_z),
         max_asymmetry=float(max_asym) if max_asym.ndim == 0 else max_asym,

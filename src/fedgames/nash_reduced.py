@@ -4,10 +4,24 @@ Under mean homogeneity of the latents, the N d-dimensional value-function
 weights of the full game collapse to four repeating d_y x d_y blocks
 Pi_1..Pi_4 (and two d_y forcing blocks Xi_1, Xi_2), and the stacked
 feedback gain collapses to per-agent gains G1_N, G2_N and intercept H_N.
-The backward pass below updates those blocks directly: every structured
-matrix that appears in the full-game update lives in the exchangeable
-block family of ``blockalg``, so the update is evaluated blockwise with a
-cost independent of N.
+The backward pass below updates those blocks directly, at a cost
+independent of N.
+
+Every structured matrix in the full-game update is exchangeable in agents
+2..N: first block row (a, b, ..., b), first block column (a; c; ...; c),
+d on the rest of the diagonal and e off it. With s = sqrt(N-1), an
+orthogonal change of basis that keeps agent 1 and rotates agents 2..N
+onto their normalized sum and N-2 directions orthogonal to it turns such
+a matrix into blockdiag(hat, tilde, ..., tilde) with
+
+    hat   = [[a, s b], [s c, d + (N-2) e]]    (2 blocks by 2 blocks)
+    tilde = d - e                              (N-2 copies).
+
+Sums, products and transposes act on hat and tilde separately, so the
+update is ordinary matrix algebra on the two; a uniform block column
+(u; v; ...; v) becomes (u; s v) with no tilde part. The blocks come back
+as a = hat_00, b = hat_01 / s, c = hat_10 / s,
+e = (hat_11 - tilde) / (N-1) and d = tilde + e.
 
 The per-step scalars:
 
@@ -25,7 +39,6 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from .blockalg import XBlockColumn, XBlockMatrix
 from .config import DEFAULT_TOLERANCES, Tolerances
 from .errors import SolveError
 from .model import GameParams, TargetSeries
@@ -52,10 +65,6 @@ class ReducedCoeffs:
     KN: np.ndarray
     MN: np.ndarray
     EN: np.ndarray
-    Q1N: np.ndarray
-    Q2N: np.ndarray
-    Q3N: np.ndarray
-    Q4N: np.ndarray
     dims: tuple  # (N, d_y, d_z)
     max_asymmetry: float | np.ndarray
 
@@ -92,6 +101,35 @@ def failing_round(solve, *stacks) -> str:
         except (np.linalg.LinAlgError, SolveError):
             return f"round {r}, "
     return ""
+
+
+def check_pass_finite(name: str, rounds: tuple, T: int, *per_step) -> None:
+    """Raise SolveError if a backward pass's outputs are not finite.
+
+    ``per_step`` arrays carry time first, then the ``rounds`` axes; their
+    steps t < T are checked. The error names the first non-finite t in
+    backward order and, for a round stack, the first round non-finite
+    there: a pass whose iterates overflow stops here instead of handing
+    NaN gains on."""
+    bad = np.zeros((T, *rounds), dtype=bool)
+    for arr in per_step:
+        bad |= ~np.isfinite(arr[:T].reshape(T, *rounds, -1)).all(axis=-1)
+    if not bad.any():
+        return
+    t = int(np.flatnonzero(bad.reshape(T, -1).any(axis=1))[-1])
+    where = f"round {int(np.flatnonzero(bad[t])[0])}, " if rounds else ""
+    raise SolveError(f"{name} pass produced non-finite coefficients at {where}t={t}")
+
+
+def _hat(N: int, a, b, c, d, e) -> np.ndarray:
+    """[[a, s b], [s c, d + (N-2) e]], s = sqrt(N-1): the symmetric-coordinate
+    image of the exchangeable block matrix (a, b; c, d, e). Blocks (or
+    scalars) broadcast over leading round axes."""
+    s = np.sqrt(N - 1)
+    a, b, c, d, e = np.broadcast_arrays(a, b, c, d, e)
+    top = np.concatenate([a, s * b], axis=-1)
+    bottom = np.concatenate([s * c, d + (N - 2) * e], axis=-1)
+    return np.concatenate([top, bottom], axis=-2)
 
 
 def block_inverse(F: np.ndarray, K: np.ndarray, N: int) -> tuple[np.ndarray, np.ndarray]:
@@ -149,14 +187,19 @@ def reduced_backward_pass(
     G2N = np.zeros((T, *rounds, d_z, d_y))
     HN = np.zeros((T, *rounds, d_z))
     Fs, Ks, Ms, Es = (np.zeros((T, *rounds, d_z, d_z)) for _ in range(4))
-    Qs = np.zeros((4, T, *rounds, d_z, d_z))
     max_asym = np.zeros(rounds)
 
-    # blocks of the value-function update that do not depend on t
-    drift = XBlockMatrix.build(N, th + tb / N, tb / N, tb / N, th + tb / N, tb / N)
-    drift_t = drift.T
-    gram_kap = XBlockMatrix.uniform_row_gram(N, th + tb / N, tb / N)
-    gram_kbar = XBlockMatrix.uniform_row_gram(N, (1 - 1 / N) * th, -th / N)
+    # t-independent parts of the value-function update in symmetric
+    # coordinates (module docstring): the drift D, the rows (r1, r2, ..., r2)
+    # of the two stage costs, and the stage part of the cross weight L
+    s = np.sqrt(N - 1)
+    drift = _hat(N, th + tb / N, tb / N, tb / N, th + tb / N, tb / N)
+    row_kap = np.concatenate([th + tb / N, s * tb / N], axis=-1)
+    row_kbar = np.concatenate([(1 - 1 / N) * th, -s * th / N], axis=-1)
+    stage = kap * row_kap.T @ row_kap + kbar * row_kbar.T @ row_kbar
+    dev = -(1 - 1 / N) / N * th
+    cross = kap * _hat(N, th + tb / N, tb / N, 0.0, 0.0, 0.0)
+    cross += kbar * _hat(N, (1 - 1 / N) ** 2 * th, dev, dev, th / N**2, th / N**2)
 
     for t in range(T - 1, -1, -1):
         disc = params.discount(t)
@@ -178,8 +221,6 @@ def reduced_backward_pass(
         if logger.isEnabledFor(logging.DEBUG):
             logger.debug("reduced t=%d cond(F)=%.3e (max over rounds)", t, np.max(np.linalg.cond(FN)))
 
-        Q1 = FN
-        Q2 = KN
         Q3 = disc * kbar * M2 / N**2 + moments.weighted_m2(t, p3)
         Q4 = disc * kbar * A2 / N**2 + M1.mT @ p4 @ M1
 
@@ -197,61 +238,50 @@ def reduced_backward_pass(
 
         G1N[t], G2N[t], HN[t] = g1, g2, h[..., 0]
         Fs[t], Ks[t], Ms[t], Es[t] = FN, KN, MN, EN
-        Qs[0, t], Qs[1, t], Qs[2, t], Qs[3, t] = Q1, Q2, Q3, Q4
 
-        # Blockwise evaluation of the value-function update.
-        p_mat = XBlockMatrix.symmetric(N, p1, p2, p3, p4 if N >= 3 else None)
-        q_mat = XBlockMatrix.symmetric(N, Q1, Q2, Q3, Q4 if N >= 3 else None)
-        g_mat = XBlockMatrix.build(N, g1, g2, g2, g1, g2)
-        dz_lift = XBlockMatrix.diag(N, M1.mT)
+        # P' = G'QG + G'L + L'G + stage + D'PD, with the cross weight
+        # L = lift (stage cross + P D) and lift the block diagonal of M1',
+        # on the hat part and, for N >= 3, on the tilde part
+        lift = _hat(N, M1.mT, 0.0, 0.0, M1.mT, 0.0)
+        p_hat = _hat(N, p1, p2, p2.mT, p3, p4)
+        q_hat = _hat(N, FN, KN, KN.mT, Q3, Q4)
+        g_hat = _hat(N, g1, g2, g2, g1, g2)
+        l_hat = lift @ (disc * cross + p_hat @ drift)
+        gl = g_hat.mT @ l_hat
+        p_new = g_hat.mT @ q_hat @ g_hat + gl + gl.mT + disc * stage + drift.T @ p_hat @ drift
 
-        zero_zy = np.zeros((d_z, d_y))
-        l_kap = XBlockMatrix.build(
-            N, M1.mT @ (th + tb / N), M1.mT @ tb / N, zero_zy, zero_zy, zero_zy
-        )
-        mt = M1.mT @ th
-        l_kbar = XBlockMatrix.build(
-            N,
-            (1 - 1 / N) ** 2 * mt,
-            -(1 - 1 / N) / N * mt,
-            -(1 - 1 / N) / N * mt,
-            mt / N**2,
-            mt / N**2,
-        )
-        l_mat = disc * kap * l_kap + disc * kbar * l_kbar + dz_lift @ p_mat @ drift
-
-        gl = g_mat.T @ l_mat
-        stage = disc * kap * gram_kap
-        stage += disc * kbar * gram_kbar
-        p_new = g_mat.T @ q_mat @ g_mat + gl + gl.T + stage + drift_t @ p_mat @ drift
-
-        asym = [p_new.a - p_new.a.mT, p_new.b - p_new.c.mT, p_new.d - p_new.d.mT]
+        a, d = p_new[..., :d_y, :d_y], p_new[..., d_y:, d_y:]
+        b, c = p_new[..., :d_y, d_y:] / s, p_new[..., d_y:, :d_y] / s
         if N >= 3:
-            asym.append(p_new.e - p_new.e.mT)
-        for diff in asym:
+            g_til, p_til = g1 - g2, p3 - p4
+            gl_til = g_til.mT @ M1.mT @ p_til @ th
+            tilde = g_til.mT @ (Q3 - Q4) @ g_til + gl_til + gl_til.mT + th.T @ p_til @ th
+            e = (d - tilde) / (N - 1)
+            d = tilde + e
+        else:
+            e = np.zeros_like(d)
+        for diff in (a - a.mT, b - c.mT, d - d.mT, e - e.mT):
             max_asym = np.maximum(max_asym, np.max(np.abs(diff), axis=(-2, -1)))
-        Pi[0, t] = 0.5 * (p_new.a + p_new.a.mT)
-        Pi[1, t] = 0.5 * (p_new.b + p_new.c.mT)
-        Pi[2, t] = 0.5 * (p_new.d + p_new.d.mT)
-        if N >= 3:
-            Pi[3, t] = 0.5 * (p_new.e + p_new.e.mT)
+        Pi[0, t] = 0.5 * (a + a.mT)
+        Pi[1, t] = 0.5 * (b + c.mT)
+        Pi[2, t] = 0.5 * (d + d.mT)
+        Pi[3, t] = 0.5 * (e + e.mT)
 
-        h_col = XBlockColumn.uniform(N, h)
-        forcing = XBlockColumn.build(
-            N, -disc * kap * M1.mT @ y_next + M1.mT @ x1, M1.mT @ x2
-        )
-        stage_s = XBlockColumn.build(
-            N, -disc * kap * (th + tb / N).T @ y_next, -disc * kap * (tb / N).T @ y_next
-        )
+        # the forcing update on uniform columns (u; v; ...; v) -> (u; s v)
+        x_hat = np.concatenate([x1, s * x2], axis=-2)
+        h_hat = np.concatenate([h, s * h], axis=-2)
+        forcing = lift @ x_hat
+        forcing[..., :d_z, :] -= disc * kap * M1.mT @ y_next
         s_new = (
-            g_mat.T @ (q_mat @ h_col + forcing)
-            + l_mat.T @ h_col
-            + stage_s
-            + drift_t @ XBlockColumn.build(N, x1, x2)
+            g_hat.mT @ (q_hat @ h_hat + forcing)
+            + l_hat.mT @ h_hat
+            - disc * kap * row_kap.T @ y_next
+            + drift.T @ x_hat
         )
-        Xi[0, t] = s_new.u[..., 0]
-        Xi[1, t] = s_new.v[..., 0]
+        Xi[0, t] = s_new[..., :d_y, 0]
+        Xi[1, t] = s_new[..., d_y:, 0] / s
 
+    check_pass_finite("reduced", rounds, T, *Pi, *Xi, G1N, G2N, HN, Fs, Ks, Ms, Es)
     if np.max(max_asym) > tolerances.symmetry:
         logger.warning("Pi asymmetry %.3e exceeds %.1e", np.max(max_asym), tolerances.symmetry)
     if N >= 3 and logger.isEnabledFor(logging.DEBUG):
@@ -272,10 +302,6 @@ def reduced_backward_pass(
         KN=Ks,
         MN=Ms,
         EN=Es,
-        Q1N=Qs[0],
-        Q2N=Qs[1],
-        Q3N=Qs[2],
-        Q4N=Qs[3],
         dims=(N, d_y, d_z),
         max_asymmetry=float(max_asym) if max_asym.ndim == 0 else max_asym,
     )

@@ -17,6 +17,8 @@ batched resampling draws the same stream and that the solve finds the
 same root. ``reference_mean_gap`` is the convergence diagnostic's
 Monte-Carlo loop spelled with the package's own latent draw, action and
 dynamics, to check that the fused loop plays the same dynamics.
+``exchangeable_dense`` and ``symmetric_basis`` write out, densely, the
+block pattern and the change of basis that the reduced pass works in.
 """
 
 from __future__ import annotations
@@ -29,6 +31,41 @@ def lift(N, n, d):
     out = np.zeros((N * d, d))
     out[n * d : (n + 1) * d] = np.eye(d)
     return out
+
+
+def exchangeable_dense(N, a, b, c, d, e):
+    """Dense N-agent block matrix with first block row (a, b, ..., b), first
+    block column (a; c; ...; c), d on the rest of the diagonal and e off it;
+    every block is p x q."""
+    p, q = a.shape
+    out = np.zeros((N * p, N * q))
+    for i in range(N):
+        for j in range(N):
+            if i == 0:
+                blk = a if j == 0 else b
+            else:
+                blk = c if j == 0 else d if i == j else e
+            out[i * p : (i + 1) * p, j * q : (j + 1) * q] = blk
+    return out
+
+
+def symmetric_basis(N, p):
+    """Orthogonal U = blockdiag(I_p, V (x) I_p) over N agents' p-blocks.
+
+    V's first column is the all-ones vector over agents 2..N divided by
+    sqrt(N-1); column k (k = 1..N-2) is the Helmert vector
+    (1, ..., 1, -k, 0, ..., 0) / sqrt(k (k+1)) with k leading ones."""
+    m = N - 1
+    V = np.zeros((m, m))
+    V[:, 0] = 1.0 / np.sqrt(m)
+    for k in range(1, m):
+        V[:k, k] = 1.0
+        V[k, k] = -k
+        V[:, k] /= np.sqrt(k * (k + 1))
+    U = np.zeros((N * p, N * p))
+    U[:p, :p] = np.eye(p)
+    U[p:, p:] = np.kron(V, np.eye(p))
+    return U
 
 
 def stacked_drift(params):

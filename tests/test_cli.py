@@ -55,7 +55,7 @@ def test_run_produces_results(config, tmp_path):
     assert len(rows) == 1 + 4  # 2 policies x 2 Ns x 1 seed
     assert (out / "report.json").exists()
     report = json.loads((out / "report.json").read_text())
-    assert report["schema_version"] == "3"
+    assert report["schema_version"] == "4"
     assert len(report["cells"]) == 4
     means = {(m["policy"], m["N"]): m for m in report["mc_means_over_seeds"]}
     assert means[("reduced", 2)]["seeds"] == 1
@@ -63,8 +63,9 @@ def test_run_produces_results(config, tmp_path):
     coeff_files = list((out / "coeffs").glob("*.json"))
     assert len(coeff_files) == 2  # reduced cells only; greedy has no coefficients
     payload = json.loads(coeff_files[0].read_text())
-    assert payload["schema_version"] == "3"
+    assert payload["schema_version"] == "4"
     assert "dims" in payload["G1N"]
+    assert not {"Q1N", "Q2N", "Q3N", "Q4N"} & payload.keys()
 
 
 def test_run_deterministic(config, tmp_path):
@@ -196,9 +197,10 @@ def test_convergence_rejects_bad_grid(config, tmp_path, capsys, key, value):
 
 
 def test_convergence_nonfinite_prediction_exits_3(config, tmp_path, capsys):
-    # theta 1e12 overflows the coefficients and then the predictions; before
-    # the Monte-Carlo loop checked its means, this run exited 0 and wrote
-    # nan in every column of convergence.csv
+    # theta 1e12 overflows the Riccati iterates; before the passes checked
+    # their outputs, the NaN gains reached the Monte-Carlo loop, and before
+    # that loop checked its means, this run exited 0 and wrote nan in every
+    # column of convergence.csv
     _, cfg = config
     cfg["params"].update(theta=1e12, horizon_T=32, dim_y=2, dim_z=6)
     cfg["convergence"].update(n_grid=[4, 16], paths=3)
@@ -207,7 +209,8 @@ def test_convergence_nonfinite_prediction_exits_3(config, tmp_path, capsys):
     out = tmp_path / "conv"
     with np.errstate(all="ignore"):
         assert main(["convergence", "--config", str(path), "--out", str(out)]) == 3
-    assert "solver failure: non-finite prediction for agent 0 at N=4" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "solver failure: decentralized pass produced non-finite coefficients at t=19" in err
     assert not (out / "convergence.csv").exists()
 
 

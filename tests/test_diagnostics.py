@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from fedgames.diagnostics import ConvergenceScenario, _simulate_mean_gap, limit_gap_diagnostic
+from fedgames.errors import DynamicsError
 from fedgames.model import GameParams, IidEntryLatents, TargetSeries
 from fedgames.nash_meanfield import decentralized_backward_pass, lambda_gap, meanfield_forward
 from fedgames.nash_reduced import reduced_backward_pass
@@ -112,6 +113,23 @@ def test_mean_gap_matches_reference_loop(N, d_y, half_width):
     # at half_width 0 every path is the same, and the stderr is the
     # rounding noise of np.std on equal values
     np.testing.assert_allclose(se, ref_se, rtol=1e-10, atol=1e-15)
+
+
+def test_mean_gap_overflow_names_agent_path_and_step():
+    # the backward pass stops an overflow of its own coefficients, so this
+    # check is reached with finite coefficients and dynamics that overflow:
+    # theta 1e100 takes the predictions past 1e308 at step 3
+    s = scenario()
+    params = replace(s.params, population_N=4)
+    latents = IidEntryLatents(mean=s.latent_mean, half_width=s.latent_half_width)
+    moments = latents.exact_moments()
+    coeffs = decentralized_backward_pass(params, moments, s.targets)
+    ybar = meanfield_forward(coeffs, moments, s.targets.values[0]).ybar
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(DynamicsError, match=r"agent \d+ at N=4, path 0, step 3$"):
+            _simulate_mean_gap(
+                replace(params, theta=1e100), latents, coeffs, ybar, s.targets.values[0], 2, 1
+            )
 
 
 def test_lambda_gap_rate_is_one_over_n():

@@ -71,7 +71,7 @@ def test_run_record_exports(tmp_path):
     jpath = tmp_path / "run.json"
     export_run_record_json(record, jpath)
     payload = json.loads(jpath.read_text())
-    assert payload["schema_version"] == SCHEMA_VERSION == "3"
+    assert payload["schema_version"] == SCHEMA_VERSION == "4"
     assert payload["policy"] == "reduced"
     assert payload["costs"] == record.costs.tolist()
     assert len(payload["costs"]) == 2

@@ -5,12 +5,20 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import assert_round_equal, round_params, round_stack
+from oracles import (
+    assert_round_equal,
+    exchangeable_dense,
+    round_params,
+    round_stack,
+    symmetric_basis,
+)
 
+from fedgames.config import DEFAULT_TOLERANCES
 from fedgames.errors import SolveError
 from fedgames.model import GameParams, TargetSeries, exact_moments_deterministic
 from fedgames.nash_full import full_action, full_backward_pass
-from fedgames.nash_reduced import block_inverse, reduced_action, reduced_backward_pass
+from fedgames.nash_meanfield import decentralized_backward_pass
+from fedgames.nash_reduced import _hat, block_inverse, reduced_action, reduced_backward_pass
 
 
 def build_scenario(rng, N, d, T):
@@ -29,6 +37,64 @@ def build_scenario(rng, N, d, T):
     zs = [rng.standard_normal((d, d)) for _ in range(T)]
     targets = TargetSeries(values=rng.standard_normal((T + 1, d)))
     return params, zs, targets
+
+
+def blocks_of(dense, N, p, q):
+    """(a, b, c, d, e) read off an exchangeable dense matrix of p x q blocks;
+    e is zero for N = 2, which has no off-diagonal tail block."""
+    e = dense[p : 2 * p, 2 * q : 3 * q] if N >= 3 else np.zeros((p, q))
+    return (
+        dense[:p, :q],
+        dense[:p, q : 2 * q],
+        dense[p : 2 * p, :q],
+        dense[p : 2 * p, q : 2 * q],
+        e,
+    )
+
+
+class TestSymmetricCoordinates:
+    """U'XU = blockdiag(hat, I_{N-2} (x) tilde), with hat = ``_hat`` and
+    tilde = d - e, is what lets the reduced pass update Pi on hat and
+    tilde alone."""
+
+    @pytest.mark.parametrize("N", range(2, 8))
+    def test_basis_block_diagonalizes(self, N):
+        rng = np.random.default_rng(40 + N)
+        for p, q in ((1, 1), (2, 3), (3, 2)):
+            blocks = rng.standard_normal((5, p, q))
+            u_p, u_q = symmetric_basis(N, p), symmetric_basis(N, q)
+            np.testing.assert_allclose(u_p.T @ u_p, np.eye(N * p), atol=1e-14)
+            want = np.zeros((N * p, N * q))
+            want[: 2 * p, : 2 * q] = _hat(N, *blocks)
+            want[2 * p :, 2 * q :] = np.kron(np.eye(N - 2), blocks[3] - blocks[4])
+            got = u_p.T @ exchangeable_dense(N, *blocks) @ u_q
+            np.testing.assert_allclose(got, want, atol=1e-13)
+
+    @pytest.mark.parametrize("N", range(2, 8))
+    def test_products_and_transposes(self, N):
+        rng = np.random.default_rng(50 + N)
+        p, q, r = 2, 3, 1
+        xb, yb = rng.standard_normal((5, p, q)), rng.standard_normal((5, q, r))
+        prod = exchangeable_dense(N, *xb) @ exchangeable_dense(N, *yb)
+        pb = blocks_of(prod, N, p, r)
+        np.testing.assert_allclose(exchangeable_dense(N, *pb), prod, atol=1e-12)
+        np.testing.assert_allclose(_hat(N, *pb), _hat(N, *xb) @ _hat(N, *yb), atol=1e-12)
+        if N >= 3:
+            np.testing.assert_allclose(pb[3] - pb[4], (xb[3] - xb[4]) @ (yb[3] - yb[4]), atol=1e-12)
+        tb = blocks_of(exchangeable_dense(N, *xb).T, N, q, p)
+        np.testing.assert_array_equal(_hat(N, *tb), _hat(N, *xb).T)
+        if N >= 3:
+            np.testing.assert_array_equal(tb[3] - tb[4], (xb[3] - xb[4]).T)
+
+    @pytest.mark.parametrize("N", range(2, 8))
+    def test_uniform_column(self, N):
+        # (u; v; ...; v) -> (u; sqrt(N-1) v), with no tilde part
+        rng = np.random.default_rng(60 + N)
+        u, v = rng.standard_normal((2, 3, 1))
+        got = symmetric_basis(N, 3).T @ np.concatenate([u] + [v] * (N - 1))
+        want = np.zeros((3 * N, 1))
+        want[:3], want[3:6] = u, np.sqrt(N - 1) * v
+        np.testing.assert_allclose(got, want, atol=1e-13)
 
 
 class TestBlockInverse:
@@ -196,9 +262,19 @@ def test_property_blocks_match_full_solver(N, d_y, d_z, T, seed):
             red.G2N[t], full.G[t][:d_z, d_y : 2 * d_y], atol=1e-8
         )
         np.testing.assert_allclose(red.HN[t], full.H[t][:d_z], atol=1e-8)
+    # Pi3 and Pi4 come back from the symmetric coordinates through a
+    # division by N - 1, Pi2 and Xi2 through one by sqrt(N - 1)
+    y1, y2, y3 = slice(0, d_y), slice(d_y, 2 * d_y), slice(2 * d_y, 3 * d_y)
     for t in range(T + 1):
-        np.testing.assert_allclose(red.Pi1[t], full.P[0, t][:d_y, :d_y], atol=1e-8)
-        np.testing.assert_allclose(red.Xi1[t], full.S[0, t][:d_y], atol=1e-8)
+        p1, s1 = full.P[0, t], full.S[0, t]
+        np.testing.assert_allclose(red.Pi1[t], p1[y1, y1], atol=1e-8)
+        np.testing.assert_allclose(red.Pi2[t], p1[y1, y2], atol=1e-8)
+        np.testing.assert_allclose(red.Pi3[t], p1[y2, y2], atol=1e-8)
+        if N >= 3:
+            np.testing.assert_allclose(red.Pi4[t], p1[y2, y3], atol=1e-8)
+        np.testing.assert_allclose(red.Xi1[t], s1[y1], atol=1e-8)
+        np.testing.assert_allclose(red.Xi2[t], s1[y2], atol=1e-8)
+    assert red.max_asymmetry <= DEFAULT_TOLERANCES.symmetry
 
 
 def test_pi3_pi4_gap_diagnostic():
@@ -273,3 +349,41 @@ def test_round_batched_failure_names_round():
     targets = TargetSeries(values=np.zeros((T + 1, R, 1)))
     with pytest.raises(SolveError, match="round 1, t=2"):
         reduced_backward_pass(params, moments, targets)
+
+
+@pytest.mark.parametrize(
+    "solve, name", [(reduced_backward_pass, "reduced"), (decentralized_backward_pass, "decentralized")]
+)
+def test_overflowing_pass_raises(solve, name):
+    # theta 1e12 (d_y 2, d_z 6, T 32): the value-function iterates grow by
+    # ~1e24 a step and overflow; the pass raises instead of returning NaN
+    rng = np.random.default_rng(80)
+    params = replace(round_params(rng, 4, 2, 6, 32), theta=1e12)
+    _, [(moments, targets)] = round_stack(rng, params, 1)
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(SolveError, match=rf"^{name} pass produced non-finite coefficients at t=\d+$"):
+            solve(params, moments, targets)
+
+
+@pytest.mark.parametrize(
+    "solve, name", [(reduced_backward_pass, "reduced"), (decentralized_backward_pass, "decentralized")]
+)
+def test_overflow_in_one_round_names_it(solve, name):
+    # only round 1's targets are huge, so only its forcing terms overflow;
+    # the round stack names round 1 and the step its lone solve names
+    T, rounds = 8, 3
+    rng = np.random.default_rng(81)
+    params = replace(round_params(rng, 4, 2, 3, T), theta=1e3)
+    (moments, targets), singles = round_stack(rng, params, rounds)
+    values = targets.values.copy()
+    values[:, 1] *= 1e290
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(SolveError) as stacked:
+            solve(params, moments, TargetSeries(values=values))
+        with pytest.raises(SolveError) as alone:
+            solve(params, singles[1][0], TargetSeries(values=values[:, 1]))
+    prefix = f"{name} pass produced non-finite coefficients at "
+    assert str(alone.value).startswith(prefix + "t=")
+    assert str(stacked.value) == prefix + "round 1, " + str(alone.value)[len(prefix) :]
+    for r in (0, 2):
+        solve(params, *singles[r])
