@@ -16,6 +16,8 @@ so the measured gaps carry no moment-estimation bias.
 
 from __future__ import annotations
 
+import logging
+import time
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -29,7 +31,9 @@ from .nash_meanfield import (
     lambda_gap,
     meanfield_forward,
 )
-from .nash_reduced import reduced_backward_pass
+from .nash_reduced import reduced_backward_pass, take_round
+
+logger = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -110,7 +114,10 @@ def _simulate_mean_gap(
         buffer, and Z beta = 2h U beta + (M_t - h) beta, whose second
         term folds into the affine part, so Z is never formed;
       * the population mean is one product with a 1/N vector, and its
-        finiteness is the step's finite check (``harness.check_finite``).
+        finiteness is the step's finite check (``harness.check_finite``);
+      * a step stores the squared gap ``d.dot(d)``, the product
+        ``np.linalg.norm`` takes, and one ``np.sqrt`` after the loop
+        gives the same norms.
 
     Results differ from the unfused loop (``tests/oracles.py``,
     ``reference_mean_gap``) by reassociation only.
@@ -148,38 +155,65 @@ def _simulate_mean_gap(
                 check_finite(preds.T, mean)
             except DynamicsError as exc:
                 raise DynamicsError(f"{exc} at N={N}, path {pth}, step {t}") from exc
-            gaps[pth, t + 1] = np.linalg.norm(mean - ybar[t + 1])
+            diff = mean - ybar[t + 1]
+            gaps[pth, t + 1] = diff.dot(diff)
             cols, nxt = nxt, cols
+    gaps = np.sqrt(gaps)
     return gaps.mean(axis=0), gaps.std(axis=0, ddof=1) / np.sqrt(paths)
 
 
 def limit_gap_diagnostic(n_grid, seed: int, scenario: ConvergenceScenario) -> GapReport:
     """Coefficient and mean-field gaps over a population grid; ``seed``
-    keys the Monte-Carlo paths of the mean-field gap."""
+    keys the Monte-Carlo paths of the mean-field gap.
+
+    One reduced pass solves the whole grid as a population stack
+    (``reduced_backward_pass(..., n_grid=...)``), and each N's
+    coefficients are its ``take_round`` slice, bit-identical to a pass at
+    that N alone. Under INFO logging the limit pass, the stacked pass and
+    each N's Monte-Carlo loop report their wall time.
+    """
     latents = IidEntryLatents(mean=scenario.latent_mean, half_width=scenario.latent_half_width)
     moments = latents.exact_moments()
     base = scenario.params
+    n_grid = tuple(int(n) for n in n_grid)
+    start = time.perf_counter()
     limit = decentralized_backward_pass(base, moments, scenario.targets)
     y0 = scenario.targets.values[0]
     ybar = meanfield_forward(limit, moments, y0).ybar
+    logger.info("convergence limit pass: %.3f s", time.perf_counter() - start)
+    start = time.perf_counter()
+    stack = reduced_backward_pass(base, moments, scenario.targets, n_grid=n_grid)
+    logger.info(
+        "convergence reduced pass, %d populations stacked: %.3f s",
+        len(n_grid),
+        time.perf_counter() - start,
+    )
+
+    lams = [lambda_gap(take_round(stack, p), limit) for p in range(len(n_grid))]
+    # freed before the Monte-Carlo buffers are allocated: kept alive, the
+    # stack's per-step F, K, M, E arrays added to the command's peak RSS
+    del stack
 
     rows = []
-    for n in n_grid:
-        params_n = replace(base, population_N=int(n))
-        reduced = reduced_backward_pass(params_n, moments, scenario.targets)
-        lam = lambda_gap(reduced, limit)
+    for n, lam in zip(n_grid, lams):
+        start = time.perf_counter()
         mf_mean, mf_se = _simulate_mean_gap(
-            params_n, latents, limit, ybar, y0, scenario.paths, seed
+            replace(base, population_N=n), latents, limit, ybar, y0, scenario.paths, seed
+        )
+        logger.info(
+            "convergence N=%d: Monte-Carlo mean gap %.3f s (%d paths)",
+            n,
+            time.perf_counter() - start,
+            scenario.paths,
         )
         for t in range(base.horizon_T + 1):
             rows.append(
                 GapRow(
-                    N=int(n),
+                    N=n,
                     t=t,
                     lambda_gap=float(lam[t]),
                     meanfield_gap=float(mf_mean[t]),
                     stderr=float(mf_se[t]),
                 )
             )
-    return GapReport(rows=tuple(rows), n_grid=tuple(int(n) for n in n_grid))
-
+    return GapReport(rows=tuple(rows), n_grid=n_grid)

@@ -196,9 +196,9 @@ def check_finite(predictions: np.ndarray, total) -> None:
     reduction; the rows are searched only when it is not finite, which
     an overflowing sum of finite rows can also cause.
     """
-    if np.all(np.isfinite(total)):
+    if np.isfinite(total).all():
         return
-    bad = ~np.all(np.isfinite(predictions), axis=1)
+    bad = ~np.isfinite(predictions).all(axis=1)
     if np.any(bad):
         raise DynamicsError(f"non-finite prediction for agent {int(np.flatnonzero(bad)[0])}")
 

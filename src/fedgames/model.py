@@ -167,6 +167,14 @@ class MomentSet:
         broadcasts against the bank's leading axes."""
         return _weighted_second(self.bank.samples[t], np.asarray(w, dtype=float))
 
+    def weighted_m2_stack(self, t: int, w: np.ndarray) -> np.ndarray:
+        """``weighted_m2`` for a stack w (P, d_y, d_y) over one bank, one
+        weight at a time, so that entry p equals ``weighted_m2(t, w[p])``
+        bit for bit: einsum's summation order can depend on the output
+        shape (a one-sample bank with d_y 2, d_z 1 sums pairwise for one
+        weight and in sequence for a stack of them)."""
+        return np.stack([self.weighted_m2(t, x) for x in w])
+
 
 def estimate_moments(bank: SampleBank) -> MomentSet:
     """Monte-Carlo moment estimates from a latent sample bank."""
@@ -252,3 +260,8 @@ class ClosedFormMoments:
         m = self.m1[t]
         trace = np.trace(w, axis1=-2, axis2=-1)[..., None, None]
         return m.mT @ w @ m + self._lat.var * trace * np.eye(self._dims[1])
+
+    def weighted_m2_stack(self, t: int, w: np.ndarray) -> np.ndarray:
+        """``MomentSet.weighted_m2_stack``: the matmuls act on each weight of
+        a stack as on a lone one, so one broadcast call gives the same bits."""
+        return self.weighted_m2(t, w)

@@ -30,11 +30,24 @@ The per-step scalars:
 
 feed a closed-form inverse of the (F on-diagonal, K off-diagonal) block
 system yielding (M_N, E_N), from which the gains are assembled.
+
+One pass solves a stack of independent games on an axis right after
+time: rounds (moments and targets carry the round axis) or populations
+(``n_grid``: N is then a per-entry array on that axis). Every update
+acts on each entry as on a lone game, so an entry's coefficients equal
+the lone pass bit for bit: N-dependent scalars broadcast as (P, 1, 1)
+arrays through the same IEEE operations, (1 - 1/N)^2 is taken per entry
+on Python floats, the N >= 3 tilde update is a per-entry select, and
+the weighted moments come from ``moments.weighted_m2_stack``, which gives
+each weight of the stack the bits of a lone ``weighted_m2`` call. A lone
+N stays a Python int, so the single pass runs on plain floats.
 """
 
 from __future__ import annotations
 
 import logging
+import operator
+from collections.abc import Sequence
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
@@ -50,7 +63,13 @@ logger = logging.getLogger(__name__)
 class ReducedCoeffs:
     """Reduced coefficients; a pass over a round stack carries the round
     axis right after the time axis (Pi1 is (T+1, R, d_y, d_y), and so on)
-    and a per-round ``max_asymmetry``."""
+    and a per-round ``max_asymmetry``.
+
+    A population stack (``reduced_backward_pass(..., n_grid=...)``) holds
+    its grid, a tuple, where ``dims`` holds N. Only ``take_round`` reads
+    that form: every other reader of ``dims[0]`` (``lambda_gap``,
+    ``rescaled_blocks``, the io snapshots) takes one entry's coefficients,
+    which ``take_round`` gives with that entry's own N."""
 
     Pi1: np.ndarray  # (T+1, d_y, d_y)
     Pi2: np.ndarray
@@ -65,7 +84,7 @@ class ReducedCoeffs:
     KN: np.ndarray
     MN: np.ndarray
     EN: np.ndarray
-    dims: tuple  # (N, d_y, d_z)
+    dims: tuple  # (N, d_y, d_z); a population stack: (grid tuple, d_y, d_z)
     max_asymmetry: float | np.ndarray
 
     def pi3_pi4_gap(self) -> np.ndarray:
@@ -78,8 +97,9 @@ class ReducedCoeffs:
 
 
 def take_round(coeffs, r: int):
-    """Round r of coefficients solved over a round stack: every per-step
-    array loses its round axis and ``max_asymmetry`` becomes a float.
+    """Entry r of coefficients solved over a round or population stack:
+    every per-step array loses its stack axis, ``max_asymmetry`` becomes a
+    float and, for a population stack, ``dims`` carries entry r's own N.
     Works on ReducedCoeffs and DecentralizedCoeffs, whose ``drift_sum``
     has no time axis."""
     per_round = {
@@ -87,48 +107,56 @@ def take_round(coeffs, r: int):
         for f in fields(coeffs)
         if f.name not in ("dims", "max_asymmetry", "drift_sum")
     }
-    return replace(coeffs, **per_round, max_asymmetry=float(coeffs.max_asymmetry[r]))
+    dims = coeffs.dims
+    if isinstance(dims[0], tuple):
+        dims = (dims[0][r], *dims[1:])
+    return replace(coeffs, **per_round, dims=dims, max_asymmetry=float(coeffs.max_asymmetry[r]))
 
 
-def failing_round(solve, *stacks) -> str:
-    """"round r, " for the first round whose slices of ``stacks`` make
-    ``solve`` fail; "" for stacks without a round axis. Error messages only."""
+def _round_label(r: int) -> str:
+    return f"round {r}"
+
+
+def failing_round(solve, *stacks, label=_round_label) -> str:
+    """"<label>, " for the first stack entry whose slices of ``stacks`` make
+    ``solve`` fail; "" for stacks without a stack axis. ``label`` names an
+    entry (a round by default). Error messages only."""
     if stacks[0].ndim == 2:
         return ""
     for r in range(stacks[0].shape[0]):
         try:
             solve(*(s[r] for s in stacks))
         except (np.linalg.LinAlgError, SolveError):
-            return f"round {r}, "
+            return f"{label(r)}, "
     return ""
 
 
-def check_pass_finite(name: str, rounds: tuple, T: int, *per_step) -> None:
+def check_pass_finite(name: str, rounds: tuple, T: int, *per_step, label=_round_label) -> None:
     """Raise SolveError if a backward pass's outputs are not finite.
 
     ``per_step`` arrays carry time first, then the ``rounds`` axes; their
     steps t < T are checked. The error names the first non-finite t in
-    backward order and, for a round stack, the first round non-finite
-    there: a pass whose iterates overflow stops here instead of handing
-    NaN gains on."""
+    backward order and, for a stack, the first entry non-finite there
+    (``label`` names it, a round by default): a pass whose iterates
+    overflow stops here instead of handing NaN gains on."""
     bad = np.zeros((T, *rounds), dtype=bool)
     for arr in per_step:
         bad |= ~np.isfinite(arr[:T].reshape(T, *rounds, -1)).all(axis=-1)
     if not bad.any():
         return
     t = int(np.flatnonzero(bad.reshape(T, -1).any(axis=1))[-1])
-    where = f"round {int(np.flatnonzero(bad[t])[0])}, " if rounds else ""
+    where = f"{label(int(np.flatnonzero(bad[t])[0]))}, " if rounds else ""
     raise SolveError(f"{name} pass produced non-finite coefficients at {where}t={t}")
 
 
 def _hat(N: int, a, b, c, d, e) -> np.ndarray:
     """[[a, s b], [s c, d + (N-2) e]], s = sqrt(N-1): the symmetric-coordinate
     image of the exchangeable block matrix (a, b; c, d, e). Blocks (or
-    scalars) broadcast over leading round axes."""
+    scalars) and N broadcast over leading stack axes."""
     s = np.sqrt(N - 1)
-    a, b, c, d, e = np.broadcast_arrays(a, b, c, d, e)
-    top = np.concatenate([a, s * b], axis=-1)
-    bottom = np.concatenate([s * c, d + (N - 2) * e], axis=-1)
+    a, b, c, d = np.broadcast_arrays(a, s * b, s * c, d + (N - 2) * e)
+    top = np.concatenate([a, b], axis=-1)
+    bottom = np.concatenate([c, d], axis=-1)
     return np.concatenate([top, bottom], axis=-2)
 
 
@@ -160,22 +188,46 @@ def reduced_backward_pass(
     moments,
     targets: TargetSeries,
     tolerances: Tolerances = DEFAULT_TOLERANCES,
+    n_grid: Sequence[int] | None = None,
 ) -> ReducedCoeffs:
     """Backward pass over the repeating blocks Pi_i, Xi_i and gains.
 
     Moments and targets may carry a round axis right after the time axis
     (m1 (T, R, d_y, d_z), values (T+1, R, d_y)); every round is then
     solved at once and the outputs carry the same round axis.
+
+    ``n_grid`` solves a population stack instead: the game at each N of
+    the grid, in place of ``params.population_N``, in one pass. N is then
+    a per-entry value on the axis a round stack would use (Pi1 is
+    (T+1, P, d_y, d_y)), ``dims`` is (grid, d_y, d_z), and
+    ``take_round(coeffs, p)`` equals the pass at N = n_grid[p] bit for
+    bit, ``dims`` included. Its moments and targets carry no round axis.
     """
-    N, d_y, d_z = params.population_N, params.dim_y, params.dim_z
-    T = params.horizon_T
-    if N < 2:
+    d_y, d_z, T = params.dim_y, params.dim_z, params.horizon_T
+    grid = (params.population_N,) if n_grid is None else tuple(operator.index(n) for n in n_grid)
+    if not grid or min(grid) < 2:
         raise ValueError("reduced solver requires N >= 2; route N = 1 to the full solver")
     if targets.horizon < T or moments.horizon < T:
         raise ValueError("targets/moments do not cover the horizon")
     rounds = moments.m1.shape[1:-2]
     if targets.values.shape[1:-1] != rounds:
         raise ValueError("targets and moments carry different round axes")
+    if n_grid is None:
+        N = grid[0]
+        w2, label = (1 - 1 / N) ** 2, _round_label
+    else:
+        if rounds:
+            raise ValueError("a population stack takes moments and targets without a round axis")
+        rounds = (len(grid),)
+        N = np.array(grid, dtype=float)[:, None, None]
+        # (1 - 1/N)^2 on Python floats, as for a lone N: ** squares an
+        # array but calls pow on a float, and the two round apart at some N
+        w2 = np.array([(1 - 1 / n) ** 2 for n in grid])[:, None, None]
+        label = lambda p: f"N={grid[p]}"
+    # entries with the tail block e (N >= 3) take the tilde update
+    tail = N >= 3
+    any_tail = bool(np.any(tail))
+    weighted_m2 = moments.weighted_m2 if n_grid is None else moments.weighted_m2_stack
 
     kap, kbar, gam = params.kappa, params.kappa_bar, params.gamma
     th, tb = params.theta, params.theta_bar
@@ -196,10 +248,10 @@ def reduced_backward_pass(
     drift = _hat(N, th + tb / N, tb / N, tb / N, th + tb / N, tb / N)
     row_kap = np.concatenate([th + tb / N, s * tb / N], axis=-1)
     row_kbar = np.concatenate([(1 - 1 / N) * th, -s * th / N], axis=-1)
-    stage = kap * row_kap.T @ row_kap + kbar * row_kbar.T @ row_kbar
+    stage = kap * row_kap.mT @ row_kap + kbar * row_kbar.mT @ row_kbar
     dev = -(1 - 1 / N) / N * th
     cross = kap * _hat(N, th + tb / N, tb / N, 0.0, 0.0, 0.0)
-    cross += kbar * _hat(N, (1 - 1 / N) ** 2 * th, dev, dev, th / N**2, th / N**2)
+    cross += kbar * _hat(N, w2 * th, dev, dev, th / N**2, th / N**2)
 
     for t in range(T - 1, -1, -1):
         disc = params.discount(t)
@@ -210,18 +262,19 @@ def reduced_backward_pass(
         p1, p2, p3, p4 = Pi[0, t + 1], Pi[1, t + 1], Pi[2, t + 1], Pi[3, t + 1]
         x1, x2 = Xi[0, t + 1][..., None], Xi[1, t + 1][..., None]
 
-        FN = disc * ((kap + kbar * (1 - 1 / N) ** 2) * M2 + gam * np.eye(d_z))
-        FN += moments.weighted_m2(t, p1)
+        FN = disc * ((kap + kbar * w2) * M2 + gam * np.eye(d_z))
+        FN += weighted_m2(t, p1)
         KN = -disc * kbar * (1 - 1 / N) * (1 / N) * A2 + M1.mT @ p2 @ M1
         try:
             MN, EN = block_inverse(FN, KN, N)
         except SolveError as exc:
-            where = failing_round(lambda f, k: block_inverse(f, k, N), FN, KN)
+            n_stack = np.broadcast_to(N, (*rounds, 1, 1))
+            where = failing_round(block_inverse, FN, KN, n_stack, label=label)
             raise SolveError(f"reduced pass failed at {where}t={t}: {exc}") from exc
         if logger.isEnabledFor(logging.DEBUG):
             logger.debug("reduced t=%d cond(F)=%.3e (max over rounds)", t, np.max(np.linalg.cond(FN)))
 
-        Q3 = disc * kbar * M2 / N**2 + moments.weighted_m2(t, p3)
+        Q3 = disc * kbar * M2 / N**2 + weighted_m2(t, p3)
         Q4 = disc * kbar * A2 / N**2 + M1.mT @ p4 @ M1
 
         ME = MN + (N - 1) * EN
@@ -248,16 +301,17 @@ def reduced_backward_pass(
         g_hat = _hat(N, g1, g2, g2, g1, g2)
         l_hat = lift @ (disc * cross + p_hat @ drift)
         gl = g_hat.mT @ l_hat
-        p_new = g_hat.mT @ q_hat @ g_hat + gl + gl.mT + disc * stage + drift.T @ p_hat @ drift
+        p_new = g_hat.mT @ q_hat @ g_hat + gl + gl.mT + disc * stage + drift.mT @ p_hat @ drift
 
         a, d = p_new[..., :d_y, :d_y], p_new[..., d_y:, d_y:]
         b, c = p_new[..., :d_y, d_y:] / s, p_new[..., d_y:, :d_y] / s
-        if N >= 3:
+        if any_tail:
             g_til, p_til = g1 - g2, p3 - p4
             gl_til = g_til.mT @ M1.mT @ p_til @ th
             tilde = g_til.mT @ (Q3 - Q4) @ g_til + gl_til + gl_til.mT + th.T @ p_til @ th
             e = (d - tilde) / (N - 1)
-            d = tilde + e
+            # N = 2 entries of a population stack have no e
+            d, e = np.where(tail, tilde + e, d), np.where(tail, e, 0.0)
         else:
             e = np.zeros_like(d)
         for diff in (a - a.mT, b - c.mT, d - d.mT, e - e.mT):
@@ -275,16 +329,16 @@ def reduced_backward_pass(
         s_new = (
             g_hat.mT @ (q_hat @ h_hat + forcing)
             + l_hat.mT @ h_hat
-            - disc * kap * row_kap.T @ y_next
-            + drift.T @ x_hat
+            - disc * kap * row_kap.mT @ y_next
+            + drift.mT @ x_hat
         )
         Xi[0, t] = s_new[..., :d_y, 0]
-        Xi[1, t] = s_new[..., d_y:, 0] / s
+        Xi[1, t] = (s_new[..., d_y:, :] / s)[..., 0]
 
-    check_pass_finite("reduced", rounds, T, *Pi, *Xi, G1N, G2N, HN, Fs, Ks, Ms, Es)
+    check_pass_finite("reduced", rounds, T, *Pi, *Xi, G1N, G2N, HN, Fs, Ks, Ms, Es, label=label)
     if np.max(max_asym) > tolerances.symmetry:
         logger.warning("Pi asymmetry %.3e exceeds %.1e", np.max(max_asym), tolerances.symmetry)
-    if N >= 3 and logger.isEnabledFor(logging.DEBUG):
+    if any_tail and logger.isEnabledFor(logging.DEBUG):
         logger.debug(
             "max_t ||Pi3 - Pi4|| = %.3e", np.max(np.linalg.norm(Pi[2] - Pi[3], axis=(-2, -1)))
         )
@@ -302,7 +356,7 @@ def reduced_backward_pass(
         KN=Ks,
         MN=Ms,
         EN=Es,
-        dims=(N, d_y, d_z),
+        dims=(N if n_grid is None else grid, d_y, d_z),
         max_asymmetry=float(max_asym) if max_asym.ndim == 0 else max_asym,
     )
 

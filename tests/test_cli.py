@@ -322,6 +322,27 @@ def test_log_level_info_times_each_cell(config, tmp_path):
         assert float(m[5]) >= 0.0
 
 
+def test_log_level_info_times_convergence(config, tmp_path):
+    # the limit pass, the one stacked reduced pass and each N's Monte-Carlo
+    # loop report their wall time, in that order
+    path, _ = config
+    out = tmp_path / "conv"
+    env = dict(os.environ, PYTHONPATH=str(Path(fedgames.__file__).parents[1]))
+    cmd = [sys.executable, "-m", "fedgames.cli", "--log-level", "INFO", "convergence"]
+    proc = subprocess.run(
+        cmd + ["--config", str(path), "--out", str(out)], capture_output=True, text=True, env=env, timeout=120
+    )
+    assert proc.returncode == 0, proc.stderr
+    patterns = [
+        r"convergence limit pass: [\d.]+ s$",
+        r"convergence reduced pass, 3 populations stacked: [\d.]+ s$",
+    ] + [rf"convergence N={n}: Monte-Carlo mean gap [\d.]+ s \(12 paths\)$" for n in (4, 8, 16)]
+    lines = [line for line in proc.stderr.splitlines() if "convergence " in line]
+    assert len(lines) == len(patterns), proc.stderr
+    for line, pattern in zip(lines, patterns):
+        assert re.search(pattern, line), line
+
+
 def test_spawner_events_logged_once(config, tmp_path):
     # the Gibbs posterior of each spawner round goes to the jsonl log only
     path, cfg = config

@@ -1,5 +1,6 @@
+import re
 import types
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
@@ -15,7 +16,14 @@ from oracles import (
 
 from fedgames.config import DEFAULT_TOLERANCES
 from fedgames.errors import SolveError
-from fedgames.model import GameParams, TargetSeries, exact_moments_deterministic
+from fedgames.model import (
+    GameParams,
+    IidEntryLatents,
+    SampleBank,
+    TargetSeries,
+    estimate_moments,
+    exact_moments_deterministic,
+)
 from fedgames.nash_full import full_action, full_backward_pass
 from fedgames.nash_meanfield import decentralized_backward_pass
 from fedgames.nash_reduced import _hat, block_inverse, reduced_action, reduced_backward_pass
@@ -387,3 +395,189 @@ def test_overflow_in_one_round_names_it(solve, name):
     assert str(stacked.value) == prefix + "round 1, " + str(alone.value)[len(prefix) :]
     for r in (0, 2):
         solve(params, *singles[r])
+
+
+# ---------------------------------------------------------------------------
+# Population stacks: one pass over an N grid
+# ---------------------------------------------------------------------------
+
+MIXED_GRID = (2, 3, 4, 5, 64, 4096, 2**20, 2**29)
+
+
+def population_case(rng, d_y, d_z, T, moments_kind):
+    """Non-symmetric theta and theta_bar with closed-form (i.i.d.-entry)
+    moments or those of a 9-sample or a 1-sample bank, and targets without
+    a round axis."""
+    params = round_params(rng, 7, d_y, d_z, T)
+    if moments_kind == "closed":
+        mean = 0.8 + 0.1 * rng.standard_normal((T, d_y, d_z))
+        moments = IidEntryLatents(mean=mean, half_width=0.5).exact_moments()
+    else:
+        count = 9 if moments_kind == "bank" else 1
+        moments = estimate_moments(SampleBank(samples=tuple(rng.standard_normal((T, count, d_y, d_z)))))
+    return params, moments, TargetSeries(values=rng.standard_normal((T + 1, d_y)))
+
+
+def assert_stack_equals_singles(params, moments, targets, grid):
+    """Entry p of the population stack is the pass at grid[p] alone, bit
+    for bit on every field, its ``dims`` naming that N."""
+    stack = reduced_backward_pass(params, moments, targets, n_grid=grid)
+    assert stack.dims == (tuple(grid), params.dim_y, params.dim_z)
+    assert stack.G1N.shape == (params.horizon_T, len(grid), params.dim_z, params.dim_y)
+    assert stack.max_asymmetry.shape == (len(grid),)
+    for p, n in enumerate(grid):
+        single = reduced_backward_pass(replace(params, population_N=n), moments, targets)
+        assert single.dims[0] == n
+        assert_round_equal(stack, p, single)
+
+
+@pytest.mark.parametrize(
+    "d_y,d_z,moments_kind",
+    [
+        *((d_y, d_z, kind) for d_y, d_z in ((1, 1), (2, 3), (2, 6)) for kind in ("closed", "bank")),
+        # one sample with d_y 2, d_z 1: the shape where one einsum over the
+        # weight stack would sum E[Z'WZ] in another order than a lone weight
+        (2, 1, "one-sample bank"),
+    ],
+)
+def test_population_stack_matches_each_n(d_y, d_z, moments_kind):
+    rng = np.random.default_rng(300 + 10 * d_y + d_z)
+    params, moments, targets = population_case(rng, d_y, d_z, 12, moments_kind)
+    assert_stack_equals_singles(params, moments, targets, MIXED_GRID)
+
+
+def test_population_stack_keeps_grid_order_and_repeats():
+    # params.population_N is not read; an N may repeat, in any order. At
+    # N = 795 and 9594, (1 - 1/N)**2 on a Python float (pow) and on a numpy
+    # array (a square) round apart, so the stack must take Python's
+    rng = np.random.default_rng(310)
+    params, moments, targets = population_case(rng, 2, 3, 6, "closed")
+    assert_stack_equals_singles(params, moments, targets, (4096, 2, 795, 4096, 3, 9594))
+
+
+@pytest.mark.parametrize("grid", [(1, 4), (4, 0), (2, 1), ()])
+def test_population_stack_rejects_n_below_two(grid):
+    rng = np.random.default_rng(320)
+    params, moments, targets = population_case(rng, 2, 3, 4, "closed")
+    with pytest.raises(ValueError, match="N >= 2"):
+        reduced_backward_pass(params, moments, targets, n_grid=grid)
+
+
+def test_population_stack_rejects_round_stack():
+    rng = np.random.default_rng(321)
+    params = round_params(rng, 4, 2, 3, 4)
+    (moments, targets), _ = round_stack(rng, params, 3)
+    with pytest.raises(ValueError, match="without a round axis"):
+        reduced_backward_pass(params, moments, targets, n_grid=(4, 16, 64))
+
+
+def test_overflowing_population_stack_names_n():
+    # theta 1e12 (d_y 2, d_z 6, T 32) overflows every entry of a (4, 16)
+    # stack; the error names the first N in grid order among those
+    # non-finite at the first bad t in backward order
+    rng = np.random.default_rng(80)
+    params = replace(round_params(rng, 4, 2, 6, 32), theta=1e12)
+    _, [(moments, targets)] = round_stack(rng, params, 1)
+    grid = (4, 16)
+    bad_t = {}
+    with np.errstate(over="ignore", invalid="ignore"):
+        for n in grid:
+            with pytest.raises(SolveError) as alone:
+                reduced_backward_pass(replace(params, population_N=n), moments, targets)
+            bad_t[n] = int(re.search(r"at t=(\d+)$", str(alone.value))[1])
+        with pytest.raises(SolveError) as stacked:
+            reduced_backward_pass(params, moments, targets, n_grid=grid)
+    t = max(bad_t.values())
+    named = next(n for n in grid if bad_t[n] == t)
+    assert named == 4
+    assert str(stacked.value) == f"reduced pass produced non-finite coefficients at N={named}, t={t}"
+
+
+def test_singular_population_entry_names_n():
+    # kappa 1, kappa_bar 4: kappa + kappa_bar (1 - 1/N)^2 is 2 at N = 2 and
+    # 25/9 at N = 3, so an M2 of -gamma/2 I at t = T-1 makes F exactly zero
+    # for N = 2 only
+    T, d_z = 3, 2
+    params = replace(round_params(np.random.default_rng(0), 3, 1, d_z, T), kappa=1.0, kappa_bar=4.0)
+    m2 = np.tile(np.eye(d_z), (T, 1, 1))
+    m2[T - 1] *= -params.gamma / 2
+    moments = types.SimpleNamespace(
+        m1=np.zeros((T, 1, d_z)),
+        m2=m2,
+        horizon=T,
+        weighted_m2_stack=lambda t, w: np.zeros((*np.shape(w)[:-2], d_z, d_z)),
+    )
+    targets = TargetSeries(values=np.zeros((T + 1, 1)))
+    with pytest.raises(SolveError, match="^reduced pass failed at N=2, t=2: "):
+        reduced_backward_pass(params, moments, targets, n_grid=(3, 2, 5))
+
+
+@st.composite
+def harsh_population_case(draw):
+    """Valid but harsh parameters: kappa_bar and alpha up to 1e3 and 5,
+    d_y = 2 with non-symmetric theta, the spectral radius of theta +
+    theta_bar above 1 (at times far above), latent moments from a tiny bank (m2 near singular)
+    or in closed form, and an N grid anywhere from 2 to 2^20."""
+    seed = draw(st.integers(min_value=0, max_value=2**31 - 1))
+    rng = np.random.default_rng(seed)
+    d_y, d_z = 2, draw(st.integers(min_value=1, max_value=3))
+    T = draw(st.integers(min_value=1, max_value=10))
+    # just above 1, or up to 1e40, where the value iterates overflow
+    exponent = st.floats(min_value=1.0, max_value=40.0)
+    rho = draw(st.one_of(st.floats(min_value=1.01, max_value=4.0), exponent.map(lambda x: 10**x)))
+    theta = rng.standard_normal((d_y, d_y))
+    theta[0, 1] += draw(st.floats(min_value=0.5, max_value=3.0))  # non-symmetric
+    theta_bar = 0.3 * rng.standard_normal((d_y, d_y))
+    scale = rho / max(abs(np.linalg.eigvals(theta + theta_bar)))
+    params = GameParams(
+        theta=scale * theta,
+        theta_bar=scale * theta_bar,
+        kappa=draw(st.floats(min_value=0.0, max_value=10.0)),
+        kappa_bar=draw(st.floats(min_value=1.0, max_value=1e3)),
+        gamma=draw(st.floats(min_value=1e-3, max_value=2.0)),
+        alpha=draw(st.floats(min_value=0.0, max_value=5.0)),
+        horizon_T=T,
+        population_N=2,
+        dim_y=d_y,
+        dim_z=d_z,
+    )
+    if draw(st.booleans()):
+        count = draw(st.integers(min_value=1, max_value=3))
+        moments = estimate_moments(SampleBank(samples=tuple(rng.standard_normal((T, count, d_y, d_z)))))
+    else:
+        moments = IidEntryLatents(mean=rng.standard_normal((T, d_y, d_z)), half_width=0.5).exact_moments()
+    targets = TargetSeries(values=rng.standard_normal((T + 1, d_y)))
+    n = st.one_of(st.integers(min_value=2, max_value=6), st.integers(min_value=2, max_value=2**20))
+    grid = tuple(draw(st.lists(n, min_size=1, max_size=5)))
+    return params, moments, targets, grid
+
+
+@settings(max_examples=60, deadline=None)
+@given(harsh_population_case())
+def test_property_harsh_population_stack(case):
+    # every entry is finite or raises SolveError, never NaN; the stack
+    # equals the per-N passes bit for bit, and fails exactly when one of
+    # them does, with that N's own error
+    params, moments, targets, grid = case
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        singles = {}
+        for n in grid:
+            try:
+                singles[n] = reduced_backward_pass(replace(params, population_N=n), moments, targets)
+            except SolveError as exc:
+                singles[n] = exc
+        try:
+            stack = reduced_backward_pass(params, moments, targets, n_grid=grid)
+        except SolveError as exc:
+            named = int(re.search(r" at N=(\d+), ", str(exc))[1])
+            assert isinstance(singles[named], SolveError)
+            assert str(exc).replace(f"N={named}, ", "", 1) == str(singles[named])
+            return
+    for p, n in enumerate(grid):
+        single = singles[n]
+        assert not isinstance(single, SolveError), n
+        for f in fields(single):
+            value = getattr(single, f.name)
+            if isinstance(value, np.ndarray):
+                assert np.all(np.isfinite(value)), (n, f.name)
+        assert_round_equal(stack, p, single)
