@@ -5,7 +5,6 @@ form, and the decentralized mean-field policy, plus a greedy ridge
 baseline, an evolutionary agent spawner, and a seeded experiment harness.
 """
 
-from .config import Tolerances, DEFAULT_TOLERANCES
 from .errors import (
     ConfigError,
     DegenerateError,
@@ -38,8 +37,6 @@ __all__ = [
     "TargetSeries",
     "estimate_moments",
     "exact_moments_deterministic",
-    "Tolerances",
-    "DEFAULT_TOLERANCES",
 ]
 
 __version__ = "0.1.0"

@@ -126,8 +126,12 @@ class SampleBank:
 
 
 def _weighted_second(z: np.ndarray, w: np.ndarray) -> np.ndarray:
-    # mean over samples of Z' W Z, broadcast over the leading axes
-    return np.einsum("...sij,...ik,...skl->...jl", z, w, z) / z.shape[-3]
+    # mean over samples of Z' W Z, broadcast over the leading axes, as
+    # sum_s Z_s'(W Z_s) in two matmuls (the second of depth count d_y), so
+    # each entry of a stack is reduced as a lone call (MomentSet docstring)
+    wz = w[..., None, :, :] @ z
+    rows = z.shape[-3] * z.shape[-2]
+    return (z.reshape(*z.shape[:-3], rows, -1).mT @ wz.reshape(*wz.shape[:-3], rows, -1)) / z.shape[-3]
 
 
 @dataclass(frozen=True)
@@ -138,6 +142,9 @@ class MomentSet:
     (T, ..., d_y, d_z) and (T, ..., d_z, d_z). ``weighted_m2`` is
     evaluated from the stored bank through the exact same reduction used
     to build ``m2``, so ``weighted_m2(t, I)`` is bit-identical to ``m2(t)``.
+    Every entry of a stack (of weights, of rounds, or both) is bit-identical
+    to a lone call on that entry: the reduction is two matmuls, and numpy's
+    matmul runs the same kernel on each matrix of a stack as on a lone one.
     """
 
     bank: SampleBank
@@ -166,14 +173,6 @@ class MomentSet:
         """Sample mean of Z' W Z at timestep t; w is (..., d_y, d_y) and
         broadcasts against the bank's leading axes."""
         return _weighted_second(self.bank.samples[t], np.asarray(w, dtype=float))
-
-    def weighted_m2_stack(self, t: int, w: np.ndarray) -> np.ndarray:
-        """``weighted_m2`` for a stack w (P, d_y, d_y) over one bank, one
-        weight at a time, so that entry p equals ``weighted_m2(t, w[p])``
-        bit for bit: einsum's summation order can depend on the output
-        shape (a one-sample bank with d_y 2, d_z 1 sums pairwise for one
-        weight and in sequence for a stack of them)."""
-        return np.stack([self.weighted_m2(t, x) for x in w])
 
 
 def estimate_moments(bank: SampleBank) -> MomentSet:
@@ -260,8 +259,3 @@ class ClosedFormMoments:
         m = self.m1[t]
         trace = np.trace(w, axis1=-2, axis2=-1)[..., None, None]
         return m.mT @ w @ m + self._lat.var * trace * np.eye(self._dims[1])
-
-    def weighted_m2_stack(self, t: int, w: np.ndarray) -> np.ndarray:
-        """``MomentSet.weighted_m2_stack``: the matmuls act on each weight of
-        a stack as on a lone one, so one broadcast call gives the same bits."""
-        return self.weighted_m2(t, w)

@@ -38,7 +38,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import DEFAULT_TOLERANCES, Tolerances
+from .config import SYMMETRY_RTOL, check_symmetry
 from .errors import SolveError
 from .model import GameParams, TargetSeries
 
@@ -90,12 +90,7 @@ def _theta_rows(params: GameParams, own: np.ndarray, other: np.ndarray) -> np.nd
     return rows.reshape(N, d_y, N * d_y)
 
 
-def full_backward_pass(
-    params: GameParams,
-    moments,
-    targets: TargetSeries,
-    tolerances: Tolerances = DEFAULT_TOLERANCES,
-) -> FullNashCoeffs:
+def full_backward_pass(params: GameParams, moments, targets: TargetSeries) -> FullNashCoeffs:
     """Solve the coupled backward system for P_n, S_n, G, H.
 
     Raises SolveError if the regularized system matrix is singular at any
@@ -236,8 +231,7 @@ def full_backward_pass(
         s_new -= disc * kap * ((x_blk[:, :, :-1] + row_k).swapaxes(1, 2) @ y[t + 1])
         S[:, t] = s_new
 
-    if max_asym > tolerances.symmetry:
-        logger.warning("P_n asymmetry %.3e exceeds %.1e", max_asym, tolerances.symmetry)
+    check_symmetry(logger, "P_n", max_asym, P)
     return FullNashCoeffs(
         P=P, S=S, G=G, H=H, dims=(N, d_y, d_z), max_asymmetry=max_asym, condition_numbers=conds
     )
@@ -260,13 +254,13 @@ def _swap_first(N: int, n: int, d: int) -> np.ndarray:
     return np.kron(J, np.eye(d))
 
 
-def check_block_structure(coeffs: FullNashCoeffs, tol: float | None = None) -> StructureReport:
+def check_block_structure(coeffs: FullNashCoeffs) -> StructureReport:
     """Verify the repeating-block pattern of P_1 / S_1 and the relabeling
-    relation P_n = J' P_1 J, S_n = J' S_1. Report-only."""
+    relation P_n = J' P_1 J, S_n = J' S_1. Report-only: a deviation above
+    SYMMETRY_RTOL times the largest |entry| of P adds a note."""
     N, d_y, _ = coeffs.dims
     if N < 2:
         raise ValueError("block structure is defined for N >= 2")
-    tol = DEFAULT_TOLERANCES.symmetry if tol is None else tol
 
     def yblk(i):
         return slice(i * d_y, (i + 1) * d_y)
@@ -303,8 +297,9 @@ def check_block_structure(coeffs: FullNashCoeffs, tol: float | None = None) -> S
     if N == 2:
         notes.append("N=2: pattern degenerates to (Pi1, Pi2; Pi2', Pi3); no Pi4 blocks exist")
     max_dev = max(p1_dev, s1_dev, perm_dev)
-    if max_dev > tol:
-        notes.append(f"deviation {max_dev:.3e} exceeds tolerance {tol:.1e}")
+    scale = float(np.max(np.abs(coeffs.P)))
+    if max_dev > SYMMETRY_RTOL * scale:
+        notes.append(f"deviation {max_dev:.3e} exceeds {SYMMETRY_RTOL:.1e} of max |P| {scale:.3e}")
     return StructureReport(
         max_deviation=max_dev,
         p1_pattern_dev=p1_dev,

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .config import DEFAULT_TOLERANCES, Tolerances
+from .config import check_symmetry
 from .errors import SolveError
 from .model import GameParams, TargetSeries
 from .nash_reduced import ReducedCoeffs, check_pass_finite, failing_round
@@ -70,7 +70,6 @@ def decentralized_backward_pass(
     params: GameParams,
     moments,
     targets: TargetSeries,
-    tolerances: Tolerances = DEFAULT_TOLERANCES,
 ) -> DecentralizedCoeffs:
     """Backward pass of the limit system.
 
@@ -197,8 +196,7 @@ def decentralized_backward_pass(
         )[..., 0]
 
     check_pass_finite("decentralized", rounds, T, *L, *chi, G1, G2, H, Fs, Ks, Ms, Es)
-    if np.max(max_asym) > tolerances.symmetry:
-        logger.warning("Lambda asymmetry %.3e exceeds %.1e", np.max(max_asym), tolerances.symmetry)
+    check_symmetry(logger, "Lambda", max_asym, L)
     return DecentralizedCoeffs(
         L1=L[0],
         L2=L[1],

@@ -38,9 +38,8 @@ acts on each entry as on a lone game, so an entry's coefficients equal
 the lone pass bit for bit: N-dependent scalars broadcast as (P, 1, 1)
 arrays through the same IEEE operations, (1 - 1/N)^2 is taken per entry
 on Python floats, the N >= 3 tilde update is a per-entry select, and
-the weighted moments come from ``moments.weighted_m2_stack``, which gives
-each weight of the stack the bits of a lone ``weighted_m2`` call. A lone
-N stays a Python int, so the single pass runs on plain floats.
+``weighted_m2`` gives every entry of a stack the bits of a lone call. A
+lone N stays a Python int, so the single pass runs on plain floats.
 """
 
 from __future__ import annotations
@@ -52,7 +51,7 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
-from .config import DEFAULT_TOLERANCES, Tolerances
+from .config import check_symmetry
 from .errors import SolveError
 from .model import GameParams, TargetSeries
 
@@ -187,7 +186,6 @@ def reduced_backward_pass(
     params: GameParams,
     moments,
     targets: TargetSeries,
-    tolerances: Tolerances = DEFAULT_TOLERANCES,
     n_grid: Sequence[int] | None = None,
 ) -> ReducedCoeffs:
     """Backward pass over the repeating blocks Pi_i, Xi_i and gains.
@@ -227,7 +225,6 @@ def reduced_backward_pass(
     # entries with the tail block e (N >= 3) take the tilde update
     tail = N >= 3
     any_tail = bool(np.any(tail))
-    weighted_m2 = moments.weighted_m2 if n_grid is None else moments.weighted_m2_stack
 
     kap, kbar, gam = params.kappa, params.kappa_bar, params.gamma
     th, tb = params.theta, params.theta_bar
@@ -263,7 +260,7 @@ def reduced_backward_pass(
         x1, x2 = Xi[0, t + 1][..., None], Xi[1, t + 1][..., None]
 
         FN = disc * ((kap + kbar * w2) * M2 + gam * np.eye(d_z))
-        FN += weighted_m2(t, p1)
+        FN += moments.weighted_m2(t, p1)
         KN = -disc * kbar * (1 - 1 / N) * (1 / N) * A2 + M1.mT @ p2 @ M1
         try:
             MN, EN = block_inverse(FN, KN, N)
@@ -274,7 +271,7 @@ def reduced_backward_pass(
         if logger.isEnabledFor(logging.DEBUG):
             logger.debug("reduced t=%d cond(F)=%.3e (max over rounds)", t, np.max(np.linalg.cond(FN)))
 
-        Q3 = disc * kbar * M2 / N**2 + weighted_m2(t, p3)
+        Q3 = disc * kbar * M2 / N**2 + moments.weighted_m2(t, p3)
         Q4 = disc * kbar * A2 / N**2 + M1.mT @ p4 @ M1
 
         ME = MN + (N - 1) * EN
@@ -336,8 +333,7 @@ def reduced_backward_pass(
         Xi[1, t] = (s_new[..., d_y:, :] / s)[..., 0]
 
     check_pass_finite("reduced", rounds, T, *Pi, *Xi, G1N, G2N, HN, Fs, Ks, Ms, Es, label=label)
-    if np.max(max_asym) > tolerances.symmetry:
-        logger.warning("Pi asymmetry %.3e exceeds %.1e", np.max(max_asym), tolerances.symmetry)
+    check_symmetry(logger, "Pi", max_asym, Pi)
     if any_tail and logger.isEnabledFor(logging.DEBUG):
         logger.debug(
             "max_t ||Pi3 - Pi4|| = %.3e", np.max(np.linalg.norm(Pi[2] - Pi[3], axis=(-2, -1)))

@@ -202,13 +202,21 @@ def test_terminal_conditions_and_symmetry():
 
 
 @pytest.mark.parametrize(
-    "d_y,d_z,T,rounds,kappa_bar",
-    [(1, 4, 4, 1, 0.7), (2, 3, 4, 5, 0.7), (1, 4, 4, 50, 0.7), (2, 3, 3, 4, 0.0)],
+    "d_y,d_z,T,rounds,kappa_bar,count",
+    [
+        pytest.param(1, 4, 4, 1, 0.7, 7, id="1-4-4-1-0.7"),
+        pytest.param(2, 3, 4, 5, 0.7, 7, id="2-3-4-5-0.7"),
+        pytest.param(1, 4, 4, 50, 0.7, 7, id="1-4-4-50-0.7"),
+        pytest.param(2, 3, 3, 4, 0.0, 7, id="2-3-3-4-0.0"),
+        # one-sample banks with d_y 2, d_z 1: the shape where an einsum over
+        # the round stack summed E[Z'WZ] in another order than one round
+        (2, 1, 6, 4, 0.7, 1),
+    ],
 )
-def test_round_batched_pass_matches_each_round(d_y, d_z, T, rounds, kappa_bar):
+def test_round_batched_pass_matches_each_round(d_y, d_z, T, rounds, kappa_bar, count):
     rng = np.random.default_rng(100 + rounds)
     params = round_params(rng, 16, d_y, d_z, T, kappa_bar)
-    (moments, targets), singles = round_stack(rng, params, rounds)
+    (moments, targets), singles = round_stack(rng, params, rounds, count)
     batched = decentralized_backward_pass(params, moments, targets)
     assert batched.G1.shape == (T, rounds, d_z, d_y)
     assert batched.max_asymmetry.shape == (rounds,)

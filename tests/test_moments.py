@@ -158,16 +158,24 @@ def test_batched_weighted_m2_matches_loop():
 
 @pytest.mark.parametrize("count,d_y,d_z", [(1, 2, 1), (1, 1, 1), (3, 2, 1), (11, 2, 3)])
 def test_weight_stack_over_one_bank_matches_lone_weights(count, d_y, d_z):
-    # weighted_m2_stack gives each weight of a stack against one bank the
-    # bits of a lone weighted_m2 call; one sample with d_y 2, d_z 1 is the
-    # shape where a single einsum over the stack would sum in another order
+    # weighted_m2 gives each entry of a weight stack against one bank, and
+    # each round of a round-stacked bank, the bits of a lone call; one
+    # sample with d_y 2, d_z 1 is the shape where an einsum over the stack
+    # summed in another order
     rng = np.random.default_rng(10 + count + d_y + d_z)
     mom = estimate_moments(SampleBank(samples=(rng.standard_normal((count, d_y, d_z)),)))
     closed = IidEntryLatents(mean=rng.standard_normal((1, d_y, d_z)), half_width=0.5).exact_moments()
+    rounds = rng.standard_normal((6, count, d_y, d_z))
+    stacked = estimate_moments(SampleBank(samples=(rounds,)))
+    alone = [estimate_moments(SampleBank(samples=(bank,))) for bank in rounds]
     for _ in range(20):
         ws = rng.standard_normal((6, d_y, d_y))
         for moments in (mom, closed):
-            batch = moments.weighted_m2_stack(0, ws)
+            batch = moments.weighted_m2(0, ws)
             assert batch.shape == (6, d_z, d_z)
             for p in range(6):
                 np.testing.assert_array_equal(batch[p], moments.weighted_m2(0, ws[p]))
+        batch = stacked.weighted_m2(0, ws)
+        assert batch.shape == (6, d_z, d_z)
+        for r in range(6):
+            np.testing.assert_array_equal(batch[r], alone[r].weighted_m2(0, ws[r]))

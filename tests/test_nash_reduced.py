@@ -1,10 +1,11 @@
+import logging
 import re
 import types
 from dataclasses import fields, replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 from oracles import (
     assert_round_equal,
@@ -14,7 +15,7 @@ from oracles import (
     symmetric_basis,
 )
 
-from fedgames.config import DEFAULT_TOLERANCES
+from fedgames.config import SYMMETRY_RTOL, check_symmetry
 from fedgames.errors import SolveError
 from fedgames.model import (
     GameParams,
@@ -282,7 +283,88 @@ def test_property_blocks_match_full_solver(N, d_y, d_z, T, seed):
             np.testing.assert_allclose(red.Pi4[t], p1[y2, y3], atol=1e-8)
         np.testing.assert_allclose(red.Xi1[t], s1[y1], atol=1e-8)
         np.testing.assert_allclose(red.Xi2[t], s1[y2], atol=1e-8)
-    assert red.max_asymmetry <= DEFAULT_TOLERANCES.symmetry
+    assert red.max_asymmetry <= 1e-9
+
+
+class SkewedPi3Moments:
+    """Closed-form moments whose weighted moment gains the skew matrix
+    ``skew`` on the Pi3 weight only. The reduced pass reads weighted_m2
+    twice per step, for Pi1 (in F) and then for Pi3 (in Q3)."""
+
+    def __init__(self, base, skew):
+        self.base, self.skew, self.calls = base, skew, 0
+        self.m1, self.m2, self.horizon = base.m1, base.m2, base.horizon
+
+    def weighted_m2(self, t, w):
+        self.calls += 1
+        out = self.base.weighted_m2(t, w)
+        return out + self.skew if self.calls % 2 == 0 else out
+
+
+def test_max_asymmetry_reads_every_block():
+    # with kappa_bar 0 and theta_bar 0 the off-agent gain G2 is zero, so a
+    # skew S in Q3 reaches only the Pi3 block: its update d picks up
+    # g1' S g1, whose asymmetry is 2 g1' S g1, while Pi1 stays symmetric
+    rng = np.random.default_rng(40)
+    T, d_y, d_z = 4, 2, 2
+    params = replace(round_params(rng, 3, d_y, d_z, T), kappa_bar=0.0, theta_bar=0.0)
+    base = IidEntryLatents(mean=rng.standard_normal((T, d_y, d_z)), half_width=0.5).exact_moments()
+    skew = np.array([[0.0, 0.3], [-0.3, 0.0]])
+    moments = SkewedPi3Moments(base, skew)
+    targets = TargetSeries(values=rng.standard_normal((T + 1, d_y)))
+    red = reduced_backward_pass(params, moments, targets)
+    assert moments.calls == 2 * T
+    assert np.all(red.G2N == 0.0)
+    want = max(float(np.max(np.abs(2 * g.T @ skew @ g))) for g in red.G1N)
+    assert want > 1e-3
+    assert red.max_asymmetry == pytest.approx(want, rel=1e-9)
+
+
+def test_check_symmetry_judges_each_entry_on_its_own_iterates(caplog):
+    # entry 0: asymmetry 1e-6 on entries of 1e6 is rounding; entry 1: the
+    # same asymmetry on entries of 1 is not, and the warning names it
+    iterates = np.zeros((4, 3, 2, 2, 2))
+    iterates[:, :, 0] = 1e6
+    iterates[:, :, 1] = 1.0
+    with caplog.at_level(logging.WARNING):
+        check_symmetry(logging.getLogger("test"), "Pi", np.array([1e-6, 0.0]), iterates)
+        assert not caplog.records
+        check_symmetry(logging.getLogger("test"), "Pi", np.array([1e-6, 1e-6]), iterates)
+    [record] = caplog.records
+    assert record.getMessage() == (
+        f"Pi asymmetry 1.000e-06 exceeds {SYMMETRY_RTOL:.1e} of the largest entry 1.000e+00"
+    )
+
+
+def test_lost_digits_still_warn(caplog):
+    # a one-sample bank (m2 of rank 1 with d_z 2), theta of spectral radius
+    # 1e17 and kappa_bar 800: Pi reaches ~1e126 and its asymmetry is of
+    # the same order, so the pass has lost its digits and says so
+    rng = np.random.default_rng(3)
+    T, d_y, d_z = 6, 2, 2
+    theta = rng.standard_normal((d_y, d_y))
+    theta[0, 1] += 2.0
+    theta_bar = 0.3 * rng.standard_normal((d_y, d_y))
+    scale = 1e17 / max(abs(np.linalg.eigvals(theta + theta_bar)))
+    params = GameParams(
+        theta=scale * theta,
+        theta_bar=scale * theta_bar,
+        kappa=1.0,
+        kappa_bar=800.0,
+        gamma=1.0,
+        alpha=3.0,
+        horizon_T=T,
+        population_N=4,
+        dim_y=d_y,
+        dim_z=d_z,
+    )
+    moments = estimate_moments(SampleBank(samples=tuple(rng.standard_normal((T, 1, d_y, d_z)))))
+    targets = TargetSeries(values=rng.standard_normal((T + 1, d_y)))
+    with caplog.at_level(logging.WARNING, logger="fedgames.nash_reduced"):
+        red = reduced_backward_pass(params, moments, targets)
+    largest = max(float(np.max(np.abs(b))) for b in (red.Pi1, red.Pi2, red.Pi3, red.Pi4))
+    assert red.max_asymmetry > 1e-3 * largest
+    assert "Pi asymmetry" in caplog.text
 
 
 def test_pi3_pi4_gap_diagnostic():
@@ -320,19 +402,23 @@ def test_coefficient_shapes_independent_of_n():
 
 
 @pytest.mark.parametrize(
-    "N,d_y,d_z,T,rounds,kappa_bar",
+    "N,d_y,d_z,T,rounds,kappa_bar,count",
     [
-        (4, 1, 4, 4, 1, 0.7),
-        (2, 2, 3, 4, 5, 0.7),  # N = 2: the e-block is zero
-        (3, 2, 3, 4, 5, 0.7),
-        (1024, 1, 4, 4, 3, 0.7),
-        (3, 2, 3, 3, 4, 0.0),
+        pytest.param(4, 1, 4, 4, 1, 0.7, 7, id="4-1-4-4-1-0.7"),
+        # N = 2: the e-block is zero
+        pytest.param(2, 2, 3, 4, 5, 0.7, 7, id="2-2-3-4-5-0.7"),
+        pytest.param(3, 2, 3, 4, 5, 0.7, 7, id="3-2-3-4-5-0.7"),
+        pytest.param(1024, 1, 4, 4, 3, 0.7, 7, id="1024-1-4-4-3-0.7"),
+        pytest.param(3, 2, 3, 3, 4, 0.0, 7, id="3-2-3-3-4-0.0"),
+        # one-sample banks with d_y 2, d_z 1: the shape where an einsum over
+        # the round stack summed E[Z'WZ] in another order than one round
+        (5, 2, 1, 6, 3, 0.7, 1),
     ],
 )
-def test_round_batched_pass_matches_each_round(N, d_y, d_z, T, rounds, kappa_bar):
+def test_round_batched_pass_matches_each_round(N, d_y, d_z, T, rounds, kappa_bar, count):
     rng = np.random.default_rng(200 + N + rounds)
     params = round_params(rng, N, d_y, d_z, T, kappa_bar)
-    (moments, targets), singles = round_stack(rng, params, rounds)
+    (moments, targets), singles = round_stack(rng, params, rounds, count)
     batched = reduced_backward_pass(params, moments, targets)
     assert batched.G1N.shape == (T, rounds, d_z, d_y)
     assert batched.max_asymmetry.shape == (rounds,)
@@ -435,8 +521,8 @@ def assert_stack_equals_singles(params, moments, targets, grid):
     "d_y,d_z,moments_kind",
     [
         *((d_y, d_z, kind) for d_y, d_z in ((1, 1), (2, 3), (2, 6)) for kind in ("closed", "bank")),
-        # one sample with d_y 2, d_z 1: the shape where one einsum over the
-        # weight stack would sum E[Z'WZ] in another order than a lone weight
+        # one sample with d_y 2, d_z 1: the shape where an einsum over the
+        # weight stack summed E[Z'WZ] in another order than a lone weight
         (2, 1, "one-sample bank"),
     ],
 )
@@ -505,7 +591,7 @@ def test_singular_population_entry_names_n():
         m1=np.zeros((T, 1, d_z)),
         m2=m2,
         horizon=T,
-        weighted_m2_stack=lambda t, w: np.zeros((*np.shape(w)[:-2], d_z, d_z)),
+        weighted_m2=lambda t, w: np.zeros((*np.shape(w)[:-2], d_z, d_z)),
     )
     targets = TargetSeries(values=np.zeros((T + 1, 1)))
     with pytest.raises(SolveError, match="^reduced pass failed at N=2, t=2: "):
@@ -581,3 +667,27 @@ def test_property_harsh_population_stack(case):
             if isinstance(value, np.ndarray):
                 assert np.all(np.isfinite(value)), (n, f.name)
         assert_round_equal(stack, p, single)
+
+
+@settings(
+    max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+@given(case=harsh_population_case())
+def test_property_harsh_rounding_logs_nothing(caplog, case):
+    # Pi entries far above 1 carry rounding far above the old absolute
+    # bound 1e-9; a finite stack whose every entry's asymmetry is below
+    # 1e-12 of that entry's largest |Pi| logs no asymmetry warning
+    params, moments, targets, grid = case
+    caplog.clear()
+    with (
+        caplog.at_level(logging.WARNING, logger="fedgames.nash_reduced"),
+        np.errstate(over="ignore", invalid="ignore", divide="ignore"),
+    ):
+        try:
+            stack = reduced_backward_pass(params, moments, targets, n_grid=grid)
+        except SolveError:
+            return
+        pis = np.stack([stack.Pi1, stack.Pi2, stack.Pi3, stack.Pi4])
+        relative = stack.max_asymmetry / np.abs(pis).max(axis=(0, 1, 3, 4))
+    if np.all(relative < 1e-12):
+        assert not caplog.records
