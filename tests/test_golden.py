@@ -3,9 +3,10 @@ of `fedgames convergence` on a third.
 
 ``tests/golden/<case>/`` holds a config, the ``results.csv`` it must
 produce (compared at RTOL, the measured runtime_ms column ignored) and,
-for the base case, one round-0 coefficient snapshot, whose float values
-(arrays and ``max_asymmetry``) are compared at RTOL with an absolute
-floor ATOL and its strings, ints and lists exactly.
+for the base case, the reduced and the full round-0 coefficient
+snapshots, whose float values (arrays and ``max_asymmetry``) are
+compared at RTOL with an absolute floor ATOL, their strings, ints and
+lists exactly, and their keys in order.
 ``tests/golden/convergence/`` holds a config and the ``convergence.csv``
 and ``gap_report.csv`` it must produce, every number compared at RTOL.
 A change that moves these values on purpose regenerates them with
@@ -27,7 +28,7 @@ from fedgames.io import load_coeff_arrays
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 CASES = ("base", "esn_spawner")
-COEFFS = {"base": "coeffs/reduced_N4_seed1.json"}
+COEFFS = {"base": ("coeffs/reduced_N4_seed1.json", "coeffs/full_N4_seed1.json")}
 CONVERGENCE = GOLDEN / "convergence"
 CONVERGENCE_FILES = ("convergence.csv", "gap_report.csv")
 RTOL = 1e-10
@@ -52,17 +53,17 @@ def test_golden_results(case, tmp_path):
     for cell, row in want.items():
         for key in ("rmse_agg", "rmse_worst", "regret"):
             assert float(got[cell][key]) == pytest.approx(float(row[key]), rel=RTOL, abs=0), (cell, key)
-    if case in COEFFS:
-        got_c = load_coeff_arrays(tmp_path / COEFFS[case])
-        want_c = load_coeff_arrays(GOLDEN / case / COEFFS[case])
-        assert got_c.keys() == want_c.keys()
+    for snapshot in COEFFS.get(case, ()):
+        got_c = load_coeff_arrays(tmp_path / snapshot)
+        want_c = load_coeff_arrays(GOLDEN / case / snapshot)
+        assert list(got_c) == list(want_c), snapshot
         for name, value in want_c.items():
             if isinstance(value, np.ndarray):
-                np.testing.assert_allclose(got_c[name], value, rtol=RTOL, atol=ATOL, err_msg=name)
+                np.testing.assert_allclose(got_c[name], value, rtol=RTOL, atol=ATOL, err_msg=(snapshot, name))
             elif isinstance(value, float):  # max_asymmetry, at rounding level
-                assert got_c[name] == pytest.approx(value, rel=RTOL, abs=ATOL), name
+                assert got_c[name] == pytest.approx(value, rel=RTOL, abs=ATOL), (snapshot, name)
             else:
-                assert got_c[name] == value, name
+                assert got_c[name] == value, (snapshot, name)
 
 
 def _run_convergence(out):
@@ -90,8 +91,8 @@ def regenerate(work_dir: Path) -> None:
         out = work_dir / case
         _run(case, out)
         shutil.copy(out / "results.csv", GOLDEN / case / "results.csv")
-        if case in COEFFS:
-            shutil.copy(out / COEFFS[case], GOLDEN / case / COEFFS[case])
+        for snapshot in COEFFS.get(case, ()):
+            shutil.copy(out / snapshot, GOLDEN / case / snapshot)
     out = work_dir / "convergence"
     _run_convergence(out)
     for name in CONVERGENCE_FILES:
