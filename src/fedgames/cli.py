@@ -222,15 +222,18 @@ def _round0_coeff_dump(policy, scenario, seed, record, coeff_dir):
     function already. The full solver holds every agent's P_n and S_n,
     (N, T+1, N d_y, N d_y) and (N, T+1, N d_y); the snapshot keeps
     agent 1's, as ``P1`` and ``S1``, so that no snapshot grows as N^3.
-    Its ``G``, ``H`` and health figures are written whole."""
+    Its ``G``, ``H`` and health figures are written whole: the step
+    system matrices it keeps are written as their ``condition_numbers``."""
     if record.round0_coeffs is None:
         return None
     kind, coeffs = record.round0_coeffs
     fields = vars(coeffs)
     if kind == "full":
-        fields = {"P1": coeffs.P[0], "S1": coeffs.S[0]} | {
-            name: value for name, value in fields.items() if name not in ("P", "S")
-        }
+        fields = (
+            {"P1": coeffs.P[0], "S1": coeffs.S[0]}
+            | {name: value for name, value in fields.items() if name not in ("P", "S", "system")}
+            | {"condition_numbers": coeffs.condition_numbers}
+        )
     n = scenario.params.population_N
     path = Path(coeff_dir) / f"{policy}_N{n}_seed{seed}.json"
     dump_coeffs(fields, kind, path)

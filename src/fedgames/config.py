@@ -19,7 +19,13 @@ def check_symmetry(log, name: str, asymmetry, iterates: np.ndarray) -> None:
     stack axes, which ``iterates`` carries just before its matrix axes;
     each entry is judged on its own iterates and the worst is named."""
     axes = (*range(iterates.ndim - 2 - np.ndim(asymmetry)), -2, -1)
-    scale = np.ravel(np.abs(iterates).max(axis=axes))
+    check_symmetry_scale(log, name, asymmetry, np.abs(iterates).max(axis=axes))
+
+
+def check_symmetry_scale(log, name: str, asymmetry, scale) -> None:
+    """``check_symmetry`` given the largest |entry| of the iterates, with
+    the shape of ``asymmetry``, for a pass that tracks it as it goes."""
+    scale = np.ravel(scale)
     asym = np.ravel(asymmetry)
     i = int(np.argmax(asym - SYMMETRY_RTOL * scale))
     if asym[i] > SYMMETRY_RTOL * scale[i]:

@@ -2,8 +2,8 @@
 
 Episodes run in rounds of the game horizon T: predictions are
 re-initialized at the observed target at each round start, each round
-plays the policy coefficients solved on its own target slice (all rounds
-are solved before the step loop; see ``_solve_episode``), and the spawner
+plays the policy coefficients solved on its own target slice (rounds
+are solved together, ahead of the step loop; see ``_solve_episode``), and the spawner
 (when enabled) acts between rounds. The greedy baseline and the
 score-based aggregation keep their windows across round boundaries (they
 are plain online mechanisms and know nothing about rounds).
@@ -43,7 +43,7 @@ from .encoders import (
 )
 from .errors import DynamicsError
 from .model import GameParams, SampleBank, TargetSeries, estimate_moments
-from .nash_full import full_action, full_backward_pass
+from .nash_full import full_action, full_backward_pass, rounds_per_pass
 from .nash_meanfield import (
     decentralized_action,
     decentralized_backward_pass,
@@ -362,11 +362,14 @@ def _solve_episode(policy, scenario: Scenario, inputs, values, rounds, seed):
 
     A round's pass reads only the params, the bank window
     ``bank.samples[rT:(r+1)T]`` and the targets ``values[rT:rT+T+1]``,
-    never the agents, so the reduced and decentralized passes solve every
-    round at once, before the step loop, over a round stack of windows.
-    The dense full oracle is solved round by round as the loop asks for
-    it: stacking it would multiply its O(N^3 d_z^2) temporaries by the
-    round count.
+    never the agents, so the passes solve rounds together, over a round
+    stack of windows. The reduced and decentralized passes solve every
+    round at once, before the step loop. The dense full oracle solves
+    chunks of ``nash_full.rounds_per_pass(N)`` = (HARD_N_CEILING // N)^2
+    rounds (N = 1 takes N = 2's), each as the loop reaches it: a chunk's
+    peak memory stays at or below one lone pass at HARD_N_CEILING, so a
+    cell never holds more than that ahead of the loop. (A chunk's
+    SolveError counts rounds from the chunk's first.)
     """
     p = scenario.params
     N, T = p.population_N, p.horizon_T
@@ -387,25 +390,32 @@ def _solve_episode(policy, scenario: Scenario, inputs, values, rounds, seed):
         return None, ((None, partial(act, r)) for r in range(rounds))
 
     bank = _build_bank(scenario, inputs, seed)
+
+    def round_stack(first, stop):
+        """(moments, targets) of rounds first..stop-1 with a round axis
+        after the time axis: entry [t, r] is step (first + r)T + t."""
+        moments = estimate_moments(
+            SampleBank(samples=tuple(np.stack(bank.samples[first * T + t : stop * T : T]) for t in range(T)))
+        )
+        targets = TargetSeries(values=values[np.arange(T + 1)[:, None] + T * np.arange(first, stop)])
+        return moments, targets
+
     if policy == "full" or (policy == "reduced" and N == 1):
 
         def act(c, t, preds, latents):
             return full_action(t, preds.reshape(-1), c).reshape(N, p.dim_z)
 
-        solved = (
-            full_backward_pass(
-                p,
-                estimate_moments(SampleBank(samples=bank.samples[base : base + T])),
-                TargetSeries(values=values[base : base + T + 1]),
-            )
-            for base in range(0, rounds * T, T)
-        )
-        return "full", ((c, partial(act, c)) for c in solved)
-    # round axis after the time axis: entry [t, r] is step rT + t
-    moments = estimate_moments(
-        SampleBank(samples=tuple(np.stack(bank.samples[t : rounds * T : T]) for t in range(T)))
-    )
-    targets = TargetSeries(values=values[np.arange(T + 1)[:, None] + T * np.arange(rounds)])
+        def solve_chunks():
+            chunk = rounds_per_pass(N)
+            for first in range(0, rounds, chunk):
+                stop = min(first + chunk, rounds)
+                coeffs = full_backward_pass(p, *round_stack(first, stop))
+                for r in range(stop - first):
+                    c = take_round(coeffs, r)
+                    yield c, partial(act, c)
+
+        return "full", solve_chunks()
+    moments, targets = round_stack(0, rounds)
     if policy == "reduced":
         coeffs = reduced_backward_pass(p, moments, targets)
 

@@ -25,10 +25,18 @@ Q_n is ever formed. ``weighted_m2`` is read once per step, on the d_y^2
 unit weights: E[Z' W Z] is linear in W, so the weighted moments of the
 system matrix, and the covariance terms of all N value updates, are each
 one GEMM of the weights against that tensor. Per step the cost is one
-O((N d_z)^3) solve (and its condition number) plus N value updates of
-O(N^3 d_y^3 (1 + d_y)) each, about O(N^4 d_y^3 (1 + d_y)) in total,
-which caps this solver at modest populations; large N is served by the
-reduced and decentralized solvers.
+O((N d_z)^3) solve plus N value updates of O(N^3 d_y^3 (1 + d_y)) each,
+about O(N^4 d_y^3 (1 + d_y)) in total, which caps this solver at modest
+populations; large N is served by the reduced and decentralized solvers.
+The pass keeps each step's system matrix; its condition number, an SVD
+that costs more than the solve, is computed only when
+``FullNashCoeffs.condition_numbers`` is read (or at DEBUG level).
+
+One pass solves a stack of rounds at once, each as it would be alone.
+Its temporaries grow as R N^3 d_y^2 and R N^2 d_z^2 over R rounds, so
+``rounds_per_pass`` stacks (HARD_N_CEILING // N)^2 rounds (N = 1 takes
+N = 2's), which keeps a stacked pass's peak memory at or below one lone
+pass at HARD_N_CEILING.
 """
 
 from __future__ import annotations
@@ -38,9 +46,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .config import SYMMETRY_RTOL, check_symmetry
+from .config import SYMMETRY_RTOL, check_symmetry_scale
 from .errors import SolveError
 from .model import GameParams, TargetSeries
+from .nash_reduced import failing_round
 
 logger = logging.getLogger(__name__)
 
@@ -49,15 +58,26 @@ HARD_N_CEILING = 32
 
 @dataclass(frozen=True)
 class FullNashCoeffs:
-    """Feedback coefficients and value-function weights of the full game."""
+    """Feedback coefficients and value-function weights of the full game.
+
+    A pass over a round stack carries the round axis second on every
+    array, after agents on P and S (P is (N, R, T+1, N d_y, N d_y)) and
+    after time elsewhere (G is (T, R, N d_z, N d_y)), and a per-round
+    ``max_asymmetry``; ``nash_reduced.take_round`` takes one round."""
 
     P: np.ndarray  # (N, T+1, N d_y, N d_y)
     S: np.ndarray  # (N, T+1, N d_y)
     G: np.ndarray  # (T, N d_z, N d_y)
     H: np.ndarray  # (T, N d_z)
     dims: tuple  # (N, d_y, d_z)
-    max_asymmetry: float
-    condition_numbers: np.ndarray  # (T,)
+    max_asymmetry: float | np.ndarray
+    system: np.ndarray  # (T, N d_z, N d_z) regularized system matrix of each step
+
+    @property
+    def condition_numbers(self) -> np.ndarray:
+        """(T,) 2-norm condition number of each step's system matrix, by
+        SVD; computed when read, since only the round-0 snapshot reads it."""
+        return np.linalg.cond(self.system)
 
 
 @dataclass(frozen=True)
@@ -90,12 +110,31 @@ def _theta_rows(params: GameParams, own: np.ndarray, other: np.ndarray) -> np.nd
     return rows.reshape(N, d_y, N * d_y)
 
 
+def rounds_per_pass(N: int) -> int:
+    """Rounds that one stacked pass at population N solves together.
+
+    A pass's largest temporaries grow as R N^3 d_y^2 and R N^2 d_z^2 over
+    R rounds, so R = (HARD_N_CEILING // N)^2 keeps its peak memory at or
+    below one lone pass at HARD_N_CEILING. N = 1 takes N = 2's count:
+    terms that do not shrink with N (the weighted moments of every round's
+    bank window) would otherwise dominate its 1024 rounds."""
+    return max(1, (HARD_N_CEILING // max(N, 2)) ** 2)
+
+
 def full_backward_pass(params: GameParams, moments, targets: TargetSeries) -> FullNashCoeffs:
     """Solve the coupled backward system for P_n, S_n, G, H.
 
+    Moments and targets may carry a round axis right after the time axis
+    (m1 (T, R, d_y, d_z), values (T+1, R, d_y)); every round is then
+    solved at once and the outputs carry the round axis second
+    (``FullNashCoeffs``). A lone pass is a stack of one: every product
+    acts on one round's matrices with a lone pass's shapes, so round r of
+    a stack (``nash_reduced.take_round``) equals the pass over round r
+    alone, bit for bit.
+
     Raises SolveError if the regularized system matrix is singular at any
-    step (cannot happen for gamma > 0 with finite moments, but surfaced
-    rather than swallowed).
+    step, naming the first singular round of a stack (cannot happen for
+    gamma > 0 with finite moments, but surfaced rather than swallowed).
     """
     N, d_y, d_z = params.population_N, params.dim_y, params.dim_z
     T = params.horizon_T
@@ -108,10 +147,15 @@ def full_backward_pass(params: GameParams, moments, targets: TargetSeries) -> Fu
             f"full solver is limited to N <= {HARD_N_CEILING}; "
             "use the reduced or decentralized solver"
         )
+    rounds = moments.m1.shape[1:-2]
+    if targets.values.shape[1:-1] != rounds:
+        raise ValueError("targets and moments carry different round axes")
+    R = int(np.prod(rounds))  # 1 for a lone pass
+    n_y, n_z = N * d_y, N * d_z
 
     kap, kbar, gam = params.kappa, params.kappa_bar, params.gamma
     drift = _drift(params)
-    y = targets.values
+    y = targets.values.reshape(-1, R, d_y)
     agents = np.arange(N)
     # agent n's drift row (its next prediction) and the drift row of its
     # deviation from the population mean, as they enter the stage cost
@@ -122,67 +166,77 @@ def full_backward_pass(params: GameParams, moments, targets: TargetSeries) -> Fu
     row_k1 = np.concatenate([row_k, np.zeros((N, d_y, 1))], axis=2)
     row_kb1 = np.concatenate([row_kb, np.zeros((N, d_y, 1))], axis=2)
     # unit weights E_ab: weighted_m2 is linear in W, so the d_y^2 moments
-    # E[Z' E_ab Z] = E[z_a z_b'] of the rows of Z give every E[Z' W Z]
-    units = np.eye(d_y * d_y).reshape(d_y * d_y, d_y, d_y)
+    # E[Z' E_ab Z] = E[z_a z_b'] of the rows of Z give every E[Z' W Z];
+    # they broadcast against the bank's round axes
+    units = np.eye(d_y * d_y).reshape(d_y * d_y, *(1,) * len(rounds), d_y, d_y)
     eye_z = np.eye(d_z)
 
-    P = np.zeros((N, T + 1, N * d_y, N * d_y))
-    S = np.zeros((N, T + 1, N * d_y))
-    G = np.zeros((T, N * d_z, N * d_y))
-    H = np.zeros((T, N * d_z))
-    conds = np.zeros(T)
-    max_asym = 0.0
+    # round axis first, then agents: step t of every round is one block
+    P = np.zeros((T + 1, R, N, n_y, n_y))
+    S = np.zeros((T + 1, R, N, n_y))
+    G = np.zeros((T, R, n_z, n_y))
+    H = np.zeros((T, R, n_z))
+    system = np.empty((T, R, n_z, n_z))
+    max_asym = np.zeros(R)
+    scale = np.zeros(R)  # largest |entry| of each round's P, for check_symmetry
 
     for t in range(T - 1, -1, -1):
         disc = params.discount(t)
-        M1 = moments.m1[t]
-        M2 = moments.m2[t]
-        A2 = M1.T @ M1
+        M1 = moments.m1[t].reshape(R, d_y, d_z)
+        M2 = moments.m2[t].reshape(R, d_z, d_z)
+        A2 = M1.mT @ M1
         cov_eye = M2 - A2
-        m1_y = M1.T @ y[t + 1]
-        p_next = P[:, t + 1]
-        s_next = S[:, t + 1]
+        m1_y = (M1.mT @ y[t + 1, :, :, None])[:, None, :, 0]
+        p_next = P[t + 1]
+        s_next = S[t + 1]
         dk = disc * kbar
 
         # Cov(E_ab) = E[z_a z_b'] - M1[a] M1[b]' for each unit weight, read
         # once; Cov(W) = sum_ab W_ab Cov(E_ab) is then one GEMM in W. Cross-
         # agent blocks factorize, E[Z^m' W Z^k] = M1' W M1 for m != k, so
         # Cov(P_n[m, m]) is all the weighted moments add to the mean products.
-        unit_cov = (
-            moments.weighted_m2(t, units).reshape(d_y * d_y, d_z * d_z)
-            - (M1[:, None, :, None] * M1[None, :, None, :]).reshape(d_y * d_y, d_z * d_z)
-        )
+        unit_cov = moments.weighted_m2(t, units).reshape(d_y * d_y, R, d_z * d_z).swapaxes(0, 1) - (
+            M1[:, :, None, :, None] * M1[:, None, :, None, :]
+        ).reshape(R, d_y * d_y, d_z * d_z)
         # P_n[m, m] for every agent n and block m
-        p_diag = np.diagonal(p_next.reshape(N, N, d_y, N, d_y), axis1=1, axis2=3)
-        p_diag = np.moveaxis(p_diag, -1, 1)
+        p_diag = np.diagonal(p_next.reshape(R, N, N, d_y, N, d_y), axis1=2, axis2=4)
+        p_diag = np.moveaxis(p_diag, -1, 2)
 
         # System matrix: agent n's block row is M1' P_n[n, m] M1 + the
         # stage terms, with the weighted moment E[Z' P_n[n, n] Z] on m = n.
-        p_rows = p_next.reshape(N, N, d_y, N * d_y)[agents, agents]  # P_n[n, :]
-        m_sys = ((M1.T @ p_rows).reshape(N * d_z * N, d_y) @ M1).reshape(N, d_z, N, d_z)
-        m_sys -= (dk * (1 - 1 / N) / N) * A2[:, None, :]
-        cov_own = (p_diag[agents, agents].reshape(N, d_y * d_y) @ unit_cov).reshape(N, d_z, d_z)
-        m_sys[agents, :, agents] += cov_own + disc * (
-            (kap + kbar * (1 - 1 / N)) * M2 - kbar * (1 - 1 / N) / N * cov_eye + gam * eye_z
-        )
-        m_sys = m_sys.reshape(N * d_z, N * d_z)
+        p_rows = p_next.reshape(R, N, N, d_y, n_y)[:, agents, agents]  # P_n[n, :]
+        m_sys = ((M1.mT[:, None] @ p_rows).reshape(R, N * d_z * N, d_y) @ M1).reshape(R, N, d_z, N, d_z)
+        m_sys -= (dk * (1 - 1 / N) / N) * A2[:, None, :, None, :]
+        cov_own = (p_diag[:, agents, agents].reshape(R, N, d_y * d_y) @ unit_cov).reshape(R, N, d_z, d_z)
+        m_sys[:, agents, :, agents] += (
+            cov_own
+            + disc * (
+                (kap + kbar * (1 - 1 / N)) * M2 - kbar * (1 - 1 / N) / N * cov_eye + gam * eye_z
+            )[:, None]
+        ).swapaxes(0, 1)
+        m_sys = m_sys.reshape(R, n_z, n_z)
+        system[t] = m_sys
 
         # Right-hand sides: the feedback forcing (stage-cost cross terms plus
         # the P coupling) and the S-minus-target forcing; one solve gives
         # [G | H] up to sign.
         r_rows = disc * (kap * row_k + kbar * (1 - 1 / N) * row_kb) + p_rows @ drift
-        rhs = np.empty((N, d_z, N * d_y + 1))
-        rhs[:, :, :-1] = M1.T @ r_rows
-        rhs[:, :, -1] = s_next.reshape(N, N, d_y)[agents, agents] @ M1 - disc * kap * m1_y
+        rhs = np.empty((R, N, d_z, n_y + 1))
+        rhs[..., :-1] = M1.mT[:, None] @ r_rows
+        rhs[..., -1] = s_next.reshape(R, N, N, d_y)[:, agents, agents] @ M1 - disc * kap * m1_y
 
-        conds[t] = np.linalg.cond(m_sys)
-        logger.debug("full pass t=%d cond=%.3e", t, conds[t])
+        if logger.isEnabledFor(logging.DEBUG):
+            logger.debug("full pass t=%d cond=%.3e (max over rounds)", t, np.max(np.linalg.cond(m_sys)))
+        rhs = rhs.reshape(R, n_z, n_y + 1)
         try:
-            gh = -np.linalg.solve(m_sys, rhs.reshape(N * d_z, N * d_y + 1))
+            gh = -np.linalg.solve(m_sys, rhs)
         except np.linalg.LinAlgError as exc:
-            raise SolveError(f"singular system matrix at t={t}") from exc
-        G[t] = gh[:, :-1]
-        H[t] = gh[:, -1]
+            where = failing_round(
+                np.linalg.solve, m_sys.reshape(*rounds, n_z, n_z), rhs.reshape(*rounds, n_z, n_y + 1)
+            )
+            raise SolveError(f"singular system matrix at {where}t={t}") from exc
+        G[t] = gh[..., :-1]
+        H[t] = gh[..., -1]
 
         # Value updates in prediction space, in homogeneous coordinates
         # [y; 1]: one quadratic form w_n per agent carries P_n (top left)
@@ -193,47 +247,61 @@ def full_backward_pass(params: GameParams, moments, targets: TargetSeries) -> Fu
         # c Cov(I) per block (c = disc kbar / N^2, the population mean),
         # agent n's own action cost and its row-n and column-n terms.
         # Neither the coupling array nor a dense Q_n is formed.
-        gh_blk = gh.reshape(N, d_z, N * d_y + 1)
-        x_blk = M1 @ gh_blk  # (N, d_y, N d_y + 1)
-        x_sum = x_blk.sum(axis=0)
-        a = x_blk.reshape(N * d_y, N * d_y + 1).copy()
-        a[:, :-1] += drift
+        gh_blk = gh.reshape(R, N, d_z, n_y + 1)
+        x_blk = M1[:, None] @ gh_blk  # (R, N, d_y, N d_y + 1)
+        x_sum = x_blk.sum(axis=1)
+        a = x_blk.reshape(R, n_y, n_y + 1).copy()
+        a[..., :-1] += drift
         c = dk / N**2
-        p_a = (p_next.reshape(N * N * d_y, N * d_y) @ a).reshape(N, N * d_y, -1)
-        w = a.T @ p_a + c * (x_sum.T @ x_sum)
+        p_a = (p_next.reshape(R, N * n_y, n_y) @ a).reshape(R, N, n_y, -1)
+        w = a.mT[:, None] @ p_a + c * (x_sum.mT @ x_sum)[:, None]
 
         # sum_m G_m' Cov(P_n[m, m] + c I) G_m for every agent n: one GEMM of
         # the weights against G_m' Cov(E_ab) G_m; then agent n's own action cost
-        unit_g = gh_blk.swapaxes(1, 2)[:, None] @ (
-            unit_cov.reshape(d_y * d_y, d_z, d_z) @ gh_blk[:, None]
+        unit_g = gh_blk.mT[:, :, None] @ (
+            unit_cov.reshape(R, 1, d_y * d_y, d_z, d_z) @ gh_blk[:, :, None]
         )
-        weights = (p_diag + c * np.eye(d_y)).reshape(N, N * d_y * d_y)
-        w += (weights @ unit_g.reshape(N * d_y * d_y, -1)).reshape(w.shape)
+        weights = (p_diag + c * np.eye(d_y)).reshape(R, N, N * d_y * d_y)
+        w += (weights @ unit_g.reshape(R, N * d_y * d_y, -1)).reshape(w.shape)
         own = disc * ((kbar + kap) * M2 + gam * eye_z) - (2 * dk / N) * cov_eye
-        w += gh_blk.swapaxes(1, 2) @ (own @ gh_blk)
+        w += gh_blk.mT @ (own[:, None] @ gh_blk)
 
         # row-n and column-n stage terms of agent n's prediction and of its
         # deviation from the mean, plus transpose, as one product of stacked
         # pairs: x_n'(disc (kbar rkb_n + kap rk_n) - (dk/N) x_sum) - (dk/N) x_sum' rkb_n
-        left = np.concatenate([x_blk, np.broadcast_to(x_sum, x_blk.shape)], axis=1)
+        x_sums = np.broadcast_to(x_sum[:, None], x_blk.shape)
+        left = np.concatenate([x_blk, x_sums], axis=2)
         right = np.concatenate(
-            [disc * (kbar * row_kb1 + kap * row_k1) - (dk / N) * x_sum, -(dk / N) * row_kb1], axis=1
+            [
+                disc * (kbar * row_kb1 + kap * row_k1) - (dk / N) * x_sums,
+                np.broadcast_to(-(dk / N) * row_kb1, x_blk.shape),
+            ],
+            axis=2,
         )
-        cross = left.swapaxes(1, 2) @ right
-        w += cross + cross.swapaxes(1, 2)
+        cross = left.mT @ right
+        w += cross + cross.mT
 
-        p_new = w[:, :-1, :-1] + disc * stage_w
-        p_new_t = p_new.swapaxes(1, 2)
-        max_asym = max(max_asym, float(np.max(np.abs(p_new - p_new_t))))
-        P[:, t] = 0.5 * (p_new + p_new_t)
+        p_new = w[..., :-1, :-1] + disc * stage_w
+        p_new_t = p_new.mT
+        max_asym = np.maximum(max_asym, np.max(np.abs(p_new - p_new_t), axis=(1, 2, 3)))
+        P[t] = 0.5 * (p_new + p_new_t)
+        scale = np.maximum(scale, np.max(np.abs(P[t]), axis=(1, 2, 3)))
 
-        s_new = w[:, :-1, -1] + s_next @ a[:, :-1]
-        s_new -= disc * kap * ((x_blk[:, :, :-1] + row_k).swapaxes(1, 2) @ y[t + 1])
-        S[:, t] = s_new
+        s_new = w[..., :-1, -1] + s_next @ a[..., :-1]
+        s_new -= disc * kap * ((x_blk[..., :-1] + row_k).mT @ y[t + 1, :, None, :, None])[..., 0]
+        S[t] = s_new
 
-    check_symmetry(logger, "P_n", max_asym, P)
+    check_symmetry_scale(logger, "P_n", max_asym, scale)
+    # round axis second: after agents on P and S, after time elsewhere
+    k = len(rounds)
     return FullNashCoeffs(
-        P=P, S=S, G=G, H=H, dims=(N, d_y, d_z), max_asymmetry=max_asym, condition_numbers=conds
+        P=np.moveaxis(P.reshape(T + 1, *rounds, N, n_y, n_y), (k + 1, 0), (0, k + 1)),
+        S=np.moveaxis(S.reshape(T + 1, *rounds, N, n_y), (k + 1, 0), (0, k + 1)),
+        G=G.reshape(T, *rounds, n_z, n_y),
+        H=H.reshape(T, *rounds, n_z),
+        dims=(N, d_y, d_z),
+        max_asymmetry=max_asym.reshape(rounds) if rounds else float(max_asym[0]),
+        system=system.reshape(T, *rounds, n_z, n_z),
     )
 
 

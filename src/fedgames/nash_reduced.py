@@ -99,8 +99,9 @@ def take_round(coeffs, r: int):
     """Entry r of coefficients solved over a round or population stack:
     every per-step array loses its stack axis, ``max_asymmetry`` becomes a
     float and, for a population stack, ``dims`` carries entry r's own N.
-    Works on ReducedCoeffs and DecentralizedCoeffs, whose ``drift_sum``
-    has no time axis."""
+    Works on ReducedCoeffs, DecentralizedCoeffs, whose ``drift_sum`` has
+    no time axis, and FullNashCoeffs, whose stack axis is second on every
+    array."""
     per_round = {
         f.name: getattr(coeffs, f.name)[:, r]
         for f in fields(coeffs)

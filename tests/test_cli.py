@@ -262,11 +262,15 @@ def test_coeff_dump_matches_fresh_round0_solve(config, tmp_path):
         assert dumped["kind"] == policy
         arrays = vars(fresh)
         if policy == "full":
-            # the full snapshot holds agent 1's value function only
-            assert "P" not in dumped and "S" not in dumped
+            # the full snapshot holds agent 1's value function only, and the
+            # condition numbers of the step system matrices, not the matrices
+            assert "P" not in dumped and "S" not in dumped and "system" not in dumped
             np.testing.assert_array_equal(dumped["P1"], fresh.P[0], err_msg="full P1")
             np.testing.assert_array_equal(dumped["S1"], fresh.S[0], err_msg="full S1")
-            arrays = {name: value for name, value in arrays.items() if name not in ("P", "S")}
+            np.testing.assert_array_equal(
+                dumped["condition_numbers"], fresh.condition_numbers, err_msg="full condition_numbers"
+            )
+            arrays = {name: value for name, value in arrays.items() if name not in ("P", "S", "system")}
         for name, value in arrays.items():
             if isinstance(value, np.ndarray):
                 np.testing.assert_array_equal(dumped[name], value, err_msg=f"{policy} {name}")

@@ -3,6 +3,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -26,7 +27,8 @@ from fedgames.harness import (
     underperformer_regret,
 )
 from fedgames.encoders import sample_rfn_params
-from fedgames.model import GameParams
+from fedgames.model import GameParams, SampleBank, TargetSeries, estimate_moments
+from fedgames.nash_full import full_backward_pass, rounds_per_pass
 from fedgames.pool import AgentPool
 from fedgames.ridge import RidgeConfig
 
@@ -522,3 +524,70 @@ def test_aggregation_reads_only_the_window():
 def test_aggregation_window_must_be_positive():
     with pytest.raises(ValueError, match="aggregation_window"):
         small_scenario(aggregation_window=0)
+
+
+def full_cell(N, length, d_y=1, d_z=4, T=4, kind="logistic_map"):
+    return small_scenario(
+        params=GameParams(
+            theta=0.7, theta_bar=0.3, kappa=1.0, kappa_bar=0.5, gamma=1.0, alpha=0.01,
+            horizon_T=T, population_N=N, dim_y=d_y, dim_z=d_z,
+        ),
+        dataset=DatasetSpec(kind=kind, length=length, seed=2),
+        mc_samples=20,
+    )
+
+
+@pytest.mark.parametrize(
+    "N,length,passes",
+    [
+        (8, 17, 1),  # shaped like the benchmark's full_oracle cells: 4 rounds in one chunk
+        (16, 17, 1),
+        (32, 13, 3),  # N at the ceiling: one round per chunk
+    ],
+)
+def test_full_cell_solves_one_pass_per_chunk(monkeypatch, N, length, passes):
+    import fedgames.harness as harness
+
+    calls = []
+
+    def counted(*args):
+        calls.append(args[1].m1.shape[1])
+        return full_backward_pass(*args)
+
+    monkeypatch.setattr(harness, "full_backward_pass", counted)
+    run_episode("full", full_cell(N, length), seed=1)
+    assert len(calls) == passes
+    assert sum(calls) == (length - 1) // 4
+
+
+def test_chunked_full_rounds_match_lone_passes():
+    # 11 rounds at N = 16 span three chunks of rounds_per_pass(16) = 4; the
+    # coefficients each round plays are its lone pass's, bit for bit
+    from fedgames.datasets import build_dataset
+    from fedgames.harness import _build_bank, _solve_episode
+
+    N, T, d_y, d_z, length = 16, 2, 2, 3, 23
+    scenario = full_cell(N, length, d_y, d_z, T, kind="concept_drift")
+    targets, inputs = build_dataset(scenario.dataset)
+    rounds = (length - 1) // T
+    assert rounds > 2 * rounds_per_pass(N)
+    kind, solved = _solve_episode("full", scenario, inputs, targets.values, rounds, seed=3)
+    assert kind == "full"
+    bank = _build_bank(scenario, inputs, 3)
+    played = 0
+    for r, (coeffs, _) in enumerate(solved):
+        base = r * T
+        lone = full_backward_pass(
+            scenario.params,
+            estimate_moments(SampleBank(samples=bank.samples[base : base + T])),
+            TargetSeries(values=targets.values[base : base + T + 1]),
+        )
+        for f in fields(lone):
+            want, have = getattr(lone, f.name), getattr(coeffs, f.name)
+            if isinstance(want, np.ndarray):
+                np.testing.assert_array_equal(have, want, err_msg=f"round {r} {f.name}")
+            else:
+                assert have == want, (r, f.name)
+        np.testing.assert_array_equal(coeffs.condition_numbers, lone.condition_numbers)
+        played += 1
+    assert played == rounds

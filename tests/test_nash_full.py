@@ -1,14 +1,21 @@
 import tracemalloc
+import types
+from dataclasses import replace
 
 import numpy as np
 import pytest
 from oracles import (
     alternating_best_response,
+    assert_round_equal,
     lift,
     realized_cost,
     reference_full_backward_pass,
+    round_params,
+    round_stack,
     simulate_affine_policies,
 )
+
+from fedgames.errors import SolveError
 
 from fedgames.model import (
     GameParams,
@@ -18,7 +25,14 @@ from fedgames.model import (
     estimate_moments,
     exact_moments_deterministic,
 )
-from fedgames.nash_full import check_block_structure, full_action, full_backward_pass
+from fedgames.nash_full import (
+    HARD_N_CEILING,
+    check_block_structure,
+    full_action,
+    full_backward_pass,
+    rounds_per_pass,
+)
+from fedgames.nash_reduced import take_round
 
 
 def scalar_params(**over):
@@ -307,3 +321,98 @@ def test_peak_memory_stays_near_output_size():
     outputs = (coeffs.P, coeffs.S, coeffs.G, coeffs.H, coeffs.condition_numbers)
     out_bytes = sum(a.nbytes for a in outputs)
     assert peak < 8 * out_bytes, f"peak {peak} B vs outputs {out_bytes} B"
+
+
+@pytest.mark.parametrize("count", [7, 1])
+@pytest.mark.parametrize("N", [1, 2, 3, 8, 16])
+@pytest.mark.parametrize("d_y,d_z", [(1, 4), (2, 3)])
+def test_round_stacked_pass_matches_each_round(d_y, d_z, N, count):
+    # every product of a stacked pass acts on one round's matrices with a
+    # lone pass's shapes, so each round is the lone pass bit for bit,
+    # condition numbers included
+    T = 4
+    for rounds in (1, 3, 5):
+        rng = np.random.default_rng(300 + 10 * N + rounds)
+        params = round_params(rng, N, d_y, d_z, T)
+        (moments, targets), singles = round_stack(rng, params, rounds, count)
+        stacked = full_backward_pass(params, moments, targets)
+        assert stacked.P.shape == (N, rounds, T + 1, N * d_y, N * d_y)
+        assert stacked.G.shape == (T, rounds, N * d_z, N * d_y)
+        assert stacked.max_asymmetry.shape == (rounds,)
+        for r, (mom_r, tgt_r) in enumerate(singles):
+            single = full_backward_pass(params, mom_r, tgt_r)
+            assert_round_equal(stacked, r, single)
+            np.testing.assert_array_equal(
+                take_round(stacked, r).condition_numbers, single.condition_numbers
+            )
+
+
+def singular_round_moments(T, R, d_z, gamma):
+    """Zero-mean moments with zero weighted moments whose round 1 has
+    M2 = -gamma I at t = T-1: with kappa 0, kappa_bar 4 and N = 2 the
+    system matrix there is M2 + gamma I = 0. R None: round 1 alone."""
+    rounds = (R,) if R else ()
+    m2 = np.tile(np.eye(d_z), (T, R or 1, 1, 1))
+    m2[T - 1, 1 if R else 0] *= -gamma
+    return types.SimpleNamespace(
+        m1=np.zeros((T, *rounds, 1, d_z)),
+        m2=m2.reshape(T, *rounds, d_z, d_z),
+        horizon=T,
+        weighted_m2=lambda t, w: np.zeros((*np.broadcast_shapes(w.shape[:-2], rounds), d_z, d_z)),
+    )
+
+
+def test_singular_round_is_named():
+    T, R, d_z = 3, 3, 2
+    params = replace(round_params(np.random.default_rng(0), 2, 1, d_z, T), kappa=0.0, kappa_bar=4.0)
+    moments = singular_round_moments(T, R, d_z, params.gamma)
+    with pytest.raises(SolveError) as stacked:
+        full_backward_pass(params, moments, TargetSeries(values=np.zeros((T + 1, R, 1))))
+    with pytest.raises(SolveError) as alone:
+        full_backward_pass(
+            params, singular_round_moments(T, None, d_z, params.gamma), TargetSeries(values=np.zeros((T + 1, 1)))
+        )
+    assert str(alone.value) == f"singular system matrix at t={T - 1}"
+    assert str(stacked.value) == f"singular system matrix at round 1, t={T - 1}"
+    # rounds 0 and 2 still solve alone
+    for r in (0, 2):
+        lone = types.SimpleNamespace(
+            m1=moments.m1[:, r],
+            m2=moments.m2[:, r],
+            horizon=T,
+            weighted_m2=lambda t, w: np.zeros((*w.shape[:-2], d_z, d_z)),
+        )
+        full_backward_pass(params, lone, TargetSeries(values=np.zeros((T + 1, 1))))
+
+
+def _peak_bytes(solve):
+    solve()  # warm
+    was_tracing = tracemalloc.is_tracing()
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        before = tracemalloc.get_traced_memory()[0]
+        solve()
+        return tracemalloc.get_traced_memory()[1] - before
+    finally:
+        if not was_tracing:
+            tracemalloc.stop()
+
+
+def test_stacked_chunk_peaks_below_a_lone_pass_at_the_ceiling():
+    # rounds_per_pass sizes a chunk so that its peak memory stays at or
+    # below one lone pass at HARD_N_CEILING with the same T, d_y, d_z
+    T, d_y, d_z = 4, 1, 4
+    rng = np.random.default_rng(140)
+
+    def stacked_peak(N, rounds):
+        params = round_params(rng, N, d_y, d_z, T)
+        (moments, targets), _ = round_stack(rng, params, rounds, count=100)
+        return _peak_bytes(lambda: full_backward_pass(params, moments, targets))
+
+    ceiling = stacked_peak(HARD_N_CEILING, 1)
+    assert rounds_per_pass(HARD_N_CEILING) == 1
+    for N in (1, 2, 4, 8, 16):
+        assert rounds_per_pass(N) > 1
+        peak = stacked_peak(N, rounds_per_pass(N))
+        assert peak <= ceiling, (N, peak, ceiling)
