@@ -66,42 +66,86 @@ class EsnParams:
             raise EncodeError(f"unknown activation {self.activation!r}")
 
 
-def _preactivation(A, b, x, extra, sigma, noise):
-    d_y, d_z = b.shape[-2:]
-    x = np.asarray(x, dtype=float).reshape(-1)
-    if A.shape[-2] != d_y or A.shape[-1] != x.shape[0]:
-        raise EncodeError(f"A has shape {A.shape}, incompatible with x of length {x.shape[0]}")
+def check_step(p: RfnParams | EsnParams, x, noise, z_prev=None) -> None:
+    """The checks of one encoding step by the stacked encoders ``p``: for
+    a recurrent encoder the shape and finiteness of the carry ``z_prev``,
+    then the input length and the shape of the noise rows.
+    ``encode_into`` makes none of them; a caller that encodes every step
+    on its own buffers checks once, and again where a carry changes."""
+    d_y, d_z = p.b.shape[-2:]
+    if isinstance(p, EsnParams):
+        if z_prev.shape != p.b.shape:
+            raise EncodeError(f"z_prev has shape {z_prev.shape}, expected {p.b.shape}")
+        check_carry(z_prev)
+    if p.A.shape[-2] != d_y or p.A.shape[-1] != x.shape[0]:
+        raise EncodeError(f"A has shape {p.A.shape}, incompatible with x of length {x.shape[0]}")
+    if noise.shape != p.b.shape[:-2] + (d_z,):
+        raise EncodeError(f"noise must have shape {p.b.shape[:-2] + (d_z,)}, got {noise.shape}")
+
+
+def check_carry(z_prev: np.ndarray) -> None:
+    """Raise EncodeError if the carry ``z_prev`` is not finite. One sum
+    settles a finite carry; the entries are searched only when the sum
+    is not finite, which an overflowing sum of finite entries can also
+    cause (as in ``harness.check_finite``)."""
+    if not np.isfinite(np.sum(z_prev)) and not np.isfinite(z_prev).all():
+        raise EncodeError("z_prev contains non-finite entries")
+
+
+def encode_into(p: RfnParams | EsnParams, x, noise, z_prev, out, ax, work) -> np.ndarray:
+    """The encoders' arithmetic, unchecked, on the caller's buffers: the
+    latents of one step by every stacked encoder in ``p``, written into
+    ``out`` (shaped like ``p.b``) and returned. ``ax`` (shaped like
+    ``p.A`` without its last axis) and ``work`` (like ``p.b``) are
+    scratch; ``z_prev`` (read by a recurrent encoder only) must not be
+    ``out``. The sums run in the order of
+
+        A [x..x] + b + sigma W_t (+ B Z_{t-1})
+
+    left to right, whichever caller (``rfn_encode``, ``esn_encode``, the
+    harness's latent bank and agent step) supplies the buffers."""
+    np.matmul(p.A, x, out=ax)
+    np.add(ax[..., None], p.b, out=out)
+    np.multiply(p.sigma[..., None], noise[..., None, :], out=work)
+    out += work
+    if isinstance(p, RfnParams):
+        return np.maximum(out, 0.0, out=out)
+    np.matmul(p.B, z_prev, out=work)
+    out += work
+    if p.activation == TANH:
+        return np.tanh(out, out=out)
+    return hard_sigmoid(out, out=out)
+
+
+def _encode(p: RfnParams | EsnParams, x_t, noise, z_prev=None) -> np.ndarray:
+    """Check one step and encode it into fresh arrays."""
+    x = np.asarray(x_t, dtype=float).reshape(-1)
     noise = np.asarray(noise, dtype=float)
-    if noise.shape != b.shape[:-2] + (d_z,):
-        raise EncodeError(f"noise must have shape {b.shape[:-2] + (d_z,)}, got {noise.shape}")
-    pre = (A @ x)[..., None] + b + sigma[..., None] * noise[..., None, :]
-    if extra is not None:
-        pre = pre + extra
-    return pre
+    if z_prev is not None:
+        z_prev = np.asarray(z_prev, dtype=float)
+    check_step(p, x, noise, z_prev)
+    return encode_into(p, x, noise, z_prev, np.empty(p.b.shape), np.empty(p.A.shape[:-1]), np.empty(p.b.shape))
 
 
-def hard_sigmoid(x: np.ndarray) -> np.ndarray:
-    return np.clip((x + 3.0) / 6.0, 0.0, 1.0)
+def hard_sigmoid(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """clamp((x + 3) / 6, 0, 1), into ``out`` when given (it may be ``x``)."""
+    if out is None:
+        out = np.empty(np.shape(x))
+    np.add(x, 3.0, out=out)
+    out /= 6.0
+    return np.clip(out, 0.0, 1.0, out=out)
 
 
 def rfn_encode(x_t, p: RfnParams, noise) -> np.ndarray:
     """Rectified random-feature encoding of one input vector by every
     stacked encoder in ``p``."""
-    return np.maximum(_preactivation(p.A, p.b, x_t, None, p.sigma, noise), 0.0)
+    return _encode(p, x_t, noise)
 
 
 def esn_encode(x_t, z_prev, p: EsnParams, noise) -> np.ndarray:
     """Saturating recurrent encoding; z_prev is the previous latent matrix
     of every stacked encoder, shaped like ``p.b``."""
-    z_prev = np.asarray(z_prev, dtype=float)
-    if z_prev.shape != p.b.shape:
-        raise EncodeError(f"z_prev has shape {z_prev.shape}, expected {p.b.shape}")
-    if not np.all(np.isfinite(z_prev)):
-        raise EncodeError("z_prev contains non-finite entries")
-    pre = _preactivation(p.A, p.b, x_t, p.B @ z_prev, p.sigma, noise)
-    if p.activation == TANH:
-        return np.tanh(pre)
-    return hard_sigmoid(pre)
+    return _encode(p, x_t, noise, z_prev)
 
 
 def _stacked_normals(rng, count, shapes):

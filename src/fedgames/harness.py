@@ -18,15 +18,33 @@ only those sums and the O(L) aggregated series are kept, so memory grows
 with N, not with N times the episode length. ``EpisodeTrace`` keeps the
 per-step histories on request.
 
-The agent loop is array-at-a-time: per step, one noise block, one
-encoder call, one action call and one dynamics update cover all N
-agents. Random streams come from ``_rng`` only, keyed by (seed, purpose,
-step) and drawn agent-major (README, "Random streams").
+The agent loop is array-at-a-time and fused: per step, one noise block,
+one encoding, one action call and one dynamics update cover all N
+agents, each written into buffers allocated once per episode (the ESN
+carry alternates between two of them). The step calls the kernels that
+the public functions call after their checks: ``encoders.encode_into``
+(``rfn_encode``, ``esn_encode``), ``_drift_into`` and ``_advance_into``
+(``step_dynamics``), ``_softmax_into`` (``aggregation_weights``),
+``spawner.score_into`` (``score_agents``) and ``ridge.ridge_solve``
+(``ridge_action``), so it runs the same arithmetic in the same order.
+The checks run once per episode, and on the carry rows a respawn
+replaces; the step's one check is ``check_finite`` on the sum of its new
+predictions. The dynamics' drift terms theta Y and theta_bar mean(Y) are
+computed once per step and passed to every ``act``; the greedy baseline
+builds its ridge residual from them. ``tests/oracles.py::public_episode``
+replays an episode with one call of each public function per step, and
+``test_fused_step_matches_public_functions`` holds the fused loop to it
+bit for bit; ``test_greedy_window_matches_ridge_action_at_every_fill_level``
+and ``test_bank_matches_per_step_encoder_calls`` do the same for the
+ridge window and the latent bank. Random streams come from ``_rng``
+only, keyed by (seed, purpose, step) and drawn agent-major (README,
+"Random streams").
 """
 
 from __future__ import annotations
 
 import logging
+import math
 import time
 from dataclasses import dataclass, field
 from functools import partial
@@ -36,8 +54,11 @@ import numpy as np
 from .datasets import DatasetSpec, build_dataset
 from .encoders import (
     HARD_SIGMOID,
-    esn_encode,
-    rfn_encode,
+    check_carry,
+    check_step,
+    encode_into,
+    esn_encode,  # noqa: F401  (perfbench's tracer wraps it here)
+    rfn_encode,  # noqa: F401  (perfbench's tracer wraps it here)
     sample_esn_params,
     sample_rfn_params,
 )
@@ -51,8 +72,15 @@ from .nash_meanfield import (
 )
 from .nash_reduced import reduced_action, reduced_backward_pass, take_round
 from .pool import AgentPool
-from .ridge import RidgeConfig, ridge_action
-from .spawner import build_ortho_problem, ortho_solve, resample_parameters, score_agents
+from .ridge import RidgeConfig, ridge_penalty, ridge_solve, ridge_weights
+from .ridge import ridge_action  # noqa: F401  (perfbench's tracer wraps it here)
+from .spawner import (
+    build_ortho_problem,
+    ortho_solve,
+    resample_parameters,
+    score_agents,  # noqa: F401  (perfbench's tracer wraps it here)
+    score_into,
+)
 
 logger = logging.getLogger(__name__)
 
@@ -146,8 +174,9 @@ class RunRecord:
 class EpisodeTrace:
     """Opt-in per-step histories of one episode, for tests and debugging.
 
-    ``run_episode(..., trace=EpisodeTrace())`` appends each round's
-    (predictions (T+1, N, d_y), actions (T, N, d_z)) as the round ends;
+    ``run_episode(..., trace=EpisodeTrace())`` appends a copy of each
+    round's (predictions (T+1, N, d_y), actions (T, N, d_z)) as the
+    round ends (the episode reuses its own buffers);
     row 0 of a round's predictions is its start at the observed target.
     Without a trace an episode keeps only the round in progress.
     """
@@ -176,13 +205,30 @@ def step_dynamics(
     actions = np.asarray(actions, dtype=float)
     if actions.shape[0] != preds.shape[0]:
         raise ValueError("one action per agent required")
-    mean = preds.mean(axis=0)
-    out = (
-        preds @ params.theta.T
-        + mean @ params.theta_bar.T
-        + np.einsum("nij,nj->ni", latents, actions)
-    )
-    check_finite(out, np.sum(out))
+    n, d_y = preds.shape
+    drift, mean, mean_drift = np.empty((n, d_y)), np.empty(d_y), np.empty(d_y)
+    _drift_into(preds, params.theta.T, params.theta_bar.T, drift, mean, mean_drift)
+    out = _advance_into(drift, mean_drift, latents, actions, np.empty((n, d_y)), np.empty((n, d_y)))
+    check_finite(out, np.add.reduce(out, axis=None))
+    return out
+
+
+def _drift_into(preds, theta_t, theta_bar_t, drift, mean, mean_drift) -> None:
+    """The two drift terms of the dynamics, theta Y (per agent, into
+    ``drift``) and theta_bar mean(Y) (into ``mean_drift``), given the
+    transposed ``theta_t`` and ``theta_bar_t``; the mean goes to ``mean``."""
+    np.matmul(preds, theta_t, out=drift)
+    np.add.reduce(preds, axis=0, out=mean)  # np.mean's sum and division
+    mean /= preds.shape[0]
+    np.matmul(mean, theta_bar_t, out=mean_drift)
+
+
+def _advance_into(drift, mean_drift, latents, actions, out, work) -> np.ndarray:
+    """The dynamics' sum drift + mean_drift + Z beta, left to right, into
+    ``out``; ``work`` holds Z beta. Unchecked: ``step_dynamics`` and the
+    agent step check the result."""
+    np.add(drift, mean_drift, out=out)
+    out += np.einsum("nij,nj->ni", latents, actions, out=work)
     return out
 
 
@@ -191,12 +237,13 @@ def check_finite(predictions: np.ndarray, total) -> None:
     ``predictions`` is not finite.
 
     ``total`` is a sum of all the predictions with positive weights,
-    already at hand (their sum, their mean). A sum with a non-finite term
-    is not finite, so a finite ``total`` settles the check in one
-    reduction; the rows are searched only when it is not finite, which
-    an overflowing sum of finite rows can also cause.
+    already at hand (their sum, or their mean, a vector that is summed
+    once more). A sum with a non-finite term is not finite, so a finite
+    ``total`` settles the check in one reduction; the rows are searched
+    only when it is not finite, which an overflowing sum of finite rows
+    can also cause.
     """
-    if np.isfinite(total).all():
+    if math.isfinite(np.add.reduce(total, axis=None)):
         return
     bad = ~np.isfinite(predictions).all(axis=1)
     if np.any(bad):
@@ -261,18 +308,30 @@ def underperformer_regret(record: RunRecord) -> float:
     return float(np.max(record.costs))
 
 
+def _aggregation_discounts(k: int, alpha_a: float) -> np.ndarray:
+    """(k,) discounts of a window of k steps' errors, oldest first."""
+    return np.exp(-alpha_a * np.arange(k - 1, -1, -1))
+
+
+def _softmax_into(disc, errors, out) -> np.ndarray:
+    """Softmax weights of minus the ``disc``-discounted (k, N) ``errors``,
+    into ``out``."""
+    np.matmul(disc, errors, out=out)
+    np.subtract(out, np.minimum.reduce(out), out=out)
+    np.negative(out, out=out)
+    np.exp(out, out=out)
+    out /= np.add.reduce(out)
+    return out
+
+
 def aggregation_weights(recent_errors, alpha_a: float) -> np.ndarray:
     """Softmax weights from discounted recent squared errors.
 
     ``recent_errors`` is a (k, N) stack ordered oldest to newest.
     """
     errors = np.atleast_2d(np.asarray(recent_errors, dtype=float))
-    k = errors.shape[0]
-    disc = np.exp(-alpha_a * np.arange(k - 1, -1, -1))
-    omega = disc @ errors
-    logits = -(omega - omega.min())
-    w = np.exp(logits)
-    return w / w.sum()
+    k, n = errors.shape
+    return _softmax_into(_aggregation_discounts(k, alpha_a), errors, np.empty(n))
 
 
 def aggregate_predictions(
@@ -292,10 +351,19 @@ def aggregate_predictions(
     return w @ preds, w
 
 
+_UINT32_END = 2**32
+
+
 def _rng(*key):
     """The one constructor of the episode's random streams, keyed by
     (seed, purpose[, step]); every stream draws a block with one row per
-    agent (or bank replica), agent-major."""
+    agent (or bank replica), agent-major.
+
+    A key of entries below 2^32 is passed as one uint32 word per entry:
+    numpy's seed sequence reduces a list of such ints to those same
+    words, so the streams are the list's, built in less time."""
+    if all(0 <= k < _UINT32_END for k in key):
+        return np.random.default_rng(np.array(key, dtype=np.uint32))
     return np.random.default_rng(list(key))
 
 
@@ -305,63 +373,100 @@ def _sample_encoders(cfg: EncoderConfig, count, d_y, d_z, d_x, rng):
     return sample_esn_params(d_y, d_z, d_x, cfg.sigma, rng, activation=cfg.activation, count=count)
 
 
-def _encode(cfg: EncoderConfig, enc, x, noise, z_prev):
-    """Latents of step t; a recurrent encoder carries ``z_prev``, the
-    previous step's latents."""
-    if cfg.kind == "rfn":
-        return rfn_encode(x, enc, noise)
-    return esn_encode(x, z_prev, enc, noise)
-
-
-def _build_bank(scenario: Scenario, inputs: np.ndarray, seed: int) -> SampleBank:
-    """Latent replicas from freshly sampled encoder parameter sets, run
-    over the whole input sequence (recurrent state carried through)."""
+def _build_bank(scenario: Scenario, inputs: np.ndarray, seed: int) -> np.ndarray:
+    """(L, mc_samples, d_y, d_z) latent replicas from freshly sampled
+    encoder parameter sets, run over the whole input sequence (recurrent
+    state carried through), written step by step into one array."""
     cfg = scenario.encoder
     p = scenario.params
     count = scenario.mc_samples
     encs = _sample_encoders(cfg, count, p.dim_y, p.dim_z, inputs.shape[1], _rng(seed, 71))
-    z = np.zeros((count, p.dim_y, p.dim_z))
-    sams = []
-    for t in range(inputs.shape[0]):
-        noise = _rng(seed, 72, t).standard_normal((count, p.dim_z))
-        z = _encode(cfg, encs, inputs[t], noise, z)
-        sams.append(z)
-    return SampleBank(samples=tuple(sams))
+    bank = np.empty((inputs.shape[0], count, p.dim_y, p.dim_z))
+    noise = np.empty((count, p.dim_z))
+    ax, work = np.empty((count, p.dim_y)), np.empty(bank.shape[1:])
+    z_prev = np.zeros(bank.shape[1:])
+    check_step(encs, inputs[0], noise, z_prev)
+    for t, z in enumerate(bank):
+        _rng(seed, 72, t).standard_normal(out=noise)
+        z_prev = encode_into(encs, inputs[t], noise, z_prev, z, ax, work)
+    _check_bank(bank, recurrent=cfg.kind == "esn")
+    return bank
+
+
+def _check_bank(bank: np.ndarray, recurrent: bool) -> None:
+    """The bank's finiteness, in one sum while it holds: a non-finite
+    carry (any step of a recurrent encoder but the last) raises the
+    EncodeError of ``esn_encode``, any other non-finite sample the
+    MomentError of a ``SampleBank`` naming its step."""
+    if np.isfinite(np.sum(bank)):
+        return
+    if recurrent:
+        check_carry(bank[:-1])
+    SampleBank(samples=tuple(bank))
 
 
 class _GreedyWindow:
-    """The last ``size`` (Z, residual) pairs of every agent for the ridge
-    baseline, oldest first, in fixed (N, size, ...) arrays."""
+    """The last ``window_T`` (Z, residual) pairs of every agent for the
+    ridge baseline, oldest first, in fixed (N, window_T, ...) arrays.
 
-    def __init__(self, n_agents: int, d_y: int, d_z: int, size: int):
+    Each fill level k keeps the discount weights of ``ridge_design`` and
+    buffers for its weighted design, so a step's actions are
+    ``ridge_solve`` on the same arrays ``ridge_action`` builds from the
+    window, written in place."""
+
+    def __init__(self, n_agents: int, d_y: int, d_z: int, cfg: RidgeConfig):
+        size = cfg.window_T
         self.z = np.zeros((n_agents, size, d_y, d_z))
         self.resid = np.zeros((n_agents, size, d_y))
         self.filled = 0
+        self.penalty = ridge_penalty(d_z, cfg)
+        self.gram, self.rhs = np.empty((n_agents, d_z, d_z)), np.empty((n_agents, d_z, 1))
+        self.zero = np.zeros((n_agents, d_z))
+        self.levels = [None]  # fill level k -> (weights, window views, design buffers)
+        for k in range(1, size + 1):
+            w = ridge_weights(k, cfg)
+            X, ybar = np.empty((n_agents, k, d_y, d_z)), np.empty((n_agents, k, d_y))
+            self.levels.append(
+                (
+                    (w[:, None, None], w[:, None]),
+                    (self.z[:, -k:], self.resid[:, -k:]),
+                    (X, ybar, X.reshape(n_agents, k * d_y, d_z), ybar.reshape(n_agents, k * d_y)),
+                )
+            )
 
-    def push(self, z, resid):
-        self.z[:, :-1] = self.z[:, 1:]
-        self.z[:, -1] = z
-        self.resid[:, :-1] = self.resid[:, 1:]
-        self.resid[:, -1] = resid
-        self.filled = min(self.filled + 1, self.z.shape[1])
-
-    def actions(self, cfg: RidgeConfig) -> np.ndarray:
+    def actions(self) -> np.ndarray:
         """(N, d_z) ridge actions; zero while the window is empty."""
         if self.filled == 0:
-            return np.zeros((self.z.shape[0], self.z.shape[3]))
-        k = self.filled
-        return ridge_action(self.z[:, -k:], self.resid[:, -k:], cfg)
+            return self.zero
+        (wz, wr), (z, resid), (X, ybar, X_flat, ybar_flat) = self.levels[self.filled]
+        np.multiply(wz, z, out=X)
+        np.multiply(wr, resid, out=ybar)
+        return ridge_solve(X_flat, ybar_flat, self.penalty, self.gram, self.rhs)
+
+    def push(self, latents, target, drift, mean_drift, scale: float) -> None:
+        """Append the newest pair: ``scale`` times the latents and the
+        residual target - drift - mean_drift of the dynamics' drift terms."""
+        self.z[:, :-1] = self.z[:, 1:]
+        np.multiply(latents, scale, out=self.z[:, -1])
+        self.resid[:, :-1] = self.resid[:, 1:]
+        resid = self.resid[:, -1]
+        np.subtract(target, drift, out=resid)
+        resid -= mean_drift
+        resid *= scale
+        self.filled = min(self.filled + 1, self.z.shape[1])
 
 
 def _solve_episode(policy, scenario: Scenario, inputs, values, rounds, seed):
     """(kind, one (coefficients, act) per round): the one place a policy
     maps to its solver and its action rule. ``act(t, predictions,
-    latents)`` returns the (N, d_z) actions of step t of its round. The
-    greedy baseline solves nothing (kind and coefficients None) and
-    builds no latent bank.
+    latents, drift, mean_drift)`` returns the (N, d_z) actions of step t
+    of its round; the last two are the step's drift terms theta Y and
+    theta_bar mean(Y), which only the greedy baseline reads (its ridge
+    residual is the target less both). The greedy baseline solves
+    nothing (kind and coefficients None) and builds no latent bank.
 
     A round's pass reads only the params, the bank window
-    ``bank.samples[rT:(r+1)T]`` and the targets ``values[rT:rT+T+1]``,
+    ``bank[rT:(r+1)T]`` and the targets ``values[rT:rT+T+1]``,
     never the agents, so the passes solve rounds together, over a round
     stack of windows. The reduced and decentralized passes solve every
     round at once, before the step loop. The dense full oracle solves
@@ -376,15 +481,14 @@ def _solve_episode(policy, scenario: Scenario, inputs, values, rounds, seed):
     if policy == "greedy":
         if scenario.ridge is None:
             raise ValueError("greedy policy needs a ridge config")
-        window = _GreedyWindow(N, p.dim_y, p.dim_z, scenario.ridge.window_T)
+        window = _GreedyWindow(N, p.dim_y, p.dim_z, scenario.ridge)
         sqrt_kappa = np.sqrt(p.kappa)
 
-        def act(r, t, preds, latents):
-            actions = window.actions(scenario.ridge)
+        def act(r, t, preds, latents, drift, mean_drift):
+            actions = window.actions()
             # data-fit rows carry sqrt(kappa) so the fitted objective is
             # kappa * fit + gamma * penalty; kappa = 0 zeroes the policy
-            resid = values[r * T + t + 1] - preds @ p.theta.T - preds.mean(axis=0) @ p.theta_bar.T
-            window.push(sqrt_kappa * latents, sqrt_kappa * resid)
+            window.push(latents, values[r * T + t + 1], drift, mean_drift, sqrt_kappa)
             return actions
 
         return None, ((None, partial(act, r)) for r in range(rounds))
@@ -394,15 +498,13 @@ def _solve_episode(policy, scenario: Scenario, inputs, values, rounds, seed):
     def round_stack(first, stop):
         """(moments, targets) of rounds first..stop-1 with a round axis
         after the time axis: entry [t, r] is step (first + r)T + t."""
-        moments = estimate_moments(
-            SampleBank(samples=tuple(np.stack(bank.samples[first * T + t : stop * T : T]) for t in range(T)))
-        )
+        moments = estimate_moments(SampleBank(samples=tuple(bank[first * T + t : stop * T : T] for t in range(T))))
         targets = TargetSeries(values=values[np.arange(T + 1)[:, None] + T * np.arange(first, stop)])
         return moments, targets
 
     if policy == "full" or (policy == "reduced" and N == 1):
 
-        def act(c, t, preds, latents):
+        def act(c, t, preds, latents, drift, mean_drift):
             return full_action(t, preds.reshape(-1), c).reshape(N, p.dim_z)
 
         def solve_chunks():
@@ -419,14 +521,14 @@ def _solve_episode(policy, scenario: Scenario, inputs, values, rounds, seed):
     if policy == "reduced":
         coeffs = reduced_backward_pass(p, moments, targets)
 
-        def act(c, r, t, preds, latents):
+        def act(c, r, t, preds, latents, drift, mean_drift):
             return reduced_action(t, preds, preds.sum(axis=0) - preds, c)
 
     else:
         coeffs = decentralized_backward_pass(p, moments, targets)
         ybar = meanfield_forward(coeffs, moments, targets.values[0]).ybar
 
-        def act(c, r, t, preds, latents):
+        def act(c, r, t, preds, latents, drift, mean_drift):
             return decentralized_action(t, preds, ybar[t, r], c)
 
     solved = (take_round(coeffs, r) for r in range(rounds))
@@ -455,10 +557,24 @@ def run_episode(policy: str, scenario: Scenario, seed: int, trace: EpisodeTrace 
     metrics = _RunningMetrics(N, rounds, p)
     agg_hist = np.zeros((rounds, T, d_y))
     window_Ta = scenario.aggregation_window
-    err_history: list[np.ndarray] = []  # last window_Ta steps: (N,) squared errors
     log_weights = np.full(N, -np.log(N))
     spawn_events: list[dict] = []
     round0 = None
+
+    # the step's buffers, allocated once: a round's histories, the ESN
+    # carry's two buffers (a step reads one and writes the other), and
+    # every intermediate of encode, act, dynamics and aggregation
+    preds_hist, acts_hist = np.empty((T + 1, N, d_y)), np.empty((T, N, d_z))
+    carry = (np.empty((N, d_y, d_z)), np.empty((N, d_y, d_z)))
+    work, steered = np.empty((N, d_y, d_z)), np.empty((N, d_y, d_z))
+    noise, ax = np.empty((N, d_z)), np.empty((N, d_y))
+    drift, mean, mean_drift, zb = np.empty((N, d_y)), np.empty(d_y), np.empty(d_y), np.empty((N, d_y))
+    theta_t, theta_bar_t = p.theta.T, p.theta_bar.T
+    errors, weights, uniform = np.empty((window_Ta, N)), np.empty(N), np.full(N, 1.0 / N)
+    discounts = [None] + [_aggregation_discounts(k, scenario.aggregation_alpha) for k in range(1, window_Ta + 1)]
+    diff = np.empty((N, d_y))
+    scored = 0  # steps scored so far, up to window_Ta
+    check_step(pool.encoder, inputs[0], noise, pool.esn_state)
 
     kind, solved = _solve_episode(policy, scenario, inputs, values, rounds, seed)
     for r, (coeffs, act) in enumerate(solved):
@@ -466,41 +582,39 @@ def run_episode(policy: str, scenario: Scenario, seed: int, trace: EpisodeTrace 
         if r == 0 and kind is not None:
             round0 = (kind, coeffs)
 
-        preds_hist = np.empty((T + 1, N, d_y))
-        acts_hist = np.empty((T, N, d_z))
-        pool.predictions = np.tile(values[base], (N, 1))
-        preds_hist[0] = pool.predictions
-
+        encoder, transforms, z_prev = pool.encoder, pool.latent_transforms, pool.esn_state
+        preds_hist[0] = values[base]
         for t in range(T):
             g = base + t
-            noise = _rng(seed, 5, g).standard_normal((N, d_z))
-            pool.set_latents(_encode(scenario.encoder, pool.encoder, inputs[g], noise, pool.esn_state))
+            _rng(seed, 5, g).standard_normal(out=noise)
+            z = carry[1] if z_prev is carry[0] else carry[0]
+            encode_into(encoder, inputs[g], noise, z_prev, z, ax, work)
+            latents = z if transforms is None else np.matmul(z, transforms, out=steered)
 
-            preds = pool.predictions
-            actions = act(t, preds, pool.latents)
-            new_preds = step_dynamics(preds, pool.latents, actions, p)
+            preds, new_preds = preds_hist[t], preds_hist[t + 1]
+            _drift_into(preds, theta_t, theta_bar_t, drift, mean, mean_drift)
+            acts_hist[t] = act(t, preds, latents, drift, mean_drift)
+            _advance_into(drift, mean_drift, latents, acts_hist[t], new_preds, zb)
+            check_finite(new_preds, np.add.reduce(new_preds, axis=None))
 
-            agg, _ = aggregate_predictions(
-                new_preds, err_history, scenario.aggregation_alpha, window_Ta
-            )
-            err_history.append(score_agents(values[g + 1], new_preds))
-            del err_history[:-window_Ta]
+            w = uniform if scored == 0 else _softmax_into(discounts[scored], errors[window_Ta - scored :], weights)
+            np.matmul(w, new_preds, out=agg_hist[r, t])
+            errors[:-1] = errors[1:]
+            score_into(values[g + 1], new_preds, diff, errors[-1])
+            scored = min(scored + 1, window_Ta)
+            z_prev = z
 
-            pool.predictions = new_preds
-            preds_hist[t + 1] = new_preds
-            acts_hist[t] = actions
-            agg_hist[r, t] = agg
-
+        pool.esn_state, pool.latents, pool.predictions = z_prev, latents, preds_hist[T]
         metrics.add_round(r, preds_hist, acts_hist, values[base : base + T + 1])
         if trace is not None:
-            trace.rounds.append((preds_hist, acts_hist))
+            trace.rounds.append((preds_hist.copy(), acts_hist.copy()))
 
         if scenario.spawner is not None and r < rounds - 1:
             log_weights = _spawn_between_rounds(
                 scenario,
                 pool,
                 log_weights,
-                err_history[-1],
+                errors[-1],
                 seed,
                 r,
                 spawn_events,
@@ -540,6 +654,7 @@ def _spawn_between_rounds(
     n = pool.size
     d_z = pool.latents.shape[2]
     pool.respawn(retired_idx, new_rows)
+    check_carry(pool.esn_state[retired_idx])  # the episode's carry check, on the rows it replaced
 
     event = {
         "round": int(round_idx),

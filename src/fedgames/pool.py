@@ -42,7 +42,9 @@ class AgentPool:
 
     encoder: RfnParams | EsnParams  # stacked: leading agent axis, arrays are views into ``rows``
     rows: np.ndarray  # (N, dim) flat encoder parameters, one row per agent
-    latents: np.ndarray  # (N, d_y, d_z) current Z
+    # latents, predictions and esn_state are those of the last step played;
+    # an episode sets them once per round, before the spawner reads them
+    latents: np.ndarray  # (N, d_y, d_z) Z
     predictions: np.ndarray  # (N, d_y)
     latent_transforms: np.ndarray | None  # (N, d_z, d_z) post-composition maps; None: all identity
     esn_state: np.ndarray  # (N, d_y, d_z) last encoder output: the recurrent carry
@@ -63,13 +65,6 @@ class AgentPool:
             latent_transforms=None,
             esn_state=np.zeros((n, d_y, d_z)),
         )
-
-    def set_latents(self, z: np.ndarray) -> None:
-        """Take a step's encoder output ``z``: it becomes the recurrent
-        carry, and the latents are ``z`` through each agent's latent map,
-        or ``z`` itself (the same array) while no agent has been steered."""
-        self.esn_state = z
-        self.latents = z if self.latent_transforms is None else z @ self.latent_transforms
 
     def steer(self, slots: np.ndarray, maps: np.ndarray) -> None:
         """Give the agents in ``slots`` the (d_z, d_z) latent ``maps``; the

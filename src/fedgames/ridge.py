@@ -34,6 +34,17 @@ class RidgeConfig:
             raise ValueError("alpha must be nonnegative")
 
 
+def ridge_weights(k: int, cfg: RidgeConfig) -> np.ndarray:
+    """(k,) discount row weights of a window of k pairs, oldest first: the
+    newest pair gets weight 1."""
+    return np.exp(-cfg.alpha * np.arange(k - 1, -1, -1) / 2.0)
+
+
+def ridge_penalty(d_z: int, cfg: RidgeConfig) -> np.ndarray:
+    """gamma I, the (d_z, d_z) ridge term of the normal equations."""
+    return cfg.gamma * np.eye(d_z)
+
+
 def ridge_design(Z, resid, cfg: RidgeConfig) -> tuple[np.ndarray, np.ndarray]:
     """Stack the windowed (Z, residual) pairs with discount row weights.
 
@@ -49,16 +60,25 @@ def ridge_design(Z, resid, cfg: RidgeConfig) -> tuple[np.ndarray, np.ndarray]:
         raise ValueError("ridge window is empty")
     if resid.shape != Z.shape[:-1]:
         raise ValueError(f"residuals of shape {resid.shape} do not match latents {Z.shape}")
-    w = np.exp(-cfg.alpha * np.arange(k - 1, -1, -1) / 2.0)
+    w = ridge_weights(k, cfg)
     X = (w[:, None, None] * Z).reshape(Z.shape[:-3] + (-1, Z.shape[-1]))
     ybar = (w[:, None] * resid).reshape(resid.shape[:-2] + (-1,))
     return X, ybar
+
+
+def ridge_solve(X, ybar, penalty, gram=None, rhs=None) -> np.ndarray:
+    """(..., d_z) solutions of the normal equations (X'X + penalty) b =
+    X' ybar, one per leading index; ``gram`` (..., d_z, d_z) and ``rhs``
+    (..., d_z, 1) are optional buffers for the two products."""
+    Xt = np.swapaxes(X, -1, -2)
+    gram = np.matmul(Xt, X, out=gram)
+    gram += penalty
+    rhs = np.matmul(Xt, ybar[..., None], out=rhs)
+    return np.linalg.solve(gram, rhs)[..., 0]
 
 
 def ridge_action(Z, resid, cfg: RidgeConfig) -> np.ndarray:
     """Unique minimizer of the discounted ridge objective, (..., d_z):
     one normal-equations solve per leading index."""
     X, ybar = ridge_design(Z, resid, cfg)
-    Xt = np.swapaxes(X, -1, -2)
-    gram = Xt @ X + cfg.gamma * np.eye(X.shape[-1])
-    return np.linalg.solve(gram, (Xt @ ybar[..., None]))[..., 0]
+    return ridge_solve(X, ybar, ridge_penalty(X.shape[-1], cfg))

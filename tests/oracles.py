@@ -9,6 +9,9 @@ harness's array-at-a-time agent loop, not the solvers, so it calls the
 package's backward passes and spells out the loop per agent.
 ``episode_metrics`` keeps the whole-episode metric formulas that the
 harness now streams round by round, to check them on traced histories.
+``public_episode`` is the agent loop as one call of each public encoder,
+action, dynamics, aggregation and scoring function per step, to check
+the harness's fused step bit for bit.
 ``round_stack`` and ``assert_round_equal`` check the round-batched
 backward passes against one unbatched pass per round.
 ``reference_resample`` and ``reference_ortho_solve`` are the spawner's
@@ -593,6 +596,87 @@ def episode_metrics(predictions, actions, aggregated, params, values):
         "rmse_worst": float(per_agent_rmse.max()),
         "rmse_bottom20": float(np.sort(per_agent_rmse)[-k:].mean()),
     }
+
+
+def public_episode(policy, scenario, seed):
+    """The agent loop as one call of each public function per step, on
+    fresh arrays: the encoder (``rfn_encode``/``esn_encode``), the
+    policy's action, ``step_dynamics``, ``aggregate_predictions`` and
+    ``score_agents``; the greedy baseline is ``ridge_action`` on its
+    stacked window of pairs. The harness's fused step must match it bit
+    for bit. It shares with the harness what the fused step leaves as it
+    was: the streams, the backward passes and action closures of
+    ``_solve_episode`` and the spawner round. Returns the traced arrays
+    and the spawn events."""
+    from fedgames.datasets import build_dataset
+    from fedgames.encoders import esn_encode, rfn_encode
+    from fedgames.harness import (
+        _rng,
+        _sample_encoders,
+        _solve_episode,
+        _spawn_between_rounds,
+        aggregate_predictions,
+        step_dynamics,
+    )
+    from fedgames.pool import AgentPool
+    from fedgames.ridge import ridge_action
+    from fedgames.spawner import score_agents
+
+    p = scenario.params
+    N, d_y, d_z, T = p.population_N, p.dim_y, p.dim_z, p.horizon_T
+    targets, inputs = build_dataset(scenario.dataset)
+    values = targets.values
+    rounds = (values.shape[0] - 1) // T
+    window_Ta = scenario.aggregation_window
+    pool = AgentPool.create(_sample_encoders(scenario.encoder, N, d_y, d_z, inputs.shape[1], _rng(seed, 11)))
+    if policy == "greedy":
+        acts = [None] * rounds
+        window_z, window_r = [], []
+        sqrt_kappa = np.sqrt(p.kappa)
+    else:
+        acts = [act for _, act in _solve_episode(policy, scenario, inputs, values, rounds, seed)[1]]
+
+    preds_hist = np.empty((rounds, T + 1, N, d_y))
+    acts_hist = np.empty((rounds, T, N, d_z))
+    agg_hist = np.empty((rounds, T, d_y))
+    err_history, events = [], []
+    log_weights = np.full(N, -np.log(N))
+    for r, act in enumerate(acts):
+        base = r * T
+        preds = np.tile(values[base], (N, 1))
+        preds_hist[r, 0] = preds
+        for t in range(T):
+            g = base + t
+            noise = _rng(seed, 5, g).standard_normal((N, d_z))
+            if scenario.encoder.kind == "rfn":
+                z = rfn_encode(inputs[g], pool.encoder, noise)
+            else:
+                z = esn_encode(inputs[g], pool.esn_state, pool.encoder, noise)
+            latents = z if pool.latent_transforms is None else z @ pool.latent_transforms
+            pool.esn_state, pool.latents = z, latents
+            if policy == "greedy":
+                k = min(len(window_z), scenario.ridge.window_T)
+                if k:
+                    z_win, r_win = np.stack(window_z[-k:], axis=1), np.stack(window_r[-k:], axis=1)
+                    actions = ridge_action(z_win, r_win, scenario.ridge)
+                else:
+                    actions = np.zeros((N, d_z))
+                resid = values[g + 1] - preds @ p.theta.T - preds.mean(axis=0) @ p.theta_bar.T
+                window_z.append(sqrt_kappa * latents)
+                window_r.append(sqrt_kappa * resid)
+            else:
+                actions = act(t, preds, latents, None, None)
+            preds = step_dynamics(preds, latents, actions, p)
+            agg_hist[r, t], _ = aggregate_predictions(preds, err_history, scenario.aggregation_alpha, window_Ta)
+            err_history.append(score_agents(values[g + 1], preds))
+            del err_history[:-window_Ta]
+            preds_hist[r, t + 1] = preds
+            acts_hist[r, t] = actions
+        if scenario.spawner is not None and r < rounds - 1:
+            log_weights = _spawn_between_rounds(
+                scenario, pool, log_weights, err_history[-1], seed, r, events, acts_hist[r, -1], values[base + T]
+            )
+    return {"predictions": preds_hist, "actions": acts_hist, "aggregated": agg_hist, "spawn_events": events}
 
 
 # ---------------------------------------------------------------------------

@@ -249,7 +249,7 @@ def test_coeff_dump_matches_fresh_round0_solve(config, tmp_path):
     T = scenario.params.horizon_T
     targets, inputs = build_dataset(scenario.dataset)
     bank = _build_bank(scenario, inputs, 1)
-    moments = estimate_moments(SampleBank(samples=bank.samples[:T]))
+    moments = estimate_moments(SampleBank(samples=tuple(bank[:T])))
     y_round = TargetSeries(values=targets.values[: T + 1])
     solvers = {
         "full": full_backward_pass,

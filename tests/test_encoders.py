@@ -78,3 +78,35 @@ def test_sampled_params_finite():
     p = sample_rfn_params(3, 4, 2, 0.1, rng)
     z = rfn_encode(rng.standard_normal(2), p, rng.standard_normal(4))
     assert z.shape == (3, 4) and np.all(np.isfinite(z))
+
+
+@pytest.mark.parametrize("activation", ["hard_sigmoid", "tanh"])
+def test_encoders_keep_the_order_of_their_sums(activation):
+    # the in-place kernel sums A[x..x] + b + sigma W (+ B Z) left to right,
+    # as the one expression below does
+    rng = np.random.default_rng(4)
+    n, d_y, d_z, d_x = 6, 2, 3, 2
+    esn = sample_esn_params(d_y, d_z, d_x, 0.7, rng, activation=activation, count=n)
+    rfn = RfnParams(A=esn.A, b=esn.b, sigma=esn.sigma)
+    x, noise, z_prev = rng.standard_normal(d_x), rng.standard_normal((n, d_z)), rng.uniform(0, 1, (n, d_y, d_z))
+    pre = (esn.A @ x)[..., None] + esn.b + esn.sigma[..., None] * noise[..., None, :]
+    np.testing.assert_array_equal(rfn_encode(x, rfn, noise), np.maximum(pre, 0.0))
+    pre = pre + esn.B @ z_prev
+    want = np.tanh(pre) if activation == "tanh" else np.clip((pre + 3.0) / 6.0, 0.0, 1.0)
+    np.testing.assert_array_equal(esn_encode(x, z_prev, esn, noise), want)
+
+
+def test_esn_checks_its_carry():
+    rng = np.random.default_rng(5)
+    p = sample_esn_params(2, 3, 2, 0.5, rng, count=4)
+    x, noise = rng.standard_normal(2), rng.standard_normal((4, 3))
+    z_prev = rng.uniform(0, 1, (4, 2, 3))
+    z_prev[2, 1, 0] = np.nan
+    with pytest.raises(EncodeError, match="z_prev contains non-finite entries"):
+        esn_encode(x, z_prev, p, noise)
+    with pytest.raises(EncodeError, match="z_prev has shape"):
+        esn_encode(x, z_prev[:3], p, noise)
+    # a finite carry whose sum overflows is searched entry by entry, and passes
+    with np.errstate(over="ignore", invalid="ignore"):
+        z = esn_encode(x, np.full((4, 2, 3), 1e308), p, noise)
+    assert z.shape == (4, 2, 3)

@@ -8,11 +8,11 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from oracles import episode_metrics, reference_episode
+from oracles import episode_metrics, public_episode, reference_episode
 
 import fedgames
 from fedgames.datasets import DatasetSpec
-from fedgames.errors import DynamicsError
+from fedgames.errors import DynamicsError, EncodeError, MomentError
 from fedgames.harness import (
     COST_QUANTILES,
     EncoderConfig,
@@ -30,7 +30,7 @@ from fedgames.encoders import sample_rfn_params
 from fedgames.model import GameParams, SampleBank, TargetSeries, estimate_moments
 from fedgames.nash_full import full_backward_pass, rounds_per_pass
 from fedgames.pool import AgentPool
-from fedgames.ridge import RidgeConfig
+from fedgames.ridge import RidgeConfig, ridge_action
 
 
 def scalar_params(**over):
@@ -281,7 +281,7 @@ class TestRunEpisode:
         )
         rng = np.random.default_rng(0)
         pool = AgentPool.create(sample_rfn_params(d_y, d_z, 2, 0.1, rng, count=n))
-        pool.set_latents(rng.uniform(0.0, 1.0, (n, d_y, d_z)))
+        pool.esn_state = pool.latents = rng.uniform(0.0, 1.0, (n, d_y, d_z))
         scores = 10.0 * np.arange(n)
         log_weights = np.full(n, -np.log(n))
         events = []
@@ -395,6 +395,135 @@ def test_matches_per_agent_reference_loop(policy, kind, spawner):
     for name, value in got.items():
         np.testing.assert_allclose(value, ref[name], rtol=1e-12, atol=1e-14, err_msg=name)
     assert rec.regret == pytest.approx(ref["regret"], rel=1e-12)
+
+
+FUSED_ENCODERS = {
+    "rfn": EncoderConfig(kind="rfn", sigma=0.1),
+    "esn": EncoderConfig(kind="esn", sigma=0.1),
+    "esn-tanh": EncoderConfig(kind="esn", sigma=0.1, activation="tanh"),
+}
+
+
+@pytest.mark.parametrize("spawner", ["off", "ortho"])
+@pytest.mark.parametrize("encoder", sorted(FUSED_ENCODERS))
+@pytest.mark.parametrize("policy", ["full", "reduced", "decentralized", "greedy"])
+def test_fused_step_matches_public_functions(policy, encoder, spawner):
+    # every step of the fused loop, on its buffers, equals one call of each
+    # public function on fresh arrays, bit for bit; with "ortho" the spawner
+    # gives the respawned agents steering maps from the second round on
+    scenario = small_scenario(
+        params=GameParams(
+            theta=0.7, theta_bar=0.3, kappa=1.0, kappa_bar=0.5, gamma=1.0, alpha=0.01,
+            horizon_T=2, population_N=5, dim_y=2, dim_z=3,
+        ),
+        dataset=DatasetSpec(kind="concept_drift", length=9),
+        encoder=FUSED_ENCODERS[encoder],
+        aggregation_window=2,
+        spawner=PARITY_SPAWNERS[spawner],
+    )
+    trace = EpisodeTrace()
+    rec = run_episode(policy, scenario, seed=13, trace=trace)
+    ref = public_episode(policy, scenario, seed=13)
+    np.testing.assert_array_equal(trace.predictions, ref["predictions"])
+    np.testing.assert_array_equal(trace.actions, ref["actions"])
+    np.testing.assert_array_equal(rec.aggregated, ref["aggregated"])
+    assert rec.spawn_events == ref["spawn_events"]
+    if spawner == "ortho":
+        assert all("lambda_star" in ev for ev in rec.spawn_events)
+
+
+def test_greedy_window_matches_ridge_action_at_every_fill_level():
+    from fedgames.harness import _GreedyWindow
+
+    cfg = RidgeConfig(window_T=4, alpha=0.3, gamma=0.5)
+    n, d_y, d_z, scale = 5, 2, 3, 0.8
+    window = _GreedyWindow(n, d_y, d_z, cfg)
+    rng = np.random.default_rng(8)
+    pairs_z, pairs_r = [], []
+    for step in range(cfg.window_T + 3):  # fill levels 0..window_T, then sliding
+        k = min(step, cfg.window_T)
+        if k:
+            want = ridge_action(np.stack(pairs_z[-k:], axis=1), np.stack(pairs_r[-k:], axis=1), cfg)
+        else:
+            want = np.zeros((n, d_z))
+        np.testing.assert_array_equal(window.actions(), want, err_msg=f"fill level {k}")
+        latents, target = rng.standard_normal((n, d_y, d_z)), rng.standard_normal(d_y)
+        drift, mean_drift = rng.standard_normal((n, d_y)), rng.standard_normal(d_y)
+        window.push(latents, target, drift, mean_drift, scale)
+        pairs_z.append(scale * latents)
+        pairs_r.append(scale * (target - drift - mean_drift))
+
+
+@pytest.mark.parametrize("encoder", sorted(FUSED_ENCODERS))
+def test_bank_matches_per_step_encoder_calls(encoder):
+    from fedgames.datasets import build_dataset
+    from fedgames.encoders import esn_encode, rfn_encode
+    from fedgames.harness import _build_bank, _rng, _sample_encoders
+
+    scenario = small_scenario(encoder=FUSED_ENCODERS[encoder], dataset=DatasetSpec(kind="concept_drift", length=9))
+    p = scenario.params
+    _, inputs = build_dataset(scenario.dataset)
+    bank = _build_bank(scenario, inputs, 6)
+    count = scenario.mc_samples
+    encs = _sample_encoders(scenario.encoder, count, p.dim_y, p.dim_z, inputs.shape[1], _rng(6, 71))
+    z = np.zeros((count, p.dim_y, p.dim_z))
+    assert bank.shape == (inputs.shape[0],) + z.shape
+    for t in range(inputs.shape[0]):
+        noise = _rng(6, 72, t).standard_normal((count, p.dim_z))
+        z = rfn_encode(inputs[t], encs, noise) if encoder == "rfn" else esn_encode(inputs[t], z, encs, noise)
+        np.testing.assert_array_equal(bank[t], z, err_msg=f"step {t}")
+
+
+def test_bank_check_names_the_parent_errors():
+    # one sum checks the finished bank; a non-finite carry is the encoder's
+    # EncodeError, any other non-finite sample the SampleBank's MomentError
+    from fedgames.harness import _check_bank
+
+    bank = np.zeros((3, 4, 1, 2))
+    with np.errstate(over="ignore"):
+        _check_bank(np.full_like(bank, 1e308), recurrent=True)  # the sum overflows, every entry is finite
+    bank[1, 2, 0, 1] = np.nan
+    with pytest.raises(EncodeError, match="z_prev contains non-finite entries"):
+        _check_bank(bank, recurrent=True)
+    with pytest.raises(MomentError, match="bank at t=1 "):
+        _check_bank(bank, recurrent=False)
+    bank[1, 2, 0, 1] = 0.0
+    bank[2, 0, 0, 0] = np.inf  # the last step is no step's carry
+    with pytest.raises(MomentError, match="bank at t=2 "):
+        _check_bank(bank, recurrent=True)
+
+
+def test_overflowing_episode_raises_dynamics_error():
+    scenario = small_scenario(
+        params=GameParams(
+            theta=1e200, theta_bar=0.3, kappa=1.0, kappa_bar=0.5, gamma=1.0, alpha=0.01,
+            horizon_T=4, population_N=3, dim_y=1, dim_z=2,
+        ),
+        encoder=EncoderConfig(kind="esn", sigma=0.1),
+    )
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(DynamicsError, match="^non-finite prediction for agent 0$"):
+            run_episode("greedy", scenario, seed=4)
+
+
+@pytest.mark.parametrize("key", [(0, 5, 0), (2**31 - 1, 72, 200), (2**32 - 1, 999, 3), (2**32, 5, 1)])
+def test_keyed_stream_draws_the_list_seed_stream(key):
+    from fedgames.harness import _rng
+
+    np.testing.assert_array_equal(
+        _rng(*key).standard_normal(64), np.random.default_rng(list(key)).standard_normal(64)
+    )
+
+
+def test_step_dynamics_keeps_the_order_of_its_sums():
+    rng = np.random.default_rng(2)
+    params = scalar_params(
+        theta=rng.standard_normal((3, 3)), theta_bar=rng.standard_normal((3, 3)), population_N=7, dim_y=3, dim_z=4
+    )
+    preds = rng.standard_normal((7, 3)) * 1e3
+    lats, acts = rng.standard_normal((7, 3, 4)), rng.standard_normal((7, 4))
+    want = preds @ params.theta.T + preds.mean(axis=0) @ params.theta_bar.T + np.einsum("nij,nj->ni", lats, acts)
+    np.testing.assert_array_equal(step_dynamics(preds, lats, acts, params), want)
 
 
 STREAM_CASES = {
@@ -579,7 +708,7 @@ def test_chunked_full_rounds_match_lone_passes():
         base = r * T
         lone = full_backward_pass(
             scenario.params,
-            estimate_moments(SampleBank(samples=bank.samples[base : base + T])),
+            estimate_moments(SampleBank(samples=tuple(bank[base : base + T]))),
             TargetSeries(values=targets.values[base : base + T + 1]),
         )
         for f in fields(lone):
