@@ -63,7 +63,7 @@ from .encoders import (
     sample_rfn_params,
 )
 from .errors import DynamicsError
-from .model import GameParams, SampleBank, TargetSeries, estimate_moments
+from .model import GameParams, MomentSet, SampleBank, TargetSeries, estimate_moments
 from .nash_full import full_action, full_backward_pass, rounds_per_pass
 from .nash_meanfield import (
     decentralized_action,
@@ -465,13 +465,14 @@ def _solve_episode(policy, scenario: Scenario, inputs, values, rounds, seed):
     residual is the target less both). The greedy baseline solves
     nothing (kind and coefficients None) and builds no latent bank.
 
-    A round's pass reads only the params, the bank window
-    ``bank[rT:(r+1)T]`` and the targets ``values[rT:rT+T+1]``,
-    never the agents, so the passes solve rounds together, over a round
-    stack of windows. The reduced and decentralized passes solve every
-    round at once, before the step loop. The dense full oracle solves
-    chunks of ``nash_full.rounds_per_pass(N)`` = (HARD_N_CEILING // N)^2
-    rounds (N = 1 takes N = 2's), each as the loop reaches it: a chunk's
+    The episode's latent bank is reduced to moments once, and then
+    dropped. A round's pass reads only the params, the moments of steps
+    rT..rT+T-1 and the targets ``values[rT:rT+T+1]``, never the agents,
+    so the passes solve rounds together, over a round stack whose
+    moments are a view of the episode's. The reduced and decentralized
+    passes solve every round at once, before the step loop. The dense
+    full oracle solves chunks of ``nash_full.rounds_per_pass(N)`` =
+    (HARD_N_CEILING // N)^2 rounds, each as the loop reaches it: a chunk's
     peak memory stays at or below one lone pass at HARD_N_CEILING, so a
     cell never holds more than that ahead of the loop. (A chunk's
     SolveError counts rounds from the chunk's first.)
@@ -493,12 +494,14 @@ def _solve_episode(policy, scenario: Scenario, inputs, values, rounds, seed):
 
         return None, ((None, partial(act, r)) for r in range(rounds))
 
-    bank = _build_bank(scenario, inputs, seed)
+    episode = estimate_moments(SampleBank(samples=tuple(_build_bank(scenario, inputs, seed))))
+    # views with the round axis after the time axis: [t, r] is step rT + t
+    m1, units = (a[: rounds * T].reshape(rounds, T, *a.shape[1:]).swapaxes(0, 1) for a in (episode.m1, episode.units))
 
     def round_stack(first, stop):
         """(moments, targets) of rounds first..stop-1 with a round axis
         after the time axis: entry [t, r] is step (first + r)T + t."""
-        moments = estimate_moments(SampleBank(samples=tuple(bank[first * T + t : stop * T : T] for t in range(T))))
+        moments = MomentSet(m1=m1[:, first:stop], units=units[:, first:stop])
         targets = TargetSeries(values=values[np.arange(T + 1)[:, None] + T * np.arange(first, stop)])
         return moments, targets
 

@@ -1,14 +1,19 @@
 """Shared domain types: game parameters, target series, latent moments.
 
-The moment container stores the raw sample bank rather than only the
-precomputed first/second moments, because the backward recursions consume
-the weighted second moment ``E[Z' W Z]`` for a different weight matrix
-``W`` at every timestep. Keeping the samples makes that functional moment
-exact for arbitrary ``W`` in a single pass.
+The backward recursions consume the weighted second moment ``E[Z' W Z]``
+for a different weight matrix ``W`` at every timestep. That moment is
+linear in W: with z_a the a-th row of Z, E[Z' W Z] = sum_ab W_ab U_ab
+over the d_y^2 unit moments U_ab = E[z_a z_b']. So the moment container
+holds M1 and the unit moments, ``units`` of shape (T, ..., d_y^2, d_z^2)
+with ``units[t, ..., a d_y + b, i d_z + j]`` = E[Z_ai Z_bj], and every
+weighted moment is exact for arbitrary W without keeping the samples.
+Monte-Carlo banks (``estimate_moments``) and the closed forms of
+``IidEntryLatents`` build the same container.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -125,59 +130,70 @@ class SampleBank:
         return self.samples[0].shape[-2], self.samples[0].shape[-1]
 
 
-def _weighted_second(z: np.ndarray, w: np.ndarray) -> np.ndarray:
-    # mean over samples of Z' W Z, broadcast over the leading axes, as
-    # sum_s Z_s'(W Z_s) in two matmuls (the second of depth count d_y), so
-    # each entry of a stack is reduced as a lone call (MomentSet docstring)
-    wz = w[..., None, :, :] @ z
-    rows = z.shape[-3] * z.shape[-2]
-    return (z.reshape(*z.shape[:-3], rows, -1).mT @ wz.reshape(*wz.shape[:-3], rows, -1)) / z.shape[-3]
+def _weigh(w: np.ndarray, units: np.ndarray) -> np.ndarray:
+    # sum_ab W_ab U_ab: the flattened weights times the unit moments, one
+    # matmul that broadcasts w's leading axes against the units' stack axes
+    out = w.reshape(*w.shape[:-2], 1, -1) @ units
+    d_z = math.isqrt(units.shape[-1])
+    return out.reshape(*out.shape[:-2], d_z, d_z)
 
 
 @dataclass(frozen=True)
 class MomentSet:
-    """Per-timestep latent moments M1, M2 and the weighted moment M2_W.
+    """Per-timestep latent moments: M1 = E[Z] and the unit moments
+    U_ab = E[z_a z_b'] of the rows z_a of Z.
 
-    A bank with leading axes after the time axis gives m1 and m2 of shape
-    (T, ..., d_y, d_z) and (T, ..., d_z, d_z). ``weighted_m2`` is
-    evaluated from the stored bank through the exact same reduction used
-    to build ``m2``, so ``weighted_m2(t, I)`` is bit-identical to ``m2(t)``.
-    Every entry of a stack (of weights, of rounds, or both) is bit-identical
-    to a lone call on that entry: the reduction is two matmuls, and numpy's
-    matmul runs the same kernel on each matrix of a stack as on a lone one.
+    ``units[t, ..., a d_y + b, i d_z + j]`` is E[Z_ai Z_bj]; leading axes
+    after the time axis (rounds, say) stack independent moment sets.
+    ``weighted_m2(t, W)`` = sum_ab W_ab U_ab is one matmul of the
+    flattened W against ``units[t]``, and ``m2`` is that contraction with
+    W = I, so ``weighted_m2(t, I)`` is bit-identical to ``m2[t]``. Every
+    entry of a stack (of weights, of rounds, or both) is bit-identical to
+    a lone call on that entry: numpy's matmul runs the same kernel on each
+    matrix of a stack as on a lone one.
     """
 
-    bank: SampleBank
-    m1: np.ndarray = field(init=False)  # (T, ..., d_y, d_z)
+    m1: np.ndarray  # (T, ..., d_y, d_z)
+    units: np.ndarray  # (T, ..., d_y^2, d_z^2)
     m2: np.ndarray = field(init=False)  # (T, ..., d_z, d_z)
 
     def __post_init__(self):
-        d_y, _ = self.bank.dims
-        eye = np.eye(d_y)
-        m1 = np.stack([s.mean(axis=-3) for s in self.bank.samples])
-        m2 = np.stack([_weighted_second(s, eye) for s in self.bank.samples])
-        m1.setflags(write=False)
-        m2.setflags(write=False)
-        object.__setattr__(self, "m1", m1)
-        object.__setattr__(self, "m2", m2)
+        m1 = np.asarray(self.m1, dtype=float).view()
+        units = np.asarray(self.units, dtype=float).view()
+        d_y, d_z = m1.shape[-2:]
+        if units.shape != (*m1.shape[:-2], d_y * d_y, d_z * d_z):
+            raise MomentError(f"units of shape {units.shape} do not match m1 of shape {m1.shape}")
+        m2 = _weigh(np.eye(d_y), units)
+        for name, a in (("m1", m1), ("units", units), ("m2", m2)):
+            a.setflags(write=False)
+            object.__setattr__(self, name, a)
 
     @property
     def horizon(self) -> int:
-        return self.bank.horizon
+        return self.m1.shape[0]
 
     @property
     def dims(self) -> tuple[int, int]:
-        return self.bank.dims
+        return self.m1.shape[-2:]
 
     def weighted_m2(self, t: int, w: np.ndarray) -> np.ndarray:
-        """Sample mean of Z' W Z at timestep t; w is (..., d_y, d_y) and
-        broadcasts against the bank's leading axes."""
-        return _weighted_second(self.bank.samples[t], np.asarray(w, dtype=float))
+        """E[Z' W Z] at timestep t; w is (..., d_y, d_y) and broadcasts
+        against the stack axes."""
+        return _weigh(np.asarray(w, dtype=float), self.units[t])
 
 
 def estimate_moments(bank: SampleBank) -> MomentSet:
-    """Monte-Carlo moment estimates from a latent sample bank."""
-    return MomentSet(bank=bank)
+    """Monte-Carlo moment estimates from a latent sample bank: per step,
+    the mean of Z and one Gram matrix of the flattened samples."""
+    d_y, d_z = bank.dims
+    m1, units = [], []
+    for s in bank.samples:
+        x = s.reshape(*s.shape[:-2], d_y * d_z)
+        gram = (x.mT @ x) / s.shape[-3]  # [(a, i), (b, j)], reordered to [(a, b), (i, j)]
+        lead = gram.shape[:-2]
+        units.append(gram.reshape(*lead, d_y, d_z, d_y, d_z).swapaxes(-3, -2).reshape(*lead, d_y * d_y, d_z * d_z))
+        m1.append(s.mean(axis=-3))
+    return MomentSet(m1=np.stack(m1), units=np.stack(units))
 
 
 def exact_moments_deterministic(z_schedule: Sequence[np.ndarray]) -> MomentSet:
@@ -191,7 +207,7 @@ def exact_moments_deterministic(z_schedule: Sequence[np.ndarray]) -> MomentSet:
         if not np.all(np.isfinite(a)):
             raise MomentError(f"z_schedule at t={t} is not finite")
         sams.append(a[None, :, :])
-    return MomentSet(bank=SampleBank(samples=tuple(sams)))
+    return estimate_moments(SampleBank(samples=tuple(sams)))
 
 
 @dataclass(frozen=True)
@@ -228,34 +244,10 @@ class IidEntryLatents:
         noise += self.mean[t]
         return noise
 
-    def exact_moments(self) -> "ClosedFormMoments":
-        return ClosedFormMoments(self)
-
-
-class ClosedFormMoments:
-    """MomentSet-compatible view backed by IidEntryLatents closed forms."""
-
-    def __init__(self, latents: IidEntryLatents):
-        self._lat = latents
-        d_y, d_z = latents.mean.shape[1], latents.mean.shape[2]
-        self.m1 = latents.mean
-        var = latents.var
-        self.m2 = np.stack(
-            [m.T @ m + var * d_y * np.eye(d_z) for m in latents.mean]
-        )
-        self._dims = (d_y, d_z)
-
-    @property
-    def horizon(self) -> int:
-        return self.m1.shape[0]
-
-    @property
-    def dims(self) -> tuple[int, int]:
-        return self._dims
-
-    def weighted_m2(self, t: int, w: np.ndarray) -> np.ndarray:
-        """E[Z' W Z] at timestep t; w is (..., d_y, d_y)."""
-        w = np.asarray(w, dtype=float)
-        m = self.m1[t]
-        trace = np.trace(w, axis1=-2, axis2=-1)[..., None, None]
-        return m.mT @ w @ m + self._lat.var * trace * np.eye(self._dims[1])
+    def exact_moments(self) -> MomentSet:
+        """Closed-form moments: U_ab = m_a m_b' + var delta_ab I."""
+        m = self.mean
+        T, d_y, d_z = m.shape
+        units = (m[:, :, None, :, None] * m[:, None, :, None, :]).reshape(T, d_y * d_y, d_z * d_z)
+        units += self.var * np.outer(np.eye(d_y), np.eye(d_z))
+        return MomentSet(m1=m, units=units)

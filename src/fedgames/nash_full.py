@@ -21,10 +21,12 @@ The value updates work in prediction space. With X = (I_N (x) M1)[G | H],
 each agent's expected next-step cost is a quadratic form in X plus, per
 block, the covariance of the latents around their mean, so no
 (N, N, N, d_z, d_z) coupling array and no dense per-agent action weight
-Q_n is ever formed. ``weighted_m2`` is read once per step, on the d_y^2
-unit weights: E[Z' W Z] is linear in W, so the weighted moments of the
-system matrix, and the covariance terms of all N value updates, are each
-one GEMM of the weights against that tensor. Per step the cost is one
+Q_n is ever formed. The pass reads the unit moments U_ab = E[z_a z_b']
+(``MomentSet.units``) directly: E[Z' W Z] is linear in W, so the
+weighted moments of the system matrix, and the covariance terms of all N
+value updates, are each one GEMM of the weights against U. U is a
+property of the latents, not of the game, so reading it keeps the pass
+dense and independent of the block structure. Per step the cost is one
 O((N d_z)^3) solve plus N value updates of O(N^3 d_y^3 (1 + d_y)) each,
 about O(N^4 d_y^3 (1 + d_y)) in total, which caps this solver at modest
 populations; large N is served by the reduced and decentralized solvers.
@@ -33,10 +35,10 @@ that costs more than the solve, is computed only when
 ``FullNashCoeffs.condition_numbers`` is read (or at DEBUG level).
 
 One pass solves a stack of rounds at once, each as it would be alone.
-Its temporaries grow as R N^3 d_y^2 and R N^2 d_z^2 over R rounds, so
-``rounds_per_pass`` stacks (HARD_N_CEILING // N)^2 rounds (N = 1 takes
-N = 2's), which keeps a stacked pass's peak memory at or below one lone
-pass at HARD_N_CEILING.
+Its temporaries grow as R N^3 d_y^2 and R N^2 d_z^2 over R rounds, and
+not with the Monte-Carlo sample count, so ``rounds_per_pass`` stacks
+(HARD_N_CEILING // N)^2 rounds, which keeps a stacked pass's peak memory
+at or below one lone pass at HARD_N_CEILING.
 """
 
 from __future__ import annotations
@@ -114,11 +116,10 @@ def rounds_per_pass(N: int) -> int:
     """Rounds that one stacked pass at population N solves together.
 
     A pass's largest temporaries grow as R N^3 d_y^2 and R N^2 d_z^2 over
-    R rounds, so R = (HARD_N_CEILING // N)^2 keeps its peak memory at or
-    below one lone pass at HARD_N_CEILING. N = 1 takes N = 2's count:
-    terms that do not shrink with N (the weighted moments of every round's
-    bank window) would otherwise dominate its 1024 rounds."""
-    return max(1, (HARD_N_CEILING // max(N, 2)) ** 2)
+    R rounds, and none grows with the sample count, so
+    R = (HARD_N_CEILING // N)^2 keeps its peak memory at or below one lone
+    pass at HARD_N_CEILING."""
+    return max(1, (HARD_N_CEILING // N) ** 2)
 
 
 def full_backward_pass(params: GameParams, moments, targets: TargetSeries) -> FullNashCoeffs:
@@ -165,10 +166,6 @@ def full_backward_pass(params: GameParams, moments, targets: TargetSeries) -> Fu
     # the stage rows in homogeneous coordinates [y; 1]
     row_k1 = np.concatenate([row_k, np.zeros((N, d_y, 1))], axis=2)
     row_kb1 = np.concatenate([row_kb, np.zeros((N, d_y, 1))], axis=2)
-    # unit weights E_ab: weighted_m2 is linear in W, so the d_y^2 moments
-    # E[Z' E_ab Z] = E[z_a z_b'] of the rows of Z give every E[Z' W Z];
-    # they broadcast against the bank's round axes
-    units = np.eye(d_y * d_y).reshape(d_y * d_y, *(1,) * len(rounds), d_y, d_y)
     eye_z = np.eye(d_z)
 
     # round axis first, then agents: step t of every round is one block
@@ -191,11 +188,11 @@ def full_backward_pass(params: GameParams, moments, targets: TargetSeries) -> Fu
         s_next = S[t + 1]
         dk = disc * kbar
 
-        # Cov(E_ab) = E[z_a z_b'] - M1[a] M1[b]' for each unit weight, read
-        # once; Cov(W) = sum_ab W_ab Cov(E_ab) is then one GEMM in W. Cross-
-        # agent blocks factorize, E[Z^m' W Z^k] = M1' W M1 for m != k, so
+        # Cov(E_ab) = E[z_a z_b'] - M1[a] M1[b]' for each unit weight E_ab;
+        # Cov(W) = sum_ab W_ab Cov(E_ab) is then one GEMM in W. Cross-agent
+        # blocks factorize, E[Z^m' W Z^k] = M1' W M1 for m != k, so
         # Cov(P_n[m, m]) is all the weighted moments add to the mean products.
-        unit_cov = moments.weighted_m2(t, units).reshape(d_y * d_y, R, d_z * d_z).swapaxes(0, 1) - (
+        unit_cov = moments.units[t].reshape(R, d_y * d_y, d_z * d_z) - (
             M1[:, :, None, :, None] * M1[:, None, :, None, :]
         ).reshape(R, d_y * d_y, d_z * d_z)
         # P_n[m, m] for every agent n and block m

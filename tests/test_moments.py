@@ -40,14 +40,20 @@ def test_weighted_identity_bit_for_bit():
 
 
 def test_single_sample_equals_deterministic():
+    # a one-sample bank and the closed form at zero width are the same
+    # degenerate distribution, and both constructors build the same arrays
     rng = np.random.default_rng(11)
     zs = [rng.standard_normal((2, 3)) for _ in range(3)]
-    a = estimate_moments(SampleBank(samples=tuple(z[None] for z in zs)))
     b = exact_moments_deterministic(zs)
-    np.testing.assert_array_equal(a.m1, b.m1)
-    np.testing.assert_array_equal(a.m2, b.m2)
     w = rng.standard_normal((2, 2))
-    np.testing.assert_array_equal(a.weighted_m2(1, w), b.weighted_m2(1, w))
+    for a in (
+        estimate_moments(SampleBank(samples=tuple(z[None] for z in zs))),
+        IidEntryLatents(mean=np.stack(zs), half_width=0.0).exact_moments(),
+    ):
+        np.testing.assert_array_equal(a.m1, b.m1)
+        np.testing.assert_array_equal(a.m2, b.m2)
+        np.testing.assert_array_equal(a.units, b.units)
+        np.testing.assert_array_equal(a.weighted_m2(1, w), b.weighted_m2(1, w))
 
 
 def test_deterministic_examples():
@@ -73,6 +79,11 @@ def test_nonfinite_bank_raises():
         SampleBank(samples=(np.full((2, 1, 1), np.nan),))
 
 
+def test_units_must_match_m1():
+    with pytest.raises(MomentError):
+        MomentSet(m1=np.zeros((2, 2, 3)), units=np.zeros((2, 4, 4)))
+
+
 @settings(max_examples=40, deadline=None)
 @given(
     st.integers(min_value=1, max_value=7),
@@ -89,6 +100,12 @@ def test_weighted_m2_psd_property(count, d_y, d_z, seed):
     out = mom.weighted_m2(0, w)
     assert np.max(np.abs(out - out.T)) <= 1e-10
     assert np.min(np.linalg.eigvalsh(0.5 * (out + out.T))) >= -1e-10
+    # the unit weight E_ab reads row a d_y + b of the unit moments
+    for a in range(d_y):
+        for b in range(d_y):
+            unit = np.zeros((d_y, d_y))
+            unit[a, b] = 1.0
+            np.testing.assert_array_equal(mom.weighted_m2(0, unit), mom.units[0, a * d_y + b].reshape(d_z, d_z))
 
 
 def test_moments_seed_stable():

@@ -348,7 +348,7 @@ def test_round_stacked_pass_matches_each_round(d_y, d_z, N, count):
 
 
 def singular_round_moments(T, R, d_z, gamma):
-    """Zero-mean moments with zero weighted moments whose round 1 has
+    """Zero-mean moments with zero unit moments whose round 1 has
     M2 = -gamma I at t = T-1: with kappa 0, kappa_bar 4 and N = 2 the
     system matrix there is M2 + gamma I = 0. R None: round 1 alone."""
     rounds = (R,) if R else ()
@@ -358,7 +358,7 @@ def singular_round_moments(T, R, d_z, gamma):
         m1=np.zeros((T, *rounds, 1, d_z)),
         m2=m2.reshape(T, *rounds, d_z, d_z),
         horizon=T,
-        weighted_m2=lambda t, w: np.zeros((*np.broadcast_shapes(w.shape[:-2], rounds), d_z, d_z)),
+        units=np.zeros((T, *rounds, 1, d_z * d_z)),
     )
 
 
@@ -380,7 +380,7 @@ def test_singular_round_is_named():
             m1=moments.m1[:, r],
             m2=moments.m2[:, r],
             horizon=T,
-            weighted_m2=lambda t, w: np.zeros((*w.shape[:-2], d_z, d_z)),
+            units=moments.units[:, r],
         )
         full_backward_pass(params, lone, TargetSeries(values=np.zeros((T + 1, 1))))
 
@@ -401,18 +401,20 @@ def _peak_bytes(solve):
 
 def test_stacked_chunk_peaks_below_a_lone_pass_at_the_ceiling():
     # rounds_per_pass sizes a chunk so that its peak memory stays at or
-    # below one lone pass at HARD_N_CEILING with the same T, d_y, d_z
+    # below one lone pass at HARD_N_CEILING with the same T, d_y, d_z,
+    # whatever the Monte-Carlo sample count
     T, d_y, d_z = 4, 1, 4
     rng = np.random.default_rng(140)
 
-    def stacked_peak(N, rounds):
+    def stacked_peak(N, rounds, count):
         params = round_params(rng, N, d_y, d_z, T)
-        (moments, targets), _ = round_stack(rng, params, rounds, count=100)
+        (moments, targets), _ = round_stack(rng, params, rounds, count=count)
         return _peak_bytes(lambda: full_backward_pass(params, moments, targets))
 
-    ceiling = stacked_peak(HARD_N_CEILING, 1)
     assert rounds_per_pass(HARD_N_CEILING) == 1
-    for N in (1, 2, 4, 8, 16):
-        assert rounds_per_pass(N) > 1
-        peak = stacked_peak(N, rounds_per_pass(N))
-        assert peak <= ceiling, (N, peak, ceiling)
+    for count in (100, 1000):
+        ceiling = stacked_peak(HARD_N_CEILING, 1, count)
+        for N in (1, 2, 4, 8, 16):
+            assert rounds_per_pass(N) == (HARD_N_CEILING // N) ** 2
+            peak = stacked_peak(N, rounds_per_pass(N), count)
+            assert peak <= ceiling, (count, N, peak, ceiling)

@@ -338,14 +338,14 @@ def test_check_symmetry_judges_each_entry_on_its_own_iterates(caplog):
 
 def test_lost_digits_still_warn(caplog):
     # a one-sample bank (m2 of rank 1 with d_z 2), theta of spectral radius
-    # 1e17 and kappa_bar 800: Pi reaches ~1e126 and its asymmetry is of
+    # 1e18 and kappa_bar 800: Pi reaches ~1e137 and its asymmetry is of
     # the same order, so the pass has lost its digits and says so
     rng = np.random.default_rng(3)
     T, d_y, d_z = 6, 2, 2
     theta = rng.standard_normal((d_y, d_y))
     theta[0, 1] += 2.0
     theta_bar = 0.3 * rng.standard_normal((d_y, d_y))
-    scale = 1e17 / max(abs(np.linalg.eigvals(theta + theta_bar)))
+    scale = 1e18 / max(abs(np.linalg.eigvals(theta + theta_bar)))
     params = GameParams(
         theta=scale * theta,
         theta_bar=scale * theta_bar,
