@@ -17,7 +17,6 @@ from .errors import (
 from .model import (
     GameParams,
     MomentSet,
-    SampleBank,
     TargetSeries,
     estimate_moments,
     exact_moments_deterministic,
@@ -33,7 +32,6 @@ __all__ = [
     "SpecError",
     "GameParams",
     "MomentSet",
-    "SampleBank",
     "TargetSeries",
     "estimate_moments",
     "exact_moments_deterministic",

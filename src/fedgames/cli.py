@@ -203,6 +203,13 @@ def cell_grid(cfg: dict, seed_override=None):
         raise ConfigError(f"seeds (default [seed]) must be a non-empty list of integers >= 0, got {seeds!r}")
     if "greedy" in cfg["policies"] and "ridge" not in cfg:
         raise ConfigError("policy 'greedy' needs a ridge section")
+    for name, value in (
+        ("mc_samples", cfg.get("mc_samples", 100)),
+        ("ridge.window_T", cfg.get("ridge", {}).get("window_T", 1)),
+        ("aggregation.window_Ta", cfg.get("aggregation", {}).get("window_Ta", 1)),
+    ):
+        if not _is_int_at_least(value, 1):
+            raise ConfigError(f"{name} must be an integer >= 1, got {value!r}")
     if "spawner" in cfg:
         retire_k = cfg["spawner"]["retire_k"]
         if not (_is_int_at_least(retire_k, 1) and retire_k < min(ns)):

@@ -6,7 +6,8 @@ class FedGamesError(Exception):
 
 
 class MomentError(FedGamesError):
-    """Raised when a sample bank cannot produce valid moments."""
+    """Raised when a latent sample bank is empty, has no replicas or
+    holds a non-finite sample."""
 
 
 class EncodeError(FedGamesError):

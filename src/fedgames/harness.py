@@ -36,9 +36,13 @@ replays an episode with one call of each public function per step, and
 ``test_fused_step_matches_public_functions`` holds the fused loop to it
 bit for bit; ``test_greedy_window_matches_ridge_action_at_every_fill_level``
 and ``test_bank_matches_per_step_encoder_calls`` do the same for the
-ridge window and the latent bank. Random streams come from ``_rng``
-only, keyed by (seed, purpose, step) and drawn agent-major (README,
-"Random streams").
+ridge window and the latent bank. The latent bank is one (L,
+mc_samples, d_y, d_z) array from the encoder to ``estimate_moments``,
+which checks its finiteness once and reduces it to moments once; a
+recurrent encoder's carry is checked first, in ``_build_bank``, so a
+non-finite carry raises the encoder's EncodeError. Random streams come
+from ``_rng`` only, keyed by (seed, purpose, step) and drawn agent-major
+(README, "Random streams").
 """
 
 from __future__ import annotations
@@ -63,7 +67,7 @@ from .encoders import (
     sample_rfn_params,
 )
 from .errors import DynamicsError
-from .model import GameParams, MomentSet, SampleBank, TargetSeries, estimate_moments
+from .model import GameParams, MomentSet, TargetSeries, estimate_moments
 from .nash_full import full_action, full_backward_pass, rounds_per_pass
 from .nash_meanfield import (
     decentralized_action,
@@ -376,7 +380,10 @@ def _sample_encoders(cfg: EncoderConfig, count, d_y, d_z, d_x, rng):
 def _build_bank(scenario: Scenario, inputs: np.ndarray, seed: int) -> np.ndarray:
     """(L, mc_samples, d_y, d_z) latent replicas from freshly sampled
     encoder parameter sets, run over the whole input sequence (recurrent
-    state carried through), written step by step into one array."""
+    state carried through), written step by step into one array. A
+    recurrent encoder's carry (every step but the last) is checked here,
+    so its EncodeError comes ahead of the MomentError that
+    ``estimate_moments`` raises for any other non-finite sample."""
     cfg = scenario.encoder
     p = scenario.params
     count = scenario.mc_samples
@@ -389,20 +396,9 @@ def _build_bank(scenario: Scenario, inputs: np.ndarray, seed: int) -> np.ndarray
     for t, z in enumerate(bank):
         _rng(seed, 72, t).standard_normal(out=noise)
         z_prev = encode_into(encs, inputs[t], noise, z_prev, z, ax, work)
-    _check_bank(bank, recurrent=cfg.kind == "esn")
+    if cfg.kind == "esn":
+        check_carry(bank[:-1])  # every step but the last is a carry
     return bank
-
-
-def _check_bank(bank: np.ndarray, recurrent: bool) -> None:
-    """The bank's finiteness, in one sum while it holds: a non-finite
-    carry (any step of a recurrent encoder but the last) raises the
-    EncodeError of ``esn_encode``, any other non-finite sample the
-    MomentError of a ``SampleBank`` naming its step."""
-    if np.isfinite(np.sum(bank)):
-        return
-    if recurrent:
-        check_carry(bank[:-1])
-    SampleBank(samples=tuple(bank))
 
 
 class _GreedyWindow:
@@ -494,7 +490,7 @@ def _solve_episode(policy, scenario: Scenario, inputs, values, rounds, seed):
 
         return None, ((None, partial(act, r)) for r in range(rounds))
 
-    episode = estimate_moments(SampleBank(samples=tuple(_build_bank(scenario, inputs, seed))))
+    episode = estimate_moments(_build_bank(scenario, inputs, seed))
     # views with the round axis after the time axis: [t, r] is step rT + t
     m1, units = (a[: rounds * T].reshape(rounds, T, *a.shape[1:]).swapaxes(0, 1) for a in (episode.m1, episode.units))
 
@@ -656,7 +652,7 @@ def _spawn_between_rounds(
     )
     n = pool.size
     d_z = pool.latents.shape[2]
-    pool.respawn(retired_idx, new_rows)
+    pool.respawn(retired_idx, new_rows[retired_idx])
     check_carry(pool.esn_state[retired_idx])  # the episode's carry check, on the rows it replaced
 
     event = {

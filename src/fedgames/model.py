@@ -7,15 +7,15 @@ over the d_y^2 unit moments U_ab = E[z_a z_b']. So the moment container
 holds M1 and the unit moments, ``units`` of shape (T, ..., d_y^2, d_z^2)
 with ``units[t, ..., a d_y + b, i d_z + j]`` = E[Z_ai Z_bj], and every
 weighted moment is exact for arbitrary W without keeping the samples.
-Monte-Carlo banks (``estimate_moments``) and the closed forms of
-``IidEntryLatents`` build the same container.
+A Monte-Carlo bank is one (T, ..., count, d_y, d_z) array from end to
+end; ``estimate_moments`` checks it and reduces every step at once. It
+and the closed forms of ``IidEntryLatents`` build the same container.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Sequence
 
 import numpy as np
 
@@ -97,39 +97,6 @@ class TargetSeries:
         return self.values.shape[0] - 1
 
 
-@dataclass(frozen=True)
-class SampleBank:
-    """Monte-Carlo latent replicas: samples[t] has shape (..., count, d_y, d_z).
-
-    Leading axes before the replica axis (a round axis, say) stack
-    independent banks that share the time axis.
-    """
-
-    samples: tuple
-
-    def __post_init__(self):
-        sams = []
-        for t, s in enumerate(self.samples):
-            a = np.asarray(s, dtype=float)
-            if a.ndim < 3 or a.shape[-3] < 1:
-                raise MomentError(f"bank at t={t} must be (..., count, d_y, d_z) with count >= 1")
-            if not np.all(np.isfinite(a)):
-                raise MomentError(f"bank at t={t} contains non-finite samples")
-            a.setflags(write=False)
-            sams.append(a)
-        if not sams:
-            raise MomentError("empty sample bank")
-        object.__setattr__(self, "samples", tuple(sams))
-
-    @property
-    def horizon(self) -> int:
-        return len(self.samples)
-
-    @property
-    def dims(self) -> tuple[int, int]:
-        return self.samples[0].shape[-2], self.samples[0].shape[-1]
-
-
 def _weigh(w: np.ndarray, units: np.ndarray) -> np.ndarray:
     # sum_ab W_ab U_ab: the flattened weights times the unit moments, one
     # matmul that broadcasts w's leading axes against the units' stack axes
@@ -182,32 +149,43 @@ class MomentSet:
         return _weigh(np.asarray(w, dtype=float), self.units[t])
 
 
-def estimate_moments(bank: SampleBank) -> MomentSet:
-    """Monte-Carlo moment estimates from a latent sample bank: per step,
-    the mean of Z and one Gram matrix of the flattened samples."""
-    d_y, d_z = bank.dims
-    m1, units = [], []
-    for s in bank.samples:
-        x = s.reshape(*s.shape[:-2], d_y * d_z)
-        gram = (x.mT @ x) / s.shape[-3]  # [(a, i), (b, j)], reordered to [(a, b), (i, j)]
-        lead = gram.shape[:-2]
-        units.append(gram.reshape(*lead, d_y, d_z, d_y, d_z).swapaxes(-3, -2).reshape(*lead, d_y * d_y, d_z * d_z))
-        m1.append(s.mean(axis=-3))
-    return MomentSet(m1=np.stack(m1), units=np.stack(units))
+def estimate_moments(samples) -> MomentSet:
+    """Monte-Carlo moment estimates from a latent sample bank of shape
+    (T, ..., count, d_y, d_z), or anything ``np.asarray`` stacks into
+    one: every step's mean of Z and Gram matrix of the flattened samples,
+    in one stacked matmul and one mean over the replica axis.
+
+    Each step's arrays are bit-identical to those of a lone one-step call:
+    the mean reduces each step's replicas in the same order, and matmul
+    runs the same kernel on each matrix of a stack. A sum with a
+    non-finite term is not finite, so the sum of the means settles the
+    bank's finiteness; the steps are searched only when it is not finite,
+    which an overflowing mean of finite samples can also cause."""
+    s = np.asarray(samples, dtype=float)
+    if s.ndim == 0 or s.shape[0] == 0:
+        raise MomentError("empty sample bank")
+    if s.ndim < 4 or s.shape[-3] < 1:
+        raise MomentError(f"bank must be (T, ..., count, d_y, d_z) with count >= 1, got shape {s.shape}")
+    with np.errstate(invalid="ignore", over="ignore"):
+        m1 = s.mean(axis=-3)
+        finite = np.isfinite(np.sum(m1))
+    if not finite:
+        bad = ~np.isfinite(s).reshape(s.shape[0], -1).all(axis=1)
+        if np.any(bad):
+            raise MomentError(f"bank at t={int(np.flatnonzero(bad)[0])} contains non-finite samples")
+    d_y, d_z = s.shape[-2:]
+    x = s.reshape(*s.shape[:-2], d_y * d_z)
+    gram = (x.mT @ x) / s.shape[-3]  # [(a, i), (b, j)], reordered to [(a, b), (i, j)]
+    lead = gram.shape[:-2]
+    units = gram.reshape(*lead, d_y, d_z, d_y, d_z).swapaxes(-3, -2).reshape(*lead, d_y * d_y, d_z * d_z)
+    return MomentSet(m1=m1, units=units)
 
 
-def exact_moments_deterministic(z_schedule: Sequence[np.ndarray]) -> MomentSet:
-    """Moments of a degenerate latent distribution Z_t == z_schedule[t].
-
-    Useful as an oracle: a single-sample bank makes every moment exact.
-    """
-    sams = []
-    for t, z in enumerate(z_schedule):
-        a = np.atleast_2d(np.asarray(z, dtype=float))
-        if not np.all(np.isfinite(a)):
-            raise MomentError(f"z_schedule at t={t} is not finite")
-        sams.append(a[None, :, :])
-    return estimate_moments(SampleBank(samples=tuple(sams)))
+def exact_moments_deterministic(z_schedule) -> MomentSet:
+    """Moments of a degenerate latent distribution Z_t == z_schedule[t]:
+    ``estimate_moments`` of the stacked (T, d_y, d_z) schedule with one
+    replica, so every moment is exact. Useful as an oracle."""
+    return estimate_moments(np.asarray(z_schedule, dtype=float)[:, None])
 
 
 @dataclass(frozen=True)

@@ -5,7 +5,7 @@ with a leading agent axis. The spawner sees them as flat parameter rows,
 one per agent, laid out field by field in declaration order: (A, b, sigma)
 for feed-forward encoders, (A, B, b, sigma) for recurrent ones. The pool
 owns that (N, dim) matrix, and the encoder's arrays are views into it, so
-neither reading the rows nor respawning copies the parameters.
+reading the rows copies nothing, and a respawn writes only its new rows.
 """
 
 from __future__ import annotations
@@ -17,6 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .encoders import EsnParams, RfnParams
+from .errors import EncodeError
 
 
 def _param_fields(encoder) -> list[str]:
@@ -75,17 +76,22 @@ class AgentPool:
         self.latent_transforms[slots] = maps
 
     def respawn(self, slots: np.ndarray, rows: np.ndarray) -> None:
-        """Take the (N, dim) parameter ``rows``, in which the agents in
-        ``slots`` are new (their sigma is taken in absolute value, in
-        place), and give those agents an identity latent map and a
-        cleared recurrent state. The state is replaced, not written in
-        place, because the current latents may be the same array."""
+        """Give the agents in ``slots`` the new (len(slots), dim) parameter
+        ``rows``, an identity latent map and a cleared recurrent state.
+
+        The rows are written in place into ``self.rows``, which the
+        encoder's arrays view, with their sigma taken in absolute value; no
+        other row is touched or checked again. A non-finite row raises
+        EncodeError before anything is written. The state is replaced, not
+        written in place, because the current latents may be the same
+        array."""
         slots = np.asarray(slots, dtype=int)
         rows = np.asarray(rows, dtype=float)
-        sigma = rows[:, rows.shape[1] - self.encoder.sigma[0].size :]  # the last field of a row
-        sigma[slots] = np.abs(sigma[slots])
-        self.encoder = _on_rows(self.encoder, rows)
-        self.rows = rows
+        if not np.isfinite(rows).all():
+            raise EncodeError("respawned parameter rows contain non-finite entries")
+        first = rows.shape[1] - self.encoder.sigma[0].size  # sigma, a row's last field, starts here
+        self.rows[slots] = rows
+        self.rows[slots, first:] = np.abs(rows[:, first:])
         if self.latent_transforms is not None:
             self.latent_transforms[slots] = np.eye(self.latent_transforms.shape[1])
         state = self.esn_state.copy()

@@ -425,7 +425,7 @@ def reference_episode(policy, scenario, seed):
     ``EpisodeTrace``, plus the (rounds, N) ``costs_per_round``."""
     from fedgames.datasets import build_dataset
     from fedgames.harness import aggregation_weights
-    from fedgames.model import SampleBank, TargetSeries, estimate_moments
+    from fedgames.model import TargetSeries, estimate_moments
     from fedgames.nash_full import full_action, full_backward_pass
     from fedgames.nash_meanfield import decentralized_backward_pass, meanfield_forward
     from fedgames.nash_reduced import reduced_backward_pass
@@ -467,7 +467,7 @@ def reference_episode(policy, scenario, seed):
     for r in range(rounds):
         base = r * T
         y_round = TargetSeries(values=values[base : base + T + 1])
-        moments = estimate_moments(SampleBank(samples=tuple(samples[base : base + T])))
+        moments = estimate_moments(samples[base : base + T])
         if policy == "full" or (policy == "reduced" and N == 1):
             full = full_backward_pass(p, moments, y_round)
         elif policy == "reduced":
@@ -708,14 +708,14 @@ def round_params(rng, N, d_y, d_z, T, kappa_bar=0.7):
 def round_stack(rng, params, rounds, count=7):
     """((moments, targets) with a round axis, [(moments, targets) of each
     round alone]) from one Monte-Carlo bank of shape (T, R, count, d_y, d_z)."""
-    from fedgames.model import SampleBank, TargetSeries, estimate_moments
+    from fedgames.model import TargetSeries, estimate_moments
 
     T, d_y, d_z = params.horizon_T, params.dim_y, params.dim_z
     bank = rng.standard_normal((T, rounds, count, d_y, d_z))
     values = rng.standard_normal((T + 1, rounds, d_y))
-    stacked = (estimate_moments(SampleBank(samples=tuple(bank))), TargetSeries(values=values))
+    stacked = (estimate_moments(bank), TargetSeries(values=values))
     singles = [
-        (estimate_moments(SampleBank(samples=tuple(bank[:, r]))), TargetSeries(values=values[:, r]))
+        (estimate_moments(bank[:, r]), TargetSeries(values=values[:, r]))
         for r in range(rounds)
     ]
     return stacked, singles

@@ -222,6 +222,14 @@ def test_monotone_flag_fixture():
     assert monotone_flags(gaps, [0.05, 0.05, 0.05, 0.05]) == [True, True, True, True]
 
 
+def test_public_names_resolve():
+    # a name dropped from the package's imports but left in __all__ fails
+    # here, not at a user's star import
+    missing = [name for name in fedgames.__all__ if not hasattr(fedgames, name)]
+    assert not missing
+    assert len(set(fedgames.__all__)) == len(fedgames.__all__)
+
+
 def test_verify_passes(capsys):
     assert main(["verify"]) == 0
     out = capsys.readouterr().out
@@ -233,7 +241,7 @@ def test_coeff_dump_matches_fresh_round0_solve(config, tmp_path):
     from fedgames.datasets import build_dataset
     from fedgames.harness import _build_bank
     from fedgames.io import load_coeff_arrays
-    from fedgames.model import SampleBank, TargetSeries, estimate_moments
+    from fedgames.model import TargetSeries, estimate_moments
     from fedgames.nash_full import full_backward_pass
     from fedgames.nash_meanfield import decentralized_backward_pass
     from fedgames.nash_reduced import reduced_backward_pass
@@ -249,7 +257,7 @@ def test_coeff_dump_matches_fresh_round0_solve(config, tmp_path):
     T = scenario.params.horizon_T
     targets, inputs = build_dataset(scenario.dataset)
     bank = _build_bank(scenario, inputs, 1)
-    moments = estimate_moments(SampleBank(samples=tuple(bank[:T])))
+    moments = estimate_moments(bank[:T])
     y_round = TargetSeries(values=targets.values[: T + 1])
     solvers = {
         "full": full_backward_pass,
@@ -452,9 +460,18 @@ def _without_ridge(cfg):
         (_without_ridge, "needs a ridge section"),
         (lambda cfg: cfg.update(spawner={"retire_k": 2}), "retire_k"),  # N = 2 in the grid
         (lambda cfg: cfg.update(spawner={"retire_k": 0}), "retire_k"),
+        (lambda cfg: cfg.update(mc_samples=0), "mc_samples"),
+        (lambda cfg: cfg.update(mc_samples=-3), "mc_samples"),
+        (lambda cfg: cfg.update(mc_samples=2.5), "mc_samples"),
+        (lambda cfg: cfg["ridge"].update(window_T=0), "ridge.window_T"),
+        (lambda cfg: cfg["ridge"].update(window_T=1.5), "ridge.window_T"),
+        (lambda cfg: cfg["aggregation"].update(window_Ta=0), "aggregation.window_Ta"),
+        (lambda cfg: cfg["aggregation"].update(window_Ta=2.5), "aggregation.window_Ta"),
     ],
     ids=["n_grid-float", "n_grid-empty", "seeds-empty", "policies-empty", "policies-string",
-         "greedy-no-ridge", "retire_k-not-below-N", "retire_k-zero"],
+         "greedy-no-ridge", "retire_k-not-below-N", "retire_k-zero", "mc_samples-zero",
+         "mc_samples-negative", "mc_samples-float", "window_T-zero", "window_T-float",
+         "window_Ta-zero", "window_Ta-float"],
 )
 def test_run_rejects_bad_grid(config, tmp_path, capsys, edit, message):
     # rejected before any cell runs, not in some cells at run time

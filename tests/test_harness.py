@@ -26,8 +26,8 @@ from fedgames.harness import (
     step_dynamics,
     underperformer_regret,
 )
-from fedgames.encoders import sample_rfn_params
-from fedgames.model import GameParams, SampleBank, TargetSeries, estimate_moments
+from fedgames.encoders import sample_esn_params, sample_rfn_params
+from fedgames.model import GameParams, TargetSeries, estimate_moments
 from fedgames.nash_full import full_backward_pass, rounds_per_pass
 from fedgames.pool import AgentPool
 from fedgames.ridge import RidgeConfig, ridge_action
@@ -294,6 +294,45 @@ class TestRunEpisode:
         assert events[0]["weights"][0] == 1.0 and min(events[0]["weights"]) == 0.0
         assert np.all(np.isfinite(pool.rows))
 
+    @pytest.mark.parametrize("kind", ["rfn", "esn"])
+    def test_respawn_writes_only_its_rows(self, kind):
+        # the new rows go into the pool's rows in place, which the encoder
+        # views; every other row keeps its bits, and a non-finite row
+        # raises before anything is written
+        n, d_y, d_z, d_x = 5, 2, 3, 2
+        rng = np.random.default_rng(4)
+        sample = sample_rfn_params if kind == "rfn" else sample_esn_params
+        pool = AgentPool.create(sample(d_y, d_z, d_x, 0.1, rng, count=n))
+        pool.esn_state = pool.latents = rng.uniform(0.0, 1.0, (n, d_y, d_z))
+        pool.steer(np.array([0, 3]), rng.standard_normal((2, d_z, d_z)))
+        rows, maps, state, encoder = pool.rows.copy(), pool.latent_transforms.copy(), pool.esn_state.copy(), pool.encoder
+        slots = np.array([3, 1])
+        new = rng.standard_normal((2, pool.rows.shape[1]))
+        new[:, -d_y:] = -0.2  # negative sigma, taken in absolute value
+
+        bad = new.copy()
+        bad[1, 0] = np.nan
+        with pytest.raises(EncodeError):
+            pool.respawn(slots, bad)
+        np.testing.assert_array_equal(pool.rows, rows)
+        np.testing.assert_array_equal(pool.latent_transforms, maps)
+        np.testing.assert_array_equal(pool.esn_state, state)
+
+        pool.respawn(slots, new)
+        kept = np.array([0, 2, 4])
+        np.testing.assert_array_equal(pool.rows[kept], rows[kept])
+        np.testing.assert_array_equal(pool.rows[slots, :-d_y], new[:, :-d_y])
+        np.testing.assert_array_equal(pool.rows[slots, -d_y:], 0.2)
+        assert pool.encoder is encoder  # the same views, now reading the new rows
+        names = ["A", "b", "sigma"] if kind == "rfn" else ["A", "B", "b", "sigma"]
+        read = np.concatenate([getattr(pool.encoder, name).reshape(n, -1) for name in names], axis=1)
+        np.testing.assert_array_equal(read, pool.rows)
+        np.testing.assert_array_equal(pool.latent_transforms[slots], np.tile(np.eye(d_z), (2, 1, 1)))
+        np.testing.assert_array_equal(pool.latent_transforms[kept], maps[kept])
+        np.testing.assert_array_equal(pool.esn_state[slots], 0.0)
+        np.testing.assert_array_equal(pool.esn_state[kept], state[kept])
+        np.testing.assert_array_equal(pool.latents, state)  # the old state is replaced, not written
+
     def test_csv_dataset_episode(self, tmp_path):
         rng = np.random.default_rng(0)
         path = tmp_path / "series.csv"
@@ -475,22 +514,33 @@ def test_bank_matches_per_step_encoder_calls(encoder):
 
 
 def test_bank_check_names_the_parent_errors():
-    # one sum checks the finished bank; a non-finite carry is the encoder's
-    # EncodeError, any other non-finite sample the SampleBank's MomentError
-    from fedgames.harness import _check_bank
+    # a non-finite carry (any step of a recurrent bank but the last) is the
+    # encoder's EncodeError, raised by _build_bank ahead of the moments;
+    # any other non-finite sample is estimate_moments' MomentError naming
+    # its step. A NaN input makes every replica of its step NaN.
+    from fedgames.datasets import build_dataset
+    from fedgames.encoders import check_carry
+    from fedgames.harness import _build_bank
 
-    bank = np.zeros((3, 4, 1, 2))
     with np.errstate(over="ignore"):
-        _check_bank(np.full_like(bank, 1e308), recurrent=True)  # the sum overflows, every entry is finite
-    bank[1, 2, 0, 1] = np.nan
-    with pytest.raises(EncodeError, match="z_prev contains non-finite entries"):
-        _check_bank(bank, recurrent=True)
-    with pytest.raises(MomentError, match="bank at t=1 "):
-        _check_bank(bank, recurrent=False)
-    bank[1, 2, 0, 1] = 0.0
-    bank[2, 0, 0, 0] = np.inf  # the last step is no step's carry
-    with pytest.raises(MomentError, match="bank at t=2 "):
-        _check_bank(bank, recurrent=True)
+        check_carry(np.full((3, 4, 1, 2), 1e308))  # the sum overflows, every entry is finite
+    for encoder, cfg in FUSED_ENCODERS.items():
+        scenario = small_scenario(encoder=cfg, dataset=DatasetSpec(kind="concept_drift", length=5))
+        _, inputs = build_dataset(scenario.dataset)
+        last = inputs.shape[0] - 1
+        estimate_moments(_build_bank(scenario, inputs, 6))
+        bad = inputs.copy()
+        bad[1] = np.nan
+        if encoder == "rfn":
+            with pytest.raises(MomentError, match="bank at t=1 "):
+                estimate_moments(_build_bank(scenario, bad, 6))
+        else:
+            with pytest.raises(EncodeError, match="z_prev contains non-finite entries"):
+                _build_bank(scenario, bad, 6)
+        bad = inputs.copy()
+        bad[last] = np.nan  # the last step is no step's carry
+        with pytest.raises(MomentError, match=f"bank at t={last} "):
+            estimate_moments(_build_bank(scenario, bad, 6))
 
 
 def test_overflowing_episode_raises_dynamics_error():
@@ -708,7 +758,7 @@ def test_chunked_full_rounds_match_lone_passes():
         base = r * T
         lone = full_backward_pass(
             scenario.params,
-            estimate_moments(SampleBank(samples=tuple(bank[base : base + T]))),
+            estimate_moments(bank[base : base + T]),
             TargetSeries(values=targets.values[base : base + T + 1]),
         )
         for f in fields(lone):

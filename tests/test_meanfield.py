@@ -151,7 +151,7 @@ def test_identical_moments_identical_coefficients():
     # homogeneity without interchangeability: two banks with different
     # sample distributions but identical first/second moments produce
     # the same coefficients and the same mean field
-    from fedgames.model import SampleBank, estimate_moments
+    from fedgames.model import estimate_moments
 
     params = GameParams(
         theta=0.7,
@@ -166,10 +166,8 @@ def test_identical_moments_identical_coefficients():
         dim_z=1,
     )
     targets = TargetSeries(values=np.array([[0.1], [0.4], [-0.2], [0.3]]))
-    two_point = SampleBank(samples=tuple(np.array([[[1.0]], [[-1.0]]]) for _ in range(3)))
-    four_point = SampleBank(
-        samples=tuple(np.array([[[1.0]], [[1.0]], [[-1.0]], [[-1.0]]]) for _ in range(3))
-    )
+    two_point = np.tile(np.array([[[1.0]], [[-1.0]]]), (3, 1, 1, 1))
+    four_point = np.tile(np.array([[[1.0]], [[1.0]], [[-1.0]], [[-1.0]]]), (3, 1, 1, 1))
     a = decentralized_backward_pass(params, estimate_moments(two_point), targets)
     b = decentralized_backward_pass(params, estimate_moments(four_point), targets)
     np.testing.assert_array_equal(a.G1, b.G1)

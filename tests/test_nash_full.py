@@ -20,7 +20,6 @@ from fedgames.errors import SolveError
 from fedgames.model import (
     GameParams,
     IidEntryLatents,
-    SampleBank,
     TargetSeries,
     estimate_moments,
     exact_moments_deterministic,
@@ -266,8 +265,8 @@ def test_matches_per_block_reference(N, d_y, d_z, latents, kappa_bar):
         dim_z=d_z,
     )
     if latents == "bank":
-        samples = tuple(rng.standard_normal((100, d_y, d_z)) for _ in range(T))
-        moments = estimate_moments(SampleBank(samples=samples))
+        samples = rng.standard_normal((T, 100, d_y, d_z))
+        moments = estimate_moments(samples)
     elif latents == "deterministic":
         moments = exact_moments_deterministic([rng.standard_normal((d_y, d_z)) for _ in range(T)])
     else:
@@ -303,8 +302,8 @@ def test_peak_memory_stays_near_output_size():
         dim_y=d_y,
         dim_z=d_z,
     )
-    samples = tuple(rng.standard_normal((100, d_y, d_z)) for _ in range(T))
-    moments = estimate_moments(SampleBank(samples=samples))
+    samples = rng.standard_normal((T, 100, d_y, d_z))
+    moments = estimate_moments(samples)
     targets = TargetSeries(values=rng.standard_normal((T + 1, d_y)))
     full_backward_pass(params, moments, targets)  # warm
 

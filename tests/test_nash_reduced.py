@@ -20,7 +20,6 @@ from fedgames.errors import SolveError
 from fedgames.model import (
     GameParams,
     IidEntryLatents,
-    SampleBank,
     TargetSeries,
     estimate_moments,
     exact_moments_deterministic,
@@ -358,7 +357,7 @@ def test_lost_digits_still_warn(caplog):
         dim_y=d_y,
         dim_z=d_z,
     )
-    moments = estimate_moments(SampleBank(samples=tuple(rng.standard_normal((T, 1, d_y, d_z)))))
+    moments = estimate_moments(rng.standard_normal((T, 1, d_y, d_z)))
     targets = TargetSeries(values=rng.standard_normal((T + 1, d_y)))
     with caplog.at_level(logging.WARNING, logger="fedgames.nash_reduced"):
         red = reduced_backward_pass(params, moments, targets)
@@ -500,7 +499,7 @@ def population_case(rng, d_y, d_z, T, moments_kind):
         moments = IidEntryLatents(mean=mean, half_width=0.5).exact_moments()
     else:
         count = 9 if moments_kind == "bank" else 1
-        moments = estimate_moments(SampleBank(samples=tuple(rng.standard_normal((T, count, d_y, d_z)))))
+        moments = estimate_moments(rng.standard_normal((T, count, d_y, d_z)))
     return params, moments, TargetSeries(values=rng.standard_normal((T + 1, d_y)))
 
 
@@ -629,7 +628,7 @@ def harsh_population_case(draw):
     )
     if draw(st.booleans()):
         count = draw(st.integers(min_value=1, max_value=3))
-        moments = estimate_moments(SampleBank(samples=tuple(rng.standard_normal((T, count, d_y, d_z)))))
+        moments = estimate_moments(rng.standard_normal((T, count, d_y, d_z)))
     else:
         moments = IidEntryLatents(mean=rng.standard_normal((T, d_y, d_z)), half_width=0.5).exact_moments()
     targets = TargetSeries(values=rng.standard_normal((T + 1, d_y)))
