@@ -133,7 +133,8 @@ def hard_sigmoid(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         out = np.empty(np.shape(x))
     np.add(x, 3.0, out=out)
     out /= 6.0
-    return np.clip(out, 0.0, 1.0, out=out)
+    np.maximum(out, 0.0, out=out)  # np.clip's clamp, without its Python wrapper
+    return np.minimum(out, 1.0, out=out)
 
 
 def rfn_encode(x_t, p: RfnParams, noise) -> np.ndarray:

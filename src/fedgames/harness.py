@@ -36,13 +36,28 @@ replays an episode with one call of each public function per step, and
 ``test_fused_step_matches_public_functions`` holds the fused loop to it
 bit for bit; ``test_greedy_window_matches_ridge_action_at_every_fill_level``
 and ``test_bank_matches_per_step_encoder_calls`` do the same for the
-ridge window and the latent bank. The latent bank is one (L,
+ridge window and the latent bank. Three of the step's pieces skip a
+public function's wrapper but keep its arithmetic order: the ESN
+saturation clamps with ``np.maximum`` and ``np.minimum`` in place; the
+decentralized action is one matmul of the predictions by G1', plus the
+round's mean-field terms G2 Ybar (computed once per round), plus H, as
+``decentralized_action`` adds them; and ``_RunningMetrics`` builds the
+stage discounts and the quantile plan once per episode and folds each
+round's (T, N, ...) arrays directly. The latent bank is one (rounds T,
 mc_samples, d_y, d_z) array from the encoder to ``estimate_moments``,
 which checks its finiteness once and reduces it to moments once; a
 recurrent encoder's carry is checked first, in ``_build_bank``, so a
-non-finite carry raises the encoder's EncodeError. Random streams come
-from ``_rng`` only, keyed by (seed, purpose, step) and drawn agent-major
-(README, "Random streams").
+non-finite carry raises the encoder's EncodeError.
+
+Random streams are keyed by (seed, purpose[, step]) and drawn
+agent-major (README, "Random streams"). The one-off streams, the pool
+(seed, 11), the bank encoders (seed, 71) and each spawner round (seed,
+999, r), come from ``_rng``. The per-step streams, the agent noise
+(seed, 5, g) and the bank noise (seed, 72, t), come from a
+``streams.SeedTable`` per episode and family: one vectorized pass of
+``SeedSequence``'s hash gives every step's PCG64 state, and each step's
+generator is built from its words without a ``SeedSequence``. Both give
+the same draws for the same key.
 """
 
 from __future__ import annotations
@@ -69,11 +84,8 @@ from .encoders import (
 from .errors import DynamicsError
 from .model import GameParams, MomentSet, TargetSeries, estimate_moments
 from .nash_full import full_action, full_backward_pass, rounds_per_pass
-from .nash_meanfield import (
-    decentralized_action,
-    decentralized_backward_pass,
-    meanfield_forward,
-)
+from .nash_meanfield import decentralized_action  # noqa: F401  (perfbench's tracer names it; the step does not call it)
+from .nash_meanfield import decentralized_backward_pass, meanfield_forward
 from .nash_reduced import reduced_action, reduced_backward_pass, take_round
 from .pool import AgentPool
 from .ridge import RidgeConfig, ridge_penalty, ridge_solve, ridge_weights
@@ -85,6 +97,7 @@ from .spawner import (
     score_agents,  # noqa: F401  (perfbench's tracer wraps it here)
     score_into,
 )
+from .streams import SeedTable
 
 logger = logging.getLogger(__name__)
 
@@ -254,43 +267,39 @@ def check_finite(predictions: np.ndarray, total) -> None:
         raise DynamicsError(f"non-finite prediction for agent {int(np.flatnonzero(bad)[0])}")
 
 
-def _round_costs(predictions, actions, params: GameParams, values) -> np.ndarray:
-    """(rounds, N) discounted sample-path objective of every agent per round."""
-    rounds, _, _, d_y = predictions.shape
-    T = params.horizon_T
-    preds = predictions[:, 1:]  # (rounds, T, N, d_y)
-    y = np.asarray(values, dtype=float)[1 : rounds * T + 1].reshape(rounds, T, 1, d_y)
-    err = y - preds
-    dev = preds - preds.mean(axis=2, keepdims=True)
-    stage = (
-        params.kappa * np.einsum("rtnd,rtnd->rtn", err, err)
-        + params.kappa_bar * np.einsum("rtnd,rtnd->rtn", dev, dev)
-        + params.gamma * np.einsum("rtnk,rtnk->rtn", actions, actions)
-    )
-    disc = np.exp(-params.alpha * (T - 1 - np.arange(T)))
-    return np.einsum("t,rtn->rn", disc, stage)
-
-
-def _quantiles(x: np.ndarray, levels) -> np.ndarray:
-    """``np.quantile(x, levels)`` (its default linear method) from one
-    ``np.partition``. ``np.quantile`` and ``np.unique`` import ``numpy.ma``
-    on their first call, which costs more than a small episode's metrics."""
-    n = x.shape[0]
+def _quantile_plan(n: int, levels) -> tuple:
+    """What ``_quantiles`` needs of an (n,) sample and its levels, which do
+    not change over an episode: the order statistics below and above each
+    level, both of them for ``np.partition``, and the interpolation
+    fractions."""
     pos = (n - 1) * np.asarray(levels, dtype=float)
     lo = np.floor(pos).astype(np.intp)
     hi = np.minimum(lo + 1, n - 1)
-    part = np.partition(x, np.concatenate([lo, hi]))
-    a, b, frac = part[lo], part[hi], pos - lo
+    return lo, hi, np.concatenate([lo, hi]), pos - lo
+
+
+def _quantiles(x: np.ndarray, plan) -> np.ndarray:
+    """``np.quantile(x, levels)`` (its default linear method) from one
+    ``np.partition``, given ``_quantile_plan(len(x), levels)``.
+    ``np.quantile`` and ``np.unique`` import ``numpy.ma`` on their first
+    call, which costs more than a small episode's metrics."""
+    lo, hi, kth, frac = plan
+    part = np.partition(x, kth)
+    a, b = part[lo], part[hi]
     diff = b - a
     return np.where(frac >= 0.5, b - diff * (1 - frac), a + diff * frac)
 
 
 class _RunningMetrics:
     """Per-agent sums over the rounds played so far, folded in round by
-    round in the order of the whole-episode reductions they replace."""
+    round in the order of the whole-episode reductions they replace. The
+    stage discounts and the quantile plan are built once per episode."""
 
     def __init__(self, n_agents: int, rounds: int, params: GameParams):
+        T = params.horizon_T
         self.params = params
+        self.discounts = np.exp(-params.alpha * (T - 1 - np.arange(T)))
+        self.quantile_plan = _quantile_plan(n_agents, list(COST_QUANTILES.values()))
         self.costs = np.zeros(n_agents)  # total objective
         self.sq_err = np.zeros(n_agents)  # squared prediction error over steps
         self.quantiles = np.empty((rounds, len(COST_QUANTILES)))
@@ -298,12 +307,23 @@ class _RunningMetrics:
 
     def add_round(self, r: int, predictions, actions, y_round):
         """Fold in round r: predictions (T+1, N, d_y), actions (T, N, d_z)
-        and its targets y_round (T+1, d_y)."""
-        costs = _round_costs(predictions[None], actions[None], self.params, y_round)[0]
+        and its targets y_round (T+1, d_y). The round's discounted
+        sample-path objective of every agent is the sum over its steps of
+        kappa |y - Y|^2 + kappa_bar |Y - mean(Y)|^2 + gamma |beta|^2."""
+        p = self.params
+        preds = predictions[1:]  # (T, N, d_y)
+        err = y_round[1:, None] - preds
+        dev = preds - preds.mean(axis=1, keepdims=True)
+        stage = (
+            p.kappa * np.einsum("tnd,tnd->tn", err, err)
+            + p.kappa_bar * np.einsum("tnd,tnd->tn", dev, dev)
+            + p.gamma * np.einsum("tnk,tnk->tn", actions, actions)
+        )
+        costs = np.einsum("t,tn->n", self.discounts, stage)
         self.costs += costs
-        self.quantiles[r] = _quantiles(costs, list(COST_QUANTILES.values()))
-        for err in np.sum((predictions[1:] - y_round[1:, None]) ** 2, axis=-1):
-            self.sq_err += err
+        self.quantiles[r] = _quantiles(costs, self.quantile_plan)
+        for sq in np.sum(err**2, axis=-1):  # (Y - y)^2 = (y - Y)^2, bit for bit
+            self.sq_err += sq
         self.max_abs_prediction = max(self.max_abs_prediction, float(np.max(np.abs(predictions))))
 
 
@@ -359,9 +379,10 @@ _UINT32_END = 2**32
 
 
 def _rng(*key):
-    """The one constructor of the episode's random streams, keyed by
-    (seed, purpose[, step]); every stream draws a block with one row per
-    agent (or bank replica), agent-major.
+    """The generator of the random stream keyed by (seed, purpose[,
+    step]); every stream draws a block with one row per agent (or bank
+    replica), agent-major. The per-step streams of an episode come from
+    a ``streams.SeedTable`` instead, with the same draws.
 
     A key of entries below 2^32 is passed as one uint32 word per entry:
     numpy's seed sequence reduces a list of such ints to those same
@@ -379,8 +400,9 @@ def _sample_encoders(cfg: EncoderConfig, count, d_y, d_z, d_x, rng):
 
 def _build_bank(scenario: Scenario, inputs: np.ndarray, seed: int) -> np.ndarray:
     """(L, mc_samples, d_y, d_z) latent replicas from freshly sampled
-    encoder parameter sets, run over the whole input sequence (recurrent
-    state carried through), written step by step into one array. A
+    encoder parameter sets, run over the L given inputs (recurrent state
+    carried through), written step by step into one array; step t draws
+    its noise from the stream (seed, 72, t) of one ``SeedTable``. A
     recurrent encoder's carry (every step but the last) is checked here,
     so its EncodeError comes ahead of the MomentError that
     ``estimate_moments`` raises for any other non-finite sample."""
@@ -393,8 +415,9 @@ def _build_bank(scenario: Scenario, inputs: np.ndarray, seed: int) -> np.ndarray
     ax, work = np.empty((count, p.dim_y)), np.empty(bank.shape[1:])
     z_prev = np.zeros(bank.shape[1:])
     check_step(encs, inputs[0], noise, z_prev)
+    streams = SeedTable((seed, 72), inputs.shape[0])
     for t, z in enumerate(bank):
-        _rng(seed, 72, t).standard_normal(out=noise)
+        streams.rng(t).standard_normal(out=noise)
         z_prev = encode_into(encs, inputs[t], noise, z_prev, z, ax, work)
     if cfg.kind == "esn":
         check_carry(bank[:-1])  # every step but the last is a carry
@@ -456,12 +479,16 @@ def _solve_episode(policy, scenario: Scenario, inputs, values, rounds, seed):
     """(kind, one (coefficients, act) per round): the one place a policy
     maps to its solver and its action rule. ``act(t, predictions,
     latents, drift, mean_drift)`` returns the (N, d_z) actions of step t
-    of its round; the last two are the step's drift terms theta Y and
-    theta_bar mean(Y), which only the greedy baseline reads (its ridge
-    residual is the target less both). The greedy baseline solves
-    nothing (kind and coefficients None) and builds no latent bank.
+    of its round, possibly in a buffer that its next call overwrites (the
+    greedy and decentralized ones do); the last two are the step's drift
+    terms theta Y and theta_bar mean(Y), which only the greedy baseline
+    reads (its ridge residual is the target less both). The greedy
+    baseline solves nothing (kind and coefficients None) and builds no
+    latent bank.
 
-    The episode's latent bank is reduced to moments once, and then
+    The episode's latent bank covers only the rounds T input steps that
+    the rounds play, so a non-finite sample in an input step past them
+    no longer raises. It is reduced to moments once, and then
     dropped. A round's pass reads only the params, the moments of steps
     rT..rT+T-1 and the targets ``values[rT:rT+T+1]``, never the agents,
     so the passes solve rounds together, over a round stack whose
@@ -490,9 +517,9 @@ def _solve_episode(policy, scenario: Scenario, inputs, values, rounds, seed):
 
         return None, ((None, partial(act, r)) for r in range(rounds))
 
-    episode = estimate_moments(_build_bank(scenario, inputs, seed))
+    episode = estimate_moments(_build_bank(scenario, inputs[: rounds * T], seed))
     # views with the round axis after the time axis: [t, r] is step rT + t
-    m1, units = (a[: rounds * T].reshape(rounds, T, *a.shape[1:]).swapaxes(0, 1) for a in (episode.m1, episode.units))
+    m1, units = (a.reshape(rounds, T, *a.shape[1:]).swapaxes(0, 1) for a in (episode.m1, episode.units))
 
     def round_stack(first, stop):
         """(moments, targets) of rounds first..stop-1 with a round axis
@@ -520,18 +547,32 @@ def _solve_episode(policy, scenario: Scenario, inputs, values, rounds, seed):
     if policy == "reduced":
         coeffs = reduced_backward_pass(p, moments, targets)
 
-        def act(c, r, t, preds, latents, drift, mean_drift):
+        def act(c, t, preds, latents, drift, mean_drift):
             return reduced_action(t, preds, preds.sum(axis=0) - preds, c)
 
-    else:
-        coeffs = decentralized_backward_pass(p, moments, targets)
-        ybar = meanfield_forward(coeffs, moments, targets.values[0]).ybar
+        solved = (take_round(coeffs, r) for r in range(rounds))
+        return policy, ((c, partial(act, c)) for c in solved)
 
-        def act(c, r, t, preds, latents, drift, mean_drift):
-            return decentralized_action(t, preds, ybar[t, r], c)
+    coeffs = decentralized_backward_pass(p, moments, targets)
+    ybar = meanfield_forward(coeffs, moments, targets.values[0]).ybar
+    actions = np.empty((N, p.dim_z))
+
+    def round_act(c, r):
+        """``decentralized_action``'s own @ G1' + G2 Ybar + H in its order,
+        with the round's mean-field terms G2 Ybar computed once."""
+        gains = [c.G1[t].T for t in range(T)]
+        mean_field = [c.G2[t] @ ybar[t, r] for t in range(T)]
+
+        def act(t, preds, latents, drift, mean_drift):
+            out = np.matmul(preds, gains[t], out=actions)
+            out += mean_field[t]
+            out += c.H[t]
+            return out
+
+        return act
 
     solved = (take_round(coeffs, r) for r in range(rounds))
-    return policy, ((c, partial(act, c, r)) for r, c in enumerate(solved))
+    return policy, ((c, round_act(c, r)) for r, c in enumerate(solved))
 
 
 def run_episode(policy: str, scenario: Scenario, seed: int, trace: EpisodeTrace | None = None) -> RunRecord:
@@ -576,6 +617,7 @@ def run_episode(policy: str, scenario: Scenario, seed: int, trace: EpisodeTrace 
     check_step(pool.encoder, inputs[0], noise, pool.esn_state)
 
     kind, solved = _solve_episode(policy, scenario, inputs, values, rounds, seed)
+    noise_streams = SeedTable((seed, 5), rounds * T)
     for r, (coeffs, act) in enumerate(solved):
         base = r * T
         if r == 0 and kind is not None:
@@ -585,7 +627,7 @@ def run_episode(policy: str, scenario: Scenario, seed: int, trace: EpisodeTrace 
         preds_hist[0] = values[base]
         for t in range(T):
             g = base + t
-            _rng(seed, 5, g).standard_normal(out=noise)
+            noise_streams.rng(g).standard_normal(out=noise)
             z = carry[1] if z_prev is carry[0] else carry[0]
             encode_into(encoder, inputs[g], noise, z_prev, z, ax, work)
             latents = z if transforms is None else np.matmul(z, transforms, out=steered)
@@ -652,7 +694,7 @@ def _spawn_between_rounds(
     )
     n = pool.size
     d_z = pool.latents.shape[2]
-    pool.respawn(retired_idx, new_rows[retired_idx])
+    pool.respawn(retired_idx, new_rows)
     check_carry(pool.esn_state[retired_idx])  # the episode's carry check, on the rows it replaced
 
     event = {

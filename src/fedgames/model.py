@@ -158,27 +158,35 @@ def estimate_moments(samples) -> MomentSet:
     Each step's arrays are bit-identical to those of a lone one-step call:
     the mean reduces each step's replicas in the same order, and matmul
     runs the same kernel on each matrix of a stack. A sum with a
-    non-finite term is not finite, so the sum of the means settles the
-    bank's finiteness; the steps are searched only when it is not finite,
-    which an overflowing mean of finite samples can also cause."""
+    non-finite term is not finite, and m2 sums every sample's squares, so
+    the sum of m2 settles in one reduction both the bank's finiteness and
+    that its squares do not overflow. The steps are searched only when
+    that sum is not finite, which an overflowing sum of finite m2 can
+    also cause: MomentError names the first step whose samples or second
+    moments are not finite."""
     s = np.asarray(samples, dtype=float)
     if s.ndim == 0 or s.shape[0] == 0:
         raise MomentError("empty sample bank")
     if s.ndim < 4 or s.shape[-3] < 1:
         raise MomentError(f"bank must be (T, ..., count, d_y, d_z) with count >= 1, got shape {s.shape}")
-    with np.errstate(invalid="ignore", over="ignore"):
-        m1 = s.mean(axis=-3)
-        finite = np.isfinite(np.sum(m1))
-    if not finite:
-        bad = ~np.isfinite(s).reshape(s.shape[0], -1).all(axis=1)
-        if np.any(bad):
-            raise MomentError(f"bank at t={int(np.flatnonzero(bad)[0])} contains non-finite samples")
     d_y, d_z = s.shape[-2:]
     x = s.reshape(*s.shape[:-2], d_y * d_z)
-    gram = (x.mT @ x) / s.shape[-3]  # [(a, i), (b, j)], reordered to [(a, b), (i, j)]
-    lead = gram.shape[:-2]
-    units = gram.reshape(*lead, d_y, d_z, d_y, d_z).swapaxes(-3, -2).reshape(*lead, d_y * d_y, d_z * d_z)
-    return MomentSet(m1=m1, units=units)
+    with np.errstate(invalid="ignore", over="ignore"):
+        m1 = s.mean(axis=-3)
+        gram = (x.mT @ x) / s.shape[-3]  # [(a, i), (b, j)], reordered to [(a, b), (i, j)]
+        lead = gram.shape[:-2]
+        units = gram.reshape(*lead, d_y, d_z, d_y, d_z).swapaxes(-3, -2).reshape(*lead, d_y * d_y, d_z * d_z)
+        moments = MomentSet(m1=m1, units=units)
+        finite = math.isfinite(np.sum(moments.m2))
+    if not finite:
+        T = s.shape[0]
+        bad_samples = ~np.isfinite(s).reshape(T, -1).all(axis=1)
+        bad = bad_samples | ~np.isfinite(moments.m2).reshape(T, -1).all(axis=1)
+        if np.any(bad):
+            t = int(np.flatnonzero(bad)[0])
+            what = "contains non-finite samples" if bad_samples[t] else "has second moments that overflow"
+            raise MomentError(f"bank at t={t} {what}")
+    return moments
 
 
 def exact_moments_deterministic(z_schedule) -> MomentSet:

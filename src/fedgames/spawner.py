@@ -93,11 +93,13 @@ def resample_parameters(
 ):
     """Retire the K worst parameter vectors and draw replacements.
 
-    Returns (new_params, retained_idx, retired_idx, posterior,
-    log_posterior) where ``posterior`` is the Gibbs reweighing over the
-    retained agents used as the mixture weights. Each retired slot, in
-    order, draws one uniform for its mixture component (the draw of
-    ``rng.choice(N - K, p=posterior)``) and then ``dim`` standard normals.
+    Returns (new_rows, retained_idx, retired_idx, posterior,
+    log_posterior) where ``new_rows`` (K, dim) are the replacements of
+    the retired slots, in ``retired_idx`` order, and ``posterior`` is the
+    Gibbs reweighing over the retained agents used as the mixture
+    weights. Each retired slot, in order, draws one uniform for its
+    mixture component (the draw of ``rng.choice(N - K, p=posterior)``)
+    and then ``dim`` standard normals.
     """
     flat_params = np.asarray(flat_params, dtype=float)
     scores = np.asarray(scores, dtype=float)
@@ -121,9 +123,8 @@ def resample_parameters(
         rng.standard_normal(out=normals[i])
     picks = cdf.searchsorted(uniforms, side="right")
     var = sigma_t * (1.0 - post[picks]) / (N - retire_K)
-    new_params = flat_params.copy()
-    new_params[retired_idx] = flat_params[retained_idx[picks]] + np.sqrt(var)[:, None] * normals
-    return new_params, retained_idx, retired_idx, post, log_post
+    new_rows = flat_params[retained_idx[picks]] + np.sqrt(var)[:, None] * normals
+    return new_rows, retained_idx, retired_idx, post, log_post
 
 
 @dataclass(frozen=True)

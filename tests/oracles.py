@@ -522,11 +522,11 @@ def reference_episode(policy, scenario, seed):
         sp = scenario.spawner
         if sp is not None and r < rounds - 1:
             flat = np.stack([_flat(e)[0] for e in encs])
-            new_flat, retained, retired, _, log_post = resample_parameters(
+            new_rows, retained, retired, _, log_post = resample_parameters(
                 flat, err_history[-1], log_weights, sp.lam, sp.sigma_t, sp.retire_k, _stream(seed, 999, r)
             )
-            for slot in retired:
-                encs[slot] = _unflat(new_flat[slot], encs[slot])
+            for slot, row in zip(retired, new_rows):
+                encs[slot] = _unflat(row, encs[slot])
                 transforms[slot] = np.eye(d_z)
                 state[slot] = np.zeros((d_y, d_z))
             if sp.orthogonalize and sp.zeta2 > 0:

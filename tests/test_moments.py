@@ -76,12 +76,11 @@ def test_empty_bank_raises():
 
 
 def test_nonfinite_bank_raises():
-    # the sum of the means settles a finite bank in one reduction; when it
-    # is not finite the steps are searched, and an overflowing mean of
-    # finite samples raises nothing
+    # the sum of m2 settles a finite bank in one reduction; when it is not
+    # finite the steps are searched, and an overflowing sum of finite
+    # moments raises nothing
     bank = np.zeros((3, 4, 1, 2))
-    with np.errstate(over="ignore"):
-        estimate_moments(np.full_like(bank, 1e308))
+    assert np.isfinite(estimate_moments(np.full_like(bank, 6e153)).m2).all()  # entries 3.6e307
     bank[1, 2, 0, 1] = np.nan
     with pytest.raises(MomentError, match="bank at t=1 contains non-finite samples"):
         estimate_moments(bank)
@@ -90,6 +89,17 @@ def test_nonfinite_bank_raises():
     # must raise the MomentError, not a RuntimeWarning
     bank[2, 0, 0, 0], bank[2, 1, 0, 0] = np.inf, -np.inf
     with pytest.raises(MomentError, match="bank at t=2 contains non-finite samples"):
+        estimate_moments(bank)
+
+
+def test_overflowing_second_moments_raise():
+    # finite samples whose squares overflow give infinite moments: the
+    # MomentError names the first such step, with no RuntimeWarning
+    with pytest.raises(MomentError, match="bank at t=0 has second moments that overflow"):
+        estimate_moments(np.full((3, 4, 1, 2), 1e308))
+    bank = np.zeros((3, 4, 1, 2))
+    bank[2, 1, 0, 0] = 1e200
+    with pytest.raises(MomentError, match="bank at t=2 has second moments that overflow"):
         estimate_moments(bank)
 
 

@@ -119,6 +119,16 @@ class TestGibbs:
         assert abs(w.sum() - 1.0) <= 1e-12
 
 
+def resampled(params, *args):
+    """``resample_parameters`` with its K new rows written over a copy of
+    the (N, dim) ``params`` at the retired slots."""
+    rows, retained, retired, post, log_post = resample_parameters(params, *args)
+    assert rows.shape == (retired.shape[0], params.shape[1])
+    new = params.copy()
+    new[retired] = rows
+    return new, retained, retired, post, log_post
+
+
 class TestResample:
     def test_rank_ties_by_index(self):
         order = rank_ascending(np.array([1.0, 0.5, 0.5, 2.0]))
@@ -128,7 +138,7 @@ class TestResample:
         rng = np.random.default_rng(3)
         params = rng.standard_normal((5, 4))
         scores = np.array([0.1, 0.2, 0.3, 5.0, 9.0])
-        new, retained, retired, _, _ = resample_parameters(
+        new, retained, retired, _, _ = resampled(
             params, scores, np.log(np.full(5, 0.2)), 1.0, 0.0, 2, rng
         )
         np.testing.assert_array_equal(retired, [3, 4])
@@ -141,7 +151,7 @@ class TestResample:
         rng = np.random.default_rng(4)
         params = rng.standard_normal((4, 3))
         scores = np.array([0.5, 1.0, 2.0, 3.0])
-        new, retained, retired, post, _ = resample_parameters(
+        new, retained, retired, post, _ = resampled(
             params, scores, np.log(np.full(4, 0.25)), 1.0, 0.7, 3, rng
         )
         np.testing.assert_array_equal(retained, [0])
@@ -158,7 +168,7 @@ class TestResample:
         lam, sigma_t = 1.3, 0.5
         draws = []
         for k in range(20000):
-            new, retained, retired, post, _ = resample_parameters(
+            new, retained, retired, post, _ = resampled(
                 params, scores, np.log(prior), lam, sigma_t, 1, np.random.default_rng(k)
             )
             draws.append(new[retired[0], 0])
@@ -172,7 +182,7 @@ class TestResample:
     def test_pool_size_preserved(self):
         rng = np.random.default_rng(6)
         params = rng.standard_normal((7, 2))
-        new, retained, retired, _, _ = resample_parameters(
+        new, retained, retired, _, _ = resampled(
             params, rng.uniform(0, 1, 7), np.log(np.full(7, 1 / 7)), 1.0, 0.3, 3, rng
         )
         assert new.shape == params.shape
@@ -200,7 +210,7 @@ def test_resample_draws_the_per_slot_choice_stream(n, k, dim, lam, spread):
     scores = spread * rng.uniform(0.0, 1.0, n)
     log_prior = np.log(rng.dirichlet(np.ones(n)))
     got_rng, want_rng = np.random.default_rng([7, n]), np.random.default_rng([7, n])
-    new, retained, retired, post, log_post = resample_parameters(params, scores, log_prior, lam, 0.3, k, got_rng)
+    new, retained, retired, post, log_post = resampled(params, scores, log_prior, lam, 0.3, k, got_rng)
     want = reference_resample(params, scores, log_prior, lam, 0.3, k, want_rng)
     for have, expect in zip((new, retained, retired, post), want):
         np.testing.assert_array_equal(have, expect)
