@@ -387,6 +387,13 @@ def _is_int_list(values, low: int) -> bool:
     return isinstance(values, list) and bool(values) and all(_is_int_at_least(v, low) for v in values)
 
 
+def _convergence_number(conv: dict, key: str, default: float) -> float:
+    value = conv.get(key, default)
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ConfigError(f"convergence.{key} must be a number, got {value!r}")
+    return float(value)
+
+
 def _convergence_scenario(cfg: dict) -> tuple[ConvergenceScenario, list[int]]:
     conv = cfg.get("convergence", {})
     n_grid = conv.get("n_grid", [4, 16, 64])
@@ -400,14 +407,16 @@ def _convergence_scenario(cfg: dict) -> tuple[ConvergenceScenario, list[int]]:
         raise ConfigError(f"convergence.paths must be an integer >= 2, got {paths!r}")
     params = build_params(cfg, max(n_grid))
     T, d_y, d_z = params.horizon_T, params.dim_y, params.dim_z
-    mean_val = float(conv.get("latent_mean", 0.8))
+    # ConvergenceScenario's ValueError, a config error here, rejects a
+    # non-finite mean and a non-finite or negative half width
+    mean_val = _convergence_number(conv, "latent_mean", 0.8)
     rng = np.random.default_rng(int(cfg.get("seed", 0)))
     targets = TargetSeries(values=rng.standard_normal((T + 1, d_y)))
     scenario = ConvergenceScenario(
         params=params,
         targets=targets,
         latent_mean=np.full((T, d_y, d_z), mean_val),
-        latent_half_width=float(conv.get("latent_half_width", 0.5)),
+        latent_half_width=_convergence_number(conv, "latent_half_width", 0.5),
         paths=paths,
     )
     return scenario, n_grid

@@ -196,6 +196,32 @@ def test_convergence_rejects_bad_grid(config, tmp_path, capsys, key, value):
     assert not (out / "convergence.csv").exists()
 
 
+@pytest.mark.parametrize(
+    "key,value,message",
+    [
+        ("latent_half_width", float("nan"), "latent_half_width must be finite and >= 0"),
+        ("latent_half_width", float("inf"), "latent_half_width must be finite and >= 0"),
+        ("latent_half_width", -0.1, "latent_half_width must be finite and >= 0"),
+        ("latent_mean", float("nan"), "latent_mean must be finite"),
+        ("latent_mean", float("-inf"), "latent_mean must be finite"),
+        ("latent_mean", [0.8], "convergence.latent_mean must be a number"),
+        ("latent_half_width", True, "convergence.latent_half_width must be a number"),
+    ],
+)
+def test_convergence_rejects_bad_latents(config, tmp_path, capsys, key, value, message):
+    # a NaN or infinite half width exited 3 with non-finite coefficients
+    # of the decentralized pass, and a negative one ran; a list stopped
+    # the command with a TypeError, and true ran as 1.0
+    _, cfg = config
+    cfg["convergence"][key] = value
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(cfg), encoding="utf-8")
+    out = tmp_path / "conv"
+    assert main(["convergence", "--config", str(path), "--out", str(out)]) == 2
+    assert f"config error: {message}" in capsys.readouterr().err
+    assert not (out / "convergence.csv").exists()
+
+
 def test_convergence_nonfinite_prediction_exits_3(config, tmp_path, capsys):
     # theta 1e12 overflows the Riccati iterates; before the passes checked
     # their outputs, the NaN gains reached the Monte-Carlo loop, and before
@@ -336,7 +362,7 @@ def test_log_level_info_times_each_cell(config, tmp_path):
 
 def test_log_level_info_times_convergence(config, tmp_path):
     # the limit pass, the one stacked reduced pass and each N's Monte-Carlo
-    # loop report their wall time, in that order
+    # loop report their wall time, in that order, and each N its batch size
     path, _ = config
     out = tmp_path / "conv"
     env = dict(os.environ, PYTHONPATH=str(Path(fedgames.__file__).parents[1]))
@@ -348,7 +374,7 @@ def test_log_level_info_times_convergence(config, tmp_path):
     patterns = [
         r"convergence limit pass: [\d.]+ s$",
         r"convergence reduced pass, 3 populations stacked: [\d.]+ s$",
-    ] + [rf"convergence N={n}: Monte-Carlo mean gap [\d.]+ s \(12 paths\)$" for n in (4, 8, 16)]
+    ] + [rf"convergence N={n}: Monte-Carlo mean gap [\d.]+ s \(12 paths, 12 per batch\)$" for n in (4, 8, 16)]
     lines = [line for line in proc.stderr.splitlines() if "convergence " in line]
     assert len(lines) == len(patterns), proc.stderr
     for line, pattern in zip(lines, patterns):

@@ -30,15 +30,17 @@ def test_table_words_are_the_seed_sequence_state(seed, purpose):
         np.testing.assert_array_equal(words[i], want, err_msg=f"key ({seed}, {purpose}, {i})")
 
 
-# the README's five stream kinds, keyed (seed, *middle, index): the pool
+# the README's six stream kinds, keyed (seed, *middle, index): the pool
 # (seed, 11), the agent noise (seed, 5, g), the bank encoders (seed, 71),
-# the bank noise (seed, 72, t) and a spawner round (seed, 999, r)
+# the bank noise (seed, 72, t), a spawner round (seed, 999, r) and a
+# convergence Monte-Carlo path (seed, 31, p)
 STREAM_KINDS = {
     "pool": ((), 11),
     "agent noise": ((5,), 40),
     "bank encoders": ((), 71),
     "bank noise": ((72,), 200),
     "spawner": ((999,), 3),
+    "mean-gap path": ((31,), 19),
 }
 
 
@@ -50,6 +52,18 @@ def test_table_generators_draw_the_keyed_streams(seed, kind):
     got, want = SeedTable(prefix, index + 1).rng(index), _rng(*prefix, index)
     np.testing.assert_array_equal(got.standard_normal(64), want.standard_normal(64))
     np.testing.assert_array_equal(got.random(8), want.random(8))
+    # a mean-gap path fills float buffers with uniforms, step after step
+    got_u, want_u = np.empty((3, 2, 6)), np.empty((3, 2, 6))
+    got.random(out=got_u), want.random(out=want_u)
+    np.testing.assert_array_equal(got_u, want_u)
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_mean_gap_paths_draw_the_list_keyed_streams(seed):
+    # the convergence diagnostic keyed its paths as default_rng([seed, 31, p])
+    table = SeedTable((seed, 31), 20)
+    for p in (0, 1, 19):
+        np.testing.assert_array_equal(table.rng(p).random(40), np.random.default_rng([seed, 31, p]).random(40))
 
 
 def test_table_refuses_other_state_requests():
