@@ -394,10 +394,14 @@ def _convergence_number(conv: dict, key: str, default: float) -> float:
     return float(value)
 
 
-def _convergence_scenario(cfg: dict) -> tuple[ConvergenceScenario, list[int]]:
+def _convergence_scenario(cfg: dict) -> tuple[ConvergenceScenario, list[int], int]:
     conv = cfg.get("convergence", {})
     n_grid = conv.get("n_grid", [4, 16, 64])
     paths = conv.get("paths", 100)
+    seed = cfg.get("seed", 0)
+    # the targets' and the paths' streams are keyed by the seed, as in `run`
+    if not _is_int_at_least(seed, 0):
+        raise ConfigError(f"seed must be an integer >= 0, got {seed!r}")
     # the finite-N games need two agents, and the gap's standard error two paths
     if not _is_int_list(n_grid, 2):
         raise ConfigError(
@@ -410,7 +414,7 @@ def _convergence_scenario(cfg: dict) -> tuple[ConvergenceScenario, list[int]]:
     # ConvergenceScenario's ValueError, a config error here, rejects a
     # non-finite mean and a non-finite or negative half width
     mean_val = _convergence_number(conv, "latent_mean", 0.8)
-    rng = np.random.default_rng(int(cfg.get("seed", 0)))
+    rng = np.random.default_rng(seed)
     targets = TargetSeries(values=rng.standard_normal((T + 1, d_y)))
     scenario = ConvergenceScenario(
         params=params,
@@ -419,20 +423,20 @@ def _convergence_scenario(cfg: dict) -> tuple[ConvergenceScenario, list[int]]:
         latent_half_width=_convergence_number(conv, "latent_half_width", 0.5),
         paths=paths,
     )
-    return scenario, n_grid
+    return scenario, n_grid, seed
 
 
 def cmd_convergence(args) -> int:
     try:
         cfg = load_config(args.config)
-        scenario, n_grid = _convergence_scenario(cfg)
+        scenario, n_grid, seed = _convergence_scenario(cfg)
     except (ConfigError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     out_dir = Path(args.out or cfg.get("output_dir", "out"))
     out_dir.mkdir(parents=True, exist_ok=True)
     try:
-        report = limit_gap_diagnostic(n_grid, int(cfg.get("seed", 0)), scenario)
+        report = limit_gap_diagnostic(n_grid, seed, scenario)
     except FedGamesError as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
         return 3

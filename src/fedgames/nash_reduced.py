@@ -1,45 +1,49 @@
-"""Homogeneity-reduced centralized Nash solver.
+"""Homogeneity-reduced centralized Nash solver, written in 1/N.
 
 Under mean homogeneity of the latents, the N d-dimensional value-function
 weights of the full game collapse to four repeating d_y x d_y blocks
 Pi_1..Pi_4 (and two d_y forcing blocks Xi_1, Xi_2), and the stacked
 feedback gain collapses to per-agent gains G1_N, G2_N and intercept H_N.
-The backward pass below updates those blocks directly, at a cost
-independent of N.
+One backward recursion updates those blocks directly, at a cost
+independent of N, and N enters it only as eps = 1/N: the decentralized
+pass (``nash_meanfield``) is its eps = 0 call, the large-population limit.
 
 Every structured matrix in the full-game update is exchangeable in agents
 2..N: first block row (a, b, ..., b), first block column (a; c; ...; c),
-d on the rest of the diagonal and e off it. With s = sqrt(N-1), an
-orthogonal change of basis that keeps agent 1 and rotates agents 2..N
-onto their normalized sum and N-2 directions orthogonal to it turns such
-a matrix into blockdiag(hat, tilde, ..., tilde) with
+d on the rest of the diagonal and e off it. The recursion works in the
+coordinates (own, mean of the other N - 1 agents), where such a matrix
+acts on the uniform states (u; v; ...; v) = (u; v) as a 2 x 2 block
+matrix, and on the N - 2 directions that sum to zero over agents 2..N as
+the tail d - e. Its blocks are held in limit scaling, each multiplied by
+its order in N: A = Pi1, B = N Pi2, Lam3 = N^2 Pi3, Lam4 = N^2 Pi4,
+chi1 = Xi1, chi2 = N Xi2, and the gains g1 = G1_N, Gam2 = N G2_N, with
+K = N K_N and E = N E_N. With q = 1 - eps and w = 1 - 2 eps, a map (the
+drift, the gains; off-agent blocks b, c, e times N) and a quadratic form
+(the value, the action cost; b, c times N and d, e times N^2) become
 
-    hat   = [[a, s b], [s c, d + (N-2) e]]    (2 blocks by 2 blocks)
-    tilde = d - e                              (N-2 copies).
+    map  = [[a, q b], [eps c, d + w e]]      tail d - eps e
+    form = [[a, q b], [q c, q (eps d + w e)]]  tail d - e
 
-Sums, products and transposes act on hat and tilde separately, so the
-update is ordinary matrix algebra on the two; a uniform block column
-(u; v; ...; v) becomes (u; s v) with no tilde part. The blocks come back
-as a = hat_00, b = hat_01 / s, c = hat_10 / s,
-e = (hat_11 - tilde) / (N-1) and d = tilde + e.
-
-The per-step scalars:
-
-    F_N = disc [(kap + kbar (1-1/N)^2) M2 + gamma I] + M2_{Z, Pi1}
-    K_N = -disc kbar (1-1/N)(1/N) M1'M1 + M1' Pi2 M1
-
-feed a closed-form inverse of the (F on-diagonal, K off-diagonal) block
-system yielding (M_N, E_N), from which the gains are assembled.
+and every update is ordinary matrix algebra on these 2 x 2 blocks and the
+tails. Each step adds the next state's stage weight disc W to the value
+form P, solves the Nash system (F on the diagonal, K/N off it) with
+``block_inverse`` and takes the gains from the first block row of the
+state-action weight L = lift (P + disc W) D; the value update is
+P' = G'QG + G'L + L'G + D'(P + disc W)D. The blocks come back as
+A = P'_00, B = P'_01 / q, Lam4 = (P'_11 / q - eps Delta) / q and
+Lam3 = Lam4 + Delta, where Delta = Lam3 - Lam4 follows its own tail
+update. At N = 2 (w = 0) the value has no tail block: the update reads
+no Lam4 there, and a per-entry select keeps Pi4 = 0 and keeps an
+overflowing Delta, weighted by 0, from turning into NaN.
 
 One pass solves a stack of independent games on an axis right after
 time: rounds (moments and targets carry the round axis) or populations
-(``n_grid``: N is then a per-entry array on that axis). Every update
+(``n_grid``: eps is then a per-entry array on that axis). Every update
 acts on each entry as on a lone game, so an entry's coefficients equal
-the lone pass bit for bit: N-dependent scalars broadcast as (P, 1, 1)
-arrays through the same IEEE operations, (1 - 1/N)^2 is taken per entry
-on Python floats, the N >= 3 tilde update is a per-entry select, and
-``weighted_m2`` gives every entry of a stack the bits of a lone call. A
-lone N stays a Python int, so the single pass runs on plain floats.
+the lone pass bit for bit: eps and its polynomials broadcast as (P, 1, 1)
+arrays through the same IEEE operations as the Python floats of a lone
+N, the tail update is a per-entry select, and ``weighted_m2`` gives every
+entry of a stack the bits of a lone call.
 """
 
 from __future__ import annotations
@@ -48,6 +52,7 @@ import logging
 import operator
 from collections.abc import Sequence
 from dataclasses import dataclass, fields, replace
+from typing import NamedTuple
 
 import numpy as np
 
@@ -149,38 +154,189 @@ def check_pass_finite(name: str, rounds: tuple, T: int, *per_step, label=_round_
     raise SolveError(f"{name} pass produced non-finite coefficients at {where}t={t}")
 
 
-def _hat(N: int, a, b, c, d, e) -> np.ndarray:
-    """[[a, s b], [s c, d + (N-2) e]], s = sqrt(N-1): the symmetric-coordinate
-    image of the exchangeable block matrix (a, b; c, d, e). Blocks (or
-    scalars) and N broadcast over leading stack axes."""
-    s = np.sqrt(N - 1)
-    a, b, c, d = np.broadcast_arrays(a, s * b, s * c, d + (N - 2) * e)
-    top = np.concatenate([a, b], axis=-1)
-    bottom = np.concatenate([c, d], axis=-1)
-    return np.concatenate([top, bottom], axis=-2)
+def _blocks(a, b, c, d) -> np.ndarray:
+    """[[a, b], [c, d]] from blocks (or scalars) that broadcast over
+    leading stack axes."""
+    a, b, c, d = np.broadcast_arrays(a, b, c, d)
+    return np.concatenate(
+        [np.concatenate([a, b], axis=-1), np.concatenate([c, d], axis=-1)], axis=-2
+    )
 
 
-def block_inverse(F: np.ndarray, K: np.ndarray, N: int) -> tuple[np.ndarray, np.ndarray]:
-    """Invert the N-block matrix with F on the diagonal and K elsewhere.
+def exchangeable_map(eps, a, b, c, d, e) -> np.ndarray:
+    """The (own, mean of others) image [[a, q b], [eps c, d + w e]] of the
+    exchangeable map (a, b/N; c/N, d, e/N) at eps = 1/N (module docstring)."""
+    return _blocks(a, (1 - eps) * b, eps * c, d + (1 - 2 * eps) * e)
 
-    Returns (M, E) such that the inverse has M on the diagonal and E off
-    it, i.e. F M + (N-1) K E = I and K M + [F + (N-2) K] E = 0. F and K
-    may be stacks (..., d, d).
+
+def exchangeable_form(eps, a, b, c, d, e) -> np.ndarray:
+    """The (own, mean of others) image [[a, q b], [q c, q (eps d + w e)]]
+    of the exchangeable quadratic form (a, b/N; c/N, d/N^2, e/N^2)."""
+    q = 1 - eps
+    return _blocks(a, q * b, q * c, q * (eps * d + (1 - 2 * eps) * e))
+
+
+def block_inverse(F: np.ndarray, K: np.ndarray, eps) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Invert the N-block matrix with F on the diagonal and K/N elsewhere,
+    at eps = 1/N (0 for the limit N -> oo).
+
+    Returns (M, E, core): the inverse has M on the diagonal and E/N off
+    it, i.e. F M + eps q K E = I and K M + (F + w K) E = 0 with q = 1 - eps
+    and w = 1 - 2 eps; core = F + w K - eps q K F^-1 K is the matrix solved
+    for E. F, K and eps may be stacks (..., d, d).
     """
     F = np.asarray(F, dtype=float)
     K = np.asarray(K, dtype=float)
     d = F.shape[-1]
     eye = np.eye(d)
+    eq = eps * (1 - eps)
     try:
         # one factorization of F serves both F^-1 K and F^-1
         sol = np.linalg.solve(F, np.concatenate([K, np.broadcast_to(eye, K.shape)], axis=-1))
         f_inv_k, f_inv = sol[..., :d], sol[..., d:]
-        core = F + (N - 2) * K - (N - 1) * (K @ f_inv_k)
+        core = F + (1 - 2 * eps) * K - eq * (K @ f_inv_k)
         E = -np.linalg.solve(core, K) @ f_inv
-        M = f_inv @ (eye - (N - 1) * (K @ E))
+        M = f_inv @ (eye - eq * (K @ E))
     except np.linalg.LinAlgError as exc:
         raise SolveError("singular block in structured inverse") from exc
-    return M, E
+    return M, E, core
+
+
+class LimitScaledPass(NamedTuple):
+    """One structured pass's outputs in limit scaling (module docstring),
+    the stack axes right after time."""
+
+    blocks: np.ndarray  # (4, T+1, ..., d_y, d_y): A, B, Lam3, Lam4
+    forcing: np.ndarray  # (2, T+1, ..., d_y): chi1, chi2
+    g1: np.ndarray  # (T, ..., d_z, d_y)
+    g2: np.ndarray  # Gam2
+    h: np.ndarray  # (T, ..., d_z)
+    F: np.ndarray  # (T, ..., d_z, d_z)
+    K: np.ndarray
+    M: np.ndarray
+    E: np.ndarray
+    asymmetry: np.ndarray  # (4, ...): each block's largest asymmetry, its own units
+
+
+def _worst(values, label) -> str:
+    """The largest of per-entry values, naming its entry on a stack."""
+    if np.ndim(values) == 0:
+        return f"{float(values):.3e}"
+    i = int(np.argmax(values))
+    return f"{values.flat[i]:.3e} (max, at {label(i)})"
+
+
+def structured_pass(
+    params: GameParams, moments, targets: TargetSeries, eps, name: str, label=_round_label
+) -> LimitScaledPass:
+    """The backward recursion of the module docstring at eps = 1/N: a
+    Python float (0.0 for the limit) or, for a population stack, a
+    (P, 1, 1) array of per-entry Python floats. Moments and targets may
+    instead carry a round axis. ``name`` and ``label`` name the pass and a
+    stack entry in its errors and its DEBUG line per step."""
+    d_y, d_z, T = params.dim_y, params.dim_z, params.horizon_T
+    if targets.horizon < T or moments.horizon < T:
+        raise ValueError("targets/moments do not cover the horizon")
+    rounds = moments.m1.shape[1:-2]
+    if targets.values.shape[1:-1] != rounds:
+        raise ValueError("targets and moments carry different round axes")
+    if np.ndim(eps):
+        if rounds:
+            raise ValueError("a population stack takes moments and targets without a round axis")
+        rounds = np.shape(eps)[:1]
+    q, w = 1 - eps, 1 - 2 * eps
+    # entries with a tail block Lam4 (N >= 3, and the limit) take its update
+    tail = w > 0
+    any_tail = bool(np.any(tail))
+
+    kap, kbar, gam = params.kappa, params.kappa_bar, params.gamma
+    th, tb = params.theta, params.theta_bar
+    y = targets.values
+    eye_y, eye_z = np.eye(d_y), np.eye(d_z)
+
+    lam = np.zeros((4, T + 1, *rounds, d_y, d_y))
+    chi = np.zeros((2, T + 1, *rounds, d_y))
+    G1 = np.zeros((T, *rounds, d_z, d_y))
+    G2 = np.zeros((T, *rounds, d_z, d_y))
+    H = np.zeros((T, *rounds, d_z))
+    Fs, Ks, Ms, Es = (np.zeros((T, *rounds, d_z, d_z)) for _ in range(4))
+    asym = np.zeros((4, *rounds))
+    drift = exchangeable_map(eps, th + eps * tb, tb, tb, th + eps * tb, tb)
+
+    for t in range(T - 1, -1, -1):
+        disc = params.discount(t)
+        M1 = moments.m1[t]
+        lift = _blocks(M1.mT, 0.0, 0.0, M1.mT)
+        A, B, lam3, lam4 = lam[:, t + 1]
+        # P + disc W: the stage cost kap |own' - y|^2 + kbar |own' - mean'|^2
+        # of the next state, own' - mean' being q (own' - mean of others')
+        a_hat = A + disc * (kap + kbar * q * q) * eye_y
+        b_hat = B - disc * kbar * q * eye_y
+        lam4_hat = lam4 + disc * kbar * eye_y
+
+        M2 = moments.m2[t]
+        F = disc * ((kap + kbar * q * q) * M2 + gam * eye_z) + moments.weighted_m2(t, A)
+        K = M1.mT @ b_hat @ M1
+        try:
+            M, E, core = block_inverse(F, K, eps)
+        except SolveError as exc:
+            where = failing_round(block_inverse, F, K, np.broadcast_to(eps, (*rounds, 1, 1)), label=label)
+            raise SolveError(f"{name} pass failed at {where}t={t}: {exc}") from exc
+        if logger.isEnabledFor(logging.DEBUG):
+            logger.debug(
+                "%s t=%d cond(F)=%s cond(core)=%s",
+                name, t, _worst(np.linalg.cond(F), label), _worst(np.linalg.cond(core), label),
+            )
+        Q3 = disc * kbar * M2 + moments.weighted_m2(t, lam3)
+        Q4 = M1.mT @ lam4_hat @ M1
+
+        p_hat = exchangeable_form(eps, a_hat, b_hat, b_hat.mT, lam3 + disc * kbar * eye_y, lam4_hat)
+        pd = p_hat @ drift
+        L = lift @ pd
+        l00, l01 = L[..., :d_z, :d_y], L[..., :d_z, d_y:] / q
+        g1 = -(M @ l00 + eps * q * E @ l01)
+        g2 = -(E @ l00 + (M + w * E) @ l01)
+        # the forcing column (chi1; q chi2), less the target's pull on own'
+        x_hat = np.concatenate(
+            [(chi[0, t + 1] - disc * kap * y[t + 1])[..., None], q * chi[1, t + 1][..., None]], axis=-2
+        )
+        fx = lift @ x_hat
+        h = -(M + q * E) @ fx[..., :d_z, :]
+
+        G1[t], G2[t], H[t] = g1, g2, h[..., 0]
+        Fs[t], Ks[t], Ms[t], Es[t] = F, K, M, E
+
+        # P' = G'QG + G'L + L'G + D'(P + disc W)D
+        gain = exchangeable_map(eps, g1, g2, g2, g1, g2)
+        cost = exchangeable_form(eps, F, K, K.mT, Q3, Q4)
+        gl = gain.mT @ L
+        p_new = gain.mT @ cost @ gain + gl + gl.mT + drift.mT @ pd
+        h_col = np.concatenate([h, h], axis=-2)
+        s_new = gain.mT @ (cost @ h_col + fx) + L.mT @ h_col + drift.mT @ x_hat
+
+        a, b = p_new[..., :d_y, :d_y], p_new[..., :d_y, d_y:]
+        c, d = p_new[..., d_y:, :d_y], p_new[..., d_y:, d_y:]
+        delta = 0.0
+        if any_tail:
+            # the tail update, with tails g1 - eps Gam2, theta and Lam3 - Lam4
+            g_til, p_til = g1 - eps * g2, lam3 - lam4
+            gl_til = g_til.mT @ M1.mT @ p_til @ th
+            delta = g_til.mT @ (Q3 - Q4) @ g_til + gl_til + gl_til.mT + th.T @ p_til @ th
+            delta = np.where(tail, delta, 0.0)
+        new4 = (d / q - eps * delta) / q
+        new3 = new4 + delta
+        new4 = np.where(tail, new4, 0.0)
+        skew = (a - a.mT, (b - c.mT) / q, new3 - new3.mT, new4 - new4.mT)
+        asym = np.maximum(asym, [np.max(np.abs(x), axis=(-2, -1)) for x in skew])
+        lam[0, t] = 0.5 * (a + a.mT)
+        lam[1, t] = 0.5 * (b + c.mT) / q
+        lam[2, t] = 0.5 * (new3 + new3.mT)
+        lam[3, t] = 0.5 * (new4 + new4.mT)
+        chi[0, t] = s_new[..., :d_y, 0]
+        chi[1, t] = (s_new[..., d_y:, :] / q)[..., 0]
+
+    check_pass_finite(name, rounds, T, *lam, *chi, G1, G2, H, Fs, Ks, Ms, Es, label=label)
+    return LimitScaledPass(lam, chi, G1, G2, H, Fs, Ks, Ms, Es, asym)
 
 
 def reduced_backward_pass(
@@ -189,7 +345,9 @@ def reduced_backward_pass(
     targets: TargetSeries,
     n_grid: Sequence[int] | None = None,
 ) -> ReducedCoeffs:
-    """Backward pass over the repeating blocks Pi_i, Xi_i and gains.
+    """Backward pass over the repeating blocks Pi_i, Xi_i and gains: the
+    structured pass at eps = 1/N, its blocks scaled back to their N-game
+    units.
 
     Moments and targets may carry a round axis right after the time axis
     (m1 (T, R, d_y, d_z), values (T+1, R, d_y)); every round is then
@@ -202,158 +360,35 @@ def reduced_backward_pass(
     ``take_round(coeffs, p)`` equals the pass at N = n_grid[p] bit for
     bit, ``dims`` included. Its moments and targets carry no round axis.
     """
-    d_y, d_z, T = params.dim_y, params.dim_z, params.horizon_T
     grid = (params.population_N,) if n_grid is None else tuple(operator.index(n) for n in n_grid)
     if not grid or min(grid) < 2:
         raise ValueError("reduced solver requires N >= 2; route N = 1 to the full solver")
-    if targets.horizon < T or moments.horizon < T:
-        raise ValueError("targets/moments do not cover the horizon")
-    rounds = moments.m1.shape[1:-2]
-    if targets.values.shape[1:-1] != rounds:
-        raise ValueError("targets and moments carry different round axes")
     if n_grid is None:
-        N = grid[0]
-        w2, label = (1 - 1 / N) ** 2, _round_label
+        n = n_vec = n_mat = grid[0]
+        label = _round_label
     else:
-        if rounds:
-            raise ValueError("a population stack takes moments and targets without a round axis")
-        rounds = (len(grid),)
-        N = np.array(grid, dtype=float)[:, None, None]
-        # (1 - 1/N)^2 on Python floats, as for a lone N: ** squares an
-        # array but calls pow on a float, and the two round apart at some N
-        w2 = np.array([(1 - 1 / n) ** 2 for n in grid])[:, None, None]
+        n = np.array(grid, dtype=float)
+        n_vec, n_mat = n[:, None], n[:, None, None]
         label = lambda p: f"N={grid[p]}"
-    # entries with the tail block e (N >= 3) take the tilde update
-    tail = N >= 3
-    any_tail = bool(np.any(tail))
-
-    kap, kbar, gam = params.kappa, params.kappa_bar, params.gamma
-    th, tb = params.theta, params.theta_bar
-    y = targets.values
-
-    Pi = np.zeros((4, T + 1, *rounds, d_y, d_y))
-    Xi = np.zeros((2, T + 1, *rounds, d_y))
-    G1N = np.zeros((T, *rounds, d_z, d_y))
-    G2N = np.zeros((T, *rounds, d_z, d_y))
-    HN = np.zeros((T, *rounds, d_z))
-    Fs, Ks, Ms, Es = (np.zeros((T, *rounds, d_z, d_z)) for _ in range(4))
-    max_asym = np.zeros(rounds)
-
-    # t-independent parts of the value-function update in symmetric
-    # coordinates (module docstring): the drift D, the rows (r1, r2, ..., r2)
-    # of the two stage costs, and the stage part of the cross weight L
-    s = np.sqrt(N - 1)
-    drift = _hat(N, th + tb / N, tb / N, tb / N, th + tb / N, tb / N)
-    row_kap = np.concatenate([th + tb / N, s * tb / N], axis=-1)
-    row_kbar = np.concatenate([(1 - 1 / N) * th, -s * th / N], axis=-1)
-    stage = kap * row_kap.mT @ row_kap + kbar * row_kbar.mT @ row_kbar
-    dev = -(1 - 1 / N) / N * th
-    cross = kap * _hat(N, th + tb / N, tb / N, 0.0, 0.0, 0.0)
-    cross += kbar * _hat(N, w2 * th, dev, dev, th / N**2, th / N**2)
-
-    for t in range(T - 1, -1, -1):
-        disc = params.discount(t)
-        M1 = moments.m1[t]
-        M2 = moments.m2[t]
-        A2 = M1.mT @ M1
-        y_next = y[t + 1][..., None]
-        p1, p2, p3, p4 = Pi[0, t + 1], Pi[1, t + 1], Pi[2, t + 1], Pi[3, t + 1]
-        x1, x2 = Xi[0, t + 1][..., None], Xi[1, t + 1][..., None]
-
-        FN = disc * ((kap + kbar * w2) * M2 + gam * np.eye(d_z))
-        FN += moments.weighted_m2(t, p1)
-        KN = -disc * kbar * (1 - 1 / N) * (1 / N) * A2 + M1.mT @ p2 @ M1
-        try:
-            MN, EN = block_inverse(FN, KN, N)
-        except SolveError as exc:
-            n_stack = np.broadcast_to(N, (*rounds, 1, 1))
-            where = failing_round(block_inverse, FN, KN, n_stack, label=label)
-            raise SolveError(f"reduced pass failed at {where}t={t}: {exc}") from exc
-        if logger.isEnabledFor(logging.DEBUG):
-            logger.debug("reduced t=%d cond(F)=%.3e (max over rounds)", t, np.max(np.linalg.cond(FN)))
-
-        Q3 = disc * kbar * M2 / N**2 + moments.weighted_m2(t, p3)
-        Q4 = disc * kbar * A2 / N**2 + M1.mT @ p4 @ M1
-
-        ME = MN + (N - 1) * EN
-        row_sum = p1 + (N - 1) * p2
-        g1 = -disc * (kap + kbar * (1 - 1 / N)) * MN @ M1.mT @ th
-        g1 += disc * ME @ M1.mT @ (kbar * (1 - 1 / N) / N * th - kap / N * tb)
-        g1 -= MN @ M1.mT @ p1 @ th + (N - 1) * EN @ M1.mT @ p2 @ th
-        g1 -= (1 / N) * ME @ M1.mT @ row_sum @ tb
-        g2 = -disc * (kap + kbar * (1 - 1 / N)) * EN @ M1.mT @ th
-        g2 += disc * ME @ M1.mT @ (kbar * (1 - 1 / N) / N * th - kap / N * tb)
-        g2 -= EN @ M1.mT @ p1 @ th + (MN + (N - 2) * EN) @ M1.mT @ p2 @ th
-        g2 -= (1 / N) * ME @ M1.mT @ row_sum @ tb
-        h = -ME @ M1.mT @ (-disc * kap * y_next + x1)
-
-        G1N[t], G2N[t], HN[t] = g1, g2, h[..., 0]
-        Fs[t], Ks[t], Ms[t], Es[t] = FN, KN, MN, EN
-
-        # P' = G'QG + G'L + L'G + stage + D'PD, with the cross weight
-        # L = lift (stage cross + P D) and lift the block diagonal of M1',
-        # on the hat part and, for N >= 3, on the tilde part
-        lift = _hat(N, M1.mT, 0.0, 0.0, M1.mT, 0.0)
-        p_hat = _hat(N, p1, p2, p2.mT, p3, p4)
-        q_hat = _hat(N, FN, KN, KN.mT, Q3, Q4)
-        g_hat = _hat(N, g1, g2, g2, g1, g2)
-        l_hat = lift @ (disc * cross + p_hat @ drift)
-        gl = g_hat.mT @ l_hat
-        p_new = g_hat.mT @ q_hat @ g_hat + gl + gl.mT + disc * stage + drift.mT @ p_hat @ drift
-
-        a, d = p_new[..., :d_y, :d_y], p_new[..., d_y:, d_y:]
-        b, c = p_new[..., :d_y, d_y:] / s, p_new[..., d_y:, :d_y] / s
-        if any_tail:
-            g_til, p_til = g1 - g2, p3 - p4
-            gl_til = g_til.mT @ M1.mT @ p_til @ th
-            tilde = g_til.mT @ (Q3 - Q4) @ g_til + gl_til + gl_til.mT + th.T @ p_til @ th
-            e = (d - tilde) / (N - 1)
-            # N = 2 entries of a population stack have no e
-            d, e = np.where(tail, tilde + e, d), np.where(tail, e, 0.0)
-        else:
-            e = np.zeros_like(d)
-        for diff in (a - a.mT, b - c.mT, d - d.mT, e - e.mT):
-            max_asym = np.maximum(max_asym, np.max(np.abs(diff), axis=(-2, -1)))
-        Pi[0, t] = 0.5 * (a + a.mT)
-        Pi[1, t] = 0.5 * (b + c.mT)
-        Pi[2, t] = 0.5 * (d + d.mT)
-        Pi[3, t] = 0.5 * (e + e.mT)
-
-        # the forcing update on uniform columns (u; v; ...; v) -> (u; s v)
-        x_hat = np.concatenate([x1, s * x2], axis=-2)
-        h_hat = np.concatenate([h, s * h], axis=-2)
-        forcing = lift @ x_hat
-        forcing[..., :d_z, :] -= disc * kap * M1.mT @ y_next
-        s_new = (
-            g_hat.mT @ (q_hat @ h_hat + forcing)
-            + l_hat.mT @ h_hat
-            - disc * kap * row_kap.mT @ y_next
-            + drift.mT @ x_hat
-        )
-        Xi[0, t] = s_new[..., :d_y, 0]
-        Xi[1, t] = (s_new[..., d_y:, :] / s)[..., 0]
-
-    check_pass_finite("reduced", rounds, T, *Pi, *Xi, G1N, G2N, HN, Fs, Ks, Ms, Es, label=label)
-    check_symmetry(logger, "Pi", max_asym, Pi)
-    if any_tail and logger.isEnabledFor(logging.DEBUG):
-        logger.debug(
-            "max_t ||Pi3 - Pi4|| = %.3e", np.max(np.linalg.norm(Pi[2] - Pi[3], axis=(-2, -1)))
-        )
+    s = structured_pass(params, moments, targets, 1 / n_mat, "reduced", label)
+    Pi = (s.blocks[0], s.blocks[1] / n_mat, s.blocks[2] / n_mat**2, s.blocks[3] / n_mat**2)
+    a1, a2, a3, a4 = s.asymmetry
+    max_asym = np.maximum(np.maximum(a1, a2 / n), np.maximum(a3, a4) / n**2)
+    check_symmetry(logger, "Pi", max_asym, np.stack(Pi))
+    if max(grid) >= 3 and logger.isEnabledFor(logging.DEBUG):
+        logger.debug("max_t ||Pi3 - Pi4|| = %.3e", np.max(np.linalg.norm(Pi[2] - Pi[3], axis=(-2, -1))))
     return ReducedCoeffs(
-        Pi1=Pi[0],
-        Pi2=Pi[1],
-        Pi3=Pi[2],
-        Pi4=Pi[3],
-        Xi1=Xi[0],
-        Xi2=Xi[1],
-        G1N=G1N,
-        G2N=G2N,
-        HN=HN,
-        FN=Fs,
-        KN=Ks,
-        MN=Ms,
-        EN=Es,
-        dims=(N if n_grid is None else grid, d_y, d_z),
+        *Pi,
+        Xi1=s.forcing[0],
+        Xi2=s.forcing[1] / n_vec,
+        G1N=s.g1,
+        G2N=s.g2 / n_mat,
+        HN=s.h,
+        FN=s.F,
+        KN=s.K / n_mat,
+        MN=s.M,
+        EN=s.E / n_mat,
+        dims=(grid[0] if n_grid is None else grid, params.dim_y, params.dim_z),
         max_asymmetry=float(max_asym) if max_asym.ndim == 0 else max_asym,
     )
 

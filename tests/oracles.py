@@ -21,7 +21,10 @@ same root. ``reference_mean_gap`` is the convergence diagnostic's
 Monte-Carlo loop spelled with the package's own latent draw, action and
 dynamics, to check that the fused loop plays the same dynamics.
 ``exchangeable_dense`` and ``symmetric_basis`` write out, densely, the
-block pattern and the change of basis that the reduced pass works in.
+block pattern and the orthogonal basis of the directions that the
+structured pass's tails act on. ``reference_decentralized_pass`` is the
+decentralized pass's own limit recursion, derived by hand, kept to check
+that the structured pass at eps = 0 computes the same limit.
 """
 
 from __future__ import annotations
@@ -845,3 +848,170 @@ def reference_mean_gap(params, latents, coeffs, ybar, y0, paths, seed):
             preds = step_dynamics(preds, z, decentralized_action(t, preds, ybar[t], coeffs), params)
             gaps[pth, t + 1] = np.linalg.norm(preds.mean(axis=0) - ybar[t + 1])
     return gaps.mean(axis=0), gaps.std(axis=0, ddof=1) / np.sqrt(paths)
+
+
+# ---------------------------------------------------------------------------
+# The decentralized pass's own limit recursion
+# ---------------------------------------------------------------------------
+
+
+def reference_decentralized_pass(
+    params: GameParams,
+    moments,
+    targets: TargetSeries,
+) -> DecentralizedCoeffs:
+    """Backward pass of the limit system, as ``nash_meanfield`` wrote it
+    before the limit became the structured pass's eps = 0 entry: the
+    reduced blocks rescaled by their orders in N with the O(1/N) terms
+    dropped by hand.
+
+    Moments and targets may carry a round axis right after the time axis
+    (m1 (T, R, d_y, d_z), values (T+1, R, d_y)); every round is then
+    solved at once and the outputs carry the same round axis.
+    """
+    import logging
+
+    from fedgames.config import check_symmetry
+    from fedgames.errors import SolveError
+    from fedgames.nash_meanfield import DecentralizedCoeffs
+    from fedgames.nash_reduced import check_pass_finite, failing_round
+
+    logger = logging.getLogger("oracles.reference_decentralized_pass")
+    d_y, d_z = params.dim_y, params.dim_z
+    T = params.horizon_T
+    if targets.horizon < T or moments.horizon < T:
+        raise ValueError("targets/moments do not cover the horizon")
+    rounds = moments.m1.shape[1:-2]
+    if targets.values.shape[1:-1] != rounds:
+        raise ValueError("targets and moments carry different round axes")
+
+    kap, kbar, gam = params.kappa, params.kappa_bar, params.gamma
+    th, tb = params.theta, params.theta_bar
+    y = targets.values
+
+    L = np.zeros((4, T + 1, *rounds, d_y, d_y))
+    chi = np.zeros((2, T + 1, *rounds, d_y))
+    G1 = np.zeros((T, *rounds, d_z, d_y))
+    G2 = np.zeros((T, *rounds, d_z, d_y))
+    H = np.zeros((T, *rounds, d_z))
+    Fs, Ks, Ms, Es = (np.zeros((T, *rounds, d_z, d_z)) for _ in range(4))
+    max_asym = np.zeros(rounds)
+
+    for t in range(T - 1, -1, -1):
+        disc = params.discount(t)
+        M1 = moments.m1[t]
+        M2 = moments.m2[t]
+        A2 = M1.mT @ M1
+        y_next = y[t + 1][..., None]
+        l1, l2, l3, l4 = L[0, t + 1], L[1, t + 1], L[2, t + 1], L[3, t + 1]
+        c1, c2 = chi[0, t + 1][..., None], chi[1, t + 1][..., None]
+
+        F = disc * ((kap + kbar) * M2 + gam * np.eye(d_z)) + moments.weighted_m2(t, l1)
+        K = -disc * kbar * A2 + M1.mT @ l2 @ M1
+        try:
+            M = np.linalg.inv(F)
+            E = -np.linalg.solve(F + K, K @ M)
+        except np.linalg.LinAlgError as exc:
+            where = failing_round(lambda f, k: np.linalg.solve(f + k, k @ np.linalg.inv(f)), F, K)
+            raise SolveError(f"singular F or F+K at {where}t={t}") from exc
+        if logger.isEnabledFor(logging.DEBUG):
+            logger.debug(
+                "decentralized t=%d cond(F)=%.3e cond(F+K)=%.3e (max over rounds)",
+                t,
+                np.max(np.linalg.cond(F)),
+                np.max(np.linalg.cond(F + K)),
+            )
+
+        Q1 = F
+        Q2 = K
+        Q3 = disc * kbar * M2 + moments.weighted_m2(t, l3)
+        Q4 = disc * kbar * A2 + M1.mT @ l4 @ M1
+        ME = M + E
+
+        g1 = -disc * (kap + kbar) * M @ M1.mT @ th - M @ M1.mT @ l1 @ th
+        g2 = -disc * (kap + kbar) * E @ M1.mT @ th
+        g2 += disc * ME @ M1.mT @ (kbar * th - kap * tb)
+        g2 -= E @ M1.mT @ l1 @ th + ME @ M1.mT @ l2 @ th
+        g2 -= ME @ M1.mT @ (l1 + l2) @ tb
+        h = -ME @ M1.mT @ (-disc * kap * y_next + c1)
+
+        G1[t], G2[t], H[t] = g1, g2, h[..., 0]
+        Fs[t], Ks[t], Ms[t], Es[t] = F, K, M, E
+
+        # Limits of the state-action cross blocks (own row, off row,
+        # off column, diagonal tail, off-off tail).
+        a_inf = disc * (kap + kbar) * M1.mT @ th + M1.mT @ l1 @ th
+        b_inf = disc * M1.mT @ (kap * tb - kbar * th) + M1.mT @ (l1 @ tb + l2 @ (th + tb))
+        c_inf = -disc * kbar * M1.mT @ th + M1.mT @ l2.mT @ th
+        d_inf = disc * kbar * M1.mT @ th + M1.mT @ (l2.mT @ tb + l3 @ th + l4 @ tb)
+        e_inf = disc * kbar * M1.mT @ th + M1.mT @ (l2.mT @ tb + l4 @ (th + tb))
+
+        w1 = g1.mT @ a_inf
+        new1 = g1.mT @ Q1 @ g1 + w1 + w1.mT + disc * (kap + kbar) * th.T @ th + th.T @ l1 @ th
+
+        new2 = g1.mT @ Q2 @ g1 + g1.mT @ (Q1 + Q2) @ g2
+        new2 += g1.mT @ b_inf + (g2.mT @ a_inf + (g1 + g2).mT @ c_inf).mT
+        new2 += disc * (kap * th.T @ tb - kbar * th.T @ th)
+        new2 += th.T @ l2 @ th + th.T @ (l1 + l2) @ tb
+
+        quad_tail = (
+            g1.mT @ (Q2.mT + Q4) @ g2
+            + g2.mT @ (Q2 + Q4) @ g1
+            + g2.mT @ (Q1 + Q2 + Q2.mT + Q4) @ g2
+        )
+        stage_tail = disc * (kap * tb.T @ tb + kbar * th.T @ th)
+        p_tail = (
+            th.T @ (l2.mT + l4) @ tb
+            + tb.T @ (l2 + l4) @ th
+            + tb.T @ (l1 + l2 + l2.mT + l4) @ tb
+        )
+        w3 = g2.mT @ (b_inf + e_inf) + g1.mT @ d_inf
+        new3 = g1.mT @ Q3 @ g1 + quad_tail + w3 + w3.mT + stage_tail + th.T @ l3 @ th + p_tail
+        w4 = g2.mT @ b_inf + (g1 + g2).mT @ e_inf
+        new4 = g1.mT @ Q4 @ g1 + quad_tail + w4 + w4.mT + stage_tail + th.T @ l4 @ th + p_tail
+
+        for sym in (new1, new3, new4):
+            max_asym = np.maximum(max_asym, np.max(np.abs(sym - sym.mT), axis=(-2, -1)))
+        L[0, t] = 0.5 * (new1 + new1.mT)
+        L[1, t] = new2
+        L[2, t] = 0.5 * (new3 + new3.mT)
+        L[3, t] = 0.5 * (new4 + new4.mT)
+
+        chi[0, t] = (
+            g1.mT @ (Q1 + Q2) @ h
+            + g1.mT @ (-disc * kap * M1.mT @ y_next + M1.mT @ c1)
+            + (a_inf + c_inf).mT @ h
+            - disc * kap * th.T @ y_next
+            + th.T @ c1
+        )[..., 0]
+        chi[1, t] = (
+            g2.mT @ (Q1 + Q2) @ h
+            + (g1 + g2).mT @ (Q2.mT + Q4) @ h
+            + g2.mT @ (-disc * kap * M1.mT @ y_next + M1.mT @ c1)
+            + (g1 + g2).mT @ M1.mT @ c2
+            + (b_inf + e_inf).mT @ h
+            - disc * kap * tb.T @ y_next
+            + tb.T @ c1
+            + (th + tb).T @ c2
+        )[..., 0]
+
+    check_pass_finite("decentralized", rounds, T, *L, *chi, G1, G2, H, Fs, Ks, Ms, Es)
+    check_symmetry(logger, "Lambda", max_asym, L)
+    return DecentralizedCoeffs(
+        L1=L[0],
+        L2=L[1],
+        L3=L[2],
+        L4=L[3],
+        chi1=chi[0],
+        chi2=chi[1],
+        G1=G1,
+        G2=G2,
+        H=H,
+        F=Fs,
+        K=Ks,
+        M=Ms,
+        E=Es,
+        drift_sum=th + tb,
+        dims=(d_y, d_z),
+        max_asymmetry=float(max_asym) if max_asym.ndim == 0 else max_asym,
+    )

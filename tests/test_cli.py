@@ -196,6 +196,19 @@ def test_convergence_rejects_bad_grid(config, tmp_path, capsys, key, value):
     assert not (out / "convergence.csv").exists()
 
 
+@pytest.mark.parametrize("seed", [2.5, -1, True, "3"])
+def test_convergence_rejects_bad_seed(config, tmp_path, capsys, seed):
+    # 2.5 ran as seed 2, and true as seed 1; the rule is `run`'s
+    _, cfg = config
+    cfg["seed"] = seed
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(cfg), encoding="utf-8")
+    out = tmp_path / "conv"
+    assert main(["convergence", "--config", str(path), "--out", str(out)]) == 2
+    assert f"config error: seed must be an integer >= 0, got {seed!r}" in capsys.readouterr().err
+    assert not (out / "convergence.csv").exists()
+
+
 @pytest.mark.parametrize(
     "key,value,message",
     [

@@ -1,13 +1,13 @@
 import types
-from dataclasses import replace
+from dataclasses import fields, replace
 
 import numpy as np
 import pytest
-from oracles import assert_round_equal, round_params, round_stack
+from oracles import assert_round_equal, reference_decentralized_pass, round_params, round_stack
 
 from fedgames.errors import SolveError
 
-from fedgames.model import GameParams, TargetSeries, exact_moments_deterministic
+from fedgames.model import GameParams, IidEntryLatents, TargetSeries, exact_moments_deterministic
 from fedgames.nash_meanfield import (
     decentralized_action,
     decentralized_backward_pass,
@@ -95,6 +95,48 @@ def test_limit_agrees_with_huge_n_reduced(d, T, seed):
     np.testing.assert_allclose(red.G1N, dec.G1, atol=2e-4)
     np.testing.assert_allclose(1_000_000 * red.G2N, dec.G2, atol=2e-4)
     np.testing.assert_allclose(red.HN, dec.H, atol=2e-4)
+
+
+def assert_matches_reference(dec, ref):
+    """Every array field of the eps = 0 pass equals the reference limit
+    recursion's at rtol 1e-12, with atol 1e-14 of the array's largest
+    |entry|; ``dims`` is equal and ``max_asymmetry`` has its shape."""
+    for f in fields(ref):
+        want, have = getattr(ref, f.name), getattr(dec, f.name)
+        if f.name == "max_asymmetry":  # rounding, in the blocks' units
+            assert np.shape(have) == np.shape(want) and type(have) is type(want)
+        elif isinstance(want, np.ndarray):
+            atol = 1e-14 * float(np.max(np.abs(want)))
+            np.testing.assert_allclose(have, want, rtol=1e-12, atol=atol, err_msg=f.name)
+        else:
+            assert have == want, f.name
+
+
+@pytest.mark.parametrize(
+    "d,T,seed,kappa_bar",
+    [(1, 4, 1, 0.7), (2, 3, 2, 0.7), (2, 5, 3, 0.7), (2, 4, 0, 0.7), (1, 4, 6, 0.7), (2, 5, 8, 0.7), (2, 4, 9, 0.0)],
+)
+def test_limit_pass_matches_reference_recursion(d, T, seed, kappa_bar):
+    # the decentralized pass is the structured pass at eps = 0; the limit
+    # recursion it replaced, written out by hand, is the referee
+    rng = np.random.default_rng(seed)
+    params, zs, targets = build_scenario(rng, 16, d, T)
+    params = replace(params, kappa_bar=kappa_bar)
+    for moments in (
+        exact_moments_deterministic(zs),
+        IidEntryLatents(mean=np.stack(zs), half_width=0.5).exact_moments(),
+    ):
+        dec = decentralized_backward_pass(params, moments, targets)
+        assert_matches_reference(dec, reference_decentralized_pass(params, moments, targets))
+
+
+def test_limit_pass_matches_reference_recursion_on_round_stack():
+    rng = np.random.default_rng(107)
+    params = round_params(rng, 16, 2, 3, 5)
+    (moments, targets), _ = round_stack(rng, params, 6)
+    dec = decentralized_backward_pass(params, moments, targets)
+    assert dec.G1.shape == (5, 6, 3, 2)
+    assert_matches_reference(dec, reference_decentralized_pass(params, moments, targets))
 
 
 def test_lambda_gap_shrinks_at_one_over_n():

@@ -26,7 +26,13 @@ from fedgames.model import (
 )
 from fedgames.nash_full import full_action, full_backward_pass
 from fedgames.nash_meanfield import decentralized_backward_pass
-from fedgames.nash_reduced import _hat, block_inverse, reduced_action, reduced_backward_pass
+from fedgames.nash_reduced import (
+    block_inverse,
+    exchangeable_form,
+    exchangeable_map,
+    reduced_action,
+    reduced_backward_pass,
+)
 
 
 def build_scenario(rng, N, d, T):
@@ -60,81 +66,142 @@ def blocks_of(dense, N, p, q):
     )
 
 
+def uniform_embedding(N, p):
+    """(u; v) -> (u; v; ...; v): the (own, mean of others) coordinates of
+    the uniform states, as a dense N p x 2 p matrix."""
+    out = np.zeros((N * p, 2 * p))
+    out[:p, :p] = np.eye(p)
+    out[p:, p:] = np.kron(np.ones((N - 1, 1)), np.eye(p))
+    return out
+
+
+def map_dense(N, a, b, c, d, e):
+    # a map's blocks in limit scaling: its off-agent blocks are O(1/N)
+    return exchangeable_dense(N, a, b / N, c / N, d, e / N)
+
+
+def form_dense(N, a, b, c, d, e):
+    # a form's blocks in limit scaling: Pi2 = B / N, Pi3 = Lam3 / N^2, ...
+    return exchangeable_dense(N, a, b / N, c / N, d / N**2, e / N**2)
+
+
 class TestSymmetricCoordinates:
-    """U'XU = blockdiag(hat, I_{N-2} (x) tilde), with hat = ``_hat`` and
-    tilde = d - e, is what lets the reduced pass update Pi on hat and
-    tilde alone."""
+    """On the uniform states (u; v; ...; v) = U (u; v) an exchangeable map
+    X acts as X U = U map and a form as U'XU = form, with map and form the
+    2 x 2 images ``exchangeable_map`` and ``exchangeable_form`` of its
+    limit-scaled blocks; on the orthogonal complement (Helmert directions
+    of ``symmetric_basis``) both act as their tails. The structured pass
+    updates its blocks on these images and tails alone."""
 
     @pytest.mark.parametrize("N", range(2, 8))
     def test_basis_block_diagonalizes(self, N):
         rng = np.random.default_rng(40 + N)
+        eps = 1 / N
         for p, q in ((1, 1), (2, 3), (3, 2)):
             blocks = rng.standard_normal((5, p, q))
+            d, e = blocks[3], blocks[4]
+            x_map = map_dense(N, *blocks)
+            got = x_map @ uniform_embedding(N, q)
+            want = uniform_embedding(N, p) @ exchangeable_map(eps, *blocks)
+            np.testing.assert_allclose(got, want, atol=1e-13)
             u_p, u_q = symmetric_basis(N, p), symmetric_basis(N, q)
             np.testing.assert_allclose(u_p.T @ u_p, np.eye(N * p), atol=1e-14)
-            want = np.zeros((N * p, N * q))
-            want[: 2 * p, : 2 * q] = _hat(N, *blocks)
-            want[2 * p :, 2 * q :] = np.kron(np.eye(N - 2), blocks[3] - blocks[4])
-            got = u_p.T @ exchangeable_dense(N, *blocks) @ u_q
-            np.testing.assert_allclose(got, want, atol=1e-13)
+            rotated = u_p.T @ x_map @ u_q
+            # the uniform and the zero-sum directions do not mix
+            np.testing.assert_allclose(rotated[: 2 * p, 2 * q :], 0.0, atol=1e-13)
+            np.testing.assert_allclose(rotated[2 * p :, : 2 * q], 0.0, atol=1e-13)
+            np.testing.assert_allclose(
+                rotated[2 * p :, 2 * q :], np.kron(np.eye(N - 2), d - eps * e), atol=1e-13
+            )
+            if p == q:
+                x_form = form_dense(N, *blocks)
+                u_n = uniform_embedding(N, p)
+                np.testing.assert_allclose(u_n.T @ x_form @ u_n, exchangeable_form(eps, *blocks), atol=1e-13)
+                np.testing.assert_allclose(
+                    (u_p.T @ x_form @ u_p)[2 * p :, 2 * p :],
+                    np.kron(np.eye(N - 2), (d - e) / N**2),
+                    atol=1e-13,
+                )
 
     @pytest.mark.parametrize("N", range(2, 8))
     def test_products_and_transposes(self, N):
+        # the value update's congruence G'PG on dense matrices: its blocks,
+        # read back in limit scaling, have the image map' form map and the
+        # tail (g1 - eps g2)' (d - e) (g1 - eps g2), as the pass reads them
         rng = np.random.default_rng(50 + N)
-        p, q, r = 2, 3, 1
-        xb, yb = rng.standard_normal((5, p, q)), rng.standard_normal((5, q, r))
-        prod = exchangeable_dense(N, *xb) @ exchangeable_dense(N, *yb)
-        pb = blocks_of(prod, N, p, r)
-        np.testing.assert_allclose(exchangeable_dense(N, *pb), prod, atol=1e-12)
-        np.testing.assert_allclose(_hat(N, *pb), _hat(N, *xb) @ _hat(N, *yb), atol=1e-12)
+        eps, p, q = 1 / N, 2, 3
+        gb, pb = rng.standard_normal((5, p, q)), rng.standard_normal((5, p, p))
+        pb = (pb + pb.transpose(0, 2, 1)) / 2
+        prod = map_dense(N, *gb).T @ form_dense(N, *pb) @ map_dense(N, *gb)
+        a, b, c, d, e = blocks_of(prod, N, q, q)
+        scaled = (a, N * b, N * c, N**2 * d, N**2 * e)
+        want = exchangeable_map(eps, *gb).T @ exchangeable_form(eps, *pb) @ exchangeable_map(eps, *gb)
         if N >= 3:
-            np.testing.assert_allclose(pb[3] - pb[4], (xb[3] - xb[4]) @ (yb[3] - yb[4]), atol=1e-12)
-        tb = blocks_of(exchangeable_dense(N, *xb).T, N, q, p)
-        np.testing.assert_array_equal(_hat(N, *tb), _hat(N, *xb).T)
-        if N >= 3:
-            np.testing.assert_array_equal(tb[3] - tb[4], (xb[3] - xb[4]).T)
+            np.testing.assert_allclose(exchangeable_form(eps, *scaled), want, atol=1e-12)
+            g_til = gb[3] - eps * gb[4]
+            np.testing.assert_allclose(scaled[3] - scaled[4], g_til.T @ (pb[3] - pb[4]) @ g_til, atol=1e-11)
+        else:
+            # N = 2 has no tail: the mean block is the one other agent's
+            np.testing.assert_allclose(exchangeable_form(eps, *scaled[:4], 0.0), want, atol=1e-12)
+        # transposes: a non-symmetric form's transpose has the transposed image
+        xb = rng.standard_normal((5, p, p))
+        tb = blocks_of(form_dense(N, *xb).T, N, p, p)
+        t_scaled = (tb[0], N * tb[1], N * tb[2], N**2 * tb[3], N**2 * tb[4] if N >= 3 else xb[4].T)
+        np.testing.assert_allclose(exchangeable_form(eps, *t_scaled), exchangeable_form(eps, *xb).T, atol=1e-12)
 
     @pytest.mark.parametrize("N", range(2, 8))
     def test_uniform_column(self, N):
-        # (u; v; ...; v) -> (u; sqrt(N-1) v), with no tilde part
+        # a uniform linear form (u; v; ...; v) -> U'(u; v; ...) = (u; q N v):
+        # the pass's forcing column (chi1; q chi2) with chi2 = N Xi2
         rng = np.random.default_rng(60 + N)
         u, v = rng.standard_normal((2, 3, 1))
-        got = symmetric_basis(N, 3).T @ np.concatenate([u] + [v] * (N - 1))
-        want = np.zeros((3 * N, 1))
-        want[:3], want[3:6] = u, np.sqrt(N - 1) * v
-        np.testing.assert_allclose(got, want, atol=1e-13)
+        got = uniform_embedding(N, 3).T @ np.concatenate([u] + [v] * (N - 1))
+        np.testing.assert_allclose(got, np.concatenate([u, (1 - 1 / N) * (N * v)]), atol=1e-13)
 
 
 class TestBlockInverse:
+    """``block_inverse(F, K, eps)`` inverts the N-block matrix with F on the
+    diagonal and K/N off it; its inverse has M on the diagonal and E/N off."""
+
     def test_scalar_n2(self):
-        M, E = block_inverse(np.array([[2.0]]), np.array([[1.0]]), 2)
+        # F = 2, K/N = 1: the inverse of [[2, 1], [1, 2]]
+        M, E, _ = block_inverse(np.array([[2.0]]), np.array([[2.0]]), 1 / 2)
         assert M[0, 0] == pytest.approx(2 / 3)
-        assert E[0, 0] == pytest.approx(-1 / 3)
+        assert E[0, 0] / 2 == pytest.approx(-1 / 3)
 
     def test_scalar_n3(self):
-        M, E = block_inverse(np.array([[2.0]]), np.array([[1.0]]), 3)
+        M, E, _ = block_inverse(np.array([[2.0]]), np.array([[3.0]]), 1 / 3)
         assert M[0, 0] == pytest.approx(3 / 4)
-        assert E[0, 0] == pytest.approx(-1 / 4)
+        assert E[0, 0] / 3 == pytest.approx(-1 / 4)
 
     def test_zero_coupling(self):
         rng = np.random.default_rng(0)
         F = rng.standard_normal((3, 3)) + 4 * np.eye(3)
-        M, E = block_inverse(F, np.zeros((3, 3)), 5)
-        np.testing.assert_allclose(M, np.linalg.inv(F), atol=1e-12)
-        np.testing.assert_allclose(E, 0.0, atol=1e-14)
+        for eps in (1 / 5, 0.0):
+            M, E, _ = block_inverse(F, np.zeros((3, 3)), eps)
+            np.testing.assert_allclose(M, np.linalg.inv(F), atol=1e-12)
+            np.testing.assert_allclose(E, 0.0, atol=1e-14)
 
     @pytest.mark.parametrize("N", [2, 3, 6])
     def test_identities_random(self, N):
         rng = np.random.default_rng(N)
-        F = rng.standard_normal((2, 2)) + 4 * np.eye(2)
-        K = 0.3 * rng.standard_normal((2, 2))
-        M, E = block_inverse(F, K, N)
-        np.testing.assert_allclose(F @ M + (N - 1) * K @ E, np.eye(2), atol=1e-10)
-        np.testing.assert_allclose(K @ M + (F + (N - 2) * K) @ E, 0.0, atol=1e-10)
+        d = 2
+        F = rng.standard_normal((d, d)) + 4 * np.eye(d)
+        K = 0.3 * N * rng.standard_normal((d, d))
+        M, E, core = block_inverse(F, K, 1 / N)
+        dense = np.linalg.inv(exchangeable_dense(N, F, K / N, K / N, F, K / N))
+        np.testing.assert_allclose(M, dense[:d, :d], atol=1e-12)
+        np.testing.assert_allclose(E / N, dense[:d, d : 2 * d], atol=1e-12)
+        np.testing.assert_allclose(core, F + (N - 2) * K / N - (N - 1) * K @ np.linalg.solve(F, K) / N**2, atol=1e-12)
+        # the limit N -> oo: F M = I and K M + (F + K) E = 0
+        M, E, core = block_inverse(F, K, 0.0)
+        np.testing.assert_allclose(F @ M, np.eye(d), atol=1e-12)
+        np.testing.assert_allclose(K @ M + (F + K) @ E, 0.0, atol=1e-12)
+        np.testing.assert_array_equal(core, F + K)
 
     def test_singular_raises(self):
         with pytest.raises(SolveError):
-            block_inverse(np.array([[1.0]]), np.array([[1.0]]), 2)  # F - K singular
+            block_inverse(np.array([[1.0]]), np.array([[2.0]]), 1 / 2)  # F - K/N singular
 
 
 def test_zero_weights_zero_everything():
@@ -288,7 +355,8 @@ def test_property_blocks_match_full_solver(N, d_y, d_z, T, seed):
 class SkewedPi3Moments:
     """Closed-form moments whose weighted moment gains the skew matrix
     ``skew`` on the Pi3 weight only. The reduced pass reads weighted_m2
-    twice per step, for Pi1 (in F) and then for Pi3 (in Q3)."""
+    twice per step, for the Pi1 weight (in F) and then for the Pi3 weight
+    (in Q3)."""
 
     def __init__(self, base, skew):
         self.base, self.skew, self.calls = base, skew, 0
@@ -302,8 +370,10 @@ class SkewedPi3Moments:
 
 def test_max_asymmetry_reads_every_block():
     # with kappa_bar 0 and theta_bar 0 the off-agent gain G2 is zero, so a
-    # skew S in Q3 reaches only the Pi3 block: its update d picks up
-    # g1' S g1, whose asymmetry is 2 g1' S g1, while Pi1 stays symmetric
+    # skew S in Q3 reaches only the Pi3 block: its update picks up
+    # g1' S g1, whose asymmetry is 2 g1' S g1, while Pi1 stays symmetric.
+    # The pass weighs the moments with Lam3 = N^2 Pi3, so S reaches Pi3
+    # divided by N^2
     rng = np.random.default_rng(40)
     T, d_y, d_z = 4, 2, 2
     params = replace(round_params(rng, 3, d_y, d_z, T), kappa_bar=0.0, theta_bar=0.0)
@@ -316,7 +386,7 @@ def test_max_asymmetry_reads_every_block():
     assert np.all(red.G2N == 0.0)
     want = max(float(np.max(np.abs(2 * g.T @ skew @ g))) for g in red.G1N)
     assert want > 1e-3
-    assert red.max_asymmetry == pytest.approx(want, rel=1e-9)
+    assert red.max_asymmetry == pytest.approx(want / params.population_N**2, rel=1e-9)
 
 
 def test_check_symmetry_judges_each_entry_on_its_own_iterates(caplog):
@@ -642,9 +712,19 @@ def harsh_population_case(draw):
 def test_property_harsh_population_stack(case):
     # every entry is finite or raises SolveError, never NaN; the stack
     # equals the per-N passes bit for bit, and fails exactly when one of
-    # them does, with that N's own error
+    # them does, with that N's own error. The limit (the decentralized
+    # pass) is finite or raises SolveError too
     params, moments, targets, grid = case
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        try:
+            limit = decentralized_backward_pass(params, moments, targets)
+        except SolveError:
+            pass
+        else:
+            for f in fields(limit):
+                value = getattr(limit, f.name)
+                if isinstance(value, np.ndarray):
+                    assert np.all(np.isfinite(value)), ("limit", f.name)
         singles = {}
         for n in grid:
             try:
