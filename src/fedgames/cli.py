@@ -36,11 +36,9 @@ from .io import (
     export_run_record_json,
     write_jsonl,
 )
-# estimate_moments and decentralized_backward_pass are not called here;
-# perfbench/tracer.py wraps them under these names
-from .model import GameParams, TargetSeries, estimate_moments  # noqa: F401
+from .model import GameParams, TargetSeries, estimate_moments  # noqa: F401  (perfbench's tracer wraps estimate_moments here)
 from .nash_full import check_block_structure, full_backward_pass
-from .nash_meanfield import decentralized_backward_pass  # noqa: F401
+from .nash_meanfield import decentralized_backward_pass  # noqa: F401  (perfbench's tracer wraps it here)
 from .nash_reduced import reduced_backward_pass
 from .ridge import RidgeConfig
 

@@ -3,8 +3,9 @@ against their mean-field limits.
 
 Two gaps are reported per population size N:
 
-  * lambda gap: max over blocks of || Lam_i^N(t) - Lam_i(t) ||_F with the
-    reduced solver's blocks rescaled by their asymptotic orders. This is
+  * lambda gap: max over blocks of || Lam_i^N(t) - Lam_i(t) ||_F, the
+    blocks in limit scaling (each multiplied by its order in N), where
+    one structured pass holds the whole grid and the limit. This is
     deterministic and should shrink like 1/N.
   * mean-field gap: Monte-Carlo estimate of E || Y^(N)_t - Ybar_t || when
     N agents with independent bounded latents follow the decentralized
@@ -18,6 +19,7 @@ from __future__ import annotations
 
 import logging
 import math
+import operator
 import time
 from dataclasses import dataclass, replace
 
@@ -26,13 +28,10 @@ import numpy as np
 from .errors import DynamicsError
 from .harness import check_finite
 from .model import GameParams, IidEntryLatents, TargetSeries
-from .nash_meanfield import (
-    DecentralizedCoeffs,
-    decentralized_backward_pass,
-    lambda_gap,
-    meanfield_forward,
-)
-from .nash_reduced import reduced_backward_pass, take_round
+from .nash_meanfield import DecentralizedCoeffs, limit_coeffs, meanfield_forward
+from .nash_meanfield import decentralized_backward_pass  # noqa: F401  (perfbench's tracer names it; not called)
+from .nash_reduced import game_units, structured_pass
+from .nash_reduced import reduced_backward_pass  # noqa: F401  (perfbench's tracer names it; not called)
 from .streams import SeedTable
 
 logger = logging.getLogger(__name__)
@@ -223,61 +222,84 @@ def _simulate_mean_gap(
     return gaps.mean(axis=0), gaps.std(axis=0, ddof=1) / np.sqrt(paths)
 
 
+def _check_grid(n_grid) -> tuple[int, ...]:
+    """The grid as a tuple of ints: a non-empty sequence of integers
+    N >= 2, where a float is rejected rather than truncated."""
+    try:
+        grid = tuple(operator.index(n) for n in n_grid)
+    except TypeError:
+        grid = ()
+    if not grid or min(grid) < 2:
+        raise ValueError(f"n_grid must be a non-empty sequence of integers N >= 2, got {n_grid!r}")
+    return grid
+
+
+def coefficient_gaps(
+    params: GameParams, moments, targets: TargetSeries, grid: tuple[int, ...]
+) -> tuple[np.ndarray, DecentralizedCoeffs]:
+    """Each N's lambda gaps, (T+1, P), and the limit's coefficients, from
+    one structured pass over the population stack eps = 1/N for each N of
+    ``grid`` (integers >= 2), then 0.
+
+    Each entry equals the lone pass at its N (the limit:
+    ``decentralized_backward_pass``) bit for bit, warns as that pass
+    would, and a failing entry is named N=<n> (the limit N=inf). The gap
+    max_i ||Lam_i(t, N) - Lam_i(t)||_F is a difference of the stack's
+    blocks in limit scaling. The limit's arrays are copied out, so the
+    stack, with every entry's per-step F, K, M and E, is freed on return.
+    """
+    ns = (*grid, math.inf)
+    n = np.array(ns)
+    s = structured_pass(params, moments, targets, 1 / n[:, None, None], "reduced", lambda p: f"N={ns[p]}")
+    _, max_asym = game_units(s, n)
+    gaps = np.linalg.norm(s.blocks[:, :, :-1] - s.blocks[:, :, -1:], axis=(-2, -1)).max(axis=0)
+    return gaps, limit_coeffs(params, s.entry(-1), max_asym[-1])
+
+
 def limit_gap_diagnostic(n_grid, seed: int, scenario: ConvergenceScenario) -> GapReport:
     """Coefficient and mean-field gaps over a population grid; ``seed``
     keys the Monte-Carlo paths of the mean-field gap.
 
-    One reduced pass solves the whole grid as a population stack
-    (``reduced_backward_pass(..., n_grid=...)``), and each N's
-    coefficients are its ``take_round`` slice, bit-identical to a pass at
-    that N alone. Under INFO logging the limit pass, the stacked pass and
-    each N's Monte-Carlo loop report their wall time.
+    ``coefficient_gaps`` solves the whole grid and the limit in one pass,
+    whose stack is freed before the Monte-Carlo buffers are allocated.
+    Under INFO logging that pass and each N's Monte-Carlo loop report
+    their wall time.
     """
+    grid = _check_grid(n_grid)
     latents = IidEntryLatents(mean=scenario.latent_mean, half_width=scenario.latent_half_width)
     # the path streams' keys hold no N: one table serves the whole grid
     table = SeedTable((seed, 31), scenario.paths)
     moments = latents.exact_moments()
     base = scenario.params
-    n_grid = tuple(int(n) for n in n_grid)
     start = time.perf_counter()
-    limit = decentralized_backward_pass(base, moments, scenario.targets)
+    lams, limit = coefficient_gaps(base, moments, scenario.targets, grid)
     y0 = scenario.targets.values[0]
     ybar = meanfield_forward(limit, moments, y0).ybar
-    logger.info("convergence limit pass: %.3f s", time.perf_counter() - start)
-    start = time.perf_counter()
-    stack = reduced_backward_pass(base, moments, scenario.targets, n_grid=n_grid)
     logger.info(
-        "convergence reduced pass, %d populations stacked: %.3f s",
-        len(n_grid),
-        time.perf_counter() - start,
+        "convergence pass, %d populations and the limit: %.3f s", len(grid), time.perf_counter() - start
     )
 
-    lams = [lambda_gap(take_round(stack, p), limit) for p in range(len(n_grid))]
-    # freed before the Monte-Carlo buffers are allocated: kept alive, the
-    # stack's per-step F, K, M, E arrays added to the command's peak RSS
-    del stack
-
     rows = []
-    for n, lam in zip(n_grid, lams):
+    for p, N in enumerate(grid):
         start = time.perf_counter()
         mf_mean, mf_se = _simulate_mean_gap(
-            replace(base, population_N=n), latents, limit, ybar, y0, scenario.paths, seed, table
+            replace(base, population_N=N), latents, limit, ybar, y0, scenario.paths, seed, table
         )
         logger.info(
             "convergence N=%d: Monte-Carlo mean gap %.3f s (%d paths, %d per batch)",
-            n,
+            N,
             time.perf_counter() - start,
             scenario.paths,
-            mc_batch_size(n, scenario.paths),
+            mc_batch_size(N, scenario.paths),
         )
         for t in range(base.horizon_T + 1):
             rows.append(
                 GapRow(
-                    N=n,
+                    N=N,
                     t=t,
-                    lambda_gap=float(lam[t]),
+                    lambda_gap=float(lams[t, p]),
                     meanfield_gap=float(mf_mean[t]),
                     stderr=float(mf_se[t]),
                 )
             )
-    return GapReport(rows=tuple(rows), n_grid=n_grid)
+    return GapReport(rows=tuple(rows), n_grid=grid)

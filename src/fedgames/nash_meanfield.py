@@ -18,18 +18,24 @@ At eps = 0 the drift in (own, mean of others) coordinates is
 [[theta, theta_bar], [0, theta + theta_bar]] and the gain
 [[G1, G2], [0, G1 + G2]]. Lam3 feeds no policy coefficient; it is
 carried for diagnostics only.
+
+Since the blocks of every N share this scaling, the coefficient gap
+Lam_i(t, N) - Lam_i(t) is a plain difference of one pass's entries:
+``diagnostics.limit_gap_diagnostic`` solves its N grid and the limit as
+one population stack and reads the limit's coefficients off its eps = 0
+entry (``limit_coeffs``).
 """
 
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .config import check_symmetry
 from .model import GameParams, TargetSeries
-from .nash_reduced import ReducedCoeffs, structured_pass
+from .nash_reduced import LimitScaledPass, game_units, structured_pass
 
 logger = logging.getLogger(__name__)
 
@@ -77,8 +83,12 @@ def decentralized_backward_pass(
     solved at once and the outputs carry the same round axis.
     """
     s = structured_pass(params, moments, targets, 0.0, "decentralized")
-    max_asym = s.asymmetry.max(axis=0)
-    check_symmetry(logger, "Lambda", max_asym, s.blocks)
+    return limit_coeffs(params, s, game_units(s, math.inf)[1])
+
+
+def limit_coeffs(params: GameParams, s: LimitScaledPass, max_asymmetry) -> DecentralizedCoeffs:
+    """The coefficients of an eps = 0 pass (a lone game or a round stack)
+    whose asymmetry ``game_units`` has judged."""
     return DecentralizedCoeffs(
         *s.blocks,
         *s.forcing,
@@ -91,7 +101,7 @@ def decentralized_backward_pass(
         E=s.E,
         drift_sum=params.theta + params.theta_bar,
         dims=(params.dim_y, params.dim_z),
-        max_asymmetry=float(max_asym) if max_asym.ndim == 0 else max_asym,
+        max_asymmetry=float(max_asymmetry) if np.ndim(max_asymmetry) == 0 else max_asymmetry,
     )
 
 
@@ -124,32 +134,3 @@ def meanfield_forward(coeffs: DecentralizedCoeffs, moments, y0: np.ndarray) -> M
         drift = coeffs.drift_sum + M1 @ (coeffs.G1[t] + coeffs.G2[t])
         ybar[t + 1] = (drift @ ybar[t][..., None] + M1 @ coeffs.H[t][..., None])[..., 0]
     return MeanFieldTrajectory(ybar=ybar)
-
-
-def rescaled_blocks(reduced: ReducedCoeffs) -> tuple[np.ndarray, ...]:
-    """Reduced blocks in limit scaling: (Pi1, N Pi2, N^2 Pi3, N^2 Pi4,
-    Xi1, N Xi2)."""
-    N = reduced.dims[0]
-    return (
-        reduced.Pi1,
-        N * reduced.Pi2,
-        N**2 * reduced.Pi3,
-        N**2 * reduced.Pi4,
-        reduced.Xi1,
-        N * reduced.Xi2,
-    )
-
-
-def lambda_gap(reduced: ReducedCoeffs, limit: DecentralizedCoeffs) -> np.ndarray:
-    """max_i || Lam_i^N(t) - Lam_i(t) ||_F per timestep."""
-    r1, r2, r3, r4, _, _ = rescaled_blocks(reduced)
-    lims = (limit.L1, limit.L2, limit.L3, limit.L4)
-    gaps = []
-    for t in range(limit.L1.shape[0]):
-        gaps.append(
-            max(
-                float(np.linalg.norm(r - l[t]))
-                for r, l in zip((r1[t], r2[t], r3[t], r4[t]), lims)
-            )
-        )
-    return np.array(gaps)

@@ -38,19 +38,19 @@ overflowing Delta, weighted by 0, from turning into NaN.
 
 One pass solves a stack of independent games on an axis right after
 time: rounds (moments and targets carry the round axis) or populations
-(``n_grid``: eps is then a per-entry array on that axis). Every update
+(eps is then a per-entry array on that axis; ``limit_gap_diagnostic``
+solves its N grid and, at eps = 0, the limit in one pass). Every update
 acts on each entry as on a lone game, so an entry's coefficients equal
 the lone pass bit for bit: eps and its polynomials broadcast as (P, 1, 1)
 arrays through the same IEEE operations as the Python floats of a lone
 N, the tail update is a per-entry select, and ``weighted_m2`` gives every
-entry of a stack the bits of a lone call.
+entry of a stack the bits of a lone call. ``game_units`` reads each
+entry's blocks and asymmetry back in the units of its own game.
 """
 
 from __future__ import annotations
 
 import logging
-import operator
-from collections.abc import Sequence
 from dataclasses import dataclass, fields, replace
 from typing import NamedTuple
 
@@ -67,13 +67,7 @@ logger = logging.getLogger(__name__)
 class ReducedCoeffs:
     """Reduced coefficients; a pass over a round stack carries the round
     axis right after the time axis (Pi1 is (T+1, R, d_y, d_y), and so on)
-    and a per-round ``max_asymmetry``.
-
-    A population stack (``reduced_backward_pass(..., n_grid=...)``) holds
-    its grid, a tuple, where ``dims`` holds N. Only ``take_round`` reads
-    that form: every other reader of ``dims[0]`` (``lambda_gap``,
-    ``rescaled_blocks``, the io snapshots) takes one entry's coefficients,
-    which ``take_round`` gives with that entry's own N."""
+    and a per-round ``max_asymmetry``."""
 
     Pi1: np.ndarray  # (T+1, d_y, d_y)
     Pi2: np.ndarray
@@ -88,7 +82,7 @@ class ReducedCoeffs:
     KN: np.ndarray
     MN: np.ndarray
     EN: np.ndarray
-    dims: tuple  # (N, d_y, d_z); a population stack: (grid tuple, d_y, d_z)
+    dims: tuple  # (N, d_y, d_z)
     max_asymmetry: float | np.ndarray
 
     def pi3_pi4_gap(self) -> np.ndarray:
@@ -101,21 +95,17 @@ class ReducedCoeffs:
 
 
 def take_round(coeffs, r: int):
-    """Entry r of coefficients solved over a round or population stack:
-    every per-step array loses its stack axis, ``max_asymmetry`` becomes a
-    float and, for a population stack, ``dims`` carries entry r's own N.
+    """Round r of coefficients solved over a round stack: every per-step
+    array loses its round axis and ``max_asymmetry`` becomes a float.
     Works on ReducedCoeffs, DecentralizedCoeffs, whose ``drift_sum`` has
-    no time axis, and FullNashCoeffs, whose stack axis is second on every
+    no time axis, and FullNashCoeffs, whose round axis is second on every
     array."""
     per_round = {
         f.name: getattr(coeffs, f.name)[:, r]
         for f in fields(coeffs)
         if f.name not in ("dims", "max_asymmetry", "drift_sum")
     }
-    dims = coeffs.dims
-    if isinstance(dims[0], tuple):
-        dims = (dims[0][r], *dims[1:])
-    return replace(coeffs, **per_round, dims=dims, max_asymmetry=float(coeffs.max_asymmetry[r]))
+    return replace(coeffs, **per_round, max_asymmetry=float(coeffs.max_asymmetry[r]))
 
 
 def _round_label(r: int) -> str:
@@ -217,6 +207,12 @@ class LimitScaledPass(NamedTuple):
     E: np.ndarray
     asymmetry: np.ndarray  # (4, ...): each block's largest asymmetry, its own units
 
+    def entry(self, p: int) -> "LimitScaledPass":
+        """Entry p of a population stack, copied out of the stack."""
+        blocks, forcing, *per_step, asym = self
+        per_step = (a[:, p].copy() for a in per_step)
+        return LimitScaledPass(blocks[:, :, p].copy(), forcing[:, :, p].copy(), *per_step, asym[:, p].copy())
+
 
 def _worst(values, label) -> str:
     """The largest of per-entry values, naming its entry on a stack."""
@@ -231,9 +227,10 @@ def structured_pass(
 ) -> LimitScaledPass:
     """The backward recursion of the module docstring at eps = 1/N: a
     Python float (0.0 for the limit) or, for a population stack, a
-    (P, 1, 1) array of per-entry Python floats. Moments and targets may
-    instead carry a round axis. ``name`` and ``label`` name the pass and a
-    stack entry in its errors and its DEBUG line per step."""
+    (P, 1, 1) array of per-entry values (0.0 for a limit entry). Moments
+    and targets may instead carry a round axis. ``name`` and ``label``
+    name the pass and a stack entry in its errors and its DEBUG line per
+    step."""
     d_y, d_z, T = params.dim_y, params.dim_z, params.horizon_T
     if targets.horizon < T or moments.horizon < T:
         raise ValueError("targets/moments do not cover the horizon")
@@ -339,12 +336,26 @@ def structured_pass(
     return LimitScaledPass(lam, chi, G1, G2, H, Fs, Ks, Ms, Es, asym)
 
 
-def reduced_backward_pass(
-    params: GameParams,
-    moments,
-    targets: TargetSeries,
-    n_grid: Sequence[int] | None = None,
-) -> ReducedCoeffs:
+def game_units(s: LimitScaledPass, n) -> tuple[np.ndarray, np.ndarray]:
+    """Each entry's blocks and largest asymmetry in the units of its own
+    game, with the symmetry warning its lone pass gives: Pi1..Pi4 = (A,
+    B / N, Lam3 / N^2, Lam4 / N^2), stacked, at a finite N and the Lambda
+    blocks themselves at the limit, N = inf. ``n`` is N, or a population
+    stack's (P,) array of them."""
+    finite = np.isfinite(n)
+    k = np.where(finite, n, 1.0)
+    kk = k[..., None, None]
+    blocks = np.stack([s.blocks[0], s.blocks[1] / kk, s.blocks[2] / kk**2, s.blocks[3] / kk**2])
+    a1, a2, a3, a4 = s.asymmetry
+    max_asym = np.maximum(np.maximum(a1, a2 / k), np.maximum(a3, a4) / k**2)
+    for name, pick in (("Pi", finite), ("Lambda", ~finite)):
+        pick = np.broadcast_to(pick, np.shape(max_asym))
+        if pick.any():
+            check_symmetry(logger, name, max_asym[pick], blocks[:, :, pick])
+    return blocks, max_asym
+
+
+def reduced_backward_pass(params: GameParams, moments, targets: TargetSeries) -> ReducedCoeffs:
     """Backward pass over the repeating blocks Pi_i, Xi_i and gains: the
     structured pass at eps = 1/N, its blocks scaled back to their N-game
     units.
@@ -352,43 +363,26 @@ def reduced_backward_pass(
     Moments and targets may carry a round axis right after the time axis
     (m1 (T, R, d_y, d_z), values (T+1, R, d_y)); every round is then
     solved at once and the outputs carry the same round axis.
-
-    ``n_grid`` solves a population stack instead: the game at each N of
-    the grid, in place of ``params.population_N``, in one pass. N is then
-    a per-entry value on the axis a round stack would use (Pi1 is
-    (T+1, P, d_y, d_y)), ``dims`` is (grid, d_y, d_z), and
-    ``take_round(coeffs, p)`` equals the pass at N = n_grid[p] bit for
-    bit, ``dims`` included. Its moments and targets carry no round axis.
     """
-    grid = (params.population_N,) if n_grid is None else tuple(operator.index(n) for n in n_grid)
-    if not grid or min(grid) < 2:
+    n = params.population_N
+    if n < 2:
         raise ValueError("reduced solver requires N >= 2; route N = 1 to the full solver")
-    if n_grid is None:
-        n = n_vec = n_mat = grid[0]
-        label = _round_label
-    else:
-        n = np.array(grid, dtype=float)
-        n_vec, n_mat = n[:, None], n[:, None, None]
-        label = lambda p: f"N={grid[p]}"
-    s = structured_pass(params, moments, targets, 1 / n_mat, "reduced", label)
-    Pi = (s.blocks[0], s.blocks[1] / n_mat, s.blocks[2] / n_mat**2, s.blocks[3] / n_mat**2)
-    a1, a2, a3, a4 = s.asymmetry
-    max_asym = np.maximum(np.maximum(a1, a2 / n), np.maximum(a3, a4) / n**2)
-    check_symmetry(logger, "Pi", max_asym, np.stack(Pi))
-    if max(grid) >= 3 and logger.isEnabledFor(logging.DEBUG):
+    s = structured_pass(params, moments, targets, 1 / n, "reduced")
+    Pi, max_asym = game_units(s, n)
+    if n >= 3 and logger.isEnabledFor(logging.DEBUG):
         logger.debug("max_t ||Pi3 - Pi4|| = %.3e", np.max(np.linalg.norm(Pi[2] - Pi[3], axis=(-2, -1))))
     return ReducedCoeffs(
         *Pi,
         Xi1=s.forcing[0],
-        Xi2=s.forcing[1] / n_vec,
+        Xi2=s.forcing[1] / n,
         G1N=s.g1,
-        G2N=s.g2 / n_mat,
+        G2N=s.g2 / n,
         HN=s.h,
         FN=s.F,
-        KN=s.K / n_mat,
+        KN=s.K / n,
         MN=s.M,
-        EN=s.E / n_mat,
-        dims=(grid[0] if n_grid is None else grid, params.dim_y, params.dim_z),
+        EN=s.E / n,
+        dims=(n, params.dim_y, params.dim_z),
         max_asymmetry=float(max_asym) if max_asym.ndim == 0 else max_asym,
     )
 

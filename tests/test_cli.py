@@ -249,7 +249,9 @@ def test_convergence_nonfinite_prediction_exits_3(config, tmp_path, capsys):
     with np.errstate(all="ignore"):
         assert main(["convergence", "--config", str(path), "--out", str(out)]) == 3
     err = capsys.readouterr().err
-    assert "solver failure: decentralized pass produced non-finite coefficients at t=19" in err
+    # one pass solves the grid and the limit, which all overflow at t=19;
+    # the error names the first of them in grid order
+    assert "solver failure: reduced pass produced non-finite coefficients at N=4, t=19" in err
     assert not (out / "convergence.csv").exists()
 
 
@@ -374,7 +376,7 @@ def test_log_level_info_times_each_cell(config, tmp_path):
 
 
 def test_log_level_info_times_convergence(config, tmp_path):
-    # the limit pass, the one stacked reduced pass and each N's Monte-Carlo
+    # the one pass over the grid and the limit, then each N's Monte-Carlo
     # loop report their wall time, in that order, and each N its batch size
     path, _ = config
     out = tmp_path / "conv"
@@ -385,8 +387,7 @@ def test_log_level_info_times_convergence(config, tmp_path):
     )
     assert proc.returncode == 0, proc.stderr
     patterns = [
-        r"convergence limit pass: [\d.]+ s$",
-        r"convergence reduced pass, 3 populations stacked: [\d.]+ s$",
+        r"convergence pass, 3 populations and the limit: [\d.]+ s$",
     ] + [rf"convergence N={n}: Monte-Carlo mean gap [\d.]+ s \(12 paths, 12 per batch\)$" for n in (4, 8, 16)]
     lines = [line for line in proc.stderr.splitlines() if "convergence " in line]
     assert len(lines) == len(patterns), proc.stderr

@@ -3,12 +3,11 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from fedgames import diagnostics
-from fedgames.diagnostics import ConvergenceScenario, _simulate_mean_gap, limit_gap_diagnostic
+from fedgames import diagnostics, nash_meanfield, nash_reduced
+from fedgames.diagnostics import ConvergenceScenario, _simulate_mean_gap, coefficient_gaps, limit_gap_diagnostic
 from fedgames.errors import DynamicsError
 from fedgames.model import GameParams, IidEntryLatents, TargetSeries
-from fedgames.nash_meanfield import decentralized_backward_pass, lambda_gap, meanfield_forward
-from fedgames.nash_reduced import reduced_backward_pass
+from fedgames.nash_meanfield import decentralized_backward_pass, meanfield_forward
 from fedgames.streams import SeedTable
 from oracles import reference_mean_gap
 
@@ -256,13 +255,34 @@ def test_lambda_gap_rate_is_one_over_n():
     )
     targets = TargetSeries(values=rng.standard_normal((5, 1)))
     moments = IidEntryLatents(mean=np.full((4, 1, 1), 0.8), half_width=0.4).exact_moments()
-    limit = decentralized_backward_pass(base, moments, targets)
+    grid = tuple(2**k for k in (9, 12, 16, 20, 24))
+    gaps, _ = coefficient_gaps(base, moments, targets, grid)
+    scaled = [n * float(gap) for n, gap in zip(grid, gaps.max(axis=0))]
 
-    def scaled_gap(n):
-        reduced = reduced_backward_pass(replace(base, population_N=n), moments, targets)
-        return n * float(np.max(lambda_gap(reduced, limit)))
-
-    ref = scaled_gap(2**24)
-    dist = [abs(scaled_gap(2**k) - ref) / ref for k in (9, 12, 16, 20)]
+    ref = scaled[-1]
+    dist = [abs(s - ref) / ref for s in scaled[:-1]]
     assert max(dist) <= 1e-3, dist
     assert all(b <= a for a, b in zip(dist, dist[1:])), dist
+
+
+def test_one_pass_per_command(monkeypatch):
+    # the limit and every N of the grid come from one structured pass
+    calls = []
+    real = nash_reduced.structured_pass
+
+    def counted(*args, **kwargs):
+        calls.append(args[3])
+        return real(*args, **kwargs)
+
+    for module in (diagnostics, nash_meanfield, nash_reduced):
+        monkeypatch.setattr(module, "structured_pass", counted)
+    limit_gap_diagnostic([4, 16, 64], 1, scenario(paths=2))
+    [eps] = calls
+    np.testing.assert_array_equal(eps[:, 0, 0], [1 / 4, 1 / 16, 1 / 64, 0.0])
+
+
+@pytest.mark.parametrize("grid", [[4.7, 16], [1, 4], [True, 4], [], 5])
+def test_grid_must_hold_integers_of_at_least_two(grid):
+    # 4.7 used to run as N = 4, and an N below 2 reached the pass
+    with pytest.raises(ValueError, match=r"n_grid must be a non-empty sequence of integers N >= 2"):
+        limit_gap_diagnostic(grid, 1, scenario(paths=2))

@@ -8,13 +8,8 @@ from oracles import assert_round_equal, reference_decentralized_pass, round_para
 from fedgames.errors import SolveError
 
 from fedgames.model import GameParams, IidEntryLatents, TargetSeries, exact_moments_deterministic
-from fedgames.nash_meanfield import (
-    decentralized_action,
-    decentralized_backward_pass,
-    lambda_gap,
-    meanfield_forward,
-    rescaled_blocks,
-)
+from fedgames.diagnostics import coefficient_gaps
+from fedgames.nash_meanfield import decentralized_action, decentralized_backward_pass, meanfield_forward
 from fedgames.nash_reduced import reduced_backward_pass
 
 
@@ -85,13 +80,13 @@ def test_limit_agrees_with_huge_n_reduced(d, T, seed):
     moments = exact_moments_deterministic(zs)
     red = reduced_backward_pass(params, moments, targets)
     dec = decentralized_backward_pass(params, moments, targets)
-    r1, r2, r3, r4, rx1, rx2 = rescaled_blocks(red)
-    np.testing.assert_allclose(r1, dec.L1, atol=2e-4)
-    np.testing.assert_allclose(r2, dec.L2, atol=2e-4)
-    np.testing.assert_allclose(r3, dec.L3, atol=2e-4)
-    np.testing.assert_allclose(r4, dec.L4, atol=2e-4)
-    np.testing.assert_allclose(rx1, dec.chi1, atol=2e-4)
-    np.testing.assert_allclose(rx2, dec.chi2, atol=2e-4)
+    N = params.population_N
+    np.testing.assert_allclose(red.Pi1, dec.L1, atol=2e-4)
+    np.testing.assert_allclose(N * red.Pi2, dec.L2, atol=2e-4)
+    np.testing.assert_allclose(N**2 * red.Pi3, dec.L3, atol=2e-4)
+    np.testing.assert_allclose(N**2 * red.Pi4, dec.L4, atol=2e-4)
+    np.testing.assert_allclose(red.Xi1, dec.chi1, atol=2e-4)
+    np.testing.assert_allclose(N * red.Xi2, dec.chi2, atol=2e-4)
     np.testing.assert_allclose(red.G1N, dec.G1, atol=2e-4)
     np.testing.assert_allclose(1_000_000 * red.G2N, dec.G2, atol=2e-4)
     np.testing.assert_allclose(red.HN, dec.H, atol=2e-4)
@@ -141,13 +136,10 @@ def test_limit_pass_matches_reference_recursion_on_round_stack():
 
 def test_lambda_gap_shrinks_at_one_over_n():
     rng = np.random.default_rng(4)
-    gaps = {}
-    for N in (4, 16, 64, 256):
-        params, zs, targets = build_scenario(rng.__class__(np.random.PCG64(77)), N, 1, 4)
-        moments = exact_moments_deterministic(zs)
-        red = reduced_backward_pass(params, moments, targets)
-        dec = decentralized_backward_pass(params, moments, targets)
-        gaps[N] = float(np.max(lambda_gap(red, dec)))
+    grid = (4, 16, 64, 256)
+    params, zs, targets = build_scenario(rng.__class__(np.random.PCG64(77)), 2, 1, 4)
+    per_t, _ = coefficient_gaps(params, exact_moments_deterministic(zs), targets, grid)
+    gaps = dict(zip(grid, map(float, per_t.max(axis=0))))
     assert gaps[4] > gaps[16] > gaps[64] > gaps[256]
     # O(1/N): N * gap roughly stable across the grid
     scaled = [N * gaps[N] for N in (16, 64, 256)]

@@ -1,11 +1,12 @@
 import logging
+import math
 import re
 import types
 from dataclasses import fields, replace
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, given, settings
+from hypothesis import HealthCheck, Phase, given, settings
 from hypothesis import strategies as st
 from oracles import (
     assert_round_equal,
@@ -16,7 +17,8 @@ from oracles import (
 )
 
 from fedgames.config import SYMMETRY_RTOL, check_symmetry
-from fedgames.errors import SolveError
+from fedgames.diagnostics import ConvergenceScenario, coefficient_gaps, limit_gap_diagnostic
+from fedgames.errors import FedGamesError, SolveError
 from fedgames.model import (
     GameParams,
     IidEntryLatents,
@@ -25,13 +27,16 @@ from fedgames.model import (
     exact_moments_deterministic,
 )
 from fedgames.nash_full import full_action, full_backward_pass
-from fedgames.nash_meanfield import decentralized_backward_pass
+from fedgames.nash_meanfield import decentralized_backward_pass, limit_coeffs
 from fedgames.nash_reduced import (
+    LimitScaledPass,
     block_inverse,
     exchangeable_form,
     exchangeable_map,
+    game_units,
     reduced_action,
     reduced_backward_pass,
+    structured_pass,
 )
 
 
@@ -337,8 +342,8 @@ def test_property_blocks_match_full_solver(N, d_y, d_z, T, seed):
             red.G2N[t], full.G[t][:d_z, d_y : 2 * d_y], atol=1e-8
         )
         np.testing.assert_allclose(red.HN[t], full.H[t][:d_z], atol=1e-8)
-    # Pi3 and Pi4 come back from the symmetric coordinates through a
-    # division by N - 1, Pi2 and Xi2 through one by sqrt(N - 1)
+    # the structured pass reads Pi2 and Xi2 back through a division by
+    # q = 1 - 1/N and one by N, Pi3 and Pi4 through two by q and one by N^2
     y1, y2, y3 = slice(0, d_y), slice(d_y, 2 * d_y), slice(2 * d_y, 3 * d_y)
     for t in range(T + 1):
         p1, s1 = full.P[0, t], full.S[0, t]
@@ -387,6 +392,32 @@ def test_max_asymmetry_reads_every_block():
     want = max(float(np.max(np.abs(2 * g.T @ skew @ g))) for g in red.G1N)
     assert want > 1e-3
     assert red.max_asymmetry == pytest.approx(want / params.population_N**2, rel=1e-9)
+
+
+def test_population_stack_warns_as_its_lone_passes(caplog):
+    # the skewed Pi3 weight leaves every entry's blocks asymmetric far
+    # above rounding: the stack of (3, 5) and the limit warns once in Pi
+    # units, as the lone pass at its worst N does, and once in Lambda
+    # units, as the lone decentralized pass does
+    rng = np.random.default_rng(40)
+    T, d_y, d_z = 4, 2, 2
+    params = replace(round_params(rng, 3, d_y, d_z, T), kappa_bar=0.0, theta_bar=0.0)
+    base = IidEntryLatents(mean=rng.standard_normal((T, d_y, d_z)), half_width=0.5).exact_moments()
+    skew = np.array([[0.0, 0.3], [-0.3, 0.0]])
+    targets = TargetSeries(values=rng.standard_normal((T + 1, d_y)))
+
+    def warnings(solve):
+        caplog.clear()
+        with caplog.at_level(logging.WARNING, logger="fedgames.nash_reduced"):
+            solve(SkewedPi3Moments(base, skew))
+        return [record.getMessage() for record in caplog.records]
+
+    lone = [warnings(lambda m: reduced_backward_pass(replace(params, population_N=n), m, targets)) for n in (3, 5)]
+    limit = warnings(lambda m: decentralized_backward_pass(params, m, targets))
+    stack = warnings(lambda m: coefficient_gaps(params, m, targets, (3, 5)))
+    assert [len(w) for w in (*lone, limit)] == [1, 1, 1]
+    assert stack[0].startswith("Pi asymmetry") and stack[0] in (lone[0][0], lone[1][0])
+    assert limit[0].startswith("Lambda asymmetry") and stack[1:] == limit
 
 
 def test_check_symmetry_judges_each_entry_on_its_own_iterates(caplog):
@@ -573,17 +604,46 @@ def population_case(rng, d_y, d_z, T, moments_kind):
     return params, moments, TargetSeries(values=rng.standard_normal((T + 1, d_y)))
 
 
+def population_pass(params, moments, targets, ns):
+    """The population stack of ``diagnostics.coefficient_gaps``: one
+    structured pass at eps = 1/N for each N of ``ns`` (inf: the limit),
+    a failing entry named N=<n>."""
+    eps = 1 / np.array(ns, dtype=float)[:, None, None]
+    return structured_pass(params, moments, targets, eps, "reduced", lambda p: f"N={ns[p]}")
+
+
+def assert_fields_equal(have, want):
+    for f in fields(want):
+        a, b = getattr(have, f.name), getattr(want, f.name)
+        if isinstance(b, np.ndarray):
+            np.testing.assert_array_equal(a, b, err_msg=f.name)
+        else:
+            assert type(a) is type(b) and a == b, f.name
+
+
 def assert_stack_equals_singles(params, moments, targets, grid):
-    """Entry p of the population stack is the pass at grid[p] alone, bit
-    for bit on every field, its ``dims`` naming that N."""
-    stack = reduced_backward_pass(params, moments, targets, n_grid=grid)
-    assert stack.dims == (tuple(grid), params.dim_y, params.dim_z)
-    assert stack.G1N.shape == (params.horizon_T, len(grid), params.dim_z, params.dim_y)
-    assert stack.max_asymmetry.shape == (len(grid),)
-    for p, n in enumerate(grid):
-        single = reduced_backward_pass(replace(params, population_N=n), moments, targets)
-        assert single.dims[0] == n
-        assert_round_equal(stack, p, single)
+    """Entry p of the population stack over the grid and the limit is the
+    pass at its N alone, bit for bit on every field; read back in its own
+    game's units it is the lone reduced pass at that N (Pi blocks and
+    ``max_asymmetry``), or the lone decentralized pass."""
+    ns = (*grid, math.inf)
+    stack = population_pass(params, moments, targets, ns)
+    assert stack.g1.shape == (params.horizon_T, len(ns), params.dim_z, params.dim_y)
+    assert stack.asymmetry.shape == (4, len(ns))
+    pis, max_asym = game_units(stack, np.array(ns))
+    for p, n in enumerate(ns):
+        entry = stack.entry(p)
+        single = structured_pass(params, moments, targets, 1 / n, "reduced")
+        for name, have, want in zip(LimitScaledPass._fields, entry, single):
+            np.testing.assert_array_equal(have, want, err_msg=f"{name} at N={n}")
+        if math.isinf(n):
+            lone = decentralized_backward_pass(params, moments, targets)
+            assert_fields_equal(limit_coeffs(params, entry, max_asym[p]), lone)
+            continue
+        lone = reduced_backward_pass(replace(params, population_N=n), moments, targets)
+        assert lone.dims[0] == n
+        np.testing.assert_array_equal(pis[:, :, p], np.stack([lone.Pi1, lone.Pi2, lone.Pi3, lone.Pi4]))
+        assert float(max_asym[p]) == lone.max_asymmetry
 
 
 @pytest.mark.parametrize(
@@ -613,9 +673,12 @@ def test_population_stack_keeps_grid_order_and_repeats():
 @pytest.mark.parametrize("grid", [(1, 4), (4, 0), (2, 1), ()])
 def test_population_stack_rejects_n_below_two(grid):
     rng = np.random.default_rng(320)
-    params, moments, targets = population_case(rng, 2, 3, 4, "closed")
+    params, _, targets = population_case(rng, 2, 3, 4, "closed")
+    scenario = ConvergenceScenario(
+        params=params, targets=targets, latent_mean=np.full((4, 2, 3), 0.8), paths=2
+    )
     with pytest.raises(ValueError, match="N >= 2"):
-        reduced_backward_pass(params, moments, targets, n_grid=grid)
+        limit_gap_diagnostic(grid, 0, scenario)
 
 
 def test_population_stack_rejects_round_stack():
@@ -623,13 +686,13 @@ def test_population_stack_rejects_round_stack():
     params = round_params(rng, 4, 2, 3, 4)
     (moments, targets), _ = round_stack(rng, params, 3)
     with pytest.raises(ValueError, match="without a round axis"):
-        reduced_backward_pass(params, moments, targets, n_grid=(4, 16, 64))
+        population_pass(params, moments, targets, (4, 16, 64, math.inf))
 
 
 def test_overflowing_population_stack_names_n():
     # theta 1e12 (d_y 2, d_z 6, T 32) overflows every entry of a (4, 16)
-    # stack; the error names the first N in grid order among those
-    # non-finite at the first bad t in backward order
+    # stack and its limit; the error names the first N in grid order among
+    # those non-finite at the first bad t in backward order
     rng = np.random.default_rng(80)
     params = replace(round_params(rng, 4, 2, 6, 32), theta=1e12)
     _, [(moments, targets)] = round_stack(rng, params, 1)
@@ -641,7 +704,7 @@ def test_overflowing_population_stack_names_n():
                 reduced_backward_pass(replace(params, population_N=n), moments, targets)
             bad_t[n] = int(re.search(r"at t=(\d+)$", str(alone.value))[1])
         with pytest.raises(SolveError) as stacked:
-            reduced_backward_pass(params, moments, targets, n_grid=grid)
+            coefficient_gaps(params, moments, targets, grid)
     t = max(bad_t.values())
     named = next(n for n in grid if bad_t[n] == t)
     assert named == 4
@@ -664,7 +727,7 @@ def test_singular_population_entry_names_n():
     )
     targets = TargetSeries(values=np.zeros((T + 1, 1)))
     with pytest.raises(SolveError, match="^reduced pass failed at N=2, t=2: "):
-        reduced_backward_pass(params, moments, targets, n_grid=(3, 2, 5))
+        coefficient_gaps(params, moments, targets, (3, 2, 5))
 
 
 @st.composite
@@ -710,42 +773,35 @@ def harsh_population_case(draw):
 @settings(max_examples=60, deadline=None)
 @given(harsh_population_case())
 def test_property_harsh_population_stack(case):
-    # every entry is finite or raises SolveError, never NaN; the stack
-    # equals the per-N passes bit for bit, and fails exactly when one of
-    # them does, with that N's own error. The limit (the decentralized
-    # pass) is finite or raises SolveError too
+    # every entry is finite or raises SolveError, never NaN; the stack of
+    # the grid and the limit equals the per-N passes (the limit's: the
+    # decentralized pass) bit for bit, and fails exactly when one of them
+    # does, with that N's own error
     params, moments, targets, grid = case
+    ns = (*grid, math.inf)
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-        try:
-            limit = decentralized_backward_pass(params, moments, targets)
-        except SolveError:
-            pass
-        else:
-            for f in fields(limit):
-                value = getattr(limit, f.name)
-                if isinstance(value, np.ndarray):
-                    assert np.all(np.isfinite(value)), ("limit", f.name)
         singles = {}
-        for n in grid:
+        for n in ns:
             try:
-                singles[n] = reduced_backward_pass(replace(params, population_N=n), moments, targets)
+                singles[n] = structured_pass(params, moments, targets, 1 / n, "reduced")
             except SolveError as exc:
                 singles[n] = exc
+                continue
+            for name, value in zip(LimitScaledPass._fields[:-1], singles[n]):
+                assert np.all(np.isfinite(value)), (n, name)
         try:
-            stack = reduced_backward_pass(params, moments, targets, n_grid=grid)
+            stack = population_pass(params, moments, targets, ns)
         except SolveError as exc:
-            named = int(re.search(r" at N=(\d+), ", str(exc))[1])
+            named = re.search(r" at N=(\d+|inf), ", str(exc))[1]
+            named = math.inf if named == "inf" else int(named)
             assert isinstance(singles[named], SolveError)
             assert str(exc).replace(f"N={named}, ", "", 1) == str(singles[named])
             return
-    for p, n in enumerate(grid):
+    for p, n in enumerate(ns):
         single = singles[n]
         assert not isinstance(single, SolveError), n
-        for f in fields(single):
-            value = getattr(single, f.name)
-            if isinstance(value, np.ndarray):
-                assert np.all(np.isfinite(value)), (n, f.name)
-        assert_round_equal(stack, p, single)
+        for name, have, want in zip(LimitScaledPass._fields, stack.entry(p), single):
+            np.testing.assert_array_equal(have, want, err_msg=f"{name} at N={n}")
 
 
 @settings(
@@ -755,18 +811,53 @@ def test_property_harsh_population_stack(case):
 def test_property_harsh_rounding_logs_nothing(caplog, case):
     # Pi entries far above 1 carry rounding far above the old absolute
     # bound 1e-9; a finite stack whose every entry's asymmetry is below
-    # 1e-12 of that entry's largest |Pi| logs no asymmetry warning
+    # 1e-12 of that entry's largest |Pi| (the limit: |Lambda|) logs no
+    # asymmetry warning
     params, moments, targets, grid = case
+    ns = (*grid, math.inf)
     caplog.clear()
     with (
         caplog.at_level(logging.WARNING, logger="fedgames.nash_reduced"),
         np.errstate(over="ignore", invalid="ignore", divide="ignore"),
     ):
         try:
-            stack = reduced_backward_pass(params, moments, targets, n_grid=grid)
+            stack = population_pass(params, moments, targets, ns)
         except SolveError:
             return
-        pis = np.stack([stack.Pi1, stack.Pi2, stack.Pi3, stack.Pi4])
-        relative = stack.max_asymmetry / np.abs(pis).max(axis=(0, 1, 3, 4))
+        pis, max_asymmetry = game_units(stack, np.array(ns))
+        relative = max_asymmetry / np.abs(pis).max(axis=(0, 1, 3, 4))
     if np.all(relative < 1e-12):
         assert not caplog.records
+
+
+@pytest.mark.xfail(
+    reason="harsh draws break the contract: the full pass returns non-finite gains without "
+    "raising where the reduced pass raises SolveError, and finite gains of the two passes "
+    "can differ by up to ~1 of the largest |entry| (see CHANGES.md, FOUND)",
+    strict=False,
+)
+# no shrinking: a failing draw ends the test as its expected failure
+@settings(max_examples=60, deadline=None, phases=[Phase.explicit, Phase.reuse, Phase.generate])
+@given(harsh_population_case(), st.integers(min_value=2, max_value=8))
+def test_property_harsh_full_against_reduced(case, N):
+    # either both passes raise a typed error, or both give finite gains
+    # that agree within 1e-8 of their largest |entry|
+    params, moments, targets, _ = case
+    params = replace(params, population_N=N)
+    d_y, d_z = params.dim_y, params.dim_z
+    solved = []
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        for solve in (full_backward_pass, reduced_backward_pass):
+            try:
+                solved.append(solve(params, moments, targets))
+            except FedGamesError:
+                solved.append(None)
+    full, red = solved
+    assert (full is None) == (red is None), (full, red)
+    if full is None:
+        return
+    want = np.concatenate([full.G[:, :d_z, : 2 * d_y].ravel(), full.H[:, :d_z].ravel()])
+    have = np.concatenate([np.concatenate([red.G1N, red.G2N], axis=-1).ravel(), red.HN.ravel()])
+    assert np.all(np.isfinite(want)) and np.all(np.isfinite(have))
+    scale = max(np.abs(want).max(), np.abs(have).max())
+    np.testing.assert_allclose(have, want, rtol=0, atol=1e-8 * scale)
