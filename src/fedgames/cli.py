@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import json
 import logging
 import sys
@@ -46,46 +47,124 @@ logger = logging.getLogger(__name__)
 
 RESULTS_HEADER = ["policy", "N", "seed", "rmse_agg", "rmse_worst", "regret", "runtime_ms"]
 
-_PARAM_KEYS = {
-    "theta",
-    "theta_bar",
-    "kappa",
-    "kappa_bar",
-    "gamma",
-    "alpha",
-    "horizon_T",
-    "population_N",
-    "dim_y",
-    "dim_z",
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _ints(low: int):
+    return f"a non-empty list of integers >= {low}", lambda v: (
+        isinstance(v, list) and bool(v) and all(_is_int(n) and n >= low for n in v)
+    )
+
+
+# JSON types, as (what a value must be, its check)
+INT = "an integer", _is_int
+NUMBER = "a number", _is_number
+BOOL = "true or false", lambda v: isinstance(v, bool)
+STR = "a string", lambda v: isinstance(v, str)
+OBJECT = "an object", lambda v: isinstance(v, dict)
+MATRIX = "a number or a list of equal-length rows of numbers", lambda v: _is_number(v) or (
+    isinstance(v, list)
+    and all(isinstance(row, list) and all(map(_is_number, row)) for row in v)
+    and len({len(row) for row in v}) <= 1
+)
+
+# The config schema: each section's keys (the top level is "") and their
+# JSON types, checked when the config is loaded. A section builds the
+# dataclass that _BUILDS names: a key sets the field of its name, or of
+# the name in _FIELDS, and an omitted key takes the field's default; a
+# field without one makes its key required, as are the policies. The keys
+# that the commands read themselves take their defaults from _DEFAULTS.
+# The values' ranges are the dataclasses' rules (errors.check_fields),
+# checked as each is built, and cell_grid's for the whole grid.
+_SCHEMA = {
+    "": {
+        "schema_version": STR,
+        "params": OBJECT,
+        "mc_samples": INT,
+        "seed": ("an integer >= 0", lambda v: _is_int(v) and v >= 0),
+        "dataset": OBJECT,
+        "encoder": OBJECT,
+        "policies": (
+            f"a non-empty list of policy names from {list(POLICIES)}",
+            lambda v: isinstance(v, list) and bool(v) and all(p in POLICIES for p in v),
+        ),
+        "n_grid": _ints(1),
+        "seeds": _ints(0),
+        "ridge": OBJECT,
+        "aggregation": OBJECT,
+        "spawner": OBJECT,
+        "convergence": OBJECT,
+        "output_dir": STR,
+    },
+    "params": dict(
+        theta=MATRIX, theta_bar=MATRIX, kappa=NUMBER, kappa_bar=NUMBER, gamma=NUMBER, alpha=NUMBER,
+        horizon_T=INT, population_N=INT, dim_y=INT, dim_z=INT,
+    ),
+    "dataset": {"kind": STR, "length": INT, "parameters": OBJECT, "seed": INT},
+    "encoder": {"kind": STR, "sigma": NUMBER, "activation": STR},
+    "ridge": {"window_T": INT, "alpha": NUMBER, "gamma": NUMBER},
+    "aggregation": {"alpha_a": NUMBER, "window_Ta": INT},
+    "spawner": dict(retire_k=INT, lam=NUMBER, sigma_t=NUMBER, zeta1=NUMBER, zeta2=NUMBER, orthogonalize=BOOL),
+    "convergence": {"n_grid": _ints(2), "paths": INT, "latent_mean": NUMBER, "latent_half_width": NUMBER},
 }
-_TOP_KEYS = {
-    "schema_version",
-    "params",
-    "mc_samples",
-    "seed",
-    "dataset",
-    "encoder",
-    "policies",
-    "n_grid",
-    "seeds",
-    "ridge",
-    "aggregation",
-    "spawner",
-    "convergence",
-    "output_dir",
+_BUILDS = {
+    "": Scenario,
+    "params": GameParams,
+    "dataset": DatasetSpec,
+    "encoder": EncoderConfig,
+    "ridge": RidgeConfig,
+    "aggregation": Scenario,
+    "spawner": SpawnerConfig,
+    "convergence": ConvergenceScenario,
+}
+_FIELDS = {"aggregation.alpha_a": "aggregation_alpha", "aggregation.window_Ta": "aggregation_window"}
+# n_grid defaults to [params.population_N], and seeds to [seed]
+_DEFAULTS = {
+    "seed": 0,
+    "output_dir": "out",
+    "params.population_N": 2,
+    "convergence.n_grid": [4, 16, 64],
+    "convergence.latent_mean": 0.8,
 }
 
 
-def _require_keys(section: dict, allowed: set, where: str, required: set = frozenset()):
-    unknown = set(section) - allowed
-    if unknown:
-        raise ConfigError(f"unknown keys in {where}: {sorted(unknown)}")
-    missing = required - set(section)
-    if missing:
-        raise ConfigError(f"missing keys in {where}: {sorted(missing)}")
+def _key(section: str, key: str) -> str:
+    return f"{section}.{key}" if section else key
+
+
+def _field(section: str, key: str):
+    """The dataclass field that ``key`` of ``section`` sets, or None for a
+    section or a key that the commands read themselves."""
+    dotted = _key(section, key)
+    if dotted in _DEFAULTS or not section and key in _SCHEMA:
+        return None
+    name = _FIELDS.get(dotted, key)
+    return next((f for f in dataclasses.fields(_BUILDS[section]) if f.name == name), None)
+
+
+def _required(section: str, key: str) -> bool:
+    f = _field(section, key)
+    if f is None:
+        return not section and key in ("params", "dataset", "policies")
+    return f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING
+
+
+def _check_type(key: str, kind, value) -> None:
+    what, ok = kind
+    if not ok(value):
+        raise ConfigError(f"{key} must be {what}, got {value!r}")
 
 
 def load_config(path) -> dict:
+    """The config at ``path``, its keys and their types checked against
+    the schema in one pass: unknown keys, missing required ones and a value
+    of the wrong JSON type are each a ConfigError naming the key."""
     try:
         raw = json.loads(Path(path).read_text(encoding="utf-8"))
     except FileNotFoundError as exc:
@@ -94,127 +173,87 @@ def load_config(path) -> dict:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
     if not isinstance(raw, dict):
         raise ConfigError("config must be a JSON object")
-    _require_keys(raw, _TOP_KEYS, "config", {"params", "dataset", "policies"})
-    _require_keys(
-        raw["params"],
-        _PARAM_KEYS,
-        "config.params",
-        _PARAM_KEYS - {"population_N"},
-    )
-    _require_keys(
-        raw["dataset"], {"kind", "length", "parameters", "seed"}, "config.dataset", {"kind", "length"}
-    )
-    if "encoder" in raw:
-        _require_keys(raw["encoder"], {"kind", "sigma", "activation"}, "config.encoder")
-    if "ridge" in raw:
-        _require_keys(raw["ridge"], {"window_T", "alpha", "gamma"}, "config.ridge", {"window_T", "alpha", "gamma"})
-    if "aggregation" in raw:
-        _require_keys(raw["aggregation"], {"alpha_a", "window_Ta"}, "config.aggregation")
-    if "spawner" in raw:
-        _require_keys(
-            raw["spawner"],
-            {"retire_k", "lam", "sigma_t", "zeta1", "zeta2", "orthogonalize"},
-            "config.spawner",
-            {"retire_k"},
-        )
-    if "convergence" in raw:
-        _require_keys(
-            raw["convergence"],
-            {"n_grid", "paths", "latent_mean", "latent_half_width"},
-            "config.convergence",
-        )
-    policies = raw["policies"]
-    if not (isinstance(policies, list) and policies):
-        raise ConfigError(f"policies must be a non-empty list of policy names, got {policies!r}")
-    for policy in policies:
-        if policy not in POLICIES:
-            raise ConfigError(f"unknown policy {policy!r}")
+    for section, schema in _SCHEMA.items():
+        if section and section not in raw:
+            continue
+        values = _section(raw, section)
+        where = _key("config", section)
+        unknown = set(values) - set(schema)
+        if unknown:
+            raise ConfigError(f"unknown keys in {where}: {sorted(unknown)}")
+        missing = {key for key in schema if key not in values and _required(section, key)}
+        if missing:
+            raise ConfigError(f"missing keys in {where}: {sorted(missing)}")
+        for key, value in values.items():
+            _check_type(_key(section, key), schema[key], value)
     return raw
 
 
-def build_params(cfg: dict, n: int) -> GameParams:
-    fields = dict(cfg["params"])
-    fields["population_N"] = int(n)
+def _section(cfg: dict, section: str) -> dict:
+    if not section:
+        return cfg
+    return cfg[section] if section in cfg else {}
+
+
+def _get(cfg: dict, dotted: str):
+    """The value of a key that the commands read themselves, or its default."""
+    section, _, key = dotted.rpartition(".")
+    values = _section(cfg, section)
+    return values[key] if key in values else _DEFAULTS[dotted]
+
+
+def _given(cfg: dict, section: str) -> dict:
+    """{field: (key, value)} of the keys of ``section`` in ``cfg`` that set
+    a field of its dataclass."""
+    return {
+        f.name: (_key(section, key), value)
+        for key, value in _section(cfg, section).items()
+        if (f := _field(section, key)) is not None
+    }
+
+
+def _build(cls, given: dict, **built):
+    """``cls`` from the fields ``given`` (as ``_given`` returns them) and
+    ``built``. An error of its rules, which begins with the field's name,
+    becomes a ConfigError that begins with the key's."""
     try:
-        return GameParams(**fields)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad params: {exc}") from exc
+        return cls(**built, **{name: value for name, (_, value) in given.items()})
+    except (ValueError, FedGamesError) as exc:
+        name, _, rest = str(exc).partition(" ")
+        raise ConfigError(f"{given[name][0] if name in given else name} {rest}") from exc
+
+
+def build_params(cfg: dict, n: int) -> GameParams:
+    return _build(GameParams, _given(cfg, "params"), population_N=n)
 
 
 def build_scenario(cfg: dict, n: int) -> Scenario:
-    params = build_params(cfg, n)
-    ds = cfg["dataset"]
-    dataset = DatasetSpec(
-        kind=ds["kind"],
-        length=int(ds["length"]),
-        parameters=ds.get("parameters", {}),
-        seed=int(ds.get("seed", 0)),
-    )
-    enc = cfg.get("encoder", {})
-    encoder = EncoderConfig(
-        kind=enc.get("kind", "rfn"),
-        sigma=float(enc.get("sigma", 0.1)),
-        activation=enc.get("activation", "hard_sigmoid"),
-    )
-    ridge = None
-    if "ridge" in cfg:
-        r = cfg["ridge"]
-        ridge = RidgeConfig(
-            window_T=int(r["window_T"]), alpha=float(r["alpha"]), gamma=float(r["gamma"])
-        )
-    agg = cfg.get("aggregation", {})
-    spawner = None
-    if "spawner" in cfg:
-        s = cfg["spawner"]
-        spawner = SpawnerConfig(
-            retire_k=int(s["retire_k"]),
-            lam=float(s.get("lam", 1.0)),
-            sigma_t=float(s.get("sigma_t", 0.1)),
-            zeta1=float(s.get("zeta1", 0.0)),
-            zeta2=float(s.get("zeta2", 0.0)),
-            orthogonalize=bool(s.get("orthogonalize", False)),
-        )
-    return Scenario(
-        params=params,
-        dataset=dataset,
-        encoder=encoder,
-        mc_samples=int(cfg.get("mc_samples", 100)),
-        ridge=ridge,
-        aggregation_alpha=float(agg.get("alpha_a", 0.2)),
-        aggregation_window=int(agg.get("window_Ta", 1)),
-        spawner=spawner,
-    )
+    sections = {
+        section: _build(_BUILDS[section], _given(cfg, section))
+        for section in ("dataset", "encoder", "ridge", "spawner")
+        if section in cfg
+    }
+    given = _given(cfg, "") | _given(cfg, "aggregation")
+    return _build(Scenario, given, params=build_params(cfg, n), **sections)
 
 
 def cell_grid(cfg: dict, seed_override=None):
-    """The (policy, N, seed) cells of a `run` config. A grid that some
-    cell could not run is a ConfigError, raised before any cell runs;
-    only the full solver's N ceiling is left to its cells."""
-    ns = cfg["n_grid"] if "n_grid" in cfg else [cfg["params"].get("population_N", 2)]
-    if not _is_int_list(ns, 1):
-        raise ConfigError(
-            f"n_grid (default [params.population_N]) must be a non-empty list of integers >= 1, got {ns!r}"
-        )
-    seeds = [seed_override] if seed_override is not None else cfg.get("seeds", [cfg.get("seed", 0)])
-    # the random streams are keyed by the seed, and numpy takes no negative key
-    if not _is_int_list(seeds, 0):
-        raise ConfigError(f"seeds (default [seed]) must be a non-empty list of integers >= 0, got {seeds!r}")
+    """The (policy, N, seed) cells of a loaded `run` config. The rules that
+    need the whole grid are checked here, before any cell runs; only the
+    full solver's N ceiling is left to its cells."""
+    ns = cfg["n_grid"] if "n_grid" in cfg else [_get(cfg, "params.population_N")]
+    if seed_override is None:
+        seeds = cfg["seeds"] if "seeds" in cfg else [_get(cfg, "seed")]
+    else:
+        _check_type("--seed-override", _SCHEMA[""]["seed"], seed_override)
+        seeds = [seed_override]
     if "greedy" in cfg["policies"] and "ridge" not in cfg:
         raise ConfigError("policy 'greedy' needs a ridge section")
-    for name, value in (
-        ("mc_samples", cfg.get("mc_samples", 100)),
-        ("ridge.window_T", cfg.get("ridge", {}).get("window_T", 1)),
-        ("aggregation.window_Ta", cfg.get("aggregation", {}).get("window_Ta", 1)),
-    ):
-        if not _is_int_at_least(value, 1):
-            raise ConfigError(f"{name} must be an integer >= 1, got {value!r}")
-    if "spawner" in cfg:
-        retire_k = cfg["spawner"]["retire_k"]
-        if not (_is_int_at_least(retire_k, 1) and retire_k < min(ns)):
-            raise ConfigError(
-                f"spawner.retire_k must be an integer in [1, N) for every N in the grid, "
-                f"got {retire_k!r} with N = {min(ns)}"
-            )
+    if "spawner" in cfg and not cfg["spawner"]["retire_k"] < min(ns):
+        raise ConfigError(
+            f"spawner.retire_k must be below every N in the grid, got {cfg['spawner']['retire_k']!r} "
+            f"with N = {min(ns)}"
+        )
     return [(policy, n, seed) for policy in cfg["policies"] for n in ns for seed in seeds]
 
 
@@ -273,7 +312,7 @@ def cmd_run(args) -> int:
             print(f"  policy={policy} N={n} seed={seed}")
         return 0
 
-    out_dir = Path(args.out or cfg.get("output_dir", "out"))
+    out_dir = Path(args.out or _get(cfg, "output_dir"))
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "coeffs").mkdir(exist_ok=True)
 
@@ -377,49 +416,18 @@ def cmd_run(args) -> int:
     return 3 if failures else 0
 
 
-def _is_int_at_least(value, low: int) -> bool:
-    return isinstance(value, int) and not isinstance(value, bool) and value >= low
-
-
-def _is_int_list(values, low: int) -> bool:
-    return isinstance(values, list) and bool(values) and all(_is_int_at_least(v, low) for v in values)
-
-
-def _convergence_number(conv: dict, key: str, default: float) -> float:
-    value = conv.get(key, default)
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"convergence.{key} must be a number, got {value!r}")
-    return float(value)
-
-
 def _convergence_scenario(cfg: dict) -> tuple[ConvergenceScenario, list[int], int]:
-    conv = cfg.get("convergence", {})
-    n_grid = conv.get("n_grid", [4, 16, 64])
-    paths = conv.get("paths", 100)
-    seed = cfg.get("seed", 0)
-    # the targets' and the paths' streams are keyed by the seed, as in `run`
-    if not _is_int_at_least(seed, 0):
-        raise ConfigError(f"seed must be an integer >= 0, got {seed!r}")
-    # the finite-N games need two agents, and the gap's standard error two paths
-    if not _is_int_list(n_grid, 2):
-        raise ConfigError(
-            f"convergence.n_grid must be a non-empty list of integers >= 2, got {n_grid!r}"
-        )
-    if not _is_int_at_least(paths, 2):
-        raise ConfigError(f"convergence.paths must be an integer >= 2, got {paths!r}")
+    n_grid, seed = _get(cfg, "convergence.n_grid"), _get(cfg, "seed")
     params = build_params(cfg, max(n_grid))
     T, d_y, d_z = params.horizon_T, params.dim_y, params.dim_z
-    # ConvergenceScenario's ValueError, a config error here, rejects a
-    # non-finite mean and a non-finite or negative half width
-    mean_val = _convergence_number(conv, "latent_mean", 0.8)
     rng = np.random.default_rng(seed)
     targets = TargetSeries(values=rng.standard_normal((T + 1, d_y)))
+    # its rules name the convergence keys as they are, without the section
     scenario = ConvergenceScenario(
         params=params,
         targets=targets,
-        latent_mean=np.full((T, d_y, d_z), mean_val),
-        latent_half_width=_convergence_number(conv, "latent_half_width", 0.5),
-        paths=paths,
+        latent_mean=np.full((T, d_y, d_z), float(_get(cfg, "convergence.latent_mean"))),
+        **{name: value for name, (_, value) in _given(cfg, "convergence").items()},
     )
     return scenario, n_grid, seed
 
@@ -431,7 +439,7 @@ def cmd_convergence(args) -> int:
     except (ConfigError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    out_dir = Path(args.out or cfg.get("output_dir", "out"))
+    out_dir = Path(args.out or _get(cfg, "output_dir"))
     out_dir.mkdir(parents=True, exist_ok=True)
     try:
         report = limit_gap_diagnostic(n_grid, seed, scenario)

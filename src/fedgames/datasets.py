@@ -29,7 +29,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import SpecError
+from .errors import SpecError, check_fields
 from .model import TargetSeries
 
 KINDS = ("periodic", "logistic_map", "concept_drift", "csv")
@@ -43,10 +43,11 @@ class DatasetSpec:
     seed: int = 0
 
     def __post_init__(self):
-        if self.kind not in KINDS:
-            raise SpecError(f"unknown dataset kind {self.kind!r}")
-        if self.length < 2:
-            raise SpecError("dataset length must be >= 2")
+        check_fields(self, (f"one of {KINDS}", KINDS.__contains__), "kind", error=SpecError)
+        check_fields(self, (">= 2", lambda n: n >= 2), "length", error=SpecError)
+        # the series' random stream is keyed by the seed, and numpy takes no negative key
+        seed_rule = "an integer >= 0", lambda s: isinstance(s, numbers.Integral) and s >= 0
+        check_fields(self, seed_rule, "seed", error=SpecError)
         if self.kind == "csv":
             missing = {"path", "target_columns", "lag_spec"} - set(self.parameters)
             if missing:

@@ -25,7 +25,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import DynamicsError
+from .errors import NONNEGATIVE, DynamicsError, check_fields
 from .harness import check_finite
 from .model import GameParams, IidEntryLatents, TargetSeries
 from .nash_meanfield import DecentralizedCoeffs, limit_coeffs, meanfield_forward
@@ -61,8 +61,7 @@ class ConvergenceScenario:
         # one path gives no standard error, and none no mean
         if self.paths < 2:
             raise ValueError(f"paths must be at least 2, got {self.paths!r}")
-        if not (math.isfinite(self.latent_half_width) and self.latent_half_width >= 0.0):
-            raise ValueError(f"latent_half_width must be finite and >= 0, got {self.latent_half_width!r}")
+        check_fields(self, NONNEGATIVE, "latent_half_width")
         if not np.isfinite(self.latent_mean).all():
             raise ValueError("latent_mean must be finite")
 

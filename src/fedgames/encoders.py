@@ -28,6 +28,7 @@ from .errors import EncodeError
 
 HARD_SIGMOID = "hard_sigmoid"
 TANH = "tanh"
+ACTIVATIONS = (HARD_SIGMOID, TANH)
 
 
 @dataclass(frozen=True)
@@ -62,7 +63,7 @@ class EsnParams:
                 raise EncodeError(f"{name} contains non-finite entries")
             a.setflags(write=False)
             object.__setattr__(self, name, a)
-        if self.activation not in (HARD_SIGMOID, TANH):
+        if self.activation not in ACTIVATIONS:
             raise EncodeError(f"unknown activation {self.activation!r}")
 
 

@@ -1,4 +1,7 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the check of the
+dataclasses' field rules."""
+
+import math
 
 
 class FedGamesError(Exception):
@@ -32,3 +35,22 @@ class DynamicsError(FedGamesError):
 
 class ConfigError(FedGamesError):
     """Raised for malformed experiment configurations."""
+
+
+# field rules, as (what a value must be, its check)
+NONNEGATIVE = "finite and >= 0", lambda v: math.isfinite(v) and v >= 0
+POSITIVE = "finite and > 0", lambda v: math.isfinite(v) and v > 0
+FINITE = "finite", math.isfinite
+AT_LEAST_ONE = ">= 1", lambda v: v >= 1
+
+
+def check_fields(obj, rule, *names, error=ValueError) -> None:
+    """Raise ``error`` for the first field of ``obj`` among ``names`` that
+    breaks ``rule``, as "<field> must be <what>, got <value>". Every field
+    rule of the package's dataclasses begins with the field's name, so a
+    config reader can name the key that set it instead."""
+    what, ok = rule
+    for name in names:
+        value = getattr(obj, name)
+        if not ok(value):
+            raise error(f"{name} must be {what}, got {value!r}")

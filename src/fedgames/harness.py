@@ -72,6 +72,7 @@ import numpy as np
 
 from .datasets import DatasetSpec, build_dataset
 from .encoders import (
+    ACTIVATIONS,
     HARD_SIGMOID,
     check_carry,
     check_step,
@@ -81,7 +82,7 @@ from .encoders import (
     sample_esn_params,
     sample_rfn_params,
 )
-from .errors import DynamicsError
+from .errors import AT_LEAST_ONE, FINITE, NONNEGATIVE, DynamicsError, check_fields
 from .model import GameParams, MomentSet, TargetSeries, estimate_moments
 from .nash_full import full_action, full_backward_pass, rounds_per_pass
 from .nash_meanfield import decentralized_action  # noqa: F401  (perfbench's tracer names it; the step does not call it)
@@ -121,8 +122,9 @@ class EncoderConfig:
     activation: str = HARD_SIGMOID
 
     def __post_init__(self):
-        if self.kind not in ("rfn", "esn"):
-            raise ValueError(f"unknown encoder kind {self.kind!r}")
+        check_fields(self, ("'rfn' or 'esn'", ("rfn", "esn").__contains__), "kind")
+        check_fields(self, NONNEGATIVE, "sigma")
+        check_fields(self, (f"one of {ACTIVATIONS}", ACTIVATIONS.__contains__), "activation")
 
 
 @dataclass(frozen=True)
@@ -133,6 +135,10 @@ class SpawnerConfig:
     zeta1: float = 0.0
     zeta2: float = 0.0
     orthogonalize: bool = False
+
+    def __post_init__(self):
+        check_fields(self, AT_LEAST_ONE, "retire_k")
+        check_fields(self, NONNEGATIVE, "lam", "sigma_t", "zeta1", "zeta2")
 
 
 @dataclass(frozen=True)
@@ -147,8 +153,8 @@ class Scenario:
     spawner: SpawnerConfig | None = None
 
     def __post_init__(self):
-        if self.aggregation_window < 1:
-            raise ValueError("aggregation_window must be >= 1")
+        check_fields(self, AT_LEAST_ONE, "mc_samples", "aggregation_window")
+        check_fields(self, FINITE, "aggregation_alpha")
 
 
 # levels of the per-round cost quantiles, over the agents
@@ -314,16 +320,17 @@ class _RunningMetrics:
         preds = predictions[1:]  # (T, N, d_y)
         err = y_round[1:, None] - preds
         dev = preds - preds.mean(axis=1, keepdims=True)
+        sq = np.einsum("tnd,tnd->tn", err, err)  # (y - Y)^2, per step and agent
         stage = (
-            p.kappa * np.einsum("tnd,tnd->tn", err, err)
+            p.kappa * sq
             + p.kappa_bar * np.einsum("tnd,tnd->tn", dev, dev)
             + p.gamma * np.einsum("tnk,tnk->tn", actions, actions)
         )
         costs = np.einsum("t,tn->n", self.discounts, stage)
         self.costs += costs
         self.quantiles[r] = _quantiles(costs, self.quantile_plan)
-        for sq in np.sum(err**2, axis=-1):  # (Y - y)^2 = (y - Y)^2, bit for bit
-            self.sq_err += sq
+        for step in sq:
+            self.sq_err += step
         self.max_abs_prediction = max(self.max_abs_prediction, float(np.max(np.abs(predictions))))
 
 
@@ -645,7 +652,7 @@ def run_episode(policy: str, scenario: Scenario, seed: int, trace: EpisodeTrace 
             scored = min(scored + 1, window_Ta)
             z_prev = z
 
-        pool.esn_state, pool.latents, pool.predictions = z_prev, latents, preds_hist[T]
+        pool.esn_state, pool.latents = z_prev, latents
         metrics.add_round(r, preds_hist, acts_hist, values[base : base + T + 1])
         if trace is not None:
             trace.rounds.append((preds_hist.copy(), acts_hist.copy()))

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import MomentError
+from .errors import AT_LEAST_ONE, NONNEGATIVE, POSITIVE, MomentError, check_fields
 
 
 def _as_matrix(x, d: int, name: str) -> np.ndarray:
@@ -53,18 +53,14 @@ class GameParams:
     dim_z: int
 
     def __post_init__(self):
+        check_fields(self, ("finite", lambda a: np.isfinite(a).all()), "theta", "theta_bar")
         object.__setattr__(self, "theta", _as_matrix(self.theta, self.dim_y, "theta"))
         object.__setattr__(
             self, "theta_bar", _as_matrix(self.theta_bar, self.dim_y, "theta_bar")
         )
-        if self.gamma <= 0:
-            raise ValueError("gamma must be positive")
-        if self.kappa < 0 or self.kappa_bar < 0 or self.alpha < 0:
-            raise ValueError("kappa, kappa_bar and alpha must be nonnegative")
-        if self.horizon_T < 1 or self.population_N < 1:
-            raise ValueError("horizon_T and population_N must be positive")
-        if self.dim_y < 1 or self.dim_z < 1:
-            raise ValueError("dim_y and dim_z must be positive")
+        check_fields(self, NONNEGATIVE, "kappa", "kappa_bar", "alpha")
+        check_fields(self, POSITIVE, "gamma")
+        check_fields(self, AT_LEAST_ONE, "horizon_T", "population_N", "dim_y", "dim_z")
         self.theta.setflags(write=False)
         self.theta_bar.setflags(write=False)
 

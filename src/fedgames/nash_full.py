@@ -51,7 +51,7 @@ import numpy as np
 from .config import SYMMETRY_RTOL, check_symmetry_scale
 from .errors import SolveError
 from .model import GameParams, TargetSeries
-from .nash_reduced import failing_round
+from .nash_reduced import check_pass_finite, failing_round
 
 logger = logging.getLogger(__name__)
 
@@ -135,7 +135,9 @@ def full_backward_pass(params: GameParams, moments, targets: TargetSeries) -> Fu
 
     Raises SolveError if the regularized system matrix is singular at any
     step, naming the first singular round of a stack (cannot happen for
-    gamma > 0 with finite moments, but surfaced rather than swallowed).
+    gamma > 0 with finite moments, but surfaced rather than swallowed),
+    and, as the other passes do, if its outputs are not finite, naming the
+    first such step in backward order (``check_pass_finite``).
     """
     N, d_y, d_z = params.population_N, params.dim_y, params.dim_z
     T = params.horizon_T
@@ -288,6 +290,7 @@ def full_backward_pass(params: GameParams, moments, targets: TargetSeries) -> Fu
         s_new -= disc * kap * ((x_blk[..., :-1] + row_k).mT @ y[t + 1, :, None, :, None])[..., 0]
         S[t] = s_new
 
+    check_pass_finite("full", rounds, T, P, S, G, H)
     check_symmetry_scale(logger, "P_n", max_asym, scale)
     # round axis second: after agents on P and S, after time elsewhere
     k = len(rounds)

@@ -43,10 +43,9 @@ class AgentPool:
 
     encoder: RfnParams | EsnParams  # stacked: leading agent axis, arrays are views into ``rows``
     rows: np.ndarray  # (N, dim) flat encoder parameters, one row per agent
-    # latents, predictions and esn_state are those of the last step played;
-    # an episode sets them once per round, before the spawner reads them
+    # latents and esn_state are those of the last step played; an episode
+    # sets them once per round, before the spawner reads them
     latents: np.ndarray  # (N, d_y, d_z) Z
-    predictions: np.ndarray  # (N, d_y)
     latent_transforms: np.ndarray | None  # (N, d_z, d_z) post-composition maps; None: all identity
     esn_state: np.ndarray  # (N, d_y, d_z) last encoder output: the recurrent carry
 
@@ -62,7 +61,6 @@ class AgentPool:
             encoder=_on_rows(encoder, rows),
             rows=rows,
             latents=np.zeros((n, d_y, d_z)),
-            predictions=np.zeros((n, d_y)),
             latent_transforms=None,
             esn_state=np.zeros((n, d_y, d_z)),
         )

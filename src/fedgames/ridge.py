@@ -18,6 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import AT_LEAST_ONE, NONNEGATIVE, POSITIVE, check_fields
+
 
 @dataclass(frozen=True)
 class RidgeConfig:
@@ -26,12 +28,9 @@ class RidgeConfig:
     gamma: float
 
     def __post_init__(self):
-        if self.window_T < 1:
-            raise ValueError("window_T must be >= 1")
-        if self.gamma <= 0:
-            raise ValueError("gamma must be positive")
-        if self.alpha < 0:
-            raise ValueError("alpha must be nonnegative")
+        check_fields(self, AT_LEAST_ONE, "window_T")
+        check_fields(self, NONNEGATIVE, "alpha")
+        check_fields(self, POSITIVE, "gamma")
 
 
 def ridge_weights(k: int, cfg: RidgeConfig) -> np.ndarray:

@@ -578,8 +578,9 @@ def episode_metrics(predictions, actions, aggregated, params, values):
     y = np.asarray(values, dtype=float)[1 : rounds * T + 1].reshape(rounds, T, 1, d_y)
     err = y - preds
     dev = preds - preds.mean(axis=2, keepdims=True)
+    sq = np.einsum("rtnd,rtnd->rtn", err, err)
     stage = (
-        params.kappa * np.einsum("rtnd,rtnd->rtn", err, err)
+        params.kappa * sq
         + params.kappa_bar * np.einsum("rtnd,rtnd->rtn", dev, dev)
         + params.gamma * np.einsum("rtnk,rtnk->rtn", actions, actions)
     )
@@ -588,8 +589,7 @@ def episode_metrics(predictions, actions, aggregated, params, values):
     costs = costs_per_round.sum(axis=0)
 
     agg_err = np.sum((aggregated - y[:, :, 0]) ** 2, axis=-1)
-    per_agent_err = np.sum((preds - y) ** 2, axis=-1)
-    per_agent_rmse = np.sqrt(per_agent_err.reshape(rounds * T, N).mean(axis=0))
+    per_agent_rmse = np.sqrt(sq.reshape(rounds * T, N).mean(axis=0))
     k = max(1, int(np.ceil(0.2 * N)))
     return {
         "costs_per_round": costs_per_round,

@@ -1,4 +1,5 @@
 import csv
+import importlib.util
 import json
 import os
 import re
@@ -12,6 +13,7 @@ import pytest
 import fedgames
 from fedgames.cli import RESULTS_HEADER, main, results_fingerprint
 from fedgames.diagnostics import monotone_flags
+from fedgames.harness import Scenario
 
 
 @pytest.fixture
@@ -524,3 +526,103 @@ def test_run_rejects_bad_grid(config, tmp_path, capsys, edit, message):
     err = capsys.readouterr().err
     assert "config error:" in err and message in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "section,key,value",
+    [
+        ("spawner", "orthogonalize", "false"),  # ran with steering on
+        ("params", "horizon_T", 4.5),  # a TypeError traceback, exit 1
+        ("params", "dim_z", 2.0),  # a TypeError traceback, exit 1
+        ("dataset", "seed", -1),  # every cell failed, exit 3
+        ("encoder", "sigma", -0.1),  # every cell failed, exit 3
+        ("spawner", "sigma_t", float("nan")),  # every cell failed, exit 3
+        ("params", "theta", float("nan")),  # every cell failed, exit 3
+        ("dataset", "length", 13.7),  # ran as 13
+        ("params", "kappa", True),  # ran as 1.0
+    ],
+)
+@pytest.mark.parametrize("dry_run", [False, True], ids=["run", "dry-run"])
+def test_run_rejects_bad_value_before_any_cell(config, tmp_path, capsys, section, key, value, dry_run):
+    _, cfg = config
+    cfg["spawner"] = {"retire_k": 1}
+    cfg[section][key] = value
+    path = tmp_path / "bad.json"
+    path.write_text(json.dumps(cfg), encoding="utf-8")
+    out = tmp_path / "o"
+    assert main(["run", "--config", str(path), "--out", str(out)] + ["--dry-run"] * dry_run) == 2
+    assert f"config error: {section}.{key} " in capsys.readouterr().err
+    assert not out.exists()
+
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+def _known_configs():
+    """(command, config) of every config the repo runs: the benchmark's
+    workloads, tiny and full, at seeds 1-10; the golden cases; and the
+    README's example, under both commands."""
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", ROOT / "perfbench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = workloads  # its dataclass looks its module up
+    spec.loader.exec_module(workloads)
+    configs = [
+        pytest.param(w.command, w.config(seed, tiny), id=f"{name}-{'tiny' if tiny else 'full'}-{seed}")
+        for name, w in workloads.WORKLOADS.items()
+        for tiny in (True, False)
+        for seed in range(1, 11)
+    ]
+    for path in sorted((ROOT / "tests" / "golden").glob("*/config.json")):
+        command = "convergence" if path.parent.name == "convergence" else "run"
+        cfg = json.loads(path.read_text(encoding="utf-8"))
+        configs.append(pytest.param(command, cfg, id=f"golden-{path.parent.name}"))
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    example = json.loads(readme.split("Example config:\n\n```json\n", 1)[1].split("```", 1)[0])
+    configs += [pytest.param(command, example, id=f"readme-{command}") for command in ("run", "convergence")]
+    return configs
+
+
+def _assert_built_as_given(built, given: dict, renames=None):
+    for key, value in given.items():
+        field = getattr(built, (renames or {}).get(key, key))
+        if key in ("theta", "theta_bar"):
+            value = np.asarray(value) * (1 if np.ndim(value) else np.eye(built.dim_y))
+            np.testing.assert_array_equal(field, value)
+        elif key != "population_N":
+            assert field == value and type(field) is type(value), key
+
+
+@pytest.mark.parametrize("command,cfg", _known_configs())
+def test_known_configs_load_and_build(tmp_path, command, cfg):
+    # a schema that rejected a benchmark config would otherwise show up only
+    # as a refused benchmark run
+    from fedgames.cli import _convergence_scenario, build_scenario, cell_grid, load_config
+
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(cfg), encoding="utf-8")
+    loaded = load_config(path)
+    assert loaded == cfg
+    if command == "convergence":
+        scenario, n_grid, seed = _convergence_scenario(loaded)
+        conv = cfg.get("convergence", {})
+        assert (n_grid, seed) == (conv.get("n_grid", [4, 16, 64]), cfg.get("seed", 0))
+        assert scenario.params.population_N == max(n_grid)
+        assert np.all(scenario.latent_mean == conv.get("latent_mean", 0.8))
+        _assert_built_as_given(scenario, {k: v for k, v in conv.items() if k in ("paths", "latent_half_width")})
+        _assert_built_as_given(scenario.params, cfg["params"])
+        return
+    cells = cell_grid(loaded)
+    assert cells == [(p, n, s) for p in cfg["policies"] for n in cfg["n_grid"] for s in cfg["seeds"]]
+    for n in cfg["n_grid"]:
+        scenario = build_scenario(loaded, n)
+        assert scenario.params.population_N == n
+        _assert_built_as_given(scenario.params, cfg["params"])
+        for section in ("dataset", "encoder", "ridge", "spawner"):
+            if section in cfg:
+                _assert_built_as_given(getattr(scenario, section), cfg[section])
+            else:
+                assert getattr(scenario, section) == Scenario.__dataclass_fields__[section].default
+        _assert_built_as_given(scenario, {k: v for k, v in cfg.items() if k == "mc_samples"})
+        _assert_built_as_given(
+            scenario, cfg.get("aggregation", {}), {"alpha_a": "aggregation_alpha", "window_Ta": "aggregation_window"}
+        )

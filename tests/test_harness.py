@@ -601,10 +601,35 @@ def test_streamed_metrics_match_trace(case):
         aggregation_window=2,
         spawner=PARITY_SPAWNERS[spawner or "off"],
     )
+    _assert_streamed_metrics_match_trace(policy, scenario, (11, 3, n, 2), (11, 2, n, 3))
+
+
+def test_streamed_metrics_match_trace_three_targets(tmp_path):
+    # three target coordinates: the squared error's sum over them has more
+    # than two terms, and the kappa term and the rmse share it
+    path = tmp_path / "three.csv"
+    rows = np.random.default_rng(5).uniform(-1.0, 1.0, size=(13, 3))
+    path.write_text("a,b,c\n" + "".join(",".join(map(repr, row)) + "\n" for row in rows.tolist()), encoding="utf-8")
+    scenario = small_scenario(
+        params=GameParams(
+            theta=0.7, theta_bar=0.3, kappa=1.0, kappa_bar=0.5, gamma=1.0, alpha=0.01,
+            horizon_T=3, population_N=4, dim_y=3, dim_z=2,
+        ),
+        dataset=DatasetSpec(
+            kind="csv",
+            length=13,
+            parameters={"path": str(path), "target_columns": ["a", "b", "c"], "lag_spec": {"a": [1], "c": [1, 2]}},
+        ),
+        aggregation_window=2,
+    )
+    _assert_streamed_metrics_match_trace("reduced", scenario, (3, 4, 4, 3), (3, 3, 4, 2))
+
+
+def _assert_streamed_metrics_match_trace(policy, scenario, predictions_shape, actions_shape):
     trace = EpisodeTrace()
     rec = run_episode(policy, scenario, seed=17, trace=trace)
-    assert trace.predictions.shape == (11, 3, n, 2)
-    assert trace.actions.shape == (11, 2, n, 3)
+    assert trace.predictions.shape == predictions_shape
+    assert trace.actions.shape == actions_shape
     want = episode_metrics(trace.predictions, trace.actions, rec.aggregated, scenario.params, rec.targets)
     np.testing.assert_array_equal(rec.costs, want["costs"])
     for name in ("regret", "rmse_aggregated", "rmse_worst", "rmse_bottom20"):

@@ -384,6 +384,23 @@ def test_singular_round_is_named():
         full_backward_pass(params, lone, TargetSeries(values=np.zeros((T + 1, 1))))
 
 
+
+def test_overflowing_pass_raises():
+    # theta 1e40 overflows the value iterates within a few steps; the pass
+    # returned NaN and inf in G, H, P and S without raising, where the
+    # reduced and decentralized passes raise
+    T, N = 20, 3
+    rng = np.random.default_rng(0)
+    params = GameParams(
+        theta=1e40, theta_bar=0.2, kappa=1.0, kappa_bar=0.5, gamma=1.0, alpha=0.0,
+        horizon_T=T, population_N=N, dim_y=1, dim_z=1,
+    )
+    moments = exact_moments_deterministic([rng.standard_normal((1, 1)) for _ in range(T)])
+    targets = TargetSeries(values=rng.standard_normal((T + 1, 1)))
+    with np.errstate(over="ignore", invalid="ignore"):
+        with pytest.raises(SolveError, match=r"^full pass produced non-finite coefficients at t=\d+$"):
+            full_backward_pass(params, moments, targets)
+
 def _peak_bytes(solve):
     solve()  # warm
     was_tracing = tracemalloc.is_tracing()
