@@ -28,7 +28,7 @@ import numpy as np
 
 from .datasets import DatasetSpec
 from .diagnostics import ConvergenceScenario, limit_gap_diagnostic
-from .errors import ConfigError, FedGamesError
+from .errors import SEED, ConfigError, FedGamesError
 from .harness import POLICIES, EncoderConfig, Scenario, SpawnerConfig, run_episode
 from .io import (
     SCHEMA_VERSION,
@@ -64,6 +64,7 @@ def _ints(low: int):
 
 # JSON types, as (what a value must be, its check)
 INT = "an integer", _is_int
+INTS = "a list of integers", lambda v: isinstance(v, list) and all(map(_is_int, v))
 NUMBER = "a number", _is_number
 BOOL = "true or false", lambda v: isinstance(v, bool)
 STR = "a string", lambda v: isinstance(v, str)
@@ -78,8 +79,9 @@ MATRIX = "a number or a list of equal-length rows of numbers", lambda v: _is_num
 # JSON types, checked when the config is loaded. A section builds the
 # dataclass that _BUILDS names: a key sets the field of its name, or of
 # the name in _FIELDS, and an omitted key takes the field's default; a
-# field without one makes its key required, as are the policies. The keys
-# that the commands read themselves take their defaults from _DEFAULTS.
+# field without one makes its key required, as is params; `run` requires
+# dataset and policies too (cell_grid). The keys that the commands read
+# themselves take their defaults from _DEFAULTS.
 # The values' ranges are the dataclasses' rules (errors.check_fields),
 # checked as each is built, and cell_grid's for the whole grid.
 _SCHEMA = {
@@ -87,7 +89,7 @@ _SCHEMA = {
         "schema_version": STR,
         "params": OBJECT,
         "mc_samples": INT,
-        "seed": ("an integer >= 0", lambda v: _is_int(v) and v >= 0),
+        "seed": SEED,
         "dataset": OBJECT,
         "encoder": OBJECT,
         "policies": (
@@ -111,7 +113,7 @@ _SCHEMA = {
     "ridge": {"window_T": INT, "alpha": NUMBER, "gamma": NUMBER},
     "aggregation": {"alpha_a": NUMBER, "window_Ta": INT},
     "spawner": dict(retire_k=INT, lam=NUMBER, sigma_t=NUMBER, zeta1=NUMBER, zeta2=NUMBER, orthogonalize=BOOL),
-    "convergence": {"n_grid": _ints(2), "paths": INT, "latent_mean": NUMBER, "latent_half_width": NUMBER},
+    "convergence": {"n_grid": INTS, "paths": INT, "latent_mean": NUMBER, "latent_half_width": NUMBER},
 }
 _BUILDS = {
     "": Scenario,
@@ -125,13 +127,7 @@ _BUILDS = {
 }
 _FIELDS = {"aggregation.alpha_a": "aggregation_alpha", "aggregation.window_Ta": "aggregation_window"}
 # n_grid defaults to [params.population_N], and seeds to [seed]
-_DEFAULTS = {
-    "seed": 0,
-    "output_dir": "out",
-    "params.population_N": 2,
-    "convergence.n_grid": [4, 16, 64],
-    "convergence.latent_mean": 0.8,
-}
+_DEFAULTS = {"seed": 0, "output_dir": "out", "params.population_N": 2}
 
 
 def _key(section: str, key: str) -> str:
@@ -151,7 +147,7 @@ def _field(section: str, key: str):
 def _required(section: str, key: str) -> bool:
     f = _field(section, key)
     if f is None:
-        return not section and key in ("params", "dataset", "policies")
+        return not section and key == "params"
     return f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING
 
 
@@ -241,6 +237,9 @@ def cell_grid(cfg: dict, seed_override=None):
     """The (policy, N, seed) cells of a loaded `run` config. The rules that
     need the whole grid are checked here, before any cell runs; only the
     full solver's N ceiling is left to its cells."""
+    missing = {"dataset", "policies"} - set(cfg)
+    if missing:
+        raise ConfigError(f"missing keys in config: {sorted(missing)}")
     ns = cfg["n_grid"] if "n_grid" in cfg else [_get(cfg, "params.population_N")]
     if seed_override is None:
         seeds = cfg["seeds"] if "seeds" in cfg else [_get(cfg, "seed")]
@@ -416,33 +415,28 @@ def cmd_run(args) -> int:
     return 3 if failures else 0
 
 
-def _convergence_scenario(cfg: dict) -> tuple[ConvergenceScenario, list[int], int]:
-    n_grid, seed = _get(cfg, "convergence.n_grid"), _get(cfg, "seed")
-    params = build_params(cfg, max(n_grid))
-    T, d_y, d_z = params.horizon_T, params.dim_y, params.dim_z
+def _convergence_scenario(cfg: dict) -> ConvergenceScenario:
+    # every N of the grid overrides the population size
+    params = build_params(cfg, _get(cfg, "params.population_N"))
+    seed = _get(cfg, "seed")
     rng = np.random.default_rng(seed)
-    targets = TargetSeries(values=rng.standard_normal((T + 1, d_y)))
+    targets = TargetSeries(values=rng.standard_normal((params.horizon_T + 1, params.dim_y)))
     # its rules name the convergence keys as they are, without the section
-    scenario = ConvergenceScenario(
-        params=params,
-        targets=targets,
-        latent_mean=np.full((T, d_y, d_z), float(_get(cfg, "convergence.latent_mean"))),
-        **{name: value for name, (_, value) in _given(cfg, "convergence").items()},
-    )
-    return scenario, n_grid, seed
+    given = {name: value for name, (_, value) in _given(cfg, "convergence").items()}
+    return ConvergenceScenario(params=params, targets=targets, seed=seed, **given)
 
 
 def cmd_convergence(args) -> int:
     try:
         cfg = load_config(args.config)
-        scenario, n_grid, seed = _convergence_scenario(cfg)
+        scenario = _convergence_scenario(cfg)
     except (ConfigError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
     out_dir = Path(args.out or _get(cfg, "output_dir"))
     out_dir.mkdir(parents=True, exist_ok=True)
     try:
-        report = limit_gap_diagnostic(n_grid, seed, scenario)
+        report = limit_gap_diagnostic(scenario)
     except FedGamesError as exc:
         print(f"solver failure: {exc}", file=sys.stderr)
         return 3
@@ -460,7 +454,7 @@ def cmd_convergence(args) -> int:
                     int(row["monotone_2se"]),
                 ]
             )
-    print(f"wrote {out_dir / 'convergence.csv'} ({len(n_grid)} rows)")
+    print(f"wrote {out_dir / 'convergence.csv'} ({len(scenario.n_grid)} rows)")
     return 0
 
 
@@ -492,7 +486,7 @@ def _verify_structure() -> tuple[bool, str]:
         worst = max(worst, float(np.max(np.abs(red.HN[t] - full.H[t][:d]))))
         ident = red.FN[t] @ red.MN[t] + (N - 1) * red.KN[t] @ red.EN[t] - np.eye(d)
         worst = max(worst, float(np.max(np.abs(ident))))
-    dev = check_block_structure(full).max_deviation
+    dev = check_block_structure(full)
     ok = worst <= 1e-8 and dev <= 1e-9
     return ok, f"max coefficient gap {worst:.2e}, block deviation {dev:.2e}"
 
@@ -545,11 +539,11 @@ def _verify_convergence() -> tuple[bool, str]:
     scenario = ConvergenceScenario(
         params=params,
         targets=TargetSeries(values=rng.standard_normal((5, 1))),
-        latent_mean=np.full((4, 1, 1), 0.8),
         latent_half_width=0.4,
         paths=40,
+        seed=5,
     )
-    report = limit_gap_diagnostic([4, 16, 64], 5, scenario)
+    report = limit_gap_diagnostic(scenario)
     summary = report.per_n()
     lam = [row["lambda_gap"] for row in summary]
     mono = all(row["monotone_2se"] for row in summary)

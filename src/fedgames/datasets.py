@@ -7,8 +7,8 @@ produces the prediction of y_{t+1}.
 Generators:
   periodic      values alternating between +0.9 and -0.9, input is the
                 lag-1 target.
-  logistic_map  classical quadratic map x' = c x (1 - x) with c = 3.6.
-                The reference tooling for this series does not print its
+  logistic_map  classical quadratic map x' = c x (1 - x) with c = 3.6,
+                or the parameter c. The reference tooling for this series does not print its
                 recurrence, so the classical map in the chaotic regime
                 stands in for it; nothing downstream depends on the exact
                 trajectory.
@@ -23,16 +23,33 @@ Generators:
 from __future__ import annotations
 
 import csv
+import math
 import numbers
 from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
-from .errors import SpecError, check_fields
+from .errors import SEED, SpecError, check_fields
 from .model import TargetSeries
 
-KINDS = ("periodic", "logistic_map", "concept_drift", "csv")
+# each kind's parameters, with the rule of a given value as (what it must
+# be, its check); None for the csv keys that the checks below read
+FINITE_NUMBER = "a finite number", lambda v: (
+    isinstance(v, numbers.Real) and not isinstance(v, bool) and math.isfinite(v)
+)
+PARAMETERS = {
+    "periodic": {},
+    "logistic_map": {"c": FINITE_NUMBER},
+    "concept_drift": {},
+    "csv": {
+        "path": None,
+        "target_columns": None,
+        "lag_spec": None,
+        "max_scale": ("true or false", lambda v: isinstance(v, bool)),
+    },
+}
+KINDS = tuple(PARAMETERS)
 
 
 @dataclass(frozen=True)
@@ -45,9 +62,17 @@ class DatasetSpec:
     def __post_init__(self):
         check_fields(self, (f"one of {KINDS}", KINDS.__contains__), "kind", error=SpecError)
         check_fields(self, (">= 2", lambda n: n >= 2), "length", error=SpecError)
-        # the series' random stream is keyed by the seed, and numpy takes no negative key
-        seed_rule = "an integer >= 0", lambda s: isinstance(s, numbers.Integral) and s >= 0
-        check_fields(self, seed_rule, "seed", error=SpecError)
+        check_fields(self, SEED, "seed", error=SpecError)
+        if self.kind == "csv" and "max_rows" in self.parameters:
+            raise SpecError("csv parameter max_rows is gone: set the dataset length to the rows to read")
+        # each message begins with the field's name, as check_fields' do
+        rules = PARAMETERS[self.kind]
+        unknown = set(self.parameters) - set(rules)
+        if unknown:
+            raise SpecError(f"parameters of {self.kind}: unknown keys {sorted(unknown)}, known {list(rules)}")
+        for key, value in self.parameters.items():
+            if rules[key] is not None and not rules[key][1](value):
+                raise SpecError(f"parameters of {self.kind}: {key} must be {rules[key][0]}, got {value!r}")
         if self.kind == "csv":
             missing = {"path", "target_columns", "lag_spec"} - set(self.parameters)
             if missing:
@@ -55,8 +80,6 @@ class DatasetSpec:
             if not self.parameters["target_columns"]:
                 raise SpecError("csv dataset needs at least one target column")
             _check_lag_spec(self.parameters["lag_spec"])
-            if "max_rows" in self.parameters:
-                raise SpecError("csv parameter max_rows is gone: set the dataset length to the rows to read")
 
 
 def _check_lag_spec(lag_spec) -> None:
@@ -71,7 +94,7 @@ def _check_lag_spec(lag_spec) -> None:
             raise SpecError(f"lags of {name!r} must be integers >= 1, got {lags}")
 
 
-LOGISTIC_DEFAULTS = {"alpha": 5.0, "beta": 11.0, "gamma": 13.0, "c": 3.6, "b": 0.13}
+LOGISTIC_DEFAULTS = {"c": 3.6}
 
 
 def _periodic(length: int) -> np.ndarray:
@@ -80,7 +103,7 @@ def _periodic(length: int) -> np.ndarray:
 
 
 def _logistic_map(length: int, seed: int, parameters: dict) -> np.ndarray:
-    c = float(parameters.get("c", LOGISTIC_DEFAULTS["c"]))
+    c = parameters.get("c", LOGISTIC_DEFAULTS["c"])
     rng = np.random.default_rng(seed)
     x = float(rng.uniform(0.2, 0.8))
     out = np.empty(length)
@@ -126,36 +149,36 @@ def _concept_drift(length: int) -> tuple[np.ndarray, np.ndarray]:
     return ys, xs
 
 
-def generate_series(spec: DatasetSpec) -> TargetSeries:
-    """Target values for a synthetic spec; deterministic under the seed."""
+def _synthetic(spec: DatasetSpec) -> tuple[TargetSeries, np.ndarray]:
+    """(targets, inputs) of a synthetic spec; deterministic under the seed."""
     if spec.kind == "periodic":
-        vals = _periodic(spec.length)
+        vals = xs = _periodic(spec.length)
     elif spec.kind == "logistic_map":
-        vals = _logistic_map(spec.length, spec.seed, spec.parameters)
+        vals = xs = _logistic_map(spec.length, spec.seed, spec.parameters)
     elif spec.kind == "concept_drift":
-        vals, _ = _concept_drift(spec.length)
+        vals, xs = _concept_drift(spec.length)
     else:
         raise SpecError("generate_series does not handle csv specs; use load_csv")
-    return TargetSeries(values=vals, provenance=f"{spec.kind}(seed={spec.seed})")
+    return TargetSeries(values=vals, provenance=f"{spec.kind}(seed={spec.seed})"), xs[:-1]
+
+
+def generate_series(spec: DatasetSpec) -> TargetSeries:
+    """Target values for a synthetic spec; deterministic under the seed."""
+    return _synthetic(spec)[0]
 
 
 def build_dataset(spec: DatasetSpec) -> tuple[TargetSeries, np.ndarray]:
-    """(targets, inputs) pair; inputs[t] is the encoder input at step t."""
+    """(targets, inputs) pair; inputs[t] is the encoder input at step t:
+    the lag-1 target, concept_drift's x, or the csv's lagged columns."""
     if spec.kind == "csv":
         return load_csv(
             spec.parameters["path"],
             spec.parameters["target_columns"],
             spec.parameters["lag_spec"],
             length=spec.length,
-            max_scale=bool(spec.parameters.get("max_scale", False)),
+            max_scale=spec.parameters.get("max_scale", False),
         )
-    targets = generate_series(spec)
-    if spec.kind == "concept_drift":
-        _, xs = _concept_drift(spec.length)
-        inputs = xs[:-1]
-    else:
-        inputs = targets.values[:-1]  # lag-1 target as input
-    return targets, inputs
+    return _synthetic(spec)
 
 
 def load_csv(

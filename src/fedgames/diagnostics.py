@@ -25,7 +25,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .errors import NONNEGATIVE, DynamicsError, check_fields
+from .errors import NONNEGATIVE, SEED, DynamicsError, check_fields
 from .harness import check_finite
 from .model import GameParams, IidEntryLatents, TargetSeries
 from .nash_meanfield import DecentralizedCoeffs, limit_coeffs, meanfield_forward
@@ -49,53 +49,64 @@ MC_BATCH_AGENTS = 4096
 
 @dataclass(frozen=True)
 class ConvergenceScenario:
-    """Scalar-friendly scenario for the N-grid diagnostics."""
+    """What `fedgames convergence` runs: the game, whose population_N
+    every N of ``n_grid`` overrides; its targets; the latent model, whose
+    mean, a number or an array, is filled into a (T, d_y, d_z) array; and
+    the Monte-Carlo paths, keyed by ``seed``."""
 
-    params: GameParams  # population_N is overridden per grid point
+    params: GameParams
     targets: TargetSeries
-    latent_mean: np.ndarray  # (T, d_y, d_z)
+    latent_mean: np.ndarray | float = 0.8
     latent_half_width: float = 0.5
     paths: int = 100
+    n_grid: tuple = (4, 16, 64)
+    seed: int = 0
 
     def __post_init__(self):
         # one path gives no standard error, and none no mean
         if self.paths < 2:
             raise ValueError(f"paths must be at least 2, got {self.paths!r}")
         check_fields(self, NONNEGATIVE, "latent_half_width")
-        if not np.isfinite(self.latent_mean).all():
+        check_fields(self, SEED, "seed")
+        try:
+            grid = tuple(operator.index(n) for n in self.n_grid)
+        except TypeError:
+            grid = ()
+        # a float is rejected rather than truncated
+        if not grid or min(grid) < 2:
+            raise ValueError(f"n_grid must be a non-empty sequence of integers N >= 2, got {self.n_grid!r}")
+        p = self.params
+        # a copy, not a broadcast view: the Monte-Carlo products' last bits
+        # depend on the strides
+        mean = np.full((p.horizon_T, p.dim_y, p.dim_z), self.latent_mean, dtype=float)
+        if not np.isfinite(mean).all():
             raise ValueError("latent_mean must be finite")
-
-
-@dataclass(frozen=True)
-class GapRow:
-    N: int
-    t: int
-    lambda_gap: float
-    meanfield_gap: float
-    stderr: float
+        object.__setattr__(self, "n_grid", grid)
+        object.__setattr__(self, "latent_mean", mean)
 
 
 @dataclass(frozen=True)
 class GapReport:
-    rows: tuple
+    """Each gap per (N, t), row p of an array holding N = n_grid[p]: the
+    lambda gap and the Monte-Carlo mean-field gap with its standard error,
+    each (P, T+1)."""
+
     n_grid: tuple
+    lambda_gap: np.ndarray
+    meanfield_gap: np.ndarray
+    stderr: np.ndarray
 
     def per_n(self) -> list[dict]:
         """One summary row per N: max-over-t lambda gap, terminal
         mean-field gap with its standard error, and the within-2se
         monotonicity flag."""
-        rows_by_n = [[r for r in self.rows if r.N == n] for n in self.n_grid]
-        last = [max(rows, key=lambda r: r.t) for rows in rows_by_n]
-        flags = monotone_flags([r.meanfield_gap for r in last], [r.stderr for r in last])
+        lams = self.lambda_gap.max(axis=1).tolist()
+        ends = self.meanfield_gap[:, -1].tolist()
+        ses = self.stderr[:, -1].tolist()
+        flags = monotone_flags(ends, ses)
         return [
-            {
-                "N": n,
-                "lambda_gap": max(r.lambda_gap for r in rows),
-                "meanfield_gap": end.meanfield_gap,
-                "stderr": end.stderr,
-                "monotone_2se": ok,
-            }
-            for n, rows, end, ok in zip(self.n_grid, rows_by_n, last, flags)
+            {"N": n, "lambda_gap": lam, "meanfield_gap": end, "stderr": se, "monotone_2se": ok}
+            for n, lam, end, se, ok in zip(self.n_grid, lams, ends, ses, flags)
         ]
 
 
@@ -221,18 +232,6 @@ def _simulate_mean_gap(
     return gaps.mean(axis=0), gaps.std(axis=0, ddof=1) / np.sqrt(paths)
 
 
-def _check_grid(n_grid) -> tuple[int, ...]:
-    """The grid as a tuple of ints: a non-empty sequence of integers
-    N >= 2, where a float is rejected rather than truncated."""
-    try:
-        grid = tuple(operator.index(n) for n in n_grid)
-    except TypeError:
-        grid = ()
-    if not grid or min(grid) < 2:
-        raise ValueError(f"n_grid must be a non-empty sequence of integers N >= 2, got {n_grid!r}")
-    return grid
-
-
 def coefficient_gaps(
     params: GameParams, moments, targets: TargetSeries, grid: tuple[int, ...]
 ) -> tuple[np.ndarray, DecentralizedCoeffs]:
@@ -255,50 +254,38 @@ def coefficient_gaps(
     return gaps, limit_coeffs(params, s.entry(-1), max_asym[-1])
 
 
-def limit_gap_diagnostic(n_grid, seed: int, scenario: ConvergenceScenario) -> GapReport:
-    """Coefficient and mean-field gaps over a population grid; ``seed``
-    keys the Monte-Carlo paths of the mean-field gap.
+def limit_gap_diagnostic(scenario: ConvergenceScenario) -> GapReport:
+    """Coefficient and mean-field gaps over the scenario's population grid.
 
     ``coefficient_gaps`` solves the whole grid and the limit in one pass,
     whose stack is freed before the Monte-Carlo buffers are allocated.
     Under INFO logging that pass and each N's Monte-Carlo loop report
     their wall time.
     """
-    grid = _check_grid(n_grid)
+    grid, paths, seed = scenario.n_grid, scenario.paths, scenario.seed
     latents = IidEntryLatents(mean=scenario.latent_mean, half_width=scenario.latent_half_width)
     # the path streams' keys hold no N: one table serves the whole grid
-    table = SeedTable((seed, 31), scenario.paths)
+    table = SeedTable((seed, 31), paths)
     moments = latents.exact_moments()
     base = scenario.params
     start = time.perf_counter()
     lams, limit = coefficient_gaps(base, moments, scenario.targets, grid)
     y0 = scenario.targets.values[0]
-    ybar = meanfield_forward(limit, moments, y0).ybar
+    ybar = meanfield_forward(limit, moments, y0)
     logger.info(
         "convergence pass, %d populations and the limit: %.3f s", len(grid), time.perf_counter() - start
     )
 
-    rows = []
-    for p, N in enumerate(grid):
+    gaps = []
+    for N in grid:
         start = time.perf_counter()
-        mf_mean, mf_se = _simulate_mean_gap(
-            replace(base, population_N=N), latents, limit, ybar, y0, scenario.paths, seed, table
-        )
+        gaps.append(_simulate_mean_gap(replace(base, population_N=N), latents, limit, ybar, y0, paths, seed, table))
         logger.info(
             "convergence N=%d: Monte-Carlo mean gap %.3f s (%d paths, %d per batch)",
             N,
             time.perf_counter() - start,
-            scenario.paths,
-            mc_batch_size(N, scenario.paths),
+            paths,
+            mc_batch_size(N, paths),
         )
-        for t in range(base.horizon_T + 1):
-            rows.append(
-                GapRow(
-                    N=N,
-                    t=t,
-                    lambda_gap=float(lams[t, p]),
-                    meanfield_gap=float(mf_mean[t]),
-                    stderr=float(mf_se[t]),
-                )
-            )
-    return GapReport(rows=tuple(rows), n_grid=grid)
+    mean, stderr = np.swapaxes(gaps, 0, 1)
+    return GapReport(n_grid=grid, lambda_gap=lams.T, meanfield_gap=mean, stderr=stderr)

@@ -2,6 +2,7 @@
 dataclasses' field rules."""
 
 import math
+import numbers
 
 
 class FedGamesError(Exception):
@@ -42,6 +43,8 @@ NONNEGATIVE = "finite and >= 0", lambda v: math.isfinite(v) and v >= 0
 POSITIVE = "finite and > 0", lambda v: math.isfinite(v) and v > 0
 FINITE = "finite", math.isfinite
 AT_LEAST_ONE = ">= 1", lambda v: v >= 1
+# a seed keys a random stream, and numpy takes no negative key
+SEED = "an integer >= 0", lambda v: isinstance(v, numbers.Integral) and not isinstance(v, bool) and v >= 0
 
 
 def check_fields(obj, rule, *names, error=ValueError) -> None:

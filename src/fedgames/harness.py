@@ -561,7 +561,7 @@ def _solve_episode(policy, scenario: Scenario, inputs, values, rounds, seed):
         return policy, ((c, partial(act, c)) for c in solved)
 
     coeffs = decentralized_backward_pass(p, moments, targets)
-    ybar = meanfield_forward(coeffs, moments, targets.values[0]).ybar
+    ybar = meanfield_forward(coeffs, moments, targets.values[0])
     actions = np.empty((N, p.dim_z))
 
     def round_act(c, r):

@@ -71,13 +71,16 @@ def export_run_record_json(record, path) -> None:
 
 
 def export_gap_report_csv(report, path) -> None:
+    """One row per (N, t) of a ``diagnostics.GapReport``; each gap is
+    written as the repr of a Python float, which numpy 2's float64 repr
+    (``np.float64(...)``) is not."""
+    gaps = report.lambda_gap, report.meanfield_gap, report.stderr
     with Path(path).open("w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(["N", "t", "lambda_gap", "meanfield_gap", "stderr"])
-        for row in report.rows:
-            writer.writerow(
-                [row.N, row.t, repr(row.lambda_gap), repr(row.meanfield_gap), repr(row.stderr)]
-            )
+        for p, n in enumerate(report.n_grid):
+            for t in range(report.lambda_gap.shape[1]):
+                writer.writerow([n, t, *(repr(float(gap[p, t])) for gap in gaps)])
 
 
 def write_jsonl(events, path) -> None:

@@ -44,7 +44,7 @@ at or below one lone pass at HARD_N_CEILING.
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -80,18 +80,6 @@ class FullNashCoeffs:
         """(T,) 2-norm condition number of each step's system matrix, by
         SVD; computed when read, since only the round-0 snapshot reads it."""
         return np.linalg.cond(self.system)
-
-
-@dataclass(frozen=True)
-class StructureReport:
-    """Deviation of the solved P_n / S_n from the repeating-block pattern."""
-
-    max_deviation: float
-    p1_pattern_dev: float
-    s1_pattern_dev: float
-    permutation_dev: float
-    n2_degenerate: bool
-    notes: tuple = field(default_factory=tuple)
 
 
 def _drift(params: GameParams) -> np.ndarray:
@@ -313,66 +301,40 @@ def full_action(t: int, predictions: np.ndarray, coeffs: FullNashCoeffs) -> np.n
     return coeffs.G[t] @ yhat + coeffs.H[t]
 
 
-def _swap_first(N: int, n: int, d: int) -> np.ndarray:
-    """Block permutation exchanging agent slots 0 and n."""
-    perm = np.arange(N)
-    perm[0], perm[n] = n, 0
-    J = np.zeros((N, N))
-    J[perm, np.arange(N)] = 1.0
-    return np.kron(J, np.eye(d))
-
-
-def check_block_structure(coeffs: FullNashCoeffs) -> StructureReport:
-    """Verify the repeating-block pattern of P_1 / S_1 and the relabeling
-    relation P_n = J' P_1 J, S_n = J' S_1. Report-only: a deviation above
-    SYMMETRY_RTOL times the largest |entry| of P adds a note."""
+def check_block_structure(coeffs: FullNashCoeffs) -> float:
+    """The largest deviation of the solved P_n / S_n from the
+    repeating-block pattern of P_1 / S_1 (Pi1 at block (0, 0), Pi2 along
+    the rest of row 0 and, transposed, of column 0, Pi3 on the rest of the
+    diagonal, Pi4 elsewhere; at N = 2 no Pi4 blocks exist) and from the
+    relabeling P_n = J' P_1 J, S_n = J' S_1, where J exchanges agent slots
+    0 and n. Report-only: a deviation above SYMMETRY_RTOL times the
+    largest |entry| of P logs a warning."""
     N, d_y, _ = coeffs.dims
     if N < 2:
         raise ValueError("block structure is defined for N >= 2")
-
-    def yblk(i):
-        return slice(i * d_y, (i + 1) * d_y)
-
-    p1_dev = 0.0
-    s1_dev = 0.0
-    perm_dev = 0.0
-    for t in range(coeffs.P.shape[1]):
-        p1 = coeffs.P[0, t]
-        pi2 = p1[yblk(0), yblk(1)]
-        pi3 = p1[yblk(1), yblk(1)]
-        for j in range(1, N):
-            p1_dev = max(p1_dev, float(np.max(np.abs(p1[yblk(0), yblk(j)] - pi2))))
-            p1_dev = max(p1_dev, float(np.max(np.abs(p1[yblk(j), yblk(0)] - pi2.T))))
-            p1_dev = max(p1_dev, float(np.max(np.abs(p1[yblk(j), yblk(j)] - pi3))))
-        if N >= 3:
-            pi4 = p1[yblk(1), yblk(2)]
-            for i in range(1, N):
-                for j in range(1, N):
-                    if i != j:
-                        p1_dev = max(
-                            p1_dev, float(np.max(np.abs(p1[yblk(i), yblk(j)] - pi4)))
-                        )
-        s1 = coeffs.S[0, t]
-        xi2 = s1[yblk(1)]
-        for j in range(2, N):
-            s1_dev = max(s1_dev, float(np.max(np.abs(s1[yblk(j)] - xi2))))
-        for n in range(1, N):
-            J = _swap_first(N, n, d_y)
-            perm_dev = max(perm_dev, float(np.max(np.abs(coeffs.P[n, t] - J.T @ p1 @ J))))
-            perm_dev = max(perm_dev, float(np.max(np.abs(coeffs.S[n, t] - J.T @ s1))))
-
-    notes = []
-    if N == 2:
-        notes.append("N=2: pattern degenerates to (Pi1, Pi2; Pi2', Pi3); no Pi4 blocks exist")
-    max_dev = max(p1_dev, s1_dev, perm_dev)
+    # [n, t, i, j] is block (i, j) of P_n(t), and [n, t, i] block i of S_n(t)
+    P = coeffs.P.reshape(N, -1, N, d_y, N, d_y).swapaxes(3, 4)
+    S = coeffs.S.reshape(N, -1, N, d_y)
+    p1, s1 = P[0], S[0]
+    pi2 = p1[:, None, 0, 1]
+    rest = np.arange(1, N)
+    # Pi4's blocks (a, b), a != b among slots 1..N-1; the first is (1, 2)
+    a, b = 1 + np.array(np.nonzero(~np.eye(N - 1, dtype=bool)))
+    n = np.arange(N)
+    slots = np.tile(n, (N, 1))  # row n: P_1's slot order in J' P_1 J, 0 and n exchanged
+    slots[n, n] = 0
+    slots[:, 0] = n
+    deviations = (
+        p1[:, 0, 1:] - pi2,
+        p1[:, 1:, 0] - pi2.swapaxes(-1, -2),
+        p1[:, rest, rest] - p1[:, None, 1, 1],
+        p1[:, a, b] - p1[:, a[:1], b[:1]],
+        s1[:, 2:] - s1[:, None, 1],
+        P.swapaxes(0, 1) - p1[:, slots[:, :, None], slots[:, None, :]],
+        S.swapaxes(0, 1) - s1[:, slots],
+    )
+    max_dev = max(float(np.abs(d).max(initial=0.0)) for d in deviations)
     scale = float(np.max(np.abs(coeffs.P)))
     if max_dev > SYMMETRY_RTOL * scale:
-        notes.append(f"deviation {max_dev:.3e} exceeds {SYMMETRY_RTOL:.1e} of max |P| {scale:.3e}")
-    return StructureReport(
-        max_deviation=max_dev,
-        p1_pattern_dev=p1_dev,
-        s1_pattern_dev=s1_dev,
-        permutation_dev=perm_dev,
-        n2_degenerate=(N == 2),
-        notes=tuple(notes),
-    )
+        logger.warning("block deviation %.3e exceeds %.1e of max |P| %.3e", max_dev, SYMMETRY_RTOL, scale)
+    return max_dev

@@ -64,11 +64,6 @@ class DecentralizedCoeffs:
     max_asymmetry: float | np.ndarray
 
 
-@dataclass(frozen=True)
-class MeanFieldTrajectory:
-    ybar: np.ndarray  # (T+1, d_y)
-
-
 def decentralized_backward_pass(
     params: GameParams,
     moments,
@@ -120,9 +115,10 @@ def decentralized_action(
     return own @ coeffs.G1[t].T + coeffs.G2[t] @ yb + coeffs.H[t]
 
 
-def meanfield_forward(coeffs: DecentralizedCoeffs, moments, y0: np.ndarray) -> MeanFieldTrajectory:
-    """Deterministic mean-field recursion started from the mean initial
-    prediction: Ybar' = [theta + theta_bar + M1 (G1 + G2)] Ybar + M1 H.
+def meanfield_forward(coeffs: DecentralizedCoeffs, moments, y0: np.ndarray) -> np.ndarray:
+    """Ybar (T+1, d_y) of the deterministic mean-field recursion started
+    from the mean initial prediction: Ybar' = [theta + theta_bar +
+    M1 (G1 + G2)] Ybar + M1 H.
 
     Coefficients and moments with a round axis take y0 of shape (R, d_y)
     and give ybar of shape (T+1, R, d_y)."""
@@ -133,4 +129,4 @@ def meanfield_forward(coeffs: DecentralizedCoeffs, moments, y0: np.ndarray) -> M
         M1 = moments.m1[t]
         drift = coeffs.drift_sum + M1 @ (coeffs.G1[t] + coeffs.G2[t])
         ybar[t + 1] = (drift @ ybar[t][..., None] + M1 @ coeffs.H[t][..., None])[..., 0]
-    return MeanFieldTrajectory(ybar=ybar)
+    return ybar

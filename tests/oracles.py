@@ -477,7 +477,7 @@ def reference_episode(policy, scenario, seed):
             red = reduced_backward_pass(p, moments, y_round)
         elif policy == "decentralized":
             dec = decentralized_backward_pass(p, moments, y_round)
-            ybar = meanfield_forward(dec, moments, y_round.values[0]).ybar
+            ybar = meanfield_forward(dec, moments, y_round.values[0])
         preds = [values[base].copy() for _ in range(N)]
         preds_hist[r, 0] = preds
         for t in range(T):

@@ -102,7 +102,7 @@ def test_criterion_2_block_structure(solved_grid):
     grid, _ = solved_grid
     worst = 0.0
     for params, _, _, full, _, _ in grid:
-        worst = max(worst, check_block_structure(full).max_deviation)
+        worst = max(worst, check_block_structure(full))
     assert _report(2, worst <= 1e-9, f"(max block deviation {worst:.2e})")
 
 
@@ -163,8 +163,10 @@ def test_criterion_5_meanfield_convergence():
         latent_mean=np.full((4, 1, 1), 0.8),
         latent_half_width=0.4,
         paths=100,
+        n_grid=(4, 16, 64, 256),
+        seed=17,
     )
-    report = limit_gap_diagnostic([4, 16, 64, 256], 17, scenario)
+    report = limit_gap_diagnostic(scenario)
     summary = report.per_n()
     lam = [r["lambda_gap"] for r in summary]
     strictly_dec = all(a > b for a, b in zip(lam, lam[1:]))

@@ -487,6 +487,20 @@ def test_diverged_flag_marks_the_greedy_cell_only(tmp_path):
         assert next(csv.reader(fh)) == RESULTS_HEADER  # no flag column
 
 
+def test_convergence_config_needs_no_dataset_or_policies(config, tmp_path, capsys):
+    # only `run` reads them
+    _, cfg = config
+    del cfg["dataset"], cfg["policies"]
+    path = tmp_path / "conv.json"
+    path.write_text(json.dumps(cfg), encoding="utf-8")
+    assert main(["convergence", "--config", str(path), "--out", str(tmp_path / "conv")]) == 0
+    capsys.readouterr()
+    for dry_run in ([], ["--dry-run"]):
+        assert main(["run", "--config", str(path), "--out", str(tmp_path / "o")] + dry_run) == 2
+        assert "config error: missing keys in config: ['dataset', 'policies']" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
 def _without_ridge(cfg):
     del cfg["ridge"]  # the fixture's grid has greedy cells
 
@@ -540,12 +554,19 @@ def test_run_rejects_bad_grid(config, tmp_path, capsys, edit, message):
         ("params", "theta", float("nan")),  # every cell failed, exit 3
         ("dataset", "length", 13.7),  # ran as 13
         ("params", "kappa", True),  # ran as 1.0
+        # on a logistic_map series
+        ("dataset", "parameters", {"typo": 1}),  # ran
+        ("dataset", "parameters", {"c": True}),  # ran as 1.0
+        ("dataset", "parameters", {"c": "x"}),  # every cell failed, exit 3
+        ("dataset", "parameters", {"c": float("nan")}),  # every cell failed, exit 3
     ],
 )
 @pytest.mark.parametrize("dry_run", [False, True], ids=["run", "dry-run"])
 def test_run_rejects_bad_value_before_any_cell(config, tmp_path, capsys, section, key, value, dry_run):
     _, cfg = config
     cfg["spawner"] = {"retire_k": 1}
+    if key == "parameters":
+        cfg["dataset"]["kind"] = "logistic_map"  # the synthetic kind that takes a parameter, c
     cfg[section][key] = value
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(cfg), encoding="utf-8")
@@ -603,17 +624,19 @@ def test_known_configs_load_and_build(tmp_path, command, cfg):
     loaded = load_config(path)
     assert loaded == cfg
     if command == "convergence":
-        scenario, n_grid, seed = _convergence_scenario(loaded)
+        scenario = _convergence_scenario(loaded)
         conv = cfg.get("convergence", {})
-        assert (n_grid, seed) == (conv.get("n_grid", [4, 16, 64]), cfg.get("seed", 0))
-        assert scenario.params.population_N == max(n_grid)
+        assert (scenario.n_grid, scenario.seed) == (tuple(conv.get("n_grid", [4, 16, 64])), cfg.get("seed", 0))
         assert np.all(scenario.latent_mean == conv.get("latent_mean", 0.8))
         _assert_built_as_given(scenario, {k: v for k, v in conv.items() if k in ("paths", "latent_half_width")})
         _assert_built_as_given(scenario.params, cfg["params"])
-        return
+    # `run` too, whose setup time the benchmark takes with --dry-run on
+    # every workload's config, the convergence command's included
+    ns = cfg.get("n_grid", [cfg["params"].get("population_N", 2)])
+    seeds = cfg.get("seeds", [cfg.get("seed", 0)])
     cells = cell_grid(loaded)
-    assert cells == [(p, n, s) for p in cfg["policies"] for n in cfg["n_grid"] for s in cfg["seeds"]]
-    for n in cfg["n_grid"]:
+    assert cells == [(p, n, s) for p in cfg["policies"] for n in ns for s in seeds]
+    for n in ns:
         scenario = build_scenario(loaded, n)
         assert scenario.params.population_N == n
         _assert_built_as_given(scenario.params, cfg["params"])

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from fedgames import datasets
 from fedgames.datasets import (
     DatasetSpec,
     build_dataset,
@@ -103,6 +104,8 @@ def test_csv_errors(tmp_path):
         {"path": "s.csv", "target_columns": ["v"], "lag_spec": {"v": [1, 0]}},
         {"path": "s.csv", "target_columns": ["v"], "lag_spec": {"v": [-1]}},
         {"path": "s.csv", "target_columns": ["v"], "lag_spec": {"v": [1]}, "max_rows": -2},
+        {"path": "s.csv", "target_columns": ["v"], "lag_spec": {"v": [1]}, "typo": 1},
+        {"path": "s.csv", "target_columns": ["v"], "lag_spec": {"v": [1]}, "max_scale": "false"},
     ],
     ids=[
         "no-path",
@@ -114,6 +117,8 @@ def test_csv_errors(tmp_path):
         "lag-0",
         "negative-lag",
         "negative-max-rows",
+        "unknown-key",
+        "max-scale-string",  # scaled, as bool("false") is True
     ],
 )
 def test_csv_spec_rejected_up_front(parameters):
@@ -164,3 +169,44 @@ def test_csv_max_rows_points_to_length():
     parameters = {"path": "s.csv", "target_columns": ["v"], "lag_spec": {"v": [1]}, "max_rows": 3}
     with pytest.raises(SpecError, match="length"):
         DatasetSpec(kind="csv", length=3, parameters=parameters)
+
+
+@pytest.mark.parametrize(
+    "kind,parameters",
+    [
+        ("periodic", {"c": 3.6}),
+        ("concept_drift", {"typo": 1}),
+        ("logistic_map", {"typo": 1}),  # ran, unread
+        ("logistic_map", {"c": True}),  # ran as c = 1.0
+        ("logistic_map", {"c": "x"}),
+        ("logistic_map", {"c": float("nan")}),
+    ],
+)
+def test_parameters_checked_per_kind(kind, parameters):
+    # the message begins with the field's name, which a config reader
+    # replaces with the key's
+    with pytest.raises(SpecError, match=rf"^parameters of {kind}: "):
+        DatasetSpec(kind=kind, length=10, parameters=parameters)
+
+
+def test_logistic_map_takes_an_integer_c():
+    spec = DatasetSpec(kind="logistic_map", length=10, parameters={"c": 3})
+    want = DatasetSpec(kind="logistic_map", length=10, parameters={"c": 3.0})
+    np.testing.assert_array_equal(generate_series(spec).values, generate_series(want).values)
+
+
+@pytest.mark.parametrize("seed", [-1, True, 1.0])
+def test_seed_must_be_an_integer_of_at_least_zero(seed):
+    with pytest.raises(SpecError, match="seed must be an integer >= 0"):
+        DatasetSpec(kind="logistic_map", length=10, seed=seed)
+
+
+def test_concept_drift_built_once(monkeypatch):
+    real = datasets._concept_drift
+    calls = []
+    monkeypatch.setattr(datasets, "_concept_drift", lambda length: calls.append(length) or real(length))
+    targets, inputs = build_dataset(DatasetSpec(kind="concept_drift", length=6))
+    assert calls == [6]
+    ys, xs = real(6)
+    np.testing.assert_array_equal(targets.values, ys)
+    np.testing.assert_array_equal(inputs, xs[:-1])

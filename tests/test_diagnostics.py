@@ -12,7 +12,7 @@ from fedgames.streams import SeedTable
 from oracles import reference_mean_gap
 
 
-def scenario(T=4, paths=30):
+def scenario(T=4, paths=30, n_grid=(4, 16, 64)):
     rng = np.random.default_rng(3)
     params = GameParams(
         theta=0.7,
@@ -32,28 +32,28 @@ def scenario(T=4, paths=30):
         latent_mean=np.full((T, 1, 1), 0.8),
         latent_half_width=0.4,
         paths=paths,
+        n_grid=n_grid,
+        seed=1,
     )
 
 
 def test_gap_report_shape_and_positivity():
-    report = limit_gap_diagnostic([4, 16], 1, scenario())
-    assert len(report.rows) == 2 * 5  # two Ns, T+1 timesteps
-    for row in report.rows:
-        assert row.lambda_gap >= 0.0
-        assert row.meanfield_gap >= 0.0
-        assert row.stderr >= 0.0
-        assert np.isfinite(row.lambda_gap)
+    report = limit_gap_diagnostic(scenario(n_grid=(4, 16)))
+    for gap in (report.lambda_gap, report.meanfield_gap, report.stderr):
+        assert gap.shape == (2, 5)  # two Ns, T+1 timesteps
+        assert np.all(gap >= 0.0)
+    assert np.all(np.isfinite(report.lambda_gap))
 
 
 def test_lambda_gap_strictly_decreasing():
-    report = limit_gap_diagnostic([4, 16, 64], 1, scenario())
+    report = limit_gap_diagnostic(scenario())
     summary = report.per_n()
     lams = [r["lambda_gap"] for r in summary]
     assert lams[0] > lams[1] > lams[2]
 
 
 def test_meanfield_gap_shrinks_with_n():
-    report = limit_gap_diagnostic([4, 64], 1, scenario(paths=60))
+    report = limit_gap_diagnostic(scenario(paths=60, n_grid=(4, 64)))
     summary = report.per_n()
     assert summary[1]["meanfield_gap"] <= summary[0]["meanfield_gap"] + 2 * (
         summary[0]["stderr"] + summary[1]["stderr"]
@@ -65,17 +65,8 @@ def test_identical_agents_zero_cross_variance():
     # deterministic latents (zero half width): all agents see the same Z
     # and the same Ybar, so the mean gap reduces to a single-agent bias
     # path, identical across Monte-Carlo repetitions
-    s = scenario(paths=7)
-    s = ConvergenceScenario(
-        params=s.params,
-        targets=s.targets,
-        latent_mean=s.latent_mean,
-        latent_half_width=0.0,
-        paths=7,
-    )
-    report = limit_gap_diagnostic([8], 1, s)
-    for row in report.rows:
-        assert row.stderr <= 1e-14
+    report = limit_gap_diagnostic(replace(scenario(paths=7, n_grid=(8,)), latent_half_width=0.0))
+    assert np.all(report.stderr <= 1e-14)
 
 
 @pytest.mark.parametrize("half_width", [0.0, 0.4])
@@ -105,7 +96,7 @@ def test_mean_gap_matches_reference_loop(N, d_y, half_width):
     moments = latents.exact_moments()
     targets = TargetSeries(values=rng.standard_normal((T + 1, d_y)))
     coeffs = decentralized_backward_pass(params, moments, targets)
-    ybar = meanfield_forward(coeffs, moments, targets.values[0]).ybar
+    ybar = meanfield_forward(coeffs, moments, targets.values[0])
     y0 = targets.values[0] + 0.3
     (mean, se), (ref_mean, ref_se) = (
         f(params, latents, coeffs, ybar, y0, 3, 4) for f in (_simulate_mean_gap, reference_mean_gap)
@@ -136,7 +127,7 @@ def mean_gap_case(N, T=4):
     moments = latents.exact_moments()
     targets = TargetSeries(values=rng.standard_normal((T + 1, d_y)))
     coeffs = decentralized_backward_pass(params, moments, targets)
-    ybar = meanfield_forward(coeffs, moments, targets.values[0]).ybar
+    ybar = meanfield_forward(coeffs, moments, targets.values[0])
     return params, latents, coeffs, ybar, targets.values[0] + 0.3
 
 
@@ -168,7 +159,7 @@ def test_mean_gap_overflow_names_agent_path_and_step():
     latents = IidEntryLatents(mean=s.latent_mean, half_width=s.latent_half_width)
     moments = latents.exact_moments()
     coeffs = decentralized_backward_pass(params, moments, s.targets)
-    ybar = meanfield_forward(coeffs, moments, s.targets.values[0]).ybar
+    ybar = meanfield_forward(coeffs, moments, s.targets.values[0])
     for paths in (2, 40):
         with np.errstate(over="ignore", invalid="ignore"):
             with pytest.raises(DynamicsError, match=r"agent \d+ at N=4, path 0, step 3$"):
@@ -276,13 +267,30 @@ def test_one_pass_per_command(monkeypatch):
 
     for module in (diagnostics, nash_meanfield, nash_reduced):
         monkeypatch.setattr(module, "structured_pass", counted)
-    limit_gap_diagnostic([4, 16, 64], 1, scenario(paths=2))
+    limit_gap_diagnostic(scenario(paths=2))
     [eps] = calls
     np.testing.assert_array_equal(eps[:, 0, 0], [1 / 4, 1 / 16, 1 / 64, 0.0])
+
+
+def test_scenario_fills_its_latent_mean():
+    # a number fills a contiguous array, as an array is copied: a
+    # broadcast view moves the Monte-Carlo gaps' last bits
+    s = scenario(T=3)
+    for mean in (0.8, np.full((3, 1, 1), 0.8)):
+        filled = replace(s, latent_mean=mean).latent_mean
+        np.testing.assert_array_equal(filled, np.full((3, 1, 1), 0.8))
+        assert filled.flags.c_contiguous and filled is not mean
+    assert ConvergenceScenario(params=s.params, targets=s.targets).latent_mean.shape == (3, 1, 1)
+
+
+@pytest.mark.parametrize("seed", [-1, 2.5, True, "3"])
+def test_scenario_seed_must_be_an_integer_of_at_least_zero(seed):
+    with pytest.raises(ValueError, match=r"seed must be an integer >= 0"):
+        replace(scenario(paths=2), seed=seed)
 
 
 @pytest.mark.parametrize("grid", [[4.7, 16], [1, 4], [True, 4], [], 5])
 def test_grid_must_hold_integers_of_at_least_two(grid):
     # 4.7 used to run as N = 4, and an N below 2 reached the pass
     with pytest.raises(ValueError, match=r"n_grid must be a non-empty sequence of integers N >= 2"):
-        limit_gap_diagnostic(grid, 1, scenario(paths=2))
+        scenario(paths=2, n_grid=grid)

@@ -85,11 +85,11 @@ def test_run_record_exports(tmp_path):
 
 
 def test_gap_report_csv(tmp_path):
-    from fedgames.diagnostics import GapReport, GapRow
+    from fedgames.diagnostics import GapReport
 
+    # float64 entries, which numpy 2 would print as np.float64(0.5)
     report = GapReport(
-        rows=(GapRow(N=4, t=0, lambda_gap=0.5, meanfield_gap=0.1, stderr=0.01),),
-        n_grid=(4,),
+        n_grid=(4,), lambda_gap=np.array([[0.5]]), meanfield_gap=np.array([[0.1]]), stderr=np.array([[0.01]])
     )
     path = tmp_path / "gap.csv"
     export_gap_report_csv(report, path)

@@ -58,8 +58,8 @@ def test_scalar_one_step_hand_values():
     # action at own = ybar = 0: beta = y1 / 2; spec case y1 = 1 -> 0.5
     assert decentralized_action(0, [0.0], [0.0], dec)[0] == pytest.approx(y1 / 2)
     # one-step mean field: Ybar_1 = (1 - 1/2) * 0 + y1 / 2
-    traj = meanfield_forward(dec, moments, np.array([0.0]))
-    assert traj.ybar[1, 0] == pytest.approx(y1 / 2)
+    ybar = meanfield_forward(dec, moments, np.array([0.0]))
+    assert ybar[1, 0] == pytest.approx(y1 / 2)
 
 
 def test_zero_weights_zero_policy():
@@ -177,8 +177,8 @@ def test_meanfield_constant_when_uncontrolled():
     targets = TargetSeries(values=np.zeros((4, 1)))
     moments = exact_moments_deterministic([np.array([[1.0]])] * 3)
     dec = decentralized_backward_pass(params, moments, targets)
-    traj = meanfield_forward(dec, moments, np.array([0.7]))
-    np.testing.assert_allclose(traj.ybar[:, 0], 0.7)
+    ybar = meanfield_forward(dec, moments, np.array([0.7]))
+    np.testing.assert_allclose(ybar[:, 0], 0.7)
 
 
 def test_identical_moments_identical_coefficients():
@@ -208,7 +208,7 @@ def test_identical_moments_identical_coefficients():
     np.testing.assert_array_equal(a.H, b.H)
     ya = meanfield_forward(a, estimate_moments(two_point), np.array([0.1]))
     yb = meanfield_forward(b, estimate_moments(four_point), np.array([0.1]))
-    np.testing.assert_array_equal(ya.ybar, yb.ybar)
+    np.testing.assert_array_equal(ya, yb)
 
 
 def test_meanfield_pure_function():
@@ -218,7 +218,7 @@ def test_meanfield_pure_function():
     dec = decentralized_backward_pass(params, moments, targets)
     a = meanfield_forward(dec, moments, np.array([0.3]))
     b = meanfield_forward(dec, moments, np.array([0.3]))
-    np.testing.assert_array_equal(a.ybar, b.ybar)
+    np.testing.assert_array_equal(a, b)
 
 
 def test_terminal_conditions_and_symmetry():
@@ -252,13 +252,13 @@ def test_round_batched_pass_matches_each_round(d_y, d_z, T, rounds, kappa_bar, c
     batched = decentralized_backward_pass(params, moments, targets)
     assert batched.G1.shape == (T, rounds, d_z, d_y)
     assert batched.max_asymmetry.shape == (rounds,)
-    ybar = meanfield_forward(batched, moments, targets.values[0]).ybar
+    ybar = meanfield_forward(batched, moments, targets.values[0])
     assert ybar.shape == (T + 1, rounds, d_y)
     for r, (mom_r, tgt_r) in enumerate(singles):
         single = decentralized_backward_pass(params, mom_r, tgt_r)
         assert_round_equal(batched, r, single)
         np.testing.assert_array_equal(
-            ybar[:, r], meanfield_forward(single, mom_r, tgt_r.values[0]).ybar
+            ybar[:, r], meanfield_forward(single, mom_r, tgt_r.values[0])
         )
 
 

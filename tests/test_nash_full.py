@@ -205,18 +205,15 @@ def test_block_structure_homogeneous():
     rng = np.random.default_rng(7)
     params, zs, targets = build_scenario(rng, N=3, d=1, T=4)
     coeffs = full_backward_pass(params, exact_moments_deterministic(zs), targets)
-    report = check_block_structure(coeffs)
-    assert report.max_deviation <= 1e-9
-    assert not report.n2_degenerate
+    assert check_block_structure(coeffs) <= 1e-9
 
 
 def test_block_structure_n2_flagged():
     rng = np.random.default_rng(8)
     params, zs, targets = build_scenario(rng, N=2, d=1, T=3)
     coeffs = full_backward_pass(params, exact_moments_deterministic(zs), targets)
-    report = check_block_structure(coeffs)
-    assert report.n2_degenerate
-    assert report.max_deviation <= 1e-9
+    # the pattern degenerates to (Pi1, Pi2; Pi2', Pi3): no Pi4 blocks
+    assert check_block_structure(coeffs) <= 1e-9
 
 
 def test_block_structure_zero_weights():
@@ -232,7 +229,23 @@ def test_block_structure_zero_weights():
         }
     )
     coeffs = full_backward_pass(params, exact_moments_deterministic(zs), targets)
-    assert check_block_structure(coeffs).max_deviation == 0.0
+    assert check_block_structure(coeffs) == 0.0
+
+
+@pytest.mark.parametrize("N,n", [(2, 1), (4, 2), (4, 3)])
+def test_block_structure_reads_an_offset_block(N, n, caplog):
+    # delta added to one off-diagonal block of P_n (n >= 1) breaks only
+    # the relabeling P_n = J' P_1 J, by delta, and logs one warning
+    rng = np.random.default_rng(10)
+    d, delta = 2, 1e-3
+    params, zs, targets = build_scenario(rng, N=N, d=d, T=3)
+    coeffs = full_backward_pass(params, exact_moments_deterministic(zs), targets)
+    P = coeffs.P.copy()
+    P[n, 1, :d, (N - 1) * d :] += delta  # block (0, N - 1) of P_n(1)
+    with caplog.at_level("WARNING", logger="fedgames.nash_full"):
+        assert check_block_structure(replace(coeffs, P=P)) == pytest.approx(delta, rel=1e-9)
+    assert [r.levelname for r in caplog.records] == ["WARNING"]
+    assert "block deviation" in caplog.text
 
 
 @pytest.mark.parametrize(

@@ -17,7 +17,7 @@ from oracles import (
 )
 
 from fedgames.config import SYMMETRY_RTOL, check_symmetry
-from fedgames.diagnostics import ConvergenceScenario, coefficient_gaps, limit_gap_diagnostic
+from fedgames.diagnostics import ConvergenceScenario, coefficient_gaps
 from fedgames.errors import FedGamesError, SolveError
 from fedgames.model import (
     GameParams,
@@ -674,11 +674,8 @@ def test_population_stack_keeps_grid_order_and_repeats():
 def test_population_stack_rejects_n_below_two(grid):
     rng = np.random.default_rng(320)
     params, _, targets = population_case(rng, 2, 3, 4, "closed")
-    scenario = ConvergenceScenario(
-        params=params, targets=targets, latent_mean=np.full((4, 2, 3), 0.8), paths=2
-    )
     with pytest.raises(ValueError, match="N >= 2"):
-        limit_gap_diagnostic(grid, 0, scenario)
+        ConvergenceScenario(params=params, targets=targets, latent_mean=np.full((4, 2, 3), 0.8), paths=2, n_grid=grid)
 
 
 def test_population_stack_rejects_round_stack():
