@@ -1,13 +1,14 @@
 """Command-line entry points: run, convergence, verify.
 
-``run`` executes the (policy, N, seed) cell grid of a JSON config and
-writes results.csv, per-cell coefficient snapshots, and report.json.
+``run`` executes the (policy, N, seed) cell grid of a JSON config,
+writes each cell's files as the cell completes, and results.csv and
+report.json when the grid ends.
 ``convergence`` emits the N-versus-gap table used for the mean-field
 convergence plots. ``verify`` runs three built-in fixture suites
 (structure, QP, convergence) and prints a pass/fail table.
 
 Exit codes: 0 success, 2 config error, 3 solver failure (each failing
-cell is printed; the cells that completed are still written). All
+cell is printed as it fails; the cells that completed are still written). All
 outputs are deterministic under a fixed config and seeds, except the
 measured runtime_ms column, which the determinism fingerprint therefore
 excludes.
@@ -56,9 +57,15 @@ def _is_number(value) -> bool:
     return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
+def _distinct(v: list) -> bool:
+    """Non-empty, with distinct (hashable) entries: a repeated grid entry
+    would run its cells twice."""
+    return bool(v) and len(set(v)) == len(v)
+
+
 def _ints(low: int):
-    return f"a non-empty list of integers >= {low}", lambda v: (
-        isinstance(v, list) and bool(v) and all(_is_int(n) and n >= low for n in v)
+    return f"a non-empty list of distinct integers >= {low}", lambda v: (
+        isinstance(v, list) and all(_is_int(n) and n >= low for n in v) and _distinct(v)
     )
 
 
@@ -93,8 +100,8 @@ _SCHEMA = {
         "dataset": OBJECT,
         "encoder": OBJECT,
         "policies": (
-            f"a non-empty list of policy names from {list(POLICIES)}",
-            lambda v: isinstance(v, list) and bool(v) and all(p in POLICIES for p in v),
+            f"a non-empty list of distinct policy names from {list(POLICIES)}",
+            lambda v: isinstance(v, list) and all(p in POLICIES for p in v) and _distinct(v),
         ),
         "n_grid": _ints(1),
         "seeds": _ints(0),
@@ -297,6 +304,44 @@ def results_fingerprint(path) -> str:
     return hashlib.sha256(blob.encode()).hexdigest()
 
 
+def _write_cell(out_dir: Path, cell, scenario, record) -> tuple[list, dict]:
+    """Write a completed cell's run_*.json, its spawner log and its round-0
+    snapshot, log its INFO line, and return its results.csv row and its
+    report.json entry, which hold all that the grid keeps of the cell."""
+    policy, n, seed = cell
+    write_start = time.perf_counter()
+    written = [out_dir / f"run_{policy}_N{n}_seed{seed}.json"]
+    export_run_record_json(record, written[0])
+    if record.spawn_events:
+        written.append(out_dir / f"spawner_{policy}_N{n}_seed{seed}.jsonl")
+        write_jsonl(record.spawn_events, written[-1])
+    written.append(_round0_coeff_dump(policy, scenario, seed, record, out_dir / "coeffs"))
+    logger.info(
+        "cell policy=%s N=%d seed=%d: episode %.3f s, output writing %.3f s, %d bytes written",
+        policy,
+        n,
+        seed,
+        record.runtime_ms / 1000.0,
+        time.perf_counter() - write_start,
+        sum(path.stat().st_size for path in written if path is not None),
+    )
+    metrics = record.rmse_aggregated, record.rmse_worst, record.regret, record.runtime_ms
+    row = [policy, n, seed, *map(repr, metrics)]
+    entry = {
+        "policy": policy,
+        "N": n,
+        "seed": seed,
+        "regret": record.regret,
+        "rmse_agg": record.rmse_aggregated,
+        "rmse_worst": record.rmse_worst,
+        "rmse_bottom20": record.rmse_bottom20,
+        "messages_per_step": record.messages_per_step,
+        "max_abs_prediction": record.max_abs_prediction,
+        "diverged": record.diverged,
+    }
+    return row, entry
+
+
 def cmd_run(args) -> int:
     try:
         cfg = load_config(args.config)
@@ -315,104 +360,47 @@ def cmd_run(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "coeffs").mkdir(exist_ok=True)
 
-    results = {}
-    failures = []
+    # each cell's files are written as it completes, and its record is then
+    # dropped; a failed cell is reported and the run exits 3, but the cells
+    # that completed still get their outputs
+    kept = {}  # cell -> (results.csv row, report.json entry), in grid order
     for cell in cells:
-        policy, _, seed = cell
+        policy, n, seed = cell
         try:
-            results[cell] = run_episode(policy, scenarios[cell], seed)
+            record = run_episode(policy, scenarios[cell], seed)
         except (FedGamesError, ValueError, np.linalg.LinAlgError) as exc:
-            failures.append((cell, str(exc)))
-
-    # a failed cell is reported and the run exits 3, but the cells that
-    # completed still get their outputs
-    for (policy, n, seed), msg in failures:
-        print(f"solver failure in cell policy={policy} N={n} seed={seed}: {msg}", file=sys.stderr)
+            print(f"solver failure in cell policy={policy} N={n} seed={seed}: {exc}", file=sys.stderr)
+            continue
+        kept[cell] = _write_cell(out_dir, cell, scenarios[cell], record)
+        del record
 
     with (out_dir / "results.csv").open("w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(RESULTS_HEADER)
-        for cell in sorted(results):
-            policy, n, seed = cell
-            rec = results[cell]
-            writer.writerow(
-                [
-                    policy,
-                    n,
-                    seed,
-                    repr(rec.rmse_aggregated),
-                    repr(rec.rmse_worst),
-                    repr(rec.regret),
-                    repr(rec.runtime_ms),
-                ]
-            )
-
-    report_cells = []
-    for cell in sorted(results):
-        policy, n, seed = cell
-        rec = results[cell]
-        write_start = time.perf_counter()
-        written = [out_dir / f"run_{policy}_N{n}_seed{seed}.json"]
-        export_run_record_json(rec, written[0])
-        if rec.spawn_events:
-            written.append(out_dir / f"spawner_{policy}_N{n}_seed{seed}.jsonl")
-            write_jsonl(rec.spawn_events, written[-1])
-        written.append(_round0_coeff_dump(policy, scenarios[cell], seed, rec, out_dir / "coeffs"))
-        logger.info(
-            "cell policy=%s N=%d seed=%d: episode %.3f s, output writing %.3f s, %d bytes written",
-            policy,
-            n,
-            seed,
-            rec.runtime_ms / 1000.0,
-            time.perf_counter() - write_start,
-            sum(path.stat().st_size for path in written if path is not None),
-        )
-        report_cells.append(
-            {
-                "policy": policy,
-                "N": n,
-                "seed": seed,
-                "regret": rec.regret,
-                "rmse_agg": rec.rmse_aggregated,
-                "rmse_worst": rec.rmse_worst,
-                "rmse_bottom20": rec.rmse_bottom20,
-                "messages_per_step": rec.messages_per_step,
-                "max_abs_prediction": rec.max_abs_prediction,
-                "diverged": rec.diverged,
-            }
-        )
+        writer.writerows(kept[cell][0] for cell in sorted(kept))
     # sample-path metrics live per cell; Monte-Carlo means over seeds are
-    # exported alongside, labeled as such
-    aggregates = []
-    for policy in cfg["policies"]:
-        for n in sorted({c[1] for c in results}):
-            recs = [results[c] for c in results if c[0] == policy and c[1] == n]
-            if not recs:
-                continue
-            aggregates.append(
-                {
-                    "policy": policy,
-                    "N": n,
-                    "seeds": len(recs),
-                    "mc_mean_regret": float(np.mean([r.regret for r in recs])),
-                    "mc_mean_rmse_agg": float(np.mean([r.rmse_aggregated for r in recs])),
-                    "mc_mean_rmse_worst": float(np.mean([r.rmse_worst for r in recs])),
-                    "mc_mean_rmse_bottom20": float(np.mean([r.rmse_bottom20 for r in recs])),
-                }
-            )
-    (out_dir / "report.json").write_text(
-        json.dumps(
-            {
-                "schema_version": SCHEMA_VERSION,
-                "cells": report_cells,
-                "mc_means_over_seeds": aggregates,
-                "config": cfg,
-            }
-        ),
-        encoding="utf-8",
-    )
-    print(f"wrote {out_dir / 'results.csv'} ({len(results)} cells)")
-    return 3 if failures else 0
+    # exported alongside, labeled as such. Each group is averaged in grid
+    # order, which sets the means' last bits
+    groups = {}
+    for (policy, n, _), (_, entry) in kept.items():
+        groups.setdefault((policy, n), []).append(entry)
+    aggregates = [
+        {"policy": policy, "N": n, "seeds": len(entries)}
+        | {
+            f"mc_mean_{name}": float(np.mean([e[name] for e in entries]))
+            for name in ("regret", "rmse_agg", "rmse_worst", "rmse_bottom20")
+        }
+        for (policy, n), entries in sorted(groups.items(), key=lambda g: (cfg["policies"].index(g[0][0]), g[0][1]))
+    ]
+    report = {
+        "schema_version": SCHEMA_VERSION,
+        "cells": [kept[cell][1] for cell in sorted(kept)],
+        "mc_means_over_seeds": aggregates,
+        "config": cfg,
+    }
+    (out_dir / "report.json").write_text(json.dumps(report), encoding="utf-8")
+    print(f"wrote {out_dir / 'results.csv'} ({len(kept)} cells)")
+    return 3 if len(kept) < len(cells) else 0
 
 
 def _convergence_scenario(cfg: dict) -> ConvergenceScenario:

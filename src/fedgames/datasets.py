@@ -149,27 +149,10 @@ def _concept_drift(length: int) -> tuple[np.ndarray, np.ndarray]:
     return ys, xs
 
 
-def _synthetic(spec: DatasetSpec) -> tuple[TargetSeries, np.ndarray]:
-    """(targets, inputs) of a synthetic spec; deterministic under the seed."""
-    if spec.kind == "periodic":
-        vals = xs = _periodic(spec.length)
-    elif spec.kind == "logistic_map":
-        vals = xs = _logistic_map(spec.length, spec.seed, spec.parameters)
-    elif spec.kind == "concept_drift":
-        vals, xs = _concept_drift(spec.length)
-    else:
-        raise SpecError("generate_series does not handle csv specs; use load_csv")
-    return TargetSeries(values=vals, provenance=f"{spec.kind}(seed={spec.seed})"), xs[:-1]
-
-
-def generate_series(spec: DatasetSpec) -> TargetSeries:
-    """Target values for a synthetic spec; deterministic under the seed."""
-    return _synthetic(spec)[0]
-
-
 def build_dataset(spec: DatasetSpec) -> tuple[TargetSeries, np.ndarray]:
     """(targets, inputs) pair; inputs[t] is the encoder input at step t:
-    the lag-1 target, concept_drift's x, or the csv's lagged columns."""
+    the lag-1 target, concept_drift's x, or the csv's lagged columns. A
+    synthetic series is deterministic under the spec's seed."""
     if spec.kind == "csv":
         return load_csv(
             spec.parameters["path"],
@@ -178,7 +161,13 @@ def build_dataset(spec: DatasetSpec) -> tuple[TargetSeries, np.ndarray]:
             length=spec.length,
             max_scale=spec.parameters.get("max_scale", False),
         )
-    return _synthetic(spec)
+    if spec.kind == "periodic":
+        vals = xs = _periodic(spec.length)
+    elif spec.kind == "logistic_map":
+        vals = xs = _logistic_map(spec.length, spec.seed, spec.parameters)
+    else:
+        vals, xs = _concept_drift(spec.length)
+    return TargetSeries(values=vals), xs[:-1]
 
 
 def load_csv(
@@ -249,4 +238,4 @@ def load_csv(
             for t in in_ts
         ]
     )
-    return TargetSeries(values=targets, provenance=str(path)), inputs
+    return TargetSeries(values=targets), inputs

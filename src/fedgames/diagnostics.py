@@ -72,9 +72,12 @@ class ConvergenceScenario:
             grid = tuple(operator.index(n) for n in self.n_grid)
         except TypeError:
             grid = ()
-        # a float is rejected rather than truncated
-        if not grid or min(grid) < 2:
-            raise ValueError(f"n_grid must be a non-empty sequence of integers N >= 2, got {self.n_grid!r}")
+        # a float is rejected rather than truncated, and a repeated N
+        # would be solved and simulated twice
+        if not grid or min(grid) < 2 or len(set(grid)) < len(grid):
+            raise ValueError(
+                f"n_grid must be a non-empty sequence of integers N >= 2, each distinct, got {self.n_grid!r}"
+            )
         p = self.params
         # a copy, not a broadcast view: the Monte-Carlo products' last bits
         # depend on the strides

@@ -65,7 +65,7 @@ from __future__ import annotations
 import logging
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import partial
 
 import numpy as np
@@ -176,7 +176,6 @@ class RunRecord:
     aggregated: np.ndarray  # (rounds, T, d_y) prediction of y_{t+1}
     costs: np.ndarray  # (N,) per-agent total objective
     round_cost_quantiles: dict  # COST_QUANTILES name -> (rounds,) quantile of the agents' round costs
-    regret: float
     rmse_aggregated: float
     rmse_worst: float
     rmse_bottom20: float
@@ -185,6 +184,11 @@ class RunRecord:
     spawn_events: list = field(default_factory=list)
     round0_coeffs: tuple | None = None  # (kind, coefficients) of round 0; None for greedy
     max_abs_prediction: float = 0.0  # over every agent, step and coordinate
+
+    @property
+    def regret(self) -> float:
+        """Worst per-agent cost: the quantity the equilibrium minimizes."""
+        return float(np.max(self.costs))
 
     @property
     def diverged(self) -> bool:
@@ -335,8 +339,8 @@ class _RunningMetrics:
 
 
 def underperformer_regret(record: RunRecord) -> float:
-    """Worst per-agent cost: the quantity the equilibrium minimizes."""
-    return float(np.max(record.costs))
+    """``record.regret``, the worst per-agent cost."""
+    return record.regret
 
 
 def _aggregation_discounts(k: int, alpha_a: float) -> np.ndarray:
@@ -435,10 +439,12 @@ class _GreedyWindow:
     """The last ``window_T`` (Z, residual) pairs of every agent for the
     ridge baseline, oldest first, in fixed (N, window_T, ...) arrays.
 
-    Each fill level k keeps the discount weights of ``ridge_design`` and
-    buffers for its weighted design, so a step's actions are
-    ``ridge_solve`` on the same arrays ``ridge_action`` builds from the
-    window, written in place."""
+    One buffer holds the weighted design and one vector the discount
+    weights of ``ridge_design``; fill level k keeps views of their newest
+    k rows (``ridge_weights(window_T)[-k:]`` is ``ridge_weights(k)``), so
+    a step's actions are ``ridge_solve`` on the same arrays
+    ``ridge_action`` builds from the window, written in place, and memory
+    grows linearly with the window."""
 
     def __init__(self, n_agents: int, d_y: int, d_z: int, cfg: RidgeConfig):
         size = cfg.window_T
@@ -448,17 +454,17 @@ class _GreedyWindow:
         self.penalty = ridge_penalty(d_z, cfg)
         self.gram, self.rhs = np.empty((n_agents, d_z, d_z)), np.empty((n_agents, d_z, 1))
         self.zero = np.zeros((n_agents, d_z))
-        self.levels = [None]  # fill level k -> (weights, window views, design buffers)
-        for k in range(1, size + 1):
-            w = ridge_weights(k, cfg)
-            X, ybar = np.empty((n_agents, k, d_y, d_z)), np.empty((n_agents, k, d_y))
-            self.levels.append(
-                (
-                    (w[:, None, None], w[:, None]),
-                    (self.z[:, -k:], self.resid[:, -k:]),
-                    (X, ybar, X.reshape(n_agents, k * d_y, d_z), ybar.reshape(n_agents, k * d_y)),
-                )
+        w = ridge_weights(size, cfg)
+        X, ybar = np.empty((n_agents, size, d_y, d_z)), np.empty((n_agents, size, d_y))
+        X_flat, ybar_flat = X.reshape(n_agents, size * d_y, d_z), ybar.reshape(n_agents, size * d_y)
+        self.levels = [None] + [  # fill level k -> (weights, window, design) views of the newest k rows
+            (
+                (w[-k:, None, None], w[-k:, None]),
+                (self.z[:, -k:], self.resid[:, -k:]),
+                (X[:, -k:], ybar[:, -k:], X_flat[:, -k * d_y :], ybar_flat[:, -k * d_y :]),
             )
+            for k in range(1, size + 1)
+        ]
 
     def actions(self) -> np.ndarray:
         """(N, d_z) ridge actions; zero while the window is empty."""
@@ -512,7 +518,9 @@ def _solve_episode(policy, scenario: Scenario, inputs, values, rounds, seed):
     if policy == "greedy":
         if scenario.ridge is None:
             raise ValueError("greedy policy needs a ridge config")
-        window = _GreedyWindow(N, p.dim_y, p.dim_z, scenario.ridge)
+        # the window never holds more pairs than the episode pushes
+        cfg = replace(scenario.ridge, window_T=min(scenario.ridge.window_T, rounds * T))
+        window = _GreedyWindow(N, p.dim_y, p.dim_z, cfg)
         sqrt_kappa = np.sqrt(p.kappa)
 
         def act(r, t, preds, latents, drift, mean_drift):
@@ -603,7 +611,6 @@ def run_episode(policy: str, scenario: Scenario, seed: int, trace: EpisodeTrace 
 
     metrics = _RunningMetrics(N, rounds, p)
     agg_hist = np.zeros((rounds, T, d_y))
-    window_Ta = scenario.aggregation_window
     log_weights = np.full(N, -np.log(N))
     spawn_events: list[dict] = []
     round0 = None
@@ -617,8 +624,12 @@ def run_episode(policy: str, scenario: Scenario, seed: int, trace: EpisodeTrace 
     noise, ax = np.empty((N, d_z)), np.empty((N, d_y))
     drift, mean, mean_drift, zb = np.empty((N, d_y)), np.empty(d_y), np.empty(d_y), np.empty((N, d_y))
     theta_t, theta_bar_t = p.theta.T, p.theta_bar.T
+    # the aggregation window never holds more steps than the episode plays;
+    # level k views the newest k errors and their discounts
+    window_Ta = min(scenario.aggregation_window, rounds * T)
     errors, weights, uniform = np.empty((window_Ta, N)), np.empty(N), np.full(N, 1.0 / N)
-    discounts = [None] + [_aggregation_discounts(k, scenario.aggregation_alpha) for k in range(1, window_Ta + 1)]
+    discounts = _aggregation_discounts(window_Ta, scenario.aggregation_alpha)
+    levels = [None] + [(discounts[-k:], errors[-k:]) for k in range(1, window_Ta + 1)]
     diff = np.empty((N, d_y))
     scored = 0  # steps scored so far, up to window_Ta
     check_step(pool.encoder, inputs[0], noise, pool.esn_state)
@@ -645,7 +656,7 @@ def run_episode(policy: str, scenario: Scenario, seed: int, trace: EpisodeTrace 
             _advance_into(drift, mean_drift, latents, acts_hist[t], new_preds, zb)
             check_finite(new_preds, np.add.reduce(new_preds, axis=None))
 
-            w = uniform if scored == 0 else _softmax_into(discounts[scored], errors[window_Ta - scored :], weights)
+            w = uniform if scored == 0 else _softmax_into(*levels[scored], weights)
             np.matmul(w, new_preds, out=agg_hist[r, t])
             errors[:-1] = errors[1:]
             score_into(values[g + 1], new_preds, diff, errors[-1])
@@ -670,24 +681,19 @@ def run_episode(policy: str, scenario: Scenario, seed: int, trace: EpisodeTrace 
                 values[base + T],
             )
 
-    record = RunRecord(
+    return RunRecord(
         policy=policy,
         seed=seed,
         targets=values,
         aggregated=agg_hist,
         costs=metrics.costs,
         round_cost_quantiles={name: metrics.quantiles[:, i] for i, name in enumerate(COST_QUANTILES)},
-        regret=0.0,
-        rmse_aggregated=0.0,
-        rmse_worst=0.0,
-        rmse_bottom20=0.0,
         messages_per_step=MESSAGES_PER_STEP[policy](N),
         spawn_events=spawn_events,
         round0_coeffs=round0,
+        **_finalize_metrics(metrics, agg_hist, values),
+        runtime_ms=1000.0 * (time.perf_counter() - start),
     )
-    _finalize_metrics(record, metrics)
-    record.runtime_ms = 1000.0 * (time.perf_counter() - start)
-    return record
 
 
 def _spawn_between_rounds(
@@ -738,17 +744,17 @@ def _spawn_between_rounds(
     return new_log_weights
 
 
-def _finalize_metrics(record: RunRecord, metrics: _RunningMetrics):
-    """Episode metrics from the streamed per-agent sums and the
-    aggregated series."""
-    rounds, T, d_y = record.aggregated.shape
-    record.regret = underperformer_regret(record)
-
-    y = record.targets[1 : rounds * T + 1].reshape(rounds, T, d_y)
-    agg_err = np.sum((record.aggregated - y) ** 2, axis=-1)
-    record.rmse_aggregated = float(np.sqrt(np.mean(agg_err)))
+def _finalize_metrics(metrics: _RunningMetrics, aggregated, targets) -> dict:
+    """The record's metric fields, from the streamed per-agent sums, the
+    (rounds, T, d_y) aggregated series and the (L, d_y) targets."""
+    rounds, T, d_y = aggregated.shape
+    y = targets[1 : rounds * T + 1].reshape(rounds, T, d_y)
+    agg_err = np.sum((aggregated - y) ** 2, axis=-1)
     per_agent_rmse = np.sqrt(metrics.sq_err / (rounds * T))
-    record.rmse_worst = float(per_agent_rmse.max())
     k = max(1, int(np.ceil(0.2 * per_agent_rmse.shape[0])))
-    record.rmse_bottom20 = float(np.sort(per_agent_rmse)[-k:].mean())
-    record.max_abs_prediction = metrics.max_abs_prediction
+    return {
+        "rmse_aggregated": float(np.sqrt(np.mean(agg_err))),
+        "rmse_worst": float(per_agent_rmse.max()),
+        "rmse_bottom20": float(np.sort(per_agent_rmse)[-k:].mean()),
+        "max_abs_prediction": metrics.max_abs_prediction,
+    }

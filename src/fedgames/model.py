@@ -71,10 +71,9 @@ class GameParams:
 
 @dataclass(frozen=True)
 class TargetSeries:
-    """Observed target values y_0..y_T plus where they came from."""
+    """Observed target values y_0..y_T."""
 
     values: np.ndarray  # (T+1, d_y)
-    provenance: str = "unspecified"
 
     def __post_init__(self):
         v = np.atleast_2d(np.asarray(self.values, dtype=float))

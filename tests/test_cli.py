@@ -70,6 +70,32 @@ def test_run_produces_results(config, tmp_path):
     assert not {"Q1N", "Q2N", "Q3N", "Q4N"} & payload.keys()
 
 
+def test_interrupted_grid_keeps_the_cells_it_completed(config, tmp_path, monkeypatch):
+    # each cell's files are written as the cell completes, so a grid that
+    # stops early keeps what it ran
+    import fedgames.cli
+
+    path, _ = config
+    out = tmp_path / "out"
+    calls = []
+    run_episode = fedgames.cli.run_episode
+
+    def interrupt_second(policy, scenario, seed):
+        calls.append(policy)
+        if len(calls) == 2:
+            raise KeyboardInterrupt
+        return run_episode(policy, scenario, seed)
+
+    monkeypatch.setattr(fedgames.cli, "run_episode", interrupt_second)
+    with pytest.raises(KeyboardInterrupt):
+        main(["run", "--config", str(path), "--out", str(out)])
+    # the grid's first cell is (reduced, 2, 1)
+    assert (out / "run_reduced_N2_seed1.json").exists()
+    assert (out / "coeffs" / "reduced_N2_seed1.json").exists()
+    assert not (out / "run_reduced_N3_seed1.json").exists()
+    assert not (out / "results.csv").exists()
+
+
 def test_run_deterministic(config, tmp_path):
     path, _ = config
     out1, out2 = tmp_path / "o1", tmp_path / "o2"
@@ -184,10 +210,11 @@ def test_convergence_outputs(config, tmp_path):
 
 @pytest.mark.parametrize(
     "key,value",
-    [("n_grid", [1, 4]), ("n_grid", [0, 4]), ("paths", 1), ("paths", 0)],
+    [("n_grid", [1, 4]), ("n_grid", [0, 4]), ("n_grid", [4, 8, 4]), ("paths", 1), ("paths", 0)],
 )
 def test_convergence_rejects_bad_grid(config, tmp_path, capsys, key, value):
-    # N < 2 has no finite-N game, and fewer than two paths give no stderr
+    # N < 2 has no finite-N game, a repeated N would be solved twice, and
+    # fewer than two paths give no stderr
     _, cfg = config
     cfg["convergence"][key] = value
     path = tmp_path / "bad.json"
@@ -523,11 +550,16 @@ def _without_ridge(cfg):
         (lambda cfg: cfg["ridge"].update(window_T=1.5), "ridge.window_T"),
         (lambda cfg: cfg["aggregation"].update(window_Ta=0), "aggregation.window_Ta"),
         (lambda cfg: cfg["aggregation"].update(window_Ta=2.5), "aggregation.window_Ta"),
+        # a repeated entry ran its cells twice, and report.json averaged them twice
+        (lambda cfg: cfg.update(n_grid=[2, 2]), "n_grid must be a non-empty list of distinct"),
+        (lambda cfg: cfg.update(seeds=[1, 1]), "seeds must be a non-empty list of distinct"),
+        (lambda cfg: cfg.update(policies=["reduced", "reduced", "greedy"]), "policies must be"),
     ],
     ids=["n_grid-float", "n_grid-empty", "seeds-empty", "policies-empty", "policies-string",
          "greedy-no-ridge", "retire_k-not-below-N", "retire_k-zero", "mc_samples-zero",
          "mc_samples-negative", "mc_samples-float", "window_T-zero", "window_T-float",
-         "window_Ta-zero", "window_Ta-float"],
+         "window_Ta-zero", "window_Ta-float", "n_grid-repeated", "seeds-repeated",
+         "policies-repeated"],
 )
 def test_run_rejects_bad_grid(config, tmp_path, capsys, edit, message):
     # rejected before any cell runs, not in some cells at run time

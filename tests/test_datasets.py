@@ -7,14 +7,13 @@ from fedgames.datasets import (
     build_dataset,
     drift_blend,
     drift_targets,
-    generate_series,
     load_csv,
 )
 from fedgames.errors import SpecError
 
 
 def test_periodic_alternates():
-    ts = generate_series(DatasetSpec(kind="periodic", length=4))
+    ts = build_dataset(DatasetSpec(kind="periodic", length=4))[0]
     vals = ts.values[:, 0]
     assert set(np.round(vals, 12)) == {0.9, -0.9}
     assert all(vals[i] == -vals[i + 1] for i in range(3))
@@ -34,8 +33,8 @@ def test_drift_blend_endpoints():
 
 def test_logistic_map_deterministic_and_bounded():
     spec = DatasetSpec(kind="logistic_map", length=50, seed=4)
-    a = generate_series(spec).values
-    b = generate_series(spec).values
+    a = build_dataset(spec)[0].values
+    b = build_dataset(spec)[0].values
     np.testing.assert_array_equal(a, b)
     assert np.all((a >= 0.0) & (a <= 1.0))
 
@@ -192,7 +191,7 @@ def test_parameters_checked_per_kind(kind, parameters):
 def test_logistic_map_takes_an_integer_c():
     spec = DatasetSpec(kind="logistic_map", length=10, parameters={"c": 3})
     want = DatasetSpec(kind="logistic_map", length=10, parameters={"c": 3.0})
-    np.testing.assert_array_equal(generate_series(spec).values, generate_series(want).values)
+    np.testing.assert_array_equal(build_dataset(spec)[0].values, build_dataset(want)[0].values)
 
 
 @pytest.mark.parametrize("seed", [-1, True, 1.0])

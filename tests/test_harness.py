@@ -3,7 +3,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
-from dataclasses import fields
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -157,7 +157,6 @@ class TestRegret:
             aggregated=np.zeros((1, 1, 1)),
             costs=np.array([0.1, 0.7, 0.3]),
             round_cost_quantiles={},
-            regret=0.0,
             rmse_aggregated=0.0,
             rmse_worst=0.0,
             rmse_bottom20=0.0,
@@ -491,6 +490,58 @@ def test_greedy_window_matches_ridge_action_at_every_fill_level():
         window.push(latents, target, drift, mean_drift, scale)
         pairs_z.append(scale * latents)
         pairs_r.append(scale * (target - drift - mean_drift))
+
+
+def _held_bytes(obj) -> int:
+    """Bytes of the distinct array buffers that ``obj``'s attributes reach,
+    through tuples and lists; a view counts as the array it views."""
+    buffers, todo = {}, list(vars(obj).values())
+    while todo:
+        item = todo.pop()
+        if isinstance(item, (tuple, list)):
+            todo.extend(item)
+        elif isinstance(item, np.ndarray):
+            while item.base is not None:
+                item = item.base
+            buffers[id(item)] = item.nbytes
+    return sum(buffers.values())
+
+
+def test_greedy_window_memory_is_linear_in_the_window():
+    # one design buffer and one weight vector, viewed per fill level; a
+    # buffer per fill level held 117 MB here, quadratic in the window
+    from fedgames.harness import _GreedyWindow
+
+    n, d_y, d_z, size = 64, 1, 4, 300
+    window = _GreedyWindow(n, d_y, d_z, RidgeConfig(window_T=size, alpha=0.1, gamma=0.5))
+    assert _held_bytes(window) <= 64 * size * n * d_y * d_z
+
+
+def test_windows_past_the_episode_change_nothing():
+    # the greedy and aggregation windows never hold more steps than the
+    # episode plays, rounds * T = 8 here, so larger windows give the same
+    # record as windows of exactly that size, in the same memory (sized to
+    # the window, the greedy one held 71 MB here)
+    base = small_scenario(
+        params=replace(small_scenario().params, population_N=64), spawner=SpawnerConfig(retire_k=4)
+    )
+    steps = 8
+    capped = replace(base, ridge=replace(base.ridge, window_T=steps), aggregation_window=steps)
+    large = replace(base, ridge=replace(base.ridge, window_T=300), aggregation_window=300)
+
+    def traced(policy, scenario):
+        tracemalloc.start()
+        try:
+            return run_episode(policy, scenario, seed=4), tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+
+    for policy in ("greedy", "decentralized"):
+        (a, peak_capped), (b, peak_large) = traced(policy, capped), traced(policy, large)
+        assert peak_large <= 1.1 * peak_capped, (policy, peak_capped, peak_large)
+        for name in ("aggregated", "costs", "round_cost_quantiles", "rmse_aggregated", "rmse_worst",
+                     "rmse_bottom20", "max_abs_prediction", "spawn_events"):
+            np.testing.assert_equal(getattr(a, name), getattr(b, name), err_msg=f"{policy} {name}")
 
 
 @pytest.mark.parametrize("encoder", sorted(FUSED_ENCODERS))

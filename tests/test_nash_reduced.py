@@ -828,8 +828,7 @@ def test_property_harsh_rounding_logs_nothing(caplog, case):
 
 
 @pytest.mark.xfail(
-    reason="harsh draws break the contract: the full pass returns non-finite gains without "
-    "raising where the reduced pass raises SolveError, and finite gains of the two passes "
+    reason="harsh draws break the contract: finite gains of the full and reduced passes "
     "can differ by up to ~1 of the largest |entry| (see CHANGES.md, FOUND)",
     strict=False,
 )
