@@ -1,8 +1,9 @@
 """Command-line entry points: run, convergence, verify.
 
-``run`` executes the (policy, N, seed) cell grid of a JSON config,
-writes each cell's files as the cell completes, and results.csv and
-report.json when the grid ends.
+``run`` executes the (policy, N, seed) cell grid of a JSON config (the
+cells of a seed share its dataset, latent bank and structured pass,
+``harness.SeedWork``), writes each cell's files as the cell completes,
+and results.csv and report.json when the grid ends.
 ``convergence`` emits the N-versus-gap table used for the mean-field
 convergence plots. ``verify`` runs three built-in fixture suites
 (structure, QP, convergence) and prints a pass/fail table.
@@ -30,7 +31,7 @@ import numpy as np
 from .datasets import DatasetSpec
 from .diagnostics import ConvergenceScenario, limit_gap_diagnostic
 from .errors import SEED, ConfigError, FedGamesError
-from .harness import POLICIES, EncoderConfig, Scenario, SpawnerConfig, run_episode
+from .harness import POLICIES, EncoderConfig, Scenario, SeedWork, SpawnerConfig, run_episode
 from .io import (
     SCHEMA_VERSION,
     dump_coeffs,
@@ -360,14 +361,29 @@ def cmd_run(args) -> int:
     out_dir.mkdir(parents=True, exist_ok=True)
     (out_dir / "coeffs").mkdir(exist_ok=True)
 
+    # the cells of a seed share its dataset, latent bank and structured
+    # pass, built at the seed's first cell and dropped after its last; if
+    # building them fails, each of the seed's cells builds its own and
+    # reports its own failure
+    seed_cells = {}
+    for policy, n, seed in cells:
+        seed_cells.setdefault(seed, []).append((policy, n))
+    last = {cell[2]: cell for cell in cells}  # each seed's last cell
+    shared = {}
     # each cell's files are written as it completes, and its record is then
     # dropped; a failed cell is reported and the run exits 3, but the cells
     # that completed still get their outputs
     kept = {}  # cell -> (results.csv row, report.json entry), in grid order
     for cell in cells:
         policy, n, seed = cell
+        if seed not in shared:
+            try:
+                shared[seed] = SeedWork(scenarios[cell], seed, seed_cells[seed])
+            except (FedGamesError, ValueError, np.linalg.LinAlgError):
+                shared[seed] = None
+        work = shared.pop(seed) if cell == last[seed] else shared[seed]
         try:
-            record = run_episode(policy, scenarios[cell], seed)
+            record = run_episode(policy, scenarios[cell], seed, shared=work)
         except (FedGamesError, ValueError, np.linalg.LinAlgError) as exc:
             print(f"solver failure in cell policy={policy} N={n} seed={seed}: {exc}", file=sys.stderr)
             continue

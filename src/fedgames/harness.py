@@ -11,6 +11,16 @@ are plain online mechanisms and know nothing about rounds).
 Costs are reported as sample-path evaluations of the game objective;
 Monte-Carlo means over seeds are left to the caller.
 
+The cells of one seed share the work that depends on neither their
+policy nor their N (``SeedWork``): the dataset, the agents' noise
+streams, the latent bank's round-stacked moments, and one structured
+pass over every round for every reduced N >= 2 among the cells and, for
+decentralized cells, the limit with its mean field. ``fedgames run``
+builds one per seed; ``run_episode`` without one builds its own for its
+one cell, so a lone episode runs the same code as a grid's. A cell's
+``runtime_ms`` is its own episode's wall time plus an equal share of its
+seed's work.
+
 Episodes stream: each round works on its own (T+1, N, d_y) predictions
 and (T, N, d_z) actions, and when it ends its costs are folded into
 per-agent running sums and summarized by a few quantiles. Between rounds
@@ -51,13 +61,14 @@ non-finite carry raises the encoder's EncodeError.
 
 Random streams are keyed by (seed, purpose[, step]) and drawn
 agent-major (README, "Random streams"). The one-off streams, the pool
-(seed, 11), the bank encoders (seed, 71) and each spawner round (seed,
-999, r), come from ``_rng``. The per-step streams, the agent noise
-(seed, 5, g) and the bank noise (seed, 72, t), come from a
-``streams.SeedTable`` per episode and family: one vectorized pass of
-``SeedSequence``'s hash gives every step's PCG64 state, and each step's
-generator is built from its words without a ``SeedSequence``. Both give
-the same draws for the same key.
+(seed, 11) and the bank encoders (seed, 71), come from ``_rng``. The
+per-step and per-round streams, the agent noise (seed, 5, g), the bank
+noise (seed, 72, t) and each spawner round (seed, 999, r), come from a
+``streams.SeedTable`` per family, the first two per seed (``SeedWork``)
+and the spawner's per episode: one vectorized pass of ``SeedSequence``'s
+hash gives every step's PCG64 state, and each step's generator is built
+from its words without a ``SeedSequence``. Both give the same draws for
+the same key.
 """
 
 from __future__ import annotations
@@ -82,12 +93,20 @@ from .encoders import (
     sample_esn_params,
     sample_rfn_params,
 )
-from .errors import AT_LEAST_ONE, FINITE, NONNEGATIVE, DynamicsError, check_fields
+from .errors import AT_LEAST_ONE, FINITE, NONNEGATIVE, DynamicsError, SolveError, check_fields
 from .model import GameParams, MomentSet, TargetSeries, estimate_moments
 from .nash_full import full_action, full_backward_pass, rounds_per_pass
 from .nash_meanfield import decentralized_action  # noqa: F401  (perfbench's tracer names it; the step does not call it)
-from .nash_meanfield import decentralized_backward_pass, meanfield_forward
-from .nash_reduced import reduced_action, reduced_backward_pass, take_round
+from .nash_meanfield import DecentralizedCoeffs, decentralized_backward_pass, limit_coeffs, meanfield_forward
+from .nash_reduced import (
+    ReducedCoeffs,
+    game_units,
+    reduced_action,
+    reduced_backward_pass,
+    reduced_coeffs,
+    structured_pass,
+    take_round,
+)
 from .pool import AgentPool
 from .ridge import RidgeConfig, ridge_penalty, ridge_solve, ridge_weights
 from .ridge import ridge_action  # noqa: F401  (perfbench's tracer wraps it here)
@@ -338,11 +357,6 @@ class _RunningMetrics:
         self.max_abs_prediction = max(self.max_abs_prediction, float(np.max(np.abs(predictions))))
 
 
-def underperformer_regret(record: RunRecord) -> float:
-    """``record.regret``, the worst per-agent cost."""
-    return record.regret
-
-
 def _aggregation_discounts(k: int, alpha_a: float) -> np.ndarray:
     """(k,) discounts of a window of k steps' errors, oldest first."""
     return np.exp(-alpha_a * np.arange(k - 1, -1, -1))
@@ -488,7 +502,102 @@ class _GreedyWindow:
         self.filled = min(self.filled + 1, self.z.shape[1])
 
 
-def _solve_episode(policy, scenario: Scenario, inputs, values, rounds, seed):
+class SeedWork:
+    """The work that the cells of one seed share, done once for all of
+    them: the dataset, the agents' noise streams, the latent bank's
+    moments and one structured pass.
+
+    ``cells`` are the seed's (policy, N) cells and ``scenario`` the
+    scenario of any of them: a seed's cells differ only in N, which
+    neither the dataset nor the bank reads. The bank (seed, encoder and
+    ``mc_samples``) is built and reduced to round-stacked moments only if
+    some cell solves a game; greedy cells read the dataset alone. Every
+    reduced N >= 2 among the cells and, for decentralized cells, the
+    limit (eps = 0) are solved over every round in one population stack
+    of ``nash_reduced.structured_pass``; each entry is read back through
+    the code of its lone pass (``reduced_coeffs``, ``limit_coeffs``), so
+    it is that pass's coefficients bit for bit, and the limit's mean
+    field Ybar (``meanfield_forward``) is computed once for every
+    decentralized cell, whatever its N. If that pass raises, the cells
+    solve alone (``reduced``, ``decentralized``), and a failing cell
+    raises its own pass's error. Full cells, and reduced cells at N = 1,
+    read only the moments: the dense full pass stays an independent
+    oracle of the structured one.
+
+    ``share_ms`` is the wall time of this work divided by the number of
+    cells: each cell's ``runtime_ms`` adds it to its own episode time.
+    """
+
+    def __init__(self, scenario: Scenario, seed: int, cells):
+        start = time.perf_counter()
+        p = scenario.params
+        T = p.horizon_T
+        self.seed, self.cells = seed, set(cells)
+        targets, self.inputs = build_dataset(scenario.dataset)
+        self.values = targets.values
+        if self.values.shape[1] != p.dim_y:
+            raise ValueError(f"dataset dim {self.values.shape[1]} != dim_y {p.dim_y}")
+        self.rounds = (self.values.shape[0] - 1) // T
+        if self.rounds < 1:
+            raise ValueError("dataset too short for one round of the horizon")
+        # the agents' noise streams (seed, 5, g), whose keys hold neither policy nor N
+        self.noise_streams = SeedTable((seed, 5), self.rounds * T)
+        self._reduced = {}  # N -> ReducedCoeffs of the seed's pass
+        self._limit = None  # (DecentralizedCoeffs, ybar) of the seed's pass
+        if any(policy != "greedy" for policy, _ in self.cells):
+            # covers only the rounds T input steps that the rounds play
+            episode = estimate_moments(_build_bank(scenario, self.inputs[: self.rounds * T], seed))
+            # views with the round axis after the time axis: [t, r] is step rT + t
+            self._m1, self._units = (
+                a.reshape(self.rounds, T, *a.shape[1:]).swapaxes(0, 1) for a in (episode.m1, episode.units)
+            )
+            self._solve_stack(p)
+        self.share_ms = 1000.0 * (time.perf_counter() - start) / len(self.cells)
+
+    def round_stack(self, first: int, stop: int) -> tuple[MomentSet, TargetSeries]:
+        """(moments, targets) of rounds first..stop-1 with a round axis
+        after the time axis: entry [t, r] is step (first + r)T + t."""
+        T = self._m1.shape[0]
+        moments = MomentSet(m1=self._m1[:, first:stop], units=self._units[:, first:stop])
+        targets = TargetSeries(values=self.values[np.arange(T + 1)[:, None] + T * np.arange(first, stop)])
+        return moments, targets
+
+    def _solve_stack(self, params: GameParams) -> None:
+        ns = sorted({n for policy, n in self.cells if policy == "reduced" and n >= 2})
+        if any(policy == "decentralized" for policy, _ in self.cells):
+            ns.append(math.inf)
+        if not ns:
+            return
+        moments, targets = self.round_stack(0, self.rounds)
+        eps = 1 / np.array(ns, dtype=float)[:, None, None, None]
+        try:
+            s = structured_pass(params, moments, targets, eps, "reduced", lambda p: f"N={ns[p]}")
+        except (SolveError, np.linalg.LinAlgError):
+            return  # every cell solves alone
+        for p, n in enumerate(ns):
+            entry = s.entry(p)
+            if n < math.inf:
+                self._reduced[n] = reduced_coeffs(params, entry, n)
+                continue
+            limit = limit_coeffs(params, entry, game_units(entry, math.inf)[1])
+            self._limit = limit, meanfield_forward(limit, moments, targets.values[0])
+
+    def reduced(self, params: GameParams) -> ReducedCoeffs:
+        """The round-stacked reduced coefficients at N = params.population_N."""
+        if params.population_N in self._reduced:
+            return self._reduced[params.population_N]
+        return reduced_backward_pass(params, *self.round_stack(0, self.rounds))
+
+    def decentralized(self, params: GameParams) -> tuple[DecentralizedCoeffs, np.ndarray]:
+        """The round-stacked limit coefficients and their (T+1, rounds, d_y) Ybar."""
+        if self._limit is not None:
+            return self._limit
+        moments, targets = self.round_stack(0, self.rounds)
+        coeffs = decentralized_backward_pass(params, moments, targets)
+        return coeffs, meanfield_forward(coeffs, moments, targets.values[0])
+
+
+def _solve_episode(policy, scenario: Scenario, work: SeedWork):
     """(kind, one (coefficients, act) per round): the one place a policy
     maps to its solver and its action rule. ``act(t, predictions,
     latents, drift, mean_drift)`` returns the (N, d_z) actions of step t
@@ -496,25 +605,26 @@ def _solve_episode(policy, scenario: Scenario, inputs, values, rounds, seed):
     greedy and decentralized ones do); the last two are the step's drift
     terms theta Y and theta_bar mean(Y), which only the greedy baseline
     reads (its ridge residual is the target less both). The greedy
-    baseline solves nothing (kind and coefficients None) and builds no
+    baseline solves nothing (kind and coefficients None) and reads no
     latent bank.
 
-    The episode's latent bank covers only the rounds T input steps that
-    the rounds play, so a non-finite sample in an input step past them
-    no longer raises. It is reduced to moments once, and then
-    dropped. A round's pass reads only the params, the moments of steps
-    rT..rT+T-1 and the targets ``values[rT:rT+T+1]``, never the agents,
-    so the passes solve rounds together, over a round stack whose
-    moments are a view of the episode's. The reduced and decentralized
-    passes solve every round at once, before the step loop. The dense
-    full oracle solves chunks of ``nash_full.rounds_per_pass(N)`` =
-    (HARD_N_CEILING // N)^2 rounds, each as the loop reaches it: a chunk's
-    peak memory stays at or below one lone pass at HARD_N_CEILING, so a
-    cell never holds more than that ahead of the loop. (A chunk's
-    SolveError counts rounds from the chunk's first.)
+    The seed's latent bank (``SeedWork``) covers only the rounds T input
+    steps that the rounds play, so a non-finite sample in an input step
+    past them does not raise. A round's pass reads only the params, the
+    moments of steps rT..rT+T-1 and the targets ``values[rT:rT+T+1]``,
+    never the agents, so the passes solve rounds together, over a round
+    stack whose moments are a view of the seed's. The reduced and
+    decentralized passes solve every round at once, in the seed's one
+    structured pass. The dense full oracle solves chunks of
+    ``nash_full.rounds_per_pass(N)`` = (HARD_N_CEILING // N)^2 rounds,
+    each as the loop reaches it: a chunk's peak memory stays at or below
+    one lone pass at HARD_N_CEILING, so a cell never holds more than that
+    ahead of the loop. (A chunk's SolveError counts rounds from the
+    chunk's first.)
     """
     p = scenario.params
     N, T = p.population_N, p.horizon_T
+    values, rounds = work.values, work.rounds
     if policy == "greedy":
         if scenario.ridge is None:
             raise ValueError("greedy policy needs a ridge config")
@@ -532,17 +642,6 @@ def _solve_episode(policy, scenario: Scenario, inputs, values, rounds, seed):
 
         return None, ((None, partial(act, r)) for r in range(rounds))
 
-    episode = estimate_moments(_build_bank(scenario, inputs[: rounds * T], seed))
-    # views with the round axis after the time axis: [t, r] is step rT + t
-    m1, units = (a.reshape(rounds, T, *a.shape[1:]).swapaxes(0, 1) for a in (episode.m1, episode.units))
-
-    def round_stack(first, stop):
-        """(moments, targets) of rounds first..stop-1 with a round axis
-        after the time axis: entry [t, r] is step (first + r)T + t."""
-        moments = MomentSet(m1=m1[:, first:stop], units=units[:, first:stop])
-        targets = TargetSeries(values=values[np.arange(T + 1)[:, None] + T * np.arange(first, stop)])
-        return moments, targets
-
     if policy == "full" or (policy == "reduced" and N == 1):
 
         def act(c, t, preds, latents, drift, mean_drift):
@@ -552,15 +651,14 @@ def _solve_episode(policy, scenario: Scenario, inputs, values, rounds, seed):
             chunk = rounds_per_pass(N)
             for first in range(0, rounds, chunk):
                 stop = min(first + chunk, rounds)
-                coeffs = full_backward_pass(p, *round_stack(first, stop))
+                coeffs = full_backward_pass(p, *work.round_stack(first, stop))
                 for r in range(stop - first):
                     c = take_round(coeffs, r)
                     yield c, partial(act, c)
 
         return "full", solve_chunks()
-    moments, targets = round_stack(0, rounds)
     if policy == "reduced":
-        coeffs = reduced_backward_pass(p, moments, targets)
+        coeffs = work.reduced(p)
 
         def act(c, t, preds, latents, drift, mean_drift):
             return reduced_action(t, preds, preds.sum(axis=0) - preds, c)
@@ -568,8 +666,7 @@ def _solve_episode(policy, scenario: Scenario, inputs, values, rounds, seed):
         solved = (take_round(coeffs, r) for r in range(rounds))
         return policy, ((c, partial(act, c)) for c in solved)
 
-    coeffs = decentralized_backward_pass(p, moments, targets)
-    ybar = meanfield_forward(coeffs, moments, targets.values[0])
+    coeffs, ybar = work.decentralized(p)
     actions = np.empty((N, p.dim_z))
 
     def round_act(c, r):
@@ -590,21 +687,27 @@ def _solve_episode(policy, scenario: Scenario, inputs, values, rounds, seed):
     return policy, ((c, round_act(c, r)) for r, c in enumerate(solved))
 
 
-def run_episode(policy: str, scenario: Scenario, seed: int, trace: EpisodeTrace | None = None) -> RunRecord:
+def run_episode(
+    policy: str,
+    scenario: Scenario,
+    seed: int,
+    trace: EpisodeTrace | None = None,
+    shared: SeedWork | None = None,
+) -> RunRecord:
     """Simulate one seeded episode of the configured scenario; a ``trace``
-    collects the per-step histories."""
-    start = time.perf_counter()
+    collects the per-step histories. ``shared`` is the work of the seed's
+    cells that this cell reads (``fedgames run`` builds one per seed);
+    without it the episode builds its own for this one cell."""
     if policy not in POLICIES:
         raise ValueError(f"unknown policy {policy!r}")
     p = scenario.params
     N, d_y, d_z, T = p.population_N, p.dim_y, p.dim_z, p.horizon_T
-    targets, inputs = build_dataset(scenario.dataset)
-    values = targets.values
-    if values.shape[1] != d_y:
-        raise ValueError(f"dataset dim {values.shape[1]} != dim_y {d_y}")
-    rounds = (values.shape[0] - 1) // T
-    if rounds < 1:
-        raise ValueError("dataset too short for one round of the horizon")
+    if shared is None:
+        shared = SeedWork(scenario, seed, [(policy, N)])
+    elif shared.seed != seed or (policy, N) not in shared.cells:
+        raise ValueError(f"the shared work of seed {shared.seed} has no cell policy={policy} N={N} seed={seed}")
+    start = time.perf_counter()
+    values, inputs, rounds = shared.values, shared.inputs, shared.rounds
     d_x = inputs.shape[1]
 
     pool = AgentPool.create(_sample_encoders(scenario.encoder, N, d_y, d_z, d_x, _rng(seed, 11)))
@@ -634,8 +737,8 @@ def run_episode(policy: str, scenario: Scenario, seed: int, trace: EpisodeTrace 
     scored = 0  # steps scored so far, up to window_Ta
     check_step(pool.encoder, inputs[0], noise, pool.esn_state)
 
-    kind, solved = _solve_episode(policy, scenario, inputs, values, rounds, seed)
-    noise_streams = SeedTable((seed, 5), rounds * T)
+    kind, solved = _solve_episode(policy, scenario, shared)
+    spawn_streams = None if scenario.spawner is None else SeedTable((seed, 999), rounds)
     for r, (coeffs, act) in enumerate(solved):
         base = r * T
         if r == 0 and kind is not None:
@@ -645,7 +748,7 @@ def run_episode(policy: str, scenario: Scenario, seed: int, trace: EpisodeTrace 
         preds_hist[0] = values[base]
         for t in range(T):
             g = base + t
-            noise_streams.rng(g).standard_normal(out=noise)
+            shared.noise_streams.rng(g).standard_normal(out=noise)
             z = carry[1] if z_prev is carry[0] else carry[0]
             encode_into(encoder, inputs[g], noise, z_prev, z, ax, work)
             latents = z if transforms is None else np.matmul(z, transforms, out=steered)
@@ -668,13 +771,13 @@ def run_episode(policy: str, scenario: Scenario, seed: int, trace: EpisodeTrace 
         if trace is not None:
             trace.rounds.append((preds_hist.copy(), acts_hist.copy()))
 
-        if scenario.spawner is not None and r < rounds - 1:
+        if spawn_streams is not None and r < rounds - 1:
             log_weights = _spawn_between_rounds(
                 scenario,
                 pool,
                 log_weights,
                 errors[-1],
-                seed,
+                spawn_streams.rng(r),
                 r,
                 spawn_events,
                 acts_hist[-1],
@@ -692,16 +795,17 @@ def run_episode(policy: str, scenario: Scenario, seed: int, trace: EpisodeTrace 
         spawn_events=spawn_events,
         round0_coeffs=round0,
         **_finalize_metrics(metrics, agg_hist, values),
-        runtime_ms=1000.0 * (time.perf_counter() - start),
+        runtime_ms=1000.0 * (time.perf_counter() - start) + shared.share_ms,
     )
 
 
 def _spawn_between_rounds(
-    scenario, pool, log_weights, last_scores, seed, round_idx, events, last_actions, y_now
+    scenario, pool, log_weights, last_scores, rng, round_idx, events, last_actions, y_now
 ):
-    """One spawner round on the pool; returns the next round's log weights."""
+    """One spawner round on the pool after round ``round_idx``, drawing
+    from ``rng``, the stream (seed, 999, round_idx); returns the next
+    round's log weights."""
     cfg = scenario.spawner
-    rng = _rng(seed, 999, round_idx)
     new_rows, retained_idx, retired_idx, post, log_post = resample_parameters(
         pool.rows, last_scores, log_weights, cfg.lam, cfg.sigma_t, cfg.retire_k, rng
     )

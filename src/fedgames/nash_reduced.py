@@ -36,16 +36,19 @@ update. At N = 2 (w = 0) the value has no tail block: the update reads
 no Lam4 there, and a per-entry select keeps Pi4 = 0 and keeps an
 overflowing Delta, weighted by 0, from turning into NaN.
 
-One pass solves a stack of independent games on an axis right after
-time: rounds (moments and targets carry the round axis) or populations
+One pass solves a stack of independent games on the axes right after
+time: rounds (moments and targets carry the round axis), populations
 (eps is then a per-entry array on that axis; ``limit_gap_diagnostic``
-solves its N grid and, at eps = 0, the limit in one pass). Every update
-acts on each entry as on a lone game, so an entry's coefficients equal
-the lone pass bit for bit: eps and its polynomials broadcast as (P, 1, 1)
-arrays through the same IEEE operations as the Python floats of a lone
-N, the tail update is a per-entry select, and ``weighted_m2`` gives every
-entry of a stack the bits of a lone call. ``game_units`` reads each
-entry's blocks and asymmetry back in the units of its own game.
+solves its N grid and, at eps = 0, the limit in one pass), or both, the
+population axis first (``harness.SeedWork`` solves every reduced N of a
+seed's cells and the limit over all of its rounds in one pass). Every
+update acts on each entry as on a lone game, so an entry's coefficients
+equal the lone pass bit for bit: eps and its polynomials broadcast as
+(P, 1, 1) or (P, 1, 1, 1) arrays through the same IEEE operations as the
+Python floats of a lone N, the tail update is a per-entry select, and
+``weighted_m2`` gives every entry of a stack the bits of a lone call.
+``game_units`` reads each entry's blocks and asymmetry back in the units
+of its own game.
 """
 
 from __future__ import annotations
@@ -112,36 +115,49 @@ def _round_label(r: int) -> str:
     return f"round {r}"
 
 
-def failing_round(solve, *stacks, label=_round_label) -> str:
-    """"<label>, " for the first stack entry whose slices of ``stacks`` make
-    ``solve`` fail; "" for stacks without a stack axis. ``label`` names an
-    entry (a round by default). Error messages only."""
+def _stack_label(*axes):
+    """The label of a stack entry from its index tuple: each stack axis's
+    label of its index, joined."""
+    return lambda idx: ", ".join(axis(i) for axis, i in zip(axes, idx))
+
+
+def failing_round(solve, *stacks, label=_stack_label(_round_label)) -> str:
+    """"<label>, " for the first stack entry, in C order over the stack
+    axes, whose slices of ``stacks`` make ``solve`` fail; "" for stacks
+    without a stack axis. ``label`` names an entry from its index tuple
+    (a round by default). Error messages only."""
     if stacks[0].ndim == 2:
         return ""
-    for r in range(stacks[0].shape[0]):
+    for idx in np.ndindex(stacks[0].shape[:-2]):
         try:
-            solve(*(s[r] for s in stacks))
+            solve(*(s[idx] for s in stacks))
         except (np.linalg.LinAlgError, SolveError):
-            return f"{label(r)}, "
+            return f"{label(idx)}, "
     return ""
 
 
-def check_pass_finite(name: str, rounds: tuple, T: int, *per_step, label=_round_label) -> None:
+def check_pass_finite(name: str, rounds: tuple, T: int, *per_step, label=_stack_label(_round_label)) -> None:
     """Raise SolveError if a backward pass's outputs are not finite.
 
-    ``per_step`` arrays carry time first, then the ``rounds`` axes; their
-    steps t < T are checked. The error names the first non-finite t in
-    backward order and, for a stack, the first entry non-finite there
-    (``label`` names it, a round by default): a pass whose iterates
-    overflow stops here instead of handing NaN gains on."""
+    ``per_step`` arrays carry time first, then the ``rounds`` stack axes;
+    their steps t < T are checked. The error names the first non-finite t
+    in backward order and, for a stack, the first entry in C order
+    non-finite there (``label`` names it from its index tuple, a round by
+    default): a pass whose iterates overflow stops here instead of
+    handing NaN gains on."""
     bad = np.zeros((T, *rounds), dtype=bool)
     for arr in per_step:
         bad |= ~np.isfinite(arr[:T].reshape(T, *rounds, -1)).all(axis=-1)
     if not bad.any():
         return
     t = int(np.flatnonzero(bad.reshape(T, -1).any(axis=1))[-1])
-    where = f"{label(int(np.flatnonzero(bad[t])[0]))}, " if rounds else ""
+    where = f"{label(_index(np.flatnonzero(bad[t])[0], rounds))}, " if rounds else ""
     raise SolveError(f"{name} pass produced non-finite coefficients at {where}t={t}")
+
+
+def _index(flat, shape) -> tuple:
+    """The index tuple of entry ``flat`` of a C-ordered ``shape``."""
+    return tuple(int(i) for i in np.unravel_index(flat, shape))
 
 
 def _blocks(a, b, c, d) -> np.ndarray:
@@ -219,28 +235,31 @@ def _worst(values, label) -> str:
     if np.ndim(values) == 0:
         return f"{float(values):.3e}"
     i = int(np.argmax(values))
-    return f"{values.flat[i]:.3e} (max, at {label(i)})"
+    return f"{values.flat[i]:.3e} (max, at {label(_index(i, values.shape))})"
 
 
 def structured_pass(
-    params: GameParams, moments, targets: TargetSeries, eps, name: str, label=_round_label
+    params: GameParams, moments, targets: TargetSeries, eps, name: str, label=None
 ) -> LimitScaledPass:
     """The backward recursion of the module docstring at eps = 1/N: a
-    Python float (0.0 for the limit) or, for a population stack, a
-    (P, 1, 1) array of per-entry values (0.0 for a limit entry). Moments
-    and targets may instead carry a round axis. ``name`` and ``label``
-    name the pass and a stack entry in its errors and its DEBUG line per
-    step."""
+    Python float (0.0 for the limit) or, for a population stack, an array
+    of per-entry values (0.0 for a limit entry), (P, 1, 1) or, with
+    moments and targets that carry a round axis, (P, 1, 1, 1); the outputs
+    then carry the population axis, then the round axis, after time.
+    ``name`` names the pass in its errors and its DEBUG line per step,
+    which name a stack entry by ``label(p)`` for population entry p (then
+    the round, on a round axis)."""
     d_y, d_z, T = params.dim_y, params.dim_z, params.horizon_T
     if targets.horizon < T or moments.horizon < T:
         raise ValueError("targets/moments do not cover the horizon")
     rounds = moments.m1.shape[1:-2]
     if targets.values.shape[1:-1] != rounds:
         raise ValueError("targets and moments carry different round axes")
+    axes = [_round_label] * len(rounds)
     if np.ndim(eps):
-        if rounds:
-            raise ValueError("a population stack takes moments and targets without a round axis")
-        rounds = np.shape(eps)[:1]
+        rounds = (np.shape(eps)[0], *rounds)
+        axes.insert(0, label)
+    entry_label = _stack_label(*axes)
     q, w = 1 - eps, 1 - 2 * eps
     # entries with a tail block Lam4 (N >= 3, and the limit) take its update
     tail = w > 0
@@ -277,12 +296,12 @@ def structured_pass(
         try:
             M, E, core = block_inverse(F, K, eps)
         except SolveError as exc:
-            where = failing_round(block_inverse, F, K, np.broadcast_to(eps, (*rounds, 1, 1)), label=label)
+            where = failing_round(block_inverse, F, K, np.broadcast_to(eps, (*rounds, 1, 1)), label=entry_label)
             raise SolveError(f"{name} pass failed at {where}t={t}: {exc}") from exc
         if logger.isEnabledFor(logging.DEBUG):
             logger.debug(
                 "%s t=%d cond(F)=%s cond(core)=%s",
-                name, t, _worst(np.linalg.cond(F), label), _worst(np.linalg.cond(core), label),
+                name, t, _worst(np.linalg.cond(F), entry_label), _worst(np.linalg.cond(core), entry_label),
             )
         Q3 = disc * kbar * M2 + moments.weighted_m2(t, lam3)
         Q4 = M1.mT @ lam4_hat @ M1
@@ -332,7 +351,7 @@ def structured_pass(
         chi[0, t] = s_new[..., :d_y, 0]
         chi[1, t] = (s_new[..., d_y:, :] / q)[..., 0]
 
-    check_pass_finite(name, rounds, T, *lam, *chi, G1, G2, H, Fs, Ks, Ms, Es, label=label)
+    check_pass_finite(name, rounds, T, *lam, *chi, G1, G2, H, Fs, Ks, Ms, Es, label=entry_label)
     return LimitScaledPass(lam, chi, G1, G2, H, Fs, Ks, Ms, Es, asym)
 
 
@@ -367,7 +386,13 @@ def reduced_backward_pass(params: GameParams, moments, targets: TargetSeries) ->
     n = params.population_N
     if n < 2:
         raise ValueError("reduced solver requires N >= 2; route N = 1 to the full solver")
-    s = structured_pass(params, moments, targets, 1 / n, "reduced")
+    return reduced_coeffs(params, structured_pass(params, moments, targets, 1 / n, "reduced"), n)
+
+
+def reduced_coeffs(params: GameParams, s: LimitScaledPass, n: int) -> ReducedCoeffs:
+    """The coefficients of a pass at eps = 1/n (a lone game or a round
+    stack, such as one entry of a population stack), in the units of the
+    n-agent game, with the symmetry warning of its lone pass."""
     Pi, max_asym = game_units(s, n)
     if n >= 3 and logger.isEnabledFor(logging.DEBUG):
         logger.debug("max_t ||Pi3 - Pi4|| = %.3e", np.max(np.linalg.norm(Pi[2] - Pi[3], axis=(-2, -1))))

@@ -614,6 +614,7 @@ def public_episode(policy, scenario, seed):
     from fedgames.datasets import build_dataset
     from fedgames.encoders import esn_encode, rfn_encode
     from fedgames.harness import (
+        SeedWork,
         _rng,
         _sample_encoders,
         _solve_episode,
@@ -637,7 +638,8 @@ def public_episode(policy, scenario, seed):
         window_z, window_r = [], []
         sqrt_kappa = np.sqrt(p.kappa)
     else:
-        acts = [act for _, act in _solve_episode(policy, scenario, inputs, values, rounds, seed)[1]]
+        work = SeedWork(scenario, seed, [(policy, N)])
+        acts = [act for _, act in _solve_episode(policy, scenario, work)[1]]
 
     preds_hist = np.empty((rounds, T + 1, N, d_y))
     acts_hist = np.empty((rounds, T, N, d_z))
@@ -677,7 +679,8 @@ def public_episode(policy, scenario, seed):
             acts_hist[r, t] = actions
         if scenario.spawner is not None and r < rounds - 1:
             log_weights = _spawn_between_rounds(
-                scenario, pool, log_weights, err_history[-1], seed, r, events, acts_hist[r, -1], values[base + T]
+                scenario, pool, log_weights, err_history[-1], _rng(seed, 999, r), r, events, acts_hist[r, -1],
+                values[base + T],
             )
     return {"predictions": preds_hist, "actions": acts_hist, "aggregated": agg_hist, "spawn_events": events}
 

@@ -80,11 +80,11 @@ def test_interrupted_grid_keeps_the_cells_it_completed(config, tmp_path, monkeyp
     calls = []
     run_episode = fedgames.cli.run_episode
 
-    def interrupt_second(policy, scenario, seed):
+    def interrupt_second(policy, scenario, seed, **shared):
         calls.append(policy)
         if len(calls) == 2:
             raise KeyboardInterrupt
-        return run_episode(policy, scenario, seed)
+        return run_episode(policy, scenario, seed, **shared)
 
     monkeypatch.setattr(fedgames.cli, "run_episode", interrupt_second)
     with pytest.raises(KeyboardInterrupt):
@@ -188,6 +188,144 @@ def test_solver_failure_keeps_completed_cells(config, tmp_path, capsys):
     assert (out / "run_reduced_N64_seed1.json").exists()
     assert [p.name for p in (out / "coeffs").glob("*.json")] == ["reduced_N64_seed1.json"]
     assert [c["policy"] for c in json.loads((out / "report.json").read_text())["cells"]] == ["reduced"]
+
+
+RUNTIME = re.compile(r'"runtime_ms": [^,}]+')
+
+
+def _cell_files(out, cell) -> dict:
+    """name -> text of the files a cell wrote, runtime_ms blanked in its
+    run_*.json summary."""
+    policy, n, seed = cell
+    name = f"{policy}_N{n}_seed{seed}"
+    paths = {
+        "run": out / f"run_{name}.json",
+        "spawner": out / f"spawner_{name}.jsonl",
+        "coeffs": out / "coeffs" / f"{name}.json",
+    }
+    files = {key: path.read_text(encoding="utf-8") for key, path in paths.items() if path.exists()}
+    files["run"] = RUNTIME.sub('"runtime_ms": null', files["run"])
+    return files
+
+
+def _grid_rows(out) -> dict:
+    """cell -> (results.csv row without runtime_ms, report.json entry)."""
+    with (out / "results.csv").open(newline="", encoding="utf-8") as fh:
+        rows = list(csv.reader(fh))[1:]
+    entries = json.loads((out / "report.json").read_text())["cells"]
+    return {
+        (row[0], int(row[1]), int(row[2])): (row[:-1], entry)
+        for row, entry in zip(rows, entries, strict=True)
+    }
+
+
+def _assert_cells_match_lone_runs(cfg, out, tmp_path):
+    """Every cell of a grid's outputs is the same cell run alone, through
+    run_episode and _write_cell, byte for byte but for runtime_ms."""
+    from fedgames.cli import _write_cell, build_scenario, cell_grid
+    from fedgames.harness import run_episode
+
+    lone_out = tmp_path / "lone"
+    (lone_out / "coeffs").mkdir(parents=True)
+    grid = _grid_rows(out)
+    cells = cell_grid(cfg)
+    assert sorted(grid) == sorted(cells)
+    for cell in cells:
+        policy, n, seed = cell
+        scenario = build_scenario(cfg, n)
+        row, entry = _write_cell(lone_out, cell, scenario, run_episode(policy, scenario, seed))
+        assert grid[cell] == ([str(v) for v in row[:-1]], entry), cell
+        assert _cell_files(out, cell) == _cell_files(lone_out, cell), cell
+
+
+@pytest.mark.parametrize(
+    "grid",
+    [
+        dict(policies=["full", "reduced", "decentralized"], n_grid=[1, 3, 8], seeds=[1, 2]),
+        dict(
+            policies=["greedy", "decentralized"],
+            n_grid=[3, 8],
+            seeds=[1, 2],
+            encoder={"kind": "esn", "sigma": 0.1},
+            spawner={"retire_k": 2, "zeta1": 0.1, "zeta2": 0.5, "orthogonalize": True},
+        ),
+    ],
+    ids=["solvers", "greedy-spawner"],
+)
+def test_grid_cells_equal_lone_cells(config, tmp_path, monkeypatch, grid):
+    # a seed's cells share one dataset, one latent bank and one structured
+    # pass (reduced N >= 2 and the limit), each built once per seed; each
+    # cell's outputs are those of the cell run alone
+    import fedgames.harness as harness
+
+    path, cfg = config
+    cfg.update(grid)
+    cfg["dataset"]["length"] = 9  # 4 rounds of T = 2
+    path.write_text(json.dumps(cfg), encoding="utf-8")
+    calls = {name: 0 for name in ("build_dataset", "_build_bank", "structured_pass")}
+
+    def counted(name):
+        original = getattr(harness, name)
+
+        def call(*args, **kwargs):
+            calls[name] += 1
+            return original(*args, **kwargs)
+
+        return call
+
+    with monkeypatch.context() as patched:
+        for name in calls:
+            patched.setattr(harness, name, counted(name))
+        out = tmp_path / "out"
+        assert main(["run", "--config", str(path), "--out", str(out)]) == 0
+    assert calls == {name: 2 for name in calls}  # one per seed
+    _assert_cells_match_lone_runs(cfg, out, tmp_path)
+
+
+@pytest.mark.parametrize("failing_n", [None, 8])
+def test_failed_shared_pass_falls_back_to_lone_passes(config, tmp_path, monkeypatch, capsys, failing_n):
+    # if a seed's stacked pass raises, its cells solve alone: every cell
+    # completes with the outputs of the shared run, or a cell whose own
+    # pass fails is named, and only that cell
+    import fedgames.harness as harness
+    from fedgames.errors import SolveError
+
+    path, cfg = config
+    cfg["policies"] = ["reduced", "decentralized"]
+    cfg["n_grid"] = [3, 8]
+    path.write_text(json.dumps(cfg), encoding="utf-8")
+    shared = tmp_path / "shared"
+    assert main(["run", "--config", str(path), "--out", str(shared)]) == 0
+
+    def failing_stack(*args, **kwargs):
+        raise SolveError("reduced pass failed at N=3, round 0, t=1: injected")
+
+    lone = []
+    reduced_pass = harness.reduced_backward_pass
+
+    def lone_reduced(params, *args):
+        lone.append(params.population_N)
+        if params.population_N == failing_n:
+            raise SolveError("reduced pass failed at t=1: injected")
+        return reduced_pass(params, *args)
+
+    monkeypatch.setattr(harness, "structured_pass", failing_stack)
+    monkeypatch.setattr(harness, "reduced_backward_pass", lone_reduced)
+    capsys.readouterr()
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(path), "--out", str(out)]) == (0 if failing_n is None else 3)
+    assert lone == [3, 8]
+    failures = [line for line in capsys.readouterr().err.splitlines() if line.startswith("solver failure")]
+    want = _grid_rows(shared)
+    if failing_n is not None:
+        cell = f"policy=reduced N={failing_n} seed=1"
+        assert failures == [f"solver failure in cell {cell}: reduced pass failed at t=1: injected"]
+        del want[("reduced", failing_n, 1)]
+    else:
+        assert failures == []
+    assert _grid_rows(out) == want
+    for cell in want:
+        assert _cell_files(out, cell) == _cell_files(shared, cell), cell
 
 
 def test_convergence_outputs(config, tmp_path):
@@ -371,8 +509,11 @@ def test_log_level_debug_logs_solver_conditioning(config, tmp_path):
         timeout=120,
     )
     assert proc.returncode == 0, proc.stderr
-    assert "reduced t=0 cond(F)=" in proc.stderr
-    assert "decentralized t=0 cond(F)=" in proc.stderr
+    # the seed's reduced N 2, 3 and decentralized cells share one pass over
+    # N 2, 3 and the limit; its line per step names the N and the round
+    # where each condition number is largest
+    where = r"\(max, at N=(2|3|inf), round [01]\)"
+    assert re.search(rf"reduced t=0 cond\(F\)=\S+ {where} cond\(core\)=\S+ {where}$", proc.stderr, re.M)
     assert "max_t ||Pi3 - Pi4||" in proc.stderr  # the N = 3 cell
     assert "Logging error" not in proc.stderr
     assert main(["--log-level", "ERROR", "run", "--config", str(path), "--dry-run"]) == 0

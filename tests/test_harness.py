@@ -8,6 +8,8 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from oracles import episode_metrics, public_episode, reference_episode
 
 import fedgames
@@ -19,12 +21,12 @@ from fedgames.harness import (
     EpisodeTrace,
     Scenario,
     SpawnerConfig,
+    _rng,
     _spawn_between_rounds,
     aggregate_predictions,
     aggregation_weights,
     run_episode,
     step_dynamics,
-    underperformer_regret,
 )
 from fedgames.encoders import sample_esn_params, sample_rfn_params
 from fedgames.model import GameParams, TargetSeries, estimate_moments
@@ -162,12 +164,12 @@ class TestRegret:
             rmse_bottom20=0.0,
             messages_per_step=0,
         )
-        assert underperformer_regret(record) == pytest.approx(0.7)
+        assert record.regret == pytest.approx(0.7)
         # raising any single cost cannot lower the regret
         record.costs = np.array([0.1, 0.7, 0.65])
-        assert underperformer_regret(record) >= 0.7
+        assert record.regret >= 0.7
         record.costs = np.full(3, 0.4)  # identical agents: regret is J_1
-        assert underperformer_regret(record) == pytest.approx(0.4)
+        assert record.regret == pytest.approx(0.4)
 
 
 class TestAggregation:
@@ -286,7 +288,8 @@ class TestRunEpisode:
         events = []
         for r in range(3):
             log_weights = _spawn_between_rounds(
-                scenario, pool, log_weights, scores, 5, r, events, rng.standard_normal((n, d_z)), np.array([0.5])
+                scenario, pool, log_weights, scores, _rng(5, 999, r), r, events, rng.standard_normal((n, d_z)),
+                np.array([0.5]),
             )
             assert np.all(np.isfinite(log_weights))
         assert [ev["round"] for ev in events] == [0, 1, 2]
@@ -819,14 +822,14 @@ def test_chunked_full_rounds_match_lone_passes():
     # 11 rounds at N = 16 span three chunks of rounds_per_pass(16) = 4; the
     # coefficients each round plays are its lone pass's, bit for bit
     from fedgames.datasets import build_dataset
-    from fedgames.harness import _build_bank, _solve_episode
+    from fedgames.harness import SeedWork, _build_bank, _solve_episode
 
     N, T, d_y, d_z, length = 16, 2, 2, 3, 23
     scenario = full_cell(N, length, d_y, d_z, T, kind="concept_drift")
     targets, inputs = build_dataset(scenario.dataset)
     rounds = (length - 1) // T
     assert rounds > 2 * rounds_per_pass(N)
-    kind, solved = _solve_episode("full", scenario, inputs, targets.values, rounds, seed=3)
+    kind, solved = _solve_episode("full", scenario, SeedWork(scenario, 3, [("full", N)]))
     assert kind == "full"
     bank = _build_bank(scenario, inputs, 3)
     played = 0
@@ -846,3 +849,73 @@ def test_chunked_full_rounds_match_lone_passes():
         np.testing.assert_array_equal(coeffs.condition_numbers, lone.condition_numbers)
         played += 1
     assert played == rounds
+
+
+@st.composite
+def n1_case(draw):
+    """A one-agent scenario with varied dynamics, costs, encoder and
+    series, and a cell seed."""
+    kind = draw(st.sampled_from(["periodic", "logistic_map", "concept_drift"]))
+    T = draw(st.integers(min_value=1, max_value=4))
+    unit = st.floats(min_value=-1.0, max_value=1.0)
+    params = GameParams(
+        theta=draw(unit) * 1.5,
+        theta_bar=draw(unit) * 0.5,
+        kappa=draw(st.floats(min_value=0.0, max_value=5.0)),
+        kappa_bar=draw(st.floats(min_value=0.0, max_value=5.0)),
+        gamma=draw(st.floats(min_value=1e-2, max_value=5.0)),
+        alpha=draw(st.floats(min_value=0.0, max_value=1.0)),
+        horizon_T=T,
+        population_N=1,
+        dim_y=2 if kind == "concept_drift" else 1,
+        dim_z=draw(st.integers(min_value=1, max_value=3)),
+    )
+    scenario = Scenario(
+        params=params,
+        dataset=DatasetSpec(kind=kind, length=draw(st.integers(min_value=T + 1, max_value=4 * T + 1))),
+        encoder=EncoderConfig(kind=draw(st.sampled_from(["rfn", "esn"])), sigma=draw(st.floats(0.0, 1.0))),
+        mc_samples=draw(st.integers(min_value=1, max_value=10)),
+        aggregation_window=draw(st.integers(min_value=1, max_value=3)),
+    )
+    return scenario, draw(st.integers(min_value=0, max_value=2**32))
+
+
+def _record_fields(record):
+    """The record's fields but its policy and runtime, with the round-0
+    coefficients as (kind, their fields)."""
+    out = {f.name: getattr(record, f.name) for f in fields(record) if f.name not in ("policy", "runtime_ms")}
+    kind, coeffs = out.pop("round0_coeffs")
+    return out | {"round0_kind": kind} | {f"round0.{f.name}": getattr(coeffs, f.name) for f in fields(coeffs)}
+
+
+@settings(max_examples=40, deadline=None)
+@given(n1_case())
+def test_property_reduced_at_n1_is_the_full_cell(case):
+    # the harness routes reduced at N = 1 to the full solver, outside the
+    # seed's structured pass: the cell either raises the full cell's typed
+    # error or gives a finite record equal to the full cell's, alone or
+    # sharing the seed's work with it
+    from fedgames.errors import FedGamesError
+    from fedgames.harness import SeedWork
+
+    scenario, seed = case
+    outcomes = []
+    for policy, shared in (("full", None), ("reduced", None), ("reduced", "both")):
+        if shared is not None:
+            shared = SeedWork(scenario, seed, [("full", 1), ("reduced", 1)])
+        try:
+            outcomes.append(run_episode(policy, scenario, seed, shared=shared))
+        except FedGamesError as exc:
+            outcomes.append(exc)
+    full, *reduced = outcomes
+    if isinstance(full, FedGamesError):
+        assert all(type(r) is type(full) and str(r) == str(full) for r in reduced)
+        return
+    want = _record_fields(full)
+    assert want["round0_kind"] == "full"
+    numbers = {name: v for name, v in want.items() if isinstance(v, (float, np.ndarray))}
+    numbers |= {f"quantile {name}": v for name, v in want["round_cost_quantiles"].items()}
+    assert all(np.all(np.isfinite(v)) for v in numbers.values()), numbers
+    for record in reduced:
+        assert record.policy == "reduced"
+        np.testing.assert_equal(_record_fields(record), want)

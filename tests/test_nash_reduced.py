@@ -36,6 +36,7 @@ from fedgames.nash_reduced import (
     game_units,
     reduced_action,
     reduced_backward_pass,
+    reduced_coeffs,
     structured_pass,
 )
 
@@ -605,10 +606,11 @@ def population_case(rng, d_y, d_z, T, moments_kind):
 
 
 def population_pass(params, moments, targets, ns):
-    """The population stack of ``diagnostics.coefficient_gaps``: one
-    structured pass at eps = 1/N for each N of ``ns`` (inf: the limit),
-    a failing entry named N=<n>."""
-    eps = 1 / np.array(ns, dtype=float)[:, None, None]
+    """The population stack of ``diagnostics.coefficient_gaps`` (or, on
+    round-stacked moments, of ``harness.SeedWork``): one structured pass
+    at eps = 1/N for each N of ``ns`` (inf: the limit), a failing entry
+    named N=<n>."""
+    eps = (1 / np.array(ns, dtype=float)).reshape(-1, *[1] * (moments.m1.ndim - 1))
     return structured_pass(params, moments, targets, eps, "reduced", lambda p: f"N={ns[p]}")
 
 
@@ -678,12 +680,87 @@ def test_population_stack_rejects_n_below_two(grid):
         ConvergenceScenario(params=params, targets=targets, latent_mean=np.full((4, 2, 3), 0.8), paths=2, n_grid=grid)
 
 
-def test_population_stack_rejects_round_stack():
-    rng = np.random.default_rng(321)
-    params = round_params(rng, 4, 2, 3, 4)
-    (moments, targets), _ = round_stack(rng, params, 3)
-    with pytest.raises(ValueError, match="without a round axis"):
-        population_pass(params, moments, targets, (4, 16, 64, math.inf))
+def round_of(s: LimitScaledPass, r: int) -> LimitScaledPass:
+    """Round r of a round-stacked pass."""
+    blocks, forcing, *per_step, asym = s
+    return LimitScaledPass(blocks[:, :, r], forcing[:, :, r], *(a[:, r] for a in per_step), asym[:, r])
+
+
+@pytest.mark.parametrize("rounds", [1, 3])
+def test_population_round_stack_matches_each_lone_pass(caplog, rounds):
+    # a population stack over round-stacked moments carries (P, R) after
+    # time; entry (p, r) is the lone pass at its N on round r alone, bit
+    # for bit, and entry p read back through its lone pass's code
+    # (reduced_coeffs, limit_coeffs) is that round-stacked pass. Its
+    # DEBUG line names the N and the round of its worst entry
+    rng = np.random.default_rng(330 + rounds)
+    T, d_y, d_z = 5, 2, 3
+    params = round_params(rng, 4, d_y, d_z, T)
+    (moments, targets), singles = round_stack(rng, params, rounds)
+    ns = (2, 3, 8, math.inf)
+    with caplog.at_level(logging.DEBUG, logger="fedgames.nash_reduced"):
+        stack = population_pass(params, moments, targets, ns)
+    steps = [r.getMessage() for r in caplog.records if r.getMessage().startswith("reduced t=")]
+    assert len(steps) == T
+    where = r"\(max, at N=(2|3|8|inf), round \d\)"
+    assert all(re.fullmatch(rf"reduced t=\d cond\(F\)=\S+ {where} cond\(core\)=\S+ {where}", m) for m in steps)
+    assert stack.g1.shape == (T, len(ns), rounds, d_z, d_y)
+    assert stack.asymmetry.shape == (4, len(ns), rounds)
+    for p, n in enumerate(ns):
+        entry = stack.entry(p)
+        for r, (mom_r, tgt_r) in enumerate(singles):
+            lone = structured_pass(params, mom_r, tgt_r, 1 / n, "reduced")
+            for name, have, want in zip(LimitScaledPass._fields, round_of(entry, r), lone):
+                np.testing.assert_array_equal(have, want, err_msg=f"{name} at N={n}, round {r}")
+        if math.isinf(n):
+            lone = decentralized_backward_pass(params, moments, targets)
+            assert_fields_equal(limit_coeffs(params, entry, game_units(entry, n)[1]), lone)
+        else:
+            lone = reduced_backward_pass(replace(params, population_N=n), moments, targets)
+            assert_fields_equal(reduced_coeffs(params, entry, n), lone)
+
+
+def test_population_round_stack_overflow_names_n_and_round():
+    # only round 1's targets are huge, so only its forcing terms overflow,
+    # at every N; the stack names the first N in grid order among those
+    # non-finite at the first bad t in backward order, and round 1
+    T, rounds = 8, 3
+    rng = np.random.default_rng(81)
+    params = replace(round_params(rng, 4, 2, 3, T), theta=1e3)
+    (moments, targets), singles = round_stack(rng, params, rounds)
+    values = targets.values.copy()
+    values[:, 1] *= 1e290
+    grid = (2, 8, math.inf)
+    bad_t = {}
+    with np.errstate(over="ignore", invalid="ignore"):
+        for n in grid:
+            with pytest.raises(SolveError) as alone:
+                structured_pass(params, singles[1][0], TargetSeries(values=values[:, 1]), 1 / n, "reduced")
+            bad_t[n] = int(re.search(r"at t=(\d+)$", str(alone.value))[1])
+        with pytest.raises(SolveError) as stacked:
+            population_pass(params, moments, TargetSeries(values=values), grid)
+    t = max(bad_t.values())
+    named = next(n for n in grid if bad_t[n] == t)
+    assert str(stacked.value) == f"reduced pass produced non-finite coefficients at N={named}, round 1, t={t}"
+
+
+def test_population_round_stack_singular_entry_names_n_and_round():
+    # kappa 1, kappa_bar 4: kappa + kappa_bar (1 - 1/N)^2 is 2 at N = 2
+    # only, so round 1's M2 of -gamma/2 I at t = T-1 makes F exactly zero
+    # for the entry (N = 2, round 1) alone
+    T, R, d_z = 3, 3, 2
+    params = replace(round_params(np.random.default_rng(0), 3, 1, d_z, T), kappa=1.0, kappa_bar=4.0)
+    m2 = np.tile(np.eye(d_z), (T, R, 1, 1))
+    m2[T - 1, 1] *= -params.gamma / 2
+    moments = types.SimpleNamespace(
+        m1=np.zeros((T, R, 1, d_z)),
+        m2=m2,
+        horizon=T,
+        weighted_m2=lambda t, w: np.zeros((*np.shape(w)[:-2], d_z, d_z)),
+    )
+    targets = TargetSeries(values=np.zeros((T + 1, R, 1)))
+    with pytest.raises(SolveError, match="^reduced pass failed at N=2, round 1, t=2: "):
+        population_pass(params, moments, targets, (3, 2, 5, math.inf))
 
 
 def test_overflowing_population_stack_names_n():
