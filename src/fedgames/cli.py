@@ -362,13 +362,11 @@ def cmd_run(args) -> int:
     (out_dir / "coeffs").mkdir(exist_ok=True)
 
     # the cells of a seed share its dataset, latent bank and structured
-    # pass, built at the seed's first cell and dropped after its last; if
-    # building them fails, each of the seed's cells builds its own and
-    # reports its own failure
-    seed_cells = {}
-    for policy, n, seed in cells:
-        seed_cells.setdefault(seed, []).append((policy, n))
-    last = {cell[2]: cell for cell in cells}  # each seed's last cell
+    # pass, built at the seed's first cell and held until the grid ends
+    # (seeds vary fastest, so every seed has a cell in the grid's last
+    # policy and N); if building them fails, each of the seed's cells
+    # builds its own and reports its own failure
+    pairs = {(policy, n) for policy, n, _ in cells}  # the grid is a full product: every seed runs every pair
     shared = {}
     # each cell's files are written as it completes, and its record is then
     # dropped; a failed cell is reported and the run exits 3, but the cells
@@ -378,12 +376,11 @@ def cmd_run(args) -> int:
         policy, n, seed = cell
         if seed not in shared:
             try:
-                shared[seed] = SeedWork(scenarios[cell], seed, seed_cells[seed])
+                shared[seed] = SeedWork(scenarios[cell], seed, pairs)
             except (FedGamesError, ValueError, np.linalg.LinAlgError):
                 shared[seed] = None
-        work = shared.pop(seed) if cell == last[seed] else shared[seed]
         try:
-            record = run_episode(policy, scenarios[cell], seed, shared=work)
+            record = run_episode(policy, scenarios[cell], seed, shared=shared[seed])
         except (FedGamesError, ValueError, np.linalg.LinAlgError) as exc:
             print(f"solver failure in cell policy={policy} N={n} seed={seed}: {exc}", file=sys.stderr)
             continue

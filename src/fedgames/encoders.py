@@ -71,8 +71,9 @@ def check_step(p: RfnParams | EsnParams, x, noise, z_prev=None) -> None:
     """The checks of one encoding step by the stacked encoders ``p``: for
     a recurrent encoder the shape and finiteness of the carry ``z_prev``,
     then the input length and the shape of the noise rows.
-    ``encode_into`` makes none of them; a caller that encodes every step
-    on its own buffers checks once, and again where a carry changes."""
+    ``encode_into`` makes none of them; a caller that encodes a run of
+    steps on its own buffers checks once per run, with the run's first
+    carry."""
     d_y, d_z = p.b.shape[-2:]
     if isinstance(p, EsnParams):
         if z_prev.shape != p.b.shape:
@@ -104,7 +105,8 @@ def encode_into(p: RfnParams | EsnParams, x, noise, z_prev, out, ax, work) -> np
         A [x..x] + b + sigma W_t (+ B Z_{t-1})
 
     left to right, whichever caller (``rfn_encode``, ``esn_encode``, the
-    harness's latent bank and agent step) supplies the buffers."""
+    harness's ``_encode_run``, for the latent bank and for each round's
+    latents) supplies the buffers."""
     np.matmul(p.A, x, out=ax)
     np.add(ax[..., None], p.b, out=out)
     np.multiply(p.sigma[..., None], noise[..., None, :], out=work)

@@ -28,36 +28,42 @@ only those sums and the O(L) aggregated series are kept, so memory grows
 with N, not with N times the episode length. ``EpisodeTrace`` keeps the
 per-step histories on request.
 
-The agent loop is array-at-a-time and fused: per step, one noise block,
-one encoding, one action call and one dynamics update cover all N
-agents, each written into buffers allocated once per episode (the ESN
-carry alternates between two of them). The step calls the kernels that
-the public functions call after their checks: ``encoders.encode_into``
+The agent loop is array-at-a-time and plays only the game. A round's
+latents depend only on the pool, the inputs and the noise streams, and
+the spawner changes the pool only between rounds, so before a round's
+steps one encoder loop (``_encode_run``, the latent bank's too) writes
+its (T, N, d_y, d_z) latents, steered by one matmul; per step, one
+action call and one dynamics update cover all N agents; after the steps,
+``_RunningMetrics.add_round`` computes the round's costs and its (T, N)
+squared errors once, and the aggregation reads them. Every buffer is
+allocated once per episode. The loop calls the kernels that the public
+functions call after their checks: ``encoders.encode_into``
 (``rfn_encode``, ``esn_encode``), ``_drift_into`` and ``_advance_into``
-(``step_dynamics``), ``_softmax_into`` (``aggregation_weights``),
-``spawner.score_into`` (``score_agents``) and ``ridge.ridge_solve``
-(``ridge_action``), so it runs the same arithmetic in the same order.
-The checks run once per episode, and on the carry rows a respawn
-replaces; the step's one check is ``check_finite`` on the sum of its new
-predictions. The dynamics' drift terms theta Y and theta_bar mean(Y) are
-computed once per step and passed to every ``act``; the greedy baseline
-builds its ridge residual from them. ``tests/oracles.py::public_episode``
-replays an episode with one call of each public function per step, and
-``test_fused_step_matches_public_functions`` holds the fused loop to it
-bit for bit; ``test_greedy_window_matches_ridge_action_at_every_fill_level``
+(``step_dynamics``), ``_softmax_into`` (``aggregation_weights``) and
+``ridge.ridge_solve`` (``ridge_action``), so it runs the same arithmetic
+in the same order; ``add_round``'s squared errors equal
+``score_agents``'. The encoder's checks run once per round, on the
+round's carry; the step's one check is ``check_finite`` on the sum of
+its new predictions. The dynamics' drift terms theta Y and theta_bar
+mean(Y) are computed once per step and passed to every ``act``; the
+greedy baseline builds its ridge residual from them.
+``tests/oracles.py::public_episode`` replays an episode with one call of
+each public function per step, and
+``test_fused_step_matches_public_functions`` holds the harness to it bit
+for bit; ``test_greedy_window_matches_ridge_action_at_every_fill_level``
 and ``test_bank_matches_per_step_encoder_calls`` do the same for the
-ridge window and the latent bank. Three of the step's pieces skip a
-public function's wrapper but keep its arithmetic order: the ESN
-saturation clamps with ``np.maximum`` and ``np.minimum`` in place; the
-decentralized action is one matmul of the predictions by G1', plus the
-round's mean-field terms G2 Ybar (computed once per round), plus H, as
-``decentralized_action`` adds them; and ``_RunningMetrics`` builds the
-stage discounts and the quantile plan once per episode and folds each
-round's (T, N, ...) arrays directly. The latent bank is one (rounds T,
-mc_samples, d_y, d_z) array from the encoder to ``estimate_moments``,
-which checks its finiteness once and reduces it to moments once; a
-recurrent encoder's carry is checked first, in ``_build_bank``, so a
-non-finite carry raises the encoder's EncodeError.
+ridge window and the latent bank. Three pieces skip a public function's
+wrapper but keep its arithmetic order: the ESN saturation clamps with
+``np.maximum`` and ``np.minimum`` in place; the decentralized action is
+one matmul of the predictions by G1', plus the round's mean-field terms
+G2 Ybar (computed once per round), plus H, as ``decentralized_action``
+adds them; and ``_RunningMetrics`` builds the stage discounts and the
+quantile plan once per episode and folds each round's (T, N, ...) arrays
+directly. The latent bank is one (rounds T, mc_samples, d_y, d_z) array
+from the encoder to ``estimate_moments``, which checks its finiteness
+once and reduces it to moments once; a recurrent encoder's carry is
+checked first, in ``_build_bank``, so a non-finite carry raises the
+encoder's EncodeError.
 
 Random streams are keyed by (seed, purpose[, step]) and drawn
 agent-major (README, "Random streams"). The one-off streams, the pool
@@ -115,7 +121,6 @@ from .spawner import (
     ortho_solve,
     resample_parameters,
     score_agents,  # noqa: F401  (perfbench's tracer wraps it here)
-    score_into,
 )
 from .streams import SeedTable
 
@@ -338,7 +343,8 @@ class _RunningMetrics:
         """Fold in round r: predictions (T+1, N, d_y), actions (T, N, d_z)
         and its targets y_round (T+1, d_y). The round's discounted
         sample-path objective of every agent is the sum over its steps of
-        kappa |y - Y|^2 + kappa_bar |Y - mean(Y)|^2 + gamma |beta|^2."""
+        kappa |y - Y|^2 + kappa_bar |Y - mean(Y)|^2 + gamma |beta|^2.
+        Returns the (T, N) squared errors |y - Y|^2, the agents' scores."""
         p = self.params
         preds = predictions[1:]  # (T, N, d_y)
         err = y_round[1:, None] - preds
@@ -355,6 +361,7 @@ class _RunningMetrics:
         for step in sq:
             self.sq_err += step
         self.max_abs_prediction = max(self.max_abs_prediction, float(np.max(np.abs(predictions))))
+        return sq
 
 
 def _aggregation_discounts(k: int, alpha_a: float) -> np.ndarray:
@@ -423,27 +430,34 @@ def _sample_encoders(cfg: EncoderConfig, count, d_y, d_z, d_x, rng):
     return sample_esn_params(d_y, d_z, d_x, cfg.sigma, rng, activation=cfg.activation, count=count)
 
 
+def _encode_run(encoder, inputs, streams, steps, z_prev, out) -> None:
+    """The latents of the input ``steps`` by the stacked ``encoder``, step
+    by step into ``out`` (len(steps), count, d_y, d_z), with the recurrent
+    state carried from ``z_prev`` through; step g encodes ``inputs[g]``
+    and draws its noise from ``streams.rng(g)``. The run is checked once,
+    with its first carry ``z_prev``, which ``out`` must not hold."""
+    count, d_y, d_z = encoder.b.shape
+    noise, ax, work = np.empty((count, d_z)), np.empty((count, d_y)), np.empty((count, d_y, d_z))
+    check_step(encoder, inputs[steps[0]], noise, z_prev)
+    for g, z in zip(steps, out):
+        streams.rng(g).standard_normal(out=noise)
+        z_prev = encode_into(encoder, inputs[g], noise, z_prev, z, ax, work)
+
+
 def _build_bank(scenario: Scenario, inputs: np.ndarray, seed: int) -> np.ndarray:
     """(L, mc_samples, d_y, d_z) latent replicas from freshly sampled
     encoder parameter sets, run over the L given inputs (recurrent state
-    carried through), written step by step into one array; step t draws
-    its noise from the stream (seed, 72, t) of one ``SeedTable``. A
-    recurrent encoder's carry (every step but the last) is checked here,
-    so its EncodeError comes ahead of the MomentError that
-    ``estimate_moments`` raises for any other non-finite sample."""
+    carried through, from zero) by ``_encode_run``; step t draws its noise
+    from the stream (seed, 72, t) of one ``SeedTable``. A recurrent
+    encoder's carry (every step but the last) is checked here, so its
+    EncodeError comes ahead of the MomentError that ``estimate_moments``
+    raises for any other non-finite sample."""
     cfg = scenario.encoder
     p = scenario.params
-    count = scenario.mc_samples
+    count, L = scenario.mc_samples, inputs.shape[0]
     encs = _sample_encoders(cfg, count, p.dim_y, p.dim_z, inputs.shape[1], _rng(seed, 71))
-    bank = np.empty((inputs.shape[0], count, p.dim_y, p.dim_z))
-    noise = np.empty((count, p.dim_z))
-    ax, work = np.empty((count, p.dim_y)), np.empty(bank.shape[1:])
-    z_prev = np.zeros(bank.shape[1:])
-    check_step(encs, inputs[0], noise, z_prev)
-    streams = SeedTable((seed, 72), inputs.shape[0])
-    for t, z in enumerate(bank):
-        streams.rng(t).standard_normal(out=noise)
-        z_prev = encode_into(encs, inputs[t], noise, z_prev, z, ax, work)
+    bank = np.empty((L, count, p.dim_y, p.dim_z))
+    _encode_run(encs, inputs, SeedTable((seed, 72), L), range(L), np.zeros(bank.shape[1:]), bank)
     if cfg.kind == "esn":
         check_carry(bank[:-1])  # every step but the last is a carry
     return bank
@@ -718,13 +732,10 @@ def run_episode(
     spawn_events: list[dict] = []
     round0 = None
 
-    # the step's buffers, allocated once: a round's histories, the ESN
-    # carry's two buffers (a step reads one and writes the other), and
-    # every intermediate of encode, act, dynamics and aggregation
+    # the round's buffers, allocated once: its histories, its raw and
+    # steered latents, and every intermediate of act, dynamics and aggregation
     preds_hist, acts_hist = np.empty((T + 1, N, d_y)), np.empty((T, N, d_z))
-    carry = (np.empty((N, d_y, d_z)), np.empty((N, d_y, d_z)))
-    work, steered = np.empty((N, d_y, d_z)), np.empty((N, d_y, d_z))
-    noise, ax = np.empty((N, d_z)), np.empty((N, d_y))
+    zs, steered = np.empty((T, N, d_y, d_z)), np.empty((T, N, d_y, d_z))
     drift, mean, mean_drift, zb = np.empty((N, d_y)), np.empty(d_y), np.empty(d_y), np.empty((N, d_y))
     theta_t, theta_bar_t = p.theta.T, p.theta_bar.T
     # the aggregation window never holds more steps than the episode plays;
@@ -733,9 +744,7 @@ def run_episode(
     errors, weights, uniform = np.empty((window_Ta, N)), np.empty(N), np.full(N, 1.0 / N)
     discounts = _aggregation_discounts(window_Ta, scenario.aggregation_alpha)
     levels = [None] + [(discounts[-k:], errors[-k:]) for k in range(1, window_Ta + 1)]
-    diff = np.empty((N, d_y))
     scored = 0  # steps scored so far, up to window_Ta
-    check_step(pool.encoder, inputs[0], noise, pool.esn_state)
 
     kind, solved = _solve_episode(policy, scenario, shared)
     spawn_streams = None if scenario.spawner is None else SeedTable((seed, 999), rounds)
@@ -744,30 +753,27 @@ def run_episode(
         if r == 0 and kind is not None:
             round0 = (kind, coeffs)
 
-        encoder, transforms, z_prev = pool.encoder, pool.latent_transforms, pool.esn_state
+        # the spawner changes the pool only between rounds, so a round's
+        # latents are encoded ahead of its steps; the carry is a copy, as
+        # at T = 1 the round's one slice is the next round's output
+        _encode_run(pool.encoder, inputs, shared.noise_streams, range(base, base + T), pool.esn_state, zs)
+        pool.esn_state = zs[-1].copy()
+        latents = zs if pool.latent_transforms is None else np.matmul(zs, pool.latent_transforms, out=steered)
         preds_hist[0] = values[base]
         for t in range(T):
-            g = base + t
-            shared.noise_streams.rng(g).standard_normal(out=noise)
-            z = carry[1] if z_prev is carry[0] else carry[0]
-            encode_into(encoder, inputs[g], noise, z_prev, z, ax, work)
-            latents = z if transforms is None else np.matmul(z, transforms, out=steered)
-
             preds, new_preds = preds_hist[t], preds_hist[t + 1]
             _drift_into(preds, theta_t, theta_bar_t, drift, mean, mean_drift)
-            acts_hist[t] = act(t, preds, latents, drift, mean_drift)
-            _advance_into(drift, mean_drift, latents, acts_hist[t], new_preds, zb)
+            acts_hist[t] = act(t, preds, latents[t], drift, mean_drift)
+            _advance_into(drift, mean_drift, latents[t], acts_hist[t], new_preds, zb)
             check_finite(new_preds, np.add.reduce(new_preds, axis=None))
 
+        sq = metrics.add_round(r, preds_hist, acts_hist, values[base : base + T + 1])
+        for t in range(T):
             w = uniform if scored == 0 else _softmax_into(*levels[scored], weights)
-            np.matmul(w, new_preds, out=agg_hist[r, t])
+            np.matmul(w, preds_hist[t + 1], out=agg_hist[r, t])
             errors[:-1] = errors[1:]
-            score_into(values[g + 1], new_preds, diff, errors[-1])
+            errors[-1] = sq[t]
             scored = min(scored + 1, window_Ta)
-            z_prev = z
-
-        pool.esn_state, pool.latents = z_prev, latents
-        metrics.add_round(r, preds_hist, acts_hist, values[base : base + T + 1])
         if trace is not None:
             trace.rounds.append((preds_hist.copy(), acts_hist.copy()))
 
@@ -776,10 +782,11 @@ def run_episode(
                 scenario,
                 pool,
                 log_weights,
-                errors[-1],
+                sq[-1],
                 spawn_streams.rng(r),
                 r,
                 spawn_events,
+                latents[-1],
                 acts_hist[-1],
                 values[base + T],
             )
@@ -800,19 +807,18 @@ def run_episode(
 
 
 def _spawn_between_rounds(
-    scenario, pool, log_weights, last_scores, rng, round_idx, events, last_actions, y_now
+    scenario, pool, log_weights, last_scores, rng, round_idx, events, last_latents, last_actions, y_now
 ):
     """One spawner round on the pool after round ``round_idx``, drawing
-    from ``rng``, the stream (seed, 999, round_idx); returns the next
-    round's log weights."""
+    from ``rng``, the stream (seed, 999, round_idx), given the round's
+    last (N,) scores, (N, d_y, d_z) latents and (N, d_z) actions; returns
+    the next round's log weights."""
     cfg = scenario.spawner
     new_rows, retained_idx, retired_idx, post, log_post = resample_parameters(
         pool.rows, last_scores, log_weights, cfg.lam, cfg.sigma_t, cfg.retire_k, rng
     )
-    n = pool.size
-    d_z = pool.latents.shape[2]
+    n, d_z = pool.size, last_latents.shape[2]
     pool.respawn(retired_idx, new_rows)
-    check_carry(pool.esn_state[retired_idx])  # the episode's carry check, on the rows it replaced
 
     event = {
         "round": int(round_idx),
@@ -824,8 +830,8 @@ def _spawn_between_rounds(
         norm = np.linalg.norm(beta_dir)
         beta_dir = beta_dir / norm if norm > 0 else np.full(d_z, 1.0 / np.sqrt(d_z))
         prob = build_ortho_problem(
-            pool.latents[retained_idx],
-            pool.latents[retired_idx],
+            last_latents[retained_idx],
+            last_latents[retired_idx],
             beta_dir,
             y_now,
             cfg.zeta1,

@@ -43,11 +43,10 @@ class AgentPool:
 
     encoder: RfnParams | EsnParams  # stacked: leading agent axis, arrays are views into ``rows``
     rows: np.ndarray  # (N, dim) flat encoder parameters, one row per agent
-    # latents and esn_state are those of the last step played; an episode
-    # sets them once per round, before the spawner reads them
-    latents: np.ndarray  # (N, d_y, d_z) Z
     latent_transforms: np.ndarray | None  # (N, d_z, d_z) post-composition maps; None: all identity
-    esn_state: np.ndarray  # (N, d_y, d_z) last encoder output: the recurrent carry
+    # the last raw encoder output, set by an episode once per round: the
+    # recurrent carry; a caller's latents may be this same array
+    esn_state: np.ndarray  # (N, d_y, d_z)
 
     @property
     def size(self) -> int:
@@ -60,7 +59,6 @@ class AgentPool:
         return AgentPool(
             encoder=_on_rows(encoder, rows),
             rows=rows,
-            latents=np.zeros((n, d_y, d_z)),
             latent_transforms=None,
             esn_state=np.zeros((n, d_y, d_z)),
         )
@@ -69,7 +67,7 @@ class AgentPool:
         """Give the agents in ``slots`` the (d_z, d_z) latent ``maps``; the
         first call materializes the identity maps of all the others."""
         if self.latent_transforms is None:
-            n, _, d_z = self.latents.shape
+            n, _, d_z = self.esn_state.shape
             self.latent_transforms = np.tile(np.eye(d_z), (n, 1, 1))
         self.latent_transforms[slots] = maps
 
@@ -81,8 +79,8 @@ class AgentPool:
         encoder's arrays view, with their sigma taken in absolute value; no
         other row is touched or checked again. A non-finite row raises
         EncodeError before anything is written. The state is replaced, not
-        written in place, because the current latents may be the same
-        array."""
+        written in place, because the caller's latents (the spawner's,
+        read after this call) may be the same array."""
         slots = np.asarray(slots, dtype=int)
         rows = np.asarray(rows, dtype=float)
         if not np.isfinite(rows).all():

@@ -41,14 +41,8 @@ def score_agents(target_next, predictions_next) -> np.ndarray:
     """Squared prediction error per agent at one step."""
     y = np.asarray(target_next, dtype=float).reshape(1, -1)
     preds = np.atleast_2d(np.asarray(predictions_next, dtype=float))
-    return score_into(y, preds, np.empty(np.broadcast_shapes(preds.shape, y.shape)), np.empty(preds.shape[0]))
-
-
-def score_into(target_next, predictions_next, diff, out) -> np.ndarray:
-    """``score_agents`` on the caller's buffers, unchecked: the (N, d_y)
-    ``diff`` takes predictions - target, ``out`` the (N,) scores."""
-    np.subtract(predictions_next, target_next, out=diff)
-    return np.einsum("nd,nd->n", diff, diff, out=out)
+    diff = preds - y
+    return np.einsum("nd,nd->n", diff, diff)
 
 
 def gibbs_reweigh(log_prior: np.ndarray, scores: np.ndarray, lam: float):

@@ -658,7 +658,7 @@ def public_episode(policy, scenario, seed):
             else:
                 z = esn_encode(inputs[g], pool.esn_state, pool.encoder, noise)
             latents = z if pool.latent_transforms is None else z @ pool.latent_transforms
-            pool.esn_state, pool.latents = z, latents
+            pool.esn_state = z
             if policy == "greedy":
                 k = min(len(window_z), scenario.ridge.window_T)
                 if k:
@@ -679,8 +679,8 @@ def public_episode(policy, scenario, seed):
             acts_hist[r, t] = actions
         if scenario.spawner is not None and r < rounds - 1:
             log_weights = _spawn_between_rounds(
-                scenario, pool, log_weights, err_history[-1], _rng(seed, 999, r), r, events, acts_hist[r, -1],
-                values[base + T],
+                scenario, pool, log_weights, err_history[-1], _rng(seed, 999, r), r, events, latents,
+                acts_hist[r, -1], values[base + T],
             )
     return {"predictions": preds_hist, "actions": acts_hist, "aggregated": agg_hist, "spawn_events": events}
 

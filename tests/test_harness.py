@@ -282,14 +282,14 @@ class TestRunEpisode:
         )
         rng = np.random.default_rng(0)
         pool = AgentPool.create(sample_rfn_params(d_y, d_z, 2, 0.1, rng, count=n))
-        pool.esn_state = pool.latents = rng.uniform(0.0, 1.0, (n, d_y, d_z))
+        latents = pool.esn_state = rng.uniform(0.0, 1.0, (n, d_y, d_z))
         scores = 10.0 * np.arange(n)
         log_weights = np.full(n, -np.log(n))
         events = []
         for r in range(3):
             log_weights = _spawn_between_rounds(
-                scenario, pool, log_weights, scores, _rng(5, 999, r), r, events, rng.standard_normal((n, d_z)),
-                np.array([0.5]),
+                scenario, pool, log_weights, scores, _rng(5, 999, r), r, events, latents,
+                rng.standard_normal((n, d_z)), np.array([0.5]),
             )
             assert np.all(np.isfinite(log_weights))
         assert [ev["round"] for ev in events] == [0, 1, 2]
@@ -305,9 +305,10 @@ class TestRunEpisode:
         rng = np.random.default_rng(4)
         sample = sample_rfn_params if kind == "rfn" else sample_esn_params
         pool = AgentPool.create(sample(d_y, d_z, d_x, 0.1, rng, count=n))
-        pool.esn_state = pool.latents = rng.uniform(0.0, 1.0, (n, d_y, d_z))
+        pool.esn_state = rng.uniform(0.0, 1.0, (n, d_y, d_z))
         pool.steer(np.array([0, 3]), rng.standard_normal((2, d_z, d_z)))
         rows, maps, state, encoder = pool.rows.copy(), pool.latent_transforms.copy(), pool.esn_state.copy(), pool.encoder
+        old_state = pool.esn_state
         slots = np.array([3, 1])
         new = rng.standard_normal((2, pool.rows.shape[1]))
         new[:, -d_y:] = -0.2  # negative sigma, taken in absolute value
@@ -333,7 +334,8 @@ class TestRunEpisode:
         np.testing.assert_array_equal(pool.latent_transforms[kept], maps[kept])
         np.testing.assert_array_equal(pool.esn_state[slots], 0.0)
         np.testing.assert_array_equal(pool.esn_state[kept], state[kept])
-        np.testing.assert_array_equal(pool.latents, state)  # the old state is replaced, not written
+        assert pool.esn_state is not old_state  # the old state is replaced, not written
+        np.testing.assert_array_equal(old_state, state)
 
     def test_csv_dataset_episode(self, tmp_path):
         rng = np.random.default_rng(0)
@@ -445,17 +447,22 @@ FUSED_ENCODERS = {
 }
 
 
-@pytest.mark.parametrize("spawner", ["off", "ortho"])
+@pytest.mark.parametrize(
+    "spawner,horizon_T",
+    [("off", 2), ("ortho", 2), ("off", 1), ("ortho", 1)],
+    ids=["off", "ortho", "off-T1", "ortho-T1"],
+)
 @pytest.mark.parametrize("encoder", sorted(FUSED_ENCODERS))
 @pytest.mark.parametrize("policy", ["full", "reduced", "decentralized", "greedy"])
-def test_fused_step_matches_public_functions(policy, encoder, spawner):
+def test_fused_step_matches_public_functions(policy, encoder, spawner, horizon_T):
     # every step of the fused loop, on its buffers, equals one call of each
     # public function on fresh arrays, bit for bit; with "ortho" the spawner
-    # gives the respawned agents steering maps from the second round on
+    # gives the respawned agents steering maps from the second round on. At
+    # horizon_T 1 a round's latents are one step, also the next round's carry
     scenario = small_scenario(
         params=GameParams(
             theta=0.7, theta_bar=0.3, kappa=1.0, kappa_bar=0.5, gamma=1.0, alpha=0.01,
-            horizon_T=2, population_N=5, dim_y=2, dim_z=3,
+            horizon_T=horizon_T, population_N=5, dim_y=2, dim_z=3,
         ),
         dataset=DatasetSpec(kind="concept_drift", length=9),
         encoder=FUSED_ENCODERS[encoder],
