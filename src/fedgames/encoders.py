@@ -11,6 +11,10 @@ where W_t is a 1 x d_z standard-normal row and sigma a d_y column scale.
 The ESN saturation phi is the hard sigmoid clamp((x + 3) / 6, 0, 1) by
 default (so phi(0) = 0.5), with tanh as an option.
 
+One type, ``EncoderParams``, holds both: an RFN is an encoder whose B
+is None. ``sample_encoders`` draws a stack of either kind from an
+``EncoderConfig``.
+
 Parameter arrays may carry leading stack axes (one row per agent or per
 Monte-Carlo replica): A (..., d_y, d_x), b (..., d_y, d_z), B (..., d_y,
 d_y), sigma (..., d_y). The encoders broadcast over them, with one noise
@@ -20,11 +24,12 @@ whole population is encoded in one call and every check runs once.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import EncodeError
+from .errors import NONNEGATIVE, EncodeError, check_fields
 
 HARD_SIGMOID = "hard_sigmoid"
 TANH = "tanh"
@@ -32,13 +37,32 @@ ACTIVATIONS = (HARD_SIGMOID, TANH)
 
 
 @dataclass(frozen=True)
-class RfnParams:
-    A: np.ndarray  # (..., d_y, d_x)
-    b: np.ndarray  # (..., d_y, d_z)
-    sigma: np.ndarray  # (..., d_y)
+class EncoderConfig:
+    kind: str = "rfn"  # rfn | esn
+    sigma: float = 0.1
+    activation: str = HARD_SIGMOID
 
     def __post_init__(self):
-        for name in ("A", "b", "sigma"):
+        check_fields(self, ("'rfn' or 'esn'", ("rfn", "esn").__contains__), "kind")
+        check_fields(self, NONNEGATIVE, "sigma")
+        check_fields(self, (f"one of {ACTIVATIONS}", ACTIVATIONS.__contains__), "activation")
+
+
+@dataclass(frozen=True)
+class EncoderParams:
+    """Stacked encoder parameters; ``B`` is None for a feed-forward (RFN)
+    encoder, which rectifies and never reads ``activation``."""
+
+    A: np.ndarray  # (..., d_y, d_x)
+    B: np.ndarray | None  # (..., d_y, d_y)
+    b: np.ndarray  # (..., d_y, d_z)
+    sigma: np.ndarray  # (..., d_y)
+    activation: str = HARD_SIGMOID
+
+    def __post_init__(self):
+        for name in ("A", "B", "b", "sigma"):
+            if getattr(self, name) is None:
+                continue  # B of a feed-forward encoder
             a = np.asarray(getattr(self, name), dtype=float)
             if not np.all(np.isfinite(a)):
                 raise EncodeError(f"{name} contains non-finite entries")
@@ -46,28 +70,11 @@ class RfnParams:
             object.__setattr__(self, name, a)
         if np.any(self.sigma < 0):
             raise EncodeError("sigma must be nonnegative elementwise")
-
-
-@dataclass(frozen=True)
-class EsnParams:
-    A: np.ndarray  # (..., d_y, d_x)
-    B: np.ndarray  # (..., d_y, d_y)
-    b: np.ndarray  # (..., d_y, d_z)
-    sigma: np.ndarray  # (..., d_y)
-    activation: str = HARD_SIGMOID
-
-    def __post_init__(self):
-        for name in ("A", "B", "b", "sigma"):
-            a = np.asarray(getattr(self, name), dtype=float)
-            if not np.all(np.isfinite(a)):
-                raise EncodeError(f"{name} contains non-finite entries")
-            a.setflags(write=False)
-            object.__setattr__(self, name, a)
         if self.activation not in ACTIVATIONS:
             raise EncodeError(f"unknown activation {self.activation!r}")
 
 
-def check_step(p: RfnParams | EsnParams, x, noise, z_prev=None) -> None:
+def check_step(p: EncoderParams, x, noise, z_prev=None) -> None:
     """The checks of one encoding step by the stacked encoders ``p``: for
     a recurrent encoder the shape and finiteness of the carry ``z_prev``,
     then the input length and the shape of the noise rows.
@@ -75,7 +82,7 @@ def check_step(p: RfnParams | EsnParams, x, noise, z_prev=None) -> None:
     steps on its own buffers checks once per run, with the run's first
     carry."""
     d_y, d_z = p.b.shape[-2:]
-    if isinstance(p, EsnParams):
+    if p.B is not None:
         if z_prev.shape != p.b.shape:
             raise EncodeError(f"z_prev has shape {z_prev.shape}, expected {p.b.shape}")
         check_carry(z_prev)
@@ -94,7 +101,7 @@ def check_carry(z_prev: np.ndarray) -> None:
         raise EncodeError("z_prev contains non-finite entries")
 
 
-def encode_into(p: RfnParams | EsnParams, x, noise, z_prev, out, ax, work) -> np.ndarray:
+def encode_into(p: EncoderParams, x, noise, z_prev, out, ax, work) -> np.ndarray:
     """The encoders' arithmetic, unchecked, on the caller's buffers: the
     latents of one step by every stacked encoder in ``p``, written into
     ``out`` (shaped like ``p.b``) and returned. ``ax`` (shaped like
@@ -111,7 +118,7 @@ def encode_into(p: RfnParams | EsnParams, x, noise, z_prev, out, ax, work) -> np
     np.add(ax[..., None], p.b, out=out)
     np.multiply(p.sigma[..., None], noise[..., None, :], out=work)
     out += work
-    if isinstance(p, RfnParams):
+    if p.B is None:
         return np.maximum(out, 0.0, out=out)
     np.matmul(p.B, z_prev, out=work)
     out += work
@@ -120,7 +127,7 @@ def encode_into(p: RfnParams | EsnParams, x, noise, z_prev, out, ax, work) -> np
     return hard_sigmoid(out, out=out)
 
 
-def _encode(p: RfnParams | EsnParams, x_t, noise, z_prev=None) -> np.ndarray:
+def _encode(p: EncoderParams, x_t, noise, z_prev=None) -> np.ndarray:
     """Check one step and encode it into fresh arrays."""
     x = np.asarray(x_t, dtype=float).reshape(-1)
     noise = np.asarray(noise, dtype=float)
@@ -140,46 +147,30 @@ def hard_sigmoid(x: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     return np.minimum(out, 1.0, out=out)
 
 
-def rfn_encode(x_t, p: RfnParams, noise) -> np.ndarray:
+def rfn_encode(x_t, p: EncoderParams, noise) -> np.ndarray:
     """Rectified random-feature encoding of one input vector by every
     stacked encoder in ``p``."""
     return _encode(p, x_t, noise)
 
 
-def esn_encode(x_t, z_prev, p: EsnParams, noise) -> np.ndarray:
+def esn_encode(x_t, z_prev, p: EncoderParams, noise) -> np.ndarray:
     """Saturating recurrent encoding; z_prev is the previous latent matrix
     of every stacked encoder, shaped like ``p.b``."""
     return _encode(p, x_t, noise, z_prev)
 
 
-def _stacked_normals(rng, count, shapes):
-    """Standard normals for ``count`` parameter sets (None: a single set),
-    drawn set-major: set i takes the i-th consecutive block of the stream,
-    so the first n sets are the same for any count >= n."""
+def sample_encoders(cfg: EncoderConfig, count, d_y: int, d_z: int, d_x: int, rng) -> EncoderParams:
+    """``count`` encoders of ``cfg`` (None: one unstacked encoder) with
+    standard-normal A, B (recurrent only) and b and the uniform sigma
+    scale, drawn set-major in that field order: set i takes the i-th
+    consecutive block of the stream, so the first n sets are the same for
+    any count >= n."""
     lead = () if count is None else (int(count),)
-    sizes = [int(np.prod(shape)) for shape in shapes]
-    draws = rng.standard_normal(lead + (sum(sizes),))
-    parts = np.split(draws, np.cumsum(sizes)[:-1], axis=-1)
-    return lead, [part.reshape(lead + shape) for part, shape in zip(parts, shapes)]
-
-
-def sample_rfn_params(
-    d_y: int, d_z: int, d_x: int, sigma: float, rng: np.random.Generator, count: int | None = None
-) -> RfnParams:
-    """Draw encoder weights from standard normals, uniform sigma scale;
-    ``count`` stacks that many sets along a leading axis."""
-    lead, (A, b) = _stacked_normals(rng, count, [(d_y, d_x), (d_y, d_z)])
-    return RfnParams(A=A, b=b, sigma=np.full(lead + (d_y,), float(sigma)))
-
-
-def sample_esn_params(
-    d_y: int,
-    d_z: int,
-    d_x: int,
-    sigma: float,
-    rng: np.random.Generator,
-    activation: str = HARD_SIGMOID,
-    count: int | None = None,
-) -> EsnParams:
-    lead, (A, B, b) = _stacked_normals(rng, count, [(d_y, d_x), (d_y, d_y), (d_y, d_z)])
-    return EsnParams(A=A, B=B, b=b, sigma=np.full(lead + (d_y,), float(sigma)), activation=activation)
+    shapes = {"A": (d_y, d_x), "B": (d_y, d_y), "b": (d_y, d_z)}
+    if cfg.kind == "rfn":
+        del shapes["B"]
+    sizes = [math.prod(shape) for shape in shapes.values()]
+    parts = np.split(rng.standard_normal(lead + (sum(sizes),)), np.cumsum(sizes)[:-1], axis=-1)
+    drawn = {name: part.reshape(lead + shape) for (name, shape), part in zip(shapes.items(), parts)}
+    sigma = np.full(lead + (d_y,), float(cfg.sigma))
+    return EncoderParams(drawn["A"], drawn.get("B"), drawn["b"], sigma, cfg.activation)

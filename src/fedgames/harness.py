@@ -35,7 +35,8 @@ steps one encoder loop (``_encode_run``, the latent bank's too) writes
 its (T, N, d_y, d_z) latents, steered by one matmul; per step, one
 action call and one dynamics update cover all N agents; after the steps,
 ``_RunningMetrics.add_round`` computes the round's costs and its (T, N)
-squared errors once, and the aggregation reads them. Every buffer is
+squared errors once, and the aggregation reads them from a (window + T,
+N) history that shifts once per round. Every buffer is
 allocated once per episode. The loop calls the kernels that the public
 functions call after their checks: ``encoders.encode_into``
 (``rfn_encode``, ``esn_encode``), ``_drift_into`` and ``_advance_into``
@@ -67,7 +68,8 @@ encoder's EncodeError.
 
 Random streams are keyed by (seed, purpose[, step]) and drawn
 agent-major (README, "Random streams"). The one-off streams, the pool
-(seed, 11) and the bank encoders (seed, 71), come from ``_rng``. The
+(seed, 11) and the bank encoders (seed, 71), both drawn by
+``encoders.sample_encoders``, come from ``_rng``. The
 per-step and per-round streams, the agent noise (seed, 5, g), the bank
 noise (seed, 72, t) and each spawner round (seed, 999, r), come from a
 ``streams.SeedTable`` per family, the first two per seed (``SeedWork``)
@@ -89,15 +91,13 @@ import numpy as np
 
 from .datasets import DatasetSpec, build_dataset
 from .encoders import (
-    ACTIVATIONS,
-    HARD_SIGMOID,
+    EncoderConfig,
     check_carry,
     check_step,
     encode_into,
     esn_encode,  # noqa: F401  (perfbench's tracer wraps it here)
     rfn_encode,  # noqa: F401  (perfbench's tracer wraps it here)
-    sample_esn_params,
-    sample_rfn_params,
+    sample_encoders,
 )
 from .errors import AT_LEAST_ONE, FINITE, NONNEGATIVE, DynamicsError, SolveError, check_fields
 from .model import GameParams, MomentSet, TargetSeries, estimate_moments
@@ -137,18 +137,6 @@ MESSAGES_PER_STEP = {
 }
 
 POLICIES = tuple(MESSAGES_PER_STEP)
-
-
-@dataclass(frozen=True)
-class EncoderConfig:
-    kind: str = "rfn"  # rfn | esn
-    sigma: float = 0.1
-    activation: str = HARD_SIGMOID
-
-    def __post_init__(self):
-        check_fields(self, ("'rfn' or 'esn'", ("rfn", "esn").__contains__), "kind")
-        check_fields(self, NONNEGATIVE, "sigma")
-        check_fields(self, (f"one of {ACTIVATIONS}", ACTIVATIONS.__contains__), "activation")
 
 
 @dataclass(frozen=True)
@@ -407,27 +395,12 @@ def aggregate_predictions(
     return w @ preds, w
 
 
-_UINT32_END = 2**32
-
-
 def _rng(*key):
     """The generator of the random stream keyed by (seed, purpose[,
     step]); every stream draws a block with one row per agent (or bank
     replica), agent-major. The per-step streams of an episode come from
-    a ``streams.SeedTable`` instead, with the same draws.
-
-    A key of entries below 2^32 is passed as one uint32 word per entry:
-    numpy's seed sequence reduces a list of such ints to those same
-    words, so the streams are the list's, built in less time."""
-    if all(0 <= k < _UINT32_END for k in key):
-        return np.random.default_rng(np.array(key, dtype=np.uint32))
+    a ``streams.SeedTable`` instead, with the same draws."""
     return np.random.default_rng(list(key))
-
-
-def _sample_encoders(cfg: EncoderConfig, count, d_y, d_z, d_x, rng):
-    if cfg.kind == "rfn":
-        return sample_rfn_params(d_y, d_z, d_x, cfg.sigma, rng, count=count)
-    return sample_esn_params(d_y, d_z, d_x, cfg.sigma, rng, activation=cfg.activation, count=count)
 
 
 def _encode_run(encoder, inputs, streams, steps, z_prev, out) -> None:
@@ -452,13 +425,12 @@ def _build_bank(scenario: Scenario, inputs: np.ndarray, seed: int) -> np.ndarray
     encoder's carry (every step but the last) is checked here, so its
     EncodeError comes ahead of the MomentError that ``estimate_moments``
     raises for any other non-finite sample."""
-    cfg = scenario.encoder
     p = scenario.params
     count, L = scenario.mc_samples, inputs.shape[0]
-    encs = _sample_encoders(cfg, count, p.dim_y, p.dim_z, inputs.shape[1], _rng(seed, 71))
+    encs = sample_encoders(scenario.encoder, count, p.dim_y, p.dim_z, inputs.shape[1], _rng(seed, 71))
     bank = np.empty((L, count, p.dim_y, p.dim_z))
     _encode_run(encs, inputs, SeedTable((seed, 72), L), range(L), np.zeros(bank.shape[1:]), bank)
-    if cfg.kind == "esn":
+    if encs.B is not None:
         check_carry(bank[:-1])  # every step but the last is a carry
     return bank
 
@@ -724,7 +696,7 @@ def run_episode(
     values, inputs, rounds = shared.values, shared.inputs, shared.rounds
     d_x = inputs.shape[1]
 
-    pool = AgentPool.create(_sample_encoders(scenario.encoder, N, d_y, d_z, d_x, _rng(seed, 11)))
+    pool = AgentPool.create(sample_encoders(scenario.encoder, N, d_y, d_z, d_x, _rng(seed, 11)))
 
     metrics = _RunningMetrics(N, rounds, p)
     agg_hist = np.zeros((rounds, T, d_y))
@@ -738,13 +710,11 @@ def run_episode(
     zs, steered = np.empty((T, N, d_y, d_z)), np.empty((T, N, d_y, d_z))
     drift, mean, mean_drift, zb = np.empty((N, d_y)), np.empty(d_y), np.empty(d_y), np.empty((N, d_y))
     theta_t, theta_bar_t = p.theta.T, p.theta_bar.T
-    # the aggregation window never holds more steps than the episode plays;
-    # level k views the newest k errors and their discounts
-    window_Ta = min(scenario.aggregation_window, rounds * T)
-    errors, weights, uniform = np.empty((window_Ta, N)), np.empty(N), np.full(N, 1.0 / N)
-    discounts = _aggregation_discounts(window_Ta, scenario.aggregation_alpha)
-    levels = [None] + [(discounts[-k:], errors[-k:]) for k in range(1, window_Ta + 1)]
-    scored = 0  # steps scored so far, up to window_Ta
+    # the aggregation window W never holds more steps than the episode
+    # plays; the scores of the W steps before the round, then the round's
+    W = min(scenario.aggregation_window, rounds * T)
+    errors, weights, uniform = np.empty((W + T, N)), np.empty(N), np.full(N, 1.0 / N)
+    discounts = _aggregation_discounts(W, scenario.aggregation_alpha)
 
     kind, solved = _solve_episode(policy, scenario, shared)
     spawn_streams = None if scenario.spawner is None else SeedTable((seed, 999), rounds)
@@ -768,12 +738,12 @@ def run_episode(
             check_finite(new_preds, np.add.reduce(new_preds, axis=None))
 
         sq = metrics.add_round(r, preds_hist, acts_hist, values[base : base + T + 1])
+        errors[W:] = sq
         for t in range(T):
-            w = uniform if scored == 0 else _softmax_into(*levels[scored], weights)
+            k = min(base + t, W)  # step t weighs the scores of the k steps before it
+            w = uniform if k == 0 else _softmax_into(discounts[W - k :], errors[W + t - k : W + t], weights)
             np.matmul(w, preds_hist[t + 1], out=agg_hist[r, t])
-            errors[:-1] = errors[1:]
-            errors[-1] = sq[t]
-            scored = min(scored + 1, window_Ta)
+        errors[:W] = errors[T:]
         if trace is not None:
             trace.rounds.append((preds_hist.copy(), acts_hist.copy()))
 

@@ -84,9 +84,6 @@ class TargetSeries:
         object.__setattr__(self, "values", v)
         self.values.setflags(write=False)
 
-    def __len__(self) -> int:
-        return self.values.shape[0]
-
     @property
     def horizon(self) -> int:
         return self.values.shape[0] - 1
@@ -133,10 +130,6 @@ class MomentSet:
     @property
     def horizon(self) -> int:
         return self.m1.shape[0]
-
-    @property
-    def dims(self) -> tuple[int, int]:
-        return self.m1.shape[-2:]
 
     def weighted_m2(self, t: int, w: np.ndarray) -> np.ndarray:
         """E[Z' W Z] at timestep t; w is (..., d_y, d_y) and broadcasts

@@ -1,11 +1,11 @@
 """Agent pool state: stacked encoders plus the per-agent simulation arrays.
 
-The encoder parameters live in one stacked ``RfnParams``/``EsnParams``
-with a leading agent axis. The spawner sees them as flat parameter rows,
-one per agent, laid out field by field in declaration order: (A, b, sigma)
-for feed-forward encoders, (A, B, b, sigma) for recurrent ones. The pool
-owns that (N, dim) matrix, and the encoder's arrays are views into it, so
-reading the rows copies nothing, and a respawn writes only its new rows.
+The encoder parameters live in one stacked ``EncoderParams`` with a
+leading agent axis. The spawner sees them as flat parameter rows, one
+per agent, laid out field by field in declaration order: (A, [B], b,
+sigma), with B for recurrent encoders only. The pool owns that (N, dim)
+matrix, and the encoder's arrays are views into it, so reading the rows
+copies nothing, and a respawn writes only its new rows.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .encoders import EsnParams, RfnParams
+from .encoders import EncoderParams
 from .errors import EncodeError
 
 
@@ -41,7 +41,7 @@ def _on_rows(encoder, rows: np.ndarray):
 class AgentPool:
     """Mutable per-episode state of the N agents."""
 
-    encoder: RfnParams | EsnParams  # stacked: leading agent axis, arrays are views into ``rows``
+    encoder: EncoderParams  # stacked: leading agent axis, arrays are views into ``rows``
     rows: np.ndarray  # (N, dim) flat encoder parameters, one row per agent
     latent_transforms: np.ndarray | None  # (N, d_z, d_z) post-composition maps; None: all identity
     # the last raw encoder output, set by an episode once per round: the
@@ -53,7 +53,7 @@ class AgentPool:
         return self.encoder.b.shape[0]
 
     @staticmethod
-    def create(encoder: RfnParams | EsnParams) -> "AgentPool":
+    def create(encoder: EncoderParams) -> "AgentPool":
         n, d_y, d_z = encoder.b.shape
         rows = np.concatenate([getattr(encoder, name).reshape(n, -1) for name in _param_fields(encoder)], axis=1)
         return AgentPool(

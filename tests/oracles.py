@@ -612,11 +612,10 @@ def public_episode(policy, scenario, seed):
     ``_solve_episode`` and the spawner round. Returns the traced arrays
     and the spawn events."""
     from fedgames.datasets import build_dataset
-    from fedgames.encoders import esn_encode, rfn_encode
+    from fedgames.encoders import esn_encode, rfn_encode, sample_encoders
     from fedgames.harness import (
         SeedWork,
         _rng,
-        _sample_encoders,
         _solve_episode,
         _spawn_between_rounds,
         aggregate_predictions,
@@ -632,7 +631,7 @@ def public_episode(policy, scenario, seed):
     values = targets.values
     rounds = (values.shape[0] - 1) // T
     window_Ta = scenario.aggregation_window
-    pool = AgentPool.create(_sample_encoders(scenario.encoder, N, d_y, d_z, inputs.shape[1], _rng(seed, 11)))
+    pool = AgentPool.create(sample_encoders(scenario.encoder, N, d_y, d_z, inputs.shape[1], _rng(seed, 11)))
     if policy == "greedy":
         acts = [None] * rounds
         window_z, window_r = [], []

@@ -28,7 +28,7 @@ from fedgames.harness import (
     run_episode,
     step_dynamics,
 )
-from fedgames.encoders import sample_esn_params, sample_rfn_params
+from fedgames.encoders import sample_encoders
 from fedgames.model import GameParams, TargetSeries, estimate_moments
 from fedgames.nash_full import full_backward_pass, rounds_per_pass
 from fedgames.pool import AgentPool
@@ -281,7 +281,7 @@ class TestRunEpisode:
             spawner=SpawnerConfig(retire_k=2, lam=100.0, sigma_t=0.05, zeta1=0.5, zeta2=0.3, orthogonalize=True)
         )
         rng = np.random.default_rng(0)
-        pool = AgentPool.create(sample_rfn_params(d_y, d_z, 2, 0.1, rng, count=n))
+        pool = AgentPool.create(sample_encoders(EncoderConfig("rfn", 0.1), n, d_y, d_z, 2, rng))
         latents = pool.esn_state = rng.uniform(0.0, 1.0, (n, d_y, d_z))
         scores = 10.0 * np.arange(n)
         log_weights = np.full(n, -np.log(n))
@@ -303,8 +303,7 @@ class TestRunEpisode:
         # raises before anything is written
         n, d_y, d_z, d_x = 5, 2, 3, 2
         rng = np.random.default_rng(4)
-        sample = sample_rfn_params if kind == "rfn" else sample_esn_params
-        pool = AgentPool.create(sample(d_y, d_z, d_x, 0.1, rng, count=n))
+        pool = AgentPool.create(sample_encoders(EncoderConfig(kind, 0.1), n, d_y, d_z, d_x, rng))
         pool.esn_state = rng.uniform(0.0, 1.0, (n, d_y, d_z))
         pool.steer(np.array([0, 3]), rng.standard_normal((2, d_z, d_z)))
         rows, maps, state, encoder = pool.rows.copy(), pool.latent_transforms.copy(), pool.esn_state.copy(), pool.encoder
@@ -558,14 +557,14 @@ def test_windows_past_the_episode_change_nothing():
 def test_bank_matches_per_step_encoder_calls(encoder):
     from fedgames.datasets import build_dataset
     from fedgames.encoders import esn_encode, rfn_encode
-    from fedgames.harness import _build_bank, _rng, _sample_encoders
+    from fedgames.harness import _build_bank, _rng
 
     scenario = small_scenario(encoder=FUSED_ENCODERS[encoder], dataset=DatasetSpec(kind="concept_drift", length=9))
     p = scenario.params
     _, inputs = build_dataset(scenario.dataset)
     bank = _build_bank(scenario, inputs, 6)
     count = scenario.mc_samples
-    encs = _sample_encoders(scenario.encoder, count, p.dim_y, p.dim_z, inputs.shape[1], _rng(6, 71))
+    encs = sample_encoders(scenario.encoder, count, p.dim_y, p.dim_z, inputs.shape[1], _rng(6, 71))
     z = np.zeros((count, p.dim_y, p.dim_z))
     assert bank.shape == (inputs.shape[0],) + z.shape
     for t in range(inputs.shape[0]):
@@ -753,11 +752,11 @@ def test_agent_major_streams():
     # the first 8 agents of an N=16 episode draw the same encoder and noise
     # rows as an N=8 episode; with theta_bar = 0 and the N-free
     # decentralized policy nothing else couples them, so their paths agree
-    from fedgames.harness import _rng, _sample_encoders
+    from fedgames.harness import _rng
 
     cfg = EncoderConfig(kind="esn", sigma=0.1)
-    small = _sample_encoders(cfg, 8, 2, 3, 2, _rng(5, 11))
-    large = _sample_encoders(cfg, 16, 2, 3, 2, _rng(5, 11))
+    small = sample_encoders(cfg, 8, 2, 3, 2, _rng(5, 11))
+    large = sample_encoders(cfg, 16, 2, 3, 2, _rng(5, 11))
     for name in ("A", "B", "b", "sigma"):
         np.testing.assert_array_equal(getattr(large, name)[:8], getattr(small, name))
 
