@@ -347,7 +347,9 @@ def cmd_run(args) -> int:
     try:
         cfg = load_config(args.config)
         cells = cell_grid(cfg, args.seed_override)
-        scenarios = {cell: build_scenario(cfg, cell[1]) for cell in cells}  # validate early
+        # a cell's scenario depends only on its N; built in grid order, so
+        # the first error is the first failing cell's
+        scenarios = {n: build_scenario(cfg, n) for n in dict.fromkeys(n for _, n, _ in cells)}
     except (ConfigError, FedGamesError, ValueError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
@@ -376,15 +378,15 @@ def cmd_run(args) -> int:
         policy, n, seed = cell
         if seed not in shared:
             try:
-                shared[seed] = SeedWork(scenarios[cell], seed, pairs)
+                shared[seed] = SeedWork(scenarios[n], seed, pairs)
             except (FedGamesError, ValueError, np.linalg.LinAlgError):
                 shared[seed] = None
         try:
-            record = run_episode(policy, scenarios[cell], seed, shared=shared[seed])
+            record = run_episode(policy, scenarios[n], seed, shared=shared[seed])
         except (FedGamesError, ValueError, np.linalg.LinAlgError) as exc:
             print(f"solver failure in cell policy={policy} N={n} seed={seed}: {exc}", file=sys.stderr)
             continue
-        kept[cell] = _write_cell(out_dir, cell, scenarios[cell], record)
+        kept[cell] = _write_cell(out_dir, cell, scenarios[n], record)
         del record
 
     with (out_dir / "results.csv").open("w", newline="", encoding="utf-8") as fh:

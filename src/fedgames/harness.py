@@ -36,13 +36,14 @@ its (T, N, d_y, d_z) latents, steered by one matmul; per step, one
 action call and one dynamics update cover all N agents; after the steps,
 ``_RunningMetrics.add_round`` computes the round's costs and its (T, N)
 squared errors once, and the aggregation reads them from a (window + T,
-N) history that shifts once per round. Every buffer is
-allocated once per episode. The loop calls the kernels that the public
-functions call after their checks: ``encoders.encode_into``
-(``rfn_encode``, ``esn_encode``), ``_drift_into`` and ``_advance_into``
-(``step_dynamics``), ``_softmax_into`` (``aggregation_weights``) and
-``ridge.ridge_solve`` (``ridge_action``), so it runs the same arithmetic
-in the same order; ``add_round``'s squared errors equal
+N) history that shifts once per round; the greedy baseline keeps its
+(Z, residual) pairs in a (window + T)-pair history that shifts the same
+way. Every buffer is allocated once per episode. The loop calls the
+kernels that the public functions call after their checks:
+``encoders.encode_into`` (``rfn_encode``, ``esn_encode``),
+``_drift_into`` and ``_advance_into`` (``step_dynamics``),
+``_softmax_into`` (``aggregation_weights``) and ``ridge.ridge_solve``
+(``ridge_action``), so it runs the same arithmetic in the same order; ``add_round``'s squared errors equal
 ``score_agents``'. The encoder's checks run once per round, on the
 round's carry; the step's one check is ``check_finite`` on the sum of
 its new predictions. The dynamics' drift terms theta Y and theta_bar
@@ -103,9 +104,8 @@ from .errors import AT_LEAST_ONE, FINITE, NONNEGATIVE, DynamicsError, SolveError
 from .model import GameParams, MomentSet, TargetSeries, estimate_moments
 from .nash_full import full_action, full_backward_pass, rounds_per_pass
 from .nash_meanfield import decentralized_action  # noqa: F401  (perfbench's tracer names it; the step does not call it)
-from .nash_meanfield import DecentralizedCoeffs, decentralized_backward_pass, limit_coeffs, meanfield_forward
+from .nash_meanfield import decentralized_backward_pass, limit_coeffs, meanfield_forward
 from .nash_reduced import (
-    ReducedCoeffs,
     game_units,
     reduced_action,
     reduced_backward_pass,
@@ -436,56 +436,64 @@ def _build_bank(scenario: Scenario, inputs: np.ndarray, seed: int) -> np.ndarray
 
 
 class _GreedyWindow:
-    """The last ``window_T`` (Z, residual) pairs of every agent for the
-    ridge baseline, oldest first, in fixed (N, window_T, ...) arrays.
+    """The ridge baseline's (Z, residual) pairs of every agent, oldest
+    first: the W = ``window_T`` pairs before the round, then the round's
+    T, in (N, W + T, ...) histories.
 
-    One buffer holds the weighted design and one vector the discount
-    weights of ``ridge_design``; fill level k keeps views of their newest
-    k rows (``ridge_weights(window_T)[-k:]`` is ``ridge_weights(k)``), so
-    a step's actions are ``ridge_solve`` on the same arrays
-    ``ridge_action`` builds from the window, written in place, and memory
-    grows linearly with the window."""
+    Step t of round r solves on its newest k = min(rT + t, W) pairs, rows
+    W + t - k .. W + t - 1: it writes their weighted design, as
+    ``ridge_design`` builds it, into the newest k rows of one (N, W, ...)
+    buffer (``ridge_weights(W)[-k:]`` is ``ridge_weights(k)``), which
+    ``ridge_solve`` reads in place; then it writes its own pair to row
+    W + t, and the round's last step moves the newest W rows to the
+    front, one shift per round. The agent axis must stay first: each
+    agent's design rows are then C-ordered, as ``ridge_design`` builds
+    them from the stacked pairs, so the solve's matmuls take its path and
+    the actions are ``ridge_action``'s bit for bit. Memory grows linearly
+    with the window."""
 
-    def __init__(self, n_agents: int, d_y: int, d_z: int, cfg: RidgeConfig):
-        size = cfg.window_T
-        self.z = np.zeros((n_agents, size, d_y, d_z))
-        self.resid = np.zeros((n_agents, size, d_y))
-        self.filled = 0
-        self.penalty = ridge_penalty(d_z, cfg)
+    def __init__(self, n_agents: int, d_y: int, d_z: int, T: int, cfg: RidgeConfig):
+        W = cfg.window_T
+        self.z = np.zeros((n_agents, W + T, d_y, d_z))
+        self.resid = np.zeros((n_agents, W + T, d_y))
+        self.weights, self.penalty = ridge_weights(W, cfg), ridge_penalty(d_z, cfg)
+        self.X, self.ybar = np.empty((n_agents, W, d_y, d_z)), np.empty((n_agents, W, d_y))
         self.gram, self.rhs = np.empty((n_agents, d_z, d_z)), np.empty((n_agents, d_z, 1))
         self.zero = np.zeros((n_agents, d_z))
-        w = ridge_weights(size, cfg)
-        X, ybar = np.empty((n_agents, size, d_y, d_z)), np.empty((n_agents, size, d_y))
-        X_flat, ybar_flat = X.reshape(n_agents, size * d_y, d_z), ybar.reshape(n_agents, size * d_y)
-        self.levels = [None] + [  # fill level k -> (weights, window, design) views of the newest k rows
-            (
-                (w[-k:, None, None], w[-k:, None]),
-                (self.z[:, -k:], self.resid[:, -k:]),
-                (X[:, -k:], ybar[:, -k:], X_flat[:, -k * d_y :], ybar_flat[:, -k * d_y :]),
-            )
-            for k in range(1, size + 1)
-        ]
 
-    def actions(self) -> np.ndarray:
-        """(N, d_z) ridge actions; zero while the window is empty."""
-        if self.filled == 0:
-            return self.zero
-        (wz, wr), (z, resid), (X, ybar, X_flat, ybar_flat) = self.levels[self.filled]
-        np.multiply(wz, z, out=X)
-        np.multiply(wr, resid, out=ybar)
-        return ridge_solve(X_flat, ybar_flat, self.penalty, self.gram, self.rhs)
-
-    def push(self, latents, target, drift, mean_drift, scale: float) -> None:
-        """Append the newest pair: ``scale`` times the latents and the
-        residual target - drift - mean_drift of the dynamics' drift terms."""
-        self.z[:, :-1] = self.z[:, 1:]
-        np.multiply(latents, scale, out=self.z[:, -1])
-        self.resid[:, :-1] = self.resid[:, 1:]
-        resid = self.resid[:, -1]
+    def step(self, r, t, latents, target, drift, mean_drift, scale: float) -> np.ndarray:
+        """The (N, d_z) ridge actions of step t of round r, zero while no
+        pair is held; then the step's pair: ``scale`` times the latents and
+        the residual target - drift - mean_drift of the dynamics' drift
+        terms."""
+        n, W, _, d_z = self.X.shape
+        T = self.z.shape[1] - W
+        k = min(r * T + t, W)
+        actions = self.zero
+        if k:
+            w, X, ybar = self.weights[W - k :], self.X[:, W - k :], self.ybar[:, W - k :]
+            np.multiply(w[:, None, None], self.z[:, W + t - k : W + t], out=X)
+            np.multiply(w[:, None], self.resid[:, W + t - k : W + t], out=ybar)
+            actions = ridge_solve(X.reshape(n, -1, d_z), ybar.reshape(n, -1), self.penalty, self.gram, self.rhs)
+        np.multiply(latents, scale, out=self.z[:, W + t])
+        resid = self.resid[:, W + t]
         np.subtract(target, drift, out=resid)
         resid -= mean_drift
         resid *= scale
-        self.filled = min(self.filled + 1, self.z.shape[1])
+        if t == T - 1:
+            self.z[:, :W] = self.z[:, -W:]
+            self.resid[:, :W] = self.resid[:, -W:]
+        return actions
+
+
+def _population(policy: str, n: int):
+    """The population at which the seed's structured pass solves a cell:
+    N for a reduced cell, ``math.inf`` (the limit) for a decentralized
+    one, and None for the cells that it does not play: greedy, full, and
+    reduced at N = 1, which plays the dense full pass."""
+    if policy == "decentralized":
+        return math.inf
+    return n if policy == "reduced" and n >= 2 else None
 
 
 class SeedWork:
@@ -499,16 +507,16 @@ class SeedWork:
     ``mc_samples``) is built and reduced to round-stacked moments only if
     some cell solves a game; greedy cells read the dataset alone. Every
     reduced N >= 2 among the cells and, for decentralized cells, the
-    limit (eps = 0) are solved over every round in one population stack
-    of ``nash_reduced.structured_pass``; each entry is read back through
-    the code of its lone pass (``reduced_coeffs``, ``limit_coeffs``), so
-    it is that pass's coefficients bit for bit, and the limit's mean
-    field Ybar (``meanfield_forward``) is computed once for every
-    decentralized cell, whatever its N. If that pass raises, the cells
-    solve alone (``reduced``, ``decentralized``), and a failing cell
-    raises its own pass's error. Full cells, and reduced cells at N = 1,
-    read only the moments: the dense full pass stays an independent
-    oracle of the structured one.
+    limit (eps = 0), the cells' ``_population``, are solved over every
+    round in one population stack of ``nash_reduced.structured_pass``;
+    each entry is read back through the code of its lone pass
+    (``reduced_coeffs``, ``limit_coeffs``), so it is that pass's
+    coefficients bit for bit, and the limit's mean field Ybar
+    (``meanfield_forward``) is computed once for every decentralized
+    cell, whatever its N. If that pass raises, the cells solve alone
+    (``solved``), and a failing cell raises its own pass's error. Full
+    cells, and reduced cells at N = 1, read only the moments: the dense
+    full pass stays an independent oracle of the structured one.
 
     ``share_ms`` is the wall time of this work divided by the number of
     cells: each cell's ``runtime_ms`` adds it to its own episode time.
@@ -528,8 +536,7 @@ class SeedWork:
             raise ValueError("dataset too short for one round of the horizon")
         # the agents' noise streams (seed, 5, g), whose keys hold neither policy nor N
         self.noise_streams = SeedTable((seed, 5), self.rounds * T)
-        self._reduced = {}  # N -> ReducedCoeffs of the seed's pass
-        self._limit = None  # (DecentralizedCoeffs, ybar) of the seed's pass
+        self._solved = {}  # population -> the seed's pass's coefficients, as ``solved`` returns them
         if any(policy != "greedy" for policy, _ in self.cells):
             # covers only the rounds T input steps that the rounds play
             episode = estimate_moments(_build_bank(scenario, self.inputs[: self.rounds * T], seed))
@@ -549,9 +556,7 @@ class SeedWork:
         return moments, targets
 
     def _solve_stack(self, params: GameParams) -> None:
-        ns = sorted({n for policy, n in self.cells if policy == "reduced" and n >= 2})
-        if any(policy == "decentralized" for policy, _ in self.cells):
-            ns.append(math.inf)
+        ns = sorted({_population(policy, n) for policy, n in self.cells} - {None})
         if not ns:
             return
         moments, targets = self.round_stack(0, self.rounds)
@@ -563,22 +568,20 @@ class SeedWork:
         for p, n in enumerate(ns):
             entry = s.entry(p)
             if n < math.inf:
-                self._reduced[n] = reduced_coeffs(params, entry, n)
+                self._solved[n] = reduced_coeffs(params, entry, n)
                 continue
             limit = limit_coeffs(params, entry, game_units(entry, math.inf)[1])
-            self._limit = limit, meanfield_forward(limit, moments, targets.values[0])
+            self._solved[n] = limit, meanfield_forward(limit, moments, targets.values[0])
 
-    def reduced(self, params: GameParams) -> ReducedCoeffs:
-        """The round-stacked reduced coefficients at N = params.population_N."""
-        if params.population_N in self._reduced:
-            return self._reduced[params.population_N]
-        return reduced_backward_pass(params, *self.round_stack(0, self.rounds))
-
-    def decentralized(self, params: GameParams) -> tuple[DecentralizedCoeffs, np.ndarray]:
-        """The round-stacked limit coefficients and their (T+1, rounds, d_y) Ybar."""
-        if self._limit is not None:
-            return self._limit
+    def solved(self, params: GameParams, n):
+        """The round-stacked coefficients at population n (``_population``):
+        the reduced coefficients at a finite n, and at the limit its
+        coefficients and their (T+1, rounds, d_y) Ybar."""
+        if n in self._solved:
+            return self._solved[n]
         moments, targets = self.round_stack(0, self.rounds)
+        if n < math.inf:
+            return reduced_backward_pass(params, moments, targets)
         coeffs = decentralized_backward_pass(params, moments, targets)
         return coeffs, meanfield_forward(coeffs, moments, targets.values[0])
 
@@ -587,8 +590,8 @@ def _solve_episode(policy, scenario: Scenario, work: SeedWork):
     """(kind, one (coefficients, act) per round): the one place a policy
     maps to its solver and its action rule. ``act(t, predictions,
     latents, drift, mean_drift)`` returns the (N, d_z) actions of step t
-    of its round, possibly in a buffer that its next call overwrites (the
-    greedy and decentralized ones do); the last two are the step's drift
+    of its round, possibly in a buffer that its next call overwrites (only
+    the decentralized one does); the last two are the step's drift
     terms theta Y and theta_bar mean(Y), which only the greedy baseline
     reads (its ridge residual is the target less both). The greedy
     baseline solves nothing (kind and coefficients None) and reads no
@@ -616,19 +619,18 @@ def _solve_episode(policy, scenario: Scenario, work: SeedWork):
             raise ValueError("greedy policy needs a ridge config")
         # the window never holds more pairs than the episode pushes
         cfg = replace(scenario.ridge, window_T=min(scenario.ridge.window_T, rounds * T))
-        window = _GreedyWindow(N, p.dim_y, p.dim_z, cfg)
+        window = _GreedyWindow(N, p.dim_y, p.dim_z, T, cfg)
         sqrt_kappa = np.sqrt(p.kappa)
 
         def act(r, t, preds, latents, drift, mean_drift):
-            actions = window.actions()
             # data-fit rows carry sqrt(kappa) so the fitted objective is
             # kappa * fit + gamma * penalty; kappa = 0 zeroes the policy
-            window.push(latents, values[r * T + t + 1], drift, mean_drift, sqrt_kappa)
-            return actions
+            return window.step(r, t, latents, values[r * T + t + 1], drift, mean_drift, sqrt_kappa)
 
         return None, ((None, partial(act, r)) for r in range(rounds))
 
-    if policy == "full" or (policy == "reduced" and N == 1):
+    n = _population(policy, N)
+    if n is None:
 
         def act(c, t, preds, latents, drift, mean_drift):
             return full_action(t, preds.reshape(-1), c).reshape(N, p.dim_z)
@@ -643,8 +645,8 @@ def _solve_episode(policy, scenario: Scenario, work: SeedWork):
                     yield c, partial(act, c)
 
         return "full", solve_chunks()
-    if policy == "reduced":
-        coeffs = work.reduced(p)
+    if n < math.inf:
+        coeffs = work.solved(p, n)
 
         def act(c, t, preds, latents, drift, mean_drift):
             return reduced_action(t, preds, preds.sum(axis=0) - preds, c)
@@ -652,7 +654,7 @@ def _solve_episode(policy, scenario: Scenario, work: SeedWork):
         solved = (take_round(coeffs, r) for r in range(rounds))
         return policy, ((c, partial(act, c)) for c in solved)
 
-    coeffs, ybar = work.decentralized(p)
+    coeffs, ybar = work.solved(p, n)
     actions = np.empty((N, p.dim_z))
 
     def round_act(c, r):

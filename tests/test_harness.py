@@ -446,14 +446,23 @@ FUSED_ENCODERS = {
 }
 
 
+# (ridge window_T, aggregation window): windows of 1, below T = 2, and of
+# 20, past the 8-step episode, pin both round histories at their edges
 @pytest.mark.parametrize(
-    "spawner,horizon_T",
-    [("off", 2), ("ortho", 2), ("off", 1), ("ortho", 1)],
-    ids=["off", "ortho", "off-T1", "ortho-T1"],
+    "spawner,horizon_T,windows",
+    [
+        ("off", 2, (3, 2)),
+        ("ortho", 2, (3, 2)),
+        ("off", 1, (3, 2)),
+        ("ortho", 1, (3, 2)),
+        ("ortho", 2, (1, 1)),
+        ("ortho", 2, (20, 20)),
+    ],
+    ids=["off", "ortho", "off-T1", "ortho-T1", "ortho-W1", "ortho-W20"],
 )
 @pytest.mark.parametrize("encoder", sorted(FUSED_ENCODERS))
 @pytest.mark.parametrize("policy", ["full", "reduced", "decentralized", "greedy"])
-def test_fused_step_matches_public_functions(policy, encoder, spawner, horizon_T):
+def test_fused_step_matches_public_functions(policy, encoder, spawner, horizon_T, windows):
     # every step of the fused loop, on its buffers, equals one call of each
     # public function on fresh arrays, bit for bit; with "ortho" the spawner
     # gives the respawned agents steering maps from the second round on. At
@@ -465,7 +474,8 @@ def test_fused_step_matches_public_functions(policy, encoder, spawner, horizon_T
         ),
         dataset=DatasetSpec(kind="concept_drift", length=9),
         encoder=FUSED_ENCODERS[encoder],
-        aggregation_window=2,
+        ridge=RidgeConfig(window_T=windows[0], alpha=0.1, gamma=0.5),
+        aggregation_window=windows[1],
         spawner=PARITY_SPAWNERS[spawner],
     )
     trace = EpisodeTrace()
@@ -480,25 +490,30 @@ def test_fused_step_matches_public_functions(policy, encoder, spawner, horizon_T
 
 
 def test_greedy_window_matches_ridge_action_at_every_fill_level():
+    # the round history against ridge_action on the stacked newest pairs,
+    # at every fill level and across round boundaries, with the window
+    # above, between and below the round's T steps
     from fedgames.harness import _GreedyWindow
 
     cfg = RidgeConfig(window_T=4, alpha=0.3, gamma=0.5)
     n, d_y, d_z, scale = 5, 2, 3, 0.8
-    window = _GreedyWindow(n, d_y, d_z, cfg)
     rng = np.random.default_rng(8)
-    pairs_z, pairs_r = [], []
-    for step in range(cfg.window_T + 3):  # fill levels 0..window_T, then sliding
-        k = min(step, cfg.window_T)
-        if k:
-            want = ridge_action(np.stack(pairs_z[-k:], axis=1), np.stack(pairs_r[-k:], axis=1), cfg)
-        else:
-            want = np.zeros((n, d_z))
-        np.testing.assert_array_equal(window.actions(), want, err_msg=f"fill level {k}")
-        latents, target = rng.standard_normal((n, d_y, d_z)), rng.standard_normal(d_y)
-        drift, mean_drift = rng.standard_normal((n, d_y)), rng.standard_normal(d_y)
-        window.push(latents, target, drift, mean_drift, scale)
-        pairs_z.append(scale * latents)
-        pairs_r.append(scale * (target - drift - mean_drift))
+    for T in (1, 3, 6):
+        window = _GreedyWindow(n, d_y, d_z, T, cfg)
+        pairs_z, pairs_r = [], []
+        for r in range(cfg.window_T // T + 3):  # fill levels 0..window_T, then sliding
+            for t in range(T):
+                k = min(r * T + t, cfg.window_T)
+                if k:
+                    want = ridge_action(np.stack(pairs_z[-k:], axis=1), np.stack(pairs_r[-k:], axis=1), cfg)
+                else:
+                    want = np.zeros((n, d_z))
+                latents, target = rng.standard_normal((n, d_y, d_z)), rng.standard_normal(d_y)
+                drift, mean_drift = rng.standard_normal((n, d_y)), rng.standard_normal(d_y)
+                got = window.step(r, t, latents, target, drift, mean_drift, scale)
+                np.testing.assert_array_equal(got, want, err_msg=f"T={T} round {r} step {t}, fill level {k}")
+                pairs_z.append(scale * latents)
+                pairs_r.append(scale * (target - drift - mean_drift))
 
 
 def _held_bytes(obj) -> int:
@@ -517,13 +532,16 @@ def _held_bytes(obj) -> int:
 
 
 def test_greedy_window_memory_is_linear_in_the_window():
-    # one design buffer and one weight vector, viewed per fill level; a
-    # buffer per fill level held 117 MB here, quadratic in the window
+    # the (window + T)-row histories of Z and the residuals, the
+    # window-row design they are weighted into, and the solve's per-agent
+    # buffers (under 8 rows here); a buffer per fill level held 117 MB
+    # here, quadratic in the window
     from fedgames.harness import _GreedyWindow
 
-    n, d_y, d_z, size = 64, 1, 4, 300
-    window = _GreedyWindow(n, d_y, d_z, RidgeConfig(window_T=size, alpha=0.1, gamma=0.5))
-    assert _held_bytes(window) <= 64 * size * n * d_y * d_z
+    n, d_y, d_z, T, size = 64, 1, 4, 4, 300
+    window = _GreedyWindow(n, d_y, d_z, T, RidgeConfig(window_T=size, alpha=0.1, gamma=0.5))
+    row = 8 * n * d_y * (d_z + 1)  # one (Z, residual) row of every agent, in bytes
+    assert _held_bytes(window) <= (2 * size + T + 8) * row
 
 
 def test_windows_past_the_episode_change_nothing():
