@@ -2,14 +2,16 @@
 
 ``run`` executes the (policy, N, seed) cell grid of a JSON config (the
 cells of a seed share its dataset, latent bank and structured pass,
-``harness.SeedWork``), writes each cell's files as the cell completes,
-and results.csv and report.json when the grid ends.
+``harness.SeedWork``; the cells of one N play in groups of stacked
+episodes, ``harness.run_group``), writes each cell's files as its group
+completes, and results.csv and report.json when the grid ends.
 ``convergence`` emits the N-versus-gap table used for the mean-field
 convergence plots. ``verify`` runs three built-in fixture suites
 (structure, QP, convergence) and prints a pass/fail table.
 
 Exit codes: 0 success, 2 config error, 3 solver failure (each failing
-cell is printed as it fails; the cells that completed are still written). All
+cell is printed as its group is done; the cells that completed are still
+written). All
 outputs are deterministic under a fixed config and seeds, except the
 measured runtime_ms column, which the determinism fingerprint therefore
 excludes.
@@ -31,7 +33,7 @@ import numpy as np
 from .datasets import DatasetSpec
 from .diagnostics import ConvergenceScenario, limit_gap_diagnostic
 from .errors import SEED, ConfigError, FedGamesError
-from .harness import POLICIES, EncoderConfig, Scenario, SeedWork, SpawnerConfig, run_episode
+from .harness import POLICIES, EncoderConfig, Scenario, SeedWork, SpawnerConfig, run_episode, run_group
 from .io import (
     SCHEMA_VERSION,
     dump_coeffs,
@@ -48,6 +50,14 @@ from .ridge import RidgeConfig
 logger = logging.getLogger(__name__)
 
 RESULTS_HEADER = ["policy", "N", "seed", "rmse_agg", "rmse_worst", "regret", "runtime_ms"]
+
+# `run` plays the cells of one N as groups of up to GROUP_AGENTS // N
+# cells (at least one), each group as one episode on stacked (G N, ...)
+# buffers (harness.run_group). At small N a step's cost is numpy's
+# per-call overhead, which a group pays once for all of its cells; the
+# bound keeps a group's per-step arrays within a few hundred kB at the
+# benchmark's dims, and lets the two cells of an N of 1024 share a group.
+GROUP_AGENTS = 2048
 
 
 def _is_int(value) -> bool:
@@ -343,6 +353,20 @@ def _write_cell(out_dir: Path, cell, scenario, record) -> tuple[list, dict]:
     return row, entry
 
 
+def _groups(cells) -> list:
+    """The grid's cells grouped by N, in grid order, each N's cells cut
+    into groups of up to GROUP_AGENTS // N."""
+    by_n = {}
+    for cell in cells:
+        by_n.setdefault(cell[1], []).append(cell)
+    return [
+        same_n[i : i + size]
+        for n, same_n in by_n.items()
+        for size in [max(1, GROUP_AGENTS // n)]
+        for i in range(0, len(same_n), size)
+    ]
+
+
 def cmd_run(args) -> int:
     try:
         cfg = load_config(args.config)
@@ -364,48 +388,56 @@ def cmd_run(args) -> int:
     (out_dir / "coeffs").mkdir(exist_ok=True)
 
     # the cells of a seed share its dataset, latent bank and structured
-    # pass, built at the seed's first cell and held until the grid ends
-    # (seeds vary fastest, so every seed has a cell in the grid's last
-    # policy and N); if building them fails, each of the seed's cells
-    # builds its own and reports its own failure
+    # pass, built at the seed's first group and held until the grid ends
+    # (every N's groups hold every seed); if building them fails, each of
+    # the seed's cells builds its own and reports its own failure
     pairs = {(policy, n) for policy, n, _ in cells}  # the grid is a full product: every seed runs every pair
     shared = {}
-    # each cell's files are written as it completes, and its record is then
-    # dropped; a failed cell is reported and the run exits 3, but the cells
-    # that completed still get their outputs
-    kept = {}  # cell -> (results.csv row, report.json entry), in grid order
-    for cell in cells:
-        policy, n, seed = cell
-        if seed not in shared:
+    # each group's files are written as it completes, and its records are
+    # then dropped; if a group raises, its cells run again one at a time,
+    # so a failed cell is reported on its own and the run exits 3, but the
+    # cells that completed still get their outputs
+    kept = {}  # cell -> (results.csv row, report.json entry)
+    failed = (FedGamesError, ValueError, np.linalg.LinAlgError)
+    for group in _groups(cells):
+        n = group[0][1]
+        for _, _, seed in group:
+            if seed not in shared:
+                try:
+                    shared[seed] = SeedWork(scenarios[n], seed, pairs)
+                except failed:
+                    shared[seed] = None
+        records = None
+        if all(shared[seed] is not None for _, _, seed in group):
             try:
-                shared[seed] = SeedWork(scenarios[n], seed, pairs)
-            except (FedGamesError, ValueError, np.linalg.LinAlgError):
-                shared[seed] = None
-        try:
-            record = run_episode(policy, scenarios[n], seed, shared=shared[seed])
-        except (FedGamesError, ValueError, np.linalg.LinAlgError) as exc:
-            print(f"solver failure in cell policy={policy} N={n} seed={seed}: {exc}", file=sys.stderr)
-            continue
-        kept[cell] = _write_cell(out_dir, cell, scenarios[n], record)
-        del record
+                records = run_group([(policy, seed) for policy, _, seed in group], scenarios[n], shared)
+            except failed:
+                pass
+        for i, (policy, _, seed) in enumerate(group):
+            try:
+                record = records[i] if records else run_episode(policy, scenarios[n], seed, shared=shared[seed])
+            except failed as exc:
+                print(f"solver failure in cell policy={policy} N={n} seed={seed}: {exc}", file=sys.stderr)
+                continue
+            kept[policy, n, seed] = _write_cell(out_dir, (policy, n, seed), scenarios[n], record)
 
     with (out_dir / "results.csv").open("w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh)
         writer.writerow(RESULTS_HEADER)
         writer.writerows(kept[cell][0] for cell in sorted(kept))
     # sample-path metrics live per cell; Monte-Carlo means over seeds are
-    # exported alongside, labeled as such. Each group is averaged in grid
-    # order, which sets the means' last bits
-    groups = {}
-    for (policy, n, _), (_, entry) in kept.items():
-        groups.setdefault((policy, n), []).append(entry)
+    # exported alongside, labeled as such. Each (policy, N) is averaged in
+    # grid order, which sets the means' last bits
+    per_pair = {}
+    for cell in filter(kept.__contains__, cells):
+        per_pair.setdefault(cell[:2], []).append(kept[cell][1])
     aggregates = [
         {"policy": policy, "N": n, "seeds": len(entries)}
         | {
             f"mc_mean_{name}": float(np.mean([e[name] for e in entries]))
             for name in ("regret", "rmse_agg", "rmse_worst", "rmse_bottom20")
         }
-        for (policy, n), entries in sorted(groups.items(), key=lambda g: (cfg["policies"].index(g[0][0]), g[0][1]))
+        for (policy, n), entries in sorted(per_pair.items(), key=lambda g: (cfg["policies"].index(g[0][0]), g[0][1]))
     ]
     report = {
         "schema_version": SCHEMA_VERSION,

@@ -17,9 +17,22 @@ streams, the latent bank's round-stacked moments, and one structured
 pass over every round for every reduced N >= 2 among the cells and, for
 decentralized cells, the limit with its mean field. ``fedgames run``
 builds one per seed; ``run_episode`` without one builds its own for its
-one cell, so a lone episode runs the same code as a grid's. A cell's
-``runtime_ms`` is its own episode's wall time plus an equal share of its
-seed's work.
+one cell, so a lone episode runs the same code as a grid's.
+
+``fedgames run`` plays the cells of one N in groups (``run_group``):
+one episode of G populations of N agents, member m on rows mN..mN+N-1
+of every (G N, ...) per-agent buffer. The per-agent kernels (the
+encoder, ``_advance_into``, the steering matmul) run once over the
+stack, and each population's matrices keep a lone episode's shapes; the
+cross-agent reductions (the mean in ``_drift_into``, the aggregation
+softmax, ``_RunningMetrics.add_round`` and its quantiles) run on (G, N,
+...) views, each member's on its own rows, so every member's bits are
+its lone episode's. ``check_finite`` checks the whole stack: any
+member's failure fails the group, whose caller then runs its members
+again one at a time, each naming its own agent. Each member keeps its own
+action rule, greedy window, spawner and record; ``run_episode`` is the
+group of one. A cell's ``runtime_ms`` is its group's wall time over G
+plus an equal share of its seed's work.
 
 Episodes stream: each round works on its own (T+1, N, d_y) predictions
 and (T, N, d_z) actions, and when it ends its costs are folded into
@@ -33,7 +46,8 @@ latents depend only on the pool, the inputs and the noise streams, and
 the spawner changes the pool only between rounds, so before a round's
 steps one encoder loop (``_encode_run``, the latent bank's too) writes
 its (T, N, d_y, d_z) latents, steered by one matmul; per step, one
-action call and one dynamics update cover all N agents; after the steps,
+action call per population and one dynamics update cover all agents;
+after the steps,
 ``_RunningMetrics.add_round`` computes the round's costs and its (T, N)
 squared errors once, and the aggregation reads them from a (window + T,
 N) history that shifts once per round; the greedy baseline keeps its
@@ -70,7 +84,9 @@ encoder's EncodeError.
 Random streams are keyed by (seed, purpose[, step]) and drawn
 agent-major (README, "Random streams"). The one-off streams, the pool
 (seed, 11) and the bank encoders (seed, 71), both drawn by
-``encoders.sample_encoders``, come from ``_rng``. The
+``encoders.sample_encoders``, come from ``_rng``; a group draws each
+seed's pool once, and its agent noise once per step, for all of the
+seed's members. The
 per-step and per-round streams, the agent noise (seed, 5, g), the bank
 noise (seed, 72, t) and each spawner round (seed, 999, r), come from a
 ``streams.SeedTable`` per family, the first two per seed (``SeedWork``)
@@ -82,6 +98,7 @@ the same key.
 
 from __future__ import annotations
 
+import copy
 import logging
 import math
 import time
@@ -100,7 +117,7 @@ from .encoders import (
     rfn_encode,  # noqa: F401  (perfbench's tracer wraps it here)
     sample_encoders,
 )
-from .errors import AT_LEAST_ONE, FINITE, NONNEGATIVE, DynamicsError, SolveError, check_fields
+from .errors import AT_LEAST_ONE, FINITE, NONNEGATIVE, DynamicsError, FedGamesError, SolveError, check_fields
 from .model import GameParams, MomentSet, TargetSeries, estimate_moments
 from .nash_full import full_action, full_backward_pass, rounds_per_pass
 from .nash_meanfield import decentralized_action  # noqa: F401  (perfbench's tracer names it; the step does not call it)
@@ -245,28 +262,33 @@ def step_dynamics(
     if actions.shape[0] != preds.shape[0]:
         raise ValueError("one action per agent required")
     n, d_y = preds.shape
-    drift, mean, mean_drift = np.empty((n, d_y)), np.empty(d_y), np.empty(d_y)
-    _drift_into(preds, params.theta.T, params.theta_bar.T, drift, mean, mean_drift)
+    drift, mean, mean_drift = np.empty((n, d_y)), np.empty((1, 1, d_y)), np.empty((1, 1, d_y))
+    _drift_into(preds[None], params.theta.T, params.theta_bar.T, drift[None], mean, mean_drift)
     out = _advance_into(drift, mean_drift, latents, actions, np.empty((n, d_y)), np.empty((n, d_y)))
     check_finite(out, np.add.reduce(out, axis=None))
     return out
 
 
 def _drift_into(preds, theta_t, theta_bar_t, drift, mean, mean_drift) -> None:
-    """The two drift terms of the dynamics, theta Y (per agent, into
-    ``drift``) and theta_bar mean(Y) (into ``mean_drift``), given the
-    transposed ``theta_t`` and ``theta_bar_t``; the mean goes to ``mean``."""
+    """The two drift terms of the dynamics of G populations, theta Y (per
+    agent, into the (G, N, d_y) ``drift``) and theta_bar mean(Y) (per
+    population, into the (G, 1, d_y) ``mean_drift``), given the (G, N,
+    d_y) ``preds`` and the transposed ``theta_t`` and ``theta_bar_t``; the
+    means go to ``mean``. Each population's matmuls are a lone one's."""
     np.matmul(preds, theta_t, out=drift)
-    np.add.reduce(preds, axis=0, out=mean)  # np.mean's sum and division
-    mean /= preds.shape[0]
+    np.add.reduce(preds, axis=-2, out=mean, keepdims=True)  # np.mean's sum and division
+    mean /= preds.shape[-2]
     np.matmul(mean, theta_bar_t, out=mean_drift)
 
 
 def _advance_into(drift, mean_drift, latents, actions, out, work) -> np.ndarray:
     """The dynamics' sum drift + mean_drift + Z beta, left to right, into
-    ``out``; ``work`` holds Z beta. Unchecked: ``step_dynamics`` and the
-    agent step check the result."""
-    np.add(drift, mean_drift, out=out)
+    ``out``; ``work`` holds Z beta. ``drift``, ``out`` and ``work`` are
+    contiguous (G N, d_y) stacks of G populations and ``mean_drift`` is
+    (G, 1, d_y), one row per population. Unchecked: ``step_dynamics`` and
+    the agent step check the result."""
+    groups, d_y = mean_drift.shape[0], out.shape[1]
+    np.add(drift.reshape(groups, -1, d_y), mean_drift, out=out.reshape(groups, -1, d_y))
     out += np.einsum("nij,nj->ni", latents, actions, out=work)
     return out
 
@@ -301,54 +323,61 @@ def _quantile_plan(n: int, levels) -> tuple:
 
 
 def _quantiles(x: np.ndarray, plan) -> np.ndarray:
-    """``np.quantile(x, levels)`` (its default linear method) from one
-    ``np.partition``, given ``_quantile_plan(len(x), levels)``.
-    ``np.quantile`` and ``np.unique`` import ``numpy.ma`` on their first
-    call, which costs more than a small episode's metrics."""
+    """``np.quantile(x, levels, axis=-1)`` (its default linear method)
+    from one ``np.partition``, given ``_quantile_plan(x.shape[-1],
+    levels)``. ``np.quantile`` and ``np.unique`` import ``numpy.ma`` on
+    their first call, which costs more than a small episode's metrics."""
     lo, hi, kth, frac = plan
     part = np.partition(x, kth)
-    a, b = part[lo], part[hi]
+    a, b = part[..., lo], part[..., hi]
     diff = b - a
     return np.where(frac >= 0.5, b - diff * (1 - frac), a + diff * frac)
 
 
 class _RunningMetrics:
-    """Per-agent sums over the rounds played so far, folded in round by
-    round in the order of the whole-episode reductions they replace. The
-    stage discounts and the quantile plan are built once per episode."""
+    """Per-agent sums over the rounds played so far by G populations of
+    N agents, one row per population, folded in round by round in the
+    order of the whole-episode reductions they replace. The stage
+    discounts and the quantile plan are built once per episode."""
 
-    def __init__(self, n_agents: int, rounds: int, params: GameParams):
+    def __init__(self, populations: int, n_agents: int, rounds: int, params: GameParams):
         T = params.horizon_T
         self.params = params
         self.discounts = np.exp(-params.alpha * (T - 1 - np.arange(T)))
         self.quantile_plan = _quantile_plan(n_agents, list(COST_QUANTILES.values()))
-        self.costs = np.zeros(n_agents)  # total objective
-        self.sq_err = np.zeros(n_agents)  # squared prediction error over steps
-        self.quantiles = np.empty((rounds, len(COST_QUANTILES)))
-        self.max_abs_prediction = 0.0
+        self.costs = np.zeros((populations, n_agents))  # total objective
+        self.sq_err = np.zeros((populations, n_agents))  # squared prediction error over steps
+        self.quantiles = np.empty((populations, rounds, len(COST_QUANTILES)))
+        self.max_abs_prediction = np.zeros(populations)
 
     def add_round(self, r: int, predictions, actions, y_round):
-        """Fold in round r: predictions (T+1, N, d_y), actions (T, N, d_z)
-        and its targets y_round (T+1, d_y). The round's discounted
+        """Fold in round r: predictions (T+1, G N, d_y), actions (T, G N,
+        d_z) and its targets y_round (T+1, d_y). The round's discounted
         sample-path objective of every agent is the sum over its steps of
-        kappa |y - Y|^2 + kappa_bar |Y - mean(Y)|^2 + gamma |beta|^2.
-        Returns the (T, N) squared errors |y - Y|^2, the agents' scores."""
+        kappa |y - Y|^2 + kappa_bar |Y - mean(Y)|^2 + gamma |beta|^2, with
+        its population's own mean. Returns the (T, G, N) squared errors
+        |y - Y|^2, the agents' scores."""
         p = self.params
-        preds = predictions[1:]  # (T, N, d_y)
-        err = y_round[1:, None] - preds
-        dev = preds - preds.mean(axis=1, keepdims=True)
-        sq = np.einsum("tnd,tnd->tn", err, err)  # (y - Y)^2, per step and agent
+        T, G = actions.shape[0], self.costs.shape[0]
+        preds = predictions[1:].reshape(T, G, -1, predictions.shape[2])  # (T, G, N, d_y)
+        acts = actions.reshape(T, G, -1, actions.shape[2])  # (T, G, N, d_z)
+        err = y_round[1:, None, None] - preds
+        dev = preds - preds.mean(axis=2, keepdims=True)
+        sq = np.einsum("tgnd,tgnd->tgn", err, err)  # (y - Y)^2, per step and agent
         stage = (
             p.kappa * sq
-            + p.kappa_bar * np.einsum("tnd,tnd->tn", dev, dev)
-            + p.gamma * np.einsum("tnk,tnk->tn", actions, actions)
+            + p.kappa_bar * np.einsum("tgnd,tgnd->tgn", dev, dev)
+            + p.gamma * np.einsum("tgnk,tgnk->tgn", acts, acts)
         )
-        costs = np.einsum("t,tn->n", self.discounts, stage)
+        # population-major, so that each population's sum over the steps
+        # runs on its own contiguous (T, N) block, as in a lone episode
+        costs = np.einsum("t,gtn->gn", self.discounts, np.ascontiguousarray(stage.transpose(1, 0, 2)))
         self.costs += costs
-        self.quantiles[r] = _quantiles(costs, self.quantile_plan)
+        self.quantiles[:, r] = _quantiles(costs, self.quantile_plan)
         for step in sq:
             self.sq_err += step
-        self.max_abs_prediction = max(self.max_abs_prediction, float(np.max(np.abs(predictions))))
+        peak = np.max(np.abs(predictions).reshape(T + 1, G, -1), axis=(0, 2))
+        np.maximum(self.max_abs_prediction, peak, out=self.max_abs_prediction)
         return sq
 
 
@@ -359,12 +388,13 @@ def _aggregation_discounts(k: int, alpha_a: float) -> np.ndarray:
 
 def _softmax_into(disc, errors, out) -> np.ndarray:
     """Softmax weights of minus the ``disc``-discounted (k, N) ``errors``,
-    into ``out``."""
+    into the (N,) ``out``; or of G populations' (G, k, N) errors, each
+    population's weights on its own, into the (G, N) ``out``."""
     np.matmul(disc, errors, out=out)
-    np.subtract(out, np.minimum.reduce(out), out=out)
+    np.subtract(out, np.minimum.reduce(out, axis=-1, keepdims=True), out=out)
     np.negative(out, out=out)
     np.exp(out, out=out)
-    out /= np.add.reduce(out)
+    out /= np.add.reduce(out, axis=-1, keepdims=True)
     return out
 
 
@@ -406,14 +436,23 @@ def _rng(*key):
 def _encode_run(encoder, inputs, streams, steps, z_prev, out) -> None:
     """The latents of the input ``steps`` by the stacked ``encoder``, step
     by step into ``out`` (len(steps), count, d_y, d_z), with the recurrent
-    state carried from ``z_prev`` through; step g encodes ``inputs[g]``
-    and draws its noise from ``streams.rng(g)``. The run is checked once,
-    with its first carry ``z_prev``, which ``out`` must not hold."""
+    state carried from ``z_prev`` through; step g encodes ``inputs[g]``.
+    The stacked encoders are len(``streams``) equal blocks, and block i
+    draws its noise rows of step g from ``streams[i].rng(g)``; a stream
+    given for several blocks is drawn once per step, by its first block,
+    whose draw the others copy. The run is checked once, with its first
+    carry ``z_prev``, which ``out`` must not hold."""
     count, d_y, d_z = encoder.b.shape
     noise, ax, work = np.empty((count, d_z)), np.empty((count, d_y)), np.empty((count, d_y, d_z))
+    blocks = noise.reshape(len(streams), -1, d_z)
+    first = [streams.index(stream) for stream in streams]
     check_step(encoder, inputs[steps[0]], noise, z_prev)
     for g, z in zip(steps, out):
-        streams.rng(g).standard_normal(out=noise)
+        for i, stream in enumerate(streams):
+            if first[i] == i:
+                stream.rng(g).standard_normal(out=blocks[i])
+            else:
+                blocks[i] = blocks[first[i]]
         z_prev = encode_into(encoder, inputs[g], noise, z_prev, z, ax, work)
 
 
@@ -429,7 +468,7 @@ def _build_bank(scenario: Scenario, inputs: np.ndarray, seed: int) -> np.ndarray
     count, L = scenario.mc_samples, inputs.shape[0]
     encs = sample_encoders(scenario.encoder, count, p.dim_y, p.dim_z, inputs.shape[1], _rng(seed, 71))
     bank = np.empty((L, count, p.dim_y, p.dim_z))
-    _encode_run(encs, inputs, SeedTable((seed, 72), L), range(L), np.zeros(bank.shape[1:]), bank)
+    _encode_run(encs, inputs, [SeedTable((seed, 72), L)], range(L), np.zeros(bank.shape[1:]), bank)
     if encs.B is not None:
         check_carry(bank[:-1])  # every step but the last is a carry
     return bank
@@ -514,7 +553,10 @@ class SeedWork:
     coefficients bit for bit, and the limit's mean field Ybar
     (``meanfield_forward``) is computed once for every decentralized
     cell, whatever its N. If that pass raises, the cells solve alone
-    (``solved``), and a failing cell raises its own pass's error. Full
+    (``solved``), each population's lone pass at most once per seed, and a
+    failing cell raises its own pass's error (kept, and raised again to
+    every cell that reads it, as when a failed group's cells run again
+    one at a time). Full
     cells, and reduced cells at N = 1, read only the moments: the dense
     full pass stays an independent oracle of the structured one.
 
@@ -576,9 +618,20 @@ class SeedWork:
     def solved(self, params: GameParams, n):
         """The round-stacked coefficients at population n (``_population``):
         the reduced coefficients at a finite n, and at the limit its
-        coefficients and their (T+1, rounds, d_y) Ybar."""
-        if n in self._solved:
-            return self._solved[n]
+        coefficients and their (T+1, rounds, d_y) Ybar. Read from the
+        seed's pass, or else solved alone once and kept, with its error if
+        it fails (the limit's pass does not read N)."""
+        if n not in self._solved:
+            try:
+                self._solved[n] = self._solve_alone(params, n)
+            except (FedGamesError, ValueError, np.linalg.LinAlgError) as exc:
+                self._solved[n] = copy.copy(exc)  # for later readers, without this raise's frames
+                raise
+        if isinstance(self._solved[n], Exception):
+            raise copy.copy(self._solved[n])
+        return self._solved[n]
+
+    def _solve_alone(self, params: GameParams, n):
         moments, targets = self.round_stack(0, self.rounds)
         if n < math.inf:
             return reduced_backward_pass(params, moments, targets)
@@ -682,115 +735,168 @@ def run_episode(
     trace: EpisodeTrace | None = None,
     shared: SeedWork | None = None,
 ) -> RunRecord:
-    """Simulate one seeded episode of the configured scenario; a ``trace``
-    collects the per-step histories. ``shared`` is the work of the seed's
-    cells that this cell reads (``fedgames run`` builds one per seed);
-    without it the episode builds its own for this one cell."""
-    if policy not in POLICIES:
-        raise ValueError(f"unknown policy {policy!r}")
+    """Simulate one seeded episode of the configured scenario, as a group
+    of one (``run_group``); a ``trace`` collects the per-step histories.
+    ``shared`` is the work of the seed's cells that this cell reads
+    (``fedgames run`` builds one per seed); without it the episode builds
+    its own for this one cell."""
+    if shared is None:
+        if policy not in POLICIES:
+            raise ValueError(f"unknown policy {policy!r}")
+        shared = SeedWork(scenario, seed, [(policy, scenario.params.population_N)])
+    return run_group([(policy, seed)], scenario, {seed: shared}, trace)[0]
+
+
+def run_group(members, scenario: Scenario, shared: dict, trace: EpisodeTrace | None = None) -> list:
+    """Play the episodes of the (policy, seed) ``members``, all at the
+    scenario's N, as one episode of G = len(members) populations stacked
+    along the agent axis (module docstring); returns their records, in
+    order, each its lone episode's. ``shared`` maps each member's seed to
+    its ``SeedWork``. If any member raises, the group raises; a caller
+    that wants each member's own outcome runs the members again one at a
+    time (``run_episode``), through this same code.
+
+    Each seed's pool (seed, 11) is drawn once, and its noise block (seed,
+    5, g) once per step, for all of the seed's members. Without a spawner
+    the pool never changes, so a seed's members share its latents,
+    encoded once per seed; with one, every member gets its own copy of
+    the pool (they part after round 0). Each record's ``runtime_ms`` is
+    the group's wall time over G plus its seed's ``share_ms``. ``trace``
+    takes the (T+1, G N, d_y) and (T, G N, d_z) histories of every
+    round."""
     p = scenario.params
     N, d_y, d_z, T = p.population_N, p.dim_y, p.dim_z, p.horizon_T
-    if shared is None:
-        shared = SeedWork(scenario, seed, [(policy, N)])
-    elif shared.seed != seed or (policy, N) not in shared.cells:
-        raise ValueError(f"the shared work of seed {shared.seed} has no cell policy={policy} N={N} seed={seed}")
+    works = [shared.get(seed) for _, seed in members]
+    for (policy, seed), work in zip(members, works):
+        if policy not in POLICIES:
+            raise ValueError(f"unknown policy {policy!r}")
+        if work is None:
+            raise ValueError(f"no shared work for seed {seed}")
+        if work.seed != seed or (policy, N) not in work.cells:
+            raise ValueError(f"the shared work of seed {work.seed} has no cell policy={policy} N={N} seed={seed}")
     start = time.perf_counter()
-    values, inputs, rounds = shared.values, shared.inputs, shared.rounds
-    d_x = inputs.shape[1]
+    G = len(members)
+    # the dataset depends on the scenario alone: every seed's is the same
+    values, inputs, rounds = works[0].values, works[0].inputs, works[0].rounds
 
-    pool = AgentPool.create(sample_encoders(scenario.encoder, N, d_y, d_z, d_x, _rng(seed, 11)))
+    # the encoded populations, "units": one per member with a spawner,
+    # else one per seed, which its members read through ``unit_of``
+    seeds = list(dict.fromkeys(seed for _, seed in members))
+    unit_seeds = [seed for _, seed in members] if scenario.spawner is not None else seeds
+    drawn = {seed: sample_encoders(scenario.encoder, N, d_y, d_z, inputs.shape[1], _rng(seed, 11)) for seed in seeds}
+    pool = AgentPool.create(*(drawn[seed] for seed in unit_seeds))
+    streams = [shared[seed].noise_streams for seed in unit_seeds]
+    U = len(unit_seeds)
+    unit_of = None if U == G else np.array([seeds.index(seed) for _, seed in members])
 
-    metrics = _RunningMetrics(N, rounds, p)
-    agg_hist = np.zeros((rounds, T, d_y))
-    log_weights = np.full(N, -np.log(N))
-    spawn_events: list[dict] = []
-    round0 = None
+    metrics = _RunningMetrics(G, N, rounds, p)
+    agg_hist = np.zeros((G, rounds, T, d_y))
+    log_weights = [np.full(N, -np.log(N))] * G
+    spawn_events = [[] for _ in members]
+    round0 = [None] * G
+    rows = [slice(m * N, (m + 1) * N) for m in range(G)]
 
-    # the round's buffers, allocated once: its histories, its raw and
-    # steered latents, and every intermediate of act, dynamics and aggregation
-    preds_hist, acts_hist = np.empty((T + 1, N, d_y)), np.empty((T, N, d_z))
-    zs, steered = np.empty((T, N, d_y, d_z)), np.empty((T, N, d_y, d_z))
-    drift, mean, mean_drift, zb = np.empty((N, d_y)), np.empty(d_y), np.empty(d_y), np.empty((N, d_y))
+    # the round's buffers, allocated once: its histories, its raw,
+    # steered and gathered latents, and every intermediate of act,
+    # dynamics and aggregation
+    preds_hist, acts_hist = np.empty((T + 1, G * N, d_y)), np.empty((T, G * N, d_z))
+    zs, steered = np.empty((T, U * N, d_y, d_z)), np.empty((T, U * N, d_y, d_z))
+    gathered = None if unit_of is None else np.empty((T, G, N, d_y, d_z))
+    drift, zb = np.empty((G * N, d_y)), np.empty((G * N, d_y))
+    mean, mean_drift = np.empty((G, 1, d_y)), np.empty((G, 1, d_y))
     theta_t, theta_bar_t = p.theta.T, p.theta_bar.T
     # the aggregation window W never holds more steps than the episode
-    # plays; the scores of the W steps before the round, then the round's
+    # plays; per member, the scores of the W steps before the round, then the round's
     W = min(scenario.aggregation_window, rounds * T)
-    errors, weights, uniform = np.empty((W + T, N)), np.empty(N), np.full(N, 1.0 / N)
+    errors, weights, uniform = np.empty((G, W + T, N)), np.empty((G, N)), np.full((G, N), 1.0 / N)
     discounts = _aggregation_discounts(W, scenario.aggregation_alpha)
 
-    kind, solved = _solve_episode(policy, scenario, shared)
-    spawn_streams = None if scenario.spawner is None else SeedTable((seed, 999), rounds)
-    for r, (coeffs, act) in enumerate(solved):
+    solves = [_solve_episode(policy, scenario, work) for (policy, _), work in zip(members, works)]
+    spawn_tables = {} if scenario.spawner is None else {seed: SeedTable((seed, 999), rounds) for seed in seeds}
+    for r, played in enumerate(zip(*(solved for _, solved in solves))):
         base = r * T
-        if r == 0 and kind is not None:
-            round0 = (kind, coeffs)
+        if r == 0:
+            round0 = [None if kind is None else (kind, coeffs) for (kind, _), (coeffs, _) in zip(solves, played)]
 
         # the spawner changes the pool only between rounds, so a round's
         # latents are encoded ahead of its steps; the carry is a copy, as
         # at T = 1 the round's one slice is the next round's output
-        _encode_run(pool.encoder, inputs, shared.noise_streams, range(base, base + T), pool.esn_state, zs)
+        _encode_run(pool.encoder, inputs, streams, range(base, base + T), pool.esn_state, zs)
         pool.esn_state = zs[-1].copy()
         latents = zs if pool.latent_transforms is None else np.matmul(zs, pool.latent_transforms, out=steered)
+        if unit_of is not None:
+            units = latents.reshape(T, U, N, d_y, d_z)
+            latents = np.take(units, unit_of, axis=1, out=gathered, mode="clip").reshape(T, G * N, d_y, d_z)
         preds_hist[0] = values[base]
         for t in range(T):
             preds, new_preds = preds_hist[t], preds_hist[t + 1]
-            _drift_into(preds, theta_t, theta_bar_t, drift, mean, mean_drift)
-            acts_hist[t] = act(t, preds, latents[t], drift, mean_drift)
+            _drift_into(preds.reshape(G, N, d_y), theta_t, theta_bar_t, drift.reshape(G, N, d_y), mean, mean_drift)
+            for m, (_, act) in enumerate(played):
+                acts_hist[t, rows[m]] = act(t, preds[rows[m]], latents[t, rows[m]], drift[rows[m]], mean_drift[m, 0])
             _advance_into(drift, mean_drift, latents[t], acts_hist[t], new_preds, zb)
             check_finite(new_preds, np.add.reduce(new_preds, axis=None))
 
         sq = metrics.add_round(r, preds_hist, acts_hist, values[base : base + T + 1])
-        errors[W:] = sq
+        errors[:, W:] = sq.transpose(1, 0, 2)
+        member_preds = preds_hist.reshape(T + 1, G, N, d_y)
         for t in range(T):
             k = min(base + t, W)  # step t weighs the scores of the k steps before it
-            w = uniform if k == 0 else _softmax_into(discounts[W - k :], errors[W + t - k : W + t], weights)
-            np.matmul(w, preds_hist[t + 1], out=agg_hist[r, t])
-        errors[:W] = errors[T:]
+            w = uniform if k == 0 else _softmax_into(discounts[W - k :], errors[:, W + t - k : W + t], weights)
+            np.matmul(w[:, None], member_preds[t + 1], out=agg_hist[:, r, t, None])
+        errors[:, :W] = errors[:, T:]
         if trace is not None:
             trace.rounds.append((preds_hist.copy(), acts_hist.copy()))
 
-        if spawn_streams is not None and r < rounds - 1:
-            log_weights = _spawn_between_rounds(
-                scenario,
-                pool,
-                log_weights,
-                sq[-1],
-                spawn_streams.rng(r),
-                r,
-                spawn_events,
-                latents[-1],
-                acts_hist[-1],
-                values[base + T],
-            )
+        if spawn_tables and r < rounds - 1:
+            for m, work in enumerate(works):
+                log_weights[m] = _spawn_between_rounds(
+                    scenario,
+                    pool,
+                    log_weights[m],
+                    sq[-1, m],
+                    spawn_tables[work.seed].rng(r),
+                    r,
+                    spawn_events[m],
+                    latents[-1, rows[m]],
+                    acts_hist[-1, rows[m]],
+                    values[base + T],
+                    first=rows[m].start,
+                )
 
-    return RunRecord(
-        policy=policy,
-        seed=seed,
-        targets=values,
-        aggregated=agg_hist,
-        costs=metrics.costs,
-        round_cost_quantiles={name: metrics.quantiles[:, i] for i, name in enumerate(COST_QUANTILES)},
-        messages_per_step=MESSAGES_PER_STEP[policy](N),
-        spawn_events=spawn_events,
-        round0_coeffs=round0,
-        **_finalize_metrics(metrics, agg_hist, values),
-        runtime_ms=1000.0 * (time.perf_counter() - start) + shared.share_ms,
-    )
+    finals = [_finalize_metrics(metrics, m, agg_hist[m], values) for m in range(G)]
+    group_ms = 1000.0 * (time.perf_counter() - start) / G
+    return [
+        RunRecord(
+            policy=policy,
+            seed=seed,
+            targets=values,
+            aggregated=agg_hist[m],
+            costs=metrics.costs[m],
+            round_cost_quantiles={name: metrics.quantiles[m, :, i] for i, name in enumerate(COST_QUANTILES)},
+            messages_per_step=MESSAGES_PER_STEP[policy](N),
+            spawn_events=spawn_events[m],
+            round0_coeffs=round0[m],
+            **finals[m],
+            runtime_ms=group_ms + work.share_ms,
+        )
+        for m, ((policy, seed), work) in enumerate(zip(members, works))
+    ]
 
 
 def _spawn_between_rounds(
-    scenario, pool, log_weights, last_scores, rng, round_idx, events, last_latents, last_actions, y_now
+    scenario, pool, log_weights, last_scores, rng, round_idx, events, last_latents, last_actions, y_now, first=0
 ):
-    """One spawner round on the pool after round ``round_idx``, drawing
-    from ``rng``, the stream (seed, 999, round_idx), given the round's
-    last (N,) scores, (N, d_y, d_z) latents and (N, d_z) actions; returns
-    the next round's log weights."""
+    """One spawner round after round ``round_idx`` on the N agents of the
+    pool from row ``first`` on (a group's pool holds several
+    populations), drawing from ``rng``, the stream (seed, 999,
+    round_idx), given the round's last (N,) scores, (N, d_y, d_z) latents
+    and (N, d_z) actions; returns the next round's log weights."""
     cfg = scenario.spawner
+    n, d_z = last_scores.shape[0], last_latents.shape[2]
     new_rows, retained_idx, retired_idx, post, log_post = resample_parameters(
-        pool.rows, last_scores, log_weights, cfg.lam, cfg.sigma_t, cfg.retire_k, rng
+        pool.rows[first : first + n], last_scores, log_weights, cfg.lam, cfg.sigma_t, cfg.retire_k, rng
     )
-    n, d_z = pool.size, last_latents.shape[2]
-    pool.respawn(retired_idx, new_rows)
+    pool.respawn(first + retired_idx, new_rows)
 
     event = {
         "round": int(round_idx),
@@ -809,7 +915,7 @@ def _spawn_between_rounds(
             cfg.zeta1,
         )
         sol = ortho_solve(prob, cfg.zeta2)
-        pool.steer(retired_idx, sol.A_star)
+        pool.steer(first + retired_idx, sol.A_star)
         event.update(
             lambda_star=float(sol.lambda_star),
             kkt_residual=float(sol.kkt_residual),
@@ -826,17 +932,18 @@ def _spawn_between_rounds(
     return new_log_weights
 
 
-def _finalize_metrics(metrics: _RunningMetrics, aggregated, targets) -> dict:
-    """The record's metric fields, from the streamed per-agent sums, the
-    (rounds, T, d_y) aggregated series and the (L, d_y) targets."""
+def _finalize_metrics(metrics: _RunningMetrics, m: int, aggregated, targets) -> dict:
+    """Population m's record metric fields, from the streamed per-agent
+    sums, its (rounds, T, d_y) aggregated series and the (L, d_y)
+    targets."""
     rounds, T, d_y = aggregated.shape
     y = targets[1 : rounds * T + 1].reshape(rounds, T, d_y)
     agg_err = np.sum((aggregated - y) ** 2, axis=-1)
-    per_agent_rmse = np.sqrt(metrics.sq_err / (rounds * T))
+    per_agent_rmse = np.sqrt(metrics.sq_err[m] / (rounds * T))
     k = max(1, int(np.ceil(0.2 * per_agent_rmse.shape[0])))
     return {
         "rmse_aggregated": float(np.sqrt(np.mean(agg_err))),
         "rmse_worst": float(per_agent_rmse.max()),
         "rmse_bottom20": float(np.sort(per_agent_rmse)[-k:].mean()),
-        "max_abs_prediction": metrics.max_abs_prediction,
+        "max_abs_prediction": float(metrics.max_abs_prediction[m]),
     }

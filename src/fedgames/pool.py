@@ -6,6 +6,10 @@ per agent, laid out field by field in declaration order: (A, [B], b,
 sigma), with B for recurrent encoders only. The pool owns that (N, dim)
 matrix, and the encoder's arrays are views into it, so reading the rows
 copies nothing, and a respawn writes only its new rows.
+
+One pool may hold several populations of N agents side by side, as the
+rows of an episode group (``harness.run_group``); each population's
+spawner then reads and respawns only its own block of rows.
 """
 
 from __future__ import annotations
@@ -25,12 +29,13 @@ def _param_fields(encoder) -> list[str]:
 
 
 def _on_rows(encoder, rows: np.ndarray):
-    """``encoder`` with each parameter array a view into the columns of
-    ``rows`` that hold it; the new stack is validated like any encoder."""
+    """``encoder``'s kind with one stacked encoder per row of ``rows``,
+    each parameter array a view into the columns that hold it; the new
+    stack is validated like any encoder."""
     views = {}
     start = 0
     for name in _param_fields(encoder):
-        shape = getattr(encoder, name).shape
+        shape = rows.shape[:1] + getattr(encoder, name).shape[1:]
         width = math.prod(shape[1:])
         views[name] = rows[:, start : start + width].reshape(shape)
         start += width
@@ -39,7 +44,8 @@ def _on_rows(encoder, rows: np.ndarray):
 
 @dataclass
 class AgentPool:
-    """Mutable per-episode state of the N agents."""
+    """Mutable per-episode state of the stacked agents (N, or G N for a
+    group of G episodes)."""
 
     encoder: EncoderParams  # stacked: leading agent axis, arrays are views into ``rows``
     rows: np.ndarray  # (N, dim) flat encoder parameters, one row per agent
@@ -53,11 +59,16 @@ class AgentPool:
         return self.encoder.b.shape[0]
 
     @staticmethod
-    def create(encoder: EncoderParams) -> "AgentPool":
-        n, d_y, d_z = encoder.b.shape
-        rows = np.concatenate([getattr(encoder, name).reshape(n, -1) for name in _param_fields(encoder)], axis=1)
+    def create(*encoders: EncoderParams) -> "AgentPool":
+        """The pool of the stacked ``encoders``' agents, in order, each
+        encoder's parameters copied into the pool's own rows (an encoder
+        given twice gives two independent copies of its agents)."""
+        rows = np.concatenate(
+            [np.concatenate([getattr(e, name).reshape(len(e.b), -1) for name in _param_fields(e)], axis=1) for e in encoders]
+        )
+        n, (d_y, d_z) = rows.shape[0], encoders[0].b.shape[1:]
         return AgentPool(
-            encoder=_on_rows(encoder, rows),
+            encoder=_on_rows(encoders[0], rows),
             rows=rows,
             latent_transforms=None,
             esn_state=np.zeros((n, d_y, d_z)),

@@ -71,28 +71,31 @@ def test_run_produces_results(config, tmp_path):
 
 
 def test_interrupted_grid_keeps_the_cells_it_completed(config, tmp_path, monkeypatch):
-    # each cell's files are written as the cell completes, so a grid that
-    # stops early keeps what it ran
+    # each group's files are written as the group completes, so a grid
+    # that stops early keeps what it ran
     import fedgames.cli
 
     path, _ = config
     out = tmp_path / "out"
     calls = []
-    run_episode = fedgames.cli.run_episode
+    run_group = fedgames.cli.run_group
 
-    def interrupt_second(policy, scenario, seed, **shared):
-        calls.append(policy)
+    def interrupt_second(members, scenario, shared):
+        calls.append(members)
         if len(calls) == 2:
             raise KeyboardInterrupt
-        return run_episode(policy, scenario, seed, **shared)
+        return run_group(members, scenario, shared)
 
-    monkeypatch.setattr(fedgames.cli, "run_episode", interrupt_second)
+    monkeypatch.setattr(fedgames.cli, "run_group", interrupt_second)
     with pytest.raises(KeyboardInterrupt):
         main(["run", "--config", str(path), "--out", str(out)])
-    # the grid's first cell is (reduced, 2, 1)
+    # the grid's first group is N = 2: (reduced, 2, 1) and (greedy, 2, 1)
+    assert calls[0] == [("reduced", 1), ("greedy", 1)]
     assert (out / "run_reduced_N2_seed1.json").exists()
     assert (out / "coeffs" / "reduced_N2_seed1.json").exists()
+    assert (out / "run_greedy_N2_seed1.json").exists()
     assert not (out / "run_reduced_N3_seed1.json").exists()
+    assert not (out / "run_greedy_N3_seed1.json").exists()
     assert not (out / "results.csv").exists()
 
 
@@ -238,31 +241,63 @@ def _assert_cells_match_lone_runs(cfg, out, tmp_path):
         assert _cell_files(out, cell) == _cell_files(lone_out, cell), cell
 
 
+# horizon 4: a sum over more than two steps is where a stacked reduction
+# could take another summation order than a lone episode's
+MIXED = dict(policies=["full", "reduced", "decentralized", "greedy"], seeds=[1, 2], horizon_T=4)
+SPAWNER = {"retire_k": 1, "zeta1": 0.1, "zeta2": 0.5, "orthogonalize": True}
+
+
 @pytest.mark.parametrize(
-    "grid",
+    "grid, group_agents, sizes",
     [
-        dict(policies=["full", "reduced", "decentralized"], n_grid=[1, 3, 8], seeds=[1, 2]),
-        dict(
-            policies=["greedy", "decentralized"],
-            n_grid=[3, 8],
-            seeds=[1, 2],
-            encoder={"kind": "esn", "sigma": 0.1},
-            spawner={"retire_k": 2, "zeta1": 0.1, "zeta2": 0.5, "orthogonalize": True},
+        (dict(policies=["full", "reduced", "decentralized"], n_grid=[1, 3, 8], seeds=[1, 2]), None, [6, 6, 6]),
+        (
+            dict(
+                policies=["greedy", "decentralized"],
+                n_grid=[3, 8],
+                seeds=[1, 2],
+                encoder={"kind": "esn", "sigma": 0.1},
+                spawner={"retire_k": 2, "zeta1": 0.1, "zeta2": 0.5, "orthogonalize": True},
+            ),
+            None,
+            [4, 4],
         ),
+        # every policy over two seeds at each N: 8 cells per N, cut into
+        # groups of GROUP_AGENTS // N cells, at least one
+        (dict(MIXED, n_grid=[1, 3, 8]), None, [8, 8, 8]),
+        (dict(MIXED, n_grid=[1, 3, 8]), 1, [1] * 24),
+        (dict(MIXED, n_grid=[1, 3, 8]), 9, [8, 3, 3, 2] + [1] * 8),
+        (dict(MIXED, n_grid=[2, 3, 8], encoder={"kind": "esn", "sigma": 0.1}, spawner=SPAWNER), None, [8, 8, 8]),
+        (dict(MIXED, n_grid=[2, 3, 8], encoder={"kind": "esn", "sigma": 0.1}, spawner=SPAWNER), 1, [1] * 24),
+        (dict(MIXED, n_grid=[2, 3, 8], encoder={"kind": "esn", "sigma": 0.1}, spawner=SPAWNER), 9, [4, 4] + [3, 3, 2] + [1] * 8),
     ],
-    ids=["solvers", "greedy-spawner"],
+    ids=[
+        "solvers",
+        "greedy-spawner",
+        "mixed-default",
+        "mixed-one-per-group",
+        "mixed-short-last-group",
+        "mixed-spawner-default",
+        "mixed-spawner-one-per-group",
+        "mixed-spawner-short-last-group",
+    ],
 )
-def test_grid_cells_equal_lone_cells(config, tmp_path, monkeypatch, grid):
+def test_grid_cells_equal_lone_cells(config, tmp_path, monkeypatch, grid, group_agents, sizes):
     # a seed's cells share one dataset, one latent bank and one structured
-    # pass (reduced N >= 2 and the limit), each built once per seed; each
-    # cell's outputs are those of the cell run alone
+    # pass (reduced N >= 2 and the limit), each built once per seed; the
+    # cells of one N play as groups of stacked episodes; each cell's
+    # outputs are those of the cell run alone
+    import fedgames.cli as cli
     import fedgames.harness as harness
 
     path, cfg = config
+    grid = dict(grid)
+    cfg["params"]["horizon_T"] = T = grid.pop("horizon_T", 2)
     cfg.update(grid)
-    cfg["dataset"]["length"] = 9  # 4 rounds of T = 2
+    cfg["dataset"]["length"] = 4 * T + 1  # 4 rounds
     path.write_text(json.dumps(cfg), encoding="utf-8")
     calls = {name: 0 for name in ("build_dataset", "_build_bank", "structured_pass")}
+    groups = []
 
     def counted(name):
         original = getattr(harness, name)
@@ -273,13 +308,93 @@ def test_grid_cells_equal_lone_cells(config, tmp_path, monkeypatch, grid):
 
         return call
 
+    def run_group(members, *args):
+        groups.append(len(members))
+        return harness.run_group(members, *args)
+
     with monkeypatch.context() as patched:
         for name in calls:
             patched.setattr(harness, name, counted(name))
+        patched.setattr(cli, "run_group", run_group)
+        if group_agents is not None:
+            patched.setattr(cli, "GROUP_AGENTS", group_agents)
         out = tmp_path / "out"
         assert main(["run", "--config", str(path), "--out", str(out)]) == 0
     assert calls == {name: 2 for name in calls}  # one per seed
+    assert groups == sizes
     _assert_cells_match_lone_runs(cfg, out, tmp_path)
+
+
+def _failure_lines(capsys) -> list:
+    return [line for line in capsys.readouterr().err.splitlines() if line.startswith("solver failure")]
+
+
+@pytest.mark.parametrize("case", ["full-past-its-ceiling", "dynamics-error"])
+def test_failing_member_runs_its_group_again_one_at_a_time(config, tmp_path, monkeypatch, capsys, case):
+    # a member that raises fails its group, whose cells then run alone:
+    # the failing cell prints the line a lone run prints, and every other
+    # cell of the group writes its lone run's files
+    import fedgames.cli as cli
+    import fedgames.harness as harness
+    from fedgames.errors import DynamicsError
+
+    path, cfg = config
+    if case == "full-past-its-ceiling":
+        cfg.update(policies=["full", "reduced"], n_grid=[64], seeds=[1])
+        failing = ("full", 64, 1)
+    else:
+        cfg.update(policies=["reduced", "decentralized", "greedy"], n_grid=[3], seeds=[1, 2])
+        failing = ("decentralized", 3, 2)
+        solve = harness._solve_episode
+
+        def solve_with_blowup(policy, scenario, work):
+            kind, solved = solve(policy, scenario, work)
+            if (policy, work.seed) != (failing[0], failing[2]):
+                return kind, solved
+
+            def blown(r, c, act):
+                # agent 1's action turns infinite in round 1
+                def blow(t, preds, *rest):
+                    out = act(t, preds, *rest)
+                    if r == 1:
+                        out[1] = np.inf
+                    return out
+
+                return c, blow
+
+            return kind, (blown(r, c, act) for r, (c, act) in enumerate(solved))
+
+        monkeypatch.setattr(harness, "_solve_episode", solve_with_blowup)
+    cfg["dataset"]["length"] = 9
+    path.write_text(json.dumps(cfg), encoding="utf-8")
+    scenario = cli.build_scenario(cfg, failing[1])
+    with pytest.raises((DynamicsError, ValueError)) as lone:
+        harness.run_episode(failing[0], scenario, failing[2])
+    policy, n, seed = failing
+    want = f"solver failure in cell policy={policy} N={n} seed={seed}: {lone.value}"
+
+    groups = []
+
+    def run_group(members, *args):
+        groups.append(len(members))
+        return harness.run_group(members, *args)
+
+    monkeypatch.setattr(cli, "run_group", run_group)
+    capsys.readouterr()
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(path), "--out", str(out)]) == 3
+    assert _failure_lines(capsys) == [want]
+    assert groups == [len(cli.cell_grid(cfg))]  # one group, which failed
+    completed = _grid_rows(out)
+    assert sorted(completed) == sorted(set(cli.cell_grid(cfg)) - {failing})
+    lone_out = tmp_path / "lone"
+    (lone_out / "coeffs").mkdir(parents=True)
+    for cell in completed:
+        policy, n, seed = cell
+        scenario = cli.build_scenario(cfg, n)
+        row, entry = cli._write_cell(lone_out, cell, scenario, harness.run_episode(policy, scenario, seed))
+        assert completed[cell] == ([str(v) for v in row[:-1]], entry), cell
+        assert _cell_files(out, cell) == _cell_files(lone_out, cell), cell
 
 
 @pytest.mark.parametrize("failing_n", [None, 8])

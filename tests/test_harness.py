@@ -943,3 +943,55 @@ def test_property_reduced_at_n1_is_the_full_cell(case):
     for record in reduced:
         assert record.policy == "reduced"
         np.testing.assert_equal(_record_fields(record), want)
+
+
+@pytest.mark.parametrize("spawner", [None, SpawnerConfig(retire_k=1, zeta1=0.1, zeta2=0.5, orthogonalize=True)],
+                         ids=["no-spawner", "spawner"])
+def test_group_draws_each_seed_once(monkeypatch, spawner):
+    # a group draws each seed's pool (seed, 11) once and its noise block
+    # (seed, 5, g) once per step, shared by the seed's members; without a
+    # spawner the seed's members also share its latents, encoded once per
+    # seed and step in one stacked call; with one, every member's pool is
+    # encoded, still in one call per step
+    import fedgames.harness as harness
+    from fedgames.streams import SeedTable
+
+    scenario = small_scenario(encoder=EncoderConfig(kind="esn", sigma=0.1), spawner=spawner)
+    N, T = scenario.params.population_N, scenario.params.horizon_T
+    members = [("reduced", 1), ("decentralized", 1), ("greedy", 2), ("reduced", 2), ("greedy", 1)]
+    draws, keys, encoded = {}, [], []
+
+    class CountingTable(SeedTable):
+        def __init__(self, prefix, count):
+            super().__init__(prefix, count)
+            self.prefix = prefix
+
+        def rng(self, i):
+            key = (*self.prefix, i)
+            draws[key] = draws.get(key, 0) + 1
+            return super().rng(i)
+
+    def rng(*key):
+        keys.append(key)
+        return _rng(*key)
+
+    def encode_into(p, *args):
+        encoded.append(p.b.shape[0])
+        return encode(p, *args)
+
+    encode = harness.encode_into
+    monkeypatch.setattr(harness, "SeedTable", CountingTable)
+    cells = {(policy, N) for policy, _ in members}
+    shared = {seed: harness.SeedWork(scenario, seed, cells) for seed in (1, 2)}
+    draws.clear()
+    monkeypatch.setattr(harness, "_rng", rng)
+    monkeypatch.setattr(harness, "encode_into", encode_into)
+    records = harness.run_group(members, scenario, shared)
+
+    rounds = shared[1].rounds
+    assert [(r.policy, r.seed) for r in records] == members
+    assert sorted(keys) == [(1, 11), (2, 11)]
+    noise = {key: count for key, count in draws.items() if key[1] == 5}
+    assert noise == {(seed, 5, g): 1 for seed in (1, 2) for g in range(rounds * T)}
+    units = len(members) if spawner else 2
+    assert encoded == [units * N] * (rounds * T)
