@@ -327,15 +327,16 @@ def _write_cell(out_dir: Path, cell, scenario, record) -> tuple[list, dict]:
         written.append(out_dir / f"spawner_{policy}_N{n}_seed{seed}.jsonl")
         write_jsonl(record.spawn_events, written[-1])
     written.append(_round0_coeff_dump(policy, scenario, seed, record, out_dir / "coeffs"))
-    logger.info(
-        "cell policy=%s N=%d seed=%d: episode %.3f s, output writing %.3f s, %d bytes written",
-        policy,
-        n,
-        seed,
-        record.runtime_ms / 1000.0,
-        time.perf_counter() - write_start,
-        sum(path.stat().st_size for path in written if path is not None),
-    )
+    if logger.isEnabledFor(logging.INFO):  # the byte count costs a stat per file
+        logger.info(
+            "cell policy=%s N=%d seed=%d: episode %.3f s, output writing %.3f s, %d bytes written",
+            policy,
+            n,
+            seed,
+            record.runtime_ms / 1000.0,
+            time.perf_counter() - write_start,
+            sum(path.stat().st_size for path in written if path is not None),
+        )
     metrics = record.rmse_aggregated, record.rmse_worst, record.regret, record.runtime_ms
     row = [policy, n, seed, *map(repr, metrics)]
     entry = {

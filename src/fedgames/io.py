@@ -2,6 +2,14 @@
 
 Matrices are stored row-major with explicit dims so the JSON snapshots
 are self-describing: {"dims": [r, c], "data": [..]}.
+
+A coefficient snapshot is byte for byte the text that ``json.dumps``
+writes for it. The full solver's snapshot is made in a way of its own:
+its dense arrays repeat each exchangeable block exactly (the N = 16
+snapshot of perfbench's ``full_oracle`` at seed 1 holds 5716 numbers,
+609 of them distinct), so the text of each distinct number is made once
+and then gathered. The other snapshots repeat few numbers, and go
+through ``json.dumps`` whole, which is faster for them.
 """
 
 from __future__ import annotations
@@ -17,16 +25,37 @@ SCHEMA_VERSION = "4"
 
 def _enc_array(a: np.ndarray) -> dict:
     a = np.asarray(a, dtype=float)
-    return {"dims": list(a.shape), "data": a.ravel(order="C").tolist()}
+    return {"dims": list(a.shape), "data": a.ravel(order="C")}
 
 
 def _dec_array(d: dict) -> np.ndarray:
     return np.array(d["data"], dtype=float).reshape(d["dims"])
 
 
+def _dumps_distinct(payload: dict) -> str:
+    """``json.dumps(payload)``, where each encoded array's "data" is a
+    float64 array, making the text of each distinct number once. Numbers
+    are told apart by their bits, so -0.0 keeps its own text; the texts
+    are json's own, so NaN and the infinities read as json writes them."""
+    arrays = [value["data"] for value in payload.values() if isinstance(value, dict)]
+    bits, inverse = np.unique(np.concatenate(arrays).view(np.uint64), return_inverse=True)
+    distinct = json.dumps(bits.view(np.float64).tolist())[1:-1].split(", ")
+    texts = np.array(distinct, dtype=object)[inverse].tolist()
+    items, start = [], 0
+    for name, value in payload.items():
+        if isinstance(value, dict):
+            stop = start + value["data"].size
+            value = f'{{"dims": {json.dumps(value["dims"])}, "data": [{", ".join(texts[start:stop])}]}}'
+            start = stop
+        else:
+            value = json.dumps(value)
+        items.append(f"{json.dumps(name)}: {value}")
+    return f"{{{', '.join(items)}}}"
+
+
 def dump_coeffs(fields: dict, kind: str, path) -> None:
     """JSON snapshot of a solver's coefficients, given as name -> array
-    (or scalar, or tuple)."""
+    (or scalar, or tuple): the text of ``json.dumps``, the arrays as lists."""
     payload = {"schema_version": SCHEMA_VERSION, "kind": kind}
     for name, value in fields.items():
         if isinstance(value, np.ndarray):
@@ -35,7 +64,11 @@ def dump_coeffs(fields: dict, kind: str, path) -> None:
             payload[name] = list(value)
         else:
             payload[name] = value
-    Path(path).write_text(json.dumps(payload), encoding="utf-8")
+    if kind == "full":
+        text = _dumps_distinct(payload)
+    else:
+        text = json.dumps(payload, default=np.ndarray.tolist)
+    Path(path).write_text(text, encoding="utf-8")
 
 
 def load_coeff_arrays(path) -> dict:
