@@ -253,8 +253,10 @@ def build_scenario(cfg: dict, n: int) -> Scenario:
 
 def cell_grid(cfg: dict, seed_override=None):
     """The (policy, N, seed) cells of a loaded `run` config. The rules that
-    need the whole grid are checked here, before any cell runs; only the
-    full solver's N ceiling is left to its cells."""
+    need the whole grid are checked here, before any cell runs. Left to
+    the cells are the full solver's N ceiling and the checks of the built
+    dataset, its column count against `dim_y` and its length against one
+    round of `horizon_T` (`harness.SeedWork`)."""
     missing = {"dataset", "policies"} - set(cfg)
     if missing:
         raise ConfigError(f"missing keys in config: {sorted(missing)}")

@@ -51,32 +51,35 @@ after the steps,
 ``_RunningMetrics.add_round`` computes the round's costs and its (T, N)
 squared errors once, and the aggregation reads them from a (window + T,
 N) history that shifts once per round; the greedy baseline keeps its
-(Z, residual) pairs in a (window + T)-pair history that shifts the same
-way. Every buffer is allocated once per episode. The loop calls the
-kernels that the public functions call after their checks:
-``encoders.encode_into`` (``rfn_encode``, ``esn_encode``),
-``_drift_into`` and ``_advance_into`` (``step_dynamics``),
-``_softmax_into`` (``aggregation_weights``) and ``ridge.ridge_solve``
-(``ridge_action``), so it runs the same arithmetic in the same order; ``add_round``'s squared errors equal
-``score_agents``'. The encoder's checks run once per round, on the
-round's carry; the step's one check is ``check_finite`` on the sum of
-its new predictions. The dynamics' drift terms theta Y and theta_bar
-mean(Y) are computed once per step and passed to every ``act``; the
-greedy baseline builds its ridge residual from them.
+(Z, residual) pairs in a ``ridge.RidgeWindow``, a (window + T)-pair
+history that shifts the same way. Every buffer is allocated once per
+episode. The loop calls the kernels that the public functions call
+after their checks: ``encoders.encode_into`` (``rfn_encode``,
+``esn_encode``), ``_drift_into`` and ``_advance_into``
+(``step_dynamics``) and ``_softmax_into`` (``aggregation_weights``), so
+it runs the same arithmetic in the same order, and the greedy step's
+``RidgeWindow.solve`` is ``ridge_action``'s one kernel; ``add_round``'s
+squared errors equal ``score_agents``'. The encoder's checks run once
+per round, on the round's carry; the step's one check is
+``check_finite`` on the sum of its new predictions. The dynamics'
+drift terms theta Y and theta_bar mean(Y) are computed once per step
+and passed to every ``act``; the greedy baseline builds its ridge
+residual from them.
 ``tests/oracles.py::public_episode`` replays an episode with one call of
 each public function per step, and
 ``test_fused_step_matches_public_functions`` holds the harness to it bit
 for bit; ``test_greedy_window_matches_ridge_action_at_every_fill_level``
 and ``test_bank_matches_per_step_encoder_calls`` do the same for the
-ridge window and the latent bank. Three pieces skip a public function's
-wrapper but keep its arithmetic order: the ESN saturation clamps with
-``np.maximum`` and ``np.minimum`` in place; the decentralized action is
-one matmul of the predictions by G1', plus the round's mean-field terms
-G2 Ybar (computed once per round), plus H, as ``decentralized_action``
-adds them; and ``_RunningMetrics`` builds the stage discounts and the
-quantile plan once per episode and folds each round's (T, N, ...) arrays
-directly. The latent bank is one (rounds T, mc_samples, d_y, d_z) array
-from the encoder to ``estimate_moments``, which checks its finiteness
+ridge window's history and the latent bank. Three pieces skip a public
+function's wrapper but keep its arithmetic order: the ESN saturation
+clamps with ``np.maximum`` and ``np.minimum`` in place; the
+decentralized action is one matmul of the predictions by G1', plus the
+round's mean-field terms G2 Ybar (computed once per round), plus H,
+as ``decentralized_action`` adds them; and ``_RunningMetrics`` builds
+the stage discounts and the quantile plan once per episode and folds
+each round's (T, N, ...) arrays directly. The latent bank is one
+(rounds T, mc_samples, d_y, d_z) array from the encoder to
+``estimate_moments``, which checks its finiteness
 once and reduces it to moments once; a recurrent encoder's carry is
 checked first, in ``_build_bank``, so a non-finite carry raises the
 encoder's EncodeError.
@@ -98,7 +101,6 @@ the same key.
 
 from __future__ import annotations
 
-import copy
 import logging
 import math
 import time
@@ -117,21 +119,22 @@ from .encoders import (
     rfn_encode,  # noqa: F401  (perfbench's tracer wraps it here)
     sample_encoders,
 )
-from .errors import AT_LEAST_ONE, FINITE, NONNEGATIVE, DynamicsError, FedGamesError, SolveError, check_fields
+from .errors import AT_LEAST_ONE, FINITE, NONNEGATIVE, DynamicsError, FedGamesError, check_fields
 from .model import GameParams, MomentSet, TargetSeries, estimate_moments
 from .nash_full import full_action, full_backward_pass, rounds_per_pass
 from .nash_meanfield import decentralized_action  # noqa: F401  (perfbench's tracer names it; the step does not call it)
-from .nash_meanfield import decentralized_backward_pass, limit_coeffs, meanfield_forward
+from .nash_meanfield import decentralized_backward_pass  # noqa: F401  (perfbench's tracer wraps it here)
+from .nash_meanfield import limit_coeffs, meanfield_forward
 from .nash_reduced import (
     game_units,
     reduced_action,
-    reduced_backward_pass,
+    reduced_backward_pass,  # noqa: F401  (perfbench's tracer wraps it here)
     reduced_coeffs,
     structured_pass,
     take_round,
 )
 from .pool import AgentPool
-from .ridge import RidgeConfig, ridge_penalty, ridge_solve, ridge_weights
+from .ridge import RidgeConfig, RidgeWindow
 from .ridge import ridge_action  # noqa: F401  (perfbench's tracer wraps it here)
 from .spawner import (
     build_ortho_problem,
@@ -474,57 +477,6 @@ def _build_bank(scenario: Scenario, inputs: np.ndarray, seed: int) -> np.ndarray
     return bank
 
 
-class _GreedyWindow:
-    """The ridge baseline's (Z, residual) pairs of every agent, oldest
-    first: the W = ``window_T`` pairs before the round, then the round's
-    T, in (N, W + T, ...) histories.
-
-    Step t of round r solves on its newest k = min(rT + t, W) pairs, rows
-    W + t - k .. W + t - 1: it writes their weighted design, as
-    ``ridge_design`` builds it, into the newest k rows of one (N, W, ...)
-    buffer (``ridge_weights(W)[-k:]`` is ``ridge_weights(k)``), which
-    ``ridge_solve`` reads in place; then it writes its own pair to row
-    W + t, and the round's last step moves the newest W rows to the
-    front, one shift per round. The agent axis must stay first: each
-    agent's design rows are then C-ordered, as ``ridge_design`` builds
-    them from the stacked pairs, so the solve's matmuls take its path and
-    the actions are ``ridge_action``'s bit for bit. Memory grows linearly
-    with the window."""
-
-    def __init__(self, n_agents: int, d_y: int, d_z: int, T: int, cfg: RidgeConfig):
-        W = cfg.window_T
-        self.z = np.zeros((n_agents, W + T, d_y, d_z))
-        self.resid = np.zeros((n_agents, W + T, d_y))
-        self.weights, self.penalty = ridge_weights(W, cfg), ridge_penalty(d_z, cfg)
-        self.X, self.ybar = np.empty((n_agents, W, d_y, d_z)), np.empty((n_agents, W, d_y))
-        self.gram, self.rhs = np.empty((n_agents, d_z, d_z)), np.empty((n_agents, d_z, 1))
-        self.zero = np.zeros((n_agents, d_z))
-
-    def step(self, r, t, latents, target, drift, mean_drift, scale: float) -> np.ndarray:
-        """The (N, d_z) ridge actions of step t of round r, zero while no
-        pair is held; then the step's pair: ``scale`` times the latents and
-        the residual target - drift - mean_drift of the dynamics' drift
-        terms."""
-        n, W, _, d_z = self.X.shape
-        T = self.z.shape[1] - W
-        k = min(r * T + t, W)
-        actions = self.zero
-        if k:
-            w, X, ybar = self.weights[W - k :], self.X[:, W - k :], self.ybar[:, W - k :]
-            np.multiply(w[:, None, None], self.z[:, W + t - k : W + t], out=X)
-            np.multiply(w[:, None], self.resid[:, W + t - k : W + t], out=ybar)
-            actions = ridge_solve(X.reshape(n, -1, d_z), ybar.reshape(n, -1), self.penalty, self.gram, self.rhs)
-        np.multiply(latents, scale, out=self.z[:, W + t])
-        resid = self.resid[:, W + t]
-        np.subtract(target, drift, out=resid)
-        resid -= mean_drift
-        resid *= scale
-        if t == T - 1:
-            self.z[:, :W] = self.z[:, -W:]
-            self.resid[:, :W] = self.resid[:, -W:]
-        return actions
-
-
 def _population(policy: str, n: int):
     """The population at which the seed's structured pass solves a cell:
     N for a reduced cell, ``math.inf`` (the limit) for a decentralized
@@ -552,13 +504,14 @@ class SeedWork:
     (``reduced_coeffs``, ``limit_coeffs``), so it is that pass's
     coefficients bit for bit, and the limit's mean field Ybar
     (``meanfield_forward``) is computed once for every decentralized
-    cell, whatever its N. If that pass raises, the cells solve alone
-    (``solved``), each population's lone pass at most once per seed, and a
-    failing cell raises its own pass's error (kept, and raised again to
-    every cell that reads it, as when a failed group's cells run again
-    one at a time). Full
-    cells, and reduced cells at N = 1, read only the moments: the dense
-    full pass stays an independent oracle of the structured one.
+    cell, whatever its N. If that stack raises, each population is
+    solved again alone, as a stack of one through the same call and
+    readers; a population that fails again keeps its error, which
+    ``solved`` raises to every cell that reads it (as when a failed
+    group's cells run again one at a time), and a lone cell's episode
+    raises the same text. Full cells, and reduced cells at N = 1, read
+    only the moments: the dense full pass stays an independent oracle of
+    the structured one.
 
     ``share_ms`` is the wall time of this work divided by the number of
     cells: each cell's ``runtime_ms`` adds it to its own episode time.
@@ -586,7 +539,9 @@ class SeedWork:
             self._m1, self._units = (
                 a.reshape(self.rounds, T, *a.shape[1:]).swapaxes(0, 1) for a in (episode.m1, episode.units)
             )
-            self._solve_stack(p)
+            ns = sorted({_population(policy, n) for policy, n in self.cells} - {None})
+            if ns:
+                self._solve_stack(p, ns)
         self.share_ms = 1000.0 * (time.perf_counter() - start) / len(self.cells)
 
     def round_stack(self, first: int, stop: int) -> tuple[MomentSet, TargetSeries]:
@@ -597,16 +552,21 @@ class SeedWork:
         targets = TargetSeries(values=self.values[np.arange(T + 1)[:, None] + T * np.arange(first, stop)])
         return moments, targets
 
-    def _solve_stack(self, params: GameParams) -> None:
-        ns = sorted({_population(policy, n) for policy, n in self.cells} - {None})
-        if not ns:
-            return
+    def _solve_stack(self, params: GameParams, ns: list) -> None:
+        """Solve the populations ``ns`` in one stack of ``structured_pass``
+        and read each entry back; if the stack raises, solve each population
+        alone, as a stack of one, and keep its error if it fails again."""
         moments, targets = self.round_stack(0, self.rounds)
         eps = 1 / np.array(ns, dtype=float)[:, None, None, None]
         try:
             s = structured_pass(params, moments, targets, eps, "reduced", lambda p: f"N={ns[p]}")
-        except (SolveError, np.linalg.LinAlgError):
-            return  # every cell solves alone
+        except (FedGamesError, ValueError, np.linalg.LinAlgError) as exc:
+            if len(ns) == 1:
+                self._solved[ns[0]] = exc
+            else:
+                for n in ns:
+                    self._solve_stack(params, [n])
+            return
         for p, n in enumerate(ns):
             entry = s.entry(p)
             if n < math.inf:
@@ -615,28 +575,14 @@ class SeedWork:
             limit = limit_coeffs(params, entry, game_units(entry, math.inf)[1])
             self._solved[n] = limit, meanfield_forward(limit, moments, targets.values[0])
 
-    def solved(self, params: GameParams, n):
+    def solved(self, n):
         """The round-stacked coefficients at population n (``_population``):
         the reduced coefficients at a finite n, and at the limit its
-        coefficients and their (T+1, rounds, d_y) Ybar. Read from the
-        seed's pass, or else solved alone once and kept, with its error if
-        it fails (the limit's pass does not read N)."""
-        if n not in self._solved:
-            try:
-                self._solved[n] = self._solve_alone(params, n)
-            except (FedGamesError, ValueError, np.linalg.LinAlgError) as exc:
-                self._solved[n] = copy.copy(exc)  # for later readers, without this raise's frames
-                raise
+        coefficients and their (T+1, rounds, d_y) Ybar; raises the error of
+        a population that failed."""
         if isinstance(self._solved[n], Exception):
-            raise copy.copy(self._solved[n])
+            raise self._solved[n].with_traceback(None)  # each reader's raise keeps only its own frames
         return self._solved[n]
-
-    def _solve_alone(self, params: GameParams, n):
-        moments, targets = self.round_stack(0, self.rounds)
-        if n < math.inf:
-            return reduced_backward_pass(params, moments, targets)
-        coeffs = decentralized_backward_pass(params, moments, targets)
-        return coeffs, meanfield_forward(coeffs, moments, targets.values[0])
 
 
 def _solve_episode(policy, scenario: Scenario, work: SeedWork):
@@ -672,7 +618,7 @@ def _solve_episode(policy, scenario: Scenario, work: SeedWork):
             raise ValueError("greedy policy needs a ridge config")
         # the window never holds more pairs than the episode pushes
         cfg = replace(scenario.ridge, window_T=min(scenario.ridge.window_T, rounds * T))
-        window = _GreedyWindow(N, p.dim_y, p.dim_z, T, cfg)
+        window = RidgeWindow(N, p.dim_y, p.dim_z, T, cfg)
         sqrt_kappa = np.sqrt(p.kappa)
 
         def act(r, t, preds, latents, drift, mean_drift):
@@ -699,7 +645,7 @@ def _solve_episode(policy, scenario: Scenario, work: SeedWork):
 
         return "full", solve_chunks()
     if n < math.inf:
-        coeffs = work.solved(p, n)
+        coeffs = work.solved(n)
 
         def act(c, t, preds, latents, drift, mean_drift):
             return reduced_action(t, preds, preds.sum(axis=0) - preds, c)
@@ -707,7 +653,7 @@ def _solve_episode(policy, scenario: Scenario, work: SeedWork):
         solved = (take_round(coeffs, r) for r in range(rounds))
         return policy, ((c, partial(act, c)) for c in solved)
 
-    coeffs, ybar = work.solved(p, n)
+    coeffs, ybar = work.solved(n)
     actions = np.empty((N, p.dim_z))
 
     def round_act(c, r):

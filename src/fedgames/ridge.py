@@ -10,11 +10,15 @@ applied as exp(-alpha (t-1-s) / 2) row weights on both Z_s and resid_s,
 which makes the weighted least-squares objective exactly the discounted
 one, and the unique minimizer is the normal-equations solution
 (X'X + gamma I)^{-1} X' ybar.
+
+``RidgeWindow`` holds every agent's pairs and is the one kernel that
+solves them: the harness plays its ``step``, and ``ridge_action`` is one
+``solve`` of a window that holds exactly its pairs.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -33,51 +37,78 @@ class RidgeConfig:
         check_fields(self, POSITIVE, "gamma")
 
 
-def ridge_weights(k: int, cfg: RidgeConfig) -> np.ndarray:
-    """(k,) discount row weights of a window of k pairs, oldest first: the
-    newest pair gets weight 1."""
-    return np.exp(-cfg.alpha * np.arange(k - 1, -1, -1) / 2.0)
+class RidgeWindow:
+    """The (Z, residual) pairs of n agents, oldest first: the W =
+    ``window_T`` pairs before a round, then the round's T, in (n, W + T,
+    ...) histories.
+
+    ``solve(k, end)`` fits each agent's pairs end - k .. end - 1: it
+    writes their weighted design X and ybar into the newest k rows of one
+    (n, W, ...) buffer (the newest k of the W weights are a k-pair
+    window's), and solves the normal equations from it in place. The
+    agent axis stays first, so each agent's design rows are C-ordered and
+    its matmuls take the path of a lone agent's. Memory grows linearly
+    with the window."""
+
+    def __init__(self, n: int, d_y: int, d_z: int, T: int, cfg: RidgeConfig):
+        W = cfg.window_T
+        self.z = np.zeros((n, W + T, d_y, d_z))
+        self.resid = np.zeros((n, W + T, d_y))
+        self.weights = np.exp(-cfg.alpha * np.arange(W - 1, -1, -1) / 2.0)  # the newest pair's is 1
+        self.penalty = cfg.gamma * np.eye(d_z)
+        self.X, self.ybar = np.empty((n, W, d_y, d_z)), np.empty((n, W, d_y))
+        self.gram, self.rhs = np.empty((n, d_z, d_z)), np.empty((n, d_z, 1))
+        self.zero = np.zeros((n, d_z))
+
+    def solve(self, k: int, end: int) -> np.ndarray:
+        """The (n, d_z) minimizers on each agent's pairs end - k .. end - 1,
+        for 1 <= k <= W."""
+        n, W, _, d_z = self.X.shape
+        w, X, ybar = self.weights[W - k :], self.X[:, W - k :], self.ybar[:, W - k :]
+        np.multiply(w[:, None, None], self.z[:, end - k : end], out=X)
+        np.multiply(w[:, None], self.resid[:, end - k : end], out=ybar)
+        X, ybar = X.reshape(n, -1, d_z), ybar.reshape(n, -1)
+        Xt = np.swapaxes(X, -1, -2)
+        gram = np.matmul(Xt, X, out=self.gram)
+        gram += self.penalty
+        rhs = np.matmul(Xt, ybar[..., None], out=self.rhs)
+        return np.linalg.solve(gram, rhs)[..., 0]
+
+    def step(self, r, t, latents, target, drift, mean_drift, scale: float) -> np.ndarray:
+        """The (n, d_z) ridge actions of step t of round r on the newest
+        k = min(rT + t, W) pairs, zero while none is held; then the step's
+        pair goes to row W + t: ``scale`` times the latents and the
+        residual target - drift - mean_drift of the dynamics' drift terms.
+        The round's last step moves the newest W rows to the front, one
+        shift per round."""
+        W = self.X.shape[1]
+        T = self.z.shape[1] - W
+        k = min(r * T + t, W)
+        actions = self.solve(k, W + t) if k else self.zero
+        np.multiply(latents, scale, out=self.z[:, W + t])
+        resid = self.resid[:, W + t]
+        np.subtract(target, drift, out=resid)
+        resid -= mean_drift
+        resid *= scale
+        if t == T - 1:
+            self.z[:, :W] = self.z[:, -W:]
+            self.resid[:, :W] = self.resid[:, -W:]
+        return actions
 
 
-def ridge_penalty(d_z: int, cfg: RidgeConfig) -> np.ndarray:
-    """gamma I, the (d_z, d_z) ridge term of the normal equations."""
-    return cfg.gamma * np.eye(d_z)
-
-
-def ridge_design(Z, resid, cfg: RidgeConfig) -> tuple[np.ndarray, np.ndarray]:
-    """Stack the windowed (Z, residual) pairs with discount row weights.
-
-    ``Z`` is (..., k, d_y, d_z) and ``resid`` (..., k, d_y), ordered oldest
-    to newest along the window axis; the newest row gets weight 1. Leading
-    axes are independent problems (one per agent). Returns X (..., k d_y,
-    d_z) and ybar (..., k d_y).
-    """
+def ridge_action(Z, resid, cfg: RidgeConfig) -> np.ndarray:
+    """Unique minimizer of the discounted ridge objective, (..., d_z), for
+    ``Z`` (..., k, d_y, d_z) and ``resid`` (..., k, d_y), ordered oldest to
+    newest along the window axis: one ``RidgeWindow`` solve over the
+    flattened leading axes, each an independent problem (one per agent)."""
     Z = np.asarray(Z, dtype=float)
     resid = np.asarray(resid, dtype=float)
-    k = Z.shape[-3]
+    *lead, k, d_y, d_z = Z.shape
     if k == 0:
         raise ValueError("ridge window is empty")
     if resid.shape != Z.shape[:-1]:
         raise ValueError(f"residuals of shape {resid.shape} do not match latents {Z.shape}")
-    w = ridge_weights(k, cfg)
-    X = (w[:, None, None] * Z).reshape(Z.shape[:-3] + (-1, Z.shape[-1]))
-    ybar = (w[:, None] * resid).reshape(resid.shape[:-2] + (-1,))
-    return X, ybar
-
-
-def ridge_solve(X, ybar, penalty, gram=None, rhs=None) -> np.ndarray:
-    """(..., d_z) solutions of the normal equations (X'X + penalty) b =
-    X' ybar, one per leading index; ``gram`` (..., d_z, d_z) and ``rhs``
-    (..., d_z, 1) are optional buffers for the two products."""
-    Xt = np.swapaxes(X, -1, -2)
-    gram = np.matmul(Xt, X, out=gram)
-    gram += penalty
-    rhs = np.matmul(Xt, ybar[..., None], out=rhs)
-    return np.linalg.solve(gram, rhs)[..., 0]
-
-
-def ridge_action(Z, resid, cfg: RidgeConfig) -> np.ndarray:
-    """Unique minimizer of the discounted ridge objective, (..., d_z):
-    one normal-equations solve per leading index."""
-    X, ybar = ridge_design(Z, resid, cfg)
-    return ridge_solve(X, ybar, ridge_penalty(X.shape[-1], cfg))
+    window = RidgeWindow(int(np.prod(lead)), d_y, d_z, 0, replace(cfg, window_T=k))
+    window.z[:] = Z.reshape(window.z.shape)
+    window.resid[:] = resid.reshape(window.resid.shape)
+    return window.solve(k, k).reshape(*lead, d_z)

@@ -20,6 +20,8 @@ batched resampling draws the same stream and that the solve finds the
 same root. ``reference_mean_gap`` is the convergence diagnostic's
 Monte-Carlo loop spelled with the package's own latent draw, action and
 dynamics, to check that the fused loop plays the same dynamics.
+``ridge_design`` writes out the greedy baseline's discounted design, to
+check the ridge solve against its normal equations and an lstsq oracle.
 ``exchangeable_dense`` and ``symmetric_basis`` write out, densely, the
 block pattern and the orthogonal basis of the directions that the
 structured pass's tails act on. ``reference_decentralized_pass`` is the
@@ -408,6 +410,16 @@ def _unflat(vec, template):
         start += size
     enc["sigma"] = np.abs(enc["sigma"])
     return enc
+
+
+def ridge_design(Z, resid, cfg):
+    """X (k d_y, d_z) and ybar (k d_y) of the ``ridge`` module docstring for
+    one agent's k pairs, ``Z`` (k, d_y, d_z) and ``resid`` (k, d_y), oldest
+    first: pair s gets the row weight exp(-alpha (k-1-s) / 2) on both
+    sides."""
+    k = Z.shape[0]
+    w = np.exp(-cfg.alpha * (k - 1 - np.arange(k)) / 2.0)
+    return (w[:, None, None] * Z).reshape(-1, Z.shape[-1]), (w[:, None] * resid).reshape(-1)
 
 
 def _ridge_one(history, cfg):

@@ -9,7 +9,7 @@ import time
 
 import numpy as np
 import pytest
-from oracles import realized_cost, simulate_affine_policies
+from oracles import realized_cost, ridge_design, simulate_affine_policies
 
 from fedgames.datasets import DatasetSpec
 from fedgames.diagnostics import ConvergenceScenario, limit_gap_diagnostic
@@ -17,7 +17,7 @@ from fedgames.harness import EncoderConfig, EpisodeTrace, Scenario, run_episode
 from fedgames.model import GameParams, TargetSeries, exact_moments_deterministic
 from fedgames.nash_full import check_block_structure, full_action, full_backward_pass
 from fedgames.nash_reduced import reduced_action, reduced_backward_pass
-from fedgames.ridge import RidgeConfig, ridge_action, ridge_design
+from fedgames.ridge import RidgeConfig, ridge_action
 from fedgames.spawner import (
     build_ortho_problem,
     gibbs_reweigh,

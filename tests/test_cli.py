@@ -397,11 +397,12 @@ def test_failing_member_runs_its_group_again_one_at_a_time(config, tmp_path, mon
         assert _cell_files(out, cell) == _cell_files(lone_out, cell), cell
 
 
-@pytest.mark.parametrize("failing_n", [None, 8])
-def test_failed_shared_pass_falls_back_to_lone_passes(config, tmp_path, monkeypatch, capsys, failing_n):
-    # if a seed's stacked pass raises, its cells solve alone: every cell
-    # completes with the outputs of the shared run, or a cell whose own
-    # pass fails is named, and only that cell
+@pytest.mark.parametrize("failing_n", [None, 8, float("inf")], ids=["none", "N=8", "limit"])
+def test_failing_population_fails_only_its_cells(config, tmp_path, monkeypatch, capsys, failing_n):
+    # if a seed's stacked pass raises, each population solves alone, as a
+    # stack of one: the cells of a population that fails again are named
+    # with its lone stack's error, and only those; every other cell
+    # completes with the outputs of an unbroken run
     import fedgames.harness as harness
     from fedgames.errors import SolveError
 
@@ -409,38 +410,40 @@ def test_failed_shared_pass_falls_back_to_lone_passes(config, tmp_path, monkeypa
     cfg["policies"] = ["reduced", "decentralized"]
     cfg["n_grid"] = [3, 8]
     path.write_text(json.dumps(cfg), encoding="utf-8")
-    shared = tmp_path / "shared"
-    assert main(["run", "--config", str(path), "--out", str(shared)]) == 0
+    unbroken = tmp_path / "unbroken"
+    assert main(["run", "--config", str(path), "--out", str(unbroken)]) == 0
 
-    def failing_stack(*args, **kwargs):
-        raise SolveError("reduced pass failed at N=3, round 0, t=1: injected")
+    stacks = []  # the eps of each stacked pass
+    structured_pass = harness.structured_pass
 
-    lone = []
-    reduced_pass = harness.reduced_backward_pass
+    def failing_pass(params, moments, targets, eps, *args):
+        stacks.append(eps.ravel().tolist())
+        if failing_n is not None and np.any(eps == 1 / failing_n):
+            raise SolveError(f"injected in a stack of {eps.shape[0]}")
+        return structured_pass(params, moments, targets, eps, *args)
 
-    def lone_reduced(params, *args):
-        lone.append(params.population_N)
-        if params.population_N == failing_n:
-            raise SolveError("reduced pass failed at t=1: injected")
-        return reduced_pass(params, *args)
-
-    monkeypatch.setattr(harness, "structured_pass", failing_stack)
-    monkeypatch.setattr(harness, "reduced_backward_pass", lone_reduced)
+    monkeypatch.setattr(harness, "structured_pass", failing_pass)
     capsys.readouterr()
     out = tmp_path / "out"
     assert main(["run", "--config", str(path), "--out", str(out)]) == (0 if failing_n is None else 3)
-    assert lone == [3, 8]
     failures = [line for line in capsys.readouterr().err.splitlines() if line.startswith("solver failure")]
-    want = _grid_rows(shared)
-    if failing_n is not None:
-        cell = f"policy=reduced N={failing_n} seed=1"
-        assert failures == [f"solver failure in cell {cell}: reduced pass failed at t=1: injected"]
-        del want[("reduced", failing_n, 1)]
-    else:
+    want = _grid_rows(unbroken)
+    eps = [1 / 3, 1 / 8, 0.0]  # N = 3, 8 and the limit, solved once per seed
+    if failing_n is None:
+        assert stacks == [eps]
         assert failures == []
+    else:
+        assert stacks == [eps] + [[e] for e in eps]
+        cells = [("reduced", 8, 1)] if failing_n == 8 else [("decentralized", 3, 1), ("decentralized", 8, 1)]
+        assert failures == [
+            f"solver failure in cell policy={policy} N={n} seed={seed}: injected in a stack of 1"
+            for policy, n, seed in cells
+        ]
+        for cell in cells:
+            del want[cell]
     assert _grid_rows(out) == want
     for cell in want:
-        assert _cell_files(out, cell) == _cell_files(shared, cell), cell
+        assert _cell_files(out, cell) == _cell_files(unbroken, cell), cell
 
 
 def test_convergence_outputs(config, tmp_path):

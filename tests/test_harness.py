@@ -490,16 +490,17 @@ def test_fused_step_matches_public_functions(policy, encoder, spawner, horizon_T
 
 
 def test_greedy_window_matches_ridge_action_at_every_fill_level():
-    # the round history against ridge_action on the stacked newest pairs,
+    # the round history's bookkeeping: each step solves the newest pairs,
+    # as ridge_action does on them stacked (one solve of the same kernel),
     # at every fill level and across round boundaries, with the window
     # above, between and below the round's T steps
-    from fedgames.harness import _GreedyWindow
+    from fedgames.ridge import RidgeWindow
 
     cfg = RidgeConfig(window_T=4, alpha=0.3, gamma=0.5)
     n, d_y, d_z, scale = 5, 2, 3, 0.8
     rng = np.random.default_rng(8)
     for T in (1, 3, 6):
-        window = _GreedyWindow(n, d_y, d_z, T, cfg)
+        window = RidgeWindow(n, d_y, d_z, T, cfg)
         pairs_z, pairs_r = [], []
         for r in range(cfg.window_T // T + 3):  # fill levels 0..window_T, then sliding
             for t in range(T):
@@ -536,10 +537,10 @@ def test_greedy_window_memory_is_linear_in_the_window():
     # window-row design they are weighted into, and the solve's per-agent
     # buffers (under 8 rows here); a buffer per fill level held 117 MB
     # here, quadratic in the window
-    from fedgames.harness import _GreedyWindow
+    from fedgames.ridge import RidgeWindow
 
     n, d_y, d_z, T, size = 64, 1, 4, 4, 300
-    window = _GreedyWindow(n, d_y, d_z, T, RidgeConfig(window_T=size, alpha=0.1, gamma=0.5))
+    window = RidgeWindow(n, d_y, d_z, T, RidgeConfig(window_T=size, alpha=0.1, gamma=0.5))
     row = 8 * n * d_y * (d_z + 1)  # one (Z, residual) row of every agent, in bytes
     assert _held_bytes(window) <= (2 * size + T + 8) * row
 

@@ -1,7 +1,8 @@
 import numpy as np
 import pytest
+from oracles import ridge_design
 
-from fedgames.ridge import RidgeConfig, ridge_action, ridge_design
+from fedgames.ridge import RidgeConfig, ridge_action
 
 
 def stack_pairs(pairs):
@@ -50,10 +51,13 @@ def test_matches_augmented_least_squares(seed):
 
 def test_discount_weights_on_both_sides():
     cfg = RidgeConfig(window_T=3, alpha=0.8, gamma=1.0)
-    X, ybar = ridge_design(np.ones((2, 1, 1)), np.full((2, 1), 2.0), cfg)
+    Z, R = np.ones((2, 1, 1)), np.full((2, 1), 2.0)
+    X, ybar = ridge_design(Z, R, cfg)
     w = np.exp(-0.8 / 2)
     np.testing.assert_allclose(X[:, 0], [w, 1.0])
     np.testing.assert_allclose(ybar, [2 * w, 2.0])
+    # the solve weighs its pairs the same: (w^2 + 1 + gamma)^-1 (2 w^2 + 2)
+    assert ridge_action(Z, R, cfg)[0] == pytest.approx((2 * w**2 + 2) / (w**2 + 2))
 
 
 def test_empty_window_rejected():
@@ -61,13 +65,22 @@ def test_empty_window_rejected():
         ridge_action(np.zeros((0, 1, 1)), np.zeros((0, 1)), RidgeConfig(window_T=1, alpha=0.0, gamma=1.0))
 
 
+def test_mismatched_residuals_rejected():
+    with pytest.raises(ValueError, match="do not match"):
+        ridge_action(np.zeros((2, 1, 1)), np.zeros((2, 2)), RidgeConfig(window_T=1, alpha=0.0, gamma=1.0))
+
+
 def test_batched_matches_one_solve_per_agent():
+    # the leading axes, one or two, are flattened into one solve: each
+    # agent's bits are its lone solve's
     rng = np.random.default_rng(7)
     cfg = RidgeConfig(window_T=4, alpha=0.3, gamma=0.6)
-    Z, R = rng.standard_normal((5, 4, 2, 3)), rng.standard_normal((5, 4, 2))
-    batched = ridge_action(Z, R, cfg)
-    for n in range(5):
-        np.testing.assert_allclose(batched[n], ridge_action(Z[n], R[n], cfg), rtol=1e-12, atol=1e-14)
+    for lead in ((5,), (3, 2)):
+        Z, R = rng.standard_normal((*lead, 4, 2, 3)), rng.standard_normal((*lead, 4, 2))
+        batched = ridge_action(Z, R, cfg)
+        assert batched.shape == (*lead, 3)
+        for idx in np.ndindex(lead):
+            np.testing.assert_array_equal(batched[idx], ridge_action(Z[idx], R[idx], cfg), err_msg=str(idx))
 
 
 def test_config_validation():
