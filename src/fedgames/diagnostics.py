@@ -20,6 +20,8 @@ from __future__ import annotations
 import logging
 import math
 import operator
+import os
+import threading
 import time
 from dataclasses import dataclass, replace
 
@@ -45,6 +47,18 @@ logger = logging.getLogger(__name__)
 # cache; smaller ones pay the per-step overhead of a few numpy calls on
 # more batches.
 MC_BATCH_AGENTS = 4096
+
+# Threads that one N's Monte-Carlo batches may run on: the CPUs this
+# process may run on (all CPUs where the OS has no affinity call). numpy
+# releases the GIL in the draws, the matrix products and the einsum, so the
+# batches of one N run side by side, each thread on its own buffers, and
+# no path changes a bit. ``mc_workers`` threads only where that paid when
+# measured: batches of at most 8 paths (at least MC_BATCH_AGENTS / 8
+# agents per path when the paths fill several batches), at least two per
+# thread. Batches of 32 to 256 paths ran 1.25-1.8x slower on two threads
+# than on one, presumably as their per-path draw calls queue for the GIL,
+# and batches of 16 gained in some runs and lost in others.
+MC_WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 
 
 @dataclass(frozen=True)
@@ -127,6 +141,14 @@ def mc_batch_size(N: int, paths: int) -> int:
     return max(1, min(paths, MC_BATCH_AGENTS // N))
 
 
+def mc_workers(N: int, paths: int) -> int:
+    """Threads that ``_simulate_mean_gap`` plays the batches of N on."""
+    batch = mc_batch_size(N, paths)
+    if batch > 8:
+        return 1
+    return max(1, min(MC_WORKERS, -(-paths // batch) // 2))
+
+
 def _simulate_mean_gap(
     params: GameParams,
     latents: IidEntryLatents,
@@ -142,7 +164,12 @@ def _simulate_mean_gap(
 
     Path p draws from the stream (seed, 31, p), generator p of ``table``
     (built from ``seed`` when not given). The paths run in batches of
-    ``mc_batch_size(N, paths)``, in path order. A step of a batch is
+    ``mc_batch_size(N, paths)`` on W = ``mc_workers(N, paths)`` threads,
+    the caller's among them: thread w plays batches w, w + W, ... in path
+    order, on its own buffers, and writes each path's squared gaps into
+    that path's row. Every thread is joined before the function returns
+    or raises, and no thread calls a function that perfbench's tracer
+    wraps, as its span stack is not thread-safe. A step of a batch is
     ``decentralized_action``, ``latents.sample`` and
     ``harness.step_dynamics`` fused into four matrix products and one
     einsum on buffers allocated once:
@@ -164,10 +191,12 @@ def _simulate_mean_gap(
 
     numpy's matmul runs the same kernel on each matrix of a stack as on a
     lone one, and the einsum sums each path's entries in the same order,
-    so every path's gaps are those of a batch of one, bit for bit. A
-    batch whose means are not finite runs again one path at a time, and
-    ``harness.check_finite`` names the agent of the first failing path at
-    its first failing step, as a loop over lone paths would.
+    so every path's gaps are those of a batch of one, bit for bit, on
+    whichever thread. A batch whose means are not finite runs again one
+    path at a time, and ``harness.check_finite`` names the agent of the
+    first failing path at its first failing step; a thread stops at its
+    first failing batch, and the error raised is that of the first
+    failing batch in path order, as a loop over lone paths would raise.
 
     Results differ from the unfused loop (``tests/oracles.py``,
     ``reference_mean_gap``) by reassociation only.
@@ -185,52 +214,81 @@ def _simulate_mean_gap(
     act *= 2.0 * h  # from here on, the action times 2h
     weights = np.full(N, 1.0 / N)
     batch = mc_batch_size(N, paths)
-    u = np.empty((batch, N, d_y, d_z))
-    beta = np.empty((batch, d_z, N))
-    noise = np.empty((batch, d_y, N))
-    step = np.empty((batch, d_y, d_y + 1))
-    drift = np.empty((batch, d_y, 1))
-    stacks = np.ones((batch, d_y + 1, N)), np.ones((batch, d_y + 1, N))
-    means = np.empty((T + 1, batch, d_y))
 
-    def advance(first: int, count: int):
-        """Squared gaps (count, T) of paths first.. first + count - 1, or
-        None once a batch of several has a non-finite mean."""
-        rngs = [table.rng(p) for p in range(first, first + count)]
-        cols, nxt = (s[:count] for s in stacks)
-        cols[:, :d_y] = y0[:, None]
-        np.matmul(cols[:, :d_y], weights, out=means[0, :count])
-        for t in range(T):
-            for b, rng in enumerate(rngs):
-                rng.random(out=u[b])
-            np.matmul(act[t], cols, out=beta[:count])
-            np.einsum("pnij,pjn->pin", u[:count], beta[:count], out=noise[:count])
-            step[:count] = affine[t]
-            np.matmul(params.theta_bar, means[t, :count, :, None], out=drift[:count])
-            step[:count, :, d_y:] += drift[:count]
-            preds = nxt[:, :d_y]
-            np.matmul(step[:count], cols, out=preds)
-            preds += noise[:count]
-            mean = means[t + 1, :count]
-            np.matmul(preds, weights, out=mean)
-            if not math.isfinite(np.add.reduce(mean, axis=None)):
-                if count > 1:
-                    return None
-                try:
-                    check_finite(preds[0].T, mean[0])
-                except DynamicsError as exc:
-                    raise DynamicsError(f"{exc} at N={N}, path {first}, step {t}") from exc
-            cols, nxt = nxt, cols
-        diff = means[1:, :count] - ybar[1 : T + 1, None]
-        return np.matmul(diff[..., None, :], diff[..., None])[..., 0, 0].T
+    def batch_runner():
+        """``advance`` on a worker's own batch buffers, allocated once."""
+        u = np.empty((batch, N, d_y, d_z))
+        beta = np.empty((batch, d_z, N))
+        noise = np.empty((batch, d_y, N))
+        step = np.empty((batch, d_y, d_y + 1))
+        drift = np.empty((batch, d_y, 1))
+        stacks = np.ones((batch, d_y + 1, N)), np.ones((batch, d_y + 1, N))
+        means = np.empty((T + 1, batch, d_y))
 
+        def advance(first: int, count: int):
+            """Squared gaps (count, T) of paths first.. first + count - 1, or
+            None once a batch of several has a non-finite mean."""
+            rngs = [table.rng(p) for p in range(first, first + count)]
+            cols, nxt = (s[:count] for s in stacks)
+            cols[:, :d_y] = y0[:, None]
+            np.matmul(cols[:, :d_y], weights, out=means[0, :count])
+            for t in range(T):
+                for b, rng in enumerate(rngs):
+                    rng.random(out=u[b])
+                np.matmul(act[t], cols, out=beta[:count])
+                np.einsum("pnij,pjn->pin", u[:count], beta[:count], out=noise[:count])
+                step[:count] = affine[t]
+                np.matmul(params.theta_bar, means[t, :count, :, None], out=drift[:count])
+                step[:count, :, d_y:] += drift[:count]
+                preds = nxt[:, :d_y]
+                np.matmul(step[:count], cols, out=preds)
+                preds += noise[:count]
+                mean = means[t + 1, :count]
+                np.matmul(preds, weights, out=mean)
+                if not math.isfinite(np.add.reduce(mean, axis=None)):
+                    if count > 1:
+                        return None
+                    try:
+                        check_finite(preds[0].T, mean[0])
+                    except DynamicsError as exc:
+                        raise DynamicsError(f"{exc} at N={N}, path {first}, step {t}") from exc
+                cols, nxt = nxt, cols
+            diff = means[1:, :count] - ybar[1 : T + 1, None]
+            return np.matmul(diff[..., None, :], diff[..., None])[..., 0, 0].T
+
+        return advance
+
+    workers = mc_workers(N, paths)
+    firsts = range(0, paths, batch)
     gaps = np.zeros((paths, T + 1))
-    for first in range(0, paths, batch):
-        count = min(batch, paths - first)
-        sq = advance(first, count)
-        if sq is None:
-            sq = np.concatenate([advance(p, 1) for p in range(first, first + count)])
-        gaps[first : first + count, 1:] = sq
+    errors = {}  # first path of a failing batch -> its error
+
+    def play(w: int):
+        """Batches w, w + workers, ... until one of them fails."""
+        advance = batch_runner()
+        for first in firsts[w::workers]:
+            count = min(batch, paths - first)
+            try:
+                sq = advance(first, count)
+                if sq is None:
+                    sq = np.concatenate([advance(p, 1) for p in range(first, first + count)])
+            except Exception as exc:  # raised below, in the caller's thread
+                errors[first] = exc
+                return
+            gaps[first : first + count, 1:] = sq
+
+    threads = []
+    try:
+        for w in range(1, workers):
+            thread = threading.Thread(target=play, args=(w,), name=f"mean-gap-{w}")
+            thread.start()
+            threads.append(thread)
+        play(0)
+    finally:
+        for thread in threads:
+            thread.join()
+    if errors:
+        raise errors[min(errors)]
     gaps = np.sqrt(gaps)
     return gaps.mean(axis=0), gaps.std(axis=0, ddof=1) / np.sqrt(paths)
 
@@ -281,14 +339,17 @@ def limit_gap_diagnostic(scenario: ConvergenceScenario) -> GapReport:
 
     gaps = []
     for N in grid:
+        workers = mc_workers(N, paths)
         start = time.perf_counter()
         gaps.append(_simulate_mean_gap(replace(base, population_N=N), latents, limit, ybar, y0, paths, seed, table))
         logger.info(
-            "convergence N=%d: Monte-Carlo mean gap %.3f s (%d paths, %d per batch)",
+            "convergence N=%d: Monte-Carlo mean gap %.3f s (%d paths, %d per batch, %d %s)",
             N,
             time.perf_counter() - start,
             paths,
             mc_batch_size(N, paths),
+            workers,
+            "thread" if workers == 1 else "threads",
         )
     mean, stderr = np.swapaxes(gaps, 0, 1)
     return GapReport(n_grid=grid, lambda_gap=lams.T, meanfield_gap=mean, stderr=stderr)

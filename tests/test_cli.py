@@ -676,7 +676,7 @@ def test_log_level_info_times_convergence(config, tmp_path):
     assert proc.returncode == 0, proc.stderr
     patterns = [
         r"convergence pass, 3 populations and the limit: [\d.]+ s$",
-    ] + [rf"convergence N={n}: Monte-Carlo mean gap [\d.]+ s \(12 paths, 12 per batch\)$" for n in (4, 8, 16)]
+    ] + [rf"convergence N={n}: Monte-Carlo mean gap [\d.]+ s \(12 paths, 12 per batch, 1 thread\)$" for n in (4, 8, 16)]
     lines = [line for line in proc.stderr.splitlines() if "convergence " in line]
     assert len(lines) == len(patterns), proc.stderr
     for line, pattern in zip(lines, patterns):

@@ -1,3 +1,7 @@
+import logging
+import sys
+import threading
+import time
 from dataclasses import replace
 
 import numpy as np
@@ -133,20 +137,58 @@ def mean_gap_case(N, T=4):
 
 @pytest.mark.parametrize("N", [16, diagnostics.MC_BATCH_AGENTS + 904])
 def test_batching_changes_no_bit(monkeypatch, N):
-    # one path per batch, the default batches, and batches of 3 that leave
-    # a short last batch of one: every path keeps its bits
+    # one path per batch, the default batches, and batches of 2 and 3 that
+    # leave a short last batch of one, on one thread and on two where the
+    # batches are many and short: every path keeps its bits
     case = mean_gap_case(N)
     paths = 7
-    results, sizes = [], []
+    results, sizes, threads = [], [], []
     default = diagnostics.MC_BATCH_AGENTS
-    for budget in (1, default, 3 * N):
-        monkeypatch.setattr(diagnostics, "MC_BATCH_AGENTS", budget)
-        sizes.append(diagnostics.mc_batch_size(N, paths))
-        results.append(_simulate_mean_gap(*case, paths, 5))
-    assert sizes == [1, paths if N < default else 1, 3]
+    for workers in (1, 2):
+        monkeypatch.setattr(diagnostics, "MC_WORKERS", workers)
+        for budget in (1, default, 2 * N, 3 * N):
+            monkeypatch.setattr(diagnostics, "MC_BATCH_AGENTS", budget)
+            sizes.append(diagnostics.mc_batch_size(N, paths))
+            threads.append(diagnostics.mc_workers(N, paths))
+            results.append(_simulate_mean_gap(*case, paths, 5))
+    assert sizes == [1, paths if N < default else 1, 2, 3] * 2
+    assert threads == [1] * 4 + [2, 1 if N < default else 2, 2, 1]
     for mean, se in results[1:]:
         np.testing.assert_array_equal(mean, results[0][0])
         np.testing.assert_array_equal(se, results[0][1])
+
+
+def test_more_threads_than_cpus_change_no_bit(monkeypatch):
+    # 8 threads of 4 one-path batches each, switching as often as the
+    # interpreter allows: every path's row keeps the bits of one thread
+    case = mean_gap_case(64)
+    monkeypatch.setattr(diagnostics, "MC_BATCH_AGENTS", 64)
+    monkeypatch.setattr(diagnostics, "MC_WORKERS", 1)
+    expected = _simulate_mean_gap(*case, 32, 5)
+    monkeypatch.setattr(diagnostics, "MC_WORKERS", 8)
+    assert diagnostics.mc_workers(64, 32) == 8
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        got = _simulate_mean_gap(*case, 32, 5)
+    finally:
+        sys.setswitchinterval(interval)
+    for a, b in zip(got, expected):
+        np.testing.assert_array_equal(a, b)
+
+
+@pytest.mark.parametrize(
+    "N,paths,threads",
+    # the benchmark's grid at 20 paths and its neighbours: batches of more
+    # than 8 paths stay on one thread, as do fewer than two batches per thread
+    [(4, 20, 1), (64, 20, 1), (256, 20, 1), (256, 100, 1), (512, 16, 1), (512, 32, 2)]
+    + [(1024, 20, 2), (4096, 20, 2), (4096, 3, 1), (4096, 4, 2)],
+)
+def test_threads_only_where_they_pay(monkeypatch, N, paths, threads):
+    monkeypatch.setattr(diagnostics, "MC_WORKERS", 2)
+    assert diagnostics.mc_workers(N, paths) == threads
+    monkeypatch.setattr(diagnostics, "MC_WORKERS", 1)
+    assert diagnostics.mc_workers(N, paths) == 1
 
 
 def test_mean_gap_overflow_names_agent_path_and_step():
@@ -191,16 +233,61 @@ class PoisonedStream:
         self.t += 1
 
 
-@pytest.mark.parametrize("budget", [1, 4 * 5, diagnostics.MC_BATCH_AGENTS])
+@pytest.mark.parametrize("budget", [1, 4 * 2, 4 * 5, diagnostics.MC_BATCH_AGENTS])
 def test_mean_gap_error_names_the_first_failing_path(monkeypatch, budget):
-    # paths 11 and 9 fail first in time (steps 0 and 1), path 5 first in
-    # path order (step 3): in batches of 1, 5 or all 12 paths, the error is
-    # path 5's, as the loop over lone paths raised it
+    # paths 6, 11 and 9 fail first in time (steps 0 and 1), path 5 first in
+    # path order (step 3): in batches of 1, 2, 5 or all 12 paths, on one
+    # thread or two, the error is path 5's, as the loop over lone paths
+    # raised it; in batches of 1 or 2 each of two threads plays failing paths
     monkeypatch.setattr(diagnostics, "MC_BATCH_AGENTS", budget)
     case = mean_gap_case(4, T=5)
-    table = PoisonedStreams(12, {5: (2, 3), 9: (1, 1), 11: (0, 0)})
-    with pytest.raises(DynamicsError, match=r"agent 2 at N=4, path 5, step 3$"):
-        _simulate_mean_gap(*case, 12, 1, table)
+    for workers in (1, 2):
+        monkeypatch.setattr(diagnostics, "MC_WORKERS", workers)
+        table = PoisonedStreams(12, {5: (2, 3), 6: (3, 0), 9: (1, 1), 11: (0, 0)})
+        with pytest.raises(DynamicsError, match=r"agent 2 at N=4, path 5, step 3$"):
+            _simulate_mean_gap(*case, 12, 1, table)
+
+
+class RecordingStreams:
+    """The path streams of seed 1, recording the thread that asks for each;
+    odd paths, the second of two threads' share, start 20 ms late, so that
+    thread is still playing when the caller's is done."""
+
+    def __init__(self, paths):
+        self.table, self.threads = SeedTable((1, 31), paths), set()
+
+    def rng(self, p):
+        self.threads.add(threading.get_ident())
+        if p % 2:
+            time.sleep(0.02)
+        return self.table.rng(p)
+
+
+def test_no_worker_thread_outlives_the_call(monkeypatch):
+    # a run that completes and one that raises both play on two threads and
+    # join the second before they return: a thread left running would keep
+    # the command from exiting
+    monkeypatch.setattr(diagnostics, "MC_WORKERS", 2)
+    monkeypatch.setattr(diagnostics, "MC_BATCH_AGENTS", 4)
+    case = mean_gap_case(4)
+    before = threading.active_count()
+    table = RecordingStreams(6)
+    _simulate_mean_gap(*case, 6, 1, table)
+    assert len(table.threads) == 2
+    assert threading.active_count() == before
+    with pytest.raises(DynamicsError, match=r"path 3, step 1$"):
+        _simulate_mean_gap(*case, 6, 1, PoisonedStreams(6, {3: (0, 1)}))
+    assert threading.active_count() == before
+
+
+def test_info_line_names_the_threads(monkeypatch, caplog):
+    monkeypatch.setattr(diagnostics, "MC_WORKERS", 2)
+    monkeypatch.setattr(diagnostics, "MC_BATCH_AGENTS", 16)
+    with caplog.at_level(logging.INFO, logger="fedgames.diagnostics"):
+        limit_gap_diagnostic(scenario(paths=8, n_grid=(4, 16)))
+    lines = [m for m in caplog.messages if m.startswith("convergence N=")]
+    assert lines[0].endswith("(8 paths, 4 per batch, 1 thread)")
+    assert lines[1].endswith("(8 paths, 1 per batch, 2 threads)")
 
 
 @pytest.mark.parametrize("paths", [0, 1])
