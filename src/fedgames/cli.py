@@ -392,33 +392,32 @@ def cmd_run(args) -> int:
 
     # the cells of a seed share its dataset, latent bank and structured
     # pass, built at the seed's first group and held until the grid ends
-    # (every N's groups hold every seed); if building them fails, each of
-    # the seed's cells builds its own and reports its own failure
+    # (every N's groups hold every seed)
     pairs = {(policy, n) for policy, n, _ in cells}  # the grid is a full product: every seed runs every pair
-    shared = {}
+    shared, tried = {}, set()
     # each group's files are written as it completes, and its records are
-    # then dropped; if a group raises, its cells run again one at a time,
-    # so a failed cell is reported on its own and the run exits 3, but the
-    # cells that completed still get their outputs
+    # then dropped. If building a seed's work or playing the group raises,
+    # the group's cells run again one at a time (a cell whose seed has no
+    # work builds its own), so each failed cell is reported on its own and
+    # the run exits 3, and the cells that completed still get their outputs.
+    # A seed whose work raised is not built again: run_group rejects its
+    # later groups, whose cells then run alone at once
     kept = {}  # cell -> (results.csv row, report.json entry)
     failed = (FedGamesError, ValueError, np.linalg.LinAlgError)
     for group in _groups(cells):
         n = group[0][1]
-        for _, _, seed in group:
-            if seed not in shared:
-                try:
-                    shared[seed] = SeedWork(scenarios[n], seed, pairs)
-                except failed:
-                    shared[seed] = None
         records = None
-        if all(shared[seed] is not None for _, _, seed in group):
-            try:
-                records = run_group([(policy, seed) for policy, _, seed in group], scenarios[n], shared)
-            except failed:
-                pass
+        try:
+            for _, _, seed in group:
+                if seed not in tried:
+                    tried.add(seed)
+                    shared[seed] = SeedWork(scenarios[n], seed, pairs)
+            records = run_group([(policy, seed) for policy, _, seed in group], scenarios[n], shared)
+        except failed:
+            pass
         for i, (policy, _, seed) in enumerate(group):
             try:
-                record = records[i] if records else run_episode(policy, scenarios[n], seed, shared=shared[seed])
+                record = records[i] if records else run_episode(policy, scenarios[n], seed, shared=shared.get(seed))
             except failed as exc:
                 print(f"solver failure in cell policy={policy} N={n} seed={seed}: {exc}", file=sys.stderr)
                 continue

@@ -17,7 +17,9 @@ streams, the latent bank's round-stacked moments, and one structured
 pass over every round for every reduced N >= 2 among the cells and, for
 decentralized cells, the limit with its mean field. ``fedgames run``
 builds one per seed; ``run_episode`` without one builds its own for its
-one cell, so a lone episode runs the same code as a grid's.
+one cell, so a lone episode runs the same code as a grid's. A seed's
+work that raises is not kept: its caller plays each of the seed's cells
+alone, and each builds its own and names its own error.
 
 ``fedgames run`` plays the cells of one N in groups (``run_group``):
 one episode of G populations of N agents, member m on rows mN..mN+N-1
@@ -119,7 +121,7 @@ from .encoders import (
     rfn_encode,  # noqa: F401  (perfbench's tracer wraps it here)
     sample_encoders,
 )
-from .errors import AT_LEAST_ONE, FINITE, NONNEGATIVE, DynamicsError, FedGamesError, check_fields
+from .errors import AT_LEAST_ONE, FINITE, NONNEGATIVE, DynamicsError, check_fields
 from .model import GameParams, MomentSet, TargetSeries, estimate_moments
 from .nash_full import full_action, full_backward_pass, rounds_per_pass
 from .nash_meanfield import decentralized_action  # noqa: F401  (perfbench's tracer names it; the step does not call it)
@@ -504,14 +506,12 @@ class SeedWork:
     (``reduced_coeffs``, ``limit_coeffs``), so it is that pass's
     coefficients bit for bit, and the limit's mean field Ybar
     (``meanfield_forward``) is computed once for every decentralized
-    cell, whatever its N. If that stack raises, each population is
-    solved again alone, as a stack of one through the same call and
-    readers; a population that fails again keeps its error, which
-    ``solved`` raises to every cell that reads it (as when a failed
-    group's cells run again one at a time), and a lone cell's episode
-    raises the same text. Full cells, and reduced cells at N = 1, read
-    only the moments: the dense full pass stays an independent oracle of
-    the structured one.
+    cell, whatever its N. Whatever the dataset, the bank or the pass
+    raises, building the work raises: ``fedgames run`` then plays each of
+    the seed's cells alone (``run_episode``), and each cell builds its
+    own work and names its own error. Full cells, and reduced cells at
+    N = 1, read only the moments: the dense full pass stays an
+    independent oracle of the structured one.
 
     ``share_ms`` is the wall time of this work divided by the number of
     cells: each cell's ``runtime_ms`` adds it to its own episode time.
@@ -531,7 +531,10 @@ class SeedWork:
             raise ValueError("dataset too short for one round of the horizon")
         # the agents' noise streams (seed, 5, g), whose keys hold neither policy nor N
         self.noise_streams = SeedTable((seed, 5), self.rounds * T)
-        self._solved = {}  # population -> the seed's pass's coefficients, as ``solved`` returns them
+        # population -> the round-stacked coefficients of the seed's pass:
+        # the reduced ones at a finite N, and at the limit its coefficients
+        # and their (T+1, rounds, d_y) Ybar
+        self.solved = {}
         if any(policy != "greedy" for policy, _ in self.cells):
             # covers only the rounds T input steps that the rounds play
             episode = estimate_moments(_build_bank(scenario, self.inputs[: self.rounds * T], seed))
@@ -541,7 +544,16 @@ class SeedWork:
             )
             ns = sorted({_population(policy, n) for policy, n in self.cells} - {None})
             if ns:
-                self._solve_stack(p, ns)
+                moments, stacked = self.round_stack(0, self.rounds)
+                eps = 1 / np.array(ns, dtype=float)[:, None, None, None]
+                s = structured_pass(p, moments, stacked, eps, "reduced", lambda i: f"N={ns[i]}")
+                for i, n in enumerate(ns):
+                    entry = s.entry(i)
+                    if n < math.inf:
+                        self.solved[n] = reduced_coeffs(p, entry, n)
+                    else:
+                        limit = limit_coeffs(p, entry, game_units(entry, math.inf)[1])
+                        self.solved[n] = limit, meanfield_forward(limit, moments, stacked.values[0])
         self.share_ms = 1000.0 * (time.perf_counter() - start) / len(self.cells)
 
     def round_stack(self, first: int, stop: int) -> tuple[MomentSet, TargetSeries]:
@@ -551,38 +563,6 @@ class SeedWork:
         moments = MomentSet(m1=self._m1[:, first:stop], units=self._units[:, first:stop])
         targets = TargetSeries(values=self.values[np.arange(T + 1)[:, None] + T * np.arange(first, stop)])
         return moments, targets
-
-    def _solve_stack(self, params: GameParams, ns: list) -> None:
-        """Solve the populations ``ns`` in one stack of ``structured_pass``
-        and read each entry back; if the stack raises, solve each population
-        alone, as a stack of one, and keep its error if it fails again."""
-        moments, targets = self.round_stack(0, self.rounds)
-        eps = 1 / np.array(ns, dtype=float)[:, None, None, None]
-        try:
-            s = structured_pass(params, moments, targets, eps, "reduced", lambda p: f"N={ns[p]}")
-        except (FedGamesError, ValueError, np.linalg.LinAlgError) as exc:
-            if len(ns) == 1:
-                self._solved[ns[0]] = exc
-            else:
-                for n in ns:
-                    self._solve_stack(params, [n])
-            return
-        for p, n in enumerate(ns):
-            entry = s.entry(p)
-            if n < math.inf:
-                self._solved[n] = reduced_coeffs(params, entry, n)
-                continue
-            limit = limit_coeffs(params, entry, game_units(entry, math.inf)[1])
-            self._solved[n] = limit, meanfield_forward(limit, moments, targets.values[0])
-
-    def solved(self, n):
-        """The round-stacked coefficients at population n (``_population``):
-        the reduced coefficients at a finite n, and at the limit its
-        coefficients and their (T+1, rounds, d_y) Ybar; raises the error of
-        a population that failed."""
-        if isinstance(self._solved[n], Exception):
-            raise self._solved[n].with_traceback(None)  # each reader's raise keeps only its own frames
-        return self._solved[n]
 
 
 def _solve_episode(policy, scenario: Scenario, work: SeedWork):
@@ -645,7 +625,7 @@ def _solve_episode(policy, scenario: Scenario, work: SeedWork):
 
         return "full", solve_chunks()
     if n < math.inf:
-        coeffs = work.solved(n)
+        coeffs = work.solved[n]
 
         def act(c, t, preds, latents, drift, mean_drift):
             return reduced_action(t, preds, preds.sum(axis=0) - preds, c)
@@ -653,7 +633,7 @@ def _solve_episode(policy, scenario: Scenario, work: SeedWork):
         solved = (take_round(coeffs, r) for r in range(rounds))
         return policy, ((c, partial(act, c)) for c in solved)
 
-    coeffs, ybar = work.solved(n)
+    coeffs, ybar = work.solved[n]
     actions = np.empty((N, p.dim_z))
 
     def round_act(c, r):

@@ -399,10 +399,10 @@ def test_failing_member_runs_its_group_again_one_at_a_time(config, tmp_path, mon
 
 @pytest.mark.parametrize("failing_n", [None, 8, float("inf")], ids=["none", "N=8", "limit"])
 def test_failing_population_fails_only_its_cells(config, tmp_path, monkeypatch, capsys, failing_n):
-    # if a seed's stacked pass raises, each population solves alone, as a
-    # stack of one: the cells of a population that fails again are named
-    # with its lone stack's error, and only those; every other cell
-    # completes with the outputs of an unbroken run
+    # if a seed's stacked pass raises, its cells run alone, each solving
+    # its own population as a stack of one: the cells of a population that
+    # fails again are named with its lone stack's error, and only those;
+    # every other cell completes with the outputs of an unbroken run
     import fedgames.harness as harness
     from fedgames.errors import SolveError
 
@@ -433,7 +433,8 @@ def test_failing_population_fails_only_its_cells(config, tmp_path, monkeypatch, 
         assert stacks == [eps]
         assert failures == []
     else:
-        assert stacks == [eps] + [[e] for e in eps]
+        # the seed's stack once, then each cell's own, in grid order
+        assert stacks == [eps, [1 / 3], [0.0], [1 / 8], [0.0]]
         cells = [("reduced", 8, 1)] if failing_n == 8 else [("decentralized", 3, 1), ("decentralized", 8, 1)]
         assert failures == [
             f"solver failure in cell policy={policy} N={n} seed={seed}: injected in a stack of 1"
@@ -443,6 +444,81 @@ def test_failing_population_fails_only_its_cells(config, tmp_path, monkeypatch, 
             del want[cell]
     assert _grid_rows(out) == want
     for cell in want:
+        assert _cell_files(out, cell) == _cell_files(unbroken, cell), cell
+
+
+def test_dataset_that_cannot_feed_the_game_fails_every_cell(config, tmp_path, capsys):
+    # a one-column dataset for a game of dim_y 2: every seed's shared work
+    # raises, and so does every cell run alone, each naming its own cell
+    import fedgames.cli as cli
+
+    path, cfg = config
+    cfg["params"]["dim_y"] = 2
+    cfg.update(
+        dataset={"kind": "logistic_map", "length": 9},
+        policies=["reduced", "decentralized", "greedy"],
+        n_grid=[3, 8],
+        seeds=[1, 2],
+    )
+    path.write_text(json.dumps(cfg), encoding="utf-8")
+    capsys.readouterr()
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(path), "--out", str(out)]) == 3
+    played = [cell for group in cli._groups(cli.cell_grid(cfg)) for cell in group]
+    assert _failure_lines(capsys) == [
+        f"solver failure in cell policy={policy} N={n} seed={seed}: dataset dim 1 != dim_y 2"
+        for policy, n, seed in played
+    ]
+    assert (out / "results.csv").read_text(encoding="utf-8").splitlines() == [",".join(RESULTS_HEADER)]
+    assert json.loads((out / "report.json").read_text())["cells"] == []
+
+
+def test_seed_whose_shared_work_raises_fails_only_its_solving_cells(config, tmp_path, monkeypatch, capsys):
+    # seed 2's latent bank raises: its work is built once, and its cells
+    # run alone, so its greedy cells (which read no bank) write their lone
+    # runs' files and its solving cells print the bank's error; seed 1's
+    # cells are those of an unbroken run
+    import fedgames.cli as cli
+    import fedgames.harness as harness
+    from fedgames.errors import MomentError
+
+    path, cfg = config
+    cfg.update(policies=["reduced", "decentralized", "greedy"], n_grid=[3, 8], seeds=[1, 2])
+    cfg["dataset"]["length"] = 9
+    path.write_text(json.dumps(cfg), encoding="utf-8")
+    unbroken = tmp_path / "unbroken"
+    assert main(["run", "--config", str(path), "--out", str(unbroken)]) == 0
+
+    banks, works = [], []
+    build_bank, seed_work = harness._build_bank, cli.SeedWork
+
+    def failing_bank(scenario, inputs, seed):
+        banks.append(seed)
+        if seed == 2:
+            raise MomentError("injected bank failure")
+        return build_bank(scenario, inputs, seed)
+
+    def counted_work(scenario, seed, cells):
+        works.append(seed)
+        return seed_work(scenario, seed, cells)
+
+    monkeypatch.setattr(harness, "_build_bank", failing_bank)
+    monkeypatch.setattr(cli, "SeedWork", counted_work)
+    capsys.readouterr()
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(path), "--out", str(out)]) == 3
+    assert works == [1, 2]
+    assert banks == [1, 2, 2, 2, 2, 2]  # seed 2's shared work, then each of its solving cells alone
+    failing = [(policy, n, 2) for n in (3, 8) for policy in ("reduced", "decentralized")]
+    assert _failure_lines(capsys) == [
+        f"solver failure in cell policy={policy} N={n} seed={seed}: injected bank failure"
+        for policy, n, seed in failing
+    ]
+    completed = _grid_rows(out)
+    want = _grid_rows(unbroken)
+    assert sorted(completed) == sorted(set(want) - set(failing))
+    for cell in completed:
+        assert completed[cell] == want[cell], cell
         assert _cell_files(out, cell) == _cell_files(unbroken, cell), cell
 
 

@@ -996,3 +996,56 @@ def test_group_draws_each_seed_once(monkeypatch, spawner):
     assert noise == {(seed, 5, g): 1 for seed in (1, 2) for g in range(rounds * T)}
     units = len(members) if spawner else 2
     assert encoded == [units * N] * (rounds * T)
+
+
+@pytest.mark.parametrize(
+    "members, works, message",
+    [
+        ([("oracle", 1)], {1: [("reduced", 3)]}, "unknown policy 'oracle'"),
+        ([("reduced", 1), ("reduced", 2)], {1: [("reduced", 3)]}, "no shared work for seed 2"),
+        (
+            [("greedy", 1)],
+            {1: [("reduced", 3)]},
+            "the shared work of seed 1 has no cell policy=greedy N=3 seed=1",
+        ),
+        # a seed's work under another seed's key
+        (
+            [("reduced", 2)],
+            {2: [("reduced", 3)]},
+            "the shared work of seed 1 has no cell policy=reduced N=3 seed=2",
+        ),
+        # the work of another N
+        (
+            [("reduced", 1)],
+            {1: [("reduced", 4)]},
+            "the shared work of seed 1 has no cell policy=reduced N=3 seed=1",
+        ),
+    ],
+    ids=["unknown-policy", "no-work", "other-policy", "other-seed", "other-n"],
+)
+def test_group_rejects_members_it_cannot_play(members, works, message):
+    # run_group's input checks, ahead of any episode work; run_episode
+    # passes them on for a cell given shared work
+    from fedgames.harness import SeedWork, run_group
+
+    scenario = small_scenario()
+    shared = {seed: SeedWork(scenario, 1, cells) for seed, cells in works.items()}
+    with pytest.raises(ValueError) as group:
+        run_group(members, scenario, shared)
+    assert str(group.value) == message
+    if len(members) == 1:
+        [(policy, seed)] = members
+        with pytest.raises(ValueError) as lone:
+            run_episode(policy, scenario, seed, shared=shared[seed])
+        assert str(lone.value) == message
+
+
+def test_lone_episode_rejects_an_unknown_policy_before_any_work(monkeypatch):
+    import fedgames.harness as harness
+
+    def no_work(*args):
+        raise AssertionError("built the seed's work")
+
+    monkeypatch.setattr(harness, "SeedWork", no_work)
+    with pytest.raises(ValueError, match="^unknown policy 'oracle'$"):
+        run_episode("oracle", small_scenario(), 1)
