@@ -31,10 +31,10 @@ softmax, ``_RunningMetrics.add_round`` and its quantiles) run on (G, N,
 ...) views, each member's on its own rows, so every member's bits are
 its lone episode's. ``check_finite`` checks the whole stack: any
 member's failure fails the group, whose caller then runs its members
-again one at a time, each naming its own agent. Each member keeps its own
-action rule, greedy window, spawner and record; ``run_episode`` is the
-group of one. A cell's ``runtime_ms`` is its group's wall time over G
-plus an equal share of its seed's work.
+again one at a time, each naming its own agent. Each member keeps its
+own round coefficients, action rule, greedy window, spawner and record;
+``run_episode`` is the group of one. A cell's ``runtime_ms`` is its
+group's wall time over G plus an equal share of its seed's work.
 
 Episodes stream: each round works on its own (T+1, N, d_y) predictions
 and (T, N, d_z) actions, and when it ends its costs are folded into
@@ -47,8 +47,9 @@ The agent loop is array-at-a-time and plays only the game. A round's
 latents depend only on the pool, the inputs and the noise streams, and
 the spawner changes the pool only between rounds, so before a round's
 steps one encoder loop (``_encode_run``, the latent bank's too) writes
-its (T, N, d_y, d_z) latents, steered by one matmul; per step, one
-action call per population and one dynamics update cover all agents;
+its (T, N, d_y, d_z) latents, steered by one matmul; per step, one call
+of the policy's one action rule per population, with that population's
+coefficients of the round, and one dynamics update cover all agents;
 after the steps,
 ``_RunningMetrics.add_round`` computes the round's costs and its (T, N)
 squared errors once, and the aggregation reads them from a (window + T,
@@ -68,7 +69,8 @@ drift terms theta Y and theta_bar mean(Y) are computed once per step
 and passed to every ``act``; the greedy baseline builds its ridge
 residual from them.
 ``tests/oracles.py::public_episode`` replays an episode with one call of
-each public function per step, and
+each public function per step, the policy's action (``full_action``,
+``reduced_action``, ``decentralized_action``) included, and
 ``test_fused_step_matches_public_functions`` holds the harness to it bit
 for bit; ``test_greedy_window_matches_ridge_action_at_every_fill_level``
 and ``test_bank_matches_per_step_encoder_calls`` do the same for the
@@ -76,10 +78,10 @@ ridge window's history and the latent bank. Three pieces skip a public
 function's wrapper but keep its arithmetic order: the ESN saturation
 clamps with ``np.maximum`` and ``np.minimum`` in place; the
 decentralized action is one matmul of the predictions by G1', plus the
-round's mean-field terms G2 Ybar (computed once per round), plus H,
-as ``decentralized_action`` adds them; and ``_RunningMetrics`` builds
-the stage discounts and the quantile plan once per episode and folds
-each round's (T, N, ...) arrays directly. The latent bank is one
+step's mean-field term G2 Ybar, plus H, as ``decentralized_action`` adds
+them; and ``_RunningMetrics`` builds the stage discounts and the
+quantile plan once per episode and folds each round's (T, N, ...)
+arrays directly. The latent bank is one
 (rounds T, mc_samples, d_y, d_z) array from the encoder to
 ``estimate_moments``, which checks its finiteness
 once and reduces it to moments once; a recurrent encoder's carry is
@@ -107,7 +109,6 @@ import logging
 import math
 import time
 from dataclasses import dataclass, field, replace
-from functools import partial
 
 import numpy as np
 
@@ -504,12 +505,15 @@ class SeedWork:
     round in one population stack of ``nash_reduced.structured_pass``;
     each entry is read back through the code of its lone pass
     (``reduced_coeffs``, ``limit_coeffs``), so it is that pass's
-    coefficients bit for bit, and the limit's mean field Ybar
-    (``meanfield_forward``) is computed once for every decentralized
-    cell, whatever its N. Whatever the dataset, the bank or the pass
-    raises, building the work raises: ``fedgames run`` then plays each of
-    the seed's cells alone (``run_episode``), and each cell builds its
-    own work and names its own error. Full cells, and reduced cells at
+    coefficients bit for bit. ``solved`` maps each population, the limit
+    (``math.inf``) included, to its round-stacked coefficients, and
+    ``ybar`` holds the limit's (T+1, rounds, d_y) mean field Ybar
+    (``meanfield_forward``, None without a decentralized cell), computed
+    once for every decentralized cell, whatever its N. Whatever the
+    dataset, the bank or the pass raises, building the work raises:
+    ``fedgames run`` then plays each of the seed's cells alone
+    (``run_episode``), and each cell builds its own work and names its
+    own error. Full cells, and reduced cells at
     N = 1, read only the moments: the dense full pass stays an
     independent oracle of the structured one.
 
@@ -531,10 +535,10 @@ class SeedWork:
             raise ValueError("dataset too short for one round of the horizon")
         # the agents' noise streams (seed, 5, g), whose keys hold neither policy nor N
         self.noise_streams = SeedTable((seed, 5), self.rounds * T)
-        # population -> the round-stacked coefficients of the seed's pass:
-        # the reduced ones at a finite N, and at the limit its coefficients
-        # and their (T+1, rounds, d_y) Ybar
-        self.solved = {}
+        # population -> the round-stacked coefficients of the seed's pass,
+        # the reduced ones at a finite N and the limit's at math.inf, whose
+        # (T+1, rounds, d_y) mean field Ybar is ``ybar``
+        self.solved, self.ybar = {}, None
         if any(policy != "greedy" for policy, _ in self.cells):
             # covers only the rounds T input steps that the rounds play
             episode = estimate_moments(_build_bank(scenario, self.inputs[: self.rounds * T], seed))
@@ -552,8 +556,8 @@ class SeedWork:
                     if n < math.inf:
                         self.solved[n] = reduced_coeffs(p, entry, n)
                     else:
-                        limit = limit_coeffs(p, entry, game_units(entry, math.inf)[1])
-                        self.solved[n] = limit, meanfield_forward(limit, moments, stacked.values[0])
+                        self.solved[n] = limit_coeffs(p, entry, game_units(entry, math.inf)[1])
+                        self.ybar = meanfield_forward(self.solved[n], moments, stacked.values[0])
         self.share_ms = 1000.0 * (time.perf_counter() - start) / len(self.cells)
 
     def round_stack(self, first: int, stop: int) -> tuple[MomentSet, TargetSeries]:
@@ -566,15 +570,15 @@ class SeedWork:
 
 
 def _solve_episode(policy, scenario: Scenario, work: SeedWork):
-    """(kind, one (coefficients, act) per round): the one place a policy
-    maps to its solver and its action rule. ``act(t, predictions,
-    latents, drift, mean_drift)`` returns the (N, d_z) actions of step t
-    of its round, possibly in a buffer that its next call overwrites (only
-    the decentralized one does); the last two are the step's drift
-    terms theta Y and theta_bar mean(Y), which only the greedy baseline
-    reads (its ridge residual is the target less both). The greedy
-    baseline solves nothing (kind and coefficients None) and reads no
-    latent bank.
+    """(kind, solved, act): the one place a policy maps to its solver and
+    its action rule. ``solved`` yields each round's coefficients in turn.
+    ``act(c, r, t, predictions, latents, drift, mean_drift)`` returns the
+    (N, d_z) actions of step t of round r, whose coefficients are c,
+    possibly in a buffer that its next call overwrites (only the
+    decentralized one does); the last two are the step's drift terms
+    theta Y and theta_bar mean(Y), which only the greedy baseline reads
+    (its ridge residual is the target less both). The greedy baseline
+    solves nothing (kind and ``solved`` None) and reads no latent bank.
 
     The seed's latent bank (``SeedWork``) covers only the rounds T input
     steps that the rounds play, so a non-finite sample in an input step
@@ -601,17 +605,17 @@ def _solve_episode(policy, scenario: Scenario, work: SeedWork):
         window = RidgeWindow(N, p.dim_y, p.dim_z, T, cfg)
         sqrt_kappa = np.sqrt(p.kappa)
 
-        def act(r, t, preds, latents, drift, mean_drift):
+        def act(c, r, t, preds, latents, drift, mean_drift):
             # data-fit rows carry sqrt(kappa) so the fitted objective is
             # kappa * fit + gamma * penalty; kappa = 0 zeroes the policy
             return window.step(r, t, latents, values[r * T + t + 1], drift, mean_drift, sqrt_kappa)
 
-        return None, ((None, partial(act, r)) for r in range(rounds))
+        return None, None, act
 
     n = _population(policy, N)
     if n is None:
 
-        def act(c, t, preds, latents, drift, mean_drift):
+        def act(c, r, t, preds, latents, drift, mean_drift):
             return full_action(t, preds.reshape(-1), c).reshape(N, p.dim_z)
 
         def solve_chunks():
@@ -619,39 +623,28 @@ def _solve_episode(policy, scenario: Scenario, work: SeedWork):
             for first in range(0, rounds, chunk):
                 stop = min(first + chunk, rounds)
                 coeffs = full_backward_pass(p, *work.round_stack(first, stop))
-                for r in range(stop - first):
-                    c = take_round(coeffs, r)
-                    yield c, partial(act, c)
+                yield from (take_round(coeffs, r) for r in range(stop - first))
 
-        return "full", solve_chunks()
+        return "full", solve_chunks(), act
+    coeffs = work.solved[n]
+    solved = (take_round(coeffs, r) for r in range(rounds))
     if n < math.inf:
-        coeffs = work.solved[n]
 
-        def act(c, t, preds, latents, drift, mean_drift):
+        def act(c, r, t, preds, latents, drift, mean_drift):
             return reduced_action(t, preds, preds.sum(axis=0) - preds, c)
 
-        solved = (take_round(coeffs, r) for r in range(rounds))
-        return policy, ((c, partial(act, c)) for c in solved)
+        return policy, solved, act
 
-    coeffs, ybar = work.solved[n]
-    actions = np.empty((N, p.dim_z))
+    ybar, actions = work.ybar, np.empty((N, p.dim_z))
 
-    def round_act(c, r):
-        """``decentralized_action``'s own @ G1' + G2 Ybar + H in its order,
-        with the round's mean-field terms G2 Ybar computed once."""
-        gains = [c.G1[t].T for t in range(T)]
-        mean_field = [c.G2[t] @ ybar[t, r] for t in range(T)]
+    def act(c, r, t, preds, latents, drift, mean_drift):
+        """``decentralized_action``'s own @ G1' + G2 Ybar + H, in its order."""
+        out = np.matmul(preds, c.G1[t].T, out=actions)
+        out += c.G2[t] @ ybar[t, r]
+        out += c.H[t]
+        return out
 
-        def act(t, preds, latents, drift, mean_drift):
-            out = np.matmul(preds, gains[t], out=actions)
-            out += mean_field[t]
-            out += c.H[t]
-            return out
-
-        return act
-
-    solved = (take_round(coeffs, r) for r in range(rounds))
-    return policy, ((c, round_act(c, r)) for r, c in enumerate(solved))
+    return policy, solved, act
 
 
 def run_episode(
@@ -678,9 +671,12 @@ def run_group(members, scenario: Scenario, shared: dict, trace: EpisodeTrace | N
     scenario's N, as one episode of G = len(members) populations stacked
     along the agent axis (module docstring); returns their records, in
     order, each its lone episode's. ``shared`` maps each member's seed to
-    its ``SeedWork``. If any member raises, the group raises; a caller
-    that wants each member's own outcome runs the members again one at a
-    time (``run_episode``), through this same code.
+    its ``SeedWork``. Each member's ``_solve_episode`` gives its one
+    action rule ``act`` and its coefficients, which the loop takes one
+    round at a time, at the round's start, and passes to each of the
+    round's ``act`` calls. If any member raises, the group raises; a
+    caller that wants each member's own outcome runs the members again
+    one at a time (``run_episode``), through this same code.
 
     Each seed's pool (seed, 11) is drawn once, and its noise block (seed,
     5, g) once per step, for all of the seed's members. Without a spawner
@@ -719,7 +715,6 @@ def run_group(members, scenario: Scenario, shared: dict, trace: EpisodeTrace | N
     agg_hist = np.zeros((G, rounds, T, d_y))
     log_weights = [np.full(N, -np.log(N))] * G
     spawn_events = [[] for _ in members]
-    round0 = [None] * G
     rows = [slice(m * N, (m + 1) * N) for m in range(G)]
 
     # the round's buffers, allocated once: its histories, its raw,
@@ -737,12 +732,14 @@ def run_group(members, scenario: Scenario, shared: dict, trace: EpisodeTrace | N
     errors, weights, uniform = np.empty((G, W + T, N)), np.empty((G, N)), np.full((G, N), 1.0 / N)
     discounts = _aggregation_discounts(W, scenario.aggregation_alpha)
 
-    solves = [_solve_episode(policy, scenario, work) for (policy, _), work in zip(members, works)]
+    kinds, solved, acts = zip(*(_solve_episode(policy, scenario, work) for (policy, _), work in zip(members, works)))
     spawn_tables = {} if scenario.spawner is None else {seed: SeedTable((seed, 999), rounds) for seed in seeds}
-    for r, played in enumerate(zip(*(solved for _, solved in solves))):
+    for r in range(rounds):
         base = r * T
+        # each member's coefficients of the round (None for greedy)
+        played = [None if s is None else next(s) for s in solved]
         if r == 0:
-            round0 = [None if kind is None else (kind, coeffs) for (kind, _), (coeffs, _) in zip(solves, played)]
+            round0 = [None if kind is None else (kind, c) for kind, c in zip(kinds, played)]
 
         # the spawner changes the pool only between rounds, so a round's
         # latents are encoded ahead of its steps; the carry is a copy, as
@@ -757,8 +754,8 @@ def run_group(members, scenario: Scenario, shared: dict, trace: EpisodeTrace | N
         for t in range(T):
             preds, new_preds = preds_hist[t], preds_hist[t + 1]
             _drift_into(preds.reshape(G, N, d_y), theta_t, theta_bar_t, drift.reshape(G, N, d_y), mean, mean_drift)
-            for m, (_, act) in enumerate(played):
-                acts_hist[t, rows[m]] = act(t, preds[rows[m]], latents[t, rows[m]], drift[rows[m]], mean_drift[m, 0])
+            for m, (act, c) in enumerate(zip(acts, played)):
+                acts_hist[t, rows[m]] = act(c, r, t, preds[rows[m]], latents[t, rows[m]], drift[rows[m]], mean_drift[m, 0])
             _advance_into(drift, mean_drift, latents[t], acts_hist[t], new_preds, zb)
             check_finite(new_preds, np.add.reduce(new_preds, axis=None))
 

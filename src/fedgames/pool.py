@@ -54,10 +54,6 @@ class AgentPool:
     # recurrent carry; a caller's latents may be this same array
     esn_state: np.ndarray  # (N, d_y, d_z)
 
-    @property
-    def size(self) -> int:
-        return self.encoder.b.shape[0]
-
     @staticmethod
     def create(*encoders: EncoderParams) -> "AgentPool":
         """The pool of the stacked ``encoders``' agents, in order, each

@@ -617,12 +617,14 @@ def public_episode(policy, scenario, seed):
     """The agent loop as one call of each public function per step, on
     fresh arrays: the encoder (``rfn_encode``/``esn_encode``), the
     policy's action, ``step_dynamics``, ``aggregate_predictions`` and
-    ``score_agents``; the greedy baseline is ``ridge_action`` on its
-    stacked window of pairs. The harness's fused step must match it bit
-    for bit. It shares with the harness what the fused step leaves as it
-    was: the streams, the backward passes and action closures of
-    ``_solve_episode`` and the spawner round. Returns the traced arrays
-    and the spawn events."""
+    ``score_agents``; the policy's action is ``full_action``,
+    ``reduced_action`` or ``decentralized_action``, and the greedy
+    baseline is ``ridge_action`` on its stacked window of pairs. The
+    harness's fused step must match it bit for bit. It shares with the
+    harness what the fused step leaves as it was: the streams, each
+    round's coefficients from ``_solve_episode`` (and the limit's mean
+    field ``SeedWork.ybar``) and the spawner round. Returns the traced
+    arrays and the spawn events."""
     from fedgames.datasets import build_dataset
     from fedgames.encoders import esn_encode, rfn_encode, sample_encoders
     from fedgames.harness import (
@@ -633,6 +635,9 @@ def public_episode(policy, scenario, seed):
         aggregate_predictions,
         step_dynamics,
     )
+    from fedgames.nash_full import full_action
+    from fedgames.nash_meanfield import decentralized_action
+    from fedgames.nash_reduced import reduced_action
     from fedgames.pool import AgentPool
     from fedgames.ridge import ridge_action
     from fedgames.spawner import score_agents
@@ -645,19 +650,20 @@ def public_episode(policy, scenario, seed):
     window_Ta = scenario.aggregation_window
     pool = AgentPool.create(sample_encoders(scenario.encoder, N, d_y, d_z, inputs.shape[1], _rng(seed, 11)))
     if policy == "greedy":
-        acts = [None] * rounds
+        kind, played = None, [None] * rounds
         window_z, window_r = [], []
         sqrt_kappa = np.sqrt(p.kappa)
     else:
         work = SeedWork(scenario, seed, [(policy, N)])
-        acts = [act for _, act in _solve_episode(policy, scenario, work)[1]]
+        kind, solved, _ = _solve_episode(policy, scenario, work)
+        played = list(solved)
 
     preds_hist = np.empty((rounds, T + 1, N, d_y))
     acts_hist = np.empty((rounds, T, N, d_z))
     agg_hist = np.empty((rounds, T, d_y))
     err_history, events = [], []
     log_weights = np.full(N, -np.log(N))
-    for r, act in enumerate(acts):
+    for r, c in enumerate(played):
         base = r * T
         preds = np.tile(values[base], (N, 1))
         preds_hist[r, 0] = preds
@@ -670,7 +676,7 @@ def public_episode(policy, scenario, seed):
                 z = esn_encode(inputs[g], pool.esn_state, pool.encoder, noise)
             latents = z if pool.latent_transforms is None else z @ pool.latent_transforms
             pool.esn_state = z
-            if policy == "greedy":
+            if kind is None:
                 k = min(len(window_z), scenario.ridge.window_T)
                 if k:
                     z_win, r_win = np.stack(window_z[-k:], axis=1), np.stack(window_r[-k:], axis=1)
@@ -680,8 +686,12 @@ def public_episode(policy, scenario, seed):
                 resid = values[g + 1] - preds @ p.theta.T - preds.mean(axis=0) @ p.theta_bar.T
                 window_z.append(sqrt_kappa * latents)
                 window_r.append(sqrt_kappa * resid)
+            elif kind == "full":
+                actions = full_action(t, preds, c).reshape(N, d_z)
+            elif kind == "reduced":
+                actions = reduced_action(t, preds, preds.sum(axis=0) - preds, c)
             else:
-                actions = act(t, preds, latents, None, None)
+                actions = decentralized_action(t, preds, work.ybar[t, r], c)
             preds = step_dynamics(preds, latents, actions, p)
             agg_hist[r, t], _ = aggregate_predictions(preds, err_history, scenario.aggregation_alpha, window_Ta)
             err_history.append(score_agents(values[g + 1], preds))

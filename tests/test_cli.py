@@ -348,21 +348,18 @@ def test_failing_member_runs_its_group_again_one_at_a_time(config, tmp_path, mon
         solve = harness._solve_episode
 
         def solve_with_blowup(policy, scenario, work):
-            kind, solved = solve(policy, scenario, work)
+            kind, solved, act = solve(policy, scenario, work)
             if (policy, work.seed) != (failing[0], failing[2]):
-                return kind, solved
+                return kind, solved, act
 
-            def blown(r, c, act):
+            def blow(c, r, t, *rest):
                 # agent 1's action turns infinite in round 1
-                def blow(t, preds, *rest):
-                    out = act(t, preds, *rest)
-                    if r == 1:
-                        out[1] = np.inf
-                    return out
+                out = act(c, r, t, *rest)
+                if r == 1:
+                    out[1] = np.inf
+                return out
 
-                return c, blow
-
-            return kind, (blown(r, c, act) for r, (c, act) in enumerate(solved))
+            return kind, solved, blow
 
         monkeypatch.setattr(harness, "_solve_episode", solve_with_blowup)
     cfg["dataset"]["length"] = 9
@@ -387,6 +384,67 @@ def test_failing_member_runs_its_group_again_one_at_a_time(config, tmp_path, mon
     assert groups == [len(cli.cell_grid(cfg))]  # one group, which failed
     completed = _grid_rows(out)
     assert sorted(completed) == sorted(set(cli.cell_grid(cfg)) - {failing})
+    lone_out = tmp_path / "lone"
+    (lone_out / "coeffs").mkdir(parents=True)
+    for cell in completed:
+        policy, n, seed = cell
+        scenario = cli.build_scenario(cfg, n)
+        row, entry = cli._write_cell(lone_out, cell, scenario, harness.run_episode(policy, scenario, seed))
+        assert completed[cell] == ([str(v) for v in row[:-1]], entry), cell
+        assert _cell_files(out, cell) == _cell_files(lone_out, cell), cell
+
+
+def test_dense_pass_failing_after_round_0_runs_its_group_again(config, tmp_path, monkeypatch, capsys):
+    # at N = 32 the dense full pass solves one round per chunk, as the loop
+    # reaches it; the chunk of round 1 raises after the group has played
+    # round 0. Each full cell at N = 32 prints its lone run's line, and
+    # every other cell writes its lone run's files. (The line names "round
+    # 0": a chunk's SolveError counts rounds from the chunk's first.)
+    import dataclasses
+
+    import fedgames.cli as cli
+    import fedgames.harness as harness
+    from fedgames.datasets import build_dataset
+    from fedgames.errors import SolveError
+    from fedgames.nash_full import rounds_per_pass
+
+    path, cfg = config
+    cfg.update(
+        dataset={"kind": "logistic_map", "length": 7},  # 3 rounds
+        policies=["full", "reduced", "decentralized"],
+        n_grid=[4, 32],
+        seeds=[1, 2],
+    )
+    path.write_text(json.dumps(cfg), encoding="utf-8")
+    assert rounds_per_pass(32) == 1 < rounds_per_pass(4)
+    T = cfg["params"]["horizon_T"]
+    values = build_dataset(cli.build_scenario(cfg, 32).dataset)[0].values
+    full_backward_pass = harness.full_backward_pass
+    poisoned = []
+
+    def failing_pass(params, moments, targets):
+        # NaN moments for the chunk whose first round is round 1
+        if np.array_equal(targets.values[:, 0], values[T : 2 * T + 1]):
+            poisoned.append(params.population_N)
+            moments = dataclasses.replace(moments, m1=np.full_like(moments.m1, np.nan))
+        return full_backward_pass(params, moments, targets)
+
+    monkeypatch.setattr(harness, "full_backward_pass", failing_pass)
+    failing = [("full", 32, 1), ("full", 32, 2)]
+    lone = {}
+    for policy, n, seed in failing:
+        with pytest.raises(SolveError) as err:
+            harness.run_episode(policy, cli.build_scenario(cfg, n), seed)
+        lone[policy, n, seed] = f"solver failure in cell policy={policy} N={n} seed={seed}: {err.value}"
+    assert poisoned == [32, 32]
+
+    capsys.readouterr()
+    out = tmp_path / "out"
+    assert main(["run", "--config", str(path), "--out", str(out)]) == 3
+    played = [cell for group in cli._groups(cli.cell_grid(cfg)) for cell in group]
+    assert _failure_lines(capsys) == [lone[cell] for cell in played if cell in lone]
+    completed = _grid_rows(out)
+    assert sorted(completed) == sorted(set(played) - set(failing))
     lone_out = tmp_path / "lone"
     (lone_out / "coeffs").mkdir(parents=True)
     for cell in completed:

@@ -464,7 +464,9 @@ FUSED_ENCODERS = {
 @pytest.mark.parametrize("policy", ["full", "reduced", "decentralized", "greedy"])
 def test_fused_step_matches_public_functions(policy, encoder, spawner, horizon_T, windows):
     # every step of the fused loop, on its buffers, equals one call of each
-    # public function on fresh arrays, bit for bit; with "ortho" the spawner
+    # public function on fresh arrays, bit for bit, the policy's action
+    # (full_action, reduced_action, decentralized_action on each round's
+    # coefficients, or ridge_action) included; with "ortho" the spawner
     # gives the respawned agents steering maps from the second round on. At
     # horizon_T 1 a round's latents are one step, also the next round's carry
     scenario = small_scenario(
@@ -854,11 +856,11 @@ def test_chunked_full_rounds_match_lone_passes():
     targets, inputs = build_dataset(scenario.dataset)
     rounds = (length - 1) // T
     assert rounds > 2 * rounds_per_pass(N)
-    kind, solved = _solve_episode("full", scenario, SeedWork(scenario, 3, [("full", N)]))
+    kind, solved, _ = _solve_episode("full", scenario, SeedWork(scenario, 3, [("full", N)]))
     assert kind == "full"
     bank = _build_bank(scenario, inputs, 3)
     played = 0
-    for r, (coeffs, _) in enumerate(solved):
+    for r, coeffs in enumerate(solved):
         base = r * T
         lone = full_backward_pass(
             scenario.params,
@@ -1049,3 +1051,19 @@ def test_lone_episode_rejects_an_unknown_policy_before_any_work(monkeypatch):
     monkeypatch.setattr(harness, "SeedWork", no_work)
     with pytest.raises(ValueError, match="^unknown policy 'oracle'$"):
         run_episode("oracle", small_scenario(), 1)
+
+
+def test_readme_library_sketch_runs_and_prints_its_shapes(capsys):
+    # README's "Library sketch" runs as written (SeedWork, run_episode with
+    # shared work, run_group, the convergence diagnostic) and prints the
+    # shapes its comments name
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    sketch = readme.split("## Library sketch\n\n```python\n", 1)[1].split("```", 1)[0]
+    namespace = {}
+    exec(sketch, namespace)
+    printed = capsys.readouterr().out.splitlines()
+    p, scenario = namespace["params"], namespace["scenario"]
+    rounds = (scenario.dataset.length - 1) // p.horizon_T
+    assert printed[1] == str((rounds, p.horizon_T + 1, p.population_N, p.dim_y))  # (rounds, T+1, N, d_y)
+    assert printed[2] == str((3, p.horizon_T + 1))  # (3, T+1)
+    assert len(namespace["records"]) == 3 and len(namespace["group"]) == 2
