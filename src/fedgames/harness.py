@@ -368,7 +368,10 @@ class _RunningMetrics:
         preds = predictions[1:].reshape(T, G, -1, predictions.shape[2])  # (T, G, N, d_y)
         acts = actions.reshape(T, G, -1, actions.shape[2])  # (T, G, N, d_z)
         err = y_round[1:, None, None] - preds
-        dev = preds - preds.mean(axis=2, keepdims=True)
+        # np.mean's sum and division, without its wrapper
+        mean = np.add.reduce(preds, axis=2, keepdims=True)
+        mean /= preds.shape[2]
+        dev = preds - mean
         sq = np.einsum("tgnd,tgnd->tgn", err, err)  # (y - Y)^2, per step and agent
         stage = (
             p.kappa * sq
@@ -382,7 +385,7 @@ class _RunningMetrics:
         self.quantiles[:, r] = _quantiles(costs, self.quantile_plan)
         for step in sq:
             self.sq_err += step
-        peak = np.max(np.abs(predictions).reshape(T + 1, G, -1), axis=(0, 2))
+        peak = np.maximum.reduce(np.abs(predictions).reshape(T + 1, G, -1), axis=(0, 2))
         np.maximum(self.max_abs_prediction, peak, out=self.max_abs_prediction)
         return sq
 
@@ -591,8 +594,7 @@ def _solve_episode(policy, scenario: Scenario, work: SeedWork):
     ``nash_full.rounds_per_pass(N)`` = (HARD_N_CEILING // N)^2 rounds,
     each as the loop reaches it: a chunk's peak memory stays at or below
     one lone pass at HARD_N_CEILING, so a cell never holds more than that
-    ahead of the loop. (A chunk's SolveError counts rounds from the
-    chunk's first.)
+    ahead of the loop.
     """
     p = scenario.params
     N, T = p.population_N, p.horizon_T
@@ -622,7 +624,8 @@ def _solve_episode(policy, scenario: Scenario, work: SeedWork):
             chunk = rounds_per_pass(N)
             for first in range(0, rounds, chunk):
                 stop = min(first + chunk, rounds)
-                coeffs = full_backward_pass(p, *work.round_stack(first, stop))
+                # an error names the episode's round, not the chunk's
+                coeffs = full_backward_pass(p, *work.round_stack(first, stop), label=lambda idx: f"round {first + idx[0]}")
                 yield from (take_round(coeffs, r) for r in range(stop - first))
 
         return "full", solve_chunks(), act
@@ -819,7 +822,8 @@ def _spawn_between_rounds(
     new_rows, retained_idx, retired_idx, post, log_post = resample_parameters(
         pool.rows[first : first + n], last_scores, log_weights, cfg.lam, cfg.sigma_t, cfg.retire_k, rng
     )
-    pool.respawn(first + retired_idx, new_rows)
+    slots = first + retired_idx
+    pool.respawn(slots, new_rows)
 
     event = {
         "round": int(round_idx),
@@ -827,8 +831,11 @@ def _spawn_between_rounds(
         "weights": post.tolist(),
     }
     if cfg.orthogonalize and cfg.zeta2 > 0:
-        beta_dir = last_actions.mean(axis=0)
-        norm = np.linalg.norm(beta_dir)
+        # the mean action's direction: np.mean's sum and division, and
+        # np.linalg.norm's dot and root, without their wrappers
+        beta_dir = np.add.reduce(last_actions, axis=0)
+        beta_dir /= n
+        norm = math.sqrt(beta_dir @ beta_dir)
         beta_dir = beta_dir / norm if norm > 0 else np.full(d_z, 1.0 / np.sqrt(d_z))
         prob = build_ortho_problem(
             last_latents[retained_idx],
@@ -838,7 +845,7 @@ def _spawn_between_rounds(
             cfg.zeta1,
         )
         sol = ortho_solve(prob, cfg.zeta2)
-        pool.steer(first + retired_idx, sol.A_star)
+        pool.steer(slots, sol.A_star)
         event.update(
             lambda_star=float(sol.lambda_star),
             kkt_residual=float(sol.kkt_residual),

@@ -51,7 +51,7 @@ import numpy as np
 from .config import SYMMETRY_RTOL, check_symmetry_scale
 from .errors import SolveError
 from .model import GameParams, TargetSeries
-from .nash_reduced import check_pass_finite, failing_round
+from .nash_reduced import _round_label, _stack_label, check_pass_finite, failing_round
 
 logger = logging.getLogger(__name__)
 
@@ -110,7 +110,7 @@ def rounds_per_pass(N: int) -> int:
     return max(1, (HARD_N_CEILING // N) ** 2)
 
 
-def full_backward_pass(params: GameParams, moments, targets: TargetSeries) -> FullNashCoeffs:
+def full_backward_pass(params: GameParams, moments, targets: TargetSeries, label=None) -> FullNashCoeffs:
     """Solve the coupled backward system for P_n, S_n, G, H.
 
     Moments and targets may carry a round axis right after the time axis
@@ -125,7 +125,10 @@ def full_backward_pass(params: GameParams, moments, targets: TargetSeries) -> Fu
     step, naming the first singular round of a stack (cannot happen for
     gamma > 0 with finite moments, but surfaced rather than swallowed),
     and, as the other passes do, if its outputs are not finite, naming the
-    first such step in backward order (``check_pass_finite``).
+    first such step in backward order (``check_pass_finite``). ``label``
+    names a stack entry from its index tuple (by default "round r", r its
+    index on the stack); a caller that solves a chunk of an episode's
+    rounds names the episode's round.
     """
     N, d_y, d_z = params.population_N, params.dim_y, params.dim_z
     T = params.horizon_T
@@ -142,6 +145,7 @@ def full_backward_pass(params: GameParams, moments, targets: TargetSeries) -> Fu
     if targets.values.shape[1:-1] != rounds:
         raise ValueError("targets and moments carry different round axes")
     R = int(np.prod(rounds))  # 1 for a lone pass
+    label = label or _stack_label(_round_label)
     n_y, n_z = N * d_y, N * d_z
 
     kap, kbar, gam = params.kappa, params.kappa_bar, params.gamma
@@ -219,7 +223,7 @@ def full_backward_pass(params: GameParams, moments, targets: TargetSeries) -> Fu
             gh = -np.linalg.solve(m_sys, rhs)
         except np.linalg.LinAlgError as exc:
             where = failing_round(
-                np.linalg.solve, m_sys.reshape(*rounds, n_z, n_z), rhs.reshape(*rounds, n_z, n_y + 1)
+                np.linalg.solve, m_sys.reshape(*rounds, n_z, n_z), rhs.reshape(*rounds, n_z, n_y + 1), label=label
             )
             raise SolveError(f"singular system matrix at {where}t={t}") from exc
         G[t] = gh[..., :-1]
@@ -278,7 +282,7 @@ def full_backward_pass(params: GameParams, moments, targets: TargetSeries) -> Fu
         s_new -= disc * kap * ((x_blk[..., :-1] + row_k).mT @ y[t + 1, :, None, :, None])[..., 0]
         S[t] = s_new
 
-    check_pass_finite("full", rounds, T, P, S, G, H)
+    check_pass_finite("full", rounds, T, P, S, G, H, label=label)
     check_symmetry_scale(logger, "P_n", max_asym, scale)
     # round axis second: after agents on P and S, after time elsewhere
     k = len(rounds)

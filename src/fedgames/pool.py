@@ -89,12 +89,12 @@ class AgentPool:
         written in place, because the caller's latents (the spawner's,
         read after this call) may be the same array."""
         slots = np.asarray(slots, dtype=int)
-        rows = np.asarray(rows, dtype=float)
+        rows = np.array(rows, dtype=float)  # a copy: its sigma is made nonnegative in place
         if not np.isfinite(rows).all():
             raise EncodeError("respawned parameter rows contain non-finite entries")
-        first = rows.shape[1] - self.encoder.sigma[0].size  # sigma, a row's last field, starts here
+        sigma = rows[:, rows.shape[1] - self.encoder.sigma[0].size :]  # sigma, a row's last field
+        np.abs(sigma, out=sigma)
         self.rows[slots] = rows
-        self.rows[slots, first:] = np.abs(rows[:, first:])
         if self.latent_transforms is not None:
             self.latent_transforms[slots] = np.eye(self.latent_transforms.shape[1])
         state = self.esn_state.copy()

@@ -47,8 +47,12 @@ class RidgeWindow:
     (n, W, ...) buffer (the newest k of the W weights are a k-pair
     window's), and solves the normal equations from it in place. The
     agent axis stays first, so each agent's design rows are C-ordered and
-    its matmuls take the path of a lone agent's. Memory grows linearly
-    with the window."""
+    its matmuls take the path of a lone agent's. The views of a window
+    size k (its weights, its rows of the buffers, flattened and
+    transposed) are built at its first solve and kept, so an episode
+    builds at most W sets and a step pays only for its arithmetic: the
+    two weighted products, the Gram and right-hand side matmuls and one
+    batched solve. Memory grows linearly with the window."""
 
     def __init__(self, n: int, d_y: int, d_z: int, T: int, cfg: RidgeConfig):
         W = cfg.window_T
@@ -59,19 +63,29 @@ class RidgeWindow:
         self.X, self.ybar = np.empty((n, W, d_y, d_z)), np.empty((n, W, d_y))
         self.gram, self.rhs = np.empty((n, d_z, d_z)), np.empty((n, d_z, 1))
         self.zero = np.zeros((n, d_z))
+        self.views = {}  # window size k -> its views, built at its first solve
+
+    def _views(self, k: int) -> tuple:
+        """Window size k's weights, shaped for the latents and the
+        residuals, its rows of the X and ybar buffers, and X flattened to
+        (n, k d_y, d_z) with its transpose and ybar as (n, k d_y, 1)."""
+        n, W, _, d_z = self.X.shape
+        w, X, ybar = self.weights[W - k :], self.X[:, W - k :], self.ybar[:, W - k :]
+        flat = X.reshape(n, -1, d_z)
+        return w[:, None, None], w[:, None], X, ybar, flat, np.swapaxes(flat, -1, -2), ybar.reshape(n, -1)[..., None]
 
     def solve(self, k: int, end: int) -> np.ndarray:
         """The (n, d_z) minimizers on each agent's pairs end - k .. end - 1,
         for 1 <= k <= W."""
-        n, W, _, d_z = self.X.shape
-        w, X, ybar = self.weights[W - k :], self.X[:, W - k :], self.ybar[:, W - k :]
-        np.multiply(w[:, None, None], self.z[:, end - k : end], out=X)
-        np.multiply(w[:, None], self.resid[:, end - k : end], out=ybar)
-        X, ybar = X.reshape(n, -1, d_z), ybar.reshape(n, -1)
-        Xt = np.swapaxes(X, -1, -2)
-        gram = np.matmul(Xt, X, out=self.gram)
+        views = self.views.get(k)
+        if views is None:
+            views = self.views[k] = self._views(k)
+        w_z, w_resid, X, ybar, flat, flat_t, ybar_col = views
+        np.multiply(w_z, self.z[:, end - k : end], out=X)
+        np.multiply(w_resid, self.resid[:, end - k : end], out=ybar)
+        gram = np.matmul(flat_t, flat, out=self.gram)
         gram += self.penalty
-        rhs = np.matmul(Xt, ybar[..., None], out=self.rhs)
+        rhs = np.matmul(flat_t, ybar_col, out=self.rhs)
         return np.linalg.solve(gram, rhs)[..., 0]
 
     def step(self, r, t, latents, target, drift, mean_drift, scale: float) -> np.ndarray:

@@ -26,6 +26,7 @@ round costs O(N d_y^2 d_z^2 + d_z^6), not O(K (N - K) d_z^4).
 
 from __future__ import annotations
 
+import functools
 import logging
 import math
 from dataclasses import dataclass
@@ -58,9 +59,9 @@ def gibbs_reweigh(log_prior: np.ndarray, scores: np.ndarray, lam: float):
     if lam < 0:
         raise ValueError("lambda must be nonnegative")
     logw = log_prior - lam * scores
-    logw -= logw.max()
+    logw -= np.maximum.reduce(logw)
     w = np.exp(logw)
-    total = float(w.sum())
+    total = float(np.add.reduce(w))
     if not 0 < total < math.inf:
         raise DegenerateError("posterior has no mass")
     return w / total, logw - math.log(total)
@@ -160,7 +161,8 @@ def build_ortho_problem(retained_Z, respawned_Z, beta, y, zeta1: float) -> Ortho
     tensors C[i, a, j, c] = sum_m Z_m[i, a] Z_m[j, c] of the two
     populations: entry (a + b d_z, c + e d_z) of Q is
     sum_ij Cm[i, a, j, c] (Cn[i, b, j, e] + zeta1 [i = j] beta_b beta_e),
-    so no pair is formed.
+    so no pair is formed. ``xi_I`` is shared by every problem of its d_z
+    and read-only.
     """
     beta = np.asarray(beta, dtype=float).reshape(-1)
     y = np.asarray(y, dtype=float).reshape(-1)
@@ -173,12 +175,21 @@ def build_ortho_problem(retained_Z, respawned_Z, beta, y, zeta1: float) -> Ortho
     cn = _gram(zn).reshape(d_y, d_z, d_y, d_z)
     c = np.zeros(dim)
     if zeta1 > 0:
-        diag = np.arange(d_y)
-        cn[diag, :, diag, :] += zeta1 * np.outer(beta, beta)
+        tracking = zeta1 * (beta[:, None] * beta)
+        for i in range(d_y):
+            cn[i, :, i, :] += tracking
         # H_m' y = beta kron Z_m' y, column-stacked like vec
-        c = (-2.0 * zeta1) * np.outer(beta, y @ zm.sum(axis=0)).reshape(dim)
+        c = (-2.0 * zeta1) * (beta[:, None] * (y @ np.add.reduce(zm, axis=0))).reshape(dim)
     Q = np.einsum("iajc,ibje->baec", cm, cn).reshape(dim, dim)
-    return OrthoProblem(Q=Q, c=c, xi_I=vec(np.eye(d_z)), d_z=d_z, zeta1=zeta1)
+    return OrthoProblem(Q=Q, c=c, xi_I=_vec_eye(d_z), d_z=d_z, zeta1=zeta1)
+
+
+@functools.cache
+def _vec_eye(d: int) -> np.ndarray:
+    """vec of the (d, d) identity, read-only: one per d, shared."""
+    xi = vec(np.eye(d))
+    xi.flags.writeable = False
+    return xi
 
 
 def _gram(z: np.ndarray) -> np.ndarray:
@@ -249,7 +260,8 @@ def ortho_solve(prob: OrthoProblem, zeta2: float) -> OrthoSolution:
             constraint_residual=0.0,
             hard_case=False,
         )
-    Q = 0.5 * (prob.Q + prob.Q.T)
+    Q = prob.Q + prob.Q.T
+    Q *= 0.5
     half_c = 0.5 * prob.c
     evals, evecs = np.linalg.eigh(Q)
     # the eigenbasis work is on d_z^2 scalars: Python floats from here on

@@ -14,10 +14,11 @@ action, dynamics, aggregation and scoring function per step, to check
 the harness's fused step bit for bit.
 ``round_stack`` and ``assert_round_equal`` check the round-batched
 backward passes against one unbatched pass per round.
-``reference_resample`` and ``reference_ortho_solve`` are the spawner's
-earlier per-slot resampling and secular solve, kept to check that the
-batched resampling draws the same stream and that the solve finds the
-same root. ``reference_mean_gap`` is the convergence diagnostic's
+``reference_resample``, ``reference_ortho_solve`` and
+``reference_build_ortho_problem`` are the spawner's earlier per-slot
+resampling, secular solve and QP assembly, kept to check that the batched
+resampling draws the same stream, that the solve finds the same root and
+that the assembly gives the same bits. ``reference_mean_gap`` is the convergence diagnostic's
 Monte-Carlo loop spelled with the package's own latent draw, action and
 dynamics, to check that the fused loop plays the same dynamics.
 ``ridge_design`` writes out the greedy baseline's discounted design, to
@@ -774,6 +775,9 @@ def assert_round_equal(batched, r, single):
 # per-slot ``rng.choice`` loop it replaced, which must give the same rows.
 # ``reference_ortho_solve`` is the steering solve with its earlier secular
 # root finder: numpy scalars, a Newton step tested after the bracket.
+# ``reference_build_ortho_problem`` is the steering QP's earlier assembly,
+# through ``np.outer``, a fancy-indexed diagonal update and a fresh vec of
+# the identity, which the assembly must match bit for bit.
 
 
 def reference_resample(flat_params, scores, log_prior, lam, sigma_t, retire_K, rng):
@@ -793,6 +797,29 @@ def reference_resample(flat_params, scores, log_prior, lam, sigma_t, retire_K, r
         var = sigma_t * (1.0 - post[pick]) / (N - retire_K)
         new_params[slot] = centre + np.sqrt(var) * rng.standard_normal(dim)
     return new_params, retained_idx, retired_idx, post
+
+
+def reference_build_ortho_problem(retained_Z, respawned_Z, beta, y, zeta1):
+    """(Q, c, xi_I) of ``build_ortho_problem``, in its earlier arithmetic."""
+    from fedgames.spawner import vec
+
+    beta = np.asarray(beta, dtype=float).reshape(-1)
+    y = np.asarray(y, dtype=float).reshape(-1)
+    d_z = beta.shape[0]
+    dim = d_z * d_z
+    zm = np.asarray(respawned_Z, dtype=float)
+    zn = np.asarray(retained_Z, dtype=float)
+    d_y = zm.shape[1]
+    flat_m, flat_n = zm.reshape(zm.shape[0], -1), zn.reshape(zn.shape[0], -1)
+    cm = (flat_m.T @ flat_m).reshape(d_y, d_z, d_y, d_z)
+    cn = (flat_n.T @ flat_n).reshape(d_y, d_z, d_y, d_z)
+    c = np.zeros(dim)
+    if zeta1 > 0:
+        diag = np.arange(d_y)
+        cn[diag, :, diag, :] += zeta1 * np.outer(beta, beta)
+        c = (-2.0 * zeta1) * np.outer(beta, y @ zm.sum(axis=0)).reshape(dim)
+    Q = np.einsum("iajc,ibje->baec", cm, cn).reshape(dim, dim)
+    return Q, c, vec(np.eye(d_z))
 
 
 def reference_secular_root(evals, g2, zeta2_sq, lam_lo, lam_hi, iters=200):

@@ -397,9 +397,9 @@ def test_failing_member_runs_its_group_again_one_at_a_time(config, tmp_path, mon
 def test_dense_pass_failing_after_round_0_runs_its_group_again(config, tmp_path, monkeypatch, capsys):
     # at N = 32 the dense full pass solves one round per chunk, as the loop
     # reaches it; the chunk of round 1 raises after the group has played
-    # round 0. Each full cell at N = 32 prints its lone run's line, and
-    # every other cell writes its lone run's files. (The line names "round
-    # 0": a chunk's SolveError counts rounds from the chunk's first.)
+    # round 0. Each full cell at N = 32 prints its lone run's line, which
+    # names the episode's round 1, and every other cell writes its lone
+    # run's files
     import dataclasses
 
     import fedgames.cli as cli
@@ -422,12 +422,12 @@ def test_dense_pass_failing_after_round_0_runs_its_group_again(config, tmp_path,
     full_backward_pass = harness.full_backward_pass
     poisoned = []
 
-    def failing_pass(params, moments, targets):
+    def failing_pass(params, moments, targets, label=None):
         # NaN moments for the chunk whose first round is round 1
         if np.array_equal(targets.values[:, 0], values[T : 2 * T + 1]):
             poisoned.append(params.population_N)
             moments = dataclasses.replace(moments, m1=np.full_like(moments.m1, np.nan))
-        return full_backward_pass(params, moments, targets)
+        return full_backward_pass(params, moments, targets, label=label)
 
     monkeypatch.setattr(harness, "full_backward_pass", failing_pass)
     failing = [("full", 32, 1), ("full", 32, 2)]
@@ -436,6 +436,7 @@ def test_dense_pass_failing_after_round_0_runs_its_group_again(config, tmp_path,
         with pytest.raises(SolveError) as err:
             harness.run_episode(policy, cli.build_scenario(cfg, n), seed)
         lone[policy, n, seed] = f"solver failure in cell policy={policy} N={n} seed={seed}: {err.value}"
+        assert str(err.value) == "full pass produced non-finite coefficients at round 1, t=1"
     assert poisoned == [32, 32]
 
     capsys.readouterr()

@@ -495,7 +495,9 @@ def test_greedy_window_matches_ridge_action_at_every_fill_level():
     # the round history's bookkeeping: each step solves the newest pairs,
     # as ridge_action does on them stacked (one solve of the same kernel),
     # at every fill level and across round boundaries, with the window
-    # above, between and below the round's T steps
+    # above, between and below the round's T steps; then, past several
+    # round shifts, the same window solves every size k again through the
+    # views that it built for k at its first solve
     from fedgames.ridge import RidgeWindow
 
     cfg = RidgeConfig(window_T=4, alpha=0.3, gamma=0.5)
@@ -517,6 +519,14 @@ def test_greedy_window_matches_ridge_action_at_every_fill_level():
                 np.testing.assert_array_equal(got, want, err_msg=f"T={T} round {r} step {t}, fill level {k}")
                 pairs_z.append(scale * latents)
                 pairs_r.append(scale * (target - drift - mean_drift))
+        W = cfg.window_T
+        views = dict(window.views)
+        assert sorted(views) == list(range(1, W + 1))
+        for k in range(1, W + 1):
+            # the last round's shift put the newest W pairs in rows 0..W-1
+            want = ridge_action(np.stack(pairs_z[-k:], axis=1), np.stack(pairs_r[-k:], axis=1), cfg)
+            np.testing.assert_array_equal(window.solve(k, W), want, err_msg=f"T={T} size {k} after the shifts")
+            assert window.views[k] is views[k]
 
 
 def _held_bytes(obj) -> int:
@@ -835,9 +845,9 @@ def test_full_cell_solves_one_pass_per_chunk(monkeypatch, N, length, passes):
 
     calls = []
 
-    def counted(*args):
+    def counted(*args, **kwargs):
         calls.append(args[1].m1.shape[1])
-        return full_backward_pass(*args)
+        return full_backward_pass(*args, **kwargs)
 
     monkeypatch.setattr(harness, "full_backward_pass", counted)
     run_episode("full", full_cell(N, length), seed=1)

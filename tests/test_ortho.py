@@ -4,7 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from oracles import reference_ortho_solve
+from oracles import reference_build_ortho_problem, reference_ortho_solve
 
 from fedgames.spawner import (
     OrthoProblem,
@@ -213,6 +213,25 @@ def test_problem_matches_pairwise_loop_at_scale(d_y):
     prob = build_ortho_problem(retained, respawned, beta, y, zeta1)
     np.testing.assert_allclose(prob.Q, Q, rtol=1e-12, atol=1e-12)
     np.testing.assert_allclose(prob.c, c, rtol=1e-12, atol=1e-12)
+
+
+@pytest.mark.parametrize("zeta1", [0.0, 0.7])
+@pytest.mark.parametrize("d_y", [1, 3])
+def test_problem_is_bitwise_the_earlier_assembly(d_y, zeta1):
+    # the broadcast products, the diagonal update one row at a time and the
+    # shared identity vec give the np.outer / fancy-index assembly's bits
+    rng = np.random.default_rng(15 + d_y)
+    d_z = 4
+    retained = rng.standard_normal((7, d_y, d_z))
+    respawned = rng.standard_normal((3, d_y, d_z))
+    beta, y = rng.standard_normal(d_z), rng.standard_normal(d_y)
+    prob = build_ortho_problem(retained, respawned, beta, y, zeta1)
+    Q, c, xi_I = reference_build_ortho_problem(retained, respawned, beta, y, zeta1)
+    np.testing.assert_array_equal(prob.Q, Q)
+    np.testing.assert_array_equal(prob.c, c)
+    np.testing.assert_array_equal(prob.xi_I, xi_I)
+    assert not prob.xi_I.flags.writeable
+    assert build_ortho_problem(retained, respawned, beta, y, zeta1).xi_I is prob.xi_I
 
 
 def test_problem_memory_does_not_grow_with_pairs():
