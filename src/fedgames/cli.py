@@ -458,9 +458,7 @@ def _convergence_scenario(cfg: dict) -> ConvergenceScenario:
     seed = _get(cfg, "seed")
     rng = np.random.default_rng(seed)
     targets = TargetSeries(values=rng.standard_normal((params.horizon_T + 1, params.dim_y)))
-    # its rules name the convergence keys as they are, without the section
-    given = {name: value for name, (_, value) in _given(cfg, "convergence").items()}
-    return ConvergenceScenario(params=params, targets=targets, seed=seed, **given)
+    return _build(ConvergenceScenario, _given(cfg, "convergence"), params=params, targets=targets, seed=seed)
 
 
 def cmd_convergence(args) -> int:

@@ -63,8 +63,6 @@ class DatasetSpec:
         check_fields(self, (f"one of {KINDS}", KINDS.__contains__), "kind", error=SpecError)
         check_fields(self, (">= 2", lambda n: n >= 2), "length", error=SpecError)
         check_fields(self, SEED, "seed", error=SpecError)
-        if self.kind == "csv" and "max_rows" in self.parameters:
-            raise SpecError("csv parameter max_rows is gone: set the dataset length to the rows to read")
         # each message begins with the field's name, as check_fields' do
         rules = PARAMETERS[self.kind]
         unknown = set(self.parameters) - set(rules)

@@ -74,14 +74,12 @@ each public function per step, the policy's action (``full_action``,
 ``test_fused_step_matches_public_functions`` holds the harness to it bit
 for bit; ``test_greedy_window_matches_ridge_action_at_every_fill_level``
 and ``test_bank_matches_per_step_encoder_calls`` do the same for the
-ridge window's history and the latent bank. Three pieces skip a public
+ridge window's history and the latent bank. Two pieces skip a public
 function's wrapper but keep its arithmetic order: the ESN saturation
-clamps with ``np.maximum`` and ``np.minimum`` in place; the
-decentralized action is one matmul of the predictions by G1', plus the
-step's mean-field term G2 Ybar, plus H, as ``decentralized_action`` adds
-them; and ``_RunningMetrics`` builds the stage discounts and the
-quantile plan once per episode and folds each round's (T, N, ...)
-arrays directly. The latent bank is one
+clamps with ``np.maximum`` and ``np.minimum`` in place, and
+``_RunningMetrics`` builds the stage discounts and the quantile plan
+once per episode and folds each round's (T, N, ...) arrays directly.
+The latent bank is one
 (rounds T, mc_samples, d_y, d_z) array from the encoder to
 ``estimate_moments``, which checks its finiteness
 once and reduces it to moments once; a recurrent encoder's carry is
@@ -125,9 +123,8 @@ from .encoders import (
 from .errors import AT_LEAST_ONE, FINITE, NONNEGATIVE, DynamicsError, check_fields
 from .model import GameParams, MomentSet, TargetSeries, estimate_moments
 from .nash_full import full_action, full_backward_pass, rounds_per_pass
-from .nash_meanfield import decentralized_action  # noqa: F401  (perfbench's tracer names it; the step does not call it)
+from .nash_meanfield import decentralized_action, limit_coeffs, meanfield_forward
 from .nash_meanfield import decentralized_backward_pass  # noqa: F401  (perfbench's tracer wraps it here)
-from .nash_meanfield import limit_coeffs, meanfield_forward
 from .nash_reduced import (
     game_units,
     reduced_action,
@@ -222,7 +219,9 @@ class RunRecord:
 
     @property
     def regret(self) -> float:
-        """Worst per-agent cost: the quantity the equilibrium minimizes."""
+        """The worst agent's realized cost (the under-performer regret).
+        Each solved policy is a Nash equilibrium, or its limit, which
+        need not minimize it."""
         return float(np.max(self.costs))
 
     @property
@@ -576,12 +575,11 @@ def _solve_episode(policy, scenario: Scenario, work: SeedWork):
     """(kind, solved, act): the one place a policy maps to its solver and
     its action rule. ``solved`` yields each round's coefficients in turn.
     ``act(c, r, t, predictions, latents, drift, mean_drift)`` returns the
-    (N, d_z) actions of step t of round r, whose coefficients are c,
-    possibly in a buffer that its next call overwrites (only the
-    decentralized one does); the last two are the step's drift terms
-    theta Y and theta_bar mean(Y), which only the greedy baseline reads
-    (its ridge residual is the target less both). The greedy baseline
-    solves nothing (kind and ``solved`` None) and reads no latent bank.
+    (N, d_z) actions of step t of round r, whose coefficients are c; the
+    last two are the step's drift terms theta Y and theta_bar mean(Y),
+    which only the greedy baseline reads (its ridge residual is the
+    target less both). The greedy baseline solves nothing (kind and
+    ``solved`` None) and reads no latent bank.
 
     The seed's latent bank (``SeedWork``) covers only the rounds T input
     steps that the rounds play, so a non-finite sample in an input step
@@ -638,14 +636,8 @@ def _solve_episode(policy, scenario: Scenario, work: SeedWork):
 
         return policy, solved, act
 
-    ybar, actions = work.ybar, np.empty((N, p.dim_z))
-
     def act(c, r, t, preds, latents, drift, mean_drift):
-        """``decentralized_action``'s own @ G1' + G2 Ybar + H, in its order."""
-        out = np.matmul(preds, c.G1[t].T, out=actions)
-        out += c.G2[t] @ ybar[t, r]
-        out += c.H[t]
-        return out
+        return decentralized_action(t, preds, work.ybar[t, r], c)
 
     return policy, solved, act
 

@@ -394,9 +394,7 @@ def reduced_coeffs(params: GameParams, s: LimitScaledPass, n: int) -> ReducedCoe
     stack, such as one entry of a population stack), in the units of the
     n-agent game, with the symmetry warning of its lone pass."""
     Pi, max_asym = game_units(s, n)
-    if n >= 3 and logger.isEnabledFor(logging.DEBUG):
-        logger.debug("max_t ||Pi3 - Pi4|| = %.3e", np.max(np.linalg.norm(Pi[2] - Pi[3], axis=(-2, -1))))
-    return ReducedCoeffs(
+    coeffs = ReducedCoeffs(
         *Pi,
         Xi1=s.forcing[0],
         Xi2=s.forcing[1] / n,
@@ -410,6 +408,9 @@ def reduced_coeffs(params: GameParams, s: LimitScaledPass, n: int) -> ReducedCoe
         dims=(n, params.dim_y, params.dim_z),
         max_asymmetry=float(max_asym) if max_asym.ndim == 0 else max_asym,
     )
+    if n >= 3 and logger.isEnabledFor(logging.DEBUG):
+        logger.debug("max_t ||Pi3 - Pi4|| = %.3e", np.max(coeffs.pi3_pi4_gap()))
+    return coeffs
 
 
 def reduced_action(

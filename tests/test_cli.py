@@ -612,7 +612,7 @@ def test_convergence_rejects_bad_grid(config, tmp_path, capsys, key, value):
     path.write_text(json.dumps(cfg), encoding="utf-8")
     out = tmp_path / "conv"
     assert main(["convergence", "--config", str(path), "--out", str(out)]) == 2
-    assert "config error:" in capsys.readouterr().err
+    assert f"config error: convergence.{key} must be" in capsys.readouterr().err
     assert not (out / "convergence.csv").exists()
 
 
@@ -637,21 +637,22 @@ def test_convergence_rejects_bad_seed(config, tmp_path, capsys, seed):
         ("latent_half_width", -0.1, "latent_half_width must be finite and >= 0"),
         ("latent_mean", float("nan"), "latent_mean must be finite"),
         ("latent_mean", float("-inf"), "latent_mean must be finite"),
-        ("latent_mean", [0.8], "convergence.latent_mean must be a number"),
-        ("latent_half_width", True, "convergence.latent_half_width must be a number"),
+        ("latent_mean", [0.8], "latent_mean must be a number"),
+        ("latent_half_width", True, "latent_half_width must be a number"),
     ],
 )
 def test_convergence_rejects_bad_latents(config, tmp_path, capsys, key, value, message):
     # a NaN or infinite half width exited 3 with non-finite coefficients
     # of the decentralized pass, and a negative one ran; a list stopped
-    # the command with a TypeError, and true ran as 1.0
+    # the command with a TypeError, and true ran as 1.0. Every message
+    # names the key with its section, the type errors and the rules alike
     _, cfg = config
     cfg["convergence"][key] = value
     path = tmp_path / "bad.json"
     path.write_text(json.dumps(cfg), encoding="utf-8")
     out = tmp_path / "conv"
     assert main(["convergence", "--config", str(path), "--out", str(out)]) == 2
-    assert f"config error: {message}" in capsys.readouterr().err
+    assert f"config error: convergence.{message}" in capsys.readouterr().err
     assert not (out / "convergence.csv").exists()
 
 

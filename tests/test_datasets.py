@@ -164,10 +164,14 @@ def test_csv_shorter_than_length_rejected(tmp_path):
         build_dataset(_csv_spec(path, 6))
 
 
-def test_csv_max_rows_points_to_length():
-    parameters = {"path": "s.csv", "target_columns": ["v"], "lag_spec": {"v": [1]}, "max_rows": 3}
-    with pytest.raises(SpecError, match="length"):
-        DatasetSpec(kind="csv", length=3, parameters=parameters)
+def test_csv_max_rows_is_an_unknown_key():
+    # the dataset length is the rows to read; max_rows is refused as any unknown key is
+    for max_rows in (3, -2):
+        parameters = {"path": "s.csv", "target_columns": ["v"], "lag_spec": {"v": [1]}, "max_rows": max_rows}
+        with pytest.raises(SpecError) as caught:
+            DatasetSpec(kind="csv", length=3, parameters=parameters)
+        known = "['path', 'target_columns', 'lag_spec', 'max_scale']"
+        assert str(caught.value) == f"parameters of csv: unknown keys ['max_rows'], known {known}"
 
 
 @pytest.mark.parametrize(

@@ -1010,6 +1010,36 @@ def test_group_draws_each_seed_once(monkeypatch, spawner):
     assert encoded == [units * N] * (rounds * T)
 
 
+def test_group_calls_each_policys_public_action(monkeypatch):
+    # one implementation per action: every member's step calls its
+    # policy's public action once, on its own N agents, and nothing else
+    # computes it
+    import fedgames.harness as harness
+
+    scenario = small_scenario()
+    N, T = scenario.params.population_N, scenario.params.horizon_T
+    members = [("full", 1), ("reduced", 1), ("decentralized", 1), ("reduced", 2), ("decentralized", 2)]
+    calls = {}
+
+    def counting(policy, action):
+        def counted(t, preds, *args):
+            calls[policy] = calls.get(policy, 0) + 1
+            assert np.shape(preds)[0] == (N * scenario.params.dim_y if policy == "full" else N)
+            return action(t, preds, *args)
+
+        return counted
+
+    for policy in ("full", "reduced", "decentralized"):
+        name = f"{policy}_action"
+        monkeypatch.setattr(harness, name, counting(policy, getattr(harness, name)))
+    cells = {(policy, N) for policy, _ in members}
+    shared = {seed: harness.SeedWork(scenario, seed, cells) for seed in (1, 2)}
+    harness.run_group(members, scenario, shared)
+
+    steps = shared[1].rounds * T
+    assert calls == {"full": steps, "reduced": 2 * steps, "decentralized": 2 * steps}
+
+
 @pytest.mark.parametrize(
     "members, works, message",
     [

@@ -4,17 +4,21 @@ A code line holds at least one token of code: blank lines, comment lines
 and the lines of docstrings (the string that opens a module, class or
 function body) do not count. Run from anywhere:
 
-    python tools/code_lines.py
+    python tools/code_lines.py [TREE]
+
+``TREE`` is the checkout whose ``src/fedgames`` is counted (the one that
+holds this file by default), such as an extracted parent commit.
 """
 
 from __future__ import annotations
 
+import argparse
 import ast
 import io
 import tokenize
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "fedgames"
+ROOT = Path(__file__).resolve().parents[1]
 NOT_CODE = {tokenize.COMMENT, tokenize.NL, tokenize.NEWLINE, tokenize.INDENT, tokenize.DEDENT, tokenize.ENDMARKER}
 BODIES = (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)
 
@@ -37,8 +41,13 @@ def code_lines(path: Path) -> int:
     return len(lines - docstring_lines(ast.parse(source)))
 
 
-def main() -> None:
-    counts = {path.name: code_lines(path) for path in sorted(SRC.glob("*.py"))}
+def main(argv=None) -> None:
+    ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    ap.add_argument("tree", nargs="?", default=str(ROOT), help="checkout whose src/fedgames is counted")
+    src = Path(ap.parse_args(argv).tree) / "src" / "fedgames"
+    counts = {path.name: code_lines(path) for path in sorted(src.glob("*.py"))}
+    if not counts:
+        raise SystemExit(f"no modules in {src}")
     width = max(map(len, counts))
     for name, n in counts.items():
         print(f"{name:<{width}} {n:5d}")
