@@ -225,15 +225,10 @@ def load_csv(
     if n_rows - start < 2:
         raise SpecError(f"{path}: series too short for max lag {max_lag}")
 
-    ts = np.arange(start, n_rows)  # time base of the target series
-    targets = np.stack([np.stack([cols[c][t] for c in target_columns]) for t in ts])
-    in_ts = ts[:-1]
+    # the target series starts at row ``start``; inputs[i] is read at row
+    # start + i, so its (column, lag) entry is column[start + i - lag + 1]
+    targets = np.stack([cols[c][start:] for c in target_columns], axis=1)
     inputs = np.stack(
-        [
-            np.concatenate(
-                [[cols[c][t - lag + 1] for lag in lags] for c, lags in lag_spec.items()]
-            )
-            for t in in_ts
-        ]
+        [cols[c][start - lag + 1 : n_rows - lag] for c, lags in lag_spec.items() for lag in lags], axis=1
     )
     return TargetSeries(values=targets), inputs

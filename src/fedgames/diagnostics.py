@@ -297,8 +297,8 @@ def coefficient_gaps(
     params: GameParams, moments, targets: TargetSeries, grid: tuple[int, ...]
 ) -> tuple[np.ndarray, DecentralizedCoeffs]:
     """Each N's lambda gaps, (T+1, P), and the limit's coefficients, from
-    one structured pass over the population stack eps = 1/N for each N of
-    ``grid`` (integers >= 2), then 0.
+    one structured pass whose ``populations`` are the N of ``grid``
+    (integers >= 2), then ``math.inf``.
 
     Each entry equals the lone pass at its N (the limit:
     ``decentralized_backward_pass``) bit for bit, warns as that pass
@@ -308,9 +308,8 @@ def coefficient_gaps(
     stack, with every entry's per-step F, K, M and E, is freed on return.
     """
     ns = (*grid, math.inf)
-    n = np.array(ns)
-    s = structured_pass(params, moments, targets, 1 / n[:, None, None], "reduced", lambda p: f"N={ns[p]}")
-    _, max_asym = game_units(s, n)
+    s = structured_pass(params, moments, targets, ns, "reduced")
+    _, max_asym = game_units(s, np.array(ns))
     gaps = np.linalg.norm(s.blocks[:, :, :-1] - s.blocks[:, :, -1:], axis=(-2, -1)).max(axis=0)
     return gaps, limit_coeffs(params, s.entry(-1), max_asym[-1])
 

@@ -421,9 +421,11 @@ def aggregate_predictions(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Score-weighted ensemble prediction; returns (prediction, weights).
 
-    Only the last ``window_Ta`` rows of ``recent_errors`` (a sequence of
-    (N,) squared errors, oldest first) are read.
+    Only the last ``window_Ta`` (>= 1) rows of ``recent_errors`` (a
+    sequence of (N,) squared errors, oldest first) are read.
     """
+    if window_Ta < 1:
+        raise ValueError(f"window_Ta must be >= 1, got {window_Ta!r}")
     preds = np.atleast_2d(np.asarray(per_agent_preds, dtype=float))
     n = preds.shape[0]
     if recent_errors is None or len(recent_errors) == 0:
@@ -503,9 +505,9 @@ class SeedWork:
     ``mc_samples``) is built and reduced to round-stacked moments only if
     some cell solves a game; greedy cells read the dataset alone. Every
     reduced N >= 2 among the cells and, for decentralized cells, the
-    limit (eps = 0), the cells' ``_population``, are solved over every
-    round in one population stack of ``nash_reduced.structured_pass``;
-    each entry is read back through the code of its lone pass
+    limit (``math.inf``), the cells' ``_population``, are the
+    ``populations`` of one ``nash_reduced.structured_pass`` over every
+    round; each entry is read back through the code of its lone pass
     (``reduced_coeffs``, ``limit_coeffs``), so it is that pass's
     coefficients bit for bit. ``solved`` maps each population, the limit
     (``math.inf``) included, to its round-stacked coefficients, and
@@ -551,8 +553,7 @@ class SeedWork:
             ns = sorted({_population(policy, n) for policy, n in self.cells} - {None})
             if ns:
                 moments, stacked = self.round_stack(0, self.rounds)
-                eps = 1 / np.array(ns, dtype=float)[:, None, None, None]
-                s = structured_pass(p, moments, stacked, eps, "reduced", lambda i: f"N={ns[i]}")
+                s = structured_pass(p, moments, stacked, ns, "reduced")
                 for i, n in enumerate(ns):
                     entry = s.entry(i)
                     if n < math.inf:
@@ -623,7 +624,7 @@ def _solve_episode(policy, scenario: Scenario, work: SeedWork):
             for first in range(0, rounds, chunk):
                 stop = min(first + chunk, rounds)
                 # an error names the episode's round, not the chunk's
-                coeffs = full_backward_pass(p, *work.round_stack(first, stop), label=lambda idx: f"round {first + idx[0]}")
+                coeffs = full_backward_pass(p, *work.round_stack(first, stop), first_round=first)
                 yield from (take_round(coeffs, r) for r in range(stop - first))
 
         return "full", solve_chunks(), act

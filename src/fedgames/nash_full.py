@@ -110,7 +110,7 @@ def rounds_per_pass(N: int) -> int:
     return max(1, (HARD_N_CEILING // N) ** 2)
 
 
-def full_backward_pass(params: GameParams, moments, targets: TargetSeries, label=None) -> FullNashCoeffs:
+def full_backward_pass(params: GameParams, moments, targets: TargetSeries, first_round: int = 0) -> FullNashCoeffs:
     """Solve the coupled backward system for P_n, S_n, G, H.
 
     Moments and targets may carry a round axis right after the time axis
@@ -125,10 +125,10 @@ def full_backward_pass(params: GameParams, moments, targets: TargetSeries, label
     step, naming the first singular round of a stack (cannot happen for
     gamma > 0 with finite moments, but surfaced rather than swallowed),
     and, as the other passes do, if its outputs are not finite, naming the
-    first such step in backward order (``check_pass_finite``). ``label``
-    names a stack entry from its index tuple (by default "round r", r its
-    index on the stack); a caller that solves a chunk of an episode's
-    rounds names the episode's round.
+    first such step in backward order (``check_pass_finite``). An error
+    names stack entry r "round <first_round + r>": a caller that solves a
+    chunk of an episode's rounds passes the episode round of the chunk's
+    first entry.
     """
     N, d_y, d_z = params.population_N, params.dim_y, params.dim_z
     T = params.horizon_T
@@ -145,7 +145,7 @@ def full_backward_pass(params: GameParams, moments, targets: TargetSeries, label
     if targets.values.shape[1:-1] != rounds:
         raise ValueError("targets and moments carry different round axes")
     R = int(np.prod(rounds))  # 1 for a lone pass
-    label = label or _stack_label(_round_label)
+    label = _stack_label(lambda r: _round_label(first_round + r))
     n_y, n_z = N * d_y, N * d_z
 
     kap, kbar, gam = params.kappa, params.kappa_bar, params.gamma

@@ -70,14 +70,14 @@ def decentralized_backward_pass(
     targets: TargetSeries,
 ) -> DecentralizedCoeffs:
     """Backward pass of the limit system: the structured pass of
-    ``nash_reduced`` at eps = 0, whose limit-scaled blocks and gains are
-    this type's fields.
+    ``nash_reduced`` at N = ``math.inf`` (eps = 0), whose limit-scaled
+    blocks and gains are this type's fields.
 
     Moments and targets may carry a round axis right after the time axis
     (m1 (T, R, d_y, d_z), values (T+1, R, d_y)); every round is then
     solved at once and the outputs carry the same round axis.
     """
-    s = structured_pass(params, moments, targets, 0.0, "decentralized")
+    s = structured_pass(params, moments, targets, math.inf, "decentralized")
     return limit_coeffs(params, s, game_units(s, math.inf)[1])
 
 

@@ -38,12 +38,13 @@ overflowing Delta, weighted by 0, from turning into NaN.
 
 One pass solves a stack of independent games on the axes right after
 time: rounds (moments and targets carry the round axis), populations
-(eps is then a per-entry array on that axis; ``limit_gap_diagnostic``
-solves its N grid and, at eps = 0, the limit in one pass), or both, the
-population axis first (``harness.SeedWork`` solves every reduced N of a
-seed's cells and the limit over all of its rounds in one pass). Every
-update acts on each entry as on a lone game, so an entry's coefficients
-equal the lone pass bit for bit: eps and its polynomials broadcast as
+(``structured_pass`` takes a sequence of N, ``math.inf`` for the limit,
+and puts each entry's eps = 1/N on that axis; ``limit_gap_diagnostic``
+solves its N grid and the limit in one pass), or both, the population
+axis first (``harness.SeedWork`` solves every reduced N of a seed's
+cells and the limit over all of its rounds in one pass). Every update
+acts on each entry as on a lone game, so an entry's coefficients equal
+the lone pass bit for bit: eps and its polynomials broadcast as
 (P, 1, 1) or (P, 1, 1, 1) arrays through the same IEEE operations as the
 Python floats of a lone N, the tail update is a per-entry select, and
 ``weighted_m2`` gives every entry of a stack the bits of a lone call.
@@ -238,17 +239,14 @@ def _worst(values, label) -> str:
     return f"{values.flat[i]:.3e} (max, at {label(_index(i, values.shape))})"
 
 
-def structured_pass(
-    params: GameParams, moments, targets: TargetSeries, eps, name: str, label=None
-) -> LimitScaledPass:
-    """The backward recursion of the module docstring at eps = 1/N: a
-    Python float (0.0 for the limit) or, for a population stack, an array
-    of per-entry values (0.0 for a limit entry), (P, 1, 1) or, with
-    moments and targets that carry a round axis, (P, 1, 1, 1); the outputs
-    then carry the population axis, then the round axis, after time.
-    ``name`` names the pass in its errors and its DEBUG line per step,
-    which name a stack entry by ``label(p)`` for population entry p (then
-    the round, on a round axis)."""
+def structured_pass(params: GameParams, moments, targets: TargetSeries, populations, name: str) -> LimitScaledPass:
+    """The backward recursion of the module docstring at eps = 1/N for
+    ``populations``: an N (``math.inf`` for the limit, eps = 0) or, for a
+    population stack, a sequence of them, whose outputs carry the
+    population axis, then the round axis of moments and targets that
+    carry one, after time. ``name`` names the pass in its errors and its
+    DEBUG line per step, which name a stack entry N=<n> (then the round,
+    on a round axis)."""
     d_y, d_z, T = params.dim_y, params.dim_z, params.horizon_T
     if targets.horizon < T or moments.horizon < T:
         raise ValueError("targets/moments do not cover the horizon")
@@ -256,9 +254,14 @@ def structured_pass(
     if targets.values.shape[1:-1] != rounds:
         raise ValueError("targets and moments carry different round axes")
     axes = [_round_label] * len(rounds)
-    if np.ndim(eps):
-        rounds = (np.shape(eps)[0], *rounds)
-        axes.insert(0, label)
+    if np.ndim(populations):
+        ns = tuple(populations)
+        # one eps per entry on the axis before the rounds and the matrices
+        eps = 1 / np.array(ns, dtype=float).reshape(-1, *[1] * (len(rounds) + 2))
+        rounds = (len(ns), *rounds)
+        axes.insert(0, lambda p: f"N={ns[p]}")
+    else:
+        eps = 1 / populations
     entry_label = _stack_label(*axes)
     q, w = 1 - eps, 1 - 2 * eps
     # entries with a tail block Lam4 (N >= 3, and the limit) take its update
@@ -386,7 +389,7 @@ def reduced_backward_pass(params: GameParams, moments, targets: TargetSeries) ->
     n = params.population_N
     if n < 2:
         raise ValueError("reduced solver requires N >= 2; route N = 1 to the full solver")
-    return reduced_coeffs(params, structured_pass(params, moments, targets, 1 / n, "reduced"), n)
+    return reduced_coeffs(params, structured_pass(params, moments, targets, n, "reduced"), n)
 
 
 def reduced_coeffs(params: GameParams, s: LimitScaledPass, n: int) -> ReducedCoeffs:

@@ -1,6 +1,7 @@
 import csv
 import importlib.util
 import json
+import math
 import os
 import re
 import subprocess
@@ -422,12 +423,12 @@ def test_dense_pass_failing_after_round_0_runs_its_group_again(config, tmp_path,
     full_backward_pass = harness.full_backward_pass
     poisoned = []
 
-    def failing_pass(params, moments, targets, label=None):
+    def failing_pass(params, moments, targets, first_round=0):
         # NaN moments for the chunk whose first round is round 1
         if np.array_equal(targets.values[:, 0], values[T : 2 * T + 1]):
             poisoned.append(params.population_N)
             moments = dataclasses.replace(moments, m1=np.full_like(moments.m1, np.nan))
-        return full_backward_pass(params, moments, targets, label=label)
+        return full_backward_pass(params, moments, targets, first_round)
 
     monkeypatch.setattr(harness, "full_backward_pass", failing_pass)
     failing = [("full", 32, 1), ("full", 32, 2)]
@@ -472,14 +473,14 @@ def test_failing_population_fails_only_its_cells(config, tmp_path, monkeypatch, 
     unbroken = tmp_path / "unbroken"
     assert main(["run", "--config", str(path), "--out", str(unbroken)]) == 0
 
-    stacks = []  # the eps of each stacked pass
+    stacks = []  # the populations of each stacked pass
     structured_pass = harness.structured_pass
 
-    def failing_pass(params, moments, targets, eps, *args):
-        stacks.append(eps.ravel().tolist())
-        if failing_n is not None and np.any(eps == 1 / failing_n):
-            raise SolveError(f"injected in a stack of {eps.shape[0]}")
-        return structured_pass(params, moments, targets, eps, *args)
+    def failing_pass(params, moments, targets, populations, name):
+        stacks.append(list(populations))
+        if failing_n in populations:
+            raise SolveError(f"injected in a stack of {len(populations)}")
+        return structured_pass(params, moments, targets, populations, name)
 
     monkeypatch.setattr(harness, "structured_pass", failing_pass)
     capsys.readouterr()
@@ -487,13 +488,13 @@ def test_failing_population_fails_only_its_cells(config, tmp_path, monkeypatch, 
     assert main(["run", "--config", str(path), "--out", str(out)]) == (0 if failing_n is None else 3)
     failures = [line for line in capsys.readouterr().err.splitlines() if line.startswith("solver failure")]
     want = _grid_rows(unbroken)
-    eps = [1 / 3, 1 / 8, 0.0]  # N = 3, 8 and the limit, solved once per seed
+    ns = [3, 8, math.inf]  # N = 3, 8 and the limit, solved once per seed
     if failing_n is None:
-        assert stacks == [eps]
+        assert stacks == [ns]
         assert failures == []
     else:
         # the seed's stack once, then each cell's own, in grid order
-        assert stacks == [eps, [1 / 3], [0.0], [1 / 8], [0.0]]
+        assert stacks == [ns, [3], [math.inf], [8], [math.inf]]
         cells = [("reduced", 8, 1)] if failing_n == 8 else [("decentralized", 3, 1), ("decentralized", 8, 1)]
         assert failures == [
             f"solver failure in cell policy={policy} N={n} seed={seed}: injected in a stack of 1"

@@ -67,6 +67,15 @@ def test_csv_multi_lag_alignment(tmp_path):
     np.testing.assert_array_equal(inputs[0], [11.0, 10.0, 1.0])
     np.testing.assert_array_equal(inputs[1], [12.0, 11.0, 2.0])
 
+    # two target columns, each at lags 1 and 3: max lag 3 => the series
+    # starts at row 2, and input row i reads rows 2 + i and i
+    path.write_text("a,b\n10,0\n11,1\n12,2\n13,3\n14,4\n15,5\n", encoding="utf-8")
+    ts, inputs = load_csv(path, ["a", "b"], {"a": [1, 3], "b": [1, 3]})
+    np.testing.assert_array_equal(ts.values, [[12.0, 2.0], [13.0, 3.0], [14.0, 4.0], [15.0, 5.0]])
+    np.testing.assert_array_equal(
+        inputs, [[12.0, 10.0, 2.0, 0.0], [13.0, 11.0, 3.0, 1.0], [14.0, 12.0, 4.0, 2.0]]
+    )
+
 
 def test_csv_errors(tmp_path):
     empty = tmp_path / "empty.csv"

@@ -192,6 +192,13 @@ class TestAggregation:
         _, w = aggregate_predictions(np.array([[1.0], [3.0]]), [], 0.2, 3)
         np.testing.assert_allclose(w, 0.5)
 
+    @pytest.mark.parametrize("window", [0, -1])
+    def test_window_below_one_rejected(self, window):
+        # a slice [-0:] would read the whole history, [-(-1):] drop its oldest row
+        history = [np.array([0.0, 1.0]), np.array([2.0, 0.0])]
+        with pytest.raises(ValueError, match=rf"^window_Ta must be >= 1, got {window}$"):
+            aggregate_predictions(np.array([[1.0], [3.0]]), history, 0.2, window)
+
     def test_weights_simplex_and_equivariant(self):
         rng = np.random.default_rng(1)
         errors = rng.uniform(0, 4, size=(5, 6))

@@ -6,7 +6,7 @@ from dataclasses import fields, replace
 
 import numpy as np
 import pytest
-from hypothesis import HealthCheck, Phase, given, settings
+from hypothesis import HealthCheck, Phase, Verbosity, given, settings
 from hypothesis import strategies as st
 from oracles import (
     assert_round_equal,
@@ -605,15 +605,6 @@ def population_case(rng, d_y, d_z, T, moments_kind):
     return params, moments, TargetSeries(values=rng.standard_normal((T + 1, d_y)))
 
 
-def population_pass(params, moments, targets, ns):
-    """The population stack of ``diagnostics.coefficient_gaps`` (or, on
-    round-stacked moments, of ``harness.SeedWork``): one structured pass
-    at eps = 1/N for each N of ``ns`` (inf: the limit), a failing entry
-    named N=<n>."""
-    eps = (1 / np.array(ns, dtype=float)).reshape(-1, *[1] * (moments.m1.ndim - 1))
-    return structured_pass(params, moments, targets, eps, "reduced", lambda p: f"N={ns[p]}")
-
-
 def assert_fields_equal(have, want):
     for f in fields(want):
         a, b = getattr(have, f.name), getattr(want, f.name)
@@ -629,13 +620,13 @@ def assert_stack_equals_singles(params, moments, targets, grid):
     game's units it is the lone reduced pass at that N (Pi blocks and
     ``max_asymmetry``), or the lone decentralized pass."""
     ns = (*grid, math.inf)
-    stack = population_pass(params, moments, targets, ns)
+    stack = structured_pass(params, moments, targets, ns, "reduced")
     assert stack.g1.shape == (params.horizon_T, len(ns), params.dim_z, params.dim_y)
     assert stack.asymmetry.shape == (4, len(ns))
     pis, max_asym = game_units(stack, np.array(ns))
     for p, n in enumerate(ns):
         entry = stack.entry(p)
-        single = structured_pass(params, moments, targets, 1 / n, "reduced")
+        single = structured_pass(params, moments, targets, n, "reduced")
         for name, have, want in zip(LimitScaledPass._fields, entry, single):
             np.testing.assert_array_equal(have, want, err_msg=f"{name} at N={n}")
         if math.isinf(n):
@@ -699,7 +690,7 @@ def test_population_round_stack_matches_each_lone_pass(caplog, rounds):
     (moments, targets), singles = round_stack(rng, params, rounds)
     ns = (2, 3, 8, math.inf)
     with caplog.at_level(logging.DEBUG, logger="fedgames.nash_reduced"):
-        stack = population_pass(params, moments, targets, ns)
+        stack = structured_pass(params, moments, targets, ns, "reduced")
     steps = [r.getMessage() for r in caplog.records if r.getMessage().startswith("reduced t=")]
     assert len(steps) == T
     where = r"\(max, at N=(2|3|8|inf), round \d\)"
@@ -709,7 +700,7 @@ def test_population_round_stack_matches_each_lone_pass(caplog, rounds):
     for p, n in enumerate(ns):
         entry = stack.entry(p)
         for r, (mom_r, tgt_r) in enumerate(singles):
-            lone = structured_pass(params, mom_r, tgt_r, 1 / n, "reduced")
+            lone = structured_pass(params, mom_r, tgt_r, n, "reduced")
             for name, have, want in zip(LimitScaledPass._fields, round_of(entry, r), lone):
                 np.testing.assert_array_equal(have, want, err_msg=f"{name} at N={n}, round {r}")
         if math.isinf(n):
@@ -735,10 +726,10 @@ def test_population_round_stack_overflow_names_n_and_round():
     with np.errstate(over="ignore", invalid="ignore"):
         for n in grid:
             with pytest.raises(SolveError) as alone:
-                structured_pass(params, singles[1][0], TargetSeries(values=values[:, 1]), 1 / n, "reduced")
+                structured_pass(params, singles[1][0], TargetSeries(values=values[:, 1]), n, "reduced")
             bad_t[n] = int(re.search(r"at t=(\d+)$", str(alone.value))[1])
         with pytest.raises(SolveError) as stacked:
-            population_pass(params, moments, TargetSeries(values=values), grid)
+            structured_pass(params, moments, TargetSeries(values=values), grid, "reduced")
     t = max(bad_t.values())
     named = next(n for n in grid if bad_t[n] == t)
     assert str(stacked.value) == f"reduced pass produced non-finite coefficients at N={named}, round 1, t={t}"
@@ -760,7 +751,7 @@ def test_population_round_stack_singular_entry_names_n_and_round():
     )
     targets = TargetSeries(values=np.zeros((T + 1, R, 1)))
     with pytest.raises(SolveError, match="^reduced pass failed at N=2, round 1, t=2: "):
-        population_pass(params, moments, targets, (3, 2, 5, math.inf))
+        structured_pass(params, moments, targets, (3, 2, 5, math.inf), "reduced")
 
 
 def test_overflowing_population_stack_names_n():
@@ -857,14 +848,14 @@ def test_property_harsh_population_stack(case):
         singles = {}
         for n in ns:
             try:
-                singles[n] = structured_pass(params, moments, targets, 1 / n, "reduced")
+                singles[n] = structured_pass(params, moments, targets, n, "reduced")
             except SolveError as exc:
                 singles[n] = exc
                 continue
             for name, value in zip(LimitScaledPass._fields[:-1], singles[n]):
                 assert np.all(np.isfinite(value)), (n, name)
         try:
-            stack = population_pass(params, moments, targets, ns)
+            stack = structured_pass(params, moments, targets, ns, "reduced")
         except SolveError as exc:
             named = re.search(r" at N=(\d+|inf), ", str(exc))[1]
             named = math.inf if named == "inf" else int(named)
@@ -895,7 +886,7 @@ def test_property_harsh_rounding_logs_nothing(caplog, case):
         np.errstate(over="ignore", invalid="ignore", divide="ignore"),
     ):
         try:
-            stack = population_pass(params, moments, targets, ns)
+            stack = structured_pass(params, moments, targets, ns, "reduced")
         except SolveError:
             return
         pis, max_asymmetry = game_units(stack, np.array(ns))
@@ -909,8 +900,13 @@ def test_property_harsh_rounding_logs_nothing(caplog, case):
     "can differ by up to ~1 of the largest |entry| (see CHANGES.md, FOUND)",
     strict=False,
 )
-# no shrinking: a failing draw ends the test as its expected failure
-@settings(max_examples=60, deadline=None, phases=[Phase.explicit, Phase.reuse, Phase.generate])
+# no shrinking: a failing draw ends the test as its expected failure. Quiet:
+# a reported falsifying example makes Hypothesis's pytest plugin write a
+# .hypothesis/patches file that would pin this known-failing draw as an
+# explicit example
+@settings(
+    max_examples=60, deadline=None, phases=[Phase.explicit, Phase.reuse, Phase.generate], verbosity=Verbosity.quiet
+)
 @given(harsh_population_case(), st.integers(min_value=2, max_value=8))
 def test_property_harsh_full_against_reduced(case, N):
     # either both passes raise a typed error, or both give finite gains
